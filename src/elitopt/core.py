@@ -181,11 +181,20 @@ def penalized_fitness(
 ) -> float:
     """Fold constraint violations into a single minimization fitness.
 
-    Feasible candidates (all violations zero) keep their raw objective.
+    Feasible candidates (all violations zero) keep their raw objective.  The
+    penalty multiplies, so it only ranks infeasible designs below feasible
+    ones when the objective is non-negative: a constrained problem with a
+    negative objective is rejected.  Unconstrained problems (no violations)
+    take any objective.
     """
     v = np.asarray(violations, dtype=float)
     if v.size and float(np.min(v)) < 0:
         raise ValueError("violations must be non-negative")
+    if v.size and objective < 0:
+        raise ValueError(
+            f"objective {objective!r} is negative; the multiplicative penalty "
+            f"needs a non-negative objective on a constrained problem"
+        )
     total = float(np.sum(v))
     return float(objective) * (1.0 + params.scale * total) ** params.exponent
 
@@ -354,6 +363,11 @@ class RunContext:
             )
         violations = np.asarray(violations, dtype=float)
         fitness = penalized_fitness(objective, violations, self.penalty)
+        if not math.isfinite(fitness):
+            raise EvaluationError(
+                f"non-finite fitness {fitness!r} from violations {violations!r} "
+                f"at position {position!r}"
+            )
         self.nfes += 1
         candidate = Candidate(
             position=np.asarray(position, dtype=float).copy(),

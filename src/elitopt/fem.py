@@ -8,7 +8,8 @@ positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,138 +32,187 @@ class Material:
             raise ModelError("need E > 0 and density >= 0")
 
 
-@dataclass
-class TrussModel:
-    """Immutable-by-convention description of one truss configuration.
+class TrussTopology:
+    """The part of a truss that no design variable changes.
 
-    nodes : (n, 2) float array of coordinates [m]
+    n_nodes : number of nodes
     members : (m, 2) int array of node index pairs
-    areas : (m,) float array of cross sections [m^2]
+    material : :class:`Material`
     fixed : (n, 2) bool array, True where a DOF is restrained
     loads : (n, 2) float array of nodal forces [N]
     masses : (n,) float array of lumped nonstructural masses [kg]
+
+    Everything here is validated once, on construction, and stored as
+    read-only copies.  Construction also precomputes what every analysis of
+    a model on this topology reuses: the free DOFs, the load vector on them,
+    and the scatter indices that assemble stiffness and lumped masses.
     """
 
-    nodes: np.ndarray
-    members: np.ndarray
-    areas: np.ndarray
-    material: Material
-    fixed: np.ndarray
-    loads: np.ndarray = None
-    masses: np.ndarray = None
-
-    def __post_init__(self):
-        self.nodes = np.asarray(self.nodes, dtype=float)
-        self.members = np.asarray(self.members, dtype=int)
-        self.areas = np.asarray(self.areas, dtype=float)
-        self.fixed = np.asarray(self.fixed, dtype=bool)
-        n = self.nodes.shape[0]
-        if self.nodes.ndim != 2 or self.nodes.shape[1] != 2:
-            raise ModelError("nodes must be an (n, 2) array")
-        if self.members.ndim != 2 or self.members.shape[1] != 2:
+    def __init__(self, n_nodes, members, material, fixed, loads=None, masses=None):
+        n = int(n_nodes)
+        members = np.array(members, dtype=int)
+        fixed = np.array(fixed, dtype=bool)
+        if members.ndim != 2 or members.shape[1] != 2:
             raise ModelError("members must be an (m, 2) array")
-        if self.members.min(initial=0) < 0 or self.members.max(initial=-1) >= n:
+        if members.min(initial=0) < 0 or members.max(initial=-1) >= n:
             raise ModelError("member endpoint out of range")
-        if np.any(self.members[:, 0] == self.members[:, 1]):
+        if np.any(members[:, 0] == members[:, 1]):
             raise ModelError("member with identical endpoints")
-        if self.areas.shape != (self.members.shape[0],):
-            raise ModelError("areas must match the member count")
-        if np.any(self.areas <= 0):
-            raise ModelError("member areas must be positive")
-        if self.fixed.shape != (n, 2):
+        if fixed.shape != (n, 2):
             raise ModelError("fixed must be an (n, 2) bool array")
-        if int(self.fixed.sum()) < 3:
+        if int(fixed.sum()) < 3:
             raise ModelError("at least three restrained DOFs are required")
-        if self.loads is None:
-            self.loads = np.zeros((n, 2))
-        else:
-            self.loads = np.asarray(self.loads, dtype=float)
-            if self.loads.shape != (n, 2):
-                raise ModelError("loads must be an (n, 2) array")
-        if self.masses is None:
-            self.masses = np.zeros(n)
-        else:
-            self.masses = np.asarray(self.masses, dtype=float)
-            if self.masses.shape != (n,):
-                raise ModelError("masses must be an (n,) array")
-            if np.any(self.masses < 0):
-                raise ModelError("lumped masses must be >= 0")
-        if np.any(member_lengths(self) <= 0):
-            raise ModelError("zero-length member")
+        loads = np.zeros((n, 2)) if loads is None else np.array(loads, dtype=float)
+        if loads.shape != (n, 2):
+            raise ModelError("loads must be an (n, 2) array")
+        masses = np.zeros(n) if masses is None else np.array(masses, dtype=float)
+        if masses.shape != (n,):
+            raise ModelError("masses must be an (n,) array")
+        if np.any(masses < 0):
+            raise ModelError("lumped masses must be >= 0")
 
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.shape[0]
+        n_dof = 2 * n
+        free = np.flatnonzero(~fixed.ravel())
+        a, b = members[:, 0], members[:, 1]
+        # global DOFs of each member's 4x4 block, row-major within the block
+        dofs = np.column_stack([2 * a, 2 * a + 1, 2 * b, 2 * b + 1])
+        rows = np.repeat(dofs, 4, axis=1).ravel()
+        cols = np.tile(dofs, (1, 4)).ravel()
+        position = np.full(n_dof, -1)
+        position[free] = np.arange(free.size)
+        on_free = (position[rows] >= 0) & (position[cols] >= 0)
+
+        self.n_nodes = n
+        self.members = members
+        self.material = material
+        self.fixed = fixed
+        self.loads = loads
+        self.masses = masses
+        self.free = free
+        self.free_loads = loads.ravel()[free]
+        self.stiffness_index = rows * n_dof + cols
+        self.free_entries = np.flatnonzero(on_free)
+        self.free_stiffness_index = (
+            position[rows[on_free]] * free.size + position[cols[on_free]]
+        )
+        # each node's own mass first, then member starts, then member ends
+        self.mass_index = np.concatenate([np.arange(n), a, b])
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @property
     def n_members(self) -> int:
         return self.members.shape[0]
 
 
-def member_lengths(model: TrussModel) -> np.ndarray:
-    d = model.nodes[model.members[:, 1]] - model.nodes[model.members[:, 0]]
-    return np.linalg.norm(d, axis=1)
+class TrussModel:
+    """One truss configuration: node coordinates and member areas on a
+    :class:`TrussTopology`.
+
+    ``TrussModel(nodes, members, areas, material, fixed, loads, masses)``
+    validates everything.  ``TrussModel(nodes, areas=areas,
+    topology=topology)`` reuses an already validated topology and checks
+    only what a design changes: the node array shape, areas > 0 and member
+    lengths > 0.  Member lengths and direction cosines are computed here,
+    once, and shared by every analysis of the model, as is the stiffness on
+    the free DOFs (:attr:`free_stiffness`).  That free DOFs carry mass is
+    checked by :func:`natural_frequencies`, the one analysis that needs it.
+
+    nodes : (n, 2) float array of coordinates [m]
+    areas : (m,) float array of cross sections [m^2]
+    lengths : (m,) member lengths [m], computed
+    cosines : (m, 2) member direction cosines, computed
+    """
+
+    def __init__(
+        self,
+        nodes,
+        members=None,
+        areas=None,
+        material=None,
+        fixed=None,
+        loads=None,
+        masses=None,
+        *,
+        topology: TrussTopology | None = None,
+    ):
+        nodes = np.asarray(nodes, dtype=float)
+        if nodes.ndim != 2 or nodes.shape[1] != 2:
+            raise ModelError("nodes must be an (n, 2) array")
+        if topology is None:
+            topology = TrussTopology(
+                nodes.shape[0], members, material, fixed, loads, masses
+            )
+        elif any(v is not None for v in (members, material, fixed, loads, masses)):
+            raise TypeError("give either a topology or its arrays, not both")
+        elif nodes.shape[0] != topology.n_nodes:
+            raise ModelError("nodes do not match the topology's node count")
+        areas = np.asarray(areas, dtype=float)
+        if areas.shape != (topology.n_members,):
+            raise ModelError("areas must match the member count")
+        if (areas <= 0).any():
+            raise ModelError("member areas must be positive")
+        d = nodes[topology.members[:, 1]] - nodes[topology.members[:, 0]]
+        # what np.linalg.norm(d, axis=1) computes, without its overhead
+        lengths = np.sqrt(np.add.reduce(d * d, axis=1))
+        if (lengths <= 0).any():
+            raise ModelError("zero-length member")
+        self.nodes = nodes
+        self.areas = areas
+        self.topology = topology
+        self.lengths = lengths
+        self.cosines = d / lengths[:, None]
+
+    members = property(lambda self: self.topology.members)
+    material = property(lambda self: self.topology.material)
+    fixed = property(lambda self: self.topology.fixed)
+    loads = property(lambda self: self.topology.loads)
+    masses = property(lambda self: self.topology.masses)
+
+    @property
+    def n_nodes(self) -> int:
+        return self.topology.n_nodes
+
+    @property
+    def n_members(self) -> int:
+        return self.topology.n_members
+
+    @cached_property
+    def free_stiffness(self) -> np.ndarray:
+        """Stiffness on the free DOFs, assembled on first use."""
+        return assemble_stiffness(self, free_only=True)
 
 
 def total_weight(model: TrussModel) -> float:
     """Structural mass [kg]: sum of density * area * length over members."""
-    return float(model.material.density * np.sum(model.areas * member_lengths(model)))
+    return float(model.material.density * (model.areas * model.lengths).sum())
 
 
-def element_stiffness(
-    xa: np.ndarray, xb: np.ndarray, area: float, young_modulus: float
-) -> np.ndarray:
-    """4x4 global-frame stiffness of one bar between points xa and xb.
+def assemble_stiffness(model: TrussModel, free_only: bool = False) -> np.ndarray:
+    """Stiffness matrix with no supports applied: all (2n, 2n) DOFs, or with
+    ``free_only`` just the rows and columns of :func:`free_dofs`, assembled
+    directly without the full matrix.
 
-    DOF order (ua_x, ua_y, ub_x, ub_y).  The matrix is (EA/L) times the
-    outer-product pattern of the direction cosines; symmetric and singular
-    (rank 1) on its own.
+    Each entry sums its members' contributions in member order, the order in
+    which ``np.add.at`` would add them, so both forms agree bit for bit.
     """
-    d = np.asarray(xb, dtype=float) - np.asarray(xa, dtype=float)
-    length = float(np.linalg.norm(d))
-    if length <= 0:
-        raise ModelError("zero-length element")
-    c, s = d / length
-    k = young_modulus * area / length
-    cc, ss, cs = c * c, s * s, c * s
-    return k * np.array(
-        [
-            [cc, cs, -cc, -cs],
-            [cs, ss, -cs, -ss],
-            [-cc, -cs, cc, cs],
-            [-cs, -ss, cs, ss],
-        ]
-    )
-
-
-def _dof_indices(model: TrussModel) -> np.ndarray:
-    """(m, 4) array of global DOF indices per member."""
-    a = model.members[:, 0]
-    b = model.members[:, 1]
-    return np.column_stack([2 * a, 2 * a + 1, 2 * b, 2 * b + 1])
-
-
-def assemble_stiffness(model: TrussModel) -> np.ndarray:
-    """Full (2n, 2n) stiffness matrix, all DOFs, no supports applied."""
-    n_dof = 2 * model.n_nodes
-    coords = model.nodes
-    d = coords[model.members[:, 1]] - coords[model.members[:, 0]]
-    lengths = np.linalg.norm(d, axis=1)
-    cosines = d / lengths[:, None]
     # per-member 4-vector (c, s, -c, -s); element matrix is k * outer(v, v)
-    v = np.column_stack([cosines, -cosines])
-    k = model.material.young_modulus * model.areas / lengths
-    blocks = k[:, None, None] * v[:, :, None] * v[:, None, :]
-    dofs = _dof_indices(model)
-    K = np.zeros((n_dof, n_dof))
-    rows = np.repeat(dofs, 4, axis=1)
-    cols = np.tile(dofs, (1, 4))
-    np.add.at(K, (rows.ravel(), cols.ravel()), blocks.ravel())
-    return K
+    v = np.concatenate([model.cosines, -model.cosines], axis=1)
+    k = model.material.young_modulus * model.areas / model.lengths
+    blocks = (k[:, None, None] * v[:, :, None] * v[:, None, :]).ravel()
+    topo = model.topology
+    if free_only:
+        n = topo.free.size
+        index, blocks = topo.free_stiffness_index, blocks[topo.free_entries]
+    else:
+        n = 2 * topo.n_nodes
+        index = topo.stiffness_index
+    return np.bincount(index, weights=blocks, minlength=n * n).reshape(n, n)
 
 
 def free_dofs(model: TrussModel) -> np.ndarray:
-    return np.flatnonzero(~model.fixed.ravel())
+    return model.topology.free
 
 
 @dataclass
@@ -179,12 +229,10 @@ class StaticResult:
 
 def solve_static(model: TrussModel) -> StaticResult:
     """Displacements, stresses and weight under the model's nodal loads."""
-    K = assemble_stiffness(model)
     free = free_dofs(model)
     if free.size == 0:
         raise ModelError("no free DOFs")
-    K_red = K[np.ix_(free, free)]
-    f = model.loads.ravel()[free]
+    K_red = model.free_stiffness
     try:
         np.linalg.cholesky(K_red)
     except np.linalg.LinAlgError:
@@ -193,17 +241,14 @@ def solve_static(model: TrussModel) -> StaticResult:
             f"reduced stiffness is not positive definite "
             f"(smallest eigenvalue {eigmin:.3e}); the truss is a mechanism"
         ) from None
-    u_free = np.linalg.solve(K_red, f)
+    u_free = np.linalg.solve(K_red, model.topology.free_loads)
     u = np.zeros(2 * model.n_nodes)
     u[free] = u_free
 
-    d = model.nodes[model.members[:, 1]] - model.nodes[model.members[:, 0]]
-    lengths = np.linalg.norm(d, axis=1)
-    cosines = d / lengths[:, None]
     ua = u.reshape(-1, 2)[model.members[:, 0]]
     ub = u.reshape(-1, 2)[model.members[:, 1]]
-    elongation = np.einsum("ij,ij->i", ub - ua, cosines)
-    stresses = model.material.young_modulus * elongation / lengths
+    elongation = np.einsum("ij,ij->i", ub - ua, model.cosines)
+    stresses = model.material.young_modulus * elongation / model.lengths
     forces = stresses * model.areas
     return StaticResult(
         displacements=u.reshape(-1, 2),
@@ -216,11 +261,12 @@ def solve_static(model: TrussModel) -> StaticResult:
 def lumped_masses(model: TrussModel) -> np.ndarray:
     """Per-node translational mass: lumped nonstructural mass plus half of
     each adjacent member's structural mass."""
-    node_mass = model.masses.copy()
-    tributary = 0.5 * model.material.density * model.areas * member_lengths(model)
-    np.add.at(node_mass, model.members[:, 0], tributary)
-    np.add.at(node_mass, model.members[:, 1], tributary)
-    return node_mass
+    tributary = 0.5 * model.material.density * model.areas * model.lengths
+    return np.bincount(
+        model.topology.mass_index,
+        weights=np.concatenate([model.masses, tributary, tributary]),
+        minlength=model.n_nodes,
+    )
 
 
 def natural_frequencies(model: TrussModel, count: int | None = None) -> np.ndarray:
@@ -233,11 +279,12 @@ def natural_frequencies(model: TrussModel, count: int | None = None) -> np.ndarr
     free = free_dofs(model)
     if free.size == 0:
         raise ModelError("no free DOFs")
-    mass = np.repeat(lumped_masses(model), 2)[free]
+    # DOF 2k and 2k + 1 both carry node k's mass
+    mass = lumped_masses(model)[free // 2]
     if np.any(mass <= 0):
         bad = free[np.flatnonzero(mass <= 0)[0]]
         raise ModelError(f"free DOF {bad} carries no mass")
-    K = assemble_stiffness(model)[np.ix_(free, free)]
+    K = model.free_stiffness
     inv_sqrt = 1.0 / np.sqrt(mass)
     A = inv_sqrt[:, None] * K * inv_sqrt[None, :]
     A = 0.5 * (A + A.T)
@@ -265,11 +312,12 @@ def stress_violations(stresses: np.ndarray, limit: float) -> np.ndarray:
     return np.maximum(0.0, np.abs(stresses) / limit - 1.0)
 
 
-def displacement_violation(value: float, limit: float) -> float:
-    """``max(0, |u| / limit - 1)`` for one displacement bound."""
+def displacement_violation(value, limit: float):
+    """``max(0, |u| / limit - 1)`` for one displacement bound, elementwise
+    when ``value`` is an array of displacements."""
     if limit <= 0:
         raise ValueError("displacement limit must be positive")
-    return max(0.0, abs(value) / limit - 1.0)
+    return np.maximum(0.0, np.abs(value) / limit - 1.0)
 
 
 def frequency_violations(freqs: np.ndarray, bounds: np.ndarray) -> np.ndarray:

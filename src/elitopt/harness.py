@@ -227,6 +227,24 @@ def _as_name_list(doc: dict, singular: str, plural: str):
     return [str(v) for v in value]
 
 
+_JSON_TYPES = {
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
+
+
+def _typed(doc: dict, key: str, kind: str, default, where: str = ""):
+    """``doc[key]`` (or ``default`` when absent), which must be a JSON value of
+    type ``kind``: no string, and no bool where a number is expected."""
+    if key not in doc:
+        return default
+    value = doc[key]
+    if not _JSON_TYPES[kind](value):
+        raise ConfigError(f"{where}{key} must be a JSON {kind}, got {value!r}")
+    return value
+
+
 def plan_from_file(path: str | Path) -> tuple[ExperimentPlan, str | None]:
     """Parse a JSON plan document; returns the plan and the optional output
     directory named inside it."""
@@ -246,29 +264,30 @@ def plan_from_file(path: str | Path) -> tuple[ExperimentPlan, str | None]:
     problems = _as_name_list(doc, "problem", "problems")
     if problems is None:
         raise ConfigError(f"{path}: plan names no problem")
-    if "memory_enabled" in doc:
-        memory_modes = (bool(doc["memory_enabled"]),)
-    else:
-        memory_modes = (True, False)
+    where = f"{path}: "
+    memory = _typed(doc, "memory_enabled", "boolean", None, where)
+    memory_modes = (True, False) if memory is None else (memory,)
     penalty_doc = doc.get("penalty", {})
+    if not isinstance(penalty_doc, dict):
+        raise ConfigError(f"{where}penalty must be a JSON object")
     penalty = PenaltyParams(
-        scale=float(penalty_doc.get("scale", 1.0)),
-        exponent=float(penalty_doc.get("exponent", 2.0)),
+        scale=float(_typed(penalty_doc, "scale", "number", 1.0, where + "penalty.")),
+        exponent=float(
+            _typed(penalty_doc, "exponent", "number", 2.0, where + "penalty.")
+        ),
     )
     params = {name: doc[name] for name in algorithm_names() if name in doc}
     plan = ExperimentPlan(
         algorithms=tuple(algorithms),
         problems=tuple(problems),
         memory_modes=memory_modes,
-        replicates=int(doc.get("replicates", 20)),
-        population_size=int(doc.get("population_size", 50)),
-        root_seed=int(doc.get("seed", 0)),
-        budget=None if "budget" not in doc else int(doc["budget"]),
-        max_iterations=(
-            None if "max_iterations" not in doc else int(doc["max_iterations"])
-        ),
-        memory_fraction=float(doc.get("memory_fraction", 0.2)),
-        dim=int(doc.get("dim", 10)),
+        replicates=_typed(doc, "replicates", "integer", 20, where),
+        population_size=_typed(doc, "population_size", "integer", 50, where),
+        root_seed=_typed(doc, "seed", "integer", 0, where),
+        budget=_typed(doc, "budget", "integer", None, where),
+        max_iterations=_typed(doc, "max_iterations", "integer", None, where),
+        memory_fraction=float(_typed(doc, "memory_fraction", "number", 0.2, where)),
+        dim=_typed(doc, "dim", "integer", 10, where),
         penalty=penalty,
         algorithm_params=params,
     )

@@ -45,12 +45,15 @@ from ..core import ConfigError, Problem, SearchSpace, snap_to_grid
 from ..fem import (
     AnalysisError,
     Material,
+    ModelError,
     TrussModel,
+    TrussTopology,
     displacement_violation,
     frequency_violations,
     natural_frequencies,
     solve_static,
     stress_violations,
+    total_weight,
 )
 
 DATA_DIR_ENV = "ELITOPT_DATA_DIR"
@@ -99,7 +102,13 @@ class ShapeVariable:
 
 
 class TrussDesign:
-    """A parsed geometry file plus the design-vector mapping."""
+    """A parsed geometry file plus the design-vector mapping.
+
+    Everything that no design variable changes is built and validated once,
+    here: the search space, the :class:`TrussTopology` (members, supports,
+    loads, masses, and the indices its analyses reuse), and the index arrays
+    that :meth:`expand` and the displacement checks use.
+    """
 
     def __init__(self, doc: dict):
         self.name = doc["name"]
@@ -225,6 +234,46 @@ class TrussDesign:
                     (self._id_to_index[int(dl["node"])], axis, limit)
                 )
 
+        try:
+            self.topology = TrussTopology(
+                n, self.members, self.material, self.fixed, self.loads, self.masses
+            )
+        except ModelError as exc:
+            raise ConfigError(f"{self.name}: {exc}") from None
+        self.members = self.topology.members
+        self.fixed = self.topology.fixed
+        self.loads = self.topology.loads
+        self.masses = self.topology.masses
+        self._space = self.search_space()
+        self._displacement_checks = [
+            (np.arange(n) if node is None else np.array([node]), axis, limit)
+            for node, axis, limit in self.displacement_limits
+        ]
+        self._compile_expand()
+
+    def _compile_expand(self) -> None:
+        """Index arrays that let :meth:`expand` write all variables at once."""
+        self._area_members = np.concatenate(
+            [v.member_indices for v in self.size_variables] + [np.zeros(0, dtype=int)]
+        )
+        self._area_vars = np.repeat(
+            np.arange(len(self.size_variables), dtype=int),
+            [v.member_indices.size for v in self.size_variables],
+        )
+        self._area_scales = np.array(
+            [v.unit_scale for v in self.size_variables], dtype=float
+        )[self._area_vars]
+        # a coordinate targeted twice keeps its last target, as a loop would
+        last = {}
+        ns = len(self.size_variables)
+        for k, v in enumerate(self.shape_variables):
+            for t in v.targets:
+                last[2 * t.node + t.axis] = (ns + k, t.coeff * v.unit_scale, t.datum)
+        self._coord_index = np.array(list(last), dtype=int)
+        self._coord_vars = np.array([c[0] for c in last.values()], dtype=int)
+        self._coord_scales = np.array([c[1] for c in last.values()], dtype=float)
+        self._coord_datums = np.array([c[2] for c in last.values()], dtype=float)
+
     @classmethod
     def from_file(cls, path: str | Path) -> "TrussDesign":
         with open(path, encoding="utf-8") as fh:
@@ -263,13 +312,11 @@ class TrussDesign:
         if x.shape != (self.dim,):
             raise ValueError(f"design vector has shape {x.shape}, expected ({self.dim},)")
         areas = self.base_areas.copy()
-        for v, value in zip(self.size_variables, x):
-            areas[v.member_indices] = v.unit_scale * value
+        areas[self._area_members] = self._area_scales * x[self._area_vars]
         coords = self.base_nodes.copy()
-        ns = len(self.size_variables)
-        for v, value in zip(self.shape_variables, x[ns:]):
-            for t in v.targets:
-                coords[t.node, t.axis] = t.datum + t.coeff * v.unit_scale * value
+        coords.ravel()[self._coord_index] = (
+            self._coord_datums + self._coord_scales * x[self._coord_vars]
+        )
         return coords, areas
 
     def contract(self, coords: np.ndarray, areas: np.ndarray) -> np.ndarray:
@@ -285,16 +332,9 @@ class TrussDesign:
         return x
 
     def model(self, x: np.ndarray) -> TrussModel:
+        """The truss of design vector ``x``, built on the validated topology."""
         coords, areas = self.expand(x)
-        return TrussModel(
-            nodes=coords,
-            members=self.members,
-            areas=areas,
-            material=self.material,
-            fixed=self.fixed,
-            loads=self.loads,
-            masses=self.masses,
-        )
+        return TrussModel(coords, areas=areas, topology=self.topology)
 
     # -- evaluation ------------------------------------------------------
 
@@ -305,53 +345,54 @@ class TrussDesign:
         optimizer may move in continuous space.  Near-zero member lengths and
         mechanisms yield a finite objective with one large violation instead
         of aborting the run.
+
+        The search space and the topology were validated when the design was
+        loaded; each call checks only what ``x`` changes (areas > 0, member
+        lengths > 0, and for frequency constraints that free DOFs carry
+        mass), and analyzes one model whose stiffness on the free DOFs is
+        assembled once for both the static and the modal analysis.
         """
-        x = snap_to_grid(np.asarray(x, dtype=float), self.search_space())
-        coords, areas = self.expand(x)
-        delta = coords[self.members[:, 1]] - coords[self.members[:, 0]]
-        lengths = np.linalg.norm(delta, axis=1)
-        weight = float(self.material.density * np.sum(areas * lengths))
-        if np.min(lengths) < DEGENERATE_LENGTH:
+        x = snap_to_grid(np.asarray(x, dtype=float), self._space)
+        try:
+            model = self.model(x)
+        except ModelError:
+            # the model refuses members of zero length; a design with a short
+            # member is degenerate whatever else is wrong with it, any other
+            # model error stands
+            coords, areas = self.expand(x)
+            d = coords[self.members[:, 1]] - coords[self.members[:, 0]]
+            lengths = np.sqrt(np.add.reduce(d * d, axis=1))
+            if np.min(lengths) >= DEGENERATE_LENGTH:
+                raise
+            weight = float(self.material.density * np.sum(areas * lengths))
             return weight, np.array([DEGENERATE_VIOLATION])
-        model = TrussModel(
-            nodes=coords,
-            members=self.members,
-            areas=areas,
-            material=self.material,
-            fixed=self.fixed,
-            loads=self.loads,
-            masses=self.masses,
-        )
-        violations: list[float] = []
+        weight = total_weight(model)
+        if model.lengths.min() < DEGENERATE_LENGTH:
+            return weight, np.array([DEGENERATE_VIOLATION])
+        violations = []
         try:
             if self.stress_limit or self.displacement_limits:
                 res = solve_static(model)
                 if self.stress_limit:
-                    violations.extend(
+                    violations.append(
                         stress_violations(res.stresses, float(self.stress_limit))
                     )
-                for node, axis, limit in self.displacement_limits:
-                    if node is None:
-                        for k in range(model.n_nodes):
-                            violations.append(
-                                displacement_violation(res.displacements[k, axis], limit)
-                            )
-                    else:
-                        violations.append(
-                            displacement_violation(res.displacements[node, axis], limit)
-                        )
+                for nodes, axis, limit in self._displacement_checks:
+                    violations.append(
+                        displacement_violation(res.displacements[nodes, axis], limit)
+                    )
             if self.frequency_bounds.size:
                 freqs = natural_frequencies(model, count=self.frequency_bounds.size)
-                violations.extend(frequency_violations(freqs, self.frequency_bounds))
+                violations.append(frequency_violations(freqs, self.frequency_bounds))
         except AnalysisError:
             return weight, np.array([DEGENERATE_VIOLATION])
-        return weight, np.array(violations, dtype=float)
+        return weight, np.concatenate(violations) if violations else np.zeros(0)
 
     def problem(self, name: str | None = None, description: str = "") -> Problem:
         design = self
         return Problem(
             name=name or self.name,
-            space=self.search_space(),
+            space=self._space,
             evaluate=design.evaluate,
             description=description,
         )

@@ -9,6 +9,32 @@ therefore meaningful.
 
 import numpy as np
 
+from elitopt.fem import ModelError
+
+
+def element_stiffness(xa, xb, area, young_modulus):
+    """4x4 global-frame stiffness of one bar between points xa and xb.
+
+    DOF order (ua_x, ua_y, ub_x, ub_y).  The matrix is (EA/L) times the
+    outer-product pattern of the direction cosines; symmetric and singular
+    (rank 1) on its own.
+    """
+    d = np.asarray(xb, dtype=float) - np.asarray(xa, dtype=float)
+    length = float(np.linalg.norm(d))
+    if length <= 0:
+        raise ModelError("zero-length element")
+    c, s = d / length
+    k = young_modulus * area / length
+    cc, ss, cs = c * c, s * s, c * s
+    return k * np.array(
+        [
+            [cc, cs, -cc, -cs],
+            [cs, ss, -cs, -ss],
+            [-cc, -cs, cc, cs],
+            [-cs, -ss, cs, ss],
+        ]
+    )
+
 
 def solve_static_oracle(model, spring_scale=1e14):
     """Full displacement vector and member stresses by the penalty method."""

@@ -10,9 +10,11 @@ from elitopt.core import (
     Candidate,
     ConfigError,
     EliteMemory,
+    EvaluationError,
     PenaltyParams,
     Problem,
     RunConfig,
+    RunContext,
     SearchSpace,
     clamp_to_bounds,
     memory_capacity,
@@ -152,6 +154,17 @@ class TestPenalizedFitness:
             PenaltyParams(scale=-1.0)
         with pytest.raises(ConfigError):
             PenaltyParams(exponent=0.5)
+
+    def test_negative_objective_rejected_when_constrained(self):
+        # -1 * (1 + 1)^2 = -4 would rank this infeasible design above a
+        # feasible one with objective -1
+        with pytest.raises(ValueError, match="negative"):
+            penalized_fitness(-1.0, [1.0], PenaltyParams())
+        with pytest.raises(ValueError, match="negative"):
+            penalized_fitness(-1.0, [0.0], PenaltyParams())
+
+    def test_negative_objective_allowed_when_unconstrained(self):
+        assert penalized_fitness(-1.0, [], PenaltyParams()) == -1.0
 
     @given(st.floats(0.01, 1e3), st.lists(st.floats(0, 10), max_size=4))
     def test_never_below_objective(self, objective, violations):
@@ -386,6 +399,19 @@ class TestRunLoop:
         with pytest.raises(Exception, match="non-finite"):
             run(get_algorithm("bbo"), bad,
                 RunConfig(population_size=4, max_iterations=1, seed=0))
+
+    def test_nan_violation_rejected(self):
+        # penalized_fitness(1, [nan]) is nan, which would corrupt sorting
+        # and the elite memory
+        space = SearchSpace(lower=[0.0], upper=[1.0])
+        bad = Problem(name="bad", space=space,
+                      evaluate=lambda x: (1.0, np.array([float("nan")])))
+        memory = EliteMemory(2)
+        ctx = RunContext(bad, PenaltyParams(), memory)
+        with pytest.raises(EvaluationError, match="non-finite fitness"):
+            ctx.evaluate(np.array([0.5]))
+        assert ctx.nfes == 0
+        assert len(memory) == 0 and ctx.best is None
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -6,19 +6,18 @@ from elitopt.fem import (
     Material,
     ModelError,
     TrussModel,
+    TrussTopology,
     assemble_stiffness,
     displacement_violation,
-    element_stiffness,
     free_dofs,
     frequency_violations,
     lumped_masses,
-    member_lengths,
     natural_frequencies,
     solve_static,
     stress_violations,
     total_weight,
 )
-from oracles import random_stable_truss, solve_static_oracle
+from oracles import element_stiffness, random_stable_truss, solve_static_oracle
 
 STEEL = Material(young_modulus=210e9, density=7850.0)
 
@@ -86,6 +85,56 @@ class TestAssembly:
     def test_free_dofs(self):
         model = bar_model()
         assert list(free_dofs(model)) == [2]
+
+    def test_free_only_is_the_exact_restriction(self, rng):
+        for n_nodes in (4, 5, 7):
+            nodes, members, areas, fixed, loads = random_stable_truss(rng, n_nodes)
+            fixed[3] = [True, False]
+            model = TrussModel(nodes, members, areas, STEEL, fixed, loads)
+            free = free_dofs(model)
+            full = assemble_stiffness(model)
+            reduced = assemble_stiffness(model, free_only=True)
+            assert np.array_equal(reduced, full[np.ix_(free, free)])
+
+    def test_sums_in_member_order_like_add_at(self, rng):
+        # the per-member blocks scattered with np.add.at, entry by entry in
+        # member order: the bincount scatter must agree bit for bit
+        nodes, members, areas, fixed, loads = random_stable_truss(rng, 6)
+        model = TrussModel(nodes, members, areas, STEEL, fixed, loads)
+        d = nodes[members[:, 1]] - nodes[members[:, 0]]
+        lengths = np.linalg.norm(d, axis=1)
+        v = np.column_stack([d / lengths[:, None], -d / lengths[:, None]])
+        k = STEEL.young_modulus * areas / lengths
+        blocks = k[:, None, None] * v[:, :, None] * v[:, None, :]
+        a, b = members[:, 0], members[:, 1]
+        dofs = np.column_stack([2 * a, 2 * a + 1, 2 * b, 2 * b + 1])
+        expect = np.zeros((12, 12))
+        np.add.at(expect, (np.repeat(dofs, 4, axis=1), np.tile(dofs, (1, 4))),
+                  blocks.reshape(-1, 16))
+        assert np.array_equal(assemble_stiffness(model), expect)
+
+    def test_free_stiffness_assembled_once(self, monkeypatch):
+        import elitopt.fem as fem
+
+        calls = []
+        assemble = fem.assemble_stiffness
+
+        def counting(model, free_only=False):
+            calls.append(free_only)
+            return assemble(model, free_only)
+
+        monkeypatch.setattr(fem, "assemble_stiffness", counting)
+        model = TrussModel(
+            nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            members=np.array([[0, 1], [1, 2], [0, 2]]),
+            areas=np.full(3, 1e-4),
+            material=STEEL,
+            fixed=np.array([[True, True], [False, True], [True, False]]),
+            loads=np.array([[0.0, 0.0], [1e3, 0.0], [0.0, 0.0]]),
+        )
+        solve_static(model)
+        natural_frequencies(model)
+        assert calls == [True]
 
 
 class TestSolveStatic:
@@ -173,7 +222,7 @@ class TestMassAndWeight:
 
     def test_member_lengths(self):
         model = self.make_two_bar()
-        assert np.allclose(member_lengths(model), [2.0, 1.5])
+        assert np.allclose(model.lengths, [2.0, 1.5])
 
     def test_total_weight(self):
         model = self.make_two_bar()
@@ -183,6 +232,17 @@ class TestMassAndWeight:
         # bar masses 20 and 30 kg split half to each end node
         model = self.make_two_bar()
         assert np.allclose(lumped_masses(model), [11.0, 27.0, 18.0])
+
+    def test_lumped_masses_add_in_member_order(self, rng):
+        nodes, members, areas, fixed, _ = random_stable_truss(rng, 6)
+        masses = rng.uniform(0.0, 50.0, size=6)
+        model = TrussModel(nodes, members, areas, STEEL, fixed, masses=masses)
+        expect = masses.copy()
+        tributary = 0.5 * STEEL.density * areas * np.linalg.norm(
+            nodes[members[:, 1]] - nodes[members[:, 0]], axis=1)
+        np.add.at(expect, members[:, 0], tributary)
+        np.add.at(expect, members[:, 1], tributary)
+        assert np.array_equal(lumped_masses(model), expect)
 
 
 class TestFrequencies:
@@ -258,6 +318,11 @@ class TestViolationHelpers:
     def test_displacement(self):
         assert displacement_violation(0.5, 1.0) == 0.0
         assert displacement_violation(-1.5, 1.0) == pytest.approx(0.5)
+
+    def test_displacement_elementwise(self):
+        values = np.array([0.5, -1.5, 2.0, -0.2, 1.4])
+        v = displacement_violation(values, 1.4)
+        assert list(v) == [max(0.0, abs(u) / 1.4 - 1.0) for u in values]
 
     def test_frequency_lower_bounds(self):
         v = frequency_violations(np.array([20.0, 30.0, 90.0]),
@@ -339,3 +404,48 @@ class TestModelValidation:
             Material(young_modulus=0.0, density=1.0)
         with pytest.raises(ModelError):
             Material(young_modulus=1.0, density=-1.0)
+
+
+class TestModelOnTopology:
+    def topology(self):
+        return TrussTopology(
+            2, np.array([[0, 1]]), STEEL, np.array([[True, True], [False, True]]),
+            loads=np.array([[0.0, 0.0], [21e3, 0.0]]),
+        )
+
+    def test_matches_model_built_from_arrays(self):
+        shared = TrussModel(np.array([[0.0, 0.0], [1.0, 0.0]]),
+                            areas=np.array([1e-4]), topology=self.topology())
+        direct = bar_model(load_x=21e3)
+        assert np.array_equal(solve_static(shared).displacements,
+                              solve_static(direct).displacements)
+
+    def test_checks_what_the_design_changes(self):
+        topo = self.topology()
+        with pytest.raises(ModelError, match="areas"):
+            TrussModel(np.array([[0.0, 0.0], [1.0, 0.0]]),
+                       areas=np.array([0.0]), topology=topo)
+        with pytest.raises(ModelError, match="zero-length"):
+            TrussModel(np.zeros((2, 2)), areas=np.array([1e-4]), topology=topo)
+        with pytest.raises(ModelError, match="node count"):
+            TrussModel(np.zeros((3, 2)), areas=np.array([1e-4]), topology=topo)
+
+    def test_topology_and_arrays_are_exclusive(self):
+        with pytest.raises(TypeError):
+            TrussModel(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0, 1]]),
+                       np.array([1e-4]), topology=self.topology())
+
+    def test_invariants_are_read_only_copies(self):
+        fixed = np.array([[True, True], [False, True]])
+        topo = TrussTopology(2, np.array([[0, 1]]), STEEL, fixed)
+        fixed[1, 0] = True
+        assert not topo.fixed[1, 0]
+        with pytest.raises(ValueError):
+            topo.loads[1, 0] = 1.0
+
+    def test_topology_validation(self):
+        with pytest.raises(ModelError):
+            TrussTopology(2, np.array([[0, 2]]), STEEL, np.ones((2, 2), bool))
+        with pytest.raises(ModelError):
+            TrussTopology(2, np.array([[0, 1]]), STEEL,
+                          np.array([[True, False], [False, False]]))

@@ -214,6 +214,45 @@ class TestPlanFromFile:
         plan, _ = plan_from_file(self.write(tmp_path, doc))
         assert plan.budget == 4000
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("memory_enabled", "false"),
+            ("memory_enabled", 0),
+            ("replicates", "2"),
+            ("replicates", 2.0),
+            ("replicates", True),
+            ("population_size", 10.5),
+            ("seed", "7"),
+            ("budget", "4000"),
+            ("max_iterations", 5.0),
+            ("dim", False),
+            ("memory_fraction", "0.2"),
+            ("memory_fraction", True),
+        ],
+    )
+    def test_mistyped_value_rejected(self, tmp_path, key, value):
+        doc = self.base_doc()
+        if key == "budget":
+            del doc["max_iterations"]
+        doc[key] = value
+        with pytest.raises(ConfigError, match=key):
+            plan_from_file(self.write(tmp_path, doc))
+
+    @pytest.mark.parametrize("key", ["scale", "exponent"])
+    def test_mistyped_penalty_rejected(self, tmp_path, key):
+        doc = self.base_doc()
+        doc["penalty"] = {key: "2"}
+        with pytest.raises(ConfigError, match=f"penalty.{key}"):
+            plan_from_file(self.write(tmp_path, doc))
+
+    def test_integral_number_accepted_where_float_expected(self, tmp_path):
+        doc = self.base_doc()
+        doc["memory_fraction"] = 1
+        doc["penalty"] = {"scale": 2, "exponent": 1}
+        plan, _ = plan_from_file(self.write(tmp_path, doc))
+        assert plan.memory_fraction == 1.0 and plan.penalty.exponent == 1.0
+
     def test_penalty_table(self, tmp_path):
         doc = self.base_doc()
         doc["penalty"] = {"scale": 2.0, "exponent": 1.0}

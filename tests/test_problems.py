@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from elitopt.core import ConfigError
-from elitopt.fem import natural_frequencies
+from elitopt.fem import ModelError, natural_frequencies
 from elitopt.problems import (
     get_problem,
     load_design,
@@ -131,6 +131,23 @@ class TestTrussDesignMapping:
                 expect = t.datum + t.coeff * var.unit_scale * x[ns + k]
                 assert coords[t.node, t.axis] == pytest.approx(expect)
 
+    @pytest.mark.parametrize("name", ["michell", "truss37", "forth"])
+    def test_expand_matches_per_variable_loop(self, name, rng):
+        design = load_design(name)
+        space = design.search_space()
+        x = space.lower + rng.random(space.dim) * (space.upper - space.lower)
+        areas = design.base_areas.copy()
+        for v, value in zip(design.size_variables, x):
+            areas[v.member_indices] = v.unit_scale * value
+        coords = design.base_nodes.copy()
+        ns = len(design.size_variables)
+        for v, value in zip(design.shape_variables, x[ns:]):
+            for t in v.targets:
+                coords[t.node, t.axis] = t.datum + t.coeff * v.unit_scale * value
+        got_coords, got_areas = design.expand(x)
+        assert np.array_equal(got_coords, coords)
+        assert np.array_equal(got_areas, areas)
+
     def test_unit_scale_converts_sizes(self):
         design = load_design("michell")
         x = mid_vector(design.search_space())
@@ -195,6 +212,24 @@ class TestTrussEvaluation:
         weight, violations = design.evaluate(np.array([2.0, 2.0, 0.0]))
         assert np.isfinite(weight)
         assert list(violations) == [DEGENERATE_VIOLATION]
+
+    def test_nonpositive_area_raised_not_flagged(self):
+        # out-of-bounds sizes are a caller fault, not a degenerate design
+        design = TrussDesign(collapsing_doc())
+        with pytest.raises(ModelError, match="areas"):
+            design.evaluate(np.array([-2.0, 2.0, 1.0]))
+
+    def test_models_share_the_validated_topology(self):
+        design = load_design("michell")
+        fan = [math.cos(math.pi / 6.0), math.sin(math.pi / 3.0), 1.0]
+        thick, thin = np.array([5.0] * 7 + fan), np.array([2.0] * 7 + fan)
+        assert design.model(thick).topology is design.model(thin).topology
+
+    def test_invalid_supports_rejected_on_load(self):
+        doc = collapsing_doc()
+        doc["supports"] = [{"node": 1, "fix_x": True}]
+        with pytest.raises(ConfigError, match="restrained"):
+            TrussDesign(doc)
 
     def test_healthy_design_constraint_vector(self):
         design = TrussDesign(collapsing_doc())

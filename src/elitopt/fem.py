@@ -90,7 +90,6 @@ class TrussTopology:
         self.masses = masses
         self.free = free
         self.free_loads = loads.ravel()[free]
-        self.stiffness_index = rows * n_dof + cols
         self.free_entries = np.flatnonzero(on_free)
         self.free_stiffness_index = (
             position[rows[on_free]] * free.size + position[cols[on_free]]
@@ -181,7 +180,7 @@ class TrussModel:
     @cached_property
     def free_stiffness(self) -> np.ndarray:
         """Stiffness on the free DOFs, assembled on first use."""
-        return assemble_stiffness(self, free_only=True)
+        return assemble_stiffness(self)
 
 
 def total_weight(model: TrussModel) -> float:
@@ -189,26 +188,25 @@ def total_weight(model: TrussModel) -> float:
     return float(model.material.density * (model.areas * model.lengths).sum())
 
 
-def assemble_stiffness(model: TrussModel, free_only: bool = False) -> np.ndarray:
-    """Stiffness matrix with no supports applied: all (2n, 2n) DOFs, or with
-    ``free_only`` just the rows and columns of :func:`free_dofs`, assembled
-    directly without the full matrix.
+def assemble_stiffness(model: TrussModel) -> np.ndarray:
+    """Stiffness on the free DOFs: the rows and columns of :func:`free_dofs`
+    of the unsupported (2n, 2n) matrix, assembled directly without it.
 
     Each entry sums its members' contributions in member order, the order in
-    which ``np.add.at`` would add them, so both forms agree bit for bit.
+    which ``np.add.at`` would add them into the full matrix, so the result
+    is that matrix's restriction bit for bit.
     """
     # per-member 4-vector (c, s, -c, -s); element matrix is k * outer(v, v)
     v = np.concatenate([model.cosines, -model.cosines], axis=1)
     k = model.material.young_modulus * model.areas / model.lengths
     blocks = (k[:, None, None] * v[:, :, None] * v[:, None, :]).ravel()
     topo = model.topology
-    if free_only:
-        n = topo.free.size
-        index, blocks = topo.free_stiffness_index, blocks[topo.free_entries]
-    else:
-        n = 2 * topo.n_nodes
-        index = topo.stiffness_index
-    return np.bincount(index, weights=blocks, minlength=n * n).reshape(n, n)
+    n = topo.free.size
+    return np.bincount(
+        topo.free_stiffness_index,
+        weights=blocks[topo.free_entries],
+        minlength=n * n,
+    ).reshape(n, n)
 
 
 def free_dofs(model: TrussModel) -> np.ndarray:

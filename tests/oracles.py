@@ -36,6 +36,17 @@ def element_stiffness(xa, xb, area, young_modulus):
     )
 
 
+def full_stiffness(model):
+    """Unsupported (2n, 2n) stiffness, summed element by element."""
+    K = np.zeros((2 * model.n_nodes, 2 * model.n_nodes))
+    for (a, b), area in zip(model.members, model.areas):
+        k = element_stiffness(model.nodes[a], model.nodes[b], area,
+                              model.material.young_modulus)
+        dofs = [2 * a, 2 * a + 1, 2 * b, 2 * b + 1]
+        K[np.ix_(dofs, dofs)] += k
+    return K
+
+
 def solve_static_oracle(model, spring_scale=1e14):
     """Full displacement vector and member stresses by the penalty method."""
     n_dof = 2 * model.n_nodes

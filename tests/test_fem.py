@@ -17,7 +17,12 @@ from elitopt.fem import (
     stress_violations,
     total_weight,
 )
-from oracles import element_stiffness, random_stable_truss, solve_static_oracle
+from oracles import (
+    element_stiffness,
+    full_stiffness,
+    random_stable_truss,
+    solve_static_oracle,
+)
 
 STEEL = Material(young_modulus=210e9, density=7850.0)
 
@@ -68,12 +73,9 @@ class TestAssembly:
     def test_matches_elementwise_sum(self, rng):
         nodes, members, areas, fixed, loads = random_stable_truss(rng, 4)
         model = TrussModel(nodes, members, areas, STEEL, fixed, loads)
+        free = free_dofs(model)
         K = assemble_stiffness(model)
-        expect = np.zeros_like(K)
-        for (a, b), area in zip(members, areas):
-            k = element_stiffness(nodes[a], nodes[b], area, STEEL.young_modulus)
-            dofs = [2 * a, 2 * a + 1, 2 * b, 2 * b + 1]
-            expect[np.ix_(dofs, dofs)] += k
+        expect = full_stiffness(model)[np.ix_(free, free)]
         assert np.allclose(K, expect, rtol=1e-12, atol=0.0)
 
     def test_symmetric(self, rng):
@@ -86,32 +88,28 @@ class TestAssembly:
         model = bar_model()
         assert list(free_dofs(model)) == [2]
 
-    def test_free_only_is_the_exact_restriction(self, rng):
+    def test_sums_in_member_order_like_add_at(self, rng):
+        # the per-member blocks scattered into the full matrix with
+        # np.add.at, entry by entry in member order, then restricted to the
+        # free DOFs: the bincount scatter must agree bit for bit
         for n_nodes in (4, 5, 7):
-            nodes, members, areas, fixed, loads = random_stable_truss(rng, n_nodes)
+            nodes, members, areas, fixed, loads = random_stable_truss(
+                rng, n_nodes)
             fixed[3] = [True, False]
             model = TrussModel(nodes, members, areas, STEEL, fixed, loads)
+            d = nodes[members[:, 1]] - nodes[members[:, 0]]
+            lengths = np.linalg.norm(d, axis=1)
+            v = np.column_stack([d / lengths[:, None], -d / lengths[:, None]])
+            k = STEEL.young_modulus * areas / lengths
+            blocks = k[:, None, None] * v[:, :, None] * v[:, None, :]
+            a, b = members[:, 0], members[:, 1]
+            dofs = np.column_stack([2 * a, 2 * a + 1, 2 * b, 2 * b + 1])
+            full = np.zeros((2 * n_nodes, 2 * n_nodes))
+            np.add.at(full, (np.repeat(dofs, 4, axis=1), np.tile(dofs, (1, 4))),
+                      blocks.reshape(-1, 16))
             free = free_dofs(model)
-            full = assemble_stiffness(model)
-            reduced = assemble_stiffness(model, free_only=True)
-            assert np.array_equal(reduced, full[np.ix_(free, free)])
-
-    def test_sums_in_member_order_like_add_at(self, rng):
-        # the per-member blocks scattered with np.add.at, entry by entry in
-        # member order: the bincount scatter must agree bit for bit
-        nodes, members, areas, fixed, loads = random_stable_truss(rng, 6)
-        model = TrussModel(nodes, members, areas, STEEL, fixed, loads)
-        d = nodes[members[:, 1]] - nodes[members[:, 0]]
-        lengths = np.linalg.norm(d, axis=1)
-        v = np.column_stack([d / lengths[:, None], -d / lengths[:, None]])
-        k = STEEL.young_modulus * areas / lengths
-        blocks = k[:, None, None] * v[:, :, None] * v[:, None, :]
-        a, b = members[:, 0], members[:, 1]
-        dofs = np.column_stack([2 * a, 2 * a + 1, 2 * b, 2 * b + 1])
-        expect = np.zeros((12, 12))
-        np.add.at(expect, (np.repeat(dofs, 4, axis=1), np.tile(dofs, (1, 4))),
-                  blocks.reshape(-1, 16))
-        assert np.array_equal(assemble_stiffness(model), expect)
+            assert np.array_equal(assemble_stiffness(model),
+                                  full[np.ix_(free, free)])
 
     def test_free_stiffness_assembled_once(self, monkeypatch):
         import elitopt.fem as fem
@@ -119,9 +117,9 @@ class TestAssembly:
         calls = []
         assemble = fem.assemble_stiffness
 
-        def counting(model, free_only=False):
-            calls.append(free_only)
-            return assemble(model, free_only)
+        def counting(model):
+            calls.append(model)
+            return assemble(model)
 
         monkeypatch.setattr(fem, "assemble_stiffness", counting)
         model = TrussModel(
@@ -134,7 +132,7 @@ class TestAssembly:
         )
         solve_static(model)
         natural_frequencies(model)
-        assert calls == [True]
+        assert calls == [model]
 
 
 class TestSolveStatic:

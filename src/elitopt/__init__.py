@@ -31,7 +31,6 @@ from .core import (
     replicate_seed,
     replicate_stats,
     run,
-    run_replicates,
     snap_to_grid,
 )
 from .algorithms import ALGORITHMS, get_algorithm
@@ -62,6 +61,5 @@ __all__ = [
     "replicate_seed",
     "replicate_stats",
     "run",
-    "run_replicates",
     "snap_to_grid",
 ]

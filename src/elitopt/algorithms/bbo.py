@@ -132,7 +132,7 @@ class Bbo:
     """Biogeography-based optimizer with rank-linear migration rates."""
 
     name = "bbo"
-    handles_elite_injection = False
+    inject_before_step = False
 
     def __init__(self, params: BboParams | None = None):
         self.params = params or BboParams()
@@ -150,13 +150,11 @@ class Bbo:
         population: list[Candidate],
         state,
         ctx,
-        space: SearchSpace,
-        iteration: int,
-        max_iterations: int,
+        frac: float,
         rng: np.random.Generator,
-        memory=None,
     ) -> list[Candidate]:
         params = self.params
+        space = ctx.problem.space
         n = len(population)
         order = sorted(range(n), key=lambda i: (population[i].fitness, i))
         ranked = [population[i] for i in order]

@@ -64,8 +64,6 @@ class KhaState:
     foraging_old: np.ndarray
     pb_positions: np.ndarray
     pb_fitness: np.ndarray
-    best_position: np.ndarray
-    best_fitness: float
     last_positions: np.ndarray
 
 
@@ -264,7 +262,7 @@ class Kha:
     """Krill herd optimizer with optional crossover and mutation."""
 
     name = "kha"
-    handles_elite_injection = False
+    inject_before_step = False
 
     def __init__(self, params: KhaParams | None = None):
         self.params = params or KhaParams()
@@ -280,8 +278,6 @@ class Kha:
             foraging_old=np.zeros((n, space.dim)),
             pb_positions=np.array([c.position for c in population]),
             pb_fitness=np.array([c.fitness for c in population]),
-            best_position=ctx.best.position.copy(),
-            best_fitness=ctx.best.fitness,
             last_positions=np.array([c.position for c in population]),
         )
         return population, state
@@ -291,19 +287,15 @@ class Kha:
         population: list[Candidate],
         state: KhaState,
         ctx,
-        space: SearchSpace,
-        iteration: int,
-        max_iterations: int,
+        frac: float,
         rng: np.random.Generator,
-        memory=None,
     ) -> list[Candidate]:
         params = self.params
+        space = ctx.problem.space
         n = len(population)
         dim = space.dim
-        frac = iteration / max_iterations
-
-        state.best_position = ctx.best.position.copy()
-        state.best_fitness = ctx.best.fitness
+        best_position = ctx.best.position
+        best_fitness = ctx.best.fitness
 
         positions = np.array([c.position for c in population])
         fitness = np.array([c.fitness for c in population])
@@ -315,7 +307,7 @@ class Kha:
                 state.foraging_old[i] = 0.0
                 state.pb_positions[i] = positions[i].copy()
                 state.pb_fitness[i] = fitness[i]
-        spread = float(fitness.max()) - state.best_fitness
+        spread = float(fitness.max()) - best_fitness
         x_food, k_food = food_point(positions, fitness)
         dt = time_step(params.time_factor, space)
 
@@ -325,7 +317,7 @@ class Kha:
         for i in range(n):
             alpha = local_attraction(i, positions, fitness, spread, params.epsilon)
             alpha += target_attraction(
-                i, positions, fitness, state.best_position, state.best_fitness,
+                i, positions, fitness, best_position, best_fitness,
                 spread, frac, params.epsilon, rng,
             )
             induced = induced_motion(
@@ -348,8 +340,8 @@ class Kha:
             state.foraging_old[i] = foraging
 
             x = positions[i].copy()
-            is_best = population[i].fitness <= state.best_fitness
-            khat_best = fitness_ratio(fitness[i], state.best_fitness, spread)
+            is_best = population[i].fitness <= best_fitness
+            khat_best = fitness_ratio(fitness[i], best_fitness, spread)
             if params.crossover and n >= 2:
                 pick = int(rng.integers(n - 1))
                 donor = pick if pick < i else pick + 1
@@ -365,7 +357,7 @@ class Kha:
                 mu = rng.random()
                 prob = 0.0 if is_best else operator_probability(khat_best)
                 x = mutate_toward_best(
-                    x, state.best_position, positions[r2], positions[r3], mu, prob, rng
+                    x, best_position, positions[r2], positions[r3], mu, prob, rng
                 )
 
             new_positions[i] = advance_position(x, dt, induced + foraging + diffuse)
@@ -377,7 +369,5 @@ class Kha:
             if cand.fitness < state.pb_fitness[i]:
                 state.pb_fitness[i] = cand.fitness
                 state.pb_positions[i] = cand.position.copy()
-        state.best_position = ctx.best.position.copy()
-        state.best_fitness = ctx.best.fitness
         state.last_positions = np.array([c.position for c in new_population])
         return new_population

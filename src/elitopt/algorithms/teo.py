@@ -4,8 +4,10 @@ Agents are temperature vectors.  Each iteration the population is sorted and
 split in half: the better half acts as cooling environments for the worse
 half, which relaxes toward its (randomly cooled) environment at a rate set
 by its own cost.  Only the cooled half is re-evaluated, so an iteration
-costs half a population of evaluations.  When the elite memory is active its
-entries overwrite the worst agents at the start of the step, before sorting.
+costs half a population of evaluations.  Teo declares
+``inject_before_step``: with the elite memory on, the run loop overwrites the
+worst agents with the stored elites before each step, so the elites take part
+in the split as environments.
 """
 
 from __future__ import annotations
@@ -14,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import Candidate, ConfigError, SearchSpace, clamp_to_bounds
+from ..core import (  # time_fraction is re-exported for the worked examples
+    Candidate,
+    ConfigError,
+    SearchSpace,
+    clamp_to_bounds,
+    time_fraction,
+)
 
 BETA_DELTA = 1e-10  # guard for the cost ratio on flat populations
 
@@ -45,13 +53,6 @@ def exchange_ratio(cost: float, worst_cost: float) -> float:
     if worst_cost == 0:
         raise ValueError("worst_cost must be nonzero")
     return cost / worst_cost
-
-
-def time_fraction(iteration: int, max_iterations: int) -> float:
-    """Elapsed fraction of the run."""
-    if max_iterations <= 0:
-        raise ValueError("max_iterations must be positive")
-    return iteration / max_iterations
 
 
 def cooled_environment(
@@ -93,7 +94,7 @@ class Teo:
     """Thermal exchange optimizer.  Requires an even population."""
 
     name = "teo"
-    handles_elite_injection = True
+    inject_before_step = True
 
     def __init__(self, params: TeoParams | None = None):
         self.params = params or TeoParams()
@@ -113,15 +114,11 @@ class Teo:
         population: list[Candidate],
         state,
         ctx,
-        space: SearchSpace,
-        iteration: int,
-        max_iterations: int,
+        frac: float,
         rng: np.random.Generator,
-        memory=None,
     ) -> list[Candidate]:
         params = self.params
-        if memory is not None:
-            population = memory.inject(population)
+        space = ctx.problem.space
         n = len(population)
         half = n // 2
         order = sorted(range(n), key=lambda i: (population[i].fitness, i))
@@ -132,7 +129,6 @@ class Teo:
         best = ranked[0].fitness
         worst = ranked[-1].fitness
         denom = (worst - best) + BETA_DELTA
-        frac = time_fraction(iteration, max_iterations)
 
         new_cool = []
         for k in range(half):

@@ -23,11 +23,11 @@ from pathlib import Path
 
 from .algorithms import algorithm_names
 from .harness import (
-    STATS_HEADER,
     cell_stats_from_files,
     emit_plot_data,
     plan_from_file,
     run_experiment,
+    write_stats_csv,
 )
 from .problems import problem_names
 
@@ -91,16 +91,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    stats = cell_stats_from_files(args.cell_dir)
-    sys.stdout.write(",".join(STATS_HEADER) + "\n")
-    sys.stdout.write(
-        ",".join(
-            ["%.12g" % v for v in (stats.best, stats.mean, stats.worst, stats.std,
-                                   stats.nfes_median)]
-            + [str(stats.runs)]
-        )
-        + "\n"
-    )
+    write_stats_csv(sys.stdout, cell_stats_from_files(args.cell_dir))
     return 0
 
 

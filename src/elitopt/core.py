@@ -10,7 +10,6 @@ evaluation accounting, and replicate statistics.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -309,7 +308,6 @@ class RunConfig:
     memory_enabled: bool = True
     memory_fraction: float = 0.2
     seed: int = 0
-    replicate_count: int = 20
     penalty: PenaltyParams = field(default_factory=PenaltyParams)
 
     def __post_init__(self):
@@ -317,8 +315,6 @@ class RunConfig:
             raise ConfigError("population_size must be >= 1")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
-        if self.replicate_count < 1:
-            raise ConfigError("replicate_count must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
         if self.memory_enabled:
@@ -382,14 +378,28 @@ class RunContext:
         return candidate
 
 
+def time_fraction(iteration: int, max_iterations: int) -> float:
+    """Elapsed fraction of the run."""
+    if max_iterations <= 0:
+        raise ValueError("max_iterations must be positive")
+    return iteration / max_iterations
+
+
 def run(algorithm, problem: Problem, config: RunConfig, rng=None) -> RunResult:
     """Execute one seeded optimization run.
 
-    The loop per iteration: the algorithm advances the population (evaluating
-    through the shared context, which also feeds the elite memory), then the
-    elites are injected over the worst members, then the history is recorded.
-    Algorithms that time their own elite exchange receive the memory instead
-    and the loop does not inject a second time.
+    The algorithm protocol is ``evals_per_iteration(n)``,
+    ``init_population(ctx, space, n, rng) -> (population, state)``,
+    ``step(population, state, ctx, frac, rng) -> population`` and the
+    attribute ``inject_before_step``.  ``frac`` is the elapsed fraction
+    ``g / max_iterations`` of iteration ``g``; the search space is
+    ``ctx.problem.space``.
+
+    The loop per iteration: with the memory on, the stored elites overwrite
+    the worst members of the population before the step when the algorithm
+    sets ``inject_before_step``, and after it otherwise.  The step advances
+    the population, evaluating through the shared context, which also feeds
+    the elite memory.  Then the history is recorded.
 
     Identical ``(seed, config, problem)`` triples give bit-identical results.
     """
@@ -410,25 +420,20 @@ def run(algorithm, problem: Problem, config: RunConfig, rng=None) -> RunResult:
         )
     history = [(0, ctx.best.fitness, ctx.nfes)]
     declared = algorithm.evals_per_iteration(config.population_size)
-    handles_injection = getattr(algorithm, "handles_elite_injection", False)
+    inject_first = algorithm.inject_before_step
     for g in range(1, config.max_iterations + 1):
+        if memory is not None and inject_first:
+            population = memory.inject(population)
         before = ctx.nfes
         population = algorithm.step(
-            population,
-            state,
-            ctx,
-            problem.space,
-            g,
-            config.max_iterations,
-            rng,
-            memory if handles_injection else None,
+            population, state, ctx, time_fraction(g, config.max_iterations), rng
         )
         used = ctx.nfes - before
         if used != declared:
             raise AccountingError(
                 f"iteration {g}: {used} evaluations used, {declared} declared"
             )
-        if memory is not None and not handles_injection:
+        if memory is not None and not inject_first:
             population = memory.inject(population)
         history.append((g, ctx.best.fitness, ctx.nfes))
     return RunResult(best=ctx.best.clone(), history=history, nfes=ctx.nfes)
@@ -437,21 +442,6 @@ def run(algorithm, problem: Problem, config: RunConfig, rng=None) -> RunResult:
 def replicate_seed(base_seed: int, replicate: int) -> int:
     """Seed of replicate ``replicate`` for a run configured with ``base_seed``."""
     return (int(base_seed) + int(replicate)) % 2**64
-
-
-def run_replicates(
-    algorithm, problem: Problem, config: RunConfig, replicates: int | None = None
-) -> list[RunResult]:
-    """Run ``replicates`` independent repeats with per-replicate seeds derived
-    from the configured seed by offsetting the replicate index."""
-    n = config.replicate_count if replicates is None else int(replicates)
-    if n < 1:
-        raise ConfigError("replicates must be >= 1")
-    results = []
-    for r in range(n):
-        cfg = dataclasses.replace(config, seed=replicate_seed(config.seed, r))
-        results.append(run(algorithm, problem, cfg))
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -468,22 +458,23 @@ class StatsRecord:
     runs: int
 
 
-def replicate_stats(results: Sequence[RunResult]) -> StatsRecord:
-    """Summary over final best fitness values of a replicate batch.
+def replicate_stats(finals: Sequence[float], nfes: Sequence[int]) -> StatsRecord:
+    """Summary of a replicate batch from each run's final best fitness and
+    final evaluation count.
 
     Standard deviation is the sample estimate (N-1 denominator), defined as
     0.0 for a single run.
     """
-    if not results:
+    finals = np.asarray(finals, dtype=float)
+    if finals.size == 0:
         raise ValueError("no results to summarize")
-    finals = np.array([r.best.fitness for r in results], dtype=float)
     n = finals.size
     std = float(np.std(finals, ddof=1)) if n > 1 else 0.0
     return StatsRecord(
-        best=float(np.min(finals)),
-        mean=float(np.mean(finals)),
-        worst=float(np.max(finals)),
+        best=float(finals.min()),
+        mean=float(finals.mean()),
+        worst=float(finals.max()),
         std=std,
-        nfes_median=float(np.median([r.nfes for r in results])),
-        runs=n,
+        nfes_median=float(np.median(np.asarray(nfes, dtype=float))),
+        runs=int(n),
     )

@@ -44,6 +44,7 @@ from .core import (
     RunResult,
     StatsRecord,
     replicate_seed,
+    replicate_stats,
     run,
 )
 from .problems import get_problem
@@ -326,22 +327,22 @@ def read_history_csv(path: str | Path) -> list[tuple[int, float, int]]:
     return out
 
 
-def write_stats_csv(path: Path, stats: StatsRecord) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(STATS_HEADER) + "\n")
-        fh.write(
-            ",".join(
-                [
-                    _fmt(stats.best),
-                    _fmt(stats.mean),
-                    _fmt(stats.worst),
-                    _fmt(stats.std),
-                    _fmt(stats.nfes_median),
-                    str(int(stats.runs)),
-                ]
-            )
-            + "\n"
+def write_stats_csv(stream, stats: StatsRecord) -> None:
+    """Write the two-line stats table to an open text stream."""
+    stream.write(",".join(STATS_HEADER) + "\n")
+    stream.write(
+        ",".join(
+            [
+                _fmt(stats.best),
+                _fmt(stats.mean),
+                _fmt(stats.worst),
+                _fmt(stats.std),
+                _fmt(stats.nfes_median),
+                str(int(stats.runs)),
+            ]
         )
+        + "\n"
+    )
 
 
 def read_stats_csv(path: str | Path) -> StatsRecord:
@@ -361,20 +362,6 @@ def read_stats_csv(path: str | Path) -> StatsRecord:
     )
 
 
-def _stats_of(finals, nfes) -> StatsRecord:
-    finals = np.asarray(finals, dtype=float)
-    n = finals.size
-    std = float(np.std(finals, ddof=1)) if n > 1 else 0.0
-    return StatsRecord(
-        best=float(finals.min()),
-        mean=float(finals.mean()),
-        worst=float(finals.max()),
-        std=std,
-        nfes_median=float(np.median(np.asarray(nfes, dtype=float))),
-        runs=int(n),
-    )
-
-
 def cell_stats_from_files(cell_dir: str | Path) -> StatsRecord:
     """Recompute the cell summary from its run files alone."""
     cell_dir = Path(cell_dir)
@@ -386,7 +373,7 @@ def cell_stats_from_files(cell_dir: str | Path) -> StatsRecord:
         history = read_history_csv(path)
         finals.append(history[-1][1])
         nfes.append(history[-1][2])
-    return _stats_of(finals, nfes)
+    return replicate_stats(finals, nfes)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +428,9 @@ def run_cell(
         results = [_replicate_job(j) for j in jobs]
     for r, result in enumerate(results):
         write_history_csv(cell_dir / f"run_{r:03d}.csv", result.history)
-    write_stats_csv(cell_dir / "stats.csv", cell_stats_from_files(cell_dir))
+    stats = cell_stats_from_files(cell_dir)
+    with open(cell_dir / "stats.csv", "w", encoding="utf-8", newline="\n") as fh:
+        write_stats_csv(fh, stats)
     best_r = min(range(len(results)), key=lambda r: results[r].best.fitness)
     best = results[best_r].best
     with open(cell_dir / "best.json", "w", encoding="utf-8") as fh:
@@ -658,11 +647,11 @@ def run_experiment(
     for cell in cells:
         cell_dir = out_dir / cell.label
         cell_dir.mkdir(parents=True, exist_ok=True)
-        for stale in ("stats.csv", "error.txt"):
-            try:
-                (cell_dir / stale).unlink()
-            except FileNotFoundError:
-                pass
+        # a rerun with fewer replicates must not count the old run files
+        stale = list(cell_dir.glob("run_*.csv"))
+        stale += [cell_dir / name for name in ("stats.csv", "best.json", "error.txt")]
+        for path in stale:
+            path.unlink(missing_ok=True)
         try:
             run_cell(cell, plan, out_dir, workers=workers)
         except Exception as exc:

@@ -319,18 +319,6 @@ class TrussDesign:
         )
         return coords, areas
 
-    def contract(self, coords: np.ndarray, areas: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`expand`: read the design vector back out of full
-        per-member areas and per-node coordinates."""
-        x = np.empty(self.dim)
-        for k, v in enumerate(self.size_variables):
-            x[k] = areas[v.member_indices[0]] / v.unit_scale
-        ns = len(self.size_variables)
-        for k, v in enumerate(self.shape_variables):
-            t = v.targets[0]
-            x[ns + k] = (coords[t.node, t.axis] - t.datum) / (t.coeff * v.unit_scale)
-        return x
-
     def model(self, x: np.ndarray) -> TrussModel:
         """The truss of design vector ``x``, built on the validated topology."""
         coords, areas = self.expand(x)

@@ -122,3 +122,16 @@ def memory_oracle(stream, capacity):
     kept = list(seen.values())
     order = sorted(range(len(kept)), key=lambda i: (kept[i].fitness, i))
     return [kept[i] for i in order[:capacity]]
+
+
+def contract(design, coords, areas):
+    """Inverse of ``TrussDesign.expand``: read the design vector back out of
+    full per-member areas and per-node coordinates."""
+    x = np.empty(design.dim)
+    for k, v in enumerate(design.size_variables):
+        x[k] = areas[v.member_indices[0]] / v.unit_scale
+    ns = len(design.size_variables)
+    for k, v in enumerate(design.shape_variables):
+        t = v.targets[0]
+        x[ns + k] = (coords[t.node, t.axis] - t.datum) / (t.coeff * v.unit_scale)
+    return x

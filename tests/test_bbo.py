@@ -176,7 +176,7 @@ class TestBboStep:
         ctx = RunContext(problem, PenaltyParams())
         population, state = algo.init_population(ctx, problem.space, 6, rng)
         before = sorted(tuple(c.position) for c in population)
-        out = algo.step(population, state, ctx, problem.space, 1, 10, rng)
+        out = algo.step(population, state, ctx, 1 / 10, rng)
         after = sorted(tuple(c.position) for c in out)
         assert before == after
 
@@ -187,7 +187,7 @@ class TestBboStep:
         algo = Bbo()
         ctx = RunContext(problem, PenaltyParams())
         population, state = algo.init_population(ctx, problem.space, 9, rng)
-        out = algo.step(population, state, ctx, problem.space, 1, 10, rng)
+        out = algo.step(population, state, ctx, 1 / 10, rng)
         assert len(out) == 9
 
     def test_declared_evaluation_cost(self):

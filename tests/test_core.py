@@ -22,7 +22,6 @@ from elitopt.core import (
     replicate_seed,
     replicate_stats,
     run,
-    run_replicates,
     snap_to_grid,
 )
 from oracles import memory_oracle
@@ -347,7 +346,7 @@ def sphere_problem(dim=2):
 class LyingAlgorithm:
     """Claims one evaluation per iteration but performs two."""
 
-    handles_elite_injection = False
+    inject_before_step = False
 
     def evals_per_iteration(self, population_size):
         return 1
@@ -355,11 +354,39 @@ class LyingAlgorithm:
     def init_population(self, ctx, space, n, rng):
         return [ctx.evaluate(p) for p in space.sample(n, rng)], None
 
-    def step(self, population, state, ctx, space, iteration, max_iterations,
-             rng, memory=None):
+    def step(self, population, state, ctx, frac, rng):
         ctx.evaluate(population[0].position)
         ctx.evaluate(population[1].position)
         return population
+
+
+class RecordingAlgorithm:
+    """Re-evaluates the population it is handed and records it.
+
+    Initialization evaluates the optimum of the sphere first, so the memory
+    holds an entry that beats everyone, but keeps it out of the population
+    (a second copy of the last sample takes its slot).
+    """
+
+    def __init__(self, inject_before_step):
+        self.inject_before_step = inject_before_step
+        self.handed = []
+
+    def evals_per_iteration(self, population_size):
+        return population_size
+
+    def init_population(self, ctx, space, n, rng):
+        ctx.evaluate(np.zeros(space.dim))
+        population = [ctx.evaluate(p) for p in space.sample(n - 1, rng)]
+        return population + [population[-1].clone()], None
+
+    def step(self, population, state, ctx, frac, rng):
+        self.handed.append(list(population))
+        return [ctx.evaluate(c.position) for c in population]
+
+
+def holds_origin(population):
+    return any(not np.any(c.position) and c.fitness == 0.0 for c in population)
 
 
 class TestRunLoop:
@@ -423,14 +450,31 @@ class TestRunLoop:
         with pytest.raises(ConfigError):
             RunConfig(population_size=10, max_iterations=1, memory_fraction=0.0)
 
-    def test_replicates_use_distinct_seeds(self):
-        from elitopt.algorithms import get_algorithm
+    def test_inject_before_step(self):
+        algo = RecordingAlgorithm(inject_before_step=True)
+        run(algo, sphere_problem(), RunConfig(population_size=10,
+                                              max_iterations=2, seed=0))
+        assert holds_origin(algo.handed[0])
 
-        config = RunConfig(population_size=6, max_iterations=5, seed=11,
-                           replicate_count=3)
-        results = run_replicates(get_algorithm("bbo"), sphere_problem(), config)
-        finals = [r.best.fitness for r in results]
-        assert len(set(finals)) > 1
+    def test_inject_after_step(self):
+        algo = RecordingAlgorithm(inject_before_step=False)
+        run(algo, sphere_problem(), RunConfig(population_size=10,
+                                              max_iterations=2, seed=0))
+        assert not holds_origin(algo.handed[0])
+        assert holds_origin(algo.handed[1])
+
+    def test_memory_off_never_injects(self):
+        algo = RecordingAlgorithm(inject_before_step=True)
+        run(algo, sphere_problem(), RunConfig(population_size=10, max_iterations=2,
+                                              seed=0, memory_enabled=False))
+        assert not any(holds_origin(p) for p in algo.handed)
+
+    def test_algorithms_declare_injection_timing(self):
+        from elitopt.algorithms import Bbo, Kha, Teo
+
+        assert Teo.inject_before_step is True
+        assert Bbo.inject_before_step is False
+        assert Kha.inject_before_step is False
 
 
 class TestReplicateSeed:
@@ -443,24 +487,20 @@ class TestReplicateSeed:
 
 
 class TestReplicateStats:
-    def make(self, *finals):
-        out = []
-        for f in finals:
-            c = cand(f)
-            out.append(
-                type("R", (), {"best": c, "history": [(0, f, 5)], "nfes": 5})()
-            )
-        return out
-
     def test_single_run(self):
-        s = replicate_stats(self.make(21.91))
+        s = replicate_stats([21.91], [5])
         assert s.best == s.mean == s.worst == 21.91
-        assert s.std == 0.0 and s.runs == 1
+        assert s.std == 0.0 and s.runs == 1 and s.nfes_median == 5.0
 
     def test_two_runs_sample_std(self):
-        s = replicate_stats(self.make(1.0, 3.0))
+        s = replicate_stats([1.0, 3.0], [5, 7])
         assert (s.best, s.mean, s.worst) == (1.0, 2.0, 3.0)
         assert s.std == pytest.approx(np.sqrt(2.0))
+        assert s.nfes_median == 6.0
 
     def test_constant_sample(self):
-        assert replicate_stats(self.make(2.0, 2.0, 2.0)).std == 0.0
+        assert replicate_stats([2.0, 2.0, 2.0], [5, 5, 5]).std == 0.0
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            replicate_stats([], [])

@@ -41,6 +41,11 @@ def small_plan(**over):
     return ExperimentPlan(**kwargs)
 
 
+def write_stats_file(path, stats):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        write_stats_csv(fh, stats)
+
+
 def tree_digest(root):
     """Map of relative path -> content hash for a whole directory."""
     out = {}
@@ -129,7 +134,7 @@ class TestStatsCsv:
         stats = StatsRecord(best=1.5, mean=2.25, worst=3.0, std=0.75,
                             nfes_median=400.0, runs=3)
         path = tmp_path / "stats.csv"
-        write_stats_csv(path, stats)
+        write_stats_file(path, stats)
         assert read_stats_csv(path) == stats
 
     def test_garbage_rejected(self, tmp_path):
@@ -342,7 +347,7 @@ class TestRunExperiment:
         run_experiment(small_plan(memory_modes=(False,)), out)
         cell = out / "bbo-sphere-std"
         again = tmp_path / "again.csv"
-        write_stats_csv(again, cell_stats_from_files(cell))
+        write_stats_file(again, cell_stats_from_files(cell))
         assert again.read_bytes() == (cell / "stats.csv").read_bytes()
 
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -350,6 +355,27 @@ class TestRunExperiment:
         run_experiment(plan, tmp_path / "a")
         run_experiment(plan, tmp_path / "b")
         assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
+
+    def test_rerun_with_fewer_replicates_drops_stale_runs(self, tmp_path):
+        out = tmp_path / "out"
+        run_experiment(small_plan(memory_modes=(True,), replicates=3), out)
+        report = run_experiment(small_plan(memory_modes=(True,), replicates=2), out)
+        cell = out / "bbo-sphere-mem"
+        assert [p.name for p in sorted(cell.glob("run_*.csv"))] == [
+            "run_000.csv", "run_001.csv"]
+        assert report.cells[0].stats.runs == 2
+        assert cell_stats_from_files(cell).runs == 2
+
+    def test_failed_rerun_leaves_no_stale_results(self, tmp_path):
+        # an odd population is unusable for teo, so the rerun fails
+        out = tmp_path / "out"
+        run_experiment(small_plan(algorithms=("teo",), memory_modes=(True,)), out)
+        run_experiment(small_plan(algorithms=("teo",), memory_modes=(True,),
+                                  population_size=9), out)
+        cell = out / "teo-sphere-mem"
+        assert (cell / "error.txt").is_file()
+        assert not (cell / "best.json").exists()
+        assert not list(cell.glob("run_*.csv"))
 
     def test_seed_changes_histories(self, tmp_path):
         run_experiment(small_plan(root_seed=1), tmp_path / "a")
@@ -392,9 +418,9 @@ class TestReportEdgeCases:
     def make_cell(self, out, label, alg, mem, mean):
         cell_dir = out / label
         cell_dir.mkdir(parents=True)
-        write_stats_csv(cell_dir / "stats.csv",
-                        StatsRecord(best=mean, mean=mean, worst=mean, std=0.0,
-                                    nfes_median=100.0, runs=2))
+        write_stats_file(cell_dir / "stats.csv",
+                         StatsRecord(best=mean, mean=mean, worst=mean, std=0.0,
+                                     nfes_median=100.0, runs=2))
         return PlanCell(label=label, algorithm=alg, problem="sphere",
                         memory=mem, seed=0, iterations=5)
 
@@ -414,7 +440,7 @@ class TestReportEdgeCases:
         ]
         bad = StatsRecord(best=1.0, mean=1.0, worst=1.0, std=0.0,
                           nfes_median=100.0, runs=3)
-        write_stats_csv(tmp_path / "bbo-sphere-mem" / "stats.csv", bad)
+        write_stats_file(tmp_path / "bbo-sphere-mem" / "stats.csv", bad)
         report = build_report(tmp_path, cells)
         assert report.improvements == ()
 

@@ -286,7 +286,7 @@ class TestKhaStep:
         algo = Kha()
         ctx = self.make_ctx(problem)
         population, state = algo.init_population(ctx, problem.space, 7, rng)
-        out = algo.step(population, state, ctx, problem.space, 1, 10, rng)
+        out = algo.step(population, state, ctx, 1 / 10, rng)
         assert len(out) == 7
 
     def test_all_motion_off_positions_fixed(self, rng):
@@ -297,7 +297,7 @@ class TestKhaStep:
         ctx = self.make_ctx(problem)
         population, state = algo.init_population(ctx, problem.space, 5, rng)
         before = np.array([c.position for c in population])
-        out = algo.step(population, state, ctx, problem.space, 1, 10, rng)
+        out = algo.step(population, state, ctx, 1 / 10, rng)
         after = np.array([c.position for c in out])
         assert np.array_equal(before, after)
 
@@ -311,12 +311,12 @@ class TestKhaStep:
         algo = Kha(params)
         ctx = self.make_ctx(problem)
         population, state = algo.init_population(ctx, problem.space, 4, rng)
-        population = algo.step(population, state, ctx, problem.space, 1, 10, rng)
+        population = algo.step(population, state, ctx, 1 / 10, rng)
 
         injected = ctx.evaluate(np.array([3.5, 3.5]))
         assert injected.fitness > state.pb_fitness[0]
         population[0] = injected
-        algo.step(population, state, ctx, problem.space, 2, 10, rng)
+        algo.step(population, state, ctx, 2 / 10, rng)
         assert np.array_equal(state.pb_positions[0], injected.position)
         assert state.pb_fitness[0] == injected.fitness
 
@@ -328,7 +328,7 @@ class TestKhaStep:
         ctx = self.make_ctx(problem)
         population, state = algo.init_population(ctx, problem.space, 4, rng)
         pb_before = state.pb_fitness.copy()
-        algo.step(population, state, ctx, problem.space, 1, 10, rng)
+        algo.step(population, state, ctx, 1 / 10, rng)
         assert np.array_equal(state.pb_fitness, pb_before)
 
     def test_declared_evaluation_cost(self):

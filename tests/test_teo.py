@@ -13,7 +13,6 @@ from elitopt.algorithms.teo import (
 )
 from elitopt.core import (
     ConfigError,
-    EliteMemory,
     PenaltyParams,
     Problem,
     RunConfig,
@@ -164,7 +163,7 @@ class TestTeoStep:
         ctx = self.make_ctx(problem)
         population, state = algo.init_population(ctx, problem.space, 10, rng)
         before = ctx.nfes
-        algo.step(population, state, ctx, problem.space, 1, 10, rng)
+        algo.step(population, state, ctx, 1 / 10, rng)
         assert ctx.nfes - before == 5
 
     def test_better_half_survives_unchanged(self, rng):
@@ -173,7 +172,7 @@ class TestTeoStep:
         ctx = self.make_ctx(problem)
         population, state = algo.init_population(ctx, problem.space, 8, rng)
         ranked = sorted(population, key=lambda c: c.fitness)
-        out = algo.step(population, state, ctx, problem.space, 1, 10, rng)
+        out = algo.step(population, state, ctx, 1 / 10, rng)
         for kept, original in zip(out[:4], ranked[:4]):
             assert np.array_equal(kept.position, original.position)
             assert kept.fitness == original.fitness
@@ -185,35 +184,17 @@ class TestTeoStep:
         population, state = algo.init_population(ctx, problem.space, 12, rng)
         best = min(c.fitness for c in population)
         for it in range(1, 6):
-            population = algo.step(population, state, ctx, problem.space,
-                                   it, 6, rng)
+            population = algo.step(population, state, ctx, it / 6, rng)
             new_best = min(c.fitness for c in population)
             assert new_best <= best
             best = new_best
-
-    def test_memory_injected_before_sorting(self, rng):
-        # hand the step a memory whose entry beats everyone: it must appear
-        # in the surviving environment half of the output
-        problem = toy_problem()
-        algo = Teo()
-        ctx = self.make_ctx(problem)
-        population, state = algo.init_population(ctx, problem.space, 6, rng)
-        memory = EliteMemory(capacity=1)
-        star = ctx.evaluate(np.zeros(2))
-        memory.offer(star)
-        out = algo.step(population, state, ctx, problem.space, 1, 10, rng,
-                        memory=memory)
-        assert any(
-            np.array_equal(c.position, star.position) and c.fitness == star.fitness
-            for c in out[:3]
-        )
 
     def test_population_size_preserved(self, rng):
         problem = toy_problem()
         algo = Teo()
         ctx = self.make_ctx(problem)
         population, state = algo.init_population(ctx, problem.space, 10, rng)
-        out = algo.step(population, state, ctx, problem.space, 1, 10, rng)
+        out = algo.step(population, state, ctx, 1 / 10, rng)
         assert len(out) == 10
 
     def test_run_deterministic(self):

@@ -1,5 +1,14 @@
-import numpy as np
-import pytest
+import os
+
+# BLAS reads its thread count when numpy loads it, and a multi-threaded BLAS
+# may sum in another order, which changes the last bits of forth's 114-DOF
+# solve; the golden histories are recorded with one thread
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _name in BLAS_THREAD_VARIABLES:
+    os.environ[_name] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 class FakeRng:

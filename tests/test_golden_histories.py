@@ -7,20 +7,23 @@ compared with ``golden_histories.json``.  Any change in what an optimizer
 draws, evaluates or ranks shows up as a changed digest, so refactors and
 performance work can prove that results are unchanged.
 
-The digests hold only for one Python and numpy version: floating point
-results may differ elsewhere, so the test skips with a message when the
-versions recorded in the JSON file differ from the running ones.
+The digests hold only for one Python and numpy version and one BLAS thread
+count: floating point results may differ elsewhere, so the test skips with a
+message when the environment recorded in the JSON file differs from the
+running one.  ``conftest.py`` pins BLAS to one thread for every test.
 
 The JSON file is recorded from a known-good tree, never edited to make this
 test pass.  After a deliberate change of behaviour, record it again with::
 
-    PYTHONPATH=src python3 tests/test_golden_histories.py --record
+    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
+        PYTHONPATH=src python3 tests/test_golden_histories.py --record
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
 import sys
 import tempfile
@@ -32,6 +35,7 @@ import pytest
 from elitopt.harness import ExperimentPlan, run_experiment
 
 GOLDEN = Path(__file__).resolve().parent / "golden_histories.json"
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 PLAN = dict(
     algorithms=("bbo", "kha", "teo"),
@@ -45,7 +49,11 @@ PLAN = dict(
 
 
 def environment() -> dict:
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas_threads": {k: os.environ.get(k, "unset") for k in BLAS_THREAD_VARIABLES},
+    }
 
 
 def history_digests(out_dir: Path) -> dict:
@@ -75,6 +83,8 @@ def test_histories_match_golden(tmp_path):
 
 
 def record() -> None:
+    if any(os.environ.get(k) != "1" for k in BLAS_THREAD_VARIABLES):
+        sys.exit(f"record with {', '.join(k + '=1' for k in BLAS_THREAD_VARIABLES)}")
     with tempfile.TemporaryDirectory() as tmp:
         digests = history_digests(Path(tmp))
     doc = {"environment": environment(), "plan": PLAN, "histories": digests}

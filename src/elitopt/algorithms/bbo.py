@@ -81,12 +81,17 @@ def roulette_pick(weights: np.ndarray, skip: int, rng: np.random.Generator) -> i
     """
     w = np.asarray(weights, dtype=float).copy()
     w[skip] = 0.0
-    total = w.sum()
+    return _spin(np.cumsum(w), w.sum(), skip, rng)
+
+
+def _spin(cumulative: np.ndarray, total: float, skip: int, rng) -> int:
+    """One roulette draw over weights with running sums ``cumulative`` and
+    sum ``total``, the weight at ``skip`` already zeroed."""
     if total <= 0:
-        candidates = [i for i in range(w.size) if i != skip]
+        candidates = [i for i in range(cumulative.size) if i != skip]
         return candidates[int(rng.integers(len(candidates)))]
     u = rng.random() * total
-    return int(np.searchsorted(np.cumsum(w), u, side="right"))
+    return int(np.searchsorted(cumulative, u, side="right"))
 
 
 def migrate(
@@ -99,7 +104,9 @@ def migrate(
     variable by the same variable of an emigration-selected donor.
 
     Donors always come from the pre-migration snapshot.  A single-habitat
-    population is returned unchanged (no donor exists).
+    population is returned unchanged (no donor exists).  Each pick is one
+    :func:`roulette_pick` draw; the masked weights of habitat ``i`` are the
+    same for all its variables, so their sums are computed once per habitat.
     """
     n, dim = positions.shape
     out = positions.copy()
@@ -107,10 +114,14 @@ def migrate(
         return out
     for i in range(n):
         coins = rng.random(dim)
-        for j in range(dim):
-            if coins[j] < lambdas[i]:
-                donor = roulette_pick(mus, i, rng)
-                out[i, j] = positions[donor, j]
+        picks = np.flatnonzero(coins < lambdas[i])
+        if picks.size == 0:
+            continue
+        w = np.asarray(mus, dtype=float).copy()
+        w[i] = 0.0
+        cumulative, total = np.cumsum(w), w.sum()
+        for j in picks:
+            out[i, j] = positions[_spin(cumulative, total, i, rng), j]
     return out
 
 
@@ -141,9 +152,7 @@ class Bbo:
         return population_size
 
     def init_population(self, ctx, space: SearchSpace, n: int, rng):
-        positions = space.sample(n, rng)
-        population = [ctx.evaluate(p) for p in positions]
-        return population, None
+        return ctx.evaluate_batch(space.sample(n, rng)), None
 
     def step(
         self,
@@ -175,9 +184,7 @@ class Bbo:
             if rate > 0:
                 migrated[rank] = mutate(migrated[rank], rate, space, rng)
 
-        new_population = [
-            ctx.evaluate(clamp_to_bounds(migrated[rank], space)) for rank in range(n)
-        ]
+        new_population = ctx.evaluate_batch(clamp_to_bounds(migrated, space))
         new_population.sort(key=lambda c: c.fitness)
         if params.elite_keep > 0:
             keep = min(params.elite_keep, n)

@@ -271,8 +271,7 @@ class Kha:
         return population_size
 
     def init_population(self, ctx, space: SearchSpace, n: int, rng):
-        positions = space.sample(n, rng)
-        population = [ctx.evaluate(p) for p in positions]
+        population = ctx.evaluate_batch(space.sample(n, rng))
         state = KhaState(
             induced_old=np.zeros((n, space.dim)),
             foraging_old=np.zeros((n, space.dim)),
@@ -362,10 +361,8 @@ class Kha:
 
             new_positions[i] = advance_position(x, dt, induced + foraging + diffuse)
 
-        new_population = []
-        for i in range(n):
-            cand = ctx.evaluate(clamp_to_bounds(new_positions[i], space))
-            new_population.append(cand)
+        new_population = ctx.evaluate_batch(clamp_to_bounds(new_positions, space))
+        for i, cand in enumerate(new_population):
             if cand.fitness < state.pb_fitness[i]:
                 state.pb_fitness[i] = cand.fitness
                 state.pb_positions[i] = cand.position.copy()

@@ -105,9 +105,7 @@ class Teo:
     def init_population(self, ctx, space: SearchSpace, n: int, rng):
         if n < 2 or n % 2 != 0:
             raise ConfigError("population size must be even and >= 2")
-        positions = space.sample(n, rng)
-        population = [ctx.evaluate(p) for p in positions]
-        return population, None
+        return ctx.evaluate_batch(space.sample(n, rng)), None
 
     def step(
         self,
@@ -130,13 +128,12 @@ class Teo:
         worst = ranked[-1].fitness
         denom = (worst - best) + BETA_DELTA
 
-        new_cool = []
+        cooled = np.empty((half, space.dim))
         for k in range(half):
             agent = cool_half[k]
             beta = (agent.fitness - best) / denom
             env = cooled_environment(env_half[k].position, frac, params, rng)
             pos = updated_temperature(agent.position, env, beta, frac)
-            pos = random_component_jump(pos, params.jump_probability, space, rng)
-            new_cool.append(ctx.evaluate(clamp_to_bounds(pos, space)))
+            cooled[k] = random_component_jump(pos, params.jump_probability, space, rng)
 
-        return [c for c in env_half] + new_cool
+        return env_half + ctx.evaluate_batch(clamp_to_bounds(cooled, space))

@@ -99,43 +99,43 @@ class SearchSpace:
         return self.lower + u * (self.upper - self.lower)
 
 
-def clamp_to_bounds(position: np.ndarray, space: SearchSpace) -> np.ndarray:
-    """Project a position onto the box; idempotent, in-bounds input unchanged."""
+def _check_positions(position: np.ndarray, space: SearchSpace) -> np.ndarray:
+    """``position`` as floats, one position ``(dim,)`` or a stack ``(k, dim)``."""
     position = np.asarray(position, dtype=float)
-    if position.shape != (space.dim,):
+    if position.ndim not in (1, 2) or position.shape[-1] != space.dim:
         raise ValueError(
-            f"position has shape {position.shape}, expected ({space.dim},)"
+            f"position has shape {position.shape}, expected ({space.dim},) "
+            f"or (k, {space.dim})"
         )
-    return np.clip(position, space.lower, space.upper)
+    return position
+
+
+def clamp_to_bounds(position: np.ndarray, space: SearchSpace) -> np.ndarray:
+    """Project a position, or each row of a ``(k, dim)`` stack of them, onto
+    the box; idempotent, in-bounds input unchanged."""
+    return np.clip(_check_positions(position, space), space.lower, space.upper)
 
 
 def snap_to_grid(position: np.ndarray, space: SearchSpace) -> np.ndarray:
-    """Round gridded variables to the nearest admissible value.
+    """Round gridded variables to the nearest admissible value, for one
+    position or each row of a ``(k, dim)`` stack.
 
     Ties resolve to the smaller grid value.  Variables without a grid pass
-    through unchanged.
+    through unchanged.  Each gridded column is snapped for all rows at once.
     """
-    position = np.asarray(position, dtype=float)
-    if position.shape != (space.dim,):
-        raise ValueError(
-            f"position has shape {position.shape}, expected ({space.dim},)"
-        )
+    out = _check_positions(position, space).copy()
     if space.grids is None:
-        return position.copy()
-    out = position.copy()
+        return out
     for j, grid in enumerate(space.grids):
         if grid is None:
             continue
-        x = out[j]
-        idx = int(np.searchsorted(grid, x))
-        if idx == 0:
-            out[j] = grid[0]
-        elif idx == grid.size:
-            out[j] = grid[-1]
-        else:
-            lo, hi = grid[idx - 1], grid[idx]
-            # <= keeps the smaller value on an exact tie
-            out[j] = lo if x - lo <= hi - x else hi
+        x = out[..., j]
+        idx = np.searchsorted(grid, x)
+        # below the grid lo == hi == grid[0], above it both are grid[-1]
+        lo = grid[np.maximum(idx - 1, 0)]
+        hi = grid[np.minimum(idx, grid.size - 1)]
+        # <= keeps the smaller value on an exact tie
+        out[..., j] = np.where(x - lo <= hi - x, lo, hi)
     return out
 
 
@@ -289,12 +289,18 @@ class Problem:
     ``evaluate(position)`` returns ``(objective, violations)`` where
     ``violations`` is a non-negative vector, one entry per constraint
     (empty for unconstrained problems).  Evaluation must be deterministic.
+
+    ``evaluate_batch(positions)``, when given, takes a ``(k, dim)`` array and
+    returns the ``k`` pairs that ``evaluate`` returns for its rows, in row
+    order; a problem gives it when analyzing many designs at once is cheaper
+    than one by one.
     """
 
     name: str
     space: SearchSpace
     evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]]
     description: str = ""
+    evaluate_batch: Callable[[np.ndarray], list[tuple[float, np.ndarray]]] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +343,11 @@ class RunResult:
 
 class RunContext:
     """Per-run evaluation funnel: counts evaluations, applies the penalty,
-    feeds the elite memory and tracks the best candidate ever seen."""
+    feeds the elite memory and tracks the best candidate ever seen.
+
+    Algorithms build a whole generation and hand it over at once through
+    :meth:`evaluate_batch`; :meth:`evaluate` is the batch of one.
+    """
 
     def __init__(
         self,
@@ -352,7 +362,35 @@ class RunContext:
         self.best: Candidate | None = None
 
     def evaluate(self, position: np.ndarray) -> Candidate:
-        objective, violations = self.problem.evaluate(position)
+        return self.evaluate_batch(np.asarray(position, dtype=float)[None])[0]
+
+    def evaluate_batch(self, positions: np.ndarray) -> list[Candidate]:
+        """Evaluate each row of the ``(k, dim)`` array ``positions``.
+
+        The problem analyzes all rows first (at once when it gives
+        ``evaluate_batch``).  Then each row in turn, in row order, is checked
+        for a finite objective and fitness, counted, offered to the memory and
+        compared with the best, exactly as if the rows had been evaluated one
+        by one; the first unusable row raises :class:`EvaluationError` with
+        the rows before it already counted.
+        """
+        positions = np.asarray(positions, dtype=float)
+        if positions.ndim != 2:
+            raise ValueError(f"positions must be a (k, dim) array, not {positions.shape}")
+        if self.problem.evaluate_batch is not None:
+            results = self.problem.evaluate_batch(positions)
+        else:
+            results = [self.problem.evaluate(p) for p in positions]
+        if len(results) != len(positions):
+            raise EvaluationError(
+                f"{len(results)} results for a batch of {len(positions)} positions"
+            )
+        return [
+            self._admit(position, objective, violations)
+            for position, (objective, violations) in zip(positions, results)
+        ]
+
+    def _admit(self, position: np.ndarray, objective, violations) -> Candidate:
         if not math.isfinite(objective):
             raise EvaluationError(
                 f"non-finite objective {objective!r} at position {position!r}"
@@ -366,7 +404,7 @@ class RunContext:
             )
         self.nfes += 1
         candidate = Candidate(
-            position=np.asarray(position, dtype=float).copy(),
+            position=position.copy(),
             objective=float(objective),
             violations=violations,
             fitness=fitness,
@@ -398,8 +436,10 @@ def run(algorithm, problem: Problem, config: RunConfig, rng=None) -> RunResult:
     The loop per iteration: with the memory on, the stored elites overwrite
     the worst members of the population before the step when the algorithm
     sets ``inject_before_step``, and after it otherwise.  The step advances
-    the population, evaluating through the shared context, which also feeds
-    the elite memory.  Then the history is recorded.
+    the population: it builds the whole new generation first and evaluates
+    it with one ``ctx.evaluate_batch`` call (as ``init_population`` does the
+    initial one), and the shared context also feeds the elite memory.  Then
+    the history is recorded.
 
     Identical ``(seed, config, problem)`` triples give bit-identical results.
     """

@@ -4,6 +4,12 @@ Small dense direct-stiffness solver: two translational degrees of freedom
 per node, axial bar elements, static displacements and stresses, and natural
 frequencies from a lumped (diagonal) mass matrix.  Sign convention: tension
 positive.
+
+A :class:`TrussModel` holds one configuration or a stack of ``k``
+configurations of one topology (node arrays ``(k, n, 2)``, area arrays
+``(k, m)``).  Every analysis works on either: a stack is analyzed with one
+stacked call per LAPACK routine, and each configuration of it gets the same
+bits as when analyzed alone.
 """
 
 from __future__ import annotations
@@ -19,7 +25,16 @@ class ModelError(ValueError):
 
 
 class AnalysisError(RuntimeError):
-    """Raised when the reduced system is singular (a mechanism)."""
+    """Raised when the reduced system is singular (a mechanism).
+
+    ``mechanisms`` is a bool array over the analyzed model's stack (shape
+    ``()`` for one configuration) that marks each configuration found to be
+    a mechanism.
+    """
+
+    def __init__(self, message: str, mechanisms):
+        super().__init__(message)
+        self.mechanisms = np.asarray(mechanisms, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -106,8 +121,8 @@ class TrussTopology:
 
 
 class TrussModel:
-    """One truss configuration: node coordinates and member areas on a
-    :class:`TrussTopology`.
+    """One truss configuration, or a stack of them: node coordinates and
+    member areas on a :class:`TrussTopology`.
 
     ``TrussModel(nodes, members, areas, material, fixed, loads, masses)``
     validates everything.  ``TrussModel(nodes, areas=areas,
@@ -118,10 +133,11 @@ class TrussModel:
     the free DOFs (:attr:`free_stiffness`).  That free DOFs carry mass is
     checked by :func:`natural_frequencies`, the one analysis that needs it.
 
-    nodes : (n, 2) float array of coordinates [m]
-    areas : (m,) float array of cross sections [m^2]
-    lengths : (m,) member lengths [m], computed
-    cosines : (m, 2) member direction cosines, computed
+    nodes : (n, 2) float array of coordinates [m], or (k, n, 2) for a stack
+        of k configurations (only with a ``topology``)
+    areas : (m,) float array of cross sections [m^2], or (k, m)
+    lengths : (m,) or (k, m) member lengths [m], computed
+    cosines : (m, 2) or (k, m, 2) member direction cosines, computed
     """
 
     def __init__(
@@ -137,31 +153,33 @@ class TrussModel:
         topology: TrussTopology | None = None,
     ):
         nodes = np.asarray(nodes, dtype=float)
-        if nodes.ndim != 2 or nodes.shape[1] != 2:
-            raise ModelError("nodes must be an (n, 2) array")
+        max_ndim = 2 if topology is None else 3
+        if not 2 <= nodes.ndim <= max_ndim or nodes.shape[-1] != 2:
+            raise ModelError("nodes must be an (n, 2) array, or (k, n, 2) on a topology")
         if topology is None:
             topology = TrussTopology(
                 nodes.shape[0], members, material, fixed, loads, masses
             )
         elif any(v is not None for v in (members, material, fixed, loads, masses)):
             raise TypeError("give either a topology or its arrays, not both")
-        elif nodes.shape[0] != topology.n_nodes:
+        elif nodes.shape[-2] != topology.n_nodes:
             raise ModelError("nodes do not match the topology's node count")
         areas = np.asarray(areas, dtype=float)
-        if areas.shape != (topology.n_members,):
+        if areas.shape != nodes.shape[:-2] + (topology.n_members,):
             raise ModelError("areas must match the member count")
         if (areas <= 0).any():
             raise ModelError("member areas must be positive")
-        d = nodes[topology.members[:, 1]] - nodes[topology.members[:, 0]]
-        # what np.linalg.norm(d, axis=1) computes, without its overhead
-        lengths = np.sqrt(np.add.reduce(d * d, axis=1))
+        members = topology.members
+        d = nodes[..., members[:, 1], :] - nodes[..., members[:, 0], :]
+        # what np.linalg.norm(d, axis=-1) computes, without its overhead
+        lengths = np.sqrt(np.add.reduce(d * d, axis=-1))
         if (lengths <= 0).any():
             raise ModelError("zero-length member")
         self.nodes = nodes
         self.areas = areas
         self.topology = topology
         self.lengths = lengths
-        self.cosines = d / lengths[:, None]
+        self.cosines = d / lengths[..., None]
 
     members = property(lambda self: self.topology.members)
     material = property(lambda self: self.topology.material)
@@ -177,36 +195,54 @@ class TrussModel:
     def n_members(self) -> int:
         return self.topology.n_members
 
+    @property
+    def stack_shape(self) -> tuple:
+        """``()`` for one configuration, ``(k,)`` for a stack of k."""
+        return self.areas.shape[:-1]
+
     @cached_property
     def free_stiffness(self) -> np.ndarray:
         """Stiffness on the free DOFs, assembled on first use."""
         return assemble_stiffness(self)
 
 
-def total_weight(model: TrussModel) -> float:
-    """Structural mass [kg]: sum of density * area * length over members."""
-    return float(model.material.density * (model.areas * model.lengths).sum())
+def total_weight(model: TrussModel):
+    """Structural mass [kg]: sum of density * area * length over members;
+    a float, or one per configuration of a stack."""
+    return model.material.density * (model.areas * model.lengths).sum(axis=-1)
+
+
+def _scatter(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Sum each row of ``weights`` (one per configuration) into ``size``
+    bins by ``index``, in index order, with one ``np.bincount``: row ``r``
+    is shifted into bins ``r * size`` to ``(r + 1) * size - 1``, so no bin
+    mixes configurations and each sums in the same order as alone."""
+    rows = weights.shape[0]
+    shifted = index + size * np.arange(rows)[:, None]
+    return np.bincount(
+        shifted.ravel(), weights=weights.ravel(), minlength=rows * size
+    ).reshape(rows, size)
 
 
 def assemble_stiffness(model: TrussModel) -> np.ndarray:
     """Stiffness on the free DOFs: the rows and columns of :func:`free_dofs`
-    of the unsupported (2n, 2n) matrix, assembled directly without it.
+    of the unsupported (2n, 2n) matrix, assembled directly without it;
+    ``(k, f, f)`` for a stack.
 
     Each entry sums its members' contributions in member order, the order in
     which ``np.add.at`` would add them into the full matrix, so the result
     is that matrix's restriction bit for bit.
     """
     # per-member 4-vector (c, s, -c, -s); element matrix is k * outer(v, v)
-    v = np.concatenate([model.cosines, -model.cosines], axis=1)
+    v = np.concatenate([model.cosines, -model.cosines], axis=-1)
     k = model.material.young_modulus * model.areas / model.lengths
-    blocks = (k[:, None, None] * v[:, :, None] * v[:, None, :]).ravel()
+    blocks = k[..., None, None] * v[..., :, None] * v[..., None, :]
     topo = model.topology
     n = topo.free.size
-    return np.bincount(
-        topo.free_stiffness_index,
-        weights=blocks[topo.free_entries],
-        minlength=n * n,
-    ).reshape(n, n)
+    blocks = blocks.reshape(-1, 16 * topo.n_members)[:, topo.free_entries]
+    return _scatter(topo.free_stiffness_index, blocks, n * n).reshape(
+        model.stack_shape + (n, n)
+    )
 
 
 def free_dofs(model: TrussModel) -> np.ndarray:
@@ -217,7 +253,7 @@ def free_dofs(model: TrussModel) -> np.ndarray:
 class StaticResult:
     """displacements is (n, 2) with zeros on restrained DOFs; stresses is
     per-member axial stress [Pa], tension positive; weight is the structural
-    mass [kg]."""
+    mass [kg].  For a stack every field gains the stack's leading axis."""
 
     displacements: np.ndarray
     stresses: np.ndarray
@@ -225,31 +261,58 @@ class StaticResult:
     weight: float
 
 
+def _positive_definite(K: np.ndarray) -> np.ndarray:
+    """Whether each matrix of the stack ``K`` is positive definite, by a
+    Cholesky factorization.  A stacked factorization raises for the whole
+    stack when any matrix fails, so only then is each matrix tried alone."""
+    try:
+        np.linalg.cholesky(K)
+        return np.ones(K.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    flat = K.reshape((-1,) + K.shape[-2:])
+    ok = np.ones(len(flat), dtype=bool)
+    for i, matrix in enumerate(flat):
+        try:
+            np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            ok[i] = False
+    return ok.reshape(K.shape[:-2])
+
+
 def solve_static(model: TrussModel) -> StaticResult:
-    """Displacements, stresses and weight under the model's nodal loads."""
+    """Displacements, stresses and weight under the model's nodal loads.
+
+    Raises :class:`AnalysisError` when any configuration is a mechanism.
+    """
     free = free_dofs(model)
     if free.size == 0:
         raise ModelError("no free DOFs")
     K_red = model.free_stiffness
-    try:
-        np.linalg.cholesky(K_red)
-    except np.linalg.LinAlgError:
-        eigmin = float(np.linalg.eigvalsh(K_red)[0])
+    ok = _positive_definite(K_red)
+    if not ok.all():
+        first = np.flatnonzero(~ok.ravel())[0]
+        K_bad = K_red.reshape((-1,) + K_red.shape[-2:])[first]
+        eigmin = float(np.linalg.eigvalsh(K_bad)[0])
         raise AnalysisError(
             f"reduced stiffness is not positive definite "
-            f"(smallest eigenvalue {eigmin:.3e}); the truss is a mechanism"
-        ) from None
+            f"(smallest eigenvalue {eigmin:.3e}); the truss is a mechanism",
+            ~ok,
+        )
     u_free = np.linalg.solve(K_red, model.topology.free_loads)
-    u = np.zeros(2 * model.n_nodes)
-    u[free] = u_free
+    stack = model.stack_shape
+    u = np.zeros(stack + (2 * model.n_nodes,))
+    u[..., free] = u_free
+    u = u.reshape(stack + (model.n_nodes, 2))
 
-    ua = u.reshape(-1, 2)[model.members[:, 0]]
-    ub = u.reshape(-1, 2)[model.members[:, 1]]
-    elongation = np.einsum("ij,ij->i", ub - ua, model.cosines)
+    du = u[..., model.members[:, 1], :] - u[..., model.members[:, 0], :]
+    elongation = np.einsum(
+        "ij,ij->i", du.reshape(-1, 2), model.cosines.reshape(-1, 2)
+    ).reshape(model.lengths.shape)
     stresses = model.material.young_modulus * elongation / model.lengths
     forces = stresses * model.areas
     return StaticResult(
-        displacements=u.reshape(-1, 2),
+        displacements=u,
         stresses=stresses,
         member_forces=forces,
         weight=total_weight(model),
@@ -258,44 +321,50 @@ def solve_static(model: TrussModel) -> StaticResult:
 
 def lumped_masses(model: TrussModel) -> np.ndarray:
     """Per-node translational mass: lumped nonstructural mass plus half of
-    each adjacent member's structural mass."""
+    each adjacent member's structural mass; ``(k, n)`` for a stack."""
     tributary = 0.5 * model.material.density * model.areas * model.lengths
-    return np.bincount(
-        model.topology.mass_index,
-        weights=np.concatenate([model.masses, tributary, tributary]),
-        minlength=model.n_nodes,
-    )
+    stack = model.stack_shape
+    masses = np.broadcast_to(model.masses, stack + model.masses.shape)
+    weights = np.concatenate([masses, tributary, tributary], axis=-1)
+    return _scatter(
+        model.topology.mass_index, weights.reshape(-1, weights.shape[-1]), model.n_nodes
+    ).reshape(stack + (model.n_nodes,))
 
 
 def natural_frequencies(model: TrussModel, count: int | None = None) -> np.ndarray:
-    """Lowest natural frequencies [Hz], ascending.
+    """Lowest natural frequencies [Hz], ascending; ``(k, count)`` for a stack.
 
     The generalized problem with the diagonal mass matrix is reduced to a
     symmetric standard problem through a M^(-1/2) similarity transform.
-    Tiny negative eigenvalues from roundoff are clamped to zero.
+    Tiny negative eigenvalues from roundoff are clamped to zero; a larger
+    negative one marks a mechanism and raises :class:`AnalysisError`.
     """
     free = free_dofs(model)
     if free.size == 0:
         raise ModelError("no free DOFs")
     # DOF 2k and 2k + 1 both carry node k's mass
-    mass = lumped_masses(model)[free // 2]
-    if np.any(mass <= 0):
-        bad = free[np.flatnonzero(mass <= 0)[0]]
+    mass = lumped_masses(model)[..., free // 2]
+    massless = (mass <= 0).reshape(-1, free.size)
+    if massless.any():
+        bad = free[np.argwhere(massless)[0, 1]]
         raise ModelError(f"free DOF {bad} carries no mass")
     K = model.free_stiffness
     inv_sqrt = 1.0 / np.sqrt(mass)
-    A = inv_sqrt[:, None] * K * inv_sqrt[None, :]
-    A = 0.5 * (A + A.T)
+    A = inv_sqrt[..., :, None] * K * inv_sqrt[..., None, :]
+    A = 0.5 * (A + np.swapaxes(A, -1, -2))
     lams = np.linalg.eigvalsh(A)
-    tol = 1e-8 * max(1.0, float(np.abs(lams).max()))
-    if lams[0] < -tol:
+    tol = 1e-8 * np.maximum(1.0, np.abs(lams).max(axis=-1))
+    mechanisms = lams[..., 0] < -tol
+    if mechanisms.any():
+        first = lams.reshape(-1, lams.shape[-1])[np.flatnonzero(mechanisms)[0], 0]
         raise AnalysisError(
-            f"negative stiffness eigenvalue {lams[0]:.3e}; the truss is a mechanism"
+            f"negative stiffness eigenvalue {first:.3e}; the truss is a mechanism",
+            mechanisms,
         )
     lams = np.clip(lams, 0.0, None)
     freqs = np.sqrt(lams) / (2.0 * np.pi)
     if count is not None:
-        freqs = freqs[: int(count)]
+        freqs = freqs[..., : int(count)]
     return freqs
 
 
@@ -319,11 +388,12 @@ def displacement_violation(value, limit: float):
 
 
 def frequency_violations(freqs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Per-mode lower bounds: ``max(0, 1 - f_k / f_min_k)``."""
+    """Per-mode lower bounds: ``max(0, 1 - f_k / f_min_k)``, along the last
+    axis of ``freqs``."""
     freqs = np.asarray(freqs, dtype=float)
     bounds = np.asarray(bounds, dtype=float)
     if np.any(bounds <= 0):
         raise ValueError("frequency bounds must be positive")
-    if freqs.size < bounds.size:
+    if freqs.shape[-1] < bounds.size:
         raise ValueError("fewer frequencies than bounds")
-    return np.maximum(0.0, 1.0 - freqs[: bounds.size] / bounds)
+    return np.maximum(0.0, 1.0 - freqs[..., : bounds.size] / bounds)

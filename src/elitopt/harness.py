@@ -8,7 +8,10 @@ be compared pairwise; replicate ``r`` adds ``r`` to the cell seed.
 
 Per-cell statistics are recomputed from the emitted history files rather
 than carried over in memory, so everything in the report can be reproduced
-from the files alone, digit for digit.
+from the files alone, digit for digit.  Every file is written to a
+temporary sibling and renamed over its final name only once complete, so an
+interrupted run never leaves a partial file for ``stats`` or the report to
+read.
 
 Layout under the output directory::
 
@@ -30,7 +33,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -299,8 +304,22 @@ def plan_from_file(path: str | Path) -> tuple[ExperimentPlan, str | None]:
 # CSV files
 
 
+@contextmanager
+def _atomic_write(path: str | Path):
+    """Text stream whose contents replace ``path`` only when the block
+    completes; on an error the file at ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_history_csv(path: Path, history) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_write(path) as fh:
         fh.write(",".join(HISTORY_HEADER) + "\n")
         for iteration, best, nfes in history:
             fh.write(f"{int(iteration)},{_fmt(best)},{int(nfes)}\n")
@@ -429,11 +448,11 @@ def run_cell(
     for r, result in enumerate(results):
         write_history_csv(cell_dir / f"run_{r:03d}.csv", result.history)
     stats = cell_stats_from_files(cell_dir)
-    with open(cell_dir / "stats.csv", "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_write(cell_dir / "stats.csv") as fh:
         write_stats_csv(fh, stats)
     best_r = min(range(len(results)), key=lambda r: results[r].best.fitness)
     best = results[best_r].best
-    with open(cell_dir / "best.json", "w", encoding="utf-8") as fh:
+    with _atomic_write(cell_dir / "best.json") as fh:
         json.dump(
             {
                 "replicate": best_r,
@@ -462,7 +481,7 @@ def write_manifest(plan: ExperimentPlan, out_dir: Path) -> None:
         "algorithm_params": plan.algorithm_params,
         "cells": [dataclasses.asdict(c) for c in plan.cells()],
     }
-    with open(Path(out_dir) / "manifest.json", "w", encoding="utf-8") as fh:
+    with _atomic_write(Path(out_dir) / "manifest.json") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -600,7 +619,7 @@ def write_report(out_dir: str | Path, cells=None) -> ComparisonReport:
             [s.label, s.algorithm, s.problem, "on" if s.memory else "off", s.status]
             + metrics
         )
-    with open(out_dir / "report.csv", "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_write(out_dir / "report.csv") as fh:
         fh.write(",".join(REPORT_HEADER) + "\n")
         for row in cell_rows:
             fh.write(",".join(row) + "\n")
@@ -610,7 +629,7 @@ def write_report(out_dir: str | Path, cells=None) -> ComparisonReport:
          _fmt(p.improvement_pct)]
         for p in report.improvements
     ]
-    with open(out_dir / "improvements.csv", "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_write(out_dir / "improvements.csv") as fh:
         fh.write(",".join(IMPROVEMENT_HEADER) + "\n")
         for row in pair_rows:
             fh.write(",".join(row) + "\n")
@@ -627,7 +646,7 @@ def write_report(out_dir: str | Path, cells=None) -> ComparisonReport:
         ]
     else:
         lines.append("(no complete memory/standard pairs)")
-    with open(out_dir / "report.txt", "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_write(out_dir / "report.txt") as fh:
         fh.write("\n".join(lines) + "\n")
     return report
 
@@ -655,7 +674,7 @@ def run_experiment(
         try:
             run_cell(cell, plan, out_dir, workers=workers)
         except Exception as exc:
-            with open(cell_dir / "error.txt", "w", encoding="utf-8") as fh:
+            with _atomic_write(cell_dir / "error.txt") as fh:
                 fh.write(f"{type(exc).__name__}: {exc}\n")
     return write_report(out_dir, cells)
 

@@ -53,12 +53,17 @@ from ..fem import (
     natural_frequencies,
     solve_static,
     stress_violations,
-    total_weight,
 )
 
 DATA_DIR_ENV = "ELITOPT_DATA_DIR"
 DEGENERATE_LENGTH = 1e-6  # m; shorter members mark the design infeasible
 DEGENERATE_VIOLATION = 1e3
+# bytes of one stack of free-DOF matrices: a population is analyzed in chunks
+# of as many designs as fit (michell 113, truss37 11, forth 1), which bounds
+# the memory of each stacked LAPACK call.  Measured on forth (104 KB per
+# matrix): at 256 KB its two-design stacks page-faulted about 44 times per
+# evaluation and ran slower than one design at a time.
+STACK_BYTES = 128 * 1024
 
 _AXES = {"x": 0, "y": 1}
 
@@ -250,6 +255,7 @@ class TrussDesign:
             for node, axis, limit in self.displacement_limits
         ]
         self._compile_expand()
+        self._chunk_rows = max(1, STACK_BYTES // (8 * self.topology.free.size**2))
 
     def _compile_expand(self) -> None:
         """Index arrays that let :meth:`expand` write all variables at once."""
@@ -307,27 +313,39 @@ class TrussDesign:
         )
 
     def expand(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Design vector -> (node coordinates, member areas), both in SI."""
+        """Design vector -> (node coordinates, member areas), both in SI; a
+        ``(k, dim)`` stack of vectors gives ``(k, n, 2)`` and ``(k, m)``."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"design vector has shape {x.shape}, expected ({self.dim},)")
-        areas = self.base_areas.copy()
-        areas[self._area_members] = self._area_scales * x[self._area_vars]
-        coords = self.base_nodes.copy()
-        coords.ravel()[self._coord_index] = (
-            self._coord_datums + self._coord_scales * x[self._coord_vars]
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            raise ValueError(
+                f"design vector has shape {x.shape}, expected ({self.dim},) "
+                f"or (k, {self.dim})"
+            )
+        stack = x.shape[:-1]
+        areas = np.tile(self.base_areas, stack + (1,))
+        areas[..., self._area_members] = self._area_scales * x[..., self._area_vars]
+        coords = np.tile(self.base_nodes, stack + (1, 1))
+        coords.reshape(stack + (-1,))[..., self._coord_index] = (
+            self._coord_datums + self._coord_scales * x[..., self._coord_vars]
         )
         return coords, areas
 
     def model(self, x: np.ndarray) -> TrussModel:
-        """The truss of design vector ``x``, built on the validated topology."""
+        """The truss of design vector ``x`` (or the stack of a ``(k, dim)``
+        array), built on the validated topology."""
         coords, areas = self.expand(x)
         return TrussModel(coords, areas=areas, topology=self.topology)
 
     # -- evaluation ------------------------------------------------------
 
     def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Objective (structural mass, kg) and normalized violation vector.
+        """Objective (structural mass, kg) and normalized violation vector of
+        one design: :meth:`evaluate_batch` of one row."""
+        return self.evaluate_batch(np.asarray(x, dtype=float)[None])[0]
+
+    def evaluate_batch(self, X: np.ndarray) -> list[tuple[float, np.ndarray]]:
+        """``(objective, violations)`` of each row of the ``(k, dim)`` array
+        ``X``, in row order.
 
         Gridded variables are snapped to their grid before analysis, so the
         optimizer may move in continuous space.  Near-zero member lengths and
@@ -335,46 +353,61 @@ class TrussDesign:
         of aborting the run.
 
         The search space and the topology were validated when the design was
-        loaded; each call checks only what ``x`` changes (areas > 0, member
+        loaded; each call checks only what ``X`` changes (areas > 0, member
         lengths > 0, and for frequency constraints that free DOFs carry
-        mass), and analyzes one model whose stiffness on the free DOFs is
-        assembled once for both the static and the modal analysis.
+        mass).  The rows are analyzed together, in chunks of at most
+        ``STACK_BYTES`` of stiffness: one stacked model per chunk, whose
+        stiffness on the free DOFs is assembled once for both the static and
+        the modal analysis.
         """
-        x = snap_to_grid(np.asarray(x, dtype=float), self._space)
-        try:
-            model = self.model(x)
-        except ModelError:
-            # the model refuses members of zero length; a design with a short
-            # member is degenerate whatever else is wrong with it, any other
-            # model error stands
-            coords, areas = self.expand(x)
-            d = coords[self.members[:, 1]] - coords[self.members[:, 0]]
-            lengths = np.sqrt(np.add.reduce(d * d, axis=1))
-            if np.min(lengths) >= DEGENERATE_LENGTH:
-                raise
-            weight = float(self.material.density * np.sum(areas * lengths))
-            return weight, np.array([DEGENERATE_VIOLATION])
-        weight = total_weight(model)
-        if model.lengths.min() < DEGENERATE_LENGTH:
-            return weight, np.array([DEGENERATE_VIOLATION])
-        violations = []
-        try:
-            if self.stress_limit or self.displacement_limits:
-                res = solve_static(model)
-                if self.stress_limit:
-                    violations.append(
-                        stress_violations(res.stresses, float(self.stress_limit))
-                    )
-                for nodes, axis, limit in self._displacement_checks:
-                    violations.append(
-                        displacement_violation(res.displacements[nodes, axis], limit)
-                    )
-            if self.frequency_bounds.size:
-                freqs = natural_frequencies(model, count=self.frequency_bounds.size)
-                violations.append(frequency_violations(freqs, self.frequency_bounds))
-        except AnalysisError:
-            return weight, np.array([DEGENERATE_VIOLATION])
-        return weight, np.concatenate(violations) if violations else np.zeros(0)
+        X = snap_to_grid(X, self._space)
+        if X.ndim != 2:
+            raise ValueError(f"designs must be a (k, {self.dim}) array")
+        coords, areas = self.expand(X)
+        d = coords[:, self.members[:, 1]] - coords[:, self.members[:, 0]]
+        lengths = np.sqrt(np.add.reduce(d * d, axis=-1))
+        weights = self.material.density * (areas * lengths).sum(axis=-1)
+        violations = [np.array([DEGENERATE_VIOLATION]) for _ in range(len(X))]
+        # a design with a short member is degenerate whatever else is wrong
+        # with it; not "<" keeps a NaN length in the analysis, as the model does
+        live = np.flatnonzero(~(lengths.min(axis=-1) < DEGENERATE_LENGTH))
+        for start in range(0, live.size, self._chunk_rows):
+            rows, analyzed = self._analyze(
+                coords, areas, live[start:start + self._chunk_rows]
+            )
+            for row, v in zip(rows, analyzed):
+                violations[row] = v
+        return list(zip(weights.tolist(), violations))
+
+    def _analyze(self, coords, areas, rows):
+        """``(rows, violation vectors)`` of the designs ``rows`` that are not
+        mechanisms, from one stacked model; mechanisms found by an analysis
+        drop out and the rest is analyzed again."""
+        while rows.size:
+            model = TrussModel(coords[rows], areas=areas[rows], topology=self.topology)
+            try:
+                return rows, self._violations(model)
+            except AnalysisError as exc:
+                rows = rows[~exc.mechanisms]
+        return rows, []
+
+    def _violations(self, model: TrussModel) -> np.ndarray:
+        """Violation vectors of a stacked model, one row per configuration."""
+        parts = []
+        if self.stress_limit or self.displacement_limits:
+            res = solve_static(model)
+            if self.stress_limit:
+                parts.append(stress_violations(res.stresses, float(self.stress_limit)))
+            for nodes, axis, limit in self._displacement_checks:
+                parts.append(
+                    displacement_violation(res.displacements[:, nodes, axis], limit)
+                )
+        if self.frequency_bounds.size:
+            freqs = natural_frequencies(model, count=self.frequency_bounds.size)
+            parts.append(frequency_violations(freqs, self.frequency_bounds))
+        if not parts:
+            return np.zeros(model.stack_shape + (0,))
+        return np.concatenate(parts, axis=-1)
 
     def problem(self, name: str | None = None, description: str = "") -> Problem:
         design = self
@@ -383,4 +416,5 @@ class TrussDesign:
             space=self._space,
             evaluate=design.evaluate,
             description=description,
+            evaluate_batch=design.evaluate_batch,
         )

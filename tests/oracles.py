@@ -9,7 +9,17 @@ therefore meaningful.
 
 import numpy as np
 
-from elitopt.fem import ModelError
+from elitopt.fem import (
+    AnalysisError,
+    ModelError,
+    displacement_violation,
+    frequency_violations,
+    natural_frequencies,
+    solve_static,
+    stress_violations,
+    total_weight,
+)
+from elitopt.problems.truss_geometry import DEGENERATE_LENGTH, DEGENERATE_VIOLATION
 
 
 def element_stiffness(xa, xb, area, young_modulus):
@@ -135,3 +145,62 @@ def contract(design, coords, areas):
         t = v.targets[0]
         x[ns + k] = (coords[t.node, t.axis] - t.datum) / (t.coeff * v.unit_scale)
     return x
+
+
+def snap_to_grid_loop(position, space):
+    """One variable and one value at a time: the reference for the
+    column-wise ``core.snap_to_grid``."""
+    out = np.array(position, dtype=float)
+    if space.grids is None:
+        return out
+    for j, grid in enumerate(space.grids):
+        if grid is None:
+            continue
+        x = out[j]
+        idx = int(np.searchsorted(grid, x))
+        if idx == 0:
+            out[j] = grid[0]
+        elif idx == grid.size:
+            out[j] = grid[-1]
+        else:
+            lo, hi = grid[idx - 1], grid[idx]
+            out[j] = lo if x - lo <= hi - x else hi
+    return out
+
+
+def evaluate_design(design, x):
+    """``(objective, violations)`` of one design analyzed alone: one model,
+    one static and one modal analysis, with the degenerate and mechanism
+    fallbacks of ``TrussDesign.evaluate_batch``.  The reference that the
+    stacked evaluation of a population must match bit for bit."""
+    degenerate = np.array([DEGENERATE_VIOLATION])
+    x = snap_to_grid_loop(x, design.search_space())
+    try:
+        model = design.model(x)
+    except ModelError:
+        coords, areas = design.expand(x)
+        d = coords[design.members[:, 1]] - coords[design.members[:, 0]]
+        lengths = np.sqrt(np.add.reduce(d * d, axis=1))
+        if np.min(lengths) >= DEGENERATE_LENGTH:
+            raise
+        return float(design.material.density * np.sum(areas * lengths)), degenerate
+    weight = float(total_weight(model))
+    if model.lengths.min() < DEGENERATE_LENGTH:
+        return weight, degenerate
+    violations = []
+    try:
+        if design.stress_limit or design.displacement_limits:
+            res = solve_static(model)
+            if design.stress_limit:
+                violations.append(
+                    stress_violations(res.stresses, float(design.stress_limit)))
+            for node, axis, limit in design.displacement_limits:
+                nodes = np.arange(model.n_nodes) if node is None else [node]
+                violations.append(
+                    displacement_violation(res.displacements[nodes, axis], limit))
+        if design.frequency_bounds.size:
+            freqs = natural_frequencies(model, count=design.frequency_bounds.size)
+            violations.append(frequency_violations(freqs, design.frequency_bounds))
+    except AnalysisError:
+        return weight, degenerate
+    return weight, np.concatenate(violations) if violations else np.zeros(0)

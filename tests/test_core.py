@@ -24,7 +24,7 @@ from elitopt.core import (
     run,
     snap_to_grid,
 )
-from oracles import memory_oracle
+from oracles import memory_oracle, snap_to_grid_loop
 
 
 def unit_space(dim=1):
@@ -96,6 +96,18 @@ class TestClamp:
         assert np.all(out >= sp.lower) and np.all(out <= sp.upper)
         assert np.array_equal(clamp_to_bounds(out, sp), out)
 
+    def test_rows_of_a_stack(self, rng):
+        sp = SearchSpace(lower=[-1.0, 0.0, 2.0], upper=[1.0, 0.0, 5.0])
+        X = rng.uniform(-10.0, 10.0, size=(7, 3))
+        out = clamp_to_bounds(X, sp)
+        assert np.array_equal(out, [clamp_to_bounds(x, sp) for x in X])
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError):
+            clamp_to_bounds(np.zeros((2, 2, 1)), unit_space())
+        with pytest.raises(ValueError):
+            clamp_to_bounds(np.zeros((2, 3)), unit_space(2))
+
 
 class TestSnapToGrid:
     @pytest.fixture
@@ -128,6 +140,19 @@ class TestSnapToGrid:
         out = snap_to_grid(np.array([x]), sp)
         assert out[0] in grid
         assert np.array_equal(snap_to_grid(out, sp), out)
+
+    def test_stack_matches_the_per_value_loop(self, rng):
+        grids = [np.array([-1.0, 0.0, 0.25, 2.0]), None,
+                 np.round(1.01 + 0.01 * np.arange(400), 12)]
+        sp = SearchSpace(lower=[-1.0, 0.0, 1.01], upper=[2.0, 1.0, 5.0], grids=grids)
+        X = np.column_stack([rng.uniform(-3.0, 4.0, 300), rng.random(300),
+                             rng.uniform(0.0, 6.0, 300)])
+        # exact grid points and exact midpoints (ties go down)
+        X[:4, 0] = [-1.0, 0.125, 1.125, 2.0]
+        X[4:8, 2] = [1.015, 1.01, 5.0, 4.995]
+        out = snap_to_grid(X, sp)
+        for x, row in zip(X, out):
+            assert row.tobytes() == snap_to_grid_loop(x, sp).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +366,80 @@ def sphere_problem(dim=2):
         return float(np.sum(np.asarray(x) ** 2)), np.empty(0)
 
     return Problem(name="sphere", space=space, evaluate=evaluate)
+
+
+class RecordingMemory(EliteMemory):
+    def __init__(self, capacity):
+        super().__init__(capacity)
+        self.offered = []
+
+    def offer(self, candidate):
+        self.offered.append(float(candidate.position[0]))
+        return super().offer(candidate)
+
+
+class TestEvaluateBatch:
+    ROWS = np.array([[0.0], [1.0], [2.0], [3.0]])
+
+    def scripted_problem(self, objectives, batched=True):
+        """Row ``[i]`` has objective ``objectives[i]``; ``calls`` records
+        what each evaluation call was handed."""
+        calls = []
+
+        def evaluate(x):
+            calls.append(np.array(x))
+            return objectives[int(x[0])], np.empty(0)
+
+        def evaluate_batch(X):
+            calls.append(np.array(X))
+            return [(objectives[int(x[0])], np.empty(0)) for x in X]
+
+        problem = Problem(name="scripted", space=SearchSpace(lower=[0.0], upper=[3.0]),
+                          evaluate=evaluate,
+                          evaluate_batch=evaluate_batch if batched else None)
+        return problem, calls
+
+    def test_rows_funnel_in_row_order(self):
+        problem, calls = self.scripted_problem([3.0, 1.0, 1.0, 2.0])
+        memory = RecordingMemory(4)
+        ctx = RunContext(problem, PenaltyParams(), memory)
+        out = ctx.evaluate_batch(self.ROWS)
+        assert len(calls) == 1 and np.array_equal(calls[0], self.ROWS)
+        assert [c.fitness for c in out] == [3.0, 1.0, 1.0, 2.0]
+        assert memory.offered == [0.0, 1.0, 2.0, 3.0]
+        assert ctx.nfes == 4
+        # the earlier of two equal rows stays the best
+        assert ctx.best.position[0] == 1.0
+
+    def test_first_non_finite_row_raises_after_the_rows_before_it(self):
+        problem, _ = self.scripted_problem([3.0, 1.0, float("inf"), 0.5])
+        memory = RecordingMemory(4)
+        ctx = RunContext(problem, PenaltyParams(), memory)
+        with pytest.raises(EvaluationError, match="non-finite objective"):
+            ctx.evaluate_batch(self.ROWS)
+        assert ctx.nfes == 2
+        assert memory.offered == [0.0, 1.0]
+        assert ctx.best.fitness == 1.0
+
+    def test_problem_without_batch_goes_row_by_row(self):
+        problem, calls = self.scripted_problem([3.0, 1.0, 1.0, 2.0], batched=False)
+        ctx = RunContext(problem, PenaltyParams())
+        out = ctx.evaluate_batch(self.ROWS)
+        assert [c.tolist() for c in calls] == self.ROWS.tolist()
+        assert [c.fitness for c in out] == [3.0, 1.0, 1.0, 2.0]
+
+    def test_evaluate_is_the_batch_of_one(self):
+        problem, calls = self.scripted_problem([3.0, 1.0, 1.0, 2.0])
+        ctx = RunContext(problem, PenaltyParams())
+        assert ctx.evaluate(np.array([3.0])).fitness == 2.0
+        assert [c.shape for c in calls] == [(1, 1)]
+
+    def test_result_count_checked(self):
+        space = SearchSpace(lower=[0.0], upper=[1.0])
+        short = Problem(name="short", space=space, evaluate=lambda x: (1.0, np.empty(0)),
+                        evaluate_batch=lambda X: [(1.0, np.empty(0))])
+        with pytest.raises(EvaluationError, match="1 results for a batch of 2"):
+            RunContext(short, PenaltyParams()).evaluate_batch(np.zeros((2, 1)))
 
 
 class LyingAlgorithm:

@@ -447,3 +447,56 @@ class TestModelOnTopology:
         with pytest.raises(ModelError):
             TrussTopology(2, np.array([[0, 1]]), STEEL,
                           np.array([[True, False], [False, False]]))
+
+
+class TestStackedModel:
+    """A stack of configurations on one topology is analyzed at once, and
+    each configuration gets the same bits as when analyzed alone."""
+
+    def stack(self, rng, k=6):
+        nodes, members, areas, fixed, loads = random_stable_truss(rng, 5)
+        topo = TrussTopology(5, members, STEEL, fixed, loads,
+                             masses=rng.uniform(0.0, 10.0, size=5))
+        stacked_nodes = nodes + rng.normal(scale=0.05, size=(k, 5, 2))
+        stacked_areas = areas * rng.uniform(0.5, 2.0, size=(k, len(members)))
+        return topo, stacked_nodes, stacked_areas
+
+    def test_each_configuration_as_if_alone(self, rng):
+        topo, nodes, areas = self.stack(rng)
+        stacked = TrussModel(nodes, areas=areas, topology=topo)
+        res = solve_static(stacked)
+        freqs = natural_frequencies(stacked, count=4)
+        weights = total_weight(stacked)
+        for i in range(len(nodes)):
+            one = TrussModel(nodes[i], areas=areas[i], topology=topo)
+            alone = solve_static(one)
+            assert res.displacements[i].tobytes() == alone.displacements.tobytes()
+            assert res.stresses[i].tobytes() == alone.stresses.tobytes()
+            assert res.member_forces[i].tobytes() == alone.member_forces.tobytes()
+            assert weights[i] == alone.weight == total_weight(one)
+            assert np.array_equal(stacked.free_stiffness[i], assemble_stiffness(one))
+            assert np.array_equal(lumped_masses(stacked)[i], lumped_masses(one))
+            assert freqs[i].tobytes() == natural_frequencies(one, count=4).tobytes()
+
+    def test_mechanisms_marked_per_configuration(self):
+        topo = TrussTopology(
+            3, np.array([[0, 1], [1, 2]]), STEEL,
+            np.array([[True, True], [False, False], [True, True]]))
+        # middle node off the line (stable) or on it (no transverse stiffness)
+        nodes = np.array([[[0.0, 0.0], [1.0, y], [2.0, 0.0]]
+                          for y in (0.5, 0.0, -0.3)])
+        stacked = TrussModel(nodes, areas=np.full((3, 2), 1e-4), topology=topo)
+        with pytest.raises(AnalysisError, match="mechanism") as info:
+            solve_static(stacked)
+        assert info.value.mechanisms.tolist() == [False, True, False]
+
+    def test_stack_needs_a_topology(self):
+        kwargs = TestModelValidation().base_kwargs()
+        kwargs["nodes"] = kwargs["nodes"][None]
+        with pytest.raises(ModelError):
+            TrussModel(**kwargs)
+
+    def test_areas_must_match_the_stack(self, rng):
+        topo, nodes, areas = self.stack(rng)
+        with pytest.raises(ModelError, match="areas"):
+            TrussModel(nodes, areas=areas[:-1], topology=topo)

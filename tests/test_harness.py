@@ -413,6 +413,32 @@ class TestRunExperiment:
         assert len(doc["position"]) == 3
         assert doc["fitness"] >= 0
 
+    def test_interrupted_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        dump = json.dump
+
+        def dump_then_fail(obj, fh, **kwargs):
+            if fh.name.endswith("best.json.tmp"):
+                fh.write('{"replicate": ')
+                raise OSError("disk full")
+            return dump(obj, fh, **kwargs)
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        out = tmp_path / "out"
+        run_experiment(small_plan(memory_modes=(True,)), out)
+        cell = out / "bbo-sphere-mem"
+        assert "disk full" in (cell / "error.txt").read_text()
+        assert not (cell / "best.json").exists()
+        assert not list(out.rglob("*.tmp"))
+
+    def test_failed_rewrite_keeps_the_complete_file(self, tmp_path):
+        path = tmp_path / "run_000.csv"
+        write_history_csv(path, [(0, 1.5, 10)])
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_history_csv(path, [(0, 1.0, 10), (1, None, 20)])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["run_000.csv"]
+
 
 class TestReportEdgeCases:
     def make_cell(self, out, label, alg, mem, mean):

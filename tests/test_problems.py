@@ -19,9 +19,10 @@ from elitopt.problems.analytic import (
 )
 from elitopt.problems.truss_geometry import (
     DEGENERATE_VIOLATION,
+    STACK_BYTES,
     TrussDesign,
 )
-from oracles import contract
+from oracles import contract, evaluate_design
 
 
 def mid_vector(space):
@@ -270,6 +271,81 @@ class TestTrussEvaluation:
         # base: 2 cm^2 over 1 m; legs: 3 cm^2 over sqrt(2) and 1 m
         expect = 7800.0 * (2e-4 * 1.0 + 3e-4 * (math.sqrt(2.0) + 1.0))
         assert weight == pytest.approx(expect, rel=1e-12)
+
+
+def apex_doc():
+    """``collapsing_doc`` with the apex x free too.  At y_apex = 0 the apex
+    lies on the base line: on node 2 at x_apex = 1 (a zero-length member),
+    between the supports below that (a mechanism)."""
+    doc = collapsing_doc()
+    doc["shape_variables"].append(
+        {"name": "x_apex", "lower": 0.5, "upper": 1.0, "unit_scale": 1.0,
+         "targets": [{"node": 3, "axis": "x", "coeff": 1.0, "datum": 0.0}]})
+    return doc
+
+
+def rows_per_stack(design):
+    return STACK_BYTES // (8 * design.topology.free.size ** 2)
+
+
+class TestBatchEvaluation:
+    def assert_matches_per_design(self, design, X):
+        got = design.evaluate_batch(X)
+        assert len(got) == len(X)
+        for x, (weight, violations) in zip(X, got):
+            ref_weight, ref_violations = evaluate_design(design, x)
+            assert type(weight) is float and weight == ref_weight
+            assert violations.shape == ref_violations.shape
+            assert violations.tobytes() == ref_violations.tobytes()
+        return got
+
+    @pytest.mark.parametrize("name", ["michell", "truss37", "forth"])
+    def test_population_matches_per_design_bit_for_bit(self, name, rng):
+        design = load_design(name)
+        space = design.search_space()
+        # more rows than one stack holds, so the batch spans several chunks
+        n = max(40, rows_per_stack(design) + 3)
+        X = space.sample(n, rng)
+        # variables pushed onto their bounds bring short members on michell
+        at_bound = rng.random(X.shape) < 0.2
+        X[at_bound] = np.where(rng.random(X.shape) < 0.5, space.lower, space.upper)[at_bound]
+        self.assert_matches_per_design(design, X)
+
+    def test_degenerate_and_mechanism_rows_among_healthy_ones(self):
+        design = TrussDesign(apex_doc())
+        X = np.array([
+            [2.0, 3.0, 1.0, 1.0],   # healthy
+            [2.0, 2.0, 0.0, 1.0],   # apex on node 2: zero-length member
+            [2.5, 2.0, 1.0, 0.7],   # healthy
+            [2.0, 2.0, 0.0, 0.5],   # apex between the supports: mechanism
+            [4.0, 1.5, 0.5, 0.8],   # healthy
+        ])
+        got = self.assert_matches_per_design(design, X)
+        assert [list(v) == [DEGENERATE_VIOLATION] for _, v in got] == [
+            False, True, False, True, False]
+
+    def test_massless_free_dof_still_raises(self):
+        doc = collapsing_doc()
+        doc["material"]["density"] = 0.0
+        doc["constraints"] = {"stress_limit": None, "displacement_limits": [],
+                              "frequency_bounds": [1.0]}
+        design = TrussDesign(doc)
+        with pytest.raises(ModelError, match="mass"):
+            design.evaluate_batch(np.array([[2.0, 2.0, 1.0], [3.0, 3.0, 0.5]]))
+
+    def test_expand_stacks_rows(self, rng):
+        design = load_design("forth")
+        X = design.search_space().sample(4, rng)
+        coords, areas = design.expand(X)
+        for i, x in enumerate(X):
+            one_coords, one_areas = design.expand(x)
+            assert np.array_equal(coords[i], one_coords)
+            assert np.array_equal(areas[i], one_areas)
+
+    def test_problem_offers_the_batch(self):
+        design = load_design("michell")
+        problem = design.problem()
+        assert problem.evaluate_batch == design.evaluate_batch
 
 
 class TestMichellReference:

@@ -306,6 +306,8 @@ def solve_static(model: TrussModel) -> StaticResult:
     u = u.reshape(stack + (model.n_nodes, 2))
 
     du = u[..., model.members[:, 1], :] - u[..., model.members[:, 0], :]
+    # flattened to (k * m, 2), each member's two-term dot product runs in
+    # the same einsum loop as for a single configuration
     elongation = np.einsum(
         "ij,ij->i", du.reshape(-1, 2), model.cosines.reshape(-1, 2)
     ).reshape(model.lengths.shape)

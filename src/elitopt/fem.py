@@ -291,9 +291,7 @@ def solve_static(model: TrussModel) -> StaticResult:
     K_red = model.free_stiffness
     ok = _positive_definite(K_red)
     if not ok.all():
-        first = np.flatnonzero(~ok.ravel())[0]
-        K_bad = K_red.reshape((-1,) + K_red.shape[-2:])[first]
-        eigmin = float(np.linalg.eigvalsh(K_bad)[0])
+        eigmin = float(np.linalg.eigvalsh(K_red[~ok][0])[0])
         raise AnalysisError(
             f"reduced stiffness is not positive definite "
             f"(smallest eigenvalue {eigmin:.3e}); the truss is a mechanism",
@@ -358,7 +356,7 @@ def natural_frequencies(model: TrussModel, count: int | None = None) -> np.ndarr
     tol = 1e-8 * np.maximum(1.0, np.abs(lams).max(axis=-1))
     mechanisms = lams[..., 0] < -tol
     if mechanisms.any():
-        first = lams.reshape(-1, lams.shape[-1])[np.flatnonzero(mechanisms)[0], 0]
+        first = lams[..., 0][mechanisms][0]
         raise AnalysisError(
             f"negative stiffness eigenvalue {first:.3e}; the truss is a mechanism",
             mechanisms,

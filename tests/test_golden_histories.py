@@ -10,13 +10,13 @@ performance work can prove that results are unchanged.
 The digests hold only for one Python and numpy version and one BLAS thread
 count: floating point results may differ elsewhere, so the test skips with a
 message when the environment recorded in the JSON file differs from the
-running one.  ``conftest.py`` pins BLAS to one thread for every test.
+running one.  ``conftest.py`` pins BLAS to one thread, for every test and
+for the recording below.
 
 The JSON file is recorded from a known-good tree, never edited to make this
 test pass.  After a deliberate change of behaviour, record it again with::
 
-    OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1 \
-        PYTHONPATH=src python3 tests/test_golden_histories.py --record
+    PYTHONPATH=src python3 tests/test_golden_histories.py --record
 """
 
 from __future__ import annotations
@@ -29,13 +29,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+from conftest import BLAS_THREAD_VARIABLES  # pins BLAS before numpy loads
+
 import numpy as np
 import pytest
 
 from elitopt.harness import ExperimentPlan, run_experiment
 
 GOLDEN = Path(__file__).resolve().parent / "golden_histories.json"
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 PLAN = dict(
     algorithms=("bbo", "kha", "teo"),
@@ -83,8 +84,6 @@ def test_histories_match_golden(tmp_path):
 
 
 def record() -> None:
-    if any(os.environ.get(k) != "1" for k in BLAS_THREAD_VARIABLES):
-        sys.exit(f"record with {', '.join(k + '=1' for k in BLAS_THREAD_VARIABLES)}")
     with tempfile.TemporaryDirectory() as tmp:
         digests = history_digests(Path(tmp))
     doc = {"environment": environment(), "plan": PLAN, "histories": digests}

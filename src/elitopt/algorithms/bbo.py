@@ -79,9 +79,14 @@ def roulette_pick(weights: np.ndarray, skip: int, rng: np.random.Generator) -> i
     All-zero weights degrade to a uniform choice.  Exactly one draw from
     ``rng`` is consumed either way.
     """
+    return _spin(*_masked_sums(weights, skip), skip, rng)
+
+
+def _masked_sums(weights: np.ndarray, skip: int) -> tuple[np.ndarray, float]:
+    """Running sums and total of ``weights`` with the one at ``skip`` zeroed."""
     w = np.asarray(weights, dtype=float).copy()
     w[skip] = 0.0
-    return _spin(np.cumsum(w), w.sum(), skip, rng)
+    return np.cumsum(w), w.sum()
 
 
 def _spin(cumulative: np.ndarray, total: float, skip: int, rng) -> int:
@@ -117,9 +122,7 @@ def migrate(
         picks = np.flatnonzero(coins < lambdas[i])
         if picks.size == 0:
             continue
-        w = np.asarray(mus, dtype=float).copy()
-        w[i] = 0.0
-        cumulative, total = np.cumsum(w), w.sum()
+        cumulative, total = _masked_sums(mus, i)
         for j in picks:
             out[i, j] = positions[_spin(cumulative, total, i, rng), j]
     return out

@@ -79,7 +79,7 @@ def roulette_pick(weights: np.ndarray, skip: int, rng: np.random.Generator) -> i
     All-zero weights degrade to a uniform choice.  Exactly one draw from
     ``rng`` is consumed either way.
     """
-    return _spin(*_masked_sums(weights, skip), skip, rng)
+    return int(_spin(*_masked_sums(weights, skip), skip, 1, rng)[0])
 
 
 def _masked_sums(weights: np.ndarray, skip: int) -> tuple[np.ndarray, float]:
@@ -89,14 +89,17 @@ def _masked_sums(weights: np.ndarray, skip: int) -> tuple[np.ndarray, float]:
     return np.cumsum(w), w.sum()
 
 
-def _spin(cumulative: np.ndarray, total: float, skip: int, rng) -> int:
-    """One roulette draw over weights with running sums ``cumulative`` and
-    sum ``total``, the weight at ``skip`` already zeroed."""
+def _spin(cumulative: np.ndarray, total: float, skip: int, count: int, rng) -> np.ndarray:
+    """``count`` roulette draws over weights with running sums ``cumulative``
+    and sum ``total``, the weight at ``skip`` already zeroed; one draw from
+    ``rng`` each."""
     if total <= 0:
         candidates = [i for i in range(cumulative.size) if i != skip]
-        return candidates[int(rng.integers(len(candidates)))]
-    u = rng.random() * total
-    return int(np.searchsorted(cumulative, u, side="right"))
+        return np.array(
+            [candidates[int(rng.integers(len(candidates)))] for _ in range(count)]
+        )
+    # one array of uniforms is the stream of as many scalar draws
+    return np.searchsorted(cumulative, rng.random(count) * total, side="right")
 
 
 def migrate(
@@ -111,7 +114,8 @@ def migrate(
     Donors always come from the pre-migration snapshot.  A single-habitat
     population is returned unchanged (no donor exists).  Each pick is one
     :func:`roulette_pick` draw; the masked weights of habitat ``i`` are the
-    same for all its variables, so their sums are computed once per habitat.
+    same for all its variables, so their sums are computed once per habitat
+    and all its picks are spun at once.
     """
     n, dim = positions.shape
     out = positions.copy()
@@ -123,8 +127,7 @@ def migrate(
         if picks.size == 0:
             continue
         cumulative, total = _masked_sums(mus, i)
-        for j in picks:
-            out[i, j] = positions[_spin(cumulative, total, i, rng), j]
+        out[i, picks] = positions[_spin(cumulative, total, i, picks.size, rng), picks]
     return out
 
 

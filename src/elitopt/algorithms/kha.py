@@ -6,6 +6,13 @@ that decays to zero over the run.  Optional crossover and mutation borrow
 variables from other krill with probabilities tied to the distance from the
 global best.  Positions advance by a time step proportional to the summed
 bound widths.
+
+A step makes two passes.  The first draws every random number krill by
+krill, in the order a krill consumes them (:func:`draw_herd`).  The second
+computes the motion of the whole herd with array operations, rounding each
+value as a krill-by-krill loop would, so a seeded run is the same either
+way.  The per-krill helpers (``local_attraction``, ``target_attraction``,
+...) take one krill's row of the herd-wide functions.
 """
 
 from __future__ import annotations
@@ -67,17 +74,66 @@ class KhaState:
     last_positions: np.ndarray
 
 
+def _pairwise(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Differences ``positions[j] - positions[i]`` at ``[i, j]``, shape
+    ``(n, n, dim)``, and the ``(n, n)`` distances between them.
+
+    Row ``i`` of the distances is ``np.linalg.norm(positions - positions[i],
+    axis=1)`` bit for bit: the same squares summed by the same reduction.
+    """
+    diff = positions[None, :, :] - positions[:, None, :]
+    return diff, np.sqrt(np.add.reduce(diff * diff, axis=2))
+
+
+def _row_norms(diff: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, equal to ``np.linalg.norm`` of the row
+    alone: that takes a ``dot``, and a stacked row-times-column ``matmul``
+    makes the same ``dot`` per row, where a row-wise ``np.add.reduce`` may
+    round differently."""
+    return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+
+
+def sensing_radii(dists: np.ndarray) -> np.ndarray:
+    """Neighborhood radius of each krill from the ``(n, n)`` distance
+    matrix: its mean distance to the herd / 5."""
+    return dists.sum(axis=1) / (5.0 * dists.shape[0])
+
+
 def sensing_distance(i: int, positions: np.ndarray) -> float:
     """Neighborhood radius of krill ``i``: mean distance to the herd / 5."""
-    dists = np.linalg.norm(positions - positions[i], axis=1)
-    return float(dists.sum()) / (5.0 * positions.shape[0])
+    return float(sensing_radii(_pairwise(positions)[1])[i])
 
 
-def fitness_ratio(k_i: float, k_j: float, spread: float) -> float:
-    """Normalized fitness difference; defined as 0 on a flat population."""
-    if spread <= 0:
-        return 0.0
-    return (k_i - k_j) / spread
+def fitness_ratio(k_i, k_j, spread: float):
+    """Normalized fitness difference, elementwise on arrays; defined as 0 on
+    a flat population."""
+    ratio = np.subtract(k_i, k_j)
+    ratio = ratio / spread if spread > 0 else np.zeros_like(ratio)
+    return ratio if np.ndim(ratio) else float(ratio)
+
+
+def local_attractions(
+    positions: np.ndarray, fitness: np.ndarray, spread: float, eps: float
+) -> np.ndarray:
+    """Summed pull of neighbors inside the sensing distance, for every krill.
+
+    Row ``i`` adds the pulls of krill ``j`` in ascending ``j``, one add per
+    ``j`` with the pulls from outside the radius set to 0, which is the
+    rounding of a krill-by-krill loop.  A sum over ``j`` in one call may
+    pair the terms up instead; it does when they lie contiguous in memory,
+    as they do with one variable.
+    """
+    n = positions.shape[0]
+    pulls, dists = _pairwise(positions)
+    near = dists < sensing_radii(dists)[:, None]
+    np.fill_diagonal(near, False)
+    pulls *= fitness_ratio(fitness[:, None], fitness[None, :], spread)[:, :, None]
+    pulls /= (dists + eps)[:, :, None]
+    pulls[~near] = 0.0
+    alpha = np.zeros_like(positions)
+    for j in range(n):
+        alpha += pulls[:, j]
+    return alpha
 
 
 def local_attraction(
@@ -88,15 +144,33 @@ def local_attraction(
     eps: float,
 ) -> np.ndarray:
     """Summed pull of neighbors inside the sensing distance."""
-    dists = np.linalg.norm(positions - positions[i], axis=1)
-    radius = sensing_distance(i, positions)
-    alpha = np.zeros(positions.shape[1])
-    for j in range(positions.shape[0]):
-        if j == i or dists[j] >= radius:
-            continue
-        khat = fitness_ratio(fitness[i], fitness[j], spread)
-        alpha += khat * (positions[j] - positions[i]) / (dists[j] + eps)
-    return alpha
+    return local_attractions(positions, np.asarray(fitness, dtype=float), spread, eps)[i]
+
+
+def random_coefficient(u, frac: float):
+    """Amplifier ``2 * (u + frac)`` of a uniform draw ``u``, larger late in
+    the run (``frac`` is the elapsed iteration fraction)."""
+    return 2.0 * (u + frac)
+
+
+def _unit_pulls(khat: np.ndarray, diff: np.ndarray, eps: float) -> np.ndarray:
+    """``khat`` times each row's unit direction, ``diff / (|diff| + eps)``."""
+    return khat[:, None] * diff / (_row_norms(diff) + eps)[:, None]
+
+
+def target_attractions(
+    positions: np.ndarray,
+    fitness: np.ndarray,
+    best_position: np.ndarray,
+    best_fitness: float,
+    spread: float,
+    c_best: np.ndarray,
+    eps: float,
+) -> np.ndarray:
+    """Pull of every krill toward the global best, scaled by its
+    coefficient ``c_best``."""
+    khat = c_best * fitness_ratio(fitness, best_fitness, spread)
+    return _unit_pulls(khat, best_position - positions, eps)
 
 
 def target_attraction(
@@ -112,10 +186,11 @@ def target_attraction(
 ) -> np.ndarray:
     """Pull toward the global best, amplified early and late by
     ``2 * (rand + frac)`` where ``frac`` is the elapsed iteration fraction."""
-    c_best = 2.0 * (rng.random() + frac)
-    khat = fitness_ratio(fitness[i], best_fitness, spread)
-    diff = best_position - positions[i]
-    return c_best * khat * diff / (np.linalg.norm(diff) + eps)
+    c_best = random_coefficient(rng.random(1), frac)
+    return target_attractions(
+        positions[i:i + 1], np.asarray(fitness, dtype=float)[i:i + 1],
+        best_position, best_fitness, spread, c_best, eps,
+    )[0]
 
 
 def food_point(
@@ -141,6 +216,32 @@ def food_point(
     return x_food, float(k_food)
 
 
+def foraging_attractions(
+    positions: np.ndarray,
+    fitness: np.ndarray,
+    food_position: np.ndarray,
+    food_fitness: float,
+    pb_positions: np.ndarray,
+    pb_fitness: np.ndarray,
+    spread: float,
+    c_food: np.ndarray,
+    eps: float,
+    food_coeff_on_best: bool = True,
+) -> np.ndarray:
+    """Food term plus personal-best term of every krill, scaled by its food
+    coefficient ``c_food`` (see :func:`foraging_attraction`)."""
+    beta_food = _unit_pulls(
+        fitness_ratio(fitness, food_fitness, spread), food_position - positions, eps
+    )
+    beta_best = _unit_pulls(
+        fitness_ratio(fitness, pb_fitness, spread), pb_positions - positions, eps
+    )
+    c_food = c_food[:, None]
+    if food_coeff_on_best:
+        return c_food * (beta_food + beta_best)
+    return c_food * beta_food + beta_best
+
+
 def foraging_attraction(
     i: int,
     positions: np.ndarray,
@@ -158,22 +259,12 @@ def foraging_attraction(
     """Food term plus personal-best term.  The food coefficient
     ``2 * (rand + frac)`` scales both terms unless ``food_coeff_on_best``
     is cleared, which restricts it to the food term."""
-    c_food = 2.0 * (rng.random() + frac)
-    diff_food = food_position - positions[i]
-    beta_food = (
-        fitness_ratio(fitness[i], food_fitness, spread)
-        * diff_food
-        / (np.linalg.norm(diff_food) + eps)
-    )
-    diff_pb = pb_position - positions[i]
-    beta_best = (
-        fitness_ratio(fitness[i], pb_fitness, spread)
-        * diff_pb
-        / (np.linalg.norm(diff_pb) + eps)
-    )
-    if food_coeff_on_best:
-        return c_food * (beta_food + beta_best)
-    return c_food * beta_food + beta_best
+    c_food = random_coefficient(rng.random(1), frac)
+    return foraging_attractions(
+        positions[i:i + 1], np.asarray(fitness, dtype=float)[i:i + 1],
+        food_position, food_fitness, pb_position, pb_fitness,
+        spread, c_food, eps, food_coeff_on_best,
+    )[0]
 
 
 def induced_motion(
@@ -203,13 +294,18 @@ def advance_position(
     )
 
 
+def diffusion_motion(u: np.ndarray, frac: float, d_max: float) -> np.ndarray:
+    """Random walk from uniform draws ``u``: directions ``2u - 1`` in
+    [-1, 1], scaled to decay linearly to exactly zero at the end of the run."""
+    return d_max * (1.0 - frac) * (2.0 * u - 1.0)
+
+
 def diffusion(
     dim: int, frac: float, d_max: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Random walk component, decaying linearly to exactly zero at the end
     of the run.  Directions are uniform in [-1, 1] per axis."""
-    delta = 2.0 * rng.random(dim) - 1.0
-    return d_max * (1.0 - frac) * delta
+    return diffusion_motion(rng.random(dim), frac, d_max)
 
 
 def time_step(time_factor: float, space: SearchSpace) -> float:
@@ -217,13 +313,20 @@ def time_step(time_factor: float, space: SearchSpace) -> float:
     return time_factor * space.width_sum()
 
 
-def operator_probability(khat_best: float) -> float:
-    """Crossover/mutation probability ``0.05 / khat``, capped into [0, 1].
-    A vanishing distance to the best maps to probability 1; the caller is
-    responsible for exempting the global best itself."""
-    if khat_best <= 0:
-        return 1.0
-    return min(1.0, 0.05 / khat_best)
+def operator_probability(khat_best):
+    """Crossover/mutation probability ``0.05 / khat``, capped into [0, 1],
+    elementwise on arrays.  A vanishing distance to the best maps to
+    probability 1; the caller is responsible for exempting the global best
+    itself."""
+    khat = np.asarray(khat_best, dtype=float)
+    with np.errstate(divide="ignore"):
+        prob = np.where(khat > 0, np.minimum(1.0, 0.05 / khat), 1.0)
+    return prob if prob.ndim else float(prob)
+
+
+def _take(position, replacement, prob, coins) -> np.ndarray:
+    """Per variable, the replacement where its coin falls below ``prob``."""
+    return np.where(coins < prob, replacement, position)
 
 
 def crossover(
@@ -233,11 +336,12 @@ def crossover(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Per-variable: with probability ``prob`` take the donor's value."""
-    out = position.copy()
-    coins = rng.random(out.size)
-    take = coins < prob
-    out[take] = donor[take]
-    return out
+    return _take(position, donor, prob, rng.random(position.size))
+
+
+def _mutants(best_position, donor_a, donor_b, mu) -> np.ndarray:
+    """The best position plus ``mu`` times the donors' difference."""
+    return best_position + mu * (donor_a - donor_b)
 
 
 def mutate_toward_best(
@@ -251,11 +355,59 @@ def mutate_toward_best(
 ) -> np.ndarray:
     """Per-variable: with probability ``prob`` rebuild the value from the
     best position plus a scaled difference of two donors."""
-    out = position.copy()
-    coins = rng.random(out.size)
-    take = coins < prob
-    out[take] = best_position[take] + mu * (donor_a[take] - donor_b[take])
-    return out
+    return _take(
+        position, _mutants(best_position, donor_a, donor_b, mu), prob,
+        rng.random(position.size),
+    )
+
+
+@dataclass
+class HerdDraws:
+    """Every random number of one step, per krill.
+
+    ``uniforms`` holds the target and food coefficient draws, then the
+    ``dim`` diffusion draws.  ``donors`` and ``cross_coins`` are the
+    crossover donor and coins, ``None`` without crossover; ``mutation``
+    holds the two mutation donors per krill, ``mu_coins`` the ``mu`` draw
+    then the coins, both ``None`` without mutation.
+    """
+
+    uniforms: np.ndarray
+    donors: np.ndarray | None
+    cross_coins: np.ndarray | None
+    mutation: np.ndarray | None
+    mu_coins: np.ndarray | None
+
+
+def draw_herd(n: int, dim: int, params: KhaParams, rng) -> HerdDraws:
+    """Make every draw of one step krill by krill, in the order a krill
+    consumes them: target coefficient, food coefficient, diffusion
+    directions, then crossover (donor, coins) and mutation (the two donors by
+    rejection, ``mu``, coins).  Every draw is made whatever the operator
+    probability turns out to be."""
+    crossing = params.crossover and n >= 2
+    mutating = params.mutation and n >= 3
+    uniforms = np.empty((n, dim + 2))
+    donors = np.empty(n, dtype=np.intp) if crossing else None
+    cross_coins = np.empty((n, dim)) if crossing else None
+    mutation = np.empty((n, 2), dtype=np.intp) if mutating else None
+    mu_coins = np.empty((n, dim + 1)) if mutating else None
+    for i in range(n):
+        uniforms[i] = rng.random(dim + 2)
+        if crossing:
+            pick = int(rng.integers(n - 1))
+            donors[i] = pick if pick < i else pick + 1
+            cross_coins[i] = rng.random(dim)
+        if mutating:
+            r2 = int(rng.integers(n))
+            while r2 == i:
+                r2 = int(rng.integers(n))
+            r3 = int(rng.integers(n))
+            while r3 == i or r3 == r2:
+                r3 = int(rng.integers(n))
+            mutation[i] = r2, r3
+            mu_coins[i] = rng.random(dim + 1)
+    return HerdDraws(uniforms, donors, cross_coins, mutation, mu_coins)
 
 
 class Kha:
@@ -292,7 +444,7 @@ class Kha:
         params = self.params
         space = ctx.problem.space
         n = len(population)
-        dim = space.dim
+        eps = params.epsilon
         best_position = ctx.best.position
         best_fitness = ctx.best.fitness
 
@@ -300,71 +452,60 @@ class Kha:
         fitness = np.array([c.fitness for c in population])
         # slots replaced between steps (elite injection) restart as fresh
         # agents: no inherited motion, personal best set to their own record
-        for i in range(n):
-            if not np.array_equal(positions[i], state.last_positions[i]):
-                state.induced_old[i] = 0.0
-                state.foraging_old[i] = 0.0
-                state.pb_positions[i] = positions[i].copy()
-                state.pb_fitness[i] = fitness[i]
+        fresh = np.any(positions != state.last_positions, axis=1)
+        state.induced_old[fresh] = 0.0
+        state.foraging_old[fresh] = 0.0
+        state.pb_positions[fresh] = positions[fresh]
+        state.pb_fitness[fresh] = fitness[fresh]
         spread = float(fitness.max()) - best_fitness
         x_food, k_food = food_point(positions, fitness)
         dt = time_step(params.time_factor, space)
 
-        # Per krill, random draws happen in a fixed order: target coefficient,
-        # food coefficient, diffusion directions, then the optional operators.
-        new_positions = np.empty_like(positions)
-        for i in range(n):
-            alpha = local_attraction(i, positions, fitness, spread, params.epsilon)
-            alpha += target_attraction(
-                i, positions, fitness, best_position, best_fitness,
-                spread, frac, params.epsilon, rng,
+        # pass 1 draws krill by krill, pass 2 moves the whole herd at once
+        draws = draw_herd(n, space.dim, params, rng)
+        c_best, c_food = random_coefficient(draws.uniforms[:, :2].T, frac)
+        alpha = local_attractions(positions, fitness, spread, eps)
+        alpha += target_attractions(
+            positions, fitness, best_position, best_fitness, spread, c_best, eps
+        )
+        induced = induced_motion(
+            alpha, state.induced_old, params.induced_max, params.inertia_induced
+        )
+        beta = foraging_attractions(
+            positions, fitness, x_food, k_food, state.pb_positions, state.pb_fitness,
+            spread, c_food, eps, params.food_coeff_on_best,
+        )
+        foraging = foraging_motion(
+            beta, state.foraging_old, params.foraging_speed, params.inertia_foraging
+        )
+        diffuse = diffusion_motion(draws.uniforms[:, 2:], frac, params.diffusion_max)
+        state.induced_old = induced
+        state.foraging_old = foraging
+
+        # the global best itself is exempt from both operators
+        prob = np.where(
+            fitness <= best_fitness,
+            0.0,
+            operator_probability(fitness_ratio(fitness, best_fitness, spread)),
+        )[:, None]
+        x = positions
+        if draws.donors is not None:
+            x = _take(x, positions[draws.donors], prob, draws.cross_coins)
+        if draws.mutation is not None:
+            mutants = _mutants(
+                best_position,
+                positions[draws.mutation[:, 0]],
+                positions[draws.mutation[:, 1]],
+                draws.mu_coins[:, :1],
             )
-            induced = induced_motion(
-                alpha, state.induced_old[i], params.induced_max, params.inertia_induced
-            )
-
-            beta = foraging_attraction(
-                i, positions, fitness, x_food, k_food,
-                state.pb_positions[i], float(state.pb_fitness[i]),
-                spread, frac, params.epsilon, rng, params.food_coeff_on_best,
-            )
-            foraging = foraging_motion(
-                beta, state.foraging_old[i], params.foraging_speed,
-                params.inertia_foraging,
-            )
-
-            diffuse = diffusion(dim, frac, params.diffusion_max, rng)
-
-            state.induced_old[i] = induced
-            state.foraging_old[i] = foraging
-
-            x = positions[i].copy()
-            is_best = population[i].fitness <= best_fitness
-            khat_best = fitness_ratio(fitness[i], best_fitness, spread)
-            if params.crossover and n >= 2:
-                pick = int(rng.integers(n - 1))
-                donor = pick if pick < i else pick + 1
-                prob = 0.0 if is_best else operator_probability(khat_best)
-                x = crossover(x, positions[donor], prob, rng)
-            if params.mutation and n >= 3:
-                r2 = int(rng.integers(n))
-                while r2 == i:
-                    r2 = int(rng.integers(n))
-                r3 = int(rng.integers(n))
-                while r3 == i or r3 == r2:
-                    r3 = int(rng.integers(n))
-                mu = rng.random()
-                prob = 0.0 if is_best else operator_probability(khat_best)
-                x = mutate_toward_best(
-                    x, best_position, positions[r2], positions[r3], mu, prob, rng
-                )
-
-            new_positions[i] = advance_position(x, dt, induced + foraging + diffuse)
+            x = _take(x, mutants, prob, draws.mu_coins[:, 1:])
+        new_positions = advance_position(x, dt, induced + foraging + diffuse)
 
         new_population = ctx.evaluate_batch(clamp_to_bounds(new_positions, space))
-        for i, cand in enumerate(new_population):
-            if cand.fitness < state.pb_fitness[i]:
-                state.pb_fitness[i] = cand.fitness
-                state.pb_positions[i] = cand.position.copy()
-        state.last_positions = np.array([c.position for c in new_population])
+        evaluated = np.array([c.position for c in new_population])
+        new_fitness = np.array([c.fitness for c in new_population])
+        better = new_fitness < state.pb_fitness
+        state.pb_fitness[better] = new_fitness[better]
+        state.pb_positions[better] = evaluated[better]
+        state.last_positions = evaluated
         return new_population

@@ -187,9 +187,12 @@ def penalized_fitness(
     take any objective.
     """
     v = np.asarray(violations, dtype=float)
-    if v.size and float(np.min(v)) < 0:
+    if not v.size:
+        # objective * (1 + scale * 0) ** exponent is objective * 1.0, exactly
+        return float(objective)
+    if float(np.min(v)) < 0:
         raise ValueError("violations must be non-negative")
-    if v.size and objective < 0:
+    if objective < 0:
         raise ValueError(
             f"objective {objective!r} is negative; the multiplicative penalty "
             f"needs a non-negative objective on a constrained problem"
@@ -208,7 +211,8 @@ class EliteMemory:
     Entries are kept sorted ascending by fitness; among equal fitness the
     earlier arrival ranks first and is never displaced by a later tie.
     Candidates whose position exactly matches a stored entry are rejected,
-    so the buffer never holds duplicate designs.
+    so the buffer never holds duplicate designs.  Positions are matched by a
+    set of their bytes with -0.0 mapped to +0.0 (see :func:`_position_key`).
     """
 
     def __init__(self, capacity: int):
@@ -216,6 +220,8 @@ class EliteMemory:
             raise ConfigError("memory capacity must be >= 1")
         self.capacity = int(capacity)
         self._entries: list[Candidate] = []
+        self._fitness: list[float] = []
+        self._keys: set[bytes] = set()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -231,18 +237,21 @@ class EliteMemory:
 
     def offer(self, candidate: Candidate) -> bool:
         """Consider one evaluated candidate; return True if it was admitted."""
-        for e in self._entries:
-            if np.array_equal(e.position, candidate.position):
-                return False
-        if len(self._entries) >= self.capacity:
-            worst = self._entries[-1]
-            # strict < : an equal-fitness newcomer loses to the incumbent
-            if not candidate.fitness < worst.fitness:
-                return False
-            self._entries.pop()
-        keys = [e.fitness for e in self._entries]
-        idx = bisect.bisect_right(keys, candidate.fitness)
+        full = len(self._entries) >= self.capacity
+        # strict < : an equal-fitness newcomer loses to the incumbent; a
+        # rejected candidate leaves the buffer as a duplicate would
+        if full and not candidate.fitness < self._fitness[-1]:
+            return False
+        key = _position_key(candidate.position)
+        if key in self._keys:
+            return False
+        if full:
+            self._fitness.pop()
+            self._keys.remove(_position_key(self._entries.pop().position))
+        idx = bisect.bisect_right(self._fitness, candidate.fitness)
         self._entries.insert(idx, candidate.clone())
+        self._fitness.insert(idx, candidate.fitness)
+        self._keys.add(key)
         return True
 
     def inject(self, population: list[Candidate]) -> list[Candidate]:
@@ -267,6 +276,14 @@ class EliteMemory:
         for slot, elite in zip(reversed(worst_slots), self._entries):
             out[slot] = elite.clone()
         return out
+
+
+def _position_key(position: np.ndarray) -> bytes:
+    """Bytes that two positions share exactly when ``np.array_equal`` holds
+    for them: adding 0.0 turns -0.0 into +0.0, the one pair of equal floats
+    with different bits.  (Two NaN positions with the same bits would share
+    a key, where ``np.array_equal`` calls them different.)"""
+    return (np.asarray(position, dtype=float) + 0.0).tobytes()
 
 
 def memory_capacity(population_size: int, fraction: float) -> int:

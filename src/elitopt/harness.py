@@ -536,11 +536,14 @@ def build_report(out_dir: str | Path, cells=None) -> ComparisonReport:
         cells = read_manifest(out_dir)
     summaries = []
     for cell in cells:
-        try:
-            stats = read_stats_csv(out_dir / cell.label / "stats.csv")
-            status = "ok"
-        except (OSError, ValueError):
-            stats, status = None, "failed"
+        cell_dir = out_dir / cell.label
+        stats, status = None, "failed"
+        # a cell can fail after its stats.csv is written (in best.json, say)
+        if not (cell_dir / "error.txt").exists():
+            try:
+                stats, status = read_stats_csv(cell_dir / "stats.csv"), "ok"
+            except (OSError, ValueError):
+                pass
         summaries.append(
             CellSummary(
                 label=cell.label,

@@ -204,3 +204,134 @@ def evaluate_design(design, x):
     except AnalysisError:
         return weight, degenerate
     return weight, np.concatenate(violations) if violations else np.zeros(0)
+
+
+def _ratio_loop(k_i, k_j, spread):
+    return 0.0 if spread <= 0 else (k_i - k_j) / spread
+
+
+def _probability_loop(khat_best):
+    return 1.0 if khat_best <= 0 else min(1.0, 0.05 / khat_best)
+
+
+def _local_attraction_loop(i, positions, fitness, spread, eps):
+    dists = np.linalg.norm(positions - positions[i], axis=1)
+    radius = float(dists.sum()) / (5.0 * positions.shape[0])
+    alpha = np.zeros(positions.shape[1])
+    for j in range(positions.shape[0]):
+        if j == i or dists[j] >= radius:
+            continue
+        khat = _ratio_loop(fitness[i], fitness[j], spread)
+        alpha += khat * (positions[j] - positions[i]) / (dists[j] + eps)
+    return alpha
+
+
+def _unit_pull_loop(khat, diff, eps):
+    return khat * diff / (np.linalg.norm(diff) + eps)
+
+
+def kha_step_loop(params, population, state, ctx, frac, rng):
+    """``Kha.step`` one krill at a time: each krill draws its random numbers
+    and computes its motion before the next one starts.  The reference that
+    the herd-wide step must match bit for bit, in positions, state and the
+    generator state it leaves."""
+    from elitopt.algorithms.kha import food_point, time_step
+    from elitopt.core import clamp_to_bounds
+
+    space = ctx.problem.space
+    n = len(population)
+    dim = space.dim
+    eps = params.epsilon
+    best_position = ctx.best.position
+    best_fitness = ctx.best.fitness
+
+    positions = np.array([c.position for c in population])
+    fitness = np.array([c.fitness for c in population])
+    for i in range(n):
+        if not np.array_equal(positions[i], state.last_positions[i]):
+            state.induced_old[i] = 0.0
+            state.foraging_old[i] = 0.0
+            state.pb_positions[i] = positions[i].copy()
+            state.pb_fitness[i] = fitness[i]
+    spread = float(fitness.max()) - best_fitness
+    x_food, k_food = food_point(positions, fitness)
+    dt = time_step(params.time_factor, space)
+
+    new_positions = np.empty_like(positions)
+    for i in range(n):
+        alpha = _local_attraction_loop(i, positions, fitness, spread, eps)
+        c_best = 2.0 * (rng.random() + frac)
+        alpha += _unit_pull_loop(
+            c_best * _ratio_loop(fitness[i], best_fitness, spread),
+            best_position - positions[i], eps)
+        induced = params.induced_max * alpha + params.inertia_induced * state.induced_old[i]
+
+        c_food = 2.0 * (rng.random() + frac)
+        beta_food = _unit_pull_loop(
+            _ratio_loop(fitness[i], k_food, spread), x_food - positions[i], eps)
+        beta_best = _unit_pull_loop(
+            _ratio_loop(fitness[i], float(state.pb_fitness[i]), spread),
+            state.pb_positions[i] - positions[i], eps)
+        if params.food_coeff_on_best:
+            beta = c_food * (beta_food + beta_best)
+        else:
+            beta = c_food * beta_food + beta_best
+        foraging = params.foraging_speed * beta + params.inertia_foraging * state.foraging_old[i]
+
+        delta = 2.0 * rng.random(dim) - 1.0
+        diffuse = params.diffusion_max * (1.0 - frac) * delta
+
+        state.induced_old[i] = induced
+        state.foraging_old[i] = foraging
+
+        x = positions[i].copy()
+        is_best = population[i].fitness <= best_fitness
+        prob = 0.0 if is_best else _probability_loop(
+            _ratio_loop(fitness[i], best_fitness, spread))
+        if params.crossover and n >= 2:
+            pick = int(rng.integers(n - 1))
+            donor = pick if pick < i else pick + 1
+            take = rng.random(dim) < prob
+            x[take] = positions[donor][take]
+        if params.mutation and n >= 3:
+            r2 = int(rng.integers(n))
+            while r2 == i:
+                r2 = int(rng.integers(n))
+            r3 = int(rng.integers(n))
+            while r3 == i or r3 == r2:
+                r3 = int(rng.integers(n))
+            mu = rng.random()
+            take = rng.random(dim) < prob
+            x[take] = best_position[take] + mu * (positions[r2][take] - positions[r3][take])
+
+        new_positions[i] = x + dt * (induced + foraging + diffuse)
+
+    new_population = ctx.evaluate_batch(clamp_to_bounds(new_positions, space))
+    for i, cand in enumerate(new_population):
+        if cand.fitness < state.pb_fitness[i]:
+            state.pb_fitness[i] = cand.fitness
+            state.pb_positions[i] = cand.position.copy()
+    state.last_positions = np.array([c.position for c in new_population])
+    return new_population
+
+
+def migrate_loop(positions, lambdas, mus, rng):
+    """BBO migration one pick at a time, each pick one roulette draw: the
+    reference for ``bbo.migrate``, which spins a habitat's picks at once."""
+    n, dim = positions.shape
+    out = positions.copy()
+    if n < 2:
+        return out
+    for i in range(n):
+        coins = rng.random(dim)
+        weights = np.array(mus, dtype=float)
+        weights[i] = 0.0
+        cumulative, total = np.cumsum(weights), weights.sum()
+        for j in np.flatnonzero(coins < lambdas[i]):
+            if total <= 0:
+                others = [k for k in range(n) if k != i]
+                donor = others[int(rng.integers(len(others)))]
+            else:
+                donor = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
+            out[i, j] = positions[donor, j]
+    return out

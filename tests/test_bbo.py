@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import FakeRng
+from oracles import migrate_loop
 from elitopt.algorithms.bbo import (
     Bbo,
     BboParams,
@@ -133,6 +134,22 @@ class TestMigrate:
         out = migrate(positions, lambdas, mus, fake)
         assert out[0, 0] == 7.0
         assert out[1, 0] == 5.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_one_pick_at_a_time(self, seed):
+        # all of a habitat's picks spun at once give the donors and leave
+        # the generator where one draw per pick does; seed 5 zeroes the
+        # emigration weights, which takes the uniform fallback
+        rng = np.random.default_rng(seed)
+        n, dim = 2 + seed * 3, 1 + seed
+        positions = rng.normal(size=(n, dim))
+        lambdas = rng.random(n)
+        mus = np.zeros(n) if seed == 5 else rng.random(n)
+        mine, loop = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+        for _ in range(5):
+            assert np.array_equal(migrate(positions, lambdas, mus, mine),
+                                  migrate_loop(positions, lambdas, mus, loop))
+            assert mine.bit_generator.state == loop.bit_generator.state
 
 
 class TestMutate:

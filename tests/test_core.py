@@ -190,6 +190,15 @@ class TestPenalizedFitness:
     def test_negative_objective_allowed_when_unconstrained(self):
         assert penalized_fitness(-1.0, [], PenaltyParams()) == -1.0
 
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(0, 10), st.floats(1, 4))
+    def test_unconstrained_fitness_is_the_objective(self, objective, scale, exponent):
+        # the same bits as objective * (1 + scale * 0) ** exponent
+        out = penalized_fitness(objective, [], PenaltyParams(scale, exponent))
+        assert type(out) is float
+        assert np.float64(out).tobytes() == np.float64(
+            objective * (1.0 + scale * 0.0) ** exponent).tobytes()
+
     @given(st.floats(0.01, 1e3), st.lists(st.floats(0, 10), max_size=4))
     def test_never_below_objective(self, objective, violations):
         out = penalized_fitness(objective, violations, PenaltyParams())
@@ -242,6 +251,33 @@ class TestEliteMemory:
     def test_capacity_validated(self):
         with pytest.raises(ConfigError):
             EliteMemory(0)
+
+    def test_signed_zeros_are_one_position(self):
+        mem = EliteMemory(3)
+        assert mem.offer(cand(2.0, position=[0.0, -0.0]))
+        assert not mem.offer(cand(1.0, position=[-0.0, 0.0]))
+        assert [e.fitness for e in mem.entries] == [2.0]
+
+    def test_evicted_position_admitted_again(self):
+        mem = EliteMemory(2)
+        mem.offer(cand(3.0, position=[3.0]))
+        mem.offer(cand(5.0, position=[5.0]))
+        assert mem.offer(cand(4.0, position=[4.0]))
+        # [5.0] was evicted, so its position no longer counts as stored
+        assert mem.offer(cand(1.0, position=[5.0]))
+        assert [(e.fitness, e.position[0]) for e in mem.entries] == [(1.0, 5.0), (3.0, 3.0)]
+        assert not mem.offer(cand(0.5, position=[3.0]))
+
+    def test_full_buffer_rejects_no_better_candidate_unchanged(self):
+        mem = EliteMemory(2)
+        mem.offer(cand(3.0, position=[3.0]))
+        mem.offer(cand(5.0, position=[5.0]))
+        before = [(e.fitness, e.position.tobytes()) for e in mem.entries]
+        # a duplicate, an equal and a worse fitness: all rejected, nothing moves
+        for fitness, position in ((5.0, [3.0]), (5.0, [6.0]), (9.0, [7.0])):
+            assert mem.offer(cand(fitness, position=position)) is False
+        assert [(e.fitness, e.position.tobytes()) for e in mem.entries] == before
+        assert mem.offer(cand(4.0, position=[6.0]))
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 import json
@@ -429,6 +430,26 @@ class TestRunExperiment:
         assert "disk full" in (cell / "error.txt").read_text()
         assert not (cell / "best.json").exists()
         assert not list(out.rglob("*.tmp"))
+
+    def test_cell_failing_after_its_stats_is_reported_failed(self, tmp_path, monkeypatch):
+        dump = json.dump
+
+        def dump_then_fail(obj, fh, **kwargs):
+            if fh.name.endswith("bbo-sphere-mem/best.json.tmp"):
+                raise OSError("disk full")
+            return dump(obj, fh, **kwargs)
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        out = tmp_path / "out"
+        report = run_experiment(small_plan(), out)
+        assert (out / "bbo-sphere-mem" / "stats.csv").exists()
+        status = {c.label: c.status for c in report.cells}
+        assert status == {"bbo-sphere-mem": "failed", "bbo-sphere-std": "ok"}
+        assert report.improvements == ()
+        assert report.mean_improvement is None
+        with open(out / "report.csv", newline="") as fh:
+            rows = {row["cell"]: row["status"] for row in csv.DictReader(fh)}
+        assert rows == status
 
     def test_failed_rewrite_keeps_the_complete_file(self, tmp_path):
         path = tmp_path / "run_000.csv"

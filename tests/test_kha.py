@@ -1,7 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from conftest import FakeRng
+from oracles import kha_step_loop
 from elitopt.algorithms.kha import (
     Kha,
     KhaParams,
@@ -29,6 +32,7 @@ from elitopt.core import (
     SearchSpace,
     run,
 )
+from elitopt.algorithms.kha import KhaState
 
 EPS = 1e-10
 
@@ -351,3 +355,97 @@ class TestKhaStep:
             KhaParams(inertia_induced=1.5)
         with pytest.raises(ConfigError):
             KhaParams(epsilon=0.0)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestHerdStepMatchesLoop:
+    """The herd-wide ``Kha.step`` against the per-krill reference: the same
+    positions, the same state arrays and the same generator state, bit for
+    bit."""
+
+    def herd(self, n, dim, seed, flat=False, injected=()):
+        rng = np.random.default_rng(seed)
+        space = SearchSpace(lower=np.full(dim, -4.0), upper=np.full(dim, 4.0))
+        if flat:
+            def evaluate(x):
+                return 2.5, np.empty(0)
+        else:
+            def evaluate(x):
+                return float(np.sum(np.asarray(x) ** 2)), np.empty(0)
+        ctx = RunContext(Problem("herd", space, evaluate), PenaltyParams())
+        # clusters tight against the herd's mean distance put some krill
+        # inside each other's sensing radius
+        centers = rng.uniform(-3.0, 3.0, size=(max(1, n // 4), dim))
+        positions = centers[rng.integers(len(centers), size=n)]
+        positions = np.clip(positions + rng.normal(scale=0.05, size=(n, dim)), -4, 4)
+        if not flat:
+            ctx.evaluate(rng.uniform(-0.1, 0.1, size=dim))  # a best outside the herd
+        population = ctx.evaluate_batch(positions)
+        fitness = np.array([c.fitness for c in population])
+        last = positions.copy()
+        for i in injected:
+            last[i] += 0.5
+        state = KhaState(
+            induced_old=rng.normal(scale=0.01, size=(n, dim)),
+            foraging_old=rng.normal(scale=0.01, size=(n, dim)),
+            pb_positions=positions + rng.normal(scale=0.2, size=(n, dim)),
+            pb_fitness=fitness - rng.uniform(0.0, 1.0, size=n),
+            last_positions=last,
+        )
+        return population, state, ctx
+
+    def check(self, params, population, state, ctx, steps=3, seed=5):
+        herd = [population, state, ctx, np.random.default_rng(seed)]
+        loop = copy.deepcopy(herd)
+        for g in range(1, steps + 1):
+            frac = g / (steps + 1)
+            herd[0] = Kha(params).step(herd[0], herd[1], herd[2], frac, herd[3])
+            loop[0] = kha_step_loop(params, loop[0], loop[1], loop[2], frac, loop[3])
+            assert_same_bits([c.position for c in herd[0]],
+                             [c.position for c in loop[0]])
+            for name in ("induced_old", "foraging_old", "pb_positions",
+                         "pb_fitness", "last_positions"):
+                assert_same_bits(getattr(herd[1], name), getattr(loop[1], name))
+            assert herd[3].bit_generator.state == loop[3].bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_herd(self, seed):
+        population, state, ctx = self.herd(16, 5, seed)
+        positions = np.array([c.position for c in population])
+        dists = np.linalg.norm(positions[:, None] - positions[None], axis=2)
+        radii = dists.sum(axis=1) / (5.0 * len(population))
+        near = (dists < radii[:, None]) & ~np.eye(len(population), dtype=bool)
+        assert near.any()
+        self.check(KhaParams(), population, state, ctx)
+
+    def test_flat_population(self):
+        population, state, ctx = self.herd(10, 3, 4, flat=True)
+        self.check(KhaParams(), population, state, ctx)
+
+    def test_injected_slots(self):
+        population, state, ctx = self.herd(12, 4, 5, injected=(0, 7))
+        self.check(KhaParams(), population, state, ctx, steps=1)
+
+    def test_operators_off(self):
+        population, state, ctx = self.herd(12, 4, 6)
+        self.check(KhaParams(crossover=False, mutation=False), population, state, ctx)
+
+    def test_food_coefficient_off_best(self):
+        population, state, ctx = self.herd(12, 4, 7)
+        self.check(KhaParams(food_coeff_on_best=False), population, state, ctx)
+
+    def test_one_variable_herd(self):
+        # with one variable the neighbor pulls lie contiguous in memory,
+        # where a sum over j in one call would pair them up differently
+        population, state, ctx = self.herd(40, 1, 3)
+        self.check(KhaParams(), population, state, ctx)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_herds(self, n):
+        population, state, ctx = self.herd(n, 3, 8 + n)
+        self.check(KhaParams(), population, state, ctx)

@@ -52,6 +52,21 @@ class TestAnalyticFunctions:
         assert value == 5.0
         assert violations.size == 0
 
+    @pytest.mark.parametrize("name", ["sphere", "rastrigin", "rosenbrock"])
+    @pytest.mark.parametrize("dim", [1, 2, 10, 23])
+    def test_batch_matches_rows(self, name, dim):
+        problem = analytic_problem(name, dim=dim)
+        rng = np.random.default_rng(dim)
+        X = problem.space.sample(60, rng)
+        X[::7] = np.round(X[::7])  # integer points, where cos is exactly 1
+        batch = problem.evaluate_batch(X)
+        assert len(batch) == len(X)
+        for x, (value, violations) in zip(X, batch):
+            alone, _ = problem.evaluate(x)
+            assert type(value) is float and type(alone) is float
+            assert np.float64(value).tobytes() == np.float64(alone).tobytes()
+            assert violations.size == 0
+
     def test_bad_dim(self):
         with pytest.raises(ValueError):
             analytic_problem("sphere", dim=0)

@@ -339,28 +339,6 @@ def crossover(
     return _take(position, donor, prob, rng.random(position.size))
 
 
-def _mutants(best_position, donor_a, donor_b, mu) -> np.ndarray:
-    """The best position plus ``mu`` times the donors' difference."""
-    return best_position + mu * (donor_a - donor_b)
-
-
-def mutate_toward_best(
-    position: np.ndarray,
-    best_position: np.ndarray,
-    donor_a: np.ndarray,
-    donor_b: np.ndarray,
-    mu: float,
-    prob: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Per-variable: with probability ``prob`` rebuild the value from the
-    best position plus a scaled difference of two donors."""
-    return _take(
-        position, _mutants(best_position, donor_a, donor_b, mu), prob,
-        rng.random(position.size),
-    )
-
-
 @dataclass
 class HerdDraws:
     """Every random number of one step, per krill.
@@ -492,12 +470,9 @@ class Kha:
         if draws.donors is not None:
             x = _take(x, positions[draws.donors], prob, draws.cross_coins)
         if draws.mutation is not None:
-            mutants = _mutants(
-                best_position,
-                positions[draws.mutation[:, 0]],
-                positions[draws.mutation[:, 1]],
-                draws.mu_coins[:, :1],
-            )
+            donor_a = positions[draws.mutation[:, 0]]
+            donor_b = positions[draws.mutation[:, 1]]
+            mutants = best_position + draws.mu_coins[:, :1] * (donor_a - donor_b)
             x = _take(x, mutants, prob, draws.mu_coins[:, 1:])
         new_positions = advance_position(x, dt, induced + foraging + diffuse)
 

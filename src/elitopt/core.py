@@ -63,6 +63,8 @@ class SearchSpace:
             raise ConfigError("bounds must be 1-d arrays of equal length")
         if lower.size == 0:
             raise ConfigError("search space needs at least one variable")
+        if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+            raise ConfigError("bounds must be finite")
         if np.any(lower > upper):
             raise ConfigError("lower bound exceeds upper bound")
         if self.grids is not None:
@@ -76,6 +78,8 @@ class SearchSpace:
                 arr = np.asarray(g, dtype=float)
                 if arr.size == 0:
                     raise ConfigError(f"variable {j}: empty grid")
+                if not np.all(np.isfinite(arr)):
+                    raise ConfigError(f"variable {j}: grid values must be finite")
                 if np.any(np.diff(arr) <= 0):
                     raise ConfigError(f"variable {j}: grid must be strictly increasing")
                 if arr[0] < lower[j] or arr[-1] > upper[j]:
@@ -169,10 +173,15 @@ class PenaltyParams:
     exponent: float = 2.0
 
     def __post_init__(self):
-        if self.scale < 0:
-            raise ConfigError("penalty scale must be >= 0")
-        if self.exponent < 1:
-            raise ConfigError("penalty exponent must be >= 1")
+        # the chained comparisons are False for NaN
+        if not 0 <= self.scale < math.inf:
+            raise ConfigError(
+                f"penalty scale must be finite and >= 0, not {self.scale!r}"
+            )
+        if not 1 <= self.exponent < math.inf:
+            raise ConfigError(
+                f"penalty exponent must be finite and >= 1, not {self.exponent!r}"
+            )
 
 
 def penalized_fitness(
@@ -303,21 +312,16 @@ def memory_capacity(population_size: int, fraction: float) -> int:
 class Problem:
     """A minimization task: a search space plus a pure evaluation function.
 
-    ``evaluate(position)`` returns ``(objective, violations)`` where
-    ``violations`` is a non-negative vector, one entry per constraint
-    (empty for unconstrained problems).  Evaluation must be deterministic.
-
-    ``evaluate_batch(positions)``, when given, takes a ``(k, dim)`` array and
-    returns the ``k`` pairs that ``evaluate`` returns for its rows, in row
-    order; a problem gives it when analyzing many designs at once is cheaper
-    than one by one.
+    ``evaluate(X)`` takes a ``(k, dim)`` array of positions and returns
+    ``(objectives, violations)``: a ``(k,)`` float array and a ``(k, c)``
+    float array of non-negative violations, one column per constraint
+    (``c = 0`` for unconstrained problems).  Evaluation must be deterministic,
+    and a row's results must not depend on the other rows.
     """
 
     name: str
     space: SearchSpace
-    evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]]
-    description: str = ""
-    evaluate_batch: Callable[[np.ndarray], list[tuple[float, np.ndarray]]] | None = None
+    evaluate: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 # ---------------------------------------------------------------------------
@@ -384,35 +388,37 @@ class RunContext:
     def evaluate_batch(self, positions: np.ndarray) -> list[Candidate]:
         """Evaluate each row of the ``(k, dim)`` array ``positions``.
 
-        The problem analyzes all rows first (at once when it gives
-        ``evaluate_batch``).  Then each row in turn, in row order, is checked
-        for a finite objective and fitness, counted, offered to the memory and
-        compared with the best, exactly as if the rows had been evaluated one
-        by one; the first unusable row raises :class:`EvaluationError` with
-        the rows before it already counted.
+        The problem analyzes all rows at once.  Then each row in turn, in row
+        order, is checked for a finite objective and fitness, counted, offered
+        to the memory and compared with the best, exactly as if the rows had
+        been evaluated one by one; the first unusable row raises
+        :class:`EvaluationError` with the rows before it already counted.
         """
         positions = np.asarray(positions, dtype=float)
         if positions.ndim != 2:
             raise ValueError(f"positions must be a (k, dim) array, not {positions.shape}")
-        if self.problem.evaluate_batch is not None:
-            results = self.problem.evaluate_batch(positions)
-        else:
-            results = [self.problem.evaluate(p) for p in positions]
-        if len(results) != len(positions):
+        objectives, violations = self.problem.evaluate(positions)
+        objectives = np.asarray(objectives, dtype=float)
+        violations = np.asarray(violations, dtype=float)
+        k = len(positions)
+        if objectives.shape != (k,) or violations.ndim != 2 or len(violations) != k:
             raise EvaluationError(
-                f"{len(results)} results for a batch of {len(positions)} positions"
+                f"a batch of {k} positions gave objectives of shape "
+                f"{objectives.shape} and violations of shape {violations.shape}, "
+                f"not ({k},) and ({k}, c)"
             )
         return [
-            self._admit(position, objective, violations)
-            for position, (objective, violations) in zip(positions, results)
+            self._admit(position, objective, row)
+            for position, objective, row in zip(
+                positions, objectives.tolist(), violations
+            )
         ]
 
-    def _admit(self, position: np.ndarray, objective, violations) -> Candidate:
+    def _admit(self, position: np.ndarray, objective: float, violations) -> Candidate:
         if not math.isfinite(objective):
             raise EvaluationError(
                 f"non-finite objective {objective!r} at position {position!r}"
             )
-        violations = np.asarray(violations, dtype=float)
         fitness = penalized_fitness(objective, violations, self.penalty)
         if not math.isfinite(fitness):
             raise EvaluationError(
@@ -422,7 +428,7 @@ class RunContext:
         self.nfes += 1
         candidate = Candidate(
             position=position.copy(),
-            objective=float(objective),
+            objective=objective,
             violations=violations,
             fitness=fitness,
         )

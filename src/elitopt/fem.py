@@ -43,8 +43,9 @@ class Material:
     density: float
 
     def __post_init__(self):
-        if self.young_modulus <= 0 or self.density < 0:
-            raise ModelError("need E > 0 and density >= 0")
+        # the chained comparisons are False for NaN
+        if not (0 < self.young_modulus < np.inf and 0 <= self.density < np.inf):
+            raise ModelError("need finite E > 0 and finite density >= 0")
 
 
 class TrussTopology:
@@ -80,11 +81,13 @@ class TrussTopology:
         loads = np.zeros((n, 2)) if loads is None else np.array(loads, dtype=float)
         if loads.shape != (n, 2):
             raise ModelError("loads must be an (n, 2) array")
+        if not np.all(np.isfinite(loads)):
+            raise ModelError("loads must be finite")
         masses = np.zeros(n) if masses is None else np.array(masses, dtype=float)
         if masses.shape != (n,):
             raise ModelError("masses must be an (n,) array")
-        if np.any(masses < 0):
-            raise ModelError("lumped masses must be >= 0")
+        if not np.all((masses >= 0) & (masses < np.inf)):
+            raise ModelError("lumped masses must be finite and >= 0")
 
         n_dof = 2 * n
         free = np.flatnonzero(~fixed.ravel())

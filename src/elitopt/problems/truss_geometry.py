@@ -35,6 +35,7 @@ variables, in file order.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,6 +67,23 @@ DEGENERATE_VIOLATION = 1e3
 STACK_BYTES = 128 * 1024
 
 _AXES = {"x": 0, "y": 1}
+
+
+def _finite(value, what: str) -> float:
+    """``value`` as a float; :class:`ConfigError` unless it is finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, not {value!r}")
+    return value
+
+
+def _positive(value, what: str) -> float:
+    """``value`` as a float; :class:`ConfigError` unless it is finite and > 0."""
+    value = float(value)
+    # the chained comparison is False for NaN
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{what} must be positive and finite, not {value!r}")
+    return value
 
 
 def data_dir(override: str | Path | None = None) -> Path:
@@ -118,17 +136,20 @@ class TrussDesign:
     def __init__(self, doc: dict):
         self.name = doc["name"]
         self.provenance = list(doc.get("provenance", []))
-        self.material = Material(
-            young_modulus=float(doc["material"]["young_modulus"]),
-            density=float(doc["material"]["density"]),
-        )
+        try:
+            self.material = Material(
+                young_modulus=float(doc["material"]["young_modulus"]),
+                density=float(doc["material"]["density"]),
+            )
+        except ModelError as exc:
+            raise ConfigError(f"{self.name}: {exc}") from None
 
         ids = [int(n["id"]) for n in doc["nodes"]]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate node id")
         self._id_to_index = {nid: k for k, nid in enumerate(ids)}
         self.base_nodes = np.array(
-            [[float(n["x"]), float(n["y"])] for n in doc["nodes"]]
+            [[_finite(n[a], f"node {n['id']} {a}") for a in "xy"] for n in doc["nodes"]]
         )
         n = len(ids)
 
@@ -167,7 +188,9 @@ class TrussDesign:
             g = str(fa["group"])
             if g not in group_members:
                 raise ConfigError(f"fixed area for unknown group {g!r}")
-            self.base_areas[group_members[g]] = float(fa["area"])
+            self.base_areas[group_members[g]] = _finite(
+                fa["area"], f"fixed area of group {g!r}"
+            )
             assigned.add(g)
 
         self.size_variables: list[SizeVariable] = []
@@ -183,18 +206,21 @@ class TrussDesign:
                 idx.extend(group_members[g])
             grid = None
             if sv.get("grid"):
-                spec = sv["grid"]
-                count = int(round((spec["stop"] - spec["start"]) / spec["step"])) + 1
-                grid = np.round(
-                    spec["start"] + spec["step"] * np.arange(count), decimals=12
+                start, stop, step = (
+                    _finite(sv["grid"][key], f"{sv['name']!r} grid {key}")
+                    for key in ("start", "stop", "step")
                 )
+                count = int(round((stop - start) / step)) + 1
+                grid = np.round(start + step * np.arange(count), decimals=12)
             self.size_variables.append(
                 SizeVariable(
                     name=str(sv["name"]),
                     member_indices=np.array(idx, dtype=int),
                     lower=float(sv["lower"]),
                     upper=float(sv["upper"]),
-                    unit_scale=float(sv.get("unit_scale", 1.0)),
+                    unit_scale=_finite(
+                        sv.get("unit_scale", 1.0), f"{sv['name']!r} unit_scale"
+                    ),
                     grid=grid,
                 )
             )
@@ -208,8 +234,8 @@ class TrussDesign:
                 ShapeTarget(
                     node=self._id_to_index[int(t["node"])],
                     axis=_AXES[t["axis"]],
-                    coeff=float(t.get("coeff", 1.0)),
-                    datum=float(t.get("datum", 0.0)),
+                    coeff=_finite(t.get("coeff", 1.0), f"{sv['name']!r} target coeff"),
+                    datum=_finite(t.get("datum", 0.0), f"{sv['name']!r} target datum"),
                 )
                 for t in sv["targets"]
             )
@@ -220,18 +246,24 @@ class TrussDesign:
                     name=str(sv["name"]),
                     lower=float(sv["lower"]),
                     upper=float(sv["upper"]),
-                    unit_scale=float(sv.get("unit_scale", 1.0)),
+                    unit_scale=_finite(
+                        sv.get("unit_scale", 1.0), f"{sv['name']!r} unit_scale"
+                    ),
                     targets=targets,
                 )
             )
 
         c = doc.get("constraints", {})
         self.stress_limit = c.get("stress_limit")
-        self.frequency_bounds = np.array(c.get("frequency_bounds", []), dtype=float)
+        if self.stress_limit is not None:
+            self.stress_limit = _positive(self.stress_limit, "stress_limit")
+        self.frequency_bounds = np.array(
+            [_positive(f, "frequency bound") for f in c.get("frequency_bounds", [])]
+        )
         self.displacement_limits: list[tuple[int | None, int, float]] = []
         for dl in c.get("displacement_limits", []):
             axis = _AXES[dl["axis"]]
-            limit = float(dl["limit"])
+            limit = _positive(dl["limit"], "displacement limit")
             if dl["node"] == "all":
                 self.displacement_limits.append((None, axis, limit))
             else:
@@ -254,6 +286,14 @@ class TrussDesign:
             (np.arange(n) if node is None else np.array([node]), axis, limit)
             for node, axis, limit in self.displacement_limits
         ]
+        # one violation column per constraint, and at least one to carry
+        # the degenerate marker
+        self._columns = max(
+            1,
+            (self.members.shape[0] if self.stress_limit is not None else 0)
+            + sum(nodes.size for nodes, _, _ in self._displacement_checks)
+            + self.frequency_bounds.size,
+        )
         self._compile_expand()
         self._chunk_rows = max(1, STACK_BYTES // (8 * self.topology.free.size**2))
 
@@ -338,19 +378,15 @@ class TrussDesign:
 
     # -- evaluation ------------------------------------------------------
 
-    def evaluate(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Objective (structural mass, kg) and normalized violation vector of
-        one design: :meth:`evaluate_batch` of one row."""
-        return self.evaluate_batch(np.asarray(x, dtype=float)[None])[0]
-
-    def evaluate_batch(self, X: np.ndarray) -> list[tuple[float, np.ndarray]]:
-        """``(objective, violations)`` of each row of the ``(k, dim)`` array
-        ``X``, in row order.
+    def evaluate(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Objectives (structural mass, kg) ``(k,)`` and normalized violations
+        ``(k, c)`` of the rows of the ``(k, dim)`` array ``X``.
 
         Gridded variables are snapped to their grid before analysis, so the
-        optimizer may move in continuous space.  Near-zero member lengths and
-        mechanisms yield a finite objective with one large violation instead
-        of aborting the run.
+        optimizer may move in continuous space.  A design with a near-zero
+        member length, or a mechanism, yields a finite objective and the
+        violation row ``[DEGENERATE_VIOLATION, 0, ..., 0]`` instead of
+        aborting the run.
 
         The search space and the topology were validated when the design was
         loaded; each call checks only what ``X`` changes (areas > 0, member
@@ -367,37 +403,37 @@ class TrussDesign:
         d = coords[:, self.members[:, 1]] - coords[:, self.members[:, 0]]
         lengths = np.sqrt(np.add.reduce(d * d, axis=-1))
         weights = self.material.density * (areas * lengths).sum(axis=-1)
-        violations = [np.array([DEGENERATE_VIOLATION]) for _ in range(len(X))]
+        # every row starts degenerate; analyzed rows are overwritten whole
+        violations = np.zeros((len(X), self._columns))
+        violations[:, 0] = DEGENERATE_VIOLATION
         # a design with a short member is degenerate whatever else is wrong
         # with it; not "<" keeps a NaN length in the analysis, as the model does
         live = np.flatnonzero(~(lengths.min(axis=-1) < DEGENERATE_LENGTH))
         for start in range(0, live.size, self._chunk_rows):
-            rows, analyzed = self._analyze(
-                coords, areas, live[start:start + self._chunk_rows]
-            )
-            for row, v in zip(rows, analyzed):
-                violations[row] = v
-        return list(zip(weights.tolist(), violations))
+            rows = live[start:start + self._chunk_rows]
+            self._analyze(coords, areas, rows, violations)
+        return weights, violations
 
-    def _analyze(self, coords, areas, rows):
-        """``(rows, violation vectors)`` of the designs ``rows`` that are not
+    def _analyze(self, coords, areas, rows, violations) -> None:
+        """Write the violation rows of the designs ``rows`` that are not
         mechanisms, from one stacked model; mechanisms found by an analysis
         drop out and the rest is analyzed again."""
         while rows.size:
             model = TrussModel(coords[rows], areas=areas[rows], topology=self.topology)
             try:
-                return rows, self._violations(model)
+                violations[rows] = self._violations(model)
+                return
             except AnalysisError as exc:
                 rows = rows[~exc.mechanisms]
-        return rows, []
 
-    def _violations(self, model: TrussModel) -> np.ndarray:
-        """Violation vectors of a stacked model, one row per configuration."""
+    def _violations(self, model: TrussModel):
+        """Violation rows of a stacked model, one per configuration, ``0.0``
+        for a truss without constraints."""
         parts = []
-        if self.stress_limit or self.displacement_limits:
+        if self.stress_limit is not None or self.displacement_limits:
             res = solve_static(model)
-            if self.stress_limit:
-                parts.append(stress_violations(res.stresses, float(self.stress_limit)))
+            if self.stress_limit is not None:
+                parts.append(stress_violations(res.stresses, self.stress_limit))
             for nodes, axis, limit in self._displacement_checks:
                 parts.append(
                     displacement_violation(res.displacements[:, nodes, axis], limit)
@@ -405,16 +441,7 @@ class TrussDesign:
         if self.frequency_bounds.size:
             freqs = natural_frequencies(model, count=self.frequency_bounds.size)
             parts.append(frequency_violations(freqs, self.frequency_bounds))
-        if not parts:
-            return np.zeros(model.stack_shape + (0,))
-        return np.concatenate(parts, axis=-1)
+        return np.concatenate(parts, axis=-1) if parts else 0.0
 
-    def problem(self, name: str | None = None, description: str = "") -> Problem:
-        design = self
-        return Problem(
-            name=name or self.name,
-            space=self._space,
-            evaluate=design.evaluate,
-            description=description,
-            evaluate_batch=design.evaluate_batch,
-        )
+    def problem(self, name: str | None = None) -> Problem:
+        return Problem(name or self.name, self._space, self.evaluate)

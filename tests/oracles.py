@@ -9,6 +9,7 @@ therefore meaningful.
 
 import numpy as np
 
+from elitopt.core import Problem, SearchSpace
 from elitopt.fem import (
     AnalysisError,
     ModelError,
@@ -171,8 +172,10 @@ def snap_to_grid_loop(position, space):
 def evaluate_design(design, x):
     """``(objective, violations)`` of one design analyzed alone: one model,
     one static and one modal analysis, with the degenerate and mechanism
-    fallbacks of ``TrussDesign.evaluate_batch``.  The reference that the
-    stacked evaluation of a population must match bit for bit."""
+    fallbacks of ``TrussDesign.evaluate``.  The reference that the stacked
+    evaluation of a population must match bit for bit: a healthy row
+    exactly, a degenerate row as ``[DEGENERATE_VIOLATION]`` followed by
+    zeros."""
     degenerate = np.array([DEGENERATE_VIOLATION])
     x = snap_to_grid_loop(x, design.search_space())
     try:
@@ -204,6 +207,23 @@ def evaluate_design(design, x):
     except AnalysisError:
         return weight, degenerate
     return weight, np.concatenate(violations) if violations else np.zeros(0)
+
+
+def sphere_problem(dim=2, bound=5.12):
+    """Unconstrained ``sum(x ** 2)`` on ``[-bound, bound] ** dim``."""
+    space = SearchSpace(lower=np.full(dim, -bound), upper=np.full(dim, bound))
+
+    def evaluate(X):
+        return np.sum(X * X, axis=1), np.empty((len(X), 0))
+
+    return Problem(name="sphere", space=space, evaluate=evaluate)
+
+
+def mutate_toward_best(position, best_position, donor_a, donor_b, mu, prob, rng):
+    """One krill's mutation in ``Kha.step``: per variable, with probability
+    ``prob``, the best position plus ``mu`` times the donors' difference."""
+    coins = rng.random(position.size)
+    return np.where(coins < prob, best_position + mu * (donor_a - donor_b), position)
 
 
 def _ratio_loop(k_i, k_j, spread):

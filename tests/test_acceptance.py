@@ -470,10 +470,10 @@ def test_criterion_8_histories_and_accounting(michell_grid, sphere_grid):
     for alg_name in ("bbo", "kha", "teo"):
         calls = 0
 
-        def counting(x):
+        def counting(X):
             nonlocal calls
-            calls += 1
-            return float(np.sum(np.asarray(x) ** 2)), np.empty(0)
+            calls += len(X)
+            return np.sum(X * X, axis=1), np.empty((len(X), 0))
 
         problem = Problem(
             name="counted",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import FakeRng
-from oracles import migrate_loop
+from oracles import migrate_loop, sphere_problem
 from elitopt.algorithms.bbo import (
     Bbo,
     BboParams,
@@ -14,16 +14,7 @@ from elitopt.algorithms.bbo import (
     species_count,
     species_probability,
 )
-from elitopt.core import Problem, RunConfig, SearchSpace, run
-
-
-def toy_problem(dim=3):
-    space = SearchSpace(lower=np.full(dim, -1.0), upper=np.full(dim, 1.0))
-
-    def evaluate(x):
-        return float(np.sum(np.asarray(x) ** 2)), np.empty(0)
-
-    return Problem(name="toy", space=space, evaluate=evaluate)
+from elitopt.core import RunConfig, SearchSpace, run
 
 
 class TestSpeciesAndRates:
@@ -175,7 +166,7 @@ class TestMutate:
 
 class TestBboStep:
     def test_elitism_never_regresses(self):
-        problem = toy_problem()
+        problem = sphere_problem(3, bound=1.0)
         config = RunConfig(population_size=10, max_iterations=15, seed=5,
                            memory_enabled=False)
         result = run(Bbo(BboParams(elite_keep=2)), problem, config)
@@ -187,7 +178,7 @@ class TestBboStep:
         # re-evaluates, so the position multiset must not move
         from elitopt.core import PenaltyParams, RunContext
 
-        problem = toy_problem()
+        problem = sphere_problem(3, bound=1.0)
         algo = Bbo(BboParams(max_immigration=0.0, mutation_max=0.0,
                              elite_keep=0))
         ctx = RunContext(problem, PenaltyParams())
@@ -200,7 +191,7 @@ class TestBboStep:
     def test_population_size_preserved(self, rng):
         from elitopt.core import PenaltyParams, RunContext
 
-        problem = toy_problem()
+        problem = sphere_problem(3, bound=1.0)
         algo = Bbo()
         ctx = RunContext(problem, PenaltyParams())
         population, state = algo.init_population(ctx, problem.space, 9, rng)

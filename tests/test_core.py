@@ -24,7 +24,7 @@ from elitopt.core import (
     run,
     snap_to_grid,
 )
-from oracles import memory_oracle, snap_to_grid_loop
+from oracles import memory_oracle, snap_to_grid_loop, sphere_problem
 
 
 def unit_space(dim=1):
@@ -76,6 +76,18 @@ class TestSearchSpace:
             SearchSpace(lower=[0.0], upper=[1.0], grids=[[-0.5, 0.5]])
         with pytest.raises(ConfigError):
             SearchSpace(lower=[0.0, 0.0], upper=[1.0, 1.0], grids=[None])
+
+    @pytest.mark.parametrize("lower, upper", [
+        ([np.nan], [1.0]), ([0.0], [np.nan]), ([-np.inf], [1.0]), ([0.0], [np.inf]),
+    ])
+    def test_non_finite_bounds_rejected(self, lower, upper):
+        # NaN passes "lower > upper", and either would make sample() return NaN
+        with pytest.raises(ConfigError, match="finite"):
+            SearchSpace(lower=lower, upper=upper)
+
+    def test_non_finite_grid_rejected(self):
+        with pytest.raises(ConfigError, match="finite"):
+            SearchSpace(lower=[0.0], upper=[1.0], grids=[[np.nan]])
 
 
 class TestClamp:
@@ -178,6 +190,14 @@ class TestPenalizedFitness:
             PenaltyParams(scale=-1.0)
         with pytest.raises(ConfigError):
             PenaltyParams(exponent=0.5)
+
+    @pytest.mark.parametrize("params", [
+        {"scale": np.nan}, {"scale": np.inf},
+        {"exponent": np.nan}, {"exponent": np.inf},
+    ])
+    def test_non_finite_params_rejected(self, params):
+        with pytest.raises(ConfigError, match="finite"):
+            PenaltyParams(**params)
 
     def test_negative_objective_rejected_when_constrained(self):
         # -1 * (1 + 1)^2 = -4 would rank this infeasible design above a
@@ -395,15 +415,6 @@ class TestMemoryCapacity:
 # Run loop
 
 
-def sphere_problem(dim=2):
-    space = SearchSpace(lower=np.full(dim, -5.12), upper=np.full(dim, 5.12))
-
-    def evaluate(x):
-        return float(np.sum(np.asarray(x) ** 2)), np.empty(0)
-
-    return Problem(name="sphere", space=space, evaluate=evaluate)
-
-
 class RecordingMemory(EliteMemory):
     def __init__(self, capacity):
         super().__init__(capacity)
@@ -417,23 +428,26 @@ class RecordingMemory(EliteMemory):
 class TestEvaluateBatch:
     ROWS = np.array([[0.0], [1.0], [2.0], [3.0]])
 
-    def scripted_problem(self, objectives, batched=True):
-        """Row ``[i]`` has objective ``objectives[i]``; ``calls`` records
-        what each evaluation call was handed."""
+    def scripted_problem(self, objectives, violations=None):
+        """Row ``[i]`` has objective ``objectives[i]`` and violation row
+        ``violations[i]`` (none by default); ``calls`` records what each
+        evaluation call was handed."""
         calls = []
 
-        def evaluate(x):
-            calls.append(np.array(x))
-            return objectives[int(x[0])], np.empty(0)
-
-        def evaluate_batch(X):
+        def evaluate(X):
             calls.append(np.array(X))
-            return [(objectives[int(x[0])], np.empty(0)) for x in X]
+            rows = X[:, 0].astype(int)
+            if violations is None:
+                return np.array(objectives)[rows], np.empty((len(X), 0))
+            return np.array(objectives)[rows], np.array(violations)[rows]
 
         problem = Problem(name="scripted", space=SearchSpace(lower=[0.0], upper=[3.0]),
-                          evaluate=evaluate,
-                          evaluate_batch=evaluate_batch if batched else None)
+                          evaluate=evaluate)
         return problem, calls
+
+    def test_problem_holds_name_space_and_evaluate(self):
+        assert [f.name for f in dataclasses.fields(Problem)] == [
+            "name", "space", "evaluate"]
 
     def test_rows_funnel_in_row_order(self):
         problem, calls = self.scripted_problem([3.0, 1.0, 1.0, 2.0])
@@ -447,6 +461,16 @@ class TestEvaluateBatch:
         # the earlier of two equal rows stays the best
         assert ctx.best.position[0] == 1.0
 
+    def test_violation_rows_reach_their_candidates(self):
+        violations = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.25], [1.0, 1.0]]
+        problem, _ = self.scripted_problem([1.0, 1.0, 2.0, 3.0], violations)
+        out = RunContext(problem, PenaltyParams()).evaluate_batch(self.ROWS)
+        assert [c.violations.tolist() for c in out] == violations
+        assert [type(c.objective) for c in out] == [float] * 4
+        assert [c.fitness for c in out] == [
+            penalized_fitness(o, v, PenaltyParams())
+            for o, v in zip([1.0, 1.0, 2.0, 3.0], violations)]
+
     def test_first_non_finite_row_raises_after_the_rows_before_it(self):
         problem, _ = self.scripted_problem([3.0, 1.0, float("inf"), 0.5])
         memory = RecordingMemory(4)
@@ -457,25 +481,26 @@ class TestEvaluateBatch:
         assert memory.offered == [0.0, 1.0]
         assert ctx.best.fitness == 1.0
 
-    def test_problem_without_batch_goes_row_by_row(self):
-        problem, calls = self.scripted_problem([3.0, 1.0, 1.0, 2.0], batched=False)
-        ctx = RunContext(problem, PenaltyParams())
-        out = ctx.evaluate_batch(self.ROWS)
-        assert [c.tolist() for c in calls] == self.ROWS.tolist()
-        assert [c.fitness for c in out] == [3.0, 1.0, 1.0, 2.0]
-
     def test_evaluate_is_the_batch_of_one(self):
         problem, calls = self.scripted_problem([3.0, 1.0, 1.0, 2.0])
         ctx = RunContext(problem, PenaltyParams())
         assert ctx.evaluate(np.array([3.0])).fitness == 2.0
         assert [c.shape for c in calls] == [(1, 1)]
 
-    def test_result_count_checked(self):
+    def test_result_shapes_checked(self):
         space = SearchSpace(lower=[0.0], upper=[1.0])
-        short = Problem(name="short", space=space, evaluate=lambda x: (1.0, np.empty(0)),
-                        evaluate_batch=lambda X: [(1.0, np.empty(0))])
-        with pytest.raises(EvaluationError, match="1 results for a batch of 2"):
-            RunContext(short, PenaltyParams()).evaluate_batch(np.zeros((2, 1)))
+        for objectives, violations in [
+            (np.ones(1), np.empty((2, 0))),        # one objective for two rows
+            (np.ones((2, 1)), np.empty((2, 0))),   # objectives as a column
+            (np.ones(2), np.zeros(2)),             # violations as a 1-d array
+            (np.ones(2), np.zeros((1, 3))),        # one violation row for two rows
+        ]:
+            bad = Problem(name="bad", space=space,
+                          evaluate=lambda X: (objectives, violations))
+            ctx = RunContext(bad, PenaltyParams())
+            with pytest.raises(EvaluationError, match=r"not \(2,\) and \(2, c\)"):
+                ctx.evaluate_batch(np.zeros((2, 1)))
+            assert ctx.nfes == 0
 
 
 class LyingAlgorithm:
@@ -554,8 +579,8 @@ class TestRunLoop:
 
     def test_non_finite_objective_rejected(self):
         space = SearchSpace(lower=[0.0], upper=[1.0])
-        bad = Problem(name="bad", space=space,
-                      evaluate=lambda x: (float("nan"), np.empty(0)))
+        bad = Problem(name="bad", space=space, evaluate=lambda X: (
+            np.full(len(X), np.nan), np.empty((len(X), 0))))
         from elitopt.algorithms import get_algorithm
 
         with pytest.raises(Exception, match="non-finite"):
@@ -566,8 +591,8 @@ class TestRunLoop:
         # penalized_fitness(1, [nan]) is nan, which would corrupt sorting
         # and the elite memory
         space = SearchSpace(lower=[0.0], upper=[1.0])
-        bad = Problem(name="bad", space=space,
-                      evaluate=lambda x: (1.0, np.array([float("nan")])))
+        bad = Problem(name="bad", space=space, evaluate=lambda X: (
+            np.ones(len(X)), np.full((len(X), 1), np.nan)))
         memory = EliteMemory(2)
         ctx = RunContext(bad, PenaltyParams(), memory)
         with pytest.raises(EvaluationError, match="non-finite fitness"):

@@ -403,6 +403,24 @@ class TestModelValidation:
         with pytest.raises(ModelError):
             Material(young_modulus=1.0, density=-1.0)
 
+    @pytest.mark.parametrize("young_modulus, density", [
+        (np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf),
+    ])
+    def test_non_finite_material_rejected(self, young_modulus, density):
+        with pytest.raises(ModelError, match="finite"):
+            Material(young_modulus=young_modulus, density=density)
+
+    @pytest.mark.parametrize("field, value", [
+        ("loads", np.array([[0.0, 0.0], [np.nan, 0.0]])),
+        ("masses", np.array([0.0, np.inf])),
+        ("masses", np.array([np.nan, 0.0])),
+    ])
+    def test_non_finite_loads_and_masses_rejected(self, field, value):
+        kwargs = self.base_kwargs()
+        kwargs[field] = value
+        with pytest.raises(ModelError, match="finite"):
+            TrussModel(**kwargs)
+
 
 class TestModelOnTopology:
     def topology(self):

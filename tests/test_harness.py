@@ -252,6 +252,17 @@ class TestPlanFromFile:
         with pytest.raises(ConfigError, match=f"penalty.{key}"):
             plan_from_file(self.write(tmp_path, doc))
 
+    @pytest.mark.parametrize("key", ["scale", "exponent"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_penalty_rejected(self, tmp_path, key, value):
+        # Python's json reads NaN and Infinity; such a plan must not load
+        doc = self.base_doc()
+        doc["penalty"] = {key: value}
+        path = self.write(tmp_path, doc)
+        assert ("NaN" if value != value else "Infinity") in path.read_text()
+        with pytest.raises(ConfigError, match=f"penalty {key} must be finite"):
+            plan_from_file(path)
+
     def test_integral_number_accepted_where_float_expected(self, tmp_path):
         doc = self.base_doc()
         doc["memory_fraction"] = 1

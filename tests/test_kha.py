@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import FakeRng
-from oracles import kha_step_loop
+from oracles import kha_step_loop, mutate_toward_best, sphere_problem
 from elitopt.algorithms.kha import (
     Kha,
     KhaParams,
@@ -17,7 +17,6 @@ from elitopt.algorithms.kha import (
     foraging_motion,
     induced_motion,
     local_attraction,
-    mutate_toward_best,
     operator_probability,
     sensing_distance,
     target_attraction,
@@ -35,15 +34,6 @@ from elitopt.core import (
 from elitopt.algorithms.kha import KhaState
 
 EPS = 1e-10
-
-
-def toy_problem(dim=2, width=4.0):
-    space = SearchSpace(lower=np.full(dim, -width), upper=np.full(dim, width))
-
-    def evaluate(x):
-        return float(np.sum(np.asarray(x) ** 2)), np.empty(0)
-
-    return Problem(name="toy", space=space, evaluate=evaluate)
 
 
 class TestSensingAndRatio:
@@ -286,7 +276,7 @@ class TestKhaStep:
         return RunContext(problem, PenaltyParams())
 
     def test_population_size_preserved(self, rng):
-        problem = toy_problem()
+        problem = sphere_problem(2, bound=4.0)
         algo = Kha()
         ctx = self.make_ctx(problem)
         population, state = algo.init_population(ctx, problem.space, 7, rng)
@@ -296,7 +286,7 @@ class TestKhaStep:
     def test_all_motion_off_positions_fixed(self, rng):
         params = KhaParams(induced_max=0.0, foraging_speed=0.0,
                            diffusion_max=0.0, crossover=False, mutation=False)
-        problem = toy_problem()
+        problem = sphere_problem(2, bound=4.0)
         algo = Kha(params)
         ctx = self.make_ctx(problem)
         population, state = algo.init_population(ctx, problem.space, 5, rng)
@@ -311,7 +301,7 @@ class TestKhaStep:
         # personal best must be dropped for the slot's own new record
         params = KhaParams(induced_max=0.0, foraging_speed=0.0,
                            diffusion_max=0.0, crossover=False, mutation=False)
-        problem = toy_problem()
+        problem = sphere_problem(2, bound=4.0)
         algo = Kha(params)
         ctx = self.make_ctx(problem)
         population, state = algo.init_population(ctx, problem.space, 4, rng)
@@ -327,7 +317,7 @@ class TestKhaStep:
     def test_untouched_slot_keeps_personal_best(self, rng):
         params = KhaParams(induced_max=0.0, foraging_speed=0.0,
                            diffusion_max=0.0, crossover=False, mutation=False)
-        problem = toy_problem()
+        problem = sphere_problem(2, bound=4.0)
         algo = Kha(params)
         ctx = self.make_ctx(problem)
         population, state = algo.init_population(ctx, problem.space, 4, rng)
@@ -339,7 +329,7 @@ class TestKhaStep:
         assert Kha().evals_per_iteration(25) == 25
 
     def test_run_never_regresses_and_deterministic(self):
-        problem = toy_problem(dim=3)
+        problem = sphere_problem(3, bound=4.0)
         config = RunConfig(population_size=12, max_iterations=20, seed=42,
                            memory_enabled=False)
         r1 = run(Kha(), problem, config)
@@ -370,14 +360,11 @@ class TestHerdStepMatchesLoop:
 
     def herd(self, n, dim, seed, flat=False, injected=()):
         rng = np.random.default_rng(seed)
-        space = SearchSpace(lower=np.full(dim, -4.0), upper=np.full(dim, 4.0))
+        problem = sphere_problem(dim, bound=4.0)
         if flat:
-            def evaluate(x):
-                return 2.5, np.empty(0)
-        else:
-            def evaluate(x):
-                return float(np.sum(np.asarray(x) ** 2)), np.empty(0)
-        ctx = RunContext(Problem("herd", space, evaluate), PenaltyParams())
+            problem = Problem("herd", problem.space,
+                              lambda X: (np.full(len(X), 2.5), np.empty((len(X), 0))))
+        ctx = RunContext(problem, PenaltyParams())
         # clusters tight against the herd's mean distance put some krill
         # inside each other's sensing radius
         centers = rng.uniform(-3.0, 3.0, size=(max(1, n // 4), dim))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from elitopt.core import ConfigError
+from elitopt.core import ConfigError, PenaltyParams, RunContext
 from elitopt.fem import ModelError, natural_frequencies
 from elitopt.problems import (
     get_problem,
@@ -12,6 +12,7 @@ from elitopt.problems import (
     problem_names,
 )
 from elitopt.problems.analytic import (
+    FUNCTIONS,
     analytic_problem,
     rastrigin,
     rosenbrock,
@@ -27,6 +28,12 @@ from oracles import contract, evaluate_design
 
 def mid_vector(space):
     return 0.5 * (space.lower + space.upper)
+
+
+def evaluate_one(design, x):
+    """``(weight, violation row)`` of one design, as a batch of one."""
+    weights, violations = design.evaluate(np.asarray(x, dtype=float)[None])
+    return weights[0], violations[0]
 
 
 class TestAnalyticFunctions:
@@ -48,9 +55,9 @@ class TestAnalyticFunctions:
         assert problem.space.dim == 4
         assert np.all(problem.space.lower == -5.12)
         assert np.all(problem.space.upper == 5.12)
-        value, violations = problem.evaluate(np.array([1.0, 0.0, 0.0, 2.0]))
-        assert value == 5.0
-        assert violations.size == 0
+        values, violations = problem.evaluate(np.array([[1.0, 0.0, 0.0, 2.0]]))
+        assert values.tolist() == [5.0]
+        assert violations.shape == (1, 0)
 
     @pytest.mark.parametrize("name", ["sphere", "rastrigin", "rosenbrock"])
     @pytest.mark.parametrize("dim", [1, 2, 10, 23])
@@ -59,13 +66,12 @@ class TestAnalyticFunctions:
         rng = np.random.default_rng(dim)
         X = problem.space.sample(60, rng)
         X[::7] = np.round(X[::7])  # integer points, where cos is exactly 1
-        batch = problem.evaluate_batch(X)
-        assert len(batch) == len(X)
-        for x, (value, violations) in zip(X, batch):
-            alone, _ = problem.evaluate(x)
-            assert type(value) is float and type(alone) is float
-            assert np.float64(value).tobytes() == np.float64(alone).tobytes()
-            assert violations.size == 0
+        values, violations = problem.evaluate(X)
+        assert values.shape == (len(X),) and violations.shape == (len(X), 0)
+        for x, value in zip(X, values):
+            alone = FUNCTIONS[name](x)
+            assert isinstance(alone, float)
+            assert value.tobytes() == np.float64(alone).tobytes()
 
     def test_bad_dim(self):
         with pytest.raises(ValueError):
@@ -205,6 +211,92 @@ class TestTrussDesignMapping:
             TrussDesign(doc)
 
 
+def with_value(doc, path, value):
+    """``doc`` with the entry at ``path`` (keys and indices) set to ``value``."""
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+class TestLoadValidation:
+    """Values that would only fail, or silently change the problem, at the
+    first evaluation are refused when the geometry file is read."""
+
+    @pytest.mark.parametrize("path", [
+        ("nodes", 2, "x"),
+        ("nodes", 0, "y"),
+        ("loads", 0, "fy"),
+        ("size_variables", 0, "lower"),
+        ("size_variables", 1, "upper"),
+        ("size_variables", 0, "unit_scale"),
+        ("shape_variables", 0, "targets", 0, "datum"),
+        ("shape_variables", 0, "targets", 0, "coeff"),
+        ("material", "young_modulus"),
+        ("material", "density"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected(self, path, value):
+        doc = with_value(collapsing_doc(), path, value)
+        with pytest.raises(ConfigError, match="finite"):
+            TrussDesign(doc)
+
+    @pytest.mark.parametrize("key", ["start", "stop", "step"])
+    def test_non_finite_grid_rejected(self, key):
+        doc = collapsing_doc()
+        doc["size_variables"][0]["grid"] = {"start": 1.0, "stop": 5.0, "step": 0.5}
+        TrussDesign(doc)
+        doc["size_variables"][0]["grid"][key] = float("nan")
+        with pytest.raises(ConfigError, match="finite"):
+            TrussDesign(doc)
+
+    def test_non_finite_mass_rejected(self):
+        doc = collapsing_doc()
+        doc["masses"] = [{"node": 3, "mass": float("inf")}]
+        with pytest.raises(ConfigError, match="finite"):
+            TrussDesign(doc)
+
+    @pytest.mark.parametrize("limit", [0.0, -240e6, float("nan"), float("inf")])
+    def test_stress_limit_must_be_positive_and_finite(self, limit):
+        # null, not 0, means no stress constraint
+        doc = collapsing_doc()
+        doc["constraints"]["stress_limit"] = limit
+        with pytest.raises(ConfigError, match="stress_limit"):
+            TrussDesign(doc)
+
+    @pytest.mark.parametrize("limit", [0.0, -0.01, float("nan"), float("inf")])
+    def test_displacement_limit_must_be_positive_and_finite(self, limit):
+        doc = collapsing_doc()
+        doc["constraints"]["displacement_limits"] = [
+            {"node": 3, "axis": "y", "limit": limit}]
+        with pytest.raises(ConfigError, match="displacement limit"):
+            TrussDesign(doc)
+
+    @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan"), float("inf")])
+    def test_frequency_bound_must_be_positive_and_finite(self, bound):
+        doc = collapsing_doc()
+        doc["constraints"]["frequency_bounds"] = [5.0, bound]
+        with pytest.raises(ConfigError, match="frequency bound"):
+            TrussDesign(doc)
+
+    def test_violation_width_fixed_at_load(self):
+        doc = collapsing_doc()
+        doc["constraints"] = {
+            "stress_limit": 240e6,
+            "displacement_limits": [{"node": "all", "axis": "y", "limit": 0.01},
+                                    {"node": 3, "axis": "x", "limit": 0.01}],
+            "frequency_bounds": [1.0, 2.0],
+        }
+        doc["masses"] = [{"node": 3, "mass": 10.0}]
+        design = TrussDesign(doc)
+        _, violations = design.evaluate(np.array([[2.0, 2.0, 1.0], [2.0, 2.0, 0.0]]))
+        # 3 stress + 3 nodes + 1 node + 2 modes, for a healthy and a degenerate row
+        assert violations.shape == (2, 9)
+        assert violations[1].tolist() == [DEGENERATE_VIOLATION] + [0.0] * 8
+
+
 class TestTrussEvaluation:
     def test_grid_snap_before_analysis(self):
         design = load_design("michell")
@@ -213,28 +305,30 @@ class TestTrussEvaluation:
         x_off = x.copy()
         x[0] = 2.00
         x_off[0] = 2.004  # snaps back onto the 0.01 grid point
-        assert design.evaluate(x_off)[0] == design.evaluate(x)[0]
+        assert evaluate_one(design, x_off)[0] == evaluate_one(design, x)[0]
 
     def test_degenerate_member_flagged_not_raised(self):
         design = TrussDesign(collapsing_doc())
-        weight, violations = design.evaluate(np.array([2.0, 2.0, 0.0]))
+        weight, violations = evaluate_one(design, [2.0, 2.0, 0.0])
         assert np.isfinite(weight)
-        assert list(violations) == [DEGENERATE_VIOLATION]
+        # the marker, then zeros for the other stress columns
+        assert list(violations) == [DEGENERATE_VIOLATION, 0.0, 0.0]
 
     def test_mechanism_flagged_not_raised(self):
         doc = collapsing_doc()
         doc["nodes"][2]["x"] = 0.5
         design = TrussDesign(doc)
         # apex flattens onto the base line but member lengths stay finite
-        weight, violations = design.evaluate(np.array([2.0, 2.0, 0.0]))
+        weight, violations = evaluate_one(design, [2.0, 2.0, 0.0])
         assert np.isfinite(weight)
-        assert list(violations) == [DEGENERATE_VIOLATION]
+        # the marker, then zeros for the other stress columns
+        assert list(violations) == [DEGENERATE_VIOLATION, 0.0, 0.0]
 
     def test_nonpositive_area_raised_not_flagged(self):
         # out-of-bounds sizes are a caller fault, not a degenerate design
         design = TrussDesign(collapsing_doc())
         with pytest.raises(ModelError, match="areas"):
-            design.evaluate(np.array([-2.0, 2.0, 1.0]))
+            evaluate_one(design, [-2.0, 2.0, 1.0])
 
     def test_models_share_the_validated_topology(self):
         design = load_design("michell")
@@ -250,7 +344,7 @@ class TestTrussEvaluation:
 
     def test_healthy_design_constraint_vector(self):
         design = TrussDesign(collapsing_doc())
-        weight, violations = design.evaluate(np.array([2.0, 2.0, 1.0]))
+        weight, violations = evaluate_one(design, [2.0, 2.0, 1.0])
         # one stress entry per member, nothing else configured
         assert violations.size == design.members.shape[0]
         assert np.all(violations == 0.0)
@@ -260,13 +354,13 @@ class TestTrussEvaluation:
         design = load_design("michell")
         x = np.array([5.0] * 7 + [math.cos(math.pi / 6.0),
                                   math.sin(math.pi / 3.0), 1.0])
-        weight, violations = design.evaluate(x)
+        weight, violations = evaluate_one(design, x)
         assert np.all(violations == 0.0)
         assert weight > michell_analytical_weight()
 
     def test_forth_midpoint_assembles(self):
         design = load_design("forth")
-        weight, violations = design.evaluate(mid_vector(design.search_space()))
+        weight, violations = evaluate_one(design, mid_vector(design.search_space()))
         assert np.isfinite(weight) and weight > 0
         assert np.all(np.isfinite(violations))
 
@@ -278,11 +372,11 @@ class TestTrussEvaluation:
         assert np.all(np.diff(freqs) >= 0)
         bigger = x.copy()
         bigger[:14] = space.upper[:14]
-        assert design.evaluate(bigger)[0] > design.evaluate(x)[0]
+        assert evaluate_one(design, bigger)[0] > evaluate_one(design, x)[0]
 
     def test_weight_matches_density_area_length(self):
         design = TrussDesign(collapsing_doc())
-        weight, _ = design.evaluate(np.array([2.0, 3.0, 1.0]))
+        weight, _ = evaluate_one(design, [2.0, 3.0, 1.0])
         # base: 2 cm^2 over 1 m; legs: 3 cm^2 over sqrt(2) and 1 m
         expect = 7800.0 * (2e-4 * 1.0 + 3e-4 * (math.sqrt(2.0) + 1.0))
         assert weight == pytest.approx(expect, rel=1e-12)
@@ -305,14 +399,20 @@ def rows_per_stack(design):
 
 class TestBatchEvaluation:
     def assert_matches_per_design(self, design, X):
-        got = design.evaluate_batch(X)
-        assert len(got) == len(X)
-        for x, (weight, violations) in zip(X, got):
-            ref_weight, ref_violations = evaluate_design(design, x)
-            assert type(weight) is float and weight == ref_weight
-            assert violations.shape == ref_violations.shape
-            assert violations.tobytes() == ref_violations.tobytes()
-        return got
+        """Each row against the design analyzed alone, bit for bit; the
+        oracle's degenerate ``[DEGENERATE_VIOLATION]`` is padded with zeros to
+        the width of the batch.  Returns the degenerate-row mask."""
+        weights, violations = design.evaluate(X)
+        assert weights.shape == (len(X),) and violations.shape[0] == len(X)
+        degenerate = []
+        for x, weight, row in zip(X, weights, violations):
+            ref_weight, ref = evaluate_design(design, x)
+            assert weight.tobytes() == np.float64(ref_weight).tobytes()
+            degenerate.append(ref.tolist() == [DEGENERATE_VIOLATION])
+            if degenerate[-1]:
+                ref = np.concatenate([ref, np.zeros(row.size - 1)])
+            assert row.tobytes() == ref.tobytes()
+        return degenerate
 
     @pytest.mark.parametrize("name", ["michell", "truss37", "forth"])
     def test_population_matches_per_design_bit_for_bit(self, name, rng):
@@ -335,9 +435,8 @@ class TestBatchEvaluation:
             [2.0, 2.0, 0.0, 0.5],   # apex between the supports: mechanism
             [4.0, 1.5, 0.5, 0.8],   # healthy
         ])
-        got = self.assert_matches_per_design(design, X)
-        assert [list(v) == [DEGENERATE_VIOLATION] for _, v in got] == [
-            False, True, False, True, False]
+        degenerate = self.assert_matches_per_design(design, X)
+        assert degenerate == [False, True, False, True, False]
 
     def test_massless_free_dof_still_raises(self):
         doc = collapsing_doc()
@@ -346,7 +445,7 @@ class TestBatchEvaluation:
                               "frequency_bounds": [1.0]}
         design = TrussDesign(doc)
         with pytest.raises(ModelError, match="mass"):
-            design.evaluate_batch(np.array([[2.0, 2.0, 1.0], [3.0, 3.0, 0.5]]))
+            design.evaluate(np.array([[2.0, 2.0, 1.0], [3.0, 3.0, 0.5]]))
 
     def test_expand_stacks_rows(self, rng):
         design = load_design("forth")
@@ -357,10 +456,24 @@ class TestBatchEvaluation:
             assert np.array_equal(coords[i], one_coords)
             assert np.array_equal(areas[i], one_areas)
 
+    def test_without_constraints_one_column_carries_the_marker(self):
+        doc = apex_doc()
+        doc["constraints"] = {"stress_limit": None, "displacement_limits": [],
+                              "frequency_bounds": []}
+        design = TrussDesign(doc)
+        # a healthy row, then the apex on node 2: a zero-length member
+        X = np.array([[2.0, 3.0, 1.0, 1.0], [2.0, 2.0, 0.0, 1.0]])
+        weights, violations = design.evaluate(X)
+        assert violations.tolist() == [[0.0], [DEGENERATE_VIOLATION]]
+        ctx = RunContext(design.problem(), PenaltyParams())
+        healthy, degenerate = ctx.evaluate_batch(X)
+        assert healthy.fitness == weights[0] == evaluate_design(design, X[0])[0]
+        assert degenerate.fitness > weights[1]
+
     def test_problem_offers_the_batch(self):
         design = load_design("michell")
         problem = design.problem()
-        assert problem.evaluate_batch == design.evaluate_batch
+        assert problem.evaluate == design.evaluate
 
 
 class TestMichellReference:

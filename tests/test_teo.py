@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import FakeRng
+from oracles import sphere_problem
 from elitopt.algorithms.teo import (
     Teo,
     TeoParams,
@@ -14,21 +15,11 @@ from elitopt.algorithms.teo import (
 from elitopt.core import (
     ConfigError,
     PenaltyParams,
-    Problem,
     RunConfig,
     RunContext,
     SearchSpace,
     run,
 )
-
-
-def toy_problem(dim=2):
-    space = SearchSpace(lower=np.full(dim, -5.0), upper=np.full(dim, 5.0))
-
-    def evaluate(x):
-        return float(np.sum(np.asarray(x) ** 2)), np.empty(0)
-
-    return Problem(name="toy", space=space, evaluate=evaluate)
 
 
 class TestExchangeRatio:
@@ -148,7 +139,7 @@ class TestTeoStep:
         return RunContext(problem, PenaltyParams())
 
     def test_odd_population_rejected(self, rng):
-        problem = toy_problem()
+        problem = sphere_problem(2, bound=5.0)
         algo = Teo()
         ctx = self.make_ctx(problem)
         with pytest.raises(ConfigError):
@@ -158,7 +149,7 @@ class TestTeoStep:
         assert Teo().evals_per_iteration(50) == 25
 
     def test_step_spends_half_population(self, rng):
-        problem = toy_problem()
+        problem = sphere_problem(2, bound=5.0)
         algo = Teo()
         ctx = self.make_ctx(problem)
         population, state = algo.init_population(ctx, problem.space, 10, rng)
@@ -167,7 +158,7 @@ class TestTeoStep:
         assert ctx.nfes - before == 5
 
     def test_better_half_survives_unchanged(self, rng):
-        problem = toy_problem()
+        problem = sphere_problem(2, bound=5.0)
         algo = Teo()
         ctx = self.make_ctx(problem)
         population, state = algo.init_population(ctx, problem.space, 8, rng)
@@ -178,7 +169,7 @@ class TestTeoStep:
             assert kept.fitness == original.fitness
 
     def test_best_never_regresses(self, rng):
-        problem = toy_problem()
+        problem = sphere_problem(2, bound=5.0)
         algo = Teo()
         ctx = self.make_ctx(problem)
         population, state = algo.init_population(ctx, problem.space, 12, rng)
@@ -190,7 +181,7 @@ class TestTeoStep:
             best = new_best
 
     def test_population_size_preserved(self, rng):
-        problem = toy_problem()
+        problem = sphere_problem(2, bound=5.0)
         algo = Teo()
         ctx = self.make_ctx(problem)
         population, state = algo.init_population(ctx, problem.space, 10, rng)
@@ -198,7 +189,7 @@ class TestTeoStep:
         assert len(out) == 10
 
     def test_run_deterministic(self):
-        problem = toy_problem(dim=3)
+        problem = sphere_problem(3, bound=5.0)
         config = RunConfig(population_size=10, max_iterations=30, seed=9,
                            memory_enabled=True, memory_fraction=0.2)
         r1 = run(Teo(), problem, config)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import Candidate, ConfigError, SearchSpace, clamp_to_bounds
+from ..core import ConfigError, SearchSpace, clamp_to_bounds, ranked
 
 
 @dataclass(frozen=True)
@@ -158,29 +158,29 @@ class Bbo:
         return population_size
 
     def init_population(self, ctx, space: SearchSpace, n: int, rng):
-        return ctx.evaluate_batch(space.sample(n, rng)), None
+        positions = space.sample(n, rng)
+        return positions, ctx.evaluate_batch(positions), None
 
     def step(
         self,
-        population: list[Candidate],
+        positions: np.ndarray,
+        fitness: np.ndarray,
         state,
         ctx,
         frac: float,
         rng: np.random.Generator,
-    ) -> list[Candidate]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         params = self.params
         space = ctx.problem.space
-        n = len(population)
-        order = sorted(range(n), key=lambda i: (population[i].fitness, i))
-        ranked = [population[i] for i in order]
-        elites = [c.clone() for c in ranked[: params.elite_keep]]
+        n = len(fitness)
+        positions, fitness = ranked(positions, fitness)
+        keep = min(params.elite_keep, n)
 
         lambdas = np.empty(n)
         mus = np.empty(n)
         for rank in range(n):
             lambdas[rank], mus[rank] = migration_rates(rank, n, params)
 
-        positions = np.array([c.position for c in ranked])
         migrated = migrate(positions, lambdas, mus, rng)
 
         p_max = 1.0
@@ -190,10 +190,11 @@ class Bbo:
             if rate > 0:
                 migrated[rank] = mutate(migrated[rank], rate, space, rng)
 
-        new_population = ctx.evaluate_batch(clamp_to_bounds(migrated, space))
-        new_population.sort(key=lambda c: c.fitness)
-        if params.elite_keep > 0:
-            keep = min(params.elite_keep, n)
-            new_population[n - keep:] = [e.clone() for e in elites[:keep]]
-            new_population.sort(key=lambda c: c.fitness)
-        return new_population
+        new_positions = clamp_to_bounds(migrated, space)
+        new_positions, new_fitness = ranked(new_positions, ctx.evaluate_batch(new_positions))
+        if keep > 0:
+            # the best habitats of the previous generation replace the worst
+            new_positions[n - keep:] = positions[:keep]
+            new_fitness[n - keep:] = fitness[:keep]
+            new_positions, new_fitness = ranked(new_positions, new_fitness)
+        return new_positions, new_fitness

@@ -11,8 +11,7 @@ A step makes two passes.  The first draws every random number krill by
 krill, in the order a krill consumes them (:func:`draw_herd`).  The second
 computes the motion of the whole herd with array operations, rounding each
 value as a krill-by-krill loop would, so a seeded run is the same either
-way.  The per-krill helpers (``local_attraction``, ``target_attraction``,
-...) take one krill's row of the herd-wide functions.
+way.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import Candidate, ConfigError, SearchSpace, clamp_to_bounds
+from ..core import ConfigError, SearchSpace, clamp_to_bounds
 
 POSITIVITY_DELTA = 1e-10  # shift guard for inverse-fitness weights
 
@@ -99,11 +98,6 @@ def sensing_radii(dists: np.ndarray) -> np.ndarray:
     return dists.sum(axis=1) / (5.0 * dists.shape[0])
 
 
-def sensing_distance(i: int, positions: np.ndarray) -> float:
-    """Neighborhood radius of krill ``i``: mean distance to the herd / 5."""
-    return float(sensing_radii(_pairwise(positions)[1])[i])
-
-
 def fitness_ratio(k_i, k_j, spread: float):
     """Normalized fitness difference, elementwise on arrays; defined as 0 on
     a flat population."""
@@ -136,17 +130,6 @@ def local_attractions(
     return alpha
 
 
-def local_attraction(
-    i: int,
-    positions: np.ndarray,
-    fitness: np.ndarray,
-    spread: float,
-    eps: float,
-) -> np.ndarray:
-    """Summed pull of neighbors inside the sensing distance."""
-    return local_attractions(positions, np.asarray(fitness, dtype=float), spread, eps)[i]
-
-
 def random_coefficient(u, frac: float):
     """Amplifier ``2 * (u + frac)`` of a uniform draw ``u``, larger late in
     the run (``frac`` is the elapsed iteration fraction)."""
@@ -171,26 +154,6 @@ def target_attractions(
     coefficient ``c_best``."""
     khat = c_best * fitness_ratio(fitness, best_fitness, spread)
     return _unit_pulls(khat, best_position - positions, eps)
-
-
-def target_attraction(
-    i: int,
-    positions: np.ndarray,
-    fitness: np.ndarray,
-    best_position: np.ndarray,
-    best_fitness: float,
-    spread: float,
-    frac: float,
-    eps: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Pull toward the global best, amplified early and late by
-    ``2 * (rand + frac)`` where ``frac`` is the elapsed iteration fraction."""
-    c_best = random_coefficient(rng.random(1), frac)
-    return target_attractions(
-        positions[i:i + 1], np.asarray(fitness, dtype=float)[i:i + 1],
-        best_position, best_fitness, spread, c_best, eps,
-    )[0]
 
 
 def food_point(
@@ -228,8 +191,9 @@ def foraging_attractions(
     eps: float,
     food_coeff_on_best: bool = True,
 ) -> np.ndarray:
-    """Food term plus personal-best term of every krill, scaled by its food
-    coefficient ``c_food`` (see :func:`foraging_attraction`)."""
+    """Food term plus personal-best term of every krill.  The food
+    coefficient ``c_food`` scales both terms unless ``food_coeff_on_best`` is
+    cleared, which restricts it to the food term."""
     beta_food = _unit_pulls(
         fitness_ratio(fitness, food_fitness, spread), food_position - positions, eps
     )
@@ -240,31 +204,6 @@ def foraging_attractions(
     if food_coeff_on_best:
         return c_food * (beta_food + beta_best)
     return c_food * beta_food + beta_best
-
-
-def foraging_attraction(
-    i: int,
-    positions: np.ndarray,
-    fitness: np.ndarray,
-    food_position: np.ndarray,
-    food_fitness: float,
-    pb_position: np.ndarray,
-    pb_fitness: float,
-    spread: float,
-    frac: float,
-    eps: float,
-    rng: np.random.Generator,
-    food_coeff_on_best: bool = True,
-) -> np.ndarray:
-    """Food term plus personal-best term.  The food coefficient
-    ``2 * (rand + frac)`` scales both terms unless ``food_coeff_on_best``
-    is cleared, which restricts it to the food term."""
-    c_food = random_coefficient(rng.random(1), frac)
-    return foraging_attractions(
-        positions[i:i + 1], np.asarray(fitness, dtype=float)[i:i + 1],
-        food_position, food_fitness, pb_position, pb_fitness,
-        spread, c_food, eps, food_coeff_on_best,
-    )[0]
 
 
 def induced_motion(
@@ -300,14 +239,6 @@ def diffusion_motion(u: np.ndarray, frac: float, d_max: float) -> np.ndarray:
     return d_max * (1.0 - frac) * (2.0 * u - 1.0)
 
 
-def diffusion(
-    dim: int, frac: float, d_max: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Random walk component, decaying linearly to exactly zero at the end
-    of the run.  Directions are uniform in [-1, 1] per axis."""
-    return diffusion_motion(rng.random(dim), frac, d_max)
-
-
 def time_step(time_factor: float, space: SearchSpace) -> float:
     """Position update scale: ``time_factor`` times the summed bound widths."""
     return time_factor * space.width_sum()
@@ -324,19 +255,10 @@ def operator_probability(khat_best):
     return prob if prob.ndim else float(prob)
 
 
-def _take(position, replacement, prob, coins) -> np.ndarray:
-    """Per variable, the replacement where its coin falls below ``prob``."""
-    return np.where(coins < prob, replacement, position)
-
-
-def crossover(
-    position: np.ndarray,
-    donor: np.ndarray,
-    prob: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Per-variable: with probability ``prob`` take the donor's value."""
-    return _take(position, donor, prob, rng.random(position.size))
+def take_variables(positions, replacements, prob, coins) -> np.ndarray:
+    """Per variable, the replacement where its coin falls below ``prob``:
+    the crossover and the mutation of the herd."""
+    return np.where(coins < prob, replacements, positions)
 
 
 @dataclass
@@ -401,33 +323,33 @@ class Kha:
         return population_size
 
     def init_population(self, ctx, space: SearchSpace, n: int, rng):
-        population = ctx.evaluate_batch(space.sample(n, rng))
+        positions = space.sample(n, rng)
+        fitness = ctx.evaluate_batch(positions)
         state = KhaState(
             induced_old=np.zeros((n, space.dim)),
             foraging_old=np.zeros((n, space.dim)),
-            pb_positions=np.array([c.position for c in population]),
-            pb_fitness=np.array([c.fitness for c in population]),
-            last_positions=np.array([c.position for c in population]),
+            pb_positions=positions.copy(),
+            pb_fitness=fitness.copy(),
+            last_positions=positions,
         )
-        return population, state
+        return positions, fitness, state
 
     def step(
         self,
-        population: list[Candidate],
+        positions: np.ndarray,
+        fitness: np.ndarray,
         state: KhaState,
         ctx,
         frac: float,
         rng: np.random.Generator,
-    ) -> list[Candidate]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         params = self.params
         space = ctx.problem.space
-        n = len(population)
+        n = len(fitness)
         eps = params.epsilon
         best_position = ctx.best.position
         best_fitness = ctx.best.fitness
 
-        positions = np.array([c.position for c in population])
-        fitness = np.array([c.fitness for c in population])
         # slots replaced between steps (elite injection) restart as fresh
         # agents: no inherited motion, personal best set to their own record
         fresh = np.any(positions != state.last_positions, axis=1)
@@ -468,19 +390,20 @@ class Kha:
         )[:, None]
         x = positions
         if draws.donors is not None:
-            x = _take(x, positions[draws.donors], prob, draws.cross_coins)
+            x = take_variables(x, positions[draws.donors], prob, draws.cross_coins)
         if draws.mutation is not None:
             donor_a = positions[draws.mutation[:, 0]]
             donor_b = positions[draws.mutation[:, 1]]
             mutants = best_position + draws.mu_coins[:, :1] * (donor_a - donor_b)
-            x = _take(x, mutants, prob, draws.mu_coins[:, 1:])
+            x = take_variables(x, mutants, prob, draws.mu_coins[:, 1:])
         new_positions = advance_position(x, dt, induced + foraging + diffuse)
 
-        new_population = ctx.evaluate_batch(clamp_to_bounds(new_positions, space))
-        evaluated = np.array([c.position for c in new_population])
-        new_fitness = np.array([c.fitness for c in new_population])
+        new_positions = clamp_to_bounds(new_positions, space)
+        new_fitness = ctx.evaluate_batch(new_positions)
         better = new_fitness < state.pb_fitness
         state.pb_fitness[better] = new_fitness[better]
-        state.pb_positions[better] = evaluated[better]
-        state.last_positions = evaluated
-        return new_population
+        state.pb_positions[better] = new_positions[better]
+        # the step and the memory never write a generation's arrays in
+        # place, so the next step can compare against them
+        state.last_positions = new_positions
+        return new_positions, new_fitness

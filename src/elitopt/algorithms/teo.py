@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import (  # time_fraction is re-exported for the worked examples
-    Candidate,
     ConfigError,
     SearchSpace,
     clamp_to_bounds,
+    ranked,
     time_fraction,
 )
 
@@ -105,35 +105,35 @@ class Teo:
     def init_population(self, ctx, space: SearchSpace, n: int, rng):
         if n < 2 or n % 2 != 0:
             raise ConfigError("population size must be even and >= 2")
-        return ctx.evaluate_batch(space.sample(n, rng)), None
+        positions = space.sample(n, rng)
+        return positions, ctx.evaluate_batch(positions), None
 
     def step(
         self,
-        population: list[Candidate],
+        positions: np.ndarray,
+        fitness: np.ndarray,
         state,
         ctx,
         frac: float,
         rng: np.random.Generator,
-    ) -> list[Candidate]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         params = self.params
         space = ctx.problem.space
-        n = len(population)
-        half = n // 2
-        order = sorted(range(n), key=lambda i: (population[i].fitness, i))
-        ranked = [population[i] for i in order]
-        env_half = ranked[:half]
-        cool_half = ranked[half:]
-
-        best = ranked[0].fitness
-        worst = ranked[-1].fitness
-        denom = (worst - best) + BETA_DELTA
+        half = len(fitness) // 2
+        # the better half are the environments of the worse half
+        positions, fitness = ranked(positions, fitness)
+        best = fitness[0]
+        denom = (fitness[-1] - best) + BETA_DELTA
 
         cooled = np.empty((half, space.dim))
         for k in range(half):
-            agent = cool_half[k]
-            beta = (agent.fitness - best) / denom
-            env = cooled_environment(env_half[k].position, frac, params, rng)
-            pos = updated_temperature(agent.position, env, beta, frac)
+            beta = exchange_ratio(fitness[half + k] - best, denom)
+            env = cooled_environment(positions[k], frac, params, rng)
+            pos = updated_temperature(positions[half + k], env, beta, frac)
             cooled[k] = random_component_jump(pos, params.jump_probability, space, rng)
 
-        return env_half + ctx.evaluate_batch(clamp_to_bounds(cooled, space))
+        cooled = clamp_to_bounds(cooled, space)
+        return (
+            np.concatenate([positions[:half], cooled]),
+            np.concatenate([fitness[:half], ctx.evaluate_batch(cooled)]),
+        )

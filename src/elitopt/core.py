@@ -149,7 +149,9 @@ def snap_to_grid(position: np.ndarray, space: SearchSpace) -> np.ndarray:
 
 @dataclass
 class Candidate:
-    """An evaluated design: raw objective plus penalized fitness."""
+    """An evaluated design: raw objective plus penalized fitness.  Held for
+    the elite memory's entries and the best-so-far; a generation in flight
+    is held as arrays."""
 
     position: np.ndarray
     objective: float
@@ -184,30 +186,52 @@ class PenaltyParams:
             )
 
 
-def penalized_fitness(
-    objective: float, violations: Sequence[float], params: PenaltyParams
-) -> float:
+def penalized_fitness(objective, violations, params: PenaltyParams):
     """Fold constraint violations into a single minimization fitness.
 
-    Feasible candidates (all violations zero) keep their raw objective.  The
-    penalty multiplies, so it only ranks infeasible designs below feasible
-    ones when the objective is non-negative: a constrained problem with a
-    negative objective is rejected.  Unconstrained problems (no violations)
-    take any objective.
+    Takes one design, a float objective with its ``(c,)`` violations, and
+    returns a float; or a batch, ``(k,)`` objectives with ``(k, c)``
+    violations, and returns ``(k,)`` fitness, each row the bits of the
+    one-design call.  Feasible designs (all violations zero) keep their raw
+    objective.  The penalty multiplies, so it only ranks infeasible designs
+    below feasible ones when the objective is non-negative: a constrained
+    problem with a negative objective is rejected.  Unconstrained problems
+    (``c = 0``) take any objective.
     """
+    objectives = np.asarray(objective, dtype=float)
     v = np.asarray(violations, dtype=float)
-    if not v.size:
-        # objective * (1 + scale * 0) ** exponent is objective * 1.0, exactly
-        return float(objective)
-    if float(np.min(v)) < 0:
-        raise ValueError("violations must be non-negative")
-    if objective < 0:
+    if objectives.ndim == 0:
+        return float(_penalized(objectives[None], v[None], params)[0])
+    return _penalized(objectives, v, params)
+
+
+def _penalized(objectives: np.ndarray, v: np.ndarray, params: PenaltyParams) -> np.ndarray:
+    if objectives.ndim != 1 or v.ndim != 2 or len(v) != len(objectives):
         raise ValueError(
-            f"objective {objective!r} is negative; the multiplicative penalty "
-            f"needs a non-negative objective on a constrained problem"
+            f"objectives of shape {objectives.shape} and violations of shape "
+            f"{v.shape} are not (k,) and (k, c)"
         )
-    total = float(np.sum(v))
-    return float(objective) * (1.0 + params.scale * total) ** params.exponent
+    if not v.shape[1]:
+        # objective * (1 + scale * 0) ** exponent is objective * 1.0, exactly;
+        # a copy, because objectives + 0.0 would turn -0.0 into +0.0
+        return objectives.copy()
+    if np.any(v < 0):
+        raise ValueError("violations must be non-negative")
+    negative = np.flatnonzero(objectives < 0)
+    if negative.size:
+        raise ValueError(
+            f"objective {float(objectives[negative[0]])!r} is negative; the "
+            f"multiplicative penalty needs a non-negative objective on a "
+            f"constrained problem"
+        )
+    # a row sum of a C-contiguous array is the bits of np.sum of the row alone
+    totals = np.ascontiguousarray(v).sum(axis=1)
+    scale, exponent = params.scale, params.exponent
+    # Python's float ** per row: np.power rounds some of these powers differently
+    return np.array([
+        o * (1.0 + scale * t) ** exponent
+        for o, t in zip(objectives.tolist(), totals.tolist())
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -263,28 +287,39 @@ class EliteMemory:
         self._keys.add(key)
         return True
 
-    def inject(self, population: list[Candidate]) -> list[Candidate]:
-        """Replace the worst members of ``population`` with copies of the
-        stored elites.  Population size is preserved; ties among equally bad
-        members are broken by index order."""
+    def inject(
+        self, positions: np.ndarray, fitness: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Replace the worst members of a population with copies of the
+        stored elites.  Population size and slot order are preserved; ties
+        among equally bad members are broken by index order.  The input
+        arrays are never written: the result is new arrays, or the inputs
+        themselves when the memory is empty."""
         if not self._entries:
-            return list(population)
-        m = len(self._entries)
-        if m > len(population):
+            return positions, fitness
+        n, m = len(fitness), len(self._entries)
+        if m > n:
             raise ValueError("memory holds more entries than the population")
-        best_in = min(c.fitness for c in population)
-        if m == len(population) and self._entries[0].fitness > best_in:
+        if m == n and self._fitness[0] > fitness.min():
             # cannot happen when the memory was fed from this population's
             # evaluations; a full replacement by strictly worse entries would
             # discard the population's best
             raise ValueError("memory entries are all worse than the population best")
-        order = sorted(range(len(population)), key=lambda i: (population[i].fitness, i))
-        out = list(population)
-        worst_slots = order[len(population) - m:]
+        slots, _ = ranked(np.arange(n), fitness)
         # the very worst slot receives the best elite
-        for slot, elite in zip(reversed(worst_slots), self._entries):
-            out[slot] = elite.clone()
-        return out
+        worst_first = slots[n - m:][::-1]
+        positions = positions.copy()
+        fitness = fitness.copy()
+        positions[worst_first] = [e.position for e in self._entries]
+        fitness[worst_first] = self._fitness
+        return positions, fitness
+
+
+def ranked(positions: np.ndarray, fitness: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``positions`` and ``fitness`` best first, by a stable sort
+    on fitness: equal fitness keeps index order.  New arrays."""
+    order = np.argsort(fitness, kind="stable")
+    return positions[order], fitness[order]
 
 
 def _position_key(position: np.ndarray) -> bytes:
@@ -382,21 +417,25 @@ class RunContext:
         self.nfes = 0
         self.best: Candidate | None = None
 
-    def evaluate(self, position: np.ndarray) -> Candidate:
-        return self.evaluate_batch(np.asarray(position, dtype=float)[None])[0]
+    def evaluate(self, position: np.ndarray) -> float:
+        return float(self.evaluate_batch(np.asarray(position, dtype=float)[None])[0])
 
-    def evaluate_batch(self, positions: np.ndarray) -> list[Candidate]:
-        """Evaluate each row of the ``(k, dim)`` array ``positions``.
+    def evaluate_batch(self, positions: np.ndarray) -> np.ndarray:
+        """Fitness of each row of the ``(k, dim)`` array ``positions``.
 
-        The problem analyzes all rows at once.  Then each row in turn, in row
-        order, is checked for a finite objective and fitness, counted, offered
-        to the memory and compared with the best, exactly as if the rows had
-        been evaluated one by one; the first unusable row raises
-        :class:`EvaluationError` with the rows before it already counted.
+        The problem analyzes all rows at once, and the whole batch is checked
+        before any row counts: the first row with a non-finite objective, then
+        the first with a non-finite fitness, raises :class:`EvaluationError`,
+        and :func:`penalized_fitness` raises ``ValueError`` on negative
+        violations or objectives.  Then the ``k`` rows are counted, offered to
+        the memory in row order and compared with the best, with the same
+        outcome as if they had been evaluated one by one.
         """
         positions = np.asarray(positions, dtype=float)
-        if positions.ndim != 2:
-            raise ValueError(f"positions must be a (k, dim) array, not {positions.shape}")
+        if positions.ndim != 2 or not len(positions):
+            raise ValueError(
+                f"positions must be a (k, dim) array with k >= 1, not {positions.shape}"
+            )
         objectives, violations = self.problem.evaluate(positions)
         objectives = np.asarray(objectives, dtype=float)
         violations = np.asarray(violations, dtype=float)
@@ -407,36 +446,44 @@ class RunContext:
                 f"{objectives.shape} and violations of shape {violations.shape}, "
                 f"not ({k},) and ({k}, c)"
             )
-        return [
-            self._admit(position, objective, row)
-            for position, objective, row in zip(
-                positions, objectives.tolist(), violations
-            )
-        ]
-
-    def _admit(self, position: np.ndarray, objective: float, violations) -> Candidate:
-        if not math.isfinite(objective):
+        bad = np.flatnonzero(~np.isfinite(objectives))
+        if bad.size:
+            i = bad[0]
             raise EvaluationError(
-                f"non-finite objective {objective!r} at position {position!r}"
+                f"row {i}: non-finite objective {float(objectives[i])!r} "
+                f"at position {positions[i]!r}"
             )
-        fitness = penalized_fitness(objective, violations, self.penalty)
-        if not math.isfinite(fitness):
+        fitness = penalized_fitness(objectives, violations, self.penalty)
+        bad = np.flatnonzero(~np.isfinite(fitness))
+        if bad.size:
+            i = bad[0]
             raise EvaluationError(
-                f"non-finite fitness {fitness!r} from violations {violations!r} "
-                f"at position {position!r}"
+                f"row {i}: non-finite fitness {float(fitness[i])!r} from "
+                f"violations {violations[i]!r} at position {positions[i]!r}"
             )
-        self.nfes += 1
-        candidate = Candidate(
-            position=position.copy(),
-            objective=objective,
-            violations=violations,
-            fitness=fitness,
-        )
-        if self.memory is not None:
-            self.memory.offer(candidate)
-        if self.best is None or candidate.fitness < self.best.fitness:
-            self.best = candidate.clone()
-        return candidate
+        self.nfes += k
+        memory = self.memory
+        if memory is not None:
+            # only rows below the admission bound read at batch start can be
+            # admitted: a full buffer's worst entry only improves within a batch
+            full = len(memory) >= memory.capacity
+            bound = memory.entries[-1].fitness if full else math.inf
+            for i in np.flatnonzero(fitness < bound).tolist():
+                memory.offer(Candidate(
+                    position=positions[i],
+                    objective=float(objectives[i]),
+                    violations=violations[i],
+                    fitness=float(fitness[i]),
+                ))
+        i = int(np.argmin(fitness))
+        if self.best is None or fitness[i] < self.best.fitness:
+            self.best = Candidate(
+                position=positions[i].copy(),
+                objective=float(objectives[i]),
+                violations=violations[i].copy(),
+                fitness=float(fitness[i]),
+            )
+        return fitness
 
 
 def time_fraction(iteration: int, max_iterations: int) -> float:
@@ -449,20 +496,21 @@ def time_fraction(iteration: int, max_iterations: int) -> float:
 def run(algorithm, problem: Problem, config: RunConfig, rng=None) -> RunResult:
     """Execute one seeded optimization run.
 
-    The algorithm protocol is ``evals_per_iteration(n)``,
-    ``init_population(ctx, space, n, rng) -> (population, state)``,
-    ``step(population, state, ctx, frac, rng) -> population`` and the
-    attribute ``inject_before_step``.  ``frac`` is the elapsed fraction
-    ``g / max_iterations`` of iteration ``g``; the search space is
-    ``ctx.problem.space``.
+    A generation is two arrays: ``(n, dim)`` positions and their ``(n,)``
+    fitness.  The algorithm protocol is ``evals_per_iteration(n)``,
+    ``init_population(ctx, space, n, rng) -> (positions, fitness, state)``,
+    ``step(positions, fitness, state, ctx, frac, rng) -> (positions,
+    fitness)`` and the attribute ``inject_before_step``.  ``frac`` is the
+    elapsed fraction ``g / max_iterations`` of iteration ``g``; the search
+    space is ``ctx.problem.space``.
 
-    The loop per iteration: with the memory on, the stored elites overwrite
-    the worst members of the population before the step when the algorithm
-    sets ``inject_before_step``, and after it otherwise.  The step advances
-    the population: it builds the whole new generation first and evaluates
+    The loop per iteration: with the memory on, ``memory.inject`` overwrites
+    the worst members of the generation with the stored elites before the
+    step when the algorithm sets ``inject_before_step``, and after it
+    otherwise.  The step builds the whole new generation first and evaluates
     it with one ``ctx.evaluate_batch`` call (as ``init_population`` does the
-    initial one), and the shared context also feeds the elite memory.  Then
-    the history is recorded.
+    initial one), which returns its fitness and also feeds the elite memory.
+    Then the history is recorded.
 
     Identical ``(seed, config, problem)`` triples give bit-identical results.
     """
@@ -474,7 +522,7 @@ def run(algorithm, problem: Problem, config: RunConfig, rng=None) -> RunResult:
             memory_capacity(config.population_size, config.memory_fraction)
         )
     ctx = RunContext(problem, config.penalty, memory)
-    population, state = algorithm.init_population(
+    positions, fitness, state = algorithm.init_population(
         ctx, problem.space, config.population_size, rng
     )
     if ctx.nfes != config.population_size:
@@ -486,10 +534,10 @@ def run(algorithm, problem: Problem, config: RunConfig, rng=None) -> RunResult:
     inject_first = algorithm.inject_before_step
     for g in range(1, config.max_iterations + 1):
         if memory is not None and inject_first:
-            population = memory.inject(population)
+            positions, fitness = memory.inject(positions, fitness)
         before = ctx.nfes
-        population = algorithm.step(
-            population, state, ctx, time_fraction(g, config.max_iterations), rng
+        positions, fitness = algorithm.step(
+            positions, fitness, state, ctx, time_fraction(g, config.max_iterations), rng
         )
         used = ctx.nfes - before
         if used != declared:
@@ -497,7 +545,7 @@ def run(algorithm, problem: Problem, config: RunConfig, rng=None) -> RunResult:
                 f"iteration {g}: {used} evaluations used, {declared} declared"
             )
         if memory is not None and not inject_first:
-            population = memory.inject(population)
+            positions, fitness = memory.inject(positions, fitness)
         history.append((g, ctx.best.fitness, ctx.nfes))
     return RunResult(best=ctx.best.clone(), history=history, nfes=ctx.nfes)
 

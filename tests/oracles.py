@@ -7,9 +7,11 @@ system instead of row/column elimination.  Agreement between the two is
 therefore meaningful.
 """
 
+import math
+
 import numpy as np
 
-from elitopt.core import Problem, SearchSpace
+from elitopt.core import Candidate, EvaluationError, Problem, SearchSpace
 from elitopt.fem import (
     AnalysisError,
     ModelError,
@@ -135,6 +137,66 @@ def memory_oracle(stream, capacity):
     return [kept[i] for i in order[:capacity]]
 
 
+def inject_loop(entries, positions, fitness):
+    """``EliteMemory.inject`` over lists: the stored ``entries`` (best first)
+    overwrite the worst slots, found by ``sorted(range(n), key=(fitness,
+    i))``, the very worst slot getting the best entry.  The reference for
+    the array ``inject``."""
+    n, m = len(fitness), len(entries)
+    order = sorted(range(n), key=lambda i: (fitness[i], i))
+    out_positions = [np.array(p) for p in positions]
+    out_fitness = list(fitness)
+    for slot, entry in zip(reversed(order[n - m:]), entries):
+        out_positions[slot] = entry.position.copy()
+        out_fitness[slot] = entry.fitness
+    return np.array(out_positions), np.array(out_fitness)
+
+
+def penalized_fitness_row(objective, violations, params):
+    """The penalty of one design on Python floats: ``np.sum`` of the
+    violation row, then ``objective * (1 + scale * total) ** exponent``.
+    The per-row reference for the batch ``core.penalized_fitness``."""
+    v = np.asarray(violations, dtype=float)
+    if not v.size:
+        return float(objective)
+    if float(np.min(v)) < 0:
+        raise ValueError("violations must be non-negative")
+    if objective < 0:
+        raise ValueError(f"objective {objective!r} is negative")
+    total = float(np.sum(v))
+    return float(objective) * (1.0 + params.scale * total) ** params.exponent
+
+
+def funnel_loop(ctx, positions):
+    """``RunContext.evaluate_batch`` one row at a time: each row is checked,
+    penalized, counted, offered to the memory and compared with the best
+    before the next row starts, so the first unusable row raises with the
+    rows before it already counted.  Returns the fitness array.  The
+    reference the batch funnel must match bit for bit on usable batches."""
+    positions = np.asarray(positions, dtype=float)
+    objectives, violations = ctx.problem.evaluate(positions)
+    fitness = []
+    for position, objective, row in zip(
+        positions, np.asarray(objectives, dtype=float).tolist(),
+        np.asarray(violations, dtype=float),
+    ):
+        if not math.isfinite(objective):
+            raise EvaluationError(f"non-finite objective {objective!r}")
+        value = penalized_fitness_row(objective, row, ctx.penalty)
+        if not math.isfinite(value):
+            raise EvaluationError(f"non-finite fitness {value!r}")
+        ctx.nfes += 1
+        candidate = Candidate(
+            position=position.copy(), objective=objective, violations=row, fitness=value
+        )
+        if ctx.memory is not None:
+            ctx.memory.offer(candidate)
+        if ctx.best is None or value < ctx.best.fitness:
+            ctx.best = candidate.clone()
+        fitness.append(value)
+    return np.array(fitness)
+
+
 def contract(design, coords, areas):
     """Inverse of ``TrussDesign.expand``: read the design vector back out of
     full per-member areas and per-node coordinates."""
@@ -250,7 +312,7 @@ def _unit_pull_loop(khat, diff, eps):
     return khat * diff / (np.linalg.norm(diff) + eps)
 
 
-def kha_step_loop(params, population, state, ctx, frac, rng):
+def kha_step_loop(params, positions, fitness, state, ctx, frac, rng):
     """``Kha.step`` one krill at a time: each krill draws its random numbers
     and computes its motion before the next one starts.  The reference that
     the herd-wide step must match bit for bit, in positions, state and the
@@ -259,14 +321,12 @@ def kha_step_loop(params, population, state, ctx, frac, rng):
     from elitopt.core import clamp_to_bounds
 
     space = ctx.problem.space
-    n = len(population)
+    n = len(fitness)
     dim = space.dim
     eps = params.epsilon
     best_position = ctx.best.position
     best_fitness = ctx.best.fitness
 
-    positions = np.array([c.position for c in population])
-    fitness = np.array([c.fitness for c in population])
     for i in range(n):
         if not np.array_equal(positions[i], state.last_positions[i]):
             state.induced_old[i] = 0.0
@@ -305,7 +365,7 @@ def kha_step_loop(params, population, state, ctx, frac, rng):
         state.foraging_old[i] = foraging
 
         x = positions[i].copy()
-        is_best = population[i].fitness <= best_fitness
+        is_best = fitness[i] <= best_fitness
         prob = 0.0 if is_best else _probability_loop(
             _ratio_loop(fitness[i], best_fitness, spread))
         if params.crossover and n >= 2:
@@ -326,13 +386,14 @@ def kha_step_loop(params, population, state, ctx, frac, rng):
 
         new_positions[i] = x + dt * (induced + foraging + diffuse)
 
-    new_population = ctx.evaluate_batch(clamp_to_bounds(new_positions, space))
-    for i, cand in enumerate(new_population):
-        if cand.fitness < state.pb_fitness[i]:
-            state.pb_fitness[i] = cand.fitness
-            state.pb_positions[i] = cand.position.copy()
-    state.last_positions = np.array([c.position for c in new_population])
-    return new_population
+    new_positions = clamp_to_bounds(new_positions, space)
+    new_fitness = ctx.evaluate_batch(new_positions)
+    for i in range(n):
+        if new_fitness[i] < state.pb_fitness[i]:
+            state.pb_fitness[i] = new_fitness[i]
+            state.pb_positions[i] = new_positions[i].copy()
+    state.last_positions = new_positions.copy()
+    return new_positions, new_fitness
 
 
 def migrate_loop(positions, lambdas, mus, rng):

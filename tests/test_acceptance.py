@@ -12,19 +12,19 @@ import time
 import numpy as np
 import pytest
 
-from conftest import FakeRng
 from oracles import memory_oracle, random_stable_truss, solve_static_oracle
 
 from elitopt.algorithms import get_algorithm
 from elitopt.algorithms.bbo import BboParams, migration_rates, mutation_rate, species_count
 from elitopt.algorithms.kha import (
-    diffusion,
+    diffusion_motion,
     food_point,
     induced_motion,
-    local_attraction,
+    local_attractions,
     operator_probability,
-    sensing_distance,
-    target_attraction,
+    random_coefficient,
+    sensing_radii,
+    target_attractions,
     time_step,
 )
 from elitopt.algorithms.teo import exchange_ratio, time_fraction, updated_temperature
@@ -264,12 +264,12 @@ def test_criterion_4_worked_examples():
     box = SearchSpace(lower=[0.0, 0.0], upper=[5.0, 5.0])
     rates = migration_rates(0, 10, BboParams(max_immigration=1.0, max_emigration=1.0))
     food_x, food_k = food_point(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]))
-    pull = target_attraction(
-        0, np.array([[0.0, 0.0]]), np.array([10.0]), np.array([1.0, 0.0]),
-        0.0, 10.0, 1.0, 1e-10, FakeRng(randoms=[1.0]))
-    alpha = local_attraction(
-        0, np.array([[0.0], [0.01], [1.0]]), np.array([1.0, 0.0, 10.0]),
-        10.0, 1e-10)
+    pull = target_attractions(
+        np.array([[0.0, 0.0]]), np.array([10.0]), np.array([1.0, 0.0]),
+        0.0, 10.0, random_coefficient(np.array([1.0]), 1.0), 1e-10)[0]
+    alpha = local_attractions(
+        np.array([[0.0], [0.01], [1.0]]), np.array([1.0, 0.0, 10.0]),
+        10.0, 1e-10)[0]
 
     checks = [
         ("best habitat hosts n-1 species", species_count(0, 10), 9, 0.0),
@@ -293,7 +293,7 @@ def test_criterion_4_worked_examples():
         ("clamp projects the high side",
          clamp_to_bounds(np.array([-1.0, 7.0]), box)[1], 5.0, 0.0),
         ("two-krill sensing radius",
-         sensing_distance(0, np.array([[0.0], [1.0]])), 0.1, 1e-12),
+         sensing_radii(np.array([[0.0, 1.0], [1.0, 0.0]]))[0], 0.1, 1e-12),
         ("induced motion recursion",
          induced_motion(np.array([1.0, -1.0]), np.array([0.02, 0.0]),
                         0.01, 0.5)[1], -0.01, 1e-12),
@@ -301,7 +301,7 @@ def test_criterion_4_worked_examples():
          1.0 / 3.0, 1e-12),
         ("virtual food fitness is the harmonic mean", food_k, 4.0 / 3.0, 1e-12),
         ("diffusion halfway through the run",
-         diffusion(1, 0.5, 0.005, FakeRng(randoms=[1.0]))[0], 0.0025, 1e-12),
+         diffusion_motion(np.array([1.0]), 0.5, 0.005)[0], 0.0025, 1e-12),
         ("time step over summed widths",
          time_step(0.5, SearchSpace(lower=[0.0, 0.0], upper=[1.0, 2.0])),
          1.5, 1e-12),

@@ -182,10 +182,10 @@ class TestBboStep:
         algo = Bbo(BboParams(max_immigration=0.0, mutation_max=0.0,
                              elite_keep=0))
         ctx = RunContext(problem, PenaltyParams())
-        population, state = algo.init_population(ctx, problem.space, 6, rng)
-        before = sorted(tuple(c.position) for c in population)
-        out = algo.step(population, state, ctx, 1 / 10, rng)
-        after = sorted(tuple(c.position) for c in out)
+        positions, fitness, state = algo.init_population(ctx, problem.space, 6, rng)
+        before = sorted(map(tuple, positions))
+        out, _ = algo.step(positions, fitness, state, ctx, 1 / 10, rng)
+        after = sorted(map(tuple, out))
         assert before == after
 
     def test_population_size_preserved(self, rng):
@@ -194,9 +194,9 @@ class TestBboStep:
         problem = sphere_problem(3, bound=1.0)
         algo = Bbo()
         ctx = RunContext(problem, PenaltyParams())
-        population, state = algo.init_population(ctx, problem.space, 9, rng)
-        out = algo.step(population, state, ctx, 1 / 10, rng)
-        assert len(out) == 9
+        positions, fitness, state = algo.init_population(ctx, problem.space, 9, rng)
+        out_positions, out_fitness = algo.step(positions, fitness, state, ctx, 1 / 10, rng)
+        assert out_positions.shape == (9, 3) and out_fitness.shape == (9,)
 
     def test_declared_evaluation_cost(self):
         assert Bbo().evals_per_iteration(37) == 37

@@ -19,12 +19,20 @@ from elitopt.core import (
     clamp_to_bounds,
     memory_capacity,
     penalized_fitness,
+    ranked,
     replicate_seed,
     replicate_stats,
     run,
     snap_to_grid,
 )
-from oracles import memory_oracle, snap_to_grid_loop, sphere_problem
+from oracles import (
+    funnel_loop,
+    inject_loop,
+    memory_oracle,
+    penalized_fitness_row,
+    snap_to_grid_loop,
+    sphere_problem,
+)
 
 
 def unit_space(dim=1):
@@ -224,6 +232,45 @@ class TestPenalizedFitness:
         out = penalized_fitness(objective, violations, PenaltyParams())
         assert out >= objective
 
+    def test_batch_of_rows(self):
+        out = penalized_fitness(np.array([100.0, 100.0, 0.0]),
+                                np.array([[0.0, 0.0], [0.5, 0.0], [3.0, 1.0]]),
+                                PenaltyParams(1.0, 2.0))
+        assert out.tolist() == [100.0, 225.0, 0.0]
+
+    def test_batch_without_constraints_keeps_signed_zeros(self):
+        objectives = np.array([-0.0, 0.0, -2.5])
+        out = penalized_fitness(objectives, np.empty((3, 0)), PenaltyParams())
+        assert out.tobytes() == objectives.tobytes()
+        assert not np.shares_memory(out, objectives)
+
+    def test_batch_rejects_negative_values(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            penalized_fitness(np.ones(2), np.array([[0.0], [-0.1]]), PenaltyParams())
+        with pytest.raises(ValueError, match="negative"):
+            penalized_fitness(np.array([1.0, -1.0]), np.zeros((2, 1)), PenaltyParams())
+
+    def test_batch_shapes_checked(self):
+        with pytest.raises(ValueError, match=r"not \(k,\) and \(k, c\)"):
+            penalized_fitness(np.ones(2), np.zeros((3, 1)), PenaltyParams())
+
+    @given(st.integers(1, 62), st.integers(1, 12), st.sampled_from([2.0, 1.5]),
+           st.floats(0, 10), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_batch_is_the_per_row_call_bit_for_bit(self, c, k, exponent, scale, seed):
+        rng = np.random.default_rng(seed)
+        params = PenaltyParams(scale, exponent)
+        objectives = 10.0 ** rng.uniform(-3, 6, size=k)
+        violations = 10.0 ** rng.uniform(-12, 3, size=(k, c))
+        violations[rng.random((k, c)) < 0.3] = 0.0
+        out = penalized_fitness(objectives, violations, params)
+        for i in range(k):
+            one = penalized_fitness(float(objectives[i]), violations[i], params)
+            row = penalized_fitness_row(float(objectives[i]), violations[i], params)
+            assert type(one) is float
+            assert np.float64(one).tobytes() == out[i].tobytes()
+            assert np.float64(row).tobytes() == out[i].tobytes()
+
 
 # ---------------------------------------------------------------------------
 # Elite memory
@@ -324,45 +371,52 @@ class TestEliteMemory:
             assert np.array_equal(g.position, e.position)
 
 
+def pop_arrays(fitness, positions=None):
+    """A population as ``(positions, fitness)`` arrays; by default each
+    member's one-variable position is its fitness, as with :func:`cand`."""
+    fitness = np.asarray(fitness, dtype=float)
+    if positions is None:
+        positions = fitness[:, None]
+    return np.array(positions, dtype=float), fitness.copy()
+
+
 class TestMemoryInject:
     def test_replaces_single_worst(self):
         mem = EliteMemory(1)
         mem.offer(cand(2.0))
-        pop = [cand(1.0), cand(9.0), cand(10.0)]
-        out = mem.inject(pop)
-        assert [c.fitness for c in out] == [1.0, 9.0, 2.0]
+        _, fitness = mem.inject(*pop_arrays([1.0, 9.0, 10.0]))
+        assert fitness.tolist() == [1.0, 9.0, 2.0]
 
     def test_empty_memory_is_noop(self):
         mem = EliteMemory(2)
-        pop = [cand(1.0), cand(2.0)]
-        out = mem.inject(pop)
-        assert [c.fitness for c in out] == [1.0, 2.0]
+        positions, fitness = mem.inject(*pop_arrays([1.0, 2.0]))
+        assert fitness.tolist() == [1.0, 2.0]
+        assert positions.tolist() == [[1.0], [2.0]]
 
     def test_ties_break_by_index(self):
         mem = EliteMemory(2)
         mem.offer(cand(1.0, position=[1.0]))
         mem.offer(cand(2.0, position=[2.0]))
-        pop = [cand(5.0, position=[10.0]), cand(5.0, position=[11.0]),
-               cand(5.0, position=[12.0])]
-        out = mem.inject(pop)
-        assert sorted(c.fitness for c in out) == [1.0, 2.0, 5.0]
+        positions, fitness = mem.inject(
+            *pop_arrays([5.0, 5.0, 5.0], positions=[[10.0], [11.0], [12.0]]))
+        assert sorted(fitness.tolist()) == [1.0, 2.0, 5.0]
         # earliest equal member survives; later ones give way
-        assert out[0].position[0] == 10.0
+        assert positions[0, 0] == 10.0
 
     def test_worst_slot_gets_best_elite(self):
         mem = EliteMemory(2)
         mem.offer(cand(1.0))
         mem.offer(cand(2.0))
-        pop = [cand(8.0), cand(9.0), cand(7.0)]
-        out = mem.inject(pop)
-        assert [c.fitness for c in out] == [2.0, 1.0, 7.0]
+        positions, fitness = mem.inject(*pop_arrays([8.0, 9.0, 7.0]))
+        assert fitness.tolist() == [2.0, 1.0, 7.0]
+        assert positions[:, 0].tolist() == [2.0, 1.0, 7.0]
 
     def test_overfull_memory_rejected(self):
         mem = EliteMemory(3)
         for f in (1.0, 2.0, 3.0):
             mem.offer(cand(f))
         with pytest.raises(ValueError):
-            mem.inject([cand(5.0), cand(6.0)])
+            mem.inject(*pop_arrays([5.0, 6.0]))
 
     def test_full_replacement_by_worse_entries_rejected(self):
         # a memory never fed from this population could otherwise evict the
@@ -371,7 +425,7 @@ class TestMemoryInject:
         mem.offer(cand(5.0, position=[5.0]))
         mem.offer(cand(6.0, position=[6.0]))
         with pytest.raises(ValueError, match="worse than the population best"):
-            mem.inject([cand(0.0), cand(0.0)])
+            mem.inject(*pop_arrays([0.0, 0.0]))
 
     @given(st.lists(st.floats(0, 100), min_size=4, max_size=16),
            st.integers(1, 3))
@@ -382,10 +436,61 @@ class TestMemoryInject:
         stream = [cand(f, position=[f, float(k)]) for k, f in enumerate(stream_fits)]
         for c in stream:
             mem.offer(c)
-        pop = stream[-4:]
-        out = mem.inject(pop)
-        assert len(out) == len(pop)
-        assert min(c.fitness for c in out) <= min(c.fitness for c in pop)
+        window = stream[-4:]
+        positions, fitness = mem.inject(*pop_arrays(
+            [c.fitness for c in window], positions=[c.position for c in window]))
+        assert positions.shape == (4, 2) and fitness.shape == (4,)
+        assert fitness.min() <= min(c.fitness for c in window)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_sorted_index_reference(self, data):
+        # coarse fitness values give ties inside the population, inside the
+        # memory and between the two
+        n = data.draw(st.integers(1, 12))
+        capacity = data.draw(st.integers(1, n))
+        fits = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+        offers = data.draw(st.lists(st.integers(0, 6), min_size=capacity, max_size=20))
+        mem = EliteMemory(capacity)
+        for k, f in enumerate(offers):
+            mem.offer(cand(float(f), position=[float(f), -1.0 - k]))
+        positions, fitness = pop_arrays(
+            fits, positions=[[float(f), float(i)] for i, f in enumerate(fits)])
+        if len(mem) == n and mem.best.fitness > fitness.min():
+            return  # refused, see test_full_replacement_by_worse_entries_rejected
+        got = mem.inject(positions, fitness)
+        expect = inject_loop(mem.entries, positions, fitness)
+        for g, e in zip(got, expect):
+            assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
+
+    def test_input_arrays_never_written(self):
+        mem = EliteMemory(2)
+        mem.offer(cand(1.0, position=[1.0]))
+        mem.offer(cand(2.0, position=[2.0]))
+        positions, fitness = pop_arrays([8.0, 9.0, 7.0])
+        before = positions.copy(), fitness.copy()
+        out_positions, out_fitness = mem.inject(positions, fitness)
+        assert positions.tobytes() == before[0].tobytes()
+        assert fitness.tobytes() == before[1].tobytes()
+        assert not np.shares_memory(out_positions, positions)
+        assert not np.shares_memory(out_fitness, fitness)
+        assert out_fitness.tolist() == [2.0, 1.0, 7.0]
+
+
+class TestRanked:
+    def test_stable_on_ties(self):
+        positions = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
+        fitness = np.array([2.0, 1.0, 2.0, 1.0, 0.5])
+        out_positions, out_fitness = ranked(positions, fitness)
+        assert out_fitness.tolist() == [0.5, 1.0, 1.0, 2.0, 2.0]
+        assert out_positions[:, 0].tolist() == [4.0, 1.0, 3.0, 0.0, 2.0]
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=30))
+    def test_is_the_sorted_index_order(self, fits):
+        fitness = np.array(fits, dtype=float)
+        order, out_fitness = ranked(np.arange(len(fits)), fitness)
+        assert order.tolist() == sorted(range(len(fits)), key=lambda i: (fits[i], i))
+        assert out_fitness.tolist() == sorted(fits)
 
 
 class TestMemoryCapacity:
@@ -419,9 +524,11 @@ class RecordingMemory(EliteMemory):
     def __init__(self, capacity):
         super().__init__(capacity)
         self.offered = []
+        self.candidates = []
 
     def offer(self, candidate):
         self.offered.append(float(candidate.position[0]))
+        self.candidates.append(candidate.clone())
         return super().offer(candidate)
 
 
@@ -455,7 +562,7 @@ class TestEvaluateBatch:
         ctx = RunContext(problem, PenaltyParams(), memory)
         out = ctx.evaluate_batch(self.ROWS)
         assert len(calls) == 1 and np.array_equal(calls[0], self.ROWS)
-        assert [c.fitness for c in out] == [3.0, 1.0, 1.0, 2.0]
+        assert out.tolist() == [3.0, 1.0, 1.0, 2.0]
         assert memory.offered == [0.0, 1.0, 2.0, 3.0]
         assert ctx.nfes == 4
         # the earlier of two equal rows stays the best
@@ -464,28 +571,58 @@ class TestEvaluateBatch:
     def test_violation_rows_reach_their_candidates(self):
         violations = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.25], [1.0, 1.0]]
         problem, _ = self.scripted_problem([1.0, 1.0, 2.0, 3.0], violations)
-        out = RunContext(problem, PenaltyParams()).evaluate_batch(self.ROWS)
-        assert [c.violations.tolist() for c in out] == violations
-        assert [type(c.objective) for c in out] == [float] * 4
-        assert [c.fitness for c in out] == [
-            penalized_fitness(o, v, PenaltyParams())
-            for o, v in zip([1.0, 1.0, 2.0, 3.0], violations)]
+        memory = RecordingMemory(4)
+        out = RunContext(problem, PenaltyParams(), memory).evaluate_batch(self.ROWS)
+        offered = memory.candidates
+        assert [c.violations.tolist() for c in offered] == violations
+        assert [type(c.objective) for c in offered] == [float] * 4
+        expected = [penalized_fitness(o, v, PenaltyParams())
+                    for o, v in zip([1.0, 1.0, 2.0, 3.0], violations)]
+        assert [c.fitness for c in offered] == expected
+        assert out.tolist() == expected
 
-    def test_first_non_finite_row_raises_after_the_rows_before_it(self):
-        problem, _ = self.scripted_problem([3.0, 1.0, float("inf"), 0.5])
+    def test_full_memory_is_offered_only_rows_below_its_worst(self):
+        problem, _ = self.scripted_problem([3.0, 1.0, 2.0, 2.5])
+        memory = RecordingMemory(2)
+        ctx = RunContext(problem, PenaltyParams(), memory)
+        ctx.evaluate_batch(self.ROWS[[0, 3]])  # fills the buffer: worst 3.0
+        memory.offered.clear()
+        ctx.evaluate_batch(self.ROWS[[1, 0, 2, 3]])
+        # row 0 ties the worst entry at batch start, so it is not offered;
+        # row 3 (2.5) is, although rows 1 and 2 have lowered the worst to 2.0
+        assert memory.offered == [1.0, 2.0, 3.0]
+        assert [e.fitness for e in memory.entries] == [1.0, 2.0]
+
+    @pytest.mark.parametrize("objectives, violations, message", [
+        ([3.0, 1.0, float("inf"), float("nan")], None, "row 2: non-finite objective"),
+        ([3.0, 1.0, 1.0, 0.5], [[0.0], [0.0], [np.nan], [np.nan]],
+         "row 2: non-finite fitness"),
+    ], ids=["objective", "fitness"])
+    def test_unusable_row_raises_before_any_row_counts(self, objectives, violations,
+                                                       message):
+        problem, _ = self.scripted_problem(objectives, violations)
         memory = RecordingMemory(4)
         ctx = RunContext(problem, PenaltyParams(), memory)
-        with pytest.raises(EvaluationError, match="non-finite objective"):
+        ctx.evaluate_batch(self.ROWS[:1])
+        with pytest.raises(EvaluationError, match=message) as raised:
             ctx.evaluate_batch(self.ROWS)
-        assert ctx.nfes == 2
-        assert memory.offered == [0.0, 1.0]
-        assert ctx.best.fitness == 1.0
+        assert "position array([2.])" in str(raised.value)
+        assert ctx.nfes == 1
+        assert memory.offered == [0.0] and len(memory) == 1
+        assert ctx.best.fitness == 3.0
 
     def test_evaluate_is_the_batch_of_one(self):
         problem, calls = self.scripted_problem([3.0, 1.0, 1.0, 2.0])
         ctx = RunContext(problem, PenaltyParams())
-        assert ctx.evaluate(np.array([3.0])).fitness == 2.0
+        fitness = ctx.evaluate(np.array([3.0]))
+        assert type(fitness) is float and fitness == 2.0
         assert [c.shape for c in calls] == [(1, 1)]
+
+    def test_empty_batch_rejected(self):
+        problem, calls = self.scripted_problem([3.0])
+        with pytest.raises(ValueError, match="k >= 1"):
+            RunContext(problem, PenaltyParams()).evaluate_batch(np.empty((0, 1)))
+        assert calls == []
 
     def test_result_shapes_checked(self):
         space = SearchSpace(lower=[0.0], upper=[1.0])
@@ -503,6 +640,66 @@ class TestEvaluateBatch:
             assert ctx.nfes == 0
 
 
+class TestFunnelMatchesLoop:
+    """``RunContext.evaluate_batch`` against the row-by-row funnel of
+    ``oracles.funnel_loop``: the same fitness bits, evaluation count, memory
+    entries and best, bit for bit, over a run of random batches."""
+
+    @staticmethod
+    def problem(c):
+        """Rows drawn from a small pool repeat; fitness rounded to one
+        decimal ties, and in ``(-0.05, 0)`` gives -0.0 when ``c = 0``."""
+        dim = 2 + c
+        space = SearchSpace(lower=np.full(dim, -1.0), upper=np.full(dim, 1.0))
+
+        def evaluate(X):
+            objectives = np.round(X[:, 1], 1)
+            if c:
+                objectives = np.abs(objectives)
+            return objectives, np.maximum(0.0, np.round(X[:, 2:], 1))
+
+        return Problem(name=f"pool{c}", space=space, evaluate=evaluate)
+
+    @staticmethod
+    def same_bits(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def same_candidate(self, a, b):
+        return (self.same_bits(a.position, b.position)
+                and self.same_bits(a.objective, b.objective)
+                and self.same_bits(a.violations, b.violations)
+                and self.same_bits(a.fitness, b.fitness))
+
+    @pytest.mark.parametrize("c", [0, 1, 5])
+    @pytest.mark.parametrize("capacity", [1, 3, 40])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_batches(self, c, capacity, seed):
+        rng = np.random.default_rng(seed)
+        problem = self.problem(c)
+        pool = problem.space.sample(12, rng)
+        batch, loop = (RunContext(problem, PenaltyParams(), EliteMemory(capacity))
+                       for _ in range(2))
+        for _ in range(8):
+            rows = pool[rng.integers(len(pool), size=int(rng.integers(1, 10)))]
+            assert self.same_bits(batch.evaluate_batch(rows), funnel_loop(loop, rows))
+            assert batch.nfes == loop.nfes
+            got, expect = batch.memory.entries, loop.memory.entries
+            assert len(got) == len(expect)
+            assert all(self.same_candidate(g, e) for g, e in zip(got, expect))
+            assert self.same_candidate(batch.best, loop.best)
+        # the small buffers run full, the large one never fills
+        assert (len(batch.memory) == capacity) == (capacity < len(pool))
+
+    def test_signed_zero_objectives_keep_their_bits(self):
+        problem = self.problem(0)
+        rows = np.array([[0.0, -0.01], [0.0, 0.01]])
+        batch, loop = (RunContext(problem, PenaltyParams()) for _ in range(2))
+        out = batch.evaluate_batch(rows)
+        assert self.same_bits(out, funnel_loop(loop, rows))
+        assert np.signbit(out).tolist() == [True, False]
+
+
 class LyingAlgorithm:
     """Claims one evaluation per iteration but performs two."""
 
@@ -512,12 +709,13 @@ class LyingAlgorithm:
         return 1
 
     def init_population(self, ctx, space, n, rng):
-        return [ctx.evaluate(p) for p in space.sample(n, rng)], None
+        positions = space.sample(n, rng)
+        return positions, ctx.evaluate_batch(positions), None
 
-    def step(self, population, state, ctx, frac, rng):
-        ctx.evaluate(population[0].position)
-        ctx.evaluate(population[1].position)
-        return population
+    def step(self, positions, fitness, state, ctx, frac, rng):
+        ctx.evaluate(positions[0])
+        ctx.evaluate(positions[1])
+        return positions, fitness
 
 
 class RecordingAlgorithm:
@@ -537,16 +735,18 @@ class RecordingAlgorithm:
 
     def init_population(self, ctx, space, n, rng):
         ctx.evaluate(np.zeros(space.dim))
-        population = [ctx.evaluate(p) for p in space.sample(n - 1, rng)]
-        return population + [population[-1].clone()], None
+        positions = space.sample(n - 1, rng)
+        fitness = ctx.evaluate_batch(positions)
+        return np.vstack([positions, positions[-1:]]), np.append(fitness, fitness[-1]), None
 
-    def step(self, population, state, ctx, frac, rng):
-        self.handed.append(list(population))
-        return [ctx.evaluate(c.position) for c in population]
+    def step(self, positions, fitness, state, ctx, frac, rng):
+        self.handed.append((positions.copy(), fitness.copy()))
+        return positions, ctx.evaluate_batch(positions)
 
 
 def holds_origin(population):
-    return any(not np.any(c.position) and c.fitness == 0.0 for c in population)
+    positions, fitness = population
+    return bool(np.any(~np.any(positions, axis=1) & (fitness == 0.0)))
 
 
 class TestRunLoop:

@@ -9,21 +9,25 @@ from elitopt.algorithms.kha import (
     Kha,
     KhaParams,
     advance_position,
-    crossover,
-    diffusion,
+    diffusion_motion,
+    draw_herd,
     fitness_ratio,
     food_point,
-    foraging_attraction,
+    foraging_attractions,
     foraging_motion,
     induced_motion,
-    local_attraction,
+    local_attractions,
     operator_probability,
-    sensing_distance,
-    target_attraction,
+    random_coefficient,
+    sensing_radii,
+    take_variables,
+    target_attractions,
     time_step,
 )
 from elitopt.core import (
+    Candidate,
     ConfigError,
+    EliteMemory,
     PenaltyParams,
     Problem,
     RunConfig,
@@ -34,20 +38,26 @@ from elitopt.core import (
 from elitopt.algorithms.kha import KhaState
 
 EPS = 1e-10
+NO_OPERATORS = KhaParams(crossover=False, mutation=False)
+
+
+def distances(positions):
+    return np.linalg.norm(positions[:, None] - positions[None], axis=2)
 
 
 class TestSensingAndRatio:
     def test_two_krill_radius(self):
         positions = np.array([[0.0], [1.0]])
         # sum of distances is 1 for either krill, herd of 2
-        assert sensing_distance(0, positions) == pytest.approx(0.1)
-        assert sensing_distance(1, positions) == pytest.approx(0.1)
+        radii = sensing_radii(distances(positions))
+        assert radii[0] == pytest.approx(0.1)
+        assert radii[1] == pytest.approx(0.1)
 
     def test_two_krill_radius_excludes_both(self):
         # the radius (mean distance / 5) is always below the only pairwise
         # distance, so a herd of two has no neighbors at all
         positions = np.array([[0.0], [1.0]])
-        assert sensing_distance(0, positions) < 1.0
+        assert sensing_radii(distances(positions))[0] < 1.0
 
     def test_flat_population(self):
         assert fitness_ratio(3.0, 5.0, 0.0) == 0.0
@@ -66,19 +76,19 @@ class TestLocalAttraction:
         # only the near, better neighbor contributes: 0.1 * unit vector
         positions = np.array([[0.0], [0.01], [1.0]])
         fitness = np.array([1.0, 0.0, 10.0])
-        alpha = local_attraction(0, positions, fitness, 10.0, EPS)
+        alpha = local_attractions(positions, fitness, 10.0, EPS)[0]
         assert alpha[0] == pytest.approx(0.1, abs=1e-6)
 
     def test_no_neighbors(self):
         positions = np.array([[0.0], [5.0]])
-        alpha = local_attraction(0, positions, fitness=np.array([1.0, 2.0]),
-                                 spread=1.0, eps=EPS)
+        alpha = local_attractions(positions, fitness=np.array([1.0, 2.0]),
+                                  spread=1.0, eps=EPS)[0]
         assert np.all(alpha == 0.0)
 
     def test_flat_fitness_gives_zero(self):
         positions = np.array([[0.0], [0.001], [0.002]])
         fitness = np.array([4.0, 4.0, 4.0])
-        alpha = local_attraction(1, positions, fitness, 0.0, EPS)
+        alpha = local_attractions(positions, fitness, 0.0, EPS)[1]
         assert np.all(alpha == 0.0)
 
 
@@ -86,19 +96,23 @@ class TestTargetAttraction:
     def test_best_krill_zero_but_draw_consumed(self):
         positions = np.array([[1.0, 1.0], [3.0, 0.0]])
         fitness = np.array([0.0, 5.0])
-        fake = FakeRng(randoms=[0.5])
-        pull = target_attraction(0, positions, fitness, positions[0], 0.0,
-                                 5.0, 0.5, EPS, fake)
-        assert np.allclose(pull, 0.0)
+        # each krill draws its coefficients and diffusion, the best one too
+        fake = FakeRng(randoms=[0.5] * 8)
+        draws = draw_herd(2, 2, NO_OPERATORS, fake)
         assert fake.exhausted
+        c_best = random_coefficient(draws.uniforms[:, 0], 0.5)
+        pull = target_attractions(positions, fitness, positions[0], 0.0,
+                                  5.0, c_best, EPS)[0]
+        assert np.allclose(pull, 0.0)
 
     def test_late_run_amplifier(self):
         # khat = 1 and unit direction, so the output is the coefficient itself
         positions = np.array([[0.0, 0.0]])
         fitness = np.array([10.0])
         best = np.array([1.0, 0.0])
-        pull = target_attraction(0, positions, fitness, best, 0.0, 10.0,
-                                 frac=1.0, eps=EPS, rng=FakeRng(randoms=[1.0]))
+        pull = target_attractions(positions, fitness, best, 0.0, 10.0,
+                                  c_best=random_coefficient(np.array([1.0]), 1.0),
+                                  eps=EPS)[0]
         assert pull[0] == pytest.approx(4.0, abs=1e-6)
         assert pull[1] == pytest.approx(0.0)
 
@@ -106,8 +120,9 @@ class TestTargetAttraction:
         positions = np.array([[0.0, 0.0]])
         fitness = np.array([10.0])
         best = np.array([1.0, 0.0])
-        pull = target_attraction(0, positions, fitness, best, 0.0, 10.0,
-                                 frac=0.0, eps=EPS, rng=FakeRng(randoms=[0.5]))
+        pull = target_attractions(positions, fitness, best, 0.0, 10.0,
+                                  c_best=random_coefficient(np.array([0.5]), 0.0),
+                                  eps=EPS)[0]
         assert pull[0] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -148,9 +163,11 @@ class TestForaging:
     def test_zero_differences(self):
         positions = np.array([[1.0, 2.0]])
         fitness = np.array([3.0])
-        fake = FakeRng(randoms=[0.7])
-        beta = foraging_attraction(0, positions, fitness, positions[0], 3.0,
-                                   positions[0], 3.0, 2.0, 0.5, EPS, fake)
+        fake = FakeRng(randoms=[0.3, 0.7, 0.5, 0.5])
+        draws = draw_herd(1, 2, NO_OPERATORS, fake)
+        c_food = random_coefficient(draws.uniforms[:, 1], 0.5)
+        beta = foraging_attractions(positions, fitness, positions[0], 3.0,
+                                    positions, np.array([3.0]), 2.0, c_food, EPS)[0]
         assert np.allclose(beta, 0.0)
         assert fake.exhausted
 
@@ -158,9 +175,9 @@ class TestForaging:
         positions = np.array([[0.0, 0.0]])
         fitness = np.array([10.0])
         food = np.array([1.0, 0.0])
-        beta = foraging_attraction(
-            0, positions, fitness, food, 0.0, positions[0], 10.0,
-            spread=10.0, frac=1.0, eps=EPS, rng=FakeRng(randoms=[0.0]))
+        beta = foraging_attractions(
+            positions, fitness, food, 0.0, positions, np.array([10.0]),
+            spread=10.0, c_food=random_coefficient(np.array([0.0]), 1.0), eps=EPS)[0]
         assert beta[0] == pytest.approx(2.0, abs=1e-6)
 
     def test_motion_recursion(self):
@@ -182,17 +199,18 @@ class TestInducedMotion:
 
 class TestDiffusion:
     def test_final_iteration_is_zero(self):
-        fake = FakeRng(randoms=[0.3, 0.9])
-        out = diffusion(2, frac=1.0, d_max=0.005, rng=fake)
+        fake = FakeRng(randoms=[0.5, 0.5, 0.3, 0.9])
+        draws = draw_herd(1, 2, NO_OPERATORS, fake)
+        out = diffusion_motion(draws.uniforms[:, 2:], frac=1.0, d_max=0.005)
         assert np.all(out == 0.0)
         assert fake.exhausted
 
     def test_recorded_direction(self):
-        out = diffusion(1, frac=0.5, d_max=0.005, rng=FakeRng(randoms=[1.0]))
+        out = diffusion_motion(np.array([1.0]), frac=0.5, d_max=0.005)
         assert out[0] == pytest.approx(0.0025)
 
     def test_bounded_by_ceiling(self, rng):
-        out = diffusion(20, frac=0.0, d_max=0.005, rng=rng)
+        out = diffusion_motion(rng.random(20), frac=0.0, d_max=0.005)
         assert np.all(np.abs(out) <= 0.005)
 
 
@@ -235,19 +253,22 @@ class TestOperatorProbability:
 
 class TestCrossoverMutation:
     def test_crossover_all_copied(self):
-        out = crossover(np.array([0.0, 0.0]), np.array([1.0, 2.0]), 1.0,
-                        FakeRng(randoms=[0.5, 0.5]))
+        out = take_variables(np.array([0.0, 0.0]), np.array([1.0, 2.0]), 1.0,
+                             np.array([0.5, 0.5]))
         assert np.allclose(out, [1.0, 2.0])
 
     def test_crossover_probability_zero(self):
-        fake = FakeRng(randoms=[0.5, 0.5])
-        out = crossover(np.array([3.0, 4.0]), np.array([1.0, 2.0]), 0.0, fake)
+        # both krill draw a donor and their coins whatever the probability
+        fake = FakeRng(randoms=[0.5] * 12, integers=[0, 0])
+        draws = draw_herd(2, 2, KhaParams(mutation=False), fake)
+        out = take_variables(np.array([3.0, 4.0]), np.array([1.0, 2.0]), 0.0,
+                             draws.cross_coins[0])
         assert np.allclose(out, [3.0, 4.0])
         assert fake.exhausted
 
     def test_crossover_per_variable_coins(self):
-        fake = FakeRng(randoms=[0.1, 0.9])
-        out = crossover(np.array([0.0, 0.0]), np.array([7.0, 7.0]), 0.5, fake)
+        out = take_variables(np.array([0.0, 0.0]), np.array([7.0, 7.0]), 0.5,
+                             np.array([0.1, 0.9]))
         assert np.allclose(out, [7.0, 0.0])
 
     def test_mutation_zero_mu_copies_best(self):
@@ -279,9 +300,9 @@ class TestKhaStep:
         problem = sphere_problem(2, bound=4.0)
         algo = Kha()
         ctx = self.make_ctx(problem)
-        population, state = algo.init_population(ctx, problem.space, 7, rng)
-        out = algo.step(population, state, ctx, 1 / 10, rng)
-        assert len(out) == 7
+        positions, fitness, state = algo.init_population(ctx, problem.space, 7, rng)
+        out_positions, out_fitness = algo.step(positions, fitness, state, ctx, 1 / 10, rng)
+        assert out_positions.shape == (7, 2) and out_fitness.shape == (7,)
 
     def test_all_motion_off_positions_fixed(self, rng):
         params = KhaParams(induced_max=0.0, foraging_speed=0.0,
@@ -289,30 +310,36 @@ class TestKhaStep:
         problem = sphere_problem(2, bound=4.0)
         algo = Kha(params)
         ctx = self.make_ctx(problem)
-        population, state = algo.init_population(ctx, problem.space, 5, rng)
-        before = np.array([c.position for c in population])
-        out = algo.step(population, state, ctx, 1 / 10, rng)
-        after = np.array([c.position for c in out])
+        before, fitness, state = algo.init_population(ctx, problem.space, 5, rng)
+        after, _ = algo.step(before, fitness, state, ctx, 1 / 10, rng)
         assert np.array_equal(before, after)
 
     def test_injected_slot_restarts_fresh(self, rng):
         # freeze all motion so a slot's state is directly observable, then
-        # swap in a worse candidate behind the algorithm's back: its stale
-        # personal best must be dropped for the slot's own new record
+        # let the memory inject a candidate worse than the slot's personal
+        # best: the stale personal best must be dropped for the slot's own
+        # new record.  An inject that wrote into the step's arrays would
+        # also rewrite state.last_positions, and the slot would look untouched
         params = KhaParams(induced_max=0.0, foraging_speed=0.0,
                            diffusion_max=0.0, crossover=False, mutation=False)
         problem = sphere_problem(2, bound=4.0)
         algo = Kha(params)
         ctx = self.make_ctx(problem)
-        population, state = algo.init_population(ctx, problem.space, 4, rng)
-        population = algo.step(population, state, ctx, 1 / 10, rng)
+        positions, fitness, state = algo.init_population(ctx, problem.space, 4, rng)
+        positions, fitness = algo.step(positions, fitness, state, ctx, 1 / 10, rng)
 
-        injected = ctx.evaluate(np.array([3.5, 3.5]))
-        assert injected.fitness > state.pb_fitness[0]
-        population[0] = injected
-        algo.step(population, state, ctx, 2 / 10, rng)
-        assert np.array_equal(state.pb_positions[0], injected.position)
-        assert state.pb_fitness[0] == injected.fitness
+        injected = np.array([3.5, 3.5])
+        injected_fitness = ctx.evaluate(injected)
+        memory = EliteMemory(1)
+        memory.offer(Candidate(position=injected, objective=injected_fitness,
+                               violations=np.empty(0), fitness=injected_fitness))
+        slot = int(np.argmax(fitness))
+        assert injected_fitness > state.pb_fitness[slot]
+        positions, fitness = memory.inject(positions, fitness)
+        assert np.array_equal(positions[slot], injected)
+        algo.step(positions, fitness, state, ctx, 2 / 10, rng)
+        assert np.array_equal(state.pb_positions[slot], injected)
+        assert state.pb_fitness[slot] == injected_fitness
 
     def test_untouched_slot_keeps_personal_best(self, rng):
         params = KhaParams(induced_max=0.0, foraging_speed=0.0,
@@ -320,9 +347,9 @@ class TestKhaStep:
         problem = sphere_problem(2, bound=4.0)
         algo = Kha(params)
         ctx = self.make_ctx(problem)
-        population, state = algo.init_population(ctx, problem.space, 4, rng)
+        positions, fitness, state = algo.init_population(ctx, problem.space, 4, rng)
         pb_before = state.pb_fitness.copy()
-        algo.step(population, state, ctx, 1 / 10, rng)
+        algo.step(positions, fitness, state, ctx, 1 / 10, rng)
         assert np.array_equal(state.pb_fitness, pb_before)
 
     def test_declared_evaluation_cost(self):
@@ -372,8 +399,7 @@ class TestHerdStepMatchesLoop:
         positions = np.clip(positions + rng.normal(scale=0.05, size=(n, dim)), -4, 4)
         if not flat:
             ctx.evaluate(rng.uniform(-0.1, 0.1, size=dim))  # a best outside the herd
-        population = ctx.evaluate_batch(positions)
-        fitness = np.array([c.fitness for c in population])
+        fitness = ctx.evaluate_batch(positions)
         last = positions.copy()
         for i in injected:
             last[i] += 0.5
@@ -384,17 +410,17 @@ class TestHerdStepMatchesLoop:
             pb_fitness=fitness - rng.uniform(0.0, 1.0, size=n),
             last_positions=last,
         )
-        return population, state, ctx
+        return (positions, fitness), state, ctx
 
     def check(self, params, population, state, ctx, steps=3, seed=5):
         herd = [population, state, ctx, np.random.default_rng(seed)]
         loop = copy.deepcopy(herd)
         for g in range(1, steps + 1):
             frac = g / (steps + 1)
-            herd[0] = Kha(params).step(herd[0], herd[1], herd[2], frac, herd[3])
-            loop[0] = kha_step_loop(params, loop[0], loop[1], loop[2], frac, loop[3])
-            assert_same_bits([c.position for c in herd[0]],
-                             [c.position for c in loop[0]])
+            herd[0] = Kha(params).step(*herd[0], herd[1], herd[2], frac, herd[3])
+            loop[0] = kha_step_loop(params, *loop[0], loop[1], loop[2], frac, loop[3])
+            assert_same_bits(herd[0][0], loop[0][0])
+            assert_same_bits(herd[0][1], loop[0][1])
             for name in ("induced_old", "foraging_old", "pb_positions",
                          "pb_fitness", "last_positions"):
                 assert_same_bits(getattr(herd[1], name), getattr(loop[1], name))
@@ -403,10 +429,10 @@ class TestHerdStepMatchesLoop:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_herd(self, seed):
         population, state, ctx = self.herd(16, 5, seed)
-        positions = np.array([c.position for c in population])
+        positions = population[0]
         dists = np.linalg.norm(positions[:, None] - positions[None], axis=2)
-        radii = dists.sum(axis=1) / (5.0 * len(population))
-        near = (dists < radii[:, None]) & ~np.eye(len(population), dtype=bool)
+        radii = dists.sum(axis=1) / (5.0 * len(positions))
+        near = (dists < radii[:, None]) & ~np.eye(len(positions), dtype=bool)
         assert near.any()
         self.check(KhaParams(), population, state, ctx)
 

@@ -467,8 +467,8 @@ class TestBatchEvaluation:
         assert violations.tolist() == [[0.0], [DEGENERATE_VIOLATION]]
         ctx = RunContext(design.problem(), PenaltyParams())
         healthy, degenerate = ctx.evaluate_batch(X)
-        assert healthy.fitness == weights[0] == evaluate_design(design, X[0])[0]
-        assert degenerate.fitness > weights[1]
+        assert healthy == weights[0] == evaluate_design(design, X[0])[0]
+        assert degenerate > weights[1]
 
     def test_problem_offers_the_batch(self):
         design = load_design("michell")

@@ -152,31 +152,31 @@ class TestTeoStep:
         problem = sphere_problem(2, bound=5.0)
         algo = Teo()
         ctx = self.make_ctx(problem)
-        population, state = algo.init_population(ctx, problem.space, 10, rng)
+        positions, fitness, state = algo.init_population(ctx, problem.space, 10, rng)
         before = ctx.nfes
-        algo.step(population, state, ctx, 1 / 10, rng)
+        algo.step(positions, fitness, state, ctx, 1 / 10, rng)
         assert ctx.nfes - before == 5
 
     def test_better_half_survives_unchanged(self, rng):
         problem = sphere_problem(2, bound=5.0)
         algo = Teo()
         ctx = self.make_ctx(problem)
-        population, state = algo.init_population(ctx, problem.space, 8, rng)
-        ranked = sorted(population, key=lambda c: c.fitness)
-        out = algo.step(population, state, ctx, 1 / 10, rng)
-        for kept, original in zip(out[:4], ranked[:4]):
-            assert np.array_equal(kept.position, original.position)
-            assert kept.fitness == original.fitness
+        positions, fitness, state = algo.init_population(ctx, problem.space, 8, rng)
+        order = sorted(range(8), key=lambda i: fitness[i])
+        out_positions, out_fitness = algo.step(positions, fitness, state, ctx, 1 / 10, rng)
+        for k, i in enumerate(order[:4]):
+            assert np.array_equal(out_positions[k], positions[i])
+            assert out_fitness[k] == fitness[i]
 
     def test_best_never_regresses(self, rng):
         problem = sphere_problem(2, bound=5.0)
         algo = Teo()
         ctx = self.make_ctx(problem)
-        population, state = algo.init_population(ctx, problem.space, 12, rng)
-        best = min(c.fitness for c in population)
+        positions, fitness, state = algo.init_population(ctx, problem.space, 12, rng)
+        best = fitness.min()
         for it in range(1, 6):
-            population = algo.step(population, state, ctx, it / 6, rng)
-            new_best = min(c.fitness for c in population)
+            positions, fitness = algo.step(positions, fitness, state, ctx, it / 6, rng)
+            new_best = fitness.min()
             assert new_best <= best
             best = new_best
 
@@ -184,9 +184,9 @@ class TestTeoStep:
         problem = sphere_problem(2, bound=5.0)
         algo = Teo()
         ctx = self.make_ctx(problem)
-        population, state = algo.init_population(ctx, problem.space, 10, rng)
-        out = algo.step(population, state, ctx, 1 / 10, rng)
-        assert len(out) == 10
+        positions, fitness, state = algo.init_population(ctx, problem.space, 10, rng)
+        out_positions, out_fitness = algo.step(positions, fitness, state, ctx, 1 / 10, rng)
+        assert out_positions.shape == (10, 2) and out_fitness.shape == (10,)
 
     def test_run_deterministic(self):
         problem = sphere_problem(3, bound=5.0)

@@ -138,10 +138,12 @@ def mutate(
     ``rate``.  Coins are drawn for every variable first, then one value per
     mutating variable, in variable order."""
     out = np.asarray(position, dtype=float).copy()
-    coins = rng.random(out.size)
-    for j in range(out.size):
-        if coins[j] < rate:
-            out[j] = space.lower[j] + rng.random() * (space.upper[j] - space.lower[j])
+    hit = rng.random(out.size) < rate
+    count = np.count_nonzero(hit)
+    if count:
+        # one array of uniforms is the stream of as many scalar draws
+        lower, upper = space.lower[hit], space.upper[hit]
+        out[hit] = lower + rng.random(count) * (upper - lower)
     return out
 
 

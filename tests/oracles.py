@@ -416,3 +416,14 @@ def migrate_loop(positions, lambdas, mus, rng):
                 donor = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
             out[i, j] = positions[donor, j]
     return out
+
+
+def mutate_loop(position, rate, space, rng):
+    """BBO mutation one variable at a time, each mutating variable one scalar
+    draw: the reference for ``bbo.mutate``, which draws them as one array."""
+    out = np.asarray(position, dtype=float).copy()
+    coins = rng.random(out.size)
+    for j in range(out.size):
+        if coins[j] < rate:
+            out[j] = space.lower[j] + rng.random() * (space.upper[j] - space.lower[j])
+    return out

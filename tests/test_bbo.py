@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import FakeRng
-from oracles import migrate_loop, sphere_problem
+from oracles import migrate_loop, mutate_loop, sphere_problem
 from elitopt.algorithms.bbo import (
     Bbo,
     BboParams,
@@ -162,6 +162,21 @@ class TestMutate:
         fake = FakeRng(randoms=[0.0, 0.0, 0.25, 0.75])
         out = mutate(np.array([0.5, 0.5]), 1.0, space, fake)
         assert np.allclose(out, [0.25, 0.75])
+
+    @pytest.mark.parametrize("rate, dim", [(0.0, 7), (1.0, 7), (0.3, 7), (0.5, 1)])
+    def test_matches_one_variable_at_a_time(self, rate, dim):
+        # the mutating variables' values drawn as one array give the values
+        # and leave the generator where one scalar draw each does; rate 0
+        # draws an empty array, which must not move the generator
+        space = SearchSpace(lower=np.linspace(-3.0, 1.0, dim),
+                            upper=np.linspace(-1.0, 4.0, dim))
+        mine, loop = np.random.default_rng(dim), np.random.default_rng(dim)
+        x = space.sample(1, np.random.default_rng(99))[0]
+        for _ in range(20):
+            out = mutate(x, rate, space, mine)
+            assert out.tobytes() == mutate_loop(x, rate, space, loop).tobytes()
+            assert mine.bit_generator.state == loop.bit_generator.state
+            x = out
 
 
 class TestBboStep:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from elitopt.core import ConfigError, PenaltyParams, RunContext
+from elitopt.core import ConfigError, PenaltyParams, RunContext, snap_to_grid
 from elitopt.fem import ModelError, natural_frequencies
 from elitopt.problems import (
     get_problem,
@@ -393,27 +393,37 @@ def apex_doc():
     return doc
 
 
+APEX_ROWS = np.array([
+    [2.0, 3.0, 1.0, 1.0],   # healthy
+    [2.0, 2.0, 0.0, 1.0],   # apex on node 2: zero-length member
+    [2.5, 2.0, 1.0, 0.7],   # healthy
+    [2.0, 2.0, 0.0, 0.5],   # apex between the supports: mechanism
+    [4.0, 1.5, 0.5, 0.8],   # healthy
+])
+
+
 def rows_per_stack(design):
     return STACK_BYTES // (8 * design.topology.free.size ** 2)
 
 
-class TestBatchEvaluation:
-    def assert_matches_per_design(self, design, X):
-        """Each row against the design analyzed alone, bit for bit; the
-        oracle's degenerate ``[DEGENERATE_VIOLATION]`` is padded with zeros to
-        the width of the batch.  Returns the degenerate-row mask."""
-        weights, violations = design.evaluate(X)
-        assert weights.shape == (len(X),) and violations.shape[0] == len(X)
-        degenerate = []
-        for x, weight, row in zip(X, weights, violations):
-            ref_weight, ref = evaluate_design(design, x)
-            assert weight.tobytes() == np.float64(ref_weight).tobytes()
-            degenerate.append(ref.tolist() == [DEGENERATE_VIOLATION])
-            if degenerate[-1]:
-                ref = np.concatenate([ref, np.zeros(row.size - 1)])
-            assert row.tobytes() == ref.tobytes()
-        return degenerate
+def assert_matches_per_design(design, X):
+    """Each row against the design analyzed alone, bit for bit; the oracle's
+    degenerate ``[DEGENERATE_VIOLATION]`` is padded with zeros to the width
+    of the batch.  Returns the degenerate-row mask."""
+    weights, violations = design.evaluate(X)
+    assert weights.shape == (len(X),) and violations.shape[0] == len(X)
+    degenerate = []
+    for x, weight, row in zip(X, weights, violations):
+        ref_weight, ref = evaluate_design(design, x)
+        assert weight.tobytes() == np.float64(ref_weight).tobytes()
+        degenerate.append(ref.tolist() == [DEGENERATE_VIOLATION])
+        if degenerate[-1]:
+            ref = np.concatenate([ref, np.zeros(row.size - 1)])
+        assert row.tobytes() == ref.tobytes()
+    return degenerate
 
+
+class TestBatchEvaluation:
     @pytest.mark.parametrize("name", ["michell", "truss37", "forth"])
     def test_population_matches_per_design_bit_for_bit(self, name, rng):
         design = load_design(name)
@@ -424,18 +434,11 @@ class TestBatchEvaluation:
         # variables pushed onto their bounds bring short members on michell
         at_bound = rng.random(X.shape) < 0.2
         X[at_bound] = np.where(rng.random(X.shape) < 0.5, space.lower, space.upper)[at_bound]
-        self.assert_matches_per_design(design, X)
+        assert_matches_per_design(design, X)
 
     def test_degenerate_and_mechanism_rows_among_healthy_ones(self):
         design = TrussDesign(apex_doc())
-        X = np.array([
-            [2.0, 3.0, 1.0, 1.0],   # healthy
-            [2.0, 2.0, 0.0, 1.0],   # apex on node 2: zero-length member
-            [2.5, 2.0, 1.0, 0.7],   # healthy
-            [2.0, 2.0, 0.0, 0.5],   # apex between the supports: mechanism
-            [4.0, 1.5, 0.5, 0.8],   # healthy
-        ])
-        degenerate = self.assert_matches_per_design(design, X)
+        degenerate = assert_matches_per_design(design, APEX_ROWS)
         assert degenerate == [False, True, False, True, False]
 
     def test_massless_free_dof_still_raises(self):
@@ -446,6 +449,8 @@ class TestBatchEvaluation:
         design = TrussDesign(doc)
         with pytest.raises(ModelError, match="mass"):
             design.evaluate(np.array([[2.0, 2.0, 1.0], [3.0, 3.0, 0.5]]))
+        # a call that raises remembers nothing
+        assert not design._memo[0] and not design._memo[1].size
 
     def test_expand_stacks_rows(self, rng):
         design = load_design("forth")
@@ -475,6 +480,136 @@ class TestBatchEvaluation:
         problem = design.problem()
         assert problem.evaluate == design.evaluate
 
+
+
+def spy_on_analysis(design, monkeypatch):
+    """The list of the row arrays that ``design``'s evaluation hands to its
+    analysis, one entry per analysis call."""
+    seen = []
+    analyze = design._analyze_rows
+
+    def spy(X):
+        seen.append(X.copy())
+        return analyze(X)
+
+    monkeypatch.setattr(design, "_analyze_rows", spy)
+    return seen
+
+
+def on_grid_sample(design, n, rng):
+    """``n`` random designs, snapped, some variables pushed onto their bounds
+    (which brings short members on michell)."""
+    space = design.search_space()
+    X = space.sample(n, rng)
+    at_bound = rng.random(X.shape) < 0.2
+    X[at_bound] = np.where(rng.random(X.shape) < 0.5, space.lower, space.upper)[at_bound]
+    return snap_to_grid(X, space)
+
+
+def off_grid_twins(design, X, rng):
+    """The snapped rows ``X`` moved by under half a grid step on their
+    gridded variables: other bytes, the same designs once snapped."""
+    twins = X.copy()
+    for j, grid in enumerate(design.search_space().grids or ()):
+        if grid is not None and grid.size > 1:
+            twins[:, j] += rng.uniform(-0.3, 0.3, len(X)) * (grid[1] - grid[0])
+    return twins
+
+
+class TestEvaluationMemory:
+    def test_duplicates_in_a_batch_analyzed_once(self, monkeypatch, rng):
+        design = load_design("michell")
+        X = on_grid_sample(design, 3, rng)
+        twins = off_grid_twins(design, X, rng)
+        assert not np.array_equal(twins, X)
+        seen = spy_on_analysis(design, monkeypatch)
+        # 7 rows of 3 designs; the first row of each design is analyzed
+        assert_matches_per_design(design, np.concatenate([X, twins[::-1], X[:1]]))
+        assert [rows.tobytes() for rows in seen] == [X.tobytes()]
+
+    def test_previous_batch_not_analyzed_again(self, monkeypatch, rng):
+        design = load_design("truss37")
+        X = on_grid_sample(design, 6, rng)
+        seen = spy_on_analysis(design, monkeypatch)
+        first = design.evaluate(X)
+        again = design.evaluate(off_grid_twins(design, X, rng))
+        assert len(seen) == 1
+        for a, b in zip(first, again):
+            assert a.tobytes() == b.tobytes()
+        # only the rows the previous batch did not hold are analyzed
+        new = on_grid_sample(design, 2, rng)
+        assert_matches_per_design(design, np.array([X[2], new[0], X[0], new[1], new[0]]))
+        assert len(seen) == 2 and seen[1].tobytes() == new.tobytes()
+
+    @pytest.mark.parametrize("name", ["michell", "truss37", "forth", "apex"])
+    def test_calls_match_per_design_bit_for_bit(self, name, monkeypatch, rng):
+        if name == "apex":
+            # degenerate and mechanism rows among healthy ones
+            design, pool = TrussDesign(apex_doc()), APEX_ROWS
+        else:
+            design = load_design(name)
+            pool = on_grid_sample(design, 12, rng)
+        pool = np.concatenate([pool, off_grid_twins(design, pool, rng)])
+        batches = [pool[rng.integers(0, len(pool), size=15)] for _ in range(4)]
+        batches.insert(2, batches[1])
+        seen = spy_on_analysis(design, monkeypatch)
+        for X in batches:
+            assert_matches_per_design(design, X)
+        assert sum(map(len, seen)) < sum(map(len, batches))
+
+    def test_memo_holds_only_the_last_call(self, monkeypatch, rng):
+        design = load_design("michell")
+        space = design.search_space()
+        X = on_grid_sample(design, 10, rng)
+        design.evaluate(X)
+        last = np.concatenate([X[:2], on_grid_sample(design, 2, rng)])
+        design.evaluate(off_grid_twins(design, last, rng))
+        keys, weights, violations = design._memo
+        assert set(keys) == {row.tobytes() for row in snap_to_grid(last, space)}
+        assert len(weights) <= len(last) and len(violations) <= len(last)
+        # rows of the call before the last one are analyzed again
+        seen = spy_on_analysis(design, monkeypatch)
+        assert_matches_per_design(design, X[4:6])
+        assert len(seen) == 1 and seen[0].tobytes() == X[4:6].tobytes()
+
+    def test_writing_into_results_changes_no_later_result(self, rng):
+        design = load_design("michell")
+        X = on_grid_sample(design, 4, rng)
+        expect = [a.copy() for a in design.evaluate(X)]
+        # the first call analyzed every row, the later ones copy them
+        for _ in range(3):
+            weights, violations = design.evaluate(X)
+            assert weights.tobytes() == expect[0].tobytes()
+            assert violations.tobytes() == expect[1].tobytes()
+            weights[:] = -1.0
+            violations[:] = -1.0
+
+    def test_call_that_raises_leaves_the_memo(self, monkeypatch):
+        design = TrussDesign(collapsing_doc())
+        design.evaluate(np.array([[2.0, 2.0, 1.0], [3.0, 3.0, 0.5]]))
+        keys, weights, violations = design._memo
+        before = dict(keys), weights.tobytes(), violations.tobytes()
+        # the middle row has a nonpositive area
+        bad = np.array([[3.0, 3.0, 0.5], [-2.0, 2.0, 1.0], [4.0, 4.0, 0.8]])
+        with pytest.raises(ModelError, match="areas"):
+            design.evaluate(bad)
+        keys, weights, violations = design._memo
+        assert (keys, weights.tobytes(), violations.tobytes()) == before
+        seen = spy_on_analysis(design, monkeypatch)
+        assert_matches_per_design(design, bad[[0, 2]])
+        assert [rows.tobytes() for rows in seen] == [bad[2:].tobytes()]
+
+    def test_signed_zeros_analyzed_apart(self, monkeypatch):
+        doc = apex_doc()
+        # x_apex may reach 0: the apex above the pinned node
+        doc["shape_variables"][1]["lower"] = -0.5
+        design = TrussDesign(doc)
+        X = np.array([[2.0, 3.0, 1.0, 0.0], [2.0, 3.0, 1.0, -0.0], [2.0, 3.0, 1.0, 0.0]])
+        seen = spy_on_analysis(design, monkeypatch)
+        assert_matches_per_design(design, X)
+        assert [rows.tobytes() for rows in seen] == [X[:2].tobytes()]
+        assert_matches_per_design(design, X[::-1])
+        assert len(seen) == 1
 
 class TestMichellReference:
     def test_reference_value(self):

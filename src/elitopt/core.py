@@ -45,14 +45,11 @@ class SearchSpace:
     grids : sequence of (array_like or None), optional
         For each variable either ``None`` (continuous) or a sorted list of
         admissible values lying inside the bounds.
-    names : tuple of str, optional
-        Variable names for reporting.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     grids: tuple = None
-    names: tuple = None
 
     def __post_init__(self):
         lower = np.asarray(self.lower, dtype=float)
@@ -86,8 +83,6 @@ class SearchSpace:
                     raise ConfigError(f"variable {j}: grid leaves the bounds")
                 cleaned.append(arr)
             object.__setattr__(self, "grids", tuple(cleaned))
-        if self.names is not None and len(self.names) != lower.size:
-            raise ConfigError("names length must match dimension")
 
     @property
     def dim(self) -> int:

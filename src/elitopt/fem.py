@@ -5,11 +5,12 @@ per node, axial bar elements, static displacements and stresses, and natural
 frequencies from a lumped (diagonal) mass matrix.  Sign convention: tension
 positive.
 
-A :class:`TrussModel` holds one configuration or a stack of ``k``
-configurations of one topology (node arrays ``(k, n, 2)``, area arrays
-``(k, m)``).  Every analysis works on either: a stack is analyzed with one
-stacked call per LAPACK routine, and each configuration of it gets the same
-bits as when analyzed alone.
+A :class:`TrussTopology` holds what no design variable changes and is
+validated once.  A :class:`TrussModel` puts node coordinates and member
+areas on a topology: one configuration, or a stack of ``k`` configurations
+(node arrays ``(k, n, 2)``, area arrays ``(k, m)``).  Every analysis works
+on either: a stack is analyzed with one stacked call per LAPACK routine, and
+each configuration of it gets the same bits as when analyzed alone.
 """
 
 from __future__ import annotations
@@ -58,10 +59,11 @@ class TrussTopology:
     loads : (n, 2) float array of nodal forces [N]
     masses : (n,) float array of lumped nonstructural masses [kg]
 
-    Everything here is validated once, on construction, and stored as
-    read-only copies.  Construction also precomputes what every analysis of
-    a model on this topology reuses: the free DOFs, the load vector on them,
-    and the scatter indices that assemble stiffness and lumped masses.
+    Everything here is validated once, on construction (including that at
+    least one DOF is free), and stored as read-only copies.  Construction
+    also precomputes what every analysis of a model on this topology
+    reuses: the free DOFs, the load vector on them, and the scatter indices
+    that assemble stiffness and lumped masses.
     """
 
     def __init__(self, n_nodes, members, material, fixed, loads=None, masses=None):
@@ -78,6 +80,8 @@ class TrussTopology:
             raise ModelError("fixed must be an (n, 2) bool array")
         if int(fixed.sum()) < 3:
             raise ModelError("at least three restrained DOFs are required")
+        if fixed.all():
+            raise ModelError("no free DOFs")
         loads = np.zeros((n, 2)) if loads is None else np.array(loads, dtype=float)
         if loads.shape != (n, 2):
             raise ModelError("loads must be an (n, 2) array")
@@ -127,45 +131,26 @@ class TrussModel:
     """One truss configuration, or a stack of them: node coordinates and
     member areas on a :class:`TrussTopology`.
 
-    ``TrussModel(nodes, members, areas, material, fixed, loads, masses)``
-    validates everything.  ``TrussModel(nodes, areas=areas,
-    topology=topology)`` reuses an already validated topology and checks
-    only what a design changes: the node array shape, areas > 0 and member
+    The topology was validated when it was built, so a model checks only
+    what a design changes: the node array shape, areas > 0 and member
     lengths > 0.  Member lengths and direction cosines are computed here,
     once, and shared by every analysis of the model, as is the stiffness on
     the free DOFs (:attr:`free_stiffness`).  That free DOFs carry mass is
     checked by :func:`natural_frequencies`, the one analysis that needs it.
 
     nodes : (n, 2) float array of coordinates [m], or (k, n, 2) for a stack
-        of k configurations (only with a ``topology``)
+        of k configurations
     areas : (m,) float array of cross sections [m^2], or (k, m)
+    topology : the :class:`TrussTopology` both are placed on
     lengths : (m,) or (k, m) member lengths [m], computed
     cosines : (m, 2) or (k, m, 2) member direction cosines, computed
     """
 
-    def __init__(
-        self,
-        nodes,
-        members=None,
-        areas=None,
-        material=None,
-        fixed=None,
-        loads=None,
-        masses=None,
-        *,
-        topology: TrussTopology | None = None,
-    ):
+    def __init__(self, nodes, areas, topology: TrussTopology):
         nodes = np.asarray(nodes, dtype=float)
-        max_ndim = 2 if topology is None else 3
-        if not 2 <= nodes.ndim <= max_ndim or nodes.shape[-1] != 2:
-            raise ModelError("nodes must be an (n, 2) array, or (k, n, 2) on a topology")
-        if topology is None:
-            topology = TrussTopology(
-                nodes.shape[0], members, material, fixed, loads, masses
-            )
-        elif any(v is not None for v in (members, material, fixed, loads, masses)):
-            raise TypeError("give either a topology or its arrays, not both")
-        elif nodes.shape[-2] != topology.n_nodes:
+        if not 2 <= nodes.ndim <= 3 or nodes.shape[-1] != 2:
+            raise ModelError("nodes must be an (n, 2) or (k, n, 2) array")
+        if nodes.shape[-2] != topology.n_nodes:
             raise ModelError("nodes do not match the topology's node count")
         areas = np.asarray(areas, dtype=float)
         if areas.shape != nodes.shape[:-2] + (topology.n_members,):
@@ -184,20 +169,6 @@ class TrussModel:
         self.lengths = lengths
         self.cosines = d / lengths[..., None]
 
-    members = property(lambda self: self.topology.members)
-    material = property(lambda self: self.topology.material)
-    fixed = property(lambda self: self.topology.fixed)
-    loads = property(lambda self: self.topology.loads)
-    masses = property(lambda self: self.topology.masses)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.topology.n_nodes
-
-    @property
-    def n_members(self) -> int:
-        return self.topology.n_members
-
     @property
     def stack_shape(self) -> tuple:
         """``()`` for one configuration, ``(k,)`` for a stack of k."""
@@ -207,12 +178,6 @@ class TrussModel:
     def free_stiffness(self) -> np.ndarray:
         """Stiffness on the free DOFs, assembled on first use."""
         return assemble_stiffness(self)
-
-
-def total_weight(model: TrussModel):
-    """Structural mass [kg]: sum of density * area * length over members;
-    a float, or one per configuration of a stack."""
-    return model.material.density * (model.areas * model.lengths).sum(axis=-1)
 
 
 def _scatter(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
@@ -228,9 +193,9 @@ def _scatter(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
 
 
 def assemble_stiffness(model: TrussModel) -> np.ndarray:
-    """Stiffness on the free DOFs: the rows and columns of :func:`free_dofs`
-    of the unsupported (2n, 2n) matrix, assembled directly without it;
-    ``(k, f, f)`` for a stack.
+    """Stiffness on the free DOFs: the rows and columns of the topology's
+    ``free`` DOFs of the unsupported (2n, 2n) matrix, assembled directly
+    without it; ``(k, f, f)`` for a stack.
 
     Each entry sums its members' contributions in member order, the order in
     which ``np.add.at`` would add them into the full matrix, so the result
@@ -238,9 +203,9 @@ def assemble_stiffness(model: TrussModel) -> np.ndarray:
     """
     # per-member 4-vector (c, s, -c, -s); element matrix is k * outer(v, v)
     v = np.concatenate([model.cosines, -model.cosines], axis=-1)
-    k = model.material.young_modulus * model.areas / model.lengths
-    blocks = k[..., None, None] * v[..., :, None] * v[..., None, :]
     topo = model.topology
+    k = topo.material.young_modulus * model.areas / model.lengths
+    blocks = k[..., None, None] * v[..., :, None] * v[..., None, :]
     n = topo.free.size
     blocks = blocks.reshape(-1, 16 * topo.n_members)[:, topo.free_entries]
     return _scatter(topo.free_stiffness_index, blocks, n * n).reshape(
@@ -248,20 +213,14 @@ def assemble_stiffness(model: TrussModel) -> np.ndarray:
     )
 
 
-def free_dofs(model: TrussModel) -> np.ndarray:
-    return model.topology.free
-
-
 @dataclass
 class StaticResult:
     """displacements is (n, 2) with zeros on restrained DOFs; stresses is
-    per-member axial stress [Pa], tension positive; weight is the structural
-    mass [kg].  For a stack every field gains the stack's leading axis."""
+    per-member axial stress [Pa], tension positive.  For a stack both gain
+    the stack's leading axis."""
 
     displacements: np.ndarray
     stresses: np.ndarray
-    member_forces: np.ndarray
-    weight: float
 
 
 def _positive_definite(K: np.ndarray) -> np.ndarray:
@@ -284,13 +243,11 @@ def _positive_definite(K: np.ndarray) -> np.ndarray:
 
 
 def solve_static(model: TrussModel) -> StaticResult:
-    """Displacements, stresses and weight under the model's nodal loads.
+    """Displacements and stresses under the model's nodal loads.
 
     Raises :class:`AnalysisError` when any configuration is a mechanism.
     """
-    free = free_dofs(model)
-    if free.size == 0:
-        raise ModelError("no free DOFs")
+    topo = model.topology
     K_red = model.free_stiffness
     ok = _positive_definite(K_red)
     if not ok.all():
@@ -300,38 +257,33 @@ def solve_static(model: TrussModel) -> StaticResult:
             f"(smallest eigenvalue {eigmin:.3e}); the truss is a mechanism",
             ~ok,
         )
-    u_free = np.linalg.solve(K_red, model.topology.free_loads)
+    u_free = np.linalg.solve(K_red, topo.free_loads)
     stack = model.stack_shape
-    u = np.zeros(stack + (2 * model.n_nodes,))
-    u[..., free] = u_free
-    u = u.reshape(stack + (model.n_nodes, 2))
+    u = np.zeros(stack + (2 * topo.n_nodes,))
+    u[..., topo.free] = u_free
+    u = u.reshape(stack + (topo.n_nodes, 2))
 
-    du = u[..., model.members[:, 1], :] - u[..., model.members[:, 0], :]
+    du = u[..., topo.members[:, 1], :] - u[..., topo.members[:, 0], :]
     # flattened to (k * m, 2), each member's two-term dot product runs in
     # the same einsum loop as for a single configuration
     elongation = np.einsum(
         "ij,ij->i", du.reshape(-1, 2), model.cosines.reshape(-1, 2)
     ).reshape(model.lengths.shape)
-    stresses = model.material.young_modulus * elongation / model.lengths
-    forces = stresses * model.areas
-    return StaticResult(
-        displacements=u,
-        stresses=stresses,
-        member_forces=forces,
-        weight=total_weight(model),
-    )
+    stresses = topo.material.young_modulus * elongation / model.lengths
+    return StaticResult(displacements=u, stresses=stresses)
 
 
 def lumped_masses(model: TrussModel) -> np.ndarray:
     """Per-node translational mass: lumped nonstructural mass plus half of
     each adjacent member's structural mass; ``(k, n)`` for a stack."""
-    tributary = 0.5 * model.material.density * model.areas * model.lengths
+    topo = model.topology
+    tributary = 0.5 * topo.material.density * model.areas * model.lengths
     stack = model.stack_shape
-    masses = np.broadcast_to(model.masses, stack + model.masses.shape)
+    masses = np.broadcast_to(topo.masses, stack + topo.masses.shape)
     weights = np.concatenate([masses, tributary, tributary], axis=-1)
     return _scatter(
-        model.topology.mass_index, weights.reshape(-1, weights.shape[-1]), model.n_nodes
-    ).reshape(stack + (model.n_nodes,))
+        topo.mass_index, weights.reshape(-1, weights.shape[-1]), topo.n_nodes
+    ).reshape(stack + (topo.n_nodes,))
 
 
 def natural_frequencies(model: TrussModel, count: int | None = None) -> np.ndarray:
@@ -342,9 +294,7 @@ def natural_frequencies(model: TrussModel, count: int | None = None) -> np.ndarr
     Tiny negative eigenvalues from roundoff are clamped to zero; a larger
     negative one marks a mechanism and raises :class:`AnalysisError`.
     """
-    free = free_dofs(model)
-    if free.size == 0:
-        raise ModelError("no free DOFs")
+    free = model.topology.free
     # DOF 2k and 2k + 1 both carry node k's mass
     mass = lumped_masses(model)[..., free // 2]
     massless = (mass <= 0).reshape(-1, free.size)

@@ -52,7 +52,7 @@ from .core import (
     replicate_stats,
     run,
 )
-from .problems import get_problem
+from .problems import get_problem, problem_names
 
 HISTORY_HEADER = ("iteration", "best_so_far", "nfes")
 STATS_HEADER = ("best", "mean", "worst", "std", "nfes_median", "runs")
@@ -180,6 +180,18 @@ class ExperimentPlan:
         unknown = set(self.algorithms) - set(algorithm_names())
         if unknown:
             raise ConfigError(f"unknown algorithms: {sorted(unknown)}")
+        unknown = set(self.problems) - set(problem_names())
+        if unknown:
+            raise ConfigError(f"unknown problems: {sorted(unknown)}")
+        if self.dim < 1:
+            raise ConfigError("dim must be >= 1")
+        # what every run's configuration would refuse, refused once here
+        RunConfig(
+            population_size=self.population_size,
+            max_iterations=1,
+            memory_enabled=True in self.memory_modes,
+            memory_fraction=self.memory_fraction,
+        )
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
         if (self.budget is None) == (self.max_iterations is None):

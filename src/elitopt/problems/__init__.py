@@ -8,7 +8,6 @@ override); analytic functions are defined inline.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 from ..core import Problem
 from .analytic import FUNCTIONS, analytic_problem, rastrigin, rosenbrock, sphere
@@ -38,24 +37,22 @@ def problem_names() -> list[str]:
     return sorted(list(_TRUSS_FILES) + list(FUNCTIONS))
 
 
-def load_design(name: str, data_path: str | Path | None = None) -> TrussDesign:
+def load_design(name: str) -> TrussDesign:
     """Load the :class:`TrussDesign` behind one of the truss benchmarks."""
     try:
         fname = _TRUSS_FILES[name]
     except KeyError:
         raise KeyError(f"no truss benchmark named {name!r}") from None
-    return TrussDesign.from_file(data_dir(data_path) / fname)
+    return TrussDesign.from_file(data_dir() / fname)
 
 
-def get_problem(
-    name: str, dim: int = 10, data_path: str | Path | None = None
-) -> Problem:
+def get_problem(name: str, dim: int = 10) -> Problem:
     """Build a registered problem.  ``dim`` only applies to the analytic
     functions; truss benchmarks carry their dimension in the geometry file."""
     if name in FUNCTIONS:
         return analytic_problem(name, dim=dim)
     if name in _TRUSS_FILES:
-        return load_design(name, data_path).problem(name)
+        return load_design(name).problem(name)
     raise KeyError(
         f"unknown problem {name!r}; available: {', '.join(problem_names())}"
     )

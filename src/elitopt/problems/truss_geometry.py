@@ -86,11 +86,9 @@ def _positive(value, what: str) -> float:
     return value
 
 
-def data_dir(override: str | Path | None = None) -> Path:
+def data_dir() -> Path:
     """Directory holding the bundled geometry files; the environment
     variable named in ``DATA_DIR_ENV`` overrides it."""
-    if override is not None:
-        return Path(override)
     env = os.environ.get(DATA_DIR_ENV)
     if env:
         return Path(env)
@@ -137,7 +135,7 @@ class TrussDesign:
         self.name = doc["name"]
         self.provenance = list(doc.get("provenance", []))
         try:
-            self.material = Material(
+            material = Material(
                 young_modulus=float(doc["material"]["young_modulus"]),
                 density=float(doc["material"]["density"]),
             )
@@ -153,7 +151,7 @@ class TrussDesign:
         )
         n = len(ids)
 
-        self.members = np.array(
+        members = np.array(
             [
                 [self._id_to_index[int(e["nodes"][0])], self._id_to_index[int(e["nodes"][1])]]
                 for e in doc["elements"]
@@ -162,27 +160,27 @@ class TrussDesign:
         )
         self.member_groups = [str(e["group"]) for e in doc["elements"]]
 
-        self.fixed = np.zeros((n, 2), dtype=bool)
+        fixed = np.zeros((n, 2), dtype=bool)
         for s in doc.get("supports", []):
             k = self._id_to_index[int(s["node"])]
-            self.fixed[k, 0] = bool(s.get("fix_x", False))
-            self.fixed[k, 1] = bool(s.get("fix_y", False))
+            fixed[k, 0] = bool(s.get("fix_x", False))
+            fixed[k, 1] = bool(s.get("fix_y", False))
 
-        self.loads = np.zeros((n, 2))
+        loads = np.zeros((n, 2))
         for l in doc.get("loads", []):
             k = self._id_to_index[int(l["node"])]
-            self.loads[k, 0] += float(l.get("fx", 0.0))
-            self.loads[k, 1] += float(l.get("fy", 0.0))
+            loads[k, 0] += float(l.get("fx", 0.0))
+            loads[k, 1] += float(l.get("fy", 0.0))
 
-        self.masses = np.zeros(n)
+        masses = np.zeros(n)
         for m in doc.get("masses", []):
-            self.masses[self._id_to_index[int(m["node"])]] += float(m["mass"])
+            masses[self._id_to_index[int(m["node"])]] += float(m["mass"])
 
         group_members: dict[str, list[int]] = {}
         for idx, g in enumerate(self.member_groups):
             group_members.setdefault(g, []).append(idx)
 
-        self.base_areas = np.full(self.members.shape[0], np.nan)
+        self.base_areas = np.full(members.shape[0], np.nan)
         assigned = set()
         for fa in doc.get("fixed_areas", []):
             g = str(fa["group"])
@@ -206,10 +204,11 @@ class TrussDesign:
                 idx.extend(group_members[g])
             grid = None
             if sv.get("grid"):
-                start, stop, step = (
+                start, stop = (
                     _finite(sv["grid"][key], f"{sv['name']!r} grid {key}")
-                    for key in ("start", "stop", "step")
+                    for key in ("start", "stop")
                 )
+                step = _positive(sv["grid"]["step"], f"{sv['name']!r} grid step")
                 count = int(round((stop - start) / step)) + 1
                 grid = np.round(start + step * np.arange(count), decimals=12)
             self.size_variables.append(
@@ -272,15 +271,9 @@ class TrussDesign:
                 )
 
         try:
-            self.topology = TrussTopology(
-                n, self.members, self.material, self.fixed, self.loads, self.masses
-            )
+            self.topology = TrussTopology(n, members, material, fixed, loads, masses)
         except ModelError as exc:
             raise ConfigError(f"{self.name}: {exc}") from None
-        self.members = self.topology.members
-        self.fixed = self.topology.fixed
-        self.loads = self.topology.loads
-        self.masses = self.topology.masses
         self._space = self.search_space()
         self._displacement_checks = [
             (np.arange(n) if node is None else np.array([node]), axis, limit)
@@ -290,7 +283,7 @@ class TrussDesign:
         # the degenerate marker
         self._columns = max(
             1,
-            (self.members.shape[0] if self.stress_limit is not None else 0)
+            (self.topology.n_members if self.stress_limit is not None else 0)
             + sum(nodes.size for nodes, _, _ in self._displacement_checks)
             + self.frequency_bounds.size,
         )
@@ -346,16 +339,11 @@ class TrussDesign:
         grids = [v.grid for v in self.size_variables] + [
             None for _ in self.shape_variables
         ]
-        names = tuple(
-            v.name for v in self.size_variables + self.shape_variables
-        )
         if all(g is None for g in grids):
             grids = None
         else:
             grids = tuple(grids)
-        return SearchSpace(
-            lower=np.array(lower), upper=np.array(upper), grids=grids, names=names
-        )
+        return SearchSpace(lower=np.array(lower), upper=np.array(upper), grids=grids)
 
     def expand(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Design vector -> (node coordinates, member areas), both in SI; a
@@ -374,12 +362,6 @@ class TrussDesign:
             self._coord_datums + self._coord_scales * x[..., self._coord_vars]
         )
         return coords, areas
-
-    def model(self, x: np.ndarray) -> TrussModel:
-        """The truss of design vector ``x`` (or the stack of a ``(k, dim)``
-        array), built on the validated topology."""
-        coords, areas = self.expand(x)
-        return TrussModel(coords, areas=areas, topology=self.topology)
 
     # -- evaluation ------------------------------------------------------
 
@@ -446,9 +428,10 @@ class TrussDesign:
         whose stiffness on the free DOFs is assembled once for both the
         static and the modal analysis."""
         coords, areas = self.expand(X)
-        d = coords[:, self.members[:, 1]] - coords[:, self.members[:, 0]]
+        topo = self.topology
+        d = coords[:, topo.members[:, 1]] - coords[:, topo.members[:, 0]]
         lengths = np.sqrt(np.add.reduce(d * d, axis=-1))
-        weights = self.material.density * (areas * lengths).sum(axis=-1)
+        weights = topo.material.density * (areas * lengths).sum(axis=-1)
         # every row starts degenerate; analyzed rows are overwritten whole
         violations = np.zeros((len(X), self._columns))
         violations[:, 0] = DEGENERATE_VIOLATION

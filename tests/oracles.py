@@ -15,12 +15,12 @@ from elitopt.core import Candidate, EvaluationError, Problem, SearchSpace
 from elitopt.fem import (
     AnalysisError,
     ModelError,
+    TrussModel,
     displacement_violation,
     frequency_violations,
     natural_frequencies,
     solve_static,
     stress_violations,
-    total_weight,
 )
 from elitopt.problems.truss_geometry import DEGENERATE_LENGTH, DEGENERATE_VIOLATION
 
@@ -51,10 +51,11 @@ def element_stiffness(xa, xb, area, young_modulus):
 
 def full_stiffness(model):
     """Unsupported (2n, 2n) stiffness, summed element by element."""
-    K = np.zeros((2 * model.n_nodes, 2 * model.n_nodes))
-    for (a, b), area in zip(model.members, model.areas):
+    topo = model.topology
+    K = np.zeros((2 * topo.n_nodes, 2 * topo.n_nodes))
+    for (a, b), area in zip(topo.members, model.areas):
         k = element_stiffness(model.nodes[a], model.nodes[b], area,
-                              model.material.young_modulus)
+                              topo.material.young_modulus)
         dofs = [2 * a, 2 * a + 1, 2 * b, 2 * b + 1]
         K[np.ix_(dofs, dofs)] += k
     return K
@@ -62,10 +63,11 @@ def full_stiffness(model):
 
 def solve_static_oracle(model, spring_scale=1e14):
     """Full displacement vector and member stresses by the penalty method."""
-    n_dof = 2 * model.n_nodes
-    E = model.material.young_modulus
+    topo = model.topology
+    n_dof = 2 * topo.n_nodes
+    E = topo.material.young_modulus
     K = np.zeros((n_dof, n_dof))
-    for (a, b), area in zip(model.members, model.areas):
+    for (a, b), area in zip(topo.members, model.areas):
         xa, xb = model.nodes[a], model.nodes[b]
         d = xb - xa
         length = float(np.hypot(*d))
@@ -79,12 +81,12 @@ def solve_static_oracle(model, spring_scale=1e14):
                 K[dofs[i], dofs[j]] += k_elem[i, j]
 
     spring = spring_scale * float(np.max(np.diag(K)))
-    for dof in np.flatnonzero(model.fixed.ravel()):
+    for dof in np.flatnonzero(topo.fixed.ravel()):
         K[dof, dof] += spring
-    u = np.linalg.solve(K, model.loads.ravel())
+    u = np.linalg.solve(K, topo.loads.ravel())
 
-    stresses = np.empty(model.n_members)
-    for m, ((a, b), _) in enumerate(zip(model.members, model.areas)):
+    stresses = np.empty(topo.n_members)
+    for m, ((a, b), _) in enumerate(zip(topo.members, model.areas)):
         xa, xb = model.nodes[a], model.nodes[b]
         d = xb - xa
         length = float(np.hypot(*d))
@@ -239,17 +241,18 @@ def evaluate_design(design, x):
     exactly, a degenerate row as ``[DEGENERATE_VIOLATION]`` followed by
     zeros."""
     degenerate = np.array([DEGENERATE_VIOLATION])
+    topo = design.topology
     x = snap_to_grid_loop(x, design.search_space())
+    coords, areas = design.expand(x)
     try:
-        model = design.model(x)
+        model = TrussModel(coords, areas, topo)
     except ModelError:
-        coords, areas = design.expand(x)
-        d = coords[design.members[:, 1]] - coords[design.members[:, 0]]
+        d = coords[topo.members[:, 1]] - coords[topo.members[:, 0]]
         lengths = np.sqrt(np.add.reduce(d * d, axis=1))
         if np.min(lengths) >= DEGENERATE_LENGTH:
             raise
-        return float(design.material.density * np.sum(areas * lengths)), degenerate
-    weight = float(total_weight(model))
+        return float(topo.material.density * np.sum(areas * lengths)), degenerate
+    weight = float(topo.material.density * np.sum(model.areas * model.lengths))
     if model.lengths.min() < DEGENERATE_LENGTH:
         return weight, degenerate
     violations = []
@@ -260,7 +263,7 @@ def evaluate_design(design, x):
                 violations.append(
                     stress_violations(res.stresses, float(design.stress_limit)))
             for node, axis, limit in design.displacement_limits:
-                nodes = np.arange(model.n_nodes) if node is None else [node]
+                nodes = np.arange(topo.n_nodes) if node is None else [node]
                 violations.append(
                     displacement_violation(res.displacements[nodes, axis], limit))
         if design.frequency_bounds.size:

@@ -45,6 +45,7 @@ from elitopt.core import (
 from elitopt.fem import (
     Material,
     TrussModel,
+    TrussTopology,
     displacement_violation,
     frequency_violations,
     natural_frequencies,
@@ -123,7 +124,8 @@ def test_criterion_1_static_solver_vs_oracle():
     worst = 0.0
     for k in range(50):
         nodes, members, areas, fixed, loads = random_stable_truss(rng, 3 + k % 4)
-        model = TrussModel(nodes, members, areas, STEEL, fixed, loads)
+        topology = TrussTopology(len(nodes), members, STEEL, fixed, loads)
+        model = TrussModel(nodes, areas, topology)
         res = solve_static(model)
         u_ref, s_ref = solve_static_oracle(model)
         du = np.abs(res.displacements.ravel() - u_ref).max()
@@ -136,11 +138,14 @@ def test_criterion_1_static_solver_vs_oracle():
 
     cantilever = TrussModel(
         nodes=np.array([[0.0, 0.0], [1.0, 0.0]]),
-        members=np.array([[0, 1]]),
         areas=np.array([1e-4]),
-        material=STEEL,
-        fixed=np.array([[True, True], [False, True]]),
-        loads=np.array([[0.0, 0.0], [21e3, 0.0]]),
+        topology=TrussTopology(
+            2,
+            members=np.array([[0, 1]]),
+            material=STEEL,
+            fixed=np.array([[True, True], [False, True]]),
+            loads=np.array([[0.0, 0.0], [21e3, 0.0]]),
+        ),
     )
     res = solve_static(cantilever)
     cant_dev = max(
@@ -165,11 +170,14 @@ def test_criterion_2_modal_analysis():
     def oscillator(mass):
         return TrussModel(
             nodes=np.array([[0.0, 0.0], [1.0, 0.0]]),
-            members=np.array([[0, 1]]),
             areas=np.array([1e-5]),
-            material=Material(young_modulus=1e11, density=0.0),
-            fixed=np.array([[True, True], [False, True]]),
-            masses=np.array([0.0, mass]),
+            topology=TrussTopology(
+                2,
+                members=np.array([[0, 1]]),
+                material=Material(young_modulus=1e11, density=0.0),
+                fixed=np.array([[True, True], [False, True]]),
+                masses=np.array([0.0, mass]),
+            ),
         )
 
     f1 = natural_frequencies(oscillator(1.0))[0]
@@ -182,10 +190,9 @@ def test_criterion_2_modal_analysis():
     dev_scaling = 0.0
     for _ in range(5):
         nodes, members, areas, fixed, _ = random_stable_truss(rng, 5)
-        base = natural_frequencies(TrussModel(nodes, members, areas, STEEL, fixed))
-        scaled = natural_frequencies(
-            TrussModel(nodes, members, 4.2 * areas, STEEL, fixed)
-        )
+        topology = TrussTopology(len(nodes), members, STEEL, fixed)
+        base = natural_frequencies(TrussModel(nodes, areas, topology))
+        scaled = natural_frequencies(TrussModel(nodes, 4.2 * areas, topology))
         dev_scaling = max(
             dev_scaling, float(np.abs(scaled - base).max() / base.max())
         )
@@ -516,7 +523,10 @@ def test_criterion_9_bridge_and_tower_smoke(smoke_runs):
         if prob == "truss37":
             design = load_design("truss37")
             x = snap_to_grid(np.array(best.position), design.search_space())
-            freqs = natural_frequencies(design.model(x), count=3)
+            coords, areas = design.expand(x)
+            freqs = natural_frequencies(
+                TrussModel(coords, areas, design.topology), count=3
+            )
             above = bool(np.all(freqs >= np.array([20.0, 40.0, 60.0]) - 1e-6))
             ok = ok and above
             details.append(

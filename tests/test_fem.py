@@ -9,13 +9,11 @@ from elitopt.fem import (
     TrussTopology,
     assemble_stiffness,
     displacement_violation,
-    free_dofs,
     frequency_violations,
     lumped_masses,
     natural_frequencies,
     solve_static,
     stress_violations,
-    total_weight,
 )
 from oracles import (
     element_stiffness,
@@ -29,14 +27,20 @@ STEEL = Material(young_modulus=210e9, density=7850.0)
 
 def bar_model(load_x=0.0, area=1e-4, length=1.0):
     """One horizontal bar, left end pinned, right end on an x roller."""
-    return TrussModel(
-        nodes=np.array([[0.0, 0.0], [length, 0.0]]),
+    topology = TrussTopology(
+        2,
         members=np.array([[0, 1]]),
-        areas=np.array([area]),
         material=STEEL,
         fixed=np.array([[True, True], [False, True]]),
         loads=np.array([[0.0, 0.0], [load_x, 0.0]]),
     )
+    return TrussModel(np.array([[0.0, 0.0], [length, 0.0]]), np.array([area]), topology)
+
+
+def random_model(rng, n_nodes):
+    """A ``random_stable_truss`` on its own topology."""
+    nodes, members, areas, fixed, loads = random_stable_truss(rng, n_nodes)
+    return TrussModel(nodes, areas, TrussTopology(n_nodes, members, STEEL, fixed, loads))
 
 
 class TestElementStiffness:
@@ -71,22 +75,20 @@ class TestElementStiffness:
 
 class TestAssembly:
     def test_matches_elementwise_sum(self, rng):
-        nodes, members, areas, fixed, loads = random_stable_truss(rng, 4)
-        model = TrussModel(nodes, members, areas, STEEL, fixed, loads)
-        free = free_dofs(model)
+        model = random_model(rng, 4)
+        free = model.topology.free
         K = assemble_stiffness(model)
         expect = full_stiffness(model)[np.ix_(free, free)]
         assert np.allclose(K, expect, rtol=1e-12, atol=0.0)
 
     def test_symmetric(self, rng):
-        nodes, members, areas, fixed, loads = random_stable_truss(rng, 5)
-        model = TrussModel(nodes, members, areas, STEEL, fixed, loads)
+        model = random_model(rng, 5)
         K = assemble_stiffness(model)
         assert np.allclose(K, K.T)
 
     def test_free_dofs(self):
         model = bar_model()
-        assert list(free_dofs(model)) == [2]
+        assert list(model.topology.free) == [2]
 
     def test_sums_in_member_order_like_add_at(self, rng):
         # the per-member blocks scattered into the full matrix with
@@ -96,7 +98,8 @@ class TestAssembly:
             nodes, members, areas, fixed, loads = random_stable_truss(
                 rng, n_nodes)
             fixed[3] = [True, False]
-            model = TrussModel(nodes, members, areas, STEEL, fixed, loads)
+            topology = TrussTopology(n_nodes, members, STEEL, fixed, loads)
+            model = TrussModel(nodes, areas, topology)
             d = nodes[members[:, 1]] - nodes[members[:, 0]]
             lengths = np.linalg.norm(d, axis=1)
             v = np.column_stack([d / lengths[:, None], -d / lengths[:, None]])
@@ -107,7 +110,7 @@ class TestAssembly:
             full = np.zeros((2 * n_nodes, 2 * n_nodes))
             np.add.at(full, (np.repeat(dofs, 4, axis=1), np.tile(dofs, (1, 4))),
                       blocks.reshape(-1, 16))
-            free = free_dofs(model)
+            free = topology.free
             assert np.array_equal(assemble_stiffness(model),
                                   full[np.ix_(free, free)])
 
@@ -122,13 +125,15 @@ class TestAssembly:
             return assemble(model)
 
         monkeypatch.setattr(fem, "assemble_stiffness", counting)
-        model = TrussModel(
-            nodes=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        topology = TrussTopology(
+            3,
             members=np.array([[0, 1], [1, 2], [0, 2]]),
-            areas=np.full(3, 1e-4),
             material=STEEL,
             fixed=np.array([[True, True], [False, True], [True, False]]),
             loads=np.array([[0.0, 0.0], [1e3, 0.0], [0.0, 0.0]]),
+        )
+        model = TrussModel(
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.full(3, 1e-4), topology
         )
         solve_static(model)
         natural_frequencies(model)
@@ -142,7 +147,6 @@ class TestSolveStatic:
         res = solve_static(model)
         assert res.displacements[1, 0] == pytest.approx(1e-3, rel=1e-12)
         assert res.stresses[0] == pytest.approx(210e6, rel=1e-12)
-        assert res.member_forces[0] == pytest.approx(21e3, rel=1e-12)
 
     def test_compression_is_negative(self):
         res = solve_static(bar_model(load_x=-21e3))
@@ -154,17 +158,14 @@ class TestSolveStatic:
         assert np.all(res.stresses == 0.0)
 
     def test_restrained_dofs_stay_zero(self, rng):
-        nodes, members, areas, fixed, loads = random_stable_truss(rng, 5)
-        model = TrussModel(nodes, members, areas, STEEL, fixed, loads)
+        model = random_model(rng, 5)
         res = solve_static(model)
-        assert np.all(res.displacements[fixed] == 0.0)
+        assert np.all(res.displacements[model.topology.fixed] == 0.0)
 
     def test_against_penalty_oracle(self, rng):
         for n_nodes in (3, 4, 5, 6):
             for _ in range(3):
-                nodes, members, areas, fixed, loads = random_stable_truss(
-                    rng, n_nodes)
-                model = TrussModel(nodes, members, areas, STEEL, fixed, loads)
+                model = random_model(rng, n_nodes)
                 res = solve_static(model)
                 u_ref, sigma_ref = solve_static_oracle(model)
                 scale_u = max(1.0, float(np.abs(u_ref).max()))
@@ -175,14 +176,18 @@ class TestSolveStatic:
                                    atol=1e-9 * scale_s)
 
     def test_symmetric_three_bar(self):
-        model = TrussModel(
-            nodes=np.array([[0.0, 0.0], [-1.0, 1.0], [0.0, 1.0], [1.0, 1.0]]),
+        topology = TrussTopology(
+            4,
             members=np.array([[0, 1], [0, 2], [0, 3]]),
-            areas=np.array([1e-4, 1e-4, 1e-4]),
             material=STEEL,
             fixed=np.array([[False, False], [True, True], [True, True],
                             [True, True]]),
             loads=np.array([[0.0, -1e4], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+        )
+        model = TrussModel(
+            np.array([[0.0, 0.0], [-1.0, 1.0], [0.0, 1.0], [1.0, 1.0]]),
+            np.array([1e-4, 1e-4, 1e-4]),
+            topology,
         )
         res = solve_static(model)
         assert res.displacements[0, 0] == pytest.approx(0.0, abs=1e-15)
@@ -190,41 +195,39 @@ class TestSolveStatic:
 
     def test_mechanism_detected(self):
         # two collinear bars: the middle node has no transverse stiffness
-        model = TrussModel(
-            nodes=np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+        topology = TrussTopology(
+            3,
             members=np.array([[0, 1], [1, 2]]),
-            areas=np.array([1e-4, 1e-4]),
             material=STEEL,
             fixed=np.array([[True, True], [False, False], [True, True]]),
+        )
+        model = TrussModel(
+            np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]),
+            np.array([1e-4, 1e-4]),
+            topology,
         )
         with pytest.raises(AnalysisError, match="mechanism"):
             solve_static(model)
 
-    def test_weight_reported(self):
-        model = bar_model(area=1e-4, length=2.0)
-        res = solve_static(model)
-        assert res.weight == pytest.approx(7850.0 * 1e-4 * 2.0)
-
 
 class TestMassAndWeight:
     def make_two_bar(self):
-        material = Material(young_modulus=1e9, density=1000.0)
-        return TrussModel(
-            nodes=np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.5]]),
+        topology = TrussTopology(
+            3,
             members=np.array([[0, 1], [1, 2]]),
-            areas=np.array([0.01, 0.02]),
-            material=material,
+            material=Material(young_modulus=1e9, density=1000.0),
             fixed=np.array([[True, True], [False, False], [True, True]]),
             masses=np.array([1.0, 2.0, 3.0]),
+        )
+        return TrussModel(
+            np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.5]]),
+            np.array([0.01, 0.02]),
+            topology,
         )
 
     def test_member_lengths(self):
         model = self.make_two_bar()
         assert np.allclose(model.lengths, [2.0, 1.5])
-
-    def test_total_weight(self):
-        model = self.make_two_bar()
-        assert total_weight(model) == pytest.approx(1000 * (0.01 * 2 + 0.02 * 1.5))
 
     def test_lumped_masses_tributary_split(self):
         # bar masses 20 and 30 kg split half to each end node
@@ -234,7 +237,8 @@ class TestMassAndWeight:
     def test_lumped_masses_add_in_member_order(self, rng):
         nodes, members, areas, fixed, _ = random_stable_truss(rng, 6)
         masses = rng.uniform(0.0, 50.0, size=6)
-        model = TrussModel(nodes, members, areas, STEEL, fixed, masses=masses)
+        topology = TrussTopology(6, members, STEEL, fixed, masses=masses)
+        model = TrussModel(nodes, areas, topology)
         expect = masses.copy()
         tributary = 0.5 * STEEL.density * areas * np.linalg.norm(
             nodes[members[:, 1]] - nodes[members[:, 0]], axis=1)
@@ -246,15 +250,14 @@ class TestMassAndWeight:
 class TestFrequencies:
     def single_dof_model(self, mass=1.0):
         # axial stiffness k = EA/L = 1e6 N/m against a pure point mass
-        material = Material(young_modulus=1e11, density=0.0)
-        return TrussModel(
-            nodes=np.array([[0.0, 0.0], [1.0, 0.0]]),
+        topology = TrussTopology(
+            2,
             members=np.array([[0, 1]]),
-            areas=np.array([1e-5]),
-            material=material,
+            material=Material(young_modulus=1e11, density=0.0),
             fixed=np.array([[True, True], [False, True]]),
             masses=np.array([0.0, mass]),
         )
+        return TrussModel(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([1e-5]), topology)
 
     def test_single_dof_oscillator(self):
         freqs = natural_frequencies(self.single_dof_model())
@@ -271,32 +274,24 @@ class TestFrequencies:
     def test_area_scaling_invariance(self, rng):
         # with structural mass only, K and M both scale linearly in area
         nodes, members, areas, fixed, _ = random_stable_truss(rng, 5)
-        base = TrussModel(nodes, members, areas, STEEL, fixed)
-        scaled = TrussModel(nodes, members, 3.7 * areas, STEEL, fixed)
+        topology = TrussTopology(5, members, STEEL, fixed)
+        base = TrussModel(nodes, areas, topology)
+        scaled = TrussModel(nodes, 3.7 * areas, topology)
         f_base = natural_frequencies(base)
         f_scaled = natural_frequencies(scaled)
         assert np.allclose(f_scaled, f_base, rtol=1e-9)
 
     def test_ascending_order(self, rng):
-        nodes, members, areas, fixed, _ = random_stable_truss(rng, 6)
-        model = TrussModel(nodes, members, areas, STEEL, fixed)
+        model = random_model(rng, 6)
         freqs = natural_frequencies(model)
         assert np.all(np.diff(freqs) >= 0)
 
     def test_count_truncation(self, rng):
-        nodes, members, areas, fixed, _ = random_stable_truss(rng, 5)
-        model = TrussModel(nodes, members, areas, STEEL, fixed)
+        model = random_model(rng, 5)
         assert natural_frequencies(model, count=2).size == 2
 
     def test_massless_free_dof_rejected(self):
-        material = Material(young_modulus=1e11, density=0.0)
-        model = TrussModel(
-            nodes=np.array([[0.0, 0.0], [1.0, 0.0]]),
-            members=np.array([[0, 1]]),
-            areas=np.array([1e-5]),
-            material=material,
-            fixed=np.array([[True, True], [False, True]]),
-        )
+        model = self.single_dof_model(mass=0.0)
         with pytest.raises(ModelError, match="mass"):
             natural_frequencies(model)
 
@@ -337,65 +332,53 @@ class TestViolationHelpers:
 
 
 class TestModelValidation:
-    def base_kwargs(self):
-        return dict(
-            nodes=np.array([[0.0, 0.0], [1.0, 0.0]]),
+    """The topology checks what no design changes, once; the model checks
+    what a design changes."""
+
+    def build(self, nodes=((0.0, 0.0), (1.0, 0.0)), areas=(1e-4,), **topology):
+        kwargs = dict(
+            n_nodes=2,
             members=np.array([[0, 1]]),
-            areas=np.array([1e-4]),
             material=STEEL,
             fixed=np.array([[True, True], [False, True]]),
         )
+        kwargs.update(topology)
+        return TrussModel(np.array(nodes), np.array(areas), TrussTopology(**kwargs))
 
     def test_valid_base(self):
-        TrussModel(**self.base_kwargs())
+        self.build()
 
     def test_member_index_out_of_range(self):
-        kwargs = self.base_kwargs()
-        kwargs["members"] = np.array([[0, 2]])
         with pytest.raises(ModelError):
-            TrussModel(**kwargs)
+            self.build(members=np.array([[0, 2]]))
 
     def test_degenerate_member(self):
-        kwargs = self.base_kwargs()
-        kwargs["members"] = np.array([[1, 1]])
         with pytest.raises(ModelError):
-            TrussModel(**kwargs)
+            self.build(members=np.array([[1, 1]]))
 
     def test_nonpositive_area(self):
-        kwargs = self.base_kwargs()
-        kwargs["areas"] = np.array([0.0])
         with pytest.raises(ModelError):
-            TrussModel(**kwargs)
+            self.build(areas=[0.0])
 
     def test_area_count_mismatch(self):
-        kwargs = self.base_kwargs()
-        kwargs["areas"] = np.array([1e-4, 1e-4])
         with pytest.raises(ModelError):
-            TrussModel(**kwargs)
+            self.build(areas=[1e-4, 1e-4])
 
     def test_insufficient_restraints(self):
-        kwargs = self.base_kwargs()
-        kwargs["fixed"] = np.array([[True, True], [False, False]])
         with pytest.raises(ModelError):
-            TrussModel(**kwargs)
+            self.build(fixed=np.array([[True, True], [False, False]]))
 
     def test_zero_length_member(self):
-        kwargs = self.base_kwargs()
-        kwargs["nodes"] = np.array([[0.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ModelError):
-            TrussModel(**kwargs)
+            self.build(nodes=np.zeros((2, 2)))
 
     def test_negative_mass(self):
-        kwargs = self.base_kwargs()
-        kwargs["masses"] = np.array([0.0, -1.0])
         with pytest.raises(ModelError):
-            TrussModel(**kwargs)
+            self.build(masses=np.array([0.0, -1.0]))
 
     def test_bad_load_shape(self):
-        kwargs = self.base_kwargs()
-        kwargs["loads"] = np.array([[0.0, 0.0]])
         with pytest.raises(ModelError):
-            TrussModel(**kwargs)
+            self.build(loads=np.array([[0.0, 0.0]]))
 
     def test_material_validation(self):
         with pytest.raises(ModelError):
@@ -416,10 +399,8 @@ class TestModelValidation:
         ("masses", np.array([np.nan, 0.0])),
     ])
     def test_non_finite_loads_and_masses_rejected(self, field, value):
-        kwargs = self.base_kwargs()
-        kwargs[field] = value
         with pytest.raises(ModelError, match="finite"):
-            TrussModel(**kwargs)
+            self.build(**{field: value})
 
 
 class TestModelOnTopology:
@@ -428,13 +409,6 @@ class TestModelOnTopology:
             2, np.array([[0, 1]]), STEEL, np.array([[True, True], [False, True]]),
             loads=np.array([[0.0, 0.0], [21e3, 0.0]]),
         )
-
-    def test_matches_model_built_from_arrays(self):
-        shared = TrussModel(np.array([[0.0, 0.0], [1.0, 0.0]]),
-                            areas=np.array([1e-4]), topology=self.topology())
-        direct = bar_model(load_x=21e3)
-        assert np.array_equal(solve_static(shared).displacements,
-                              solve_static(direct).displacements)
 
     def test_checks_what_the_design_changes(self):
         topo = self.topology()
@@ -445,11 +419,6 @@ class TestModelOnTopology:
             TrussModel(np.zeros((2, 2)), areas=np.array([1e-4]), topology=topo)
         with pytest.raises(ModelError, match="node count"):
             TrussModel(np.zeros((3, 2)), areas=np.array([1e-4]), topology=topo)
-
-    def test_topology_and_arrays_are_exclusive(self):
-        with pytest.raises(TypeError):
-            TrussModel(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[0, 1]]),
-                       np.array([1e-4]), topology=self.topology())
 
     def test_invariants_are_read_only_copies(self):
         fixed = np.array([[True, True], [False, True]])
@@ -465,6 +434,8 @@ class TestModelOnTopology:
         with pytest.raises(ModelError):
             TrussTopology(2, np.array([[0, 1]]), STEEL,
                           np.array([[True, False], [False, False]]))
+        with pytest.raises(ModelError, match="no free DOFs"):
+            TrussTopology(2, np.array([[0, 1]]), STEEL, np.ones((2, 2), bool))
 
 
 class TestStackedModel:
@@ -484,14 +455,11 @@ class TestStackedModel:
         stacked = TrussModel(nodes, areas=areas, topology=topo)
         res = solve_static(stacked)
         freqs = natural_frequencies(stacked, count=4)
-        weights = total_weight(stacked)
         for i in range(len(nodes)):
             one = TrussModel(nodes[i], areas=areas[i], topology=topo)
             alone = solve_static(one)
             assert res.displacements[i].tobytes() == alone.displacements.tobytes()
             assert res.stresses[i].tobytes() == alone.stresses.tobytes()
-            assert res.member_forces[i].tobytes() == alone.member_forces.tobytes()
-            assert weights[i] == alone.weight == total_weight(one)
             assert np.array_equal(stacked.free_stiffness[i], assemble_stiffness(one))
             assert np.array_equal(lumped_masses(stacked)[i], lumped_masses(one))
             assert freqs[i].tobytes() == natural_frequencies(one, count=4).tobytes()
@@ -507,12 +475,6 @@ class TestStackedModel:
         with pytest.raises(AnalysisError, match="mechanism") as info:
             solve_static(stacked)
         assert info.value.mechanisms.tolist() == [False, True, False]
-
-    def test_stack_needs_a_topology(self):
-        kwargs = TestModelValidation().base_kwargs()
-        kwargs["nodes"] = kwargs["nodes"][None]
-        with pytest.raises(ModelError):
-            TrussModel(**kwargs)
 
     def test_areas_must_match_the_stack(self, rng):
         topo, nodes, areas = self.stack(rng)

@@ -293,6 +293,11 @@ class TestPlanValidation:
         with pytest.raises(ConfigError):
             small_plan(replicates=0)
 
+    def test_fraction_checked_only_with_memory(self):
+        small_plan(memory_modes=(False,), memory_fraction=5.0)
+        with pytest.raises(ConfigError, match="fraction"):
+            small_plan(memory_fraction=5.0)
+
     def test_budget_iterations_exclusive(self):
         with pytest.raises(ConfigError):
             small_plan(budget=4000)
@@ -367,6 +372,21 @@ class TestRunExperiment:
         run_experiment(plan, tmp_path / "a")
         run_experiment(plan, tmp_path / "b")
         assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
+
+    def test_two_workers_write_the_same_files(self, tmp_path):
+        plan = small_plan(algorithms=("bbo", "teo"), replicates=2)
+        run_experiment(plan, tmp_path / "serial", workers=1)
+        run_experiment(plan, tmp_path / "pool", workers=2)
+
+        def results(root):
+            return {path: digest for path, digest in tree_digest(root).items()
+                    if path.endswith(("stats.csv", "best.json"))
+                    or "/run_" in path}
+
+        serial = results(tmp_path / "serial")
+        # 4 cells of 2 run files, a stats file and a best file
+        assert len(serial) == 16
+        assert results(tmp_path / "pool") == serial
 
     def test_rerun_with_fewer_replicates_drops_stale_runs(self, tmp_path):
         out = tmp_path / "out"
@@ -599,6 +619,19 @@ class TestCli:
         lines = target.read_text().splitlines()
         assert lines[0] == "cell,run,iteration,best_so_far,nfes"
         assert all(line.startswith("bbo-sphere-mem,") for line in lines[1:])
+
+    @pytest.mark.parametrize("key, value", [
+        ("problem", "michel"),
+        ("dim", 0),
+        ("population_size", 0),
+        ("memory_fraction", 5.0),
+    ])
+    def test_bad_plan_value_fails_at_load(self, tmp_path, capsys, key, value):
+        plan = self.write_plan(tmp_path, **{key: value})
+        out = tmp_path / "out"
+        assert main(["run", str(plan), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out.exists()
 
     def test_errors_are_json_on_stderr(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.json")]) == 2

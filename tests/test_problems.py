@@ -1,11 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from elitopt.core import ConfigError, PenaltyParams, RunContext, snap_to_grid
-from elitopt.fem import ModelError, natural_frequencies
+from elitopt.fem import ModelError, TrussModel, natural_frequencies
 from elitopt.problems import (
+    DATA_DIR_ENV,
+    data_dir,
     get_problem,
     load_design,
     michell_analytical_weight,
@@ -99,6 +102,13 @@ class TestRegistry:
     def test_unknown_problem(self):
         with pytest.raises(KeyError, match="available"):
             get_problem("nonexistent")
+
+    def test_data_dir_from_environment(self, tmp_path, monkeypatch):
+        doc = json.loads((data_dir() / "michell_arch.json").read_text())
+        doc["name"] = "michell_copy"
+        (tmp_path / "michell_arch.json").write_text(json.dumps(doc))
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+        assert load_design("michell").name == "michell_copy"
 
 
 def collapsing_doc():
@@ -252,6 +262,19 @@ class TestLoadValidation:
         with pytest.raises(ConfigError, match="finite"):
             TrussDesign(doc)
 
+    @pytest.mark.parametrize("step", [0.0, -0.5])
+    def test_grid_step_must_be_positive(self, step):
+        doc = collapsing_doc()
+        doc["size_variables"][0]["grid"] = {"start": 1.0, "stop": 5.0, "step": step}
+        with pytest.raises(ConfigError, match="grid step must be positive"):
+            TrussDesign(doc)
+
+    def test_all_fixed_supports_rejected(self):
+        doc = collapsing_doc()
+        doc["supports"] = [{"node": k, "fix_x": True, "fix_y": True} for k in (1, 2, 3)]
+        with pytest.raises(ConfigError, match="no free DOFs"):
+            TrussDesign(doc)
+
     def test_non_finite_mass_rejected(self):
         doc = collapsing_doc()
         doc["masses"] = [{"node": 3, "mass": float("inf")}]
@@ -330,11 +353,23 @@ class TestTrussEvaluation:
         with pytest.raises(ModelError, match="areas"):
             evaluate_one(design, [-2.0, 2.0, 1.0])
 
-    def test_models_share_the_validated_topology(self):
+    def test_models_share_the_validated_topology(self, monkeypatch):
+        import elitopt.problems.truss_geometry as tg
+
+        topologies = []
+
+        def recording(nodes, areas, topology):
+            topologies.append(topology)
+            return TrussModel(nodes, areas, topology)
+
+        monkeypatch.setattr(tg, "TrussModel", recording)
         design = load_design("michell")
         fan = [math.cos(math.pi / 6.0), math.sin(math.pi / 3.0), 1.0]
         thick, thin = np.array([5.0] * 7 + fan), np.array([2.0] * 7 + fan)
-        assert design.model(thick).topology is design.model(thin).topology
+        design.evaluate(np.array([thick]))
+        design.evaluate(np.array([thin]))
+        assert len(topologies) == 2
+        assert all(t is design.topology for t in topologies)
 
     def test_invalid_supports_rejected_on_load(self):
         doc = collapsing_doc()
@@ -346,7 +381,7 @@ class TestTrussEvaluation:
         design = TrussDesign(collapsing_doc())
         weight, violations = evaluate_one(design, [2.0, 2.0, 1.0])
         # one stress entry per member, nothing else configured
-        assert violations.size == design.members.shape[0]
+        assert violations.size == design.topology.n_members
         assert np.all(violations == 0.0)
         assert weight > 0
 
@@ -368,7 +403,8 @@ class TestTrussEvaluation:
         design = load_design("truss37")
         space = design.search_space()
         x = mid_vector(space)
-        freqs = natural_frequencies(design.model(x), count=3)
+        freqs = natural_frequencies(
+            TrussModel(*design.expand(x), design.topology), count=3)
         assert np.all(np.diff(freqs) >= 0)
         bigger = x.copy()
         bigger[:14] = space.upper[:14]
@@ -380,6 +416,25 @@ class TestTrussEvaluation:
         # base: 2 cm^2 over 1 m; legs: 3 cm^2 over sqrt(2) and 1 m
         expect = 7800.0 * (2e-4 * 1.0 + 3e-4 * (math.sqrt(2.0) + 1.0))
         assert weight == pytest.approx(expect, rel=1e-12)
+
+    def test_two_bar_weight(self):
+        # bars of 2 m at 0.01 m^2 and 1.5 m at 0.02 m^2, density 1000 kg/m^3
+        doc = {
+            "name": "two_bar",
+            "material": {"young_modulus": 1e9, "density": 1000.0},
+            "nodes": [{"id": 1, "x": 0.0, "y": 0.0}, {"id": 2, "x": 2.0, "y": 0.0},
+                      {"id": 3, "x": 2.0, "y": 1.5}],
+            "elements": [{"id": 1, "nodes": [1, 2], "group": "a"},
+                         {"id": 2, "nodes": [2, 3], "group": "b"}],
+            "supports": [{"node": 1, "fix_x": True, "fix_y": True},
+                         {"node": 3, "fix_x": True, "fix_y": True}],
+            "size_variables": [
+                {"name": "a", "groups": ["a"], "lower": 0.01, "upper": 0.02},
+                {"name": "b", "groups": ["b"], "lower": 0.01, "upper": 0.02},
+            ],
+        }
+        weight, _ = evaluate_one(TrussDesign(doc), [0.01, 0.02])
+        assert weight == pytest.approx(1000 * (0.01 * 2 + 0.02 * 1.5))
 
 
 def apex_doc():

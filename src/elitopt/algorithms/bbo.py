@@ -159,6 +159,9 @@ class Bbo:
     def evals_per_iteration(self, population_size: int) -> int:
         return population_size
 
+    def check_population(self, population_size: int) -> None:
+        """Any population size runs."""
+
     def init_population(self, ctx, space: SearchSpace, n: int, rng):
         positions = space.sample(n, rng)
         return positions, ctx.evaluate_batch(positions), None

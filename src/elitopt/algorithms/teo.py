@@ -102,9 +102,12 @@ class Teo:
     def evals_per_iteration(self, population_size: int) -> int:
         return population_size // 2
 
-    def init_population(self, ctx, space: SearchSpace, n: int, rng):
-        if n < 2 or n % 2 != 0:
+    def check_population(self, population_size: int) -> None:
+        """The population splits into two halves of equal size."""
+        if population_size < 2 or population_size % 2 != 0:
             raise ConfigError("population size must be even and >= 2")
+
+    def init_population(self, ctx, space: SearchSpace, n: int, rng):
         positions = space.sample(n, rng)
         return positions, ctx.evaluate_batch(positions), None
 

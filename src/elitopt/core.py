@@ -493,6 +493,8 @@ def run(algorithm, problem: Problem, config: RunConfig, rng=None) -> RunResult:
 
     A generation is two arrays: ``(n, dim)`` positions and their ``(n,)``
     fitness.  The algorithm protocol is ``evals_per_iteration(n)``,
+    ``check_population(n)`` (raises :class:`ConfigError` when the algorithm
+    cannot run ``n`` members; checked before anything is drawn),
     ``init_population(ctx, space, n, rng) -> (positions, fitness, state)``,
     ``step(positions, fitness, state, ctx, frac, rng) -> (positions,
     fitness)`` and the attribute ``inject_before_step``.  ``frac`` is the
@@ -509,6 +511,7 @@ def run(algorithm, problem: Problem, config: RunConfig, rng=None) -> RunResult:
 
     Identical ``(seed, config, problem)`` triples give bit-identical results.
     """
+    algorithm.check_population(config.population_size)
     if rng is None:
         rng = np.random.default_rng(config.seed)
     memory = None

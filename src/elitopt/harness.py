@@ -201,6 +201,8 @@ class ExperimentPlan:
         bad = set(self.algorithm_params) - set(algorithm_names())
         if bad:
             raise ConfigError(f"parameter tables for unknown algorithms: {sorted(bad)}")
+        for name in self.algorithms:
+            self.algorithm_instance(name).check_population(self.population_size)
 
     def algorithm_instance(self, name: str):
         return get_algorithm(name, self.algorithm_params.get(name))

@@ -59,11 +59,13 @@ from ..fem import (
 DATA_DIR_ENV = "ELITOPT_DATA_DIR"
 DEGENERATE_LENGTH = 1e-6  # m; shorter members mark the design infeasible
 DEGENERATE_VIOLATION = 1e3
-# bytes of one stack of free-DOF matrices: a population is analyzed in chunks
-# of as many designs as fit (michell 113, truss37 11, forth 1), which bounds
-# the memory of each stacked LAPACK call.  Measured on forth (104 KB per
-# matrix): at 256 KB its two-design stacks page-faulted about 44 times per
-# evaluation and ran slower than one design at a time.
+# bytes of the stiffness that one chunk of designs assembles: a population is
+# analyzed in chunks of as many designs as fit (michell 113 dense 12x12
+# matrices, truss37 11 dense 37x37 ones, forth 10 sets of 33 blocks of 7x7),
+# which bounds the memory of each stacked LAPACK call.  Measured with
+# perfbench on a 2-CPU host: at 256 KB forth ran about 10% more evaluations
+# per second at 0.5 MB more peak RSS, while truss37's larger stacks gained
+# nothing and took 0.7 MB more.
 STACK_BYTES = 128 * 1024
 
 _AXES = {"x": 0, "y": 1}
@@ -288,7 +290,7 @@ class TrussDesign:
             + self.frequency_bounds.size,
         )
         self._compile_expand()
-        self._chunk_rows = max(1, STACK_BYTES // (8 * self.topology.free.size**2))
+        self._chunk_rows = max(1, STACK_BYTES // (8 * self._stiffness_floats()))
         # the previous call of :meth:`evaluate`: each row's key mapped to its
         # index in that call's objectives and violations
         self._memo: tuple[dict, np.ndarray, np.ndarray] = (
@@ -317,6 +319,19 @@ class TrussDesign:
         self._coord_vars = np.array([c[0] for c in last.values()], dtype=int)
         self._coord_scales = np.array([c[1] for c in last.values()], dtype=float)
         self._coord_datums = np.array([c[2] for c in last.values()], dtype=float)
+
+    def _stiffness_floats(self) -> int:
+        """Floats of stiffness that the analysis of one design assembles: the
+        dense free-DOF matrix for the modal analysis and for a dense static
+        solve, the blocks for a banded one (at least 1)."""
+        topo = self.topology
+        static = self.stress_limit is not None or bool(self.displacement_limits)
+        floats = 0
+        if self.frequency_bounds.size or (static and not topo.banded):
+            floats += topo.free.size ** 2
+        if static and topo.banded:
+            floats += (2 * topo.n_blocks - 1) * topo.block_size ** 2
+        return max(floats, 1)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TrussDesign":
@@ -424,9 +439,10 @@ class TrussDesign:
     def _analyze_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Objectives and violation rows of the snapped ``(k, dim)`` rows
         ``X``, each analyzed.  The rows are analyzed together, in chunks of
-        at most ``STACK_BYTES`` of stiffness: one stacked model per chunk,
-        whose stiffness on the free DOFs is assembled once for both the
-        static and the modal analysis."""
+        at most ``STACK_BYTES`` of assembled stiffness: one stacked model
+        per chunk, whose dense stiffness on the free DOFs, when an analysis
+        needs it, is assembled once for both the static and the modal
+        analysis."""
         coords, areas = self.expand(X)
         topo = self.topology
         d = coords[:, topo.members[:, 1]] - coords[:, topo.members[:, 0]]

@@ -14,8 +14,11 @@ import numpy as np
 from elitopt.core import Candidate, EvaluationError, Problem, SearchSpace
 from elitopt.fem import (
     AnalysisError,
+    Material,
     ModelError,
     TrussModel,
+    TrussTopology,
+    assemble_stiffness,
     displacement_violation,
     frequency_violations,
     natural_frequencies,
@@ -94,6 +97,60 @@ def solve_static_oracle(model, spring_scale=1e14):
         u_elem = np.array([u[2 * a], u[2 * a + 1], u[2 * b], u[2 * b + 1]])
         stresses[m] = (E / length) * np.array([-c, -s, c, s]) @ u_elem
     return u, stresses
+
+
+def dense_static(model):
+    """``(displacements, stresses)`` of a model or a stack of them by the
+    dense solve of the free stiffness: one stacked Cholesky check, then
+    ``np.linalg.solve``, whatever the topology's layout.  Raises
+    ``AnalysisError`` marking each configuration whose Cholesky fails.  The
+    reference for the block elimination of ``solve_static``."""
+    topo = model.topology
+    K = assemble_stiffness(model).reshape((-1,) + (topo.free.size,) * 2)
+    ok = np.ones(len(K), dtype=bool)
+    for i, matrix in enumerate(K):
+        try:
+            np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            ok[i] = False
+    if not ok.all():
+        raise AnalysisError("mechanism", ~ok.reshape(model.stack_shape))
+    u = np.zeros((len(K), 2 * topo.n_nodes))
+    u[:, topo.free] = np.linalg.solve(K, topo.free_loads)
+    u = u.reshape(model.nodes.shape)
+    du = u[..., topo.members[:, 1], :] - u[..., topo.members[:, 0], :]
+    elongation = np.sum(du * model.cosines, axis=-1)
+    return u, topo.material.young_modulus * elongation / model.lengths
+
+
+def thin_truss(panels, pendant=None):
+    """A long, thin Warren truss on its own topology: ``panels`` square
+    panels of 1 m between a bottom and a top chord, pinned at the left end
+    and on a roller at the right, loaded down at every inner bottom node.
+
+    With ``pendant = (x, y)`` one more node hangs from the two bottom nodes
+    of the first panel by two bars; placed on the chord between them it has
+    no vertical stiffness, so the truss is a mechanism.  Returns the
+    topology, the node coordinates and the member areas."""
+    bottom = [(float(i), 0.0) for i in range(panels + 1)]
+    top = [(i + 0.5, 1.0) for i in range(panels)]
+    nodes = bottom + top
+    n_bottom = panels + 1
+    members = [(i, i + 1) for i in range(panels)]
+    members += [(n_bottom + i, n_bottom + i + 1) for i in range(panels - 1)]
+    for i in range(panels):
+        members += [(i, n_bottom + i), (n_bottom + i, i + 1)]
+    if pendant is not None:
+        nodes.append(tuple(pendant))
+        members += [(0, len(nodes) - 1), (1, len(nodes) - 1)]
+    n = len(nodes)
+    fixed = np.zeros((n, 2), dtype=bool)
+    fixed[0] = True
+    fixed[panels, 1] = True
+    loads = np.zeros((n, 2))
+    loads[1:panels, 1] = -1e4
+    topology = TrussTopology(n, members, Material(210e9, 7850.0), fixed, loads)
+    return topology, np.array(nodes), np.full(len(members), 1e-3)
 
 
 def random_stable_truss(rng, n_nodes):

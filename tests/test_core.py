@@ -708,6 +708,9 @@ class LyingAlgorithm:
     def evals_per_iteration(self, population_size):
         return 1
 
+    def check_population(self, population_size):
+        pass
+
     def init_population(self, ctx, space, n, rng):
         positions = space.sample(n, rng)
         return positions, ctx.evaluate_batch(positions), None
@@ -732,6 +735,9 @@ class RecordingAlgorithm:
 
     def evals_per_iteration(self, population_size):
         return population_size
+
+    def check_population(self, population_size):
+        pass
 
     def init_population(self, ctx, space, n, rng):
         ctx.evaluate(np.zeros(space.dim))

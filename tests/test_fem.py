@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import elitopt.fem as fem
 from elitopt.fem import (
     AnalysisError,
     Material,
     ModelError,
     TrussModel,
     TrussTopology,
+    assemble_blocks,
     assemble_stiffness,
     displacement_violation,
     frequency_violations,
@@ -15,11 +17,14 @@ from elitopt.fem import (
     solve_static,
     stress_violations,
 )
+from elitopt.problems import load_design
 from oracles import (
+    dense_static,
     element_stiffness,
     full_stiffness,
     random_stable_truss,
     solve_static_oracle,
+    thin_truss,
 )
 
 STEEL = Material(young_modulus=210e9, density=7850.0)
@@ -427,6 +432,12 @@ class TestModelOnTopology:
         assert not topo.fixed[1, 0]
         with pytest.raises(ValueError):
             topo.loads[1, 0] = 1.0
+        thin = thin_truss(5)[0]
+        for name in ("order", "block_entries", "block_index", "block_padding",
+                     "block_loads"):
+            assert not getattr(thin, name).flags.writeable, name
+            with pytest.raises(ValueError):
+                getattr(thin, name)[0] = 1
 
     def test_topology_validation(self):
         with pytest.raises(ModelError):
@@ -440,7 +451,9 @@ class TestModelOnTopology:
 
 class TestStackedModel:
     """A stack of configurations on one topology is analyzed at once, and
-    each configuration gets the same bits as when analyzed alone."""
+    each configuration gets the same bits as when analyzed alone.  The
+    5-node trusses take the dense static solve, the thin truss the block
+    elimination."""
 
     def stack(self, rng, k=6):
         nodes, members, areas, fixed, loads = random_stable_truss(rng, 5)
@@ -476,7 +489,202 @@ class TestStackedModel:
             solve_static(stacked)
         assert info.value.mechanisms.tolist() == [False, True, False]
 
+    def test_each_thin_configuration_as_if_alone(self, rng):
+        topo, nodes, areas = thin_truss(10)
+        assert topo.banded
+        nodes = nodes + rng.normal(scale=0.05, size=(6,) + nodes.shape)
+        areas = areas * rng.uniform(0.5, 2.0, size=(6, areas.size))
+        stacked = TrussModel(nodes, areas=areas, topology=topo)
+        res = solve_static(stacked)
+        blocks = assemble_blocks(stacked)
+        for i in range(len(nodes)):
+            one = TrussModel(nodes[i], areas=areas[i], topology=topo)
+            alone = solve_static(one)
+            assert res.displacements[i].tobytes() == alone.displacements.tobytes()
+            assert res.stresses[i].tobytes() == alone.stresses.tobytes()
+            assert blocks[i].tobytes() == assemble_blocks(one).tobytes()
+
+    def test_thin_mechanisms_marked_per_configuration(self):
+        # the pendant node below the chord (stable) or on it (a mechanism)
+        pendants = [(0.5, -0.5), (0.5, 0.0), (0.5, -0.2)]
+        topo, nodes, areas = thin_truss(8, pendant=pendants[0])
+        assert topo.banded
+        nodes = np.repeat(nodes[None], 3, axis=0)
+        nodes[:, -1] = pendants
+        stacked = TrussModel(nodes, areas=np.tile(areas, (3, 1)), topology=topo)
+        with pytest.raises(AnalysisError, match="mechanism") as info:
+            solve_static(stacked)
+        assert info.value.mechanisms.tolist() == [False, True, False]
+        # the others are solved in the same pass, as they would be alone
+        u, ok = fem._solve_blocks(stacked)
+        assert ok.tolist() == [True, False, True]
+        for i in (0, 2):
+            one = TrussModel(nodes[i], areas=areas, topology=topo)
+            assert u[i].tobytes() == fem._solve_blocks(one)[0].tobytes()
+
     def test_areas_must_match_the_stack(self, rng):
         topo, nodes, areas = self.stack(rng)
         with pytest.raises(ModelError, match="areas"):
             TrussModel(nodes, areas=areas[:-1], topology=topo)
+
+
+def relative_error(value, reference):
+    """Largest deviation of each configuration relative to its largest
+    reference entry."""
+    axes = tuple(range(1, reference.ndim))
+    return np.max(np.abs(value - reference), axis=axes) / np.max(
+        np.abs(reference), axis=axes)
+
+
+def on_blocks(topo, K):
+    """The dense free stiffness ``K`` (``(k, f, f)``) in the topology's
+    ``order``, cut into the layout of :func:`assemble_blocks`."""
+    b, nb = topo.block_size, topo.n_blocks
+    where = np.searchsorted(topo.free, topo.order)
+    P = np.zeros((len(K), nb * b, nb * b))
+    P[:, : topo.free.size, : topo.free.size] = K[:, where][:, :, where]
+    pad = np.arange(topo.free.size, nb * b)
+    P[:, pad, pad] = 1.0
+    tiles = P.reshape(len(K), nb, b, nb, b).transpose(0, 1, 3, 2, 4)
+    rows = np.arange(nb)
+    return np.concatenate([tiles[:, rows, rows], tiles[:, rows[1:], rows[:-1]]], axis=1)
+
+
+class TestEliminationOrder:
+    """The topology's reverse Cuthill-McKee order and the block layout of
+    the free stiffness in it."""
+
+    def test_path_graph_gets_band_one(self, rng):
+        # a path whose vertices are numbered at random
+        labels = rng.permutation(12)
+        rows = np.concatenate([labels[:-1], labels[1:]])
+        cols = np.concatenate([labels[1:], labels[:-1]])
+        order = fem._reverse_cuthill_mckee(rows, cols, 12)
+        rank = np.empty(12, dtype=int)
+        rank[order] = np.arange(12)
+        assert sorted(order) == list(range(12))
+        assert np.abs(rank[rows] - rank[cols]).max() == 1
+
+    @pytest.mark.parametrize("name", ["michell", "forth", "truss37", "thin"])
+    def test_order_is_a_permutation_of_free(self, name):
+        topo = thin_truss(10)[0] if name == "thin" else load_design(name).topology
+        assert sorted(topo.order.tolist()) == topo.free.tolist()
+        assert 1 <= topo.block_size <= topo.free.size
+        assert topo.n_blocks == -(-topo.free.size // topo.block_size)
+
+    def test_no_entry_outside_the_band(self, rng):
+        for topo, nodes, areas in (thin_truss(10), thin_truss(7, pendant=(0.5, -0.5))):
+            K = assemble_stiffness(TrussModel(nodes, areas, topo))
+            where = np.searchsorted(topo.free, topo.order)
+            i, j = np.nonzero(K[np.ix_(where, where)])
+            assert np.abs(i - j).max() <= topo.block_size
+
+    def test_forth_band(self):
+        # 114 free DOFs at a half-bandwidth of 7 in this order: 17 blocks
+        topo = load_design("forth").topology
+        assert topo.free.size == 114
+        assert topo.block_size <= 7
+
+    def test_blocks_hold_the_dense_entries_bit_for_bit(self, rng):
+        topo, nodes, areas = thin_truss(7, pendant=(0.5, -0.5))
+        # the last block is padded
+        assert topo.free.size % topo.block_size
+        nodes = nodes + rng.normal(scale=0.05, size=(4,) + nodes.shape)
+        model = TrussModel(nodes, np.tile(areas, (4, 1)), topo)
+        blocks = assemble_blocks(model)
+        assert blocks.shape == (4, 2 * topo.n_blocks - 1) + (topo.block_size,) * 2
+        assert np.array_equal(blocks, on_blocks(topo, assemble_stiffness(model)))
+
+    def test_bundled_trusses_take_the_stated_path(self, monkeypatch, rng):
+        assert not load_design("michell").topology.banded
+        assert load_design("forth").topology.banded
+        calls = {"blocks": 0, "static": 0}
+        solve_blocks, solve = fem._solve_blocks, fem.solve_static
+
+        def counting_blocks(model):
+            calls["blocks"] += 1
+            return solve_blocks(model)
+
+        def counting_static(model):
+            calls["static"] += 1
+            return solve(model)
+
+        import elitopt.problems.truss_geometry as tg
+
+        monkeypatch.setattr(fem, "_solve_blocks", counting_blocks)
+        monkeypatch.setattr(tg, "solve_static", counting_static)
+        for name, blocks, static in (("michell", 0, 1), ("forth", 1, 1), ("truss37", 0, 0)):
+            calls.update(blocks=0, static=0)
+            design = load_design(name)
+            design.evaluate(design.search_space().sample(3, rng))
+            assert (calls["blocks"] > 0, calls["static"] > 0) == (blocks, static), name
+
+
+class TestBlockSolve:
+    """The block elimination against the dense solve of ``oracles``."""
+
+    def test_forth_populations_match_the_dense_reference(self, rng):
+        design = load_design("forth")
+        for k in (1, 7, 20):
+            coords, areas = design.expand(design.search_space().sample(k, rng))
+            model = TrussModel(coords, areas, design.topology)
+            res = solve_static(model)
+            u, stresses = dense_static(model)
+            assert relative_error(res.displacements, u).max() <= 1e-9
+            assert relative_error(res.stresses, stresses).max() <= 1e-9
+
+    def test_thin_truss_matches_the_dense_reference(self, rng):
+        topo, nodes, areas = thin_truss(12)
+        nodes = nodes + rng.normal(scale=0.1, size=(5,) + nodes.shape)
+        areas = areas * rng.uniform(0.2, 5.0, size=(5, areas.size))
+        model = TrussModel(nodes, areas, topo)
+        res = solve_static(model)
+        u, stresses = dense_static(model)
+        assert relative_error(res.displacements, u).max() <= 1e-9
+        assert relative_error(res.stresses, stresses).max() <= 1e-9
+
+    def test_single_configuration(self, rng):
+        topo, nodes, areas = thin_truss(9)
+        model = TrussModel(nodes, areas, topo)
+        u, ok = fem._solve_blocks(model)
+        assert u.shape == (topo.free.size,) and ok.shape == () and ok
+        res = solve_static(model)
+        ref_u, ref_stresses = dense_static(model)
+        assert res.displacements.shape == ref_u.shape
+        assert relative_error(res.displacements[None], ref_u[None])[0] <= 1e-9
+        assert relative_error(res.stresses[None], ref_stresses[None])[0] <= 1e-9
+
+    def test_one_free_dof(self):
+        # the axial bar: one block of one DOF, checked and solved alone
+        model = bar_model(load_x=21e3)
+        topo = model.topology
+        assert (topo.block_size, topo.n_blocks, topo.banded) == (1, 1, False)
+        u, ok = fem._solve_blocks(model)
+        assert ok and u.tolist() == pytest.approx([1e-3], rel=1e-12)
+        stacked = TrussModel(np.stack([model.nodes] * 3), np.full((3, 1), 1e-4), topo)
+        u, ok = fem._solve_blocks(stacked)
+        assert ok.tolist() == [True] * 3 and u.shape == (3, 1)
+
+    def test_fewer_blocks_than_the_banded_path_needs(self, rng):
+        # two panels: 7 free DOFs in 2 blocks, the last one padded; the
+        # static solve stays dense, the block elimination still agrees
+        topo, nodes, areas = thin_truss(2)
+        assert topo.n_blocks == 2 and not topo.banded
+        assert topo.free.size < topo.n_blocks * topo.block_size
+        nodes = nodes + rng.normal(scale=0.05, size=(3,) + nodes.shape)
+        model = TrussModel(nodes, np.tile(areas, (3, 1)), topo)
+        u, ok = fem._solve_blocks(model)
+        assert ok.all()
+        ref, _ = dense_static(model)
+        flat = ref.reshape(3, -1)[:, topo.order]
+        assert relative_error(u, flat).max() <= 1e-9
+
+    def test_mechanism_of_one_configuration(self):
+        # the pendant on the chord makes a Schur complement singular
+        topo, nodes, areas = thin_truss(8, pendant=(0.5, 0.0))
+        model = TrussModel(nodes, areas, topo)
+        with pytest.raises(AnalysisError, match="mechanism") as info:
+            solve_static(model)
+        assert info.value.mechanisms.shape == () and info.value.mechanisms
+        with pytest.raises(AnalysisError):
+            dense_static(model)

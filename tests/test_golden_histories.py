@@ -17,6 +17,9 @@ The JSON file is recorded from a known-good tree, never edited to make this
 test pass.  After a deliberate change of behaviour, record it again with::
 
     PYTHONPATH=src python3 tests/test_golden_histories.py --record
+
+which lists the digests added, removed and changed against the record it
+replaces, for review.
 """
 
 from __future__ import annotations
@@ -83,12 +86,29 @@ def test_histories_match_golden(tmp_path):
     assert not changed, f"history files differ from the golden record: {changed}"
 
 
+def record_changes(old: dict, new: dict) -> dict:
+    """The digest names ``new`` adds to ``old``, removes from it and
+    changes, each sorted."""
+    return {
+        "added": sorted(new.keys() - old.keys()),
+        "removed": sorted(old.keys() - new.keys()),
+        "changed": sorted(k for k in old.keys() & new.keys() if old[k] != new[k]),
+    }
+
+
 def record() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         digests = history_digests(Path(tmp))
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     doc = {"environment": environment(), "plan": PLAN, "histories": digests}
     GOLDEN.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {len(digests)} digests to {GOLDEN}")
+    if old.get("environment", environment()) != environment():
+        print(f"the replaced record was taken with {old['environment']}")
+    for kind, names in record_changes(old.get("histories", {}), digests).items():
+        print(f"{kind}: {len(names)}")
+        for name in names:
+            print(f"  {name}")
 
 
 if __name__ == "__main__":

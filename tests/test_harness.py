@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -25,6 +26,26 @@ from elitopt.harness import (
     write_history_csv,
     write_stats_csv,
 )
+
+
+def failing_problem(monkeypatch, name):
+    """Have the harness build problem ``name`` with an ``evaluate`` that
+    raises, so that every cell on it fails at its first evaluation."""
+    import elitopt.harness as harness
+
+    build = harness.get_problem
+
+    def get_problem(prob, dim=10):
+        problem = build(prob, dim=dim)
+        if prob != name:
+            return problem
+
+        def evaluate(X):
+            raise RuntimeError(f"{name} refuses to evaluate")
+
+        return dataclasses.replace(problem, evaluate=evaluate)
+
+    monkeypatch.setattr(harness, "get_problem", get_problem)
 
 
 def small_plan(**over):
@@ -308,6 +329,12 @@ class TestPlanValidation:
         with pytest.raises(ConfigError):
             small_plan(algorithm_params={"cuckoo": {}})
 
+    def test_population_checked_by_every_algorithm(self):
+        # an odd population is fine for bbo and kha, not for teo
+        small_plan(algorithms=("bbo", "kha"), population_size=9)
+        with pytest.raises(ConfigError, match="even"):
+            small_plan(algorithms=("bbo", "teo"), population_size=9)
+
     def test_cells_share_seed_across_memory_modes(self):
         cells = small_plan().cells()
         assert [c.label for c in cells] == ["bbo-sphere-mem", "bbo-sphere-std"]
@@ -398,12 +425,12 @@ class TestRunExperiment:
         assert report.cells[0].stats.runs == 2
         assert cell_stats_from_files(cell).runs == 2
 
-    def test_failed_rerun_leaves_no_stale_results(self, tmp_path):
-        # an odd population is unusable for teo, so the rerun fails
+    def test_failed_rerun_leaves_no_stale_results(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         run_experiment(small_plan(algorithms=("teo",), memory_modes=(True,)), out)
-        run_experiment(small_plan(algorithms=("teo",), memory_modes=(True,),
-                                  population_size=9), out)
+        # the rerun fails at its first evaluation
+        failing_problem(monkeypatch, "sphere")
+        run_experiment(small_plan(algorithms=("teo",), memory_modes=(True,)), out)
         cell = out / "teo-sphere-mem"
         assert (cell / "error.txt").is_file()
         assert not (cell / "best.json").exists()
@@ -416,19 +443,22 @@ class TestRunExperiment:
         b = (tmp_path / "b" / "bbo-sphere-mem" / "run_000.csv").read_text()
         assert a != b
 
-    def test_failed_cell_is_isolated(self, tmp_path):
-        # an odd population is fine for bbo but unusable for teo
+    def test_failed_cell_is_isolated(self, tmp_path, monkeypatch):
+        # the rastrigin cells fail at their first evaluation, the sphere
+        # cells of the same algorithm run
+        failing_problem(monkeypatch, "rastrigin")
         out = tmp_path / "out"
-        plan = small_plan(algorithms=("bbo", "teo"), population_size=9)
+        plan = small_plan(problems=("sphere", "rastrigin"))
         report = run_experiment(plan, out)
         by_label = {s.label: s for s in report.cells}
         assert by_label["bbo-sphere-mem"].status == "ok"
-        assert by_label["teo-sphere-mem"].status == "failed"
-        assert (out / "teo-sphere-mem" / "error.txt").is_file()
-        assert "even" in (out / "teo-sphere-mem" / "error.txt").read_text()
+        assert by_label["bbo-rastrigin-mem"].status == "failed"
+        assert (out / "bbo-rastrigin-mem" / "error.txt").is_file()
+        assert "refuses to evaluate" in (
+            out / "bbo-rastrigin-mem" / "error.txt").read_text()
         assert not (out / "bbo-sphere-mem" / "error.txt").exists()
         # only the healthy pair is compared
-        assert [p.algorithm for p in report.improvements] == ["bbo"]
+        assert [p.problem for p in report.improvements] == ["sphere"]
 
     def test_manifest_round_trip(self, tmp_path):
         out = tmp_path / "out"
@@ -572,6 +602,14 @@ class TestCli:
         assert "Per-cell statistics" in printed
         assert (out / "report.csv").is_file()
         assert (out / "bbo-sphere-mem" / "run_001.csv").is_file()
+
+    def test_run_refuses_a_population_the_algorithm_cannot_run(self, tmp_path, capsys):
+        plan = self.write_plan(tmp_path, algorithm="teo", population_size=9)
+        out = tmp_path / "out"
+        assert main(["run", str(plan), "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError" and "even" in error["message"]
+        assert not out.exists()
 
     def test_run_out_from_plan_file(self, tmp_path, capsys):
         plan = self.write_plan(tmp_path, out=str(tmp_path / "from_plan"))

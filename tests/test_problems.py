@@ -458,7 +458,19 @@ APEX_ROWS = np.array([
 
 
 def rows_per_stack(design):
-    return STACK_BYTES // (8 * design.topology.free.size ** 2)
+    return design._chunk_rows
+
+
+class TestAnalysisChunks:
+    def test_chunks_bounded_by_the_assembled_stiffness(self):
+        # michell: a dense static solve; truss37: the dense modal analysis
+        # only; forth: the stiffness blocks of the static solve
+        for name, floats in (("michell", 12 ** 2), ("truss37", 37 ** 2)):
+            assert load_design(name)._chunk_rows == STACK_BYTES // (8 * floats)
+        topo = load_design("forth").topology
+        blocks = (2 * topo.n_blocks - 1) * topo.block_size ** 2
+        assert blocks * 8 < 14 * 1024
+        assert load_design("forth")._chunk_rows == STACK_BYTES // (8 * blocks) >= 9
 
 
 def assert_matches_per_design(design, X):

@@ -139,11 +139,15 @@ class TestTeoStep:
         return RunContext(problem, PenaltyParams())
 
     def test_odd_population_rejected(self, rng):
-        problem = sphere_problem(2, bound=5.0)
         algo = Teo()
-        ctx = self.make_ctx(problem)
-        with pytest.raises(ConfigError):
-            algo.init_population(ctx, problem.space, 7, rng)
+        for n in (0, 1, 7):
+            with pytest.raises(ConfigError, match="even"):
+                algo.check_population(n)
+        algo.check_population(8)
+        # a run asks before it draws or evaluates anything
+        problem = sphere_problem(2, bound=5.0)
+        with pytest.raises(ConfigError, match="even"):
+            run(algo, problem, RunConfig(population_size=7, max_iterations=1), rng)
 
     def test_declared_evaluation_cost(self):
         assert Teo().evals_per_iteration(50) == 25

@@ -73,22 +73,6 @@ def mutation_rate(p: float, p_max: float, params: BboParams) -> float:
     return params.mutation_max * (1.0 - p / p_max)
 
 
-def roulette_pick(weights: np.ndarray, skip: int, rng: np.random.Generator) -> int:
-    """Pick an index proportionally to ``weights``, never returning ``skip``.
-
-    All-zero weights degrade to a uniform choice.  Exactly one draw from
-    ``rng`` is consumed either way.
-    """
-    return int(_spin(*_masked_sums(weights, skip), skip, 1, rng)[0])
-
-
-def _masked_sums(weights: np.ndarray, skip: int) -> tuple[np.ndarray, float]:
-    """Running sums and total of ``weights`` with the one at ``skip`` zeroed."""
-    w = np.asarray(weights, dtype=float).copy()
-    w[skip] = 0.0
-    return np.cumsum(w), w.sum()
-
-
 def _spin(cumulative: np.ndarray, total: float, skip: int, count: int, rng) -> np.ndarray:
     """``count`` roulette draws over weights with running sums ``cumulative``
     and sum ``total``, the weight at ``skip`` already zeroed; one draw from
@@ -112,22 +96,28 @@ def migrate(
     variable by the same variable of an emigration-selected donor.
 
     Donors always come from the pre-migration snapshot.  A single-habitat
-    population is returned unchanged (no donor exists).  Each pick is one
-    :func:`roulette_pick` draw; the masked weights of habitat ``i`` are the
-    same for all its variables, so their sums are computed once per habitat
-    and all its picks are spun at once.
+    population is returned unchanged (no donor exists).  The donor of a
+    pick is a roulette draw over the emigration rates ``mus`` with the
+    habitat's own rate zeroed.  Row ``i`` of one ``(n, n)`` weight matrix
+    with a zero diagonal holds those weights for habitat ``i``, so their
+    running sums and totals are computed once per step.  Habitat by habitat,
+    ``rng`` gives the ``dim`` immigration coins, then one draw per pick.
     """
     n, dim = positions.shape
     out = positions.copy()
     if n < 2:
         return out
+    weights = np.tile(np.asarray(mus, dtype=float), (n, 1))
+    np.fill_diagonal(weights, 0.0)
+    cumulative = np.cumsum(weights, axis=1)
+    totals = weights.sum(axis=1)
     for i in range(n):
         coins = rng.random(dim)
         picks = np.flatnonzero(coins < lambdas[i])
         if picks.size == 0:
             continue
-        cumulative, total = _masked_sums(mus, i)
-        out[i, picks] = positions[_spin(cumulative, total, i, picks.size, rng), picks]
+        donors = _spin(cumulative[i], totals[i], i, picks.size, rng)
+        out[i, picks] = positions[donors, picks]
     return out
 
 

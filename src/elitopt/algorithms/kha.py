@@ -7,11 +7,10 @@ variables from other krill with probabilities tied to the distance from the
 global best.  Positions advance by a time step proportional to the summed
 bound widths.
 
-A step makes two passes.  The first draws every random number krill by
-krill, in the order a krill consumes them (:func:`draw_herd`).  The second
-computes the motion of the whole herd with array operations, rounding each
-value as a krill-by-krill loop would, so a seeded run is the same either
-way.
+A step makes two passes.  The first draws each kind of random number for
+the whole herd in one generator call (:func:`draw_herd`, whose order is the
+stream contract of a step).  The second computes the motion of the whole
+herd with array operations.
 """
 
 from __future__ import annotations
@@ -109,25 +108,16 @@ def fitness_ratio(k_i, k_j, spread: float):
 def local_attractions(
     positions: np.ndarray, fitness: np.ndarray, spread: float, eps: float
 ) -> np.ndarray:
-    """Summed pull of neighbors inside the sensing distance, for every krill.
-
-    Row ``i`` adds the pulls of krill ``j`` in ascending ``j``, one add per
-    ``j`` with the pulls from outside the radius set to 0, which is the
-    rounding of a krill-by-krill loop.  A sum over ``j`` in one call may
-    pair the terms up instead; it does when they lie contiguous in memory,
-    as they do with one variable.
+    """Summed pull of neighbors inside the sensing distance, for every krill:
+    one sum over ``j`` of the pulls, those from outside the radius set to 0.
     """
-    n = positions.shape[0]
     pulls, dists = _pairwise(positions)
     near = dists < sensing_radii(dists)[:, None]
     np.fill_diagonal(near, False)
     pulls *= fitness_ratio(fitness[:, None], fitness[None, :], spread)[:, :, None]
     pulls /= (dists + eps)[:, :, None]
     pulls[~near] = 0.0
-    alpha = np.zeros_like(positions)
-    for j in range(n):
-        alpha += pulls[:, j]
-    return alpha
+    return pulls.sum(axis=1)
 
 
 def random_coefficient(u, frac: float):
@@ -263,7 +253,7 @@ def take_variables(positions, replacements, prob, coins) -> np.ndarray:
 
 @dataclass
 class HerdDraws:
-    """Every random number of one step, per krill.
+    """Every random number of one step, one row per krill.
 
     ``uniforms`` holds the target and food coefficient draws, then the
     ``dim`` diffusion draws.  ``donors`` and ``cross_coins`` are the
@@ -280,34 +270,42 @@ class HerdDraws:
 
 
 def draw_herd(n: int, dim: int, params: KhaParams, rng) -> HerdDraws:
-    """Make every draw of one step krill by krill, in the order a krill
-    consumes them: target coefficient, food coefficient, diffusion
-    directions, then crossover (donor, coins) and mutation (the two donors by
-    rejection, ``mu``, coins).  Every draw is made whatever the operator
-    probability turns out to be."""
-    crossing = params.crossover and n >= 2
-    mutating = params.mutation and n >= 3
-    uniforms = np.empty((n, dim + 2))
-    donors = np.empty(n, dtype=np.intp) if crossing else None
-    cross_coins = np.empty((n, dim)) if crossing else None
-    mutation = np.empty((n, 2), dtype=np.intp) if mutating else None
-    mu_coins = np.empty((n, dim + 1)) if mutating else None
-    for i in range(n):
-        uniforms[i] = rng.random(dim + 2)
-        if crossing:
-            pick = int(rng.integers(n - 1))
-            donors[i] = pick if pick < i else pick + 1
-            cross_coins[i] = rng.random(dim)
-        if mutating:
-            r2 = int(rng.integers(n))
-            while r2 == i:
-                r2 = int(rng.integers(n))
-            r3 = int(rng.integers(n))
-            while r3 == i or r3 == r2:
-                r3 = int(rng.integers(n))
-            mutation[i] = r2, r3
-            mu_coins[i] = rng.random(dim + 1)
+    """Make every draw of one step, each kind for the whole herd in one
+    call, in this order:
+
+    1. ``rng.random((n, dim + 2))``: the coefficients and diffusion;
+    2. with crossover (and ``n >= 2``), ``rng.integers(n - 1, size=n)``,
+       shifted past the krill's own index, for the donors, then
+       ``rng.random((n, dim))`` for the coins;
+    3. with mutation (and ``n >= 3``), ``rng.integers(n - 1, size=n)`` for
+       the first donor and ``rng.integers(n - 2, size=n)`` for the second,
+       each shifted past the indices it must avoid (an exact uniform pick,
+       with no rejection), then ``rng.random((n, dim + 1))`` for ``mu`` and
+       the coins.
+
+    Every draw is made whatever the operator probability turns out to be.
+    """
+    own = np.arange(n)
+    donors = cross_coins = mutation = mu_coins = None
+    uniforms = rng.random((n, dim + 2))
+    if params.crossover and n >= 2:
+        donors = _pick_other(rng.integers(n - 1, size=n), own)
+        cross_coins = rng.random((n, dim))
+    if params.mutation and n >= 3:
+        r2 = _pick_other(rng.integers(n - 1, size=n), own)
+        r3 = rng.integers(n - 2, size=n)
+        r3 = _pick_other(_pick_other(r3, np.minimum(own, r2)), np.maximum(own, r2))
+        mutation = np.stack([r2, r3], axis=1)
+        mu_coins = rng.random((n, dim + 1))
     return HerdDraws(uniforms, donors, cross_coins, mutation, mu_coins)
+
+
+def _pick_other(pick: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """Shift each pick at or above its ``skip`` up by one: a uniform pick
+    among ``k`` indices becomes a uniform pick among ``k + 1`` less
+    ``skip``.  Applied past the smaller skip first, then the larger, it
+    avoids two indices."""
+    return pick + (pick >= skip)
 
 
 class Kha:
@@ -364,7 +362,6 @@ class Kha:
         x_food, k_food = food_point(positions, fitness)
         dt = time_step(params.time_factor, space)
 
-        # pass 1 draws krill by krill, pass 2 moves the whole herd at once
         draws = draw_herd(n, space.dim, params, rng)
         c_best, c_food = random_coefficient(draws.uniforms[:, :2].T, frac)
         alpha = local_attractions(positions, fitness, spread, eps)

@@ -7,7 +7,9 @@ by its own cost.  Only the cooled half is re-evaluated, so an iteration
 costs half a population of evaluations.  Teo declares
 ``inject_before_step``: with the elite memory on, the run loop overwrites the
 worst agents with the stored elites before each step, so the elites take part
-in the split as environments.
+in the split as environments.  A step draws each kind of random number for
+the whole cooled half in one generator call (:func:`draw_cooling`) and cools
+the half with array operations.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ class TeoParams:
             raise ConfigError("jump_probability must lie in [0, 1]")
 
 
-def exchange_ratio(cost: float, worst_cost: float) -> float:
-    """Cost ratio steering how fast an agent approaches its environment.
+def exchange_ratio(cost, worst_cost: float):
+    """Cost ratio steering how fast an agent approaches its environment,
+    elementwise on an array of costs.
 
     Costs are expected pre-shifted so the best is 0; lower cost means a
     smaller ratio and therefore a smaller position change.
@@ -55,38 +58,65 @@ def exchange_ratio(cost: float, worst_cost: float) -> float:
     return cost / worst_cost
 
 
+@dataclass
+class CoolingDraws:
+    """Every random number of one step, one row per cooled agent:
+    ``cooling`` the ``(half, dim)`` environment damping draws, then the jump
+    coins, the jump variable indices and the jump values, ``(half,)``
+    each."""
+
+    cooling: np.ndarray
+    jump_coins: np.ndarray
+    jump_index: np.ndarray
+    jump_values: np.ndarray
+
+
+def draw_cooling(half: int, dim: int, rng) -> CoolingDraws:
+    """Make every draw of one step, each kind for the whole cooled half in
+    one call, in this order: ``rng.random((half, dim))``,
+    ``rng.random(half)``, ``rng.integers(dim, size=half)``,
+    ``rng.random(half)``.  Every draw is made whatever the jump coins
+    say."""
+    return CoolingDraws(
+        rng.random((half, dim)),
+        rng.random(half),
+        rng.integers(dim, size=half),
+        rng.random(half),
+    )
+
+
 def cooled_environment(
-    env: np.ndarray,
-    frac: float,
-    params: TeoParams,
-    rng: np.random.Generator,
+    env: np.ndarray, frac: float, params: TeoParams, r: np.ndarray
 ) -> np.ndarray:
-    """Randomly damp an environment temperature, one fresh draw per
-    component: ``(1 - (c1 + c2 * (1 - frac)) * rand) * env``."""
-    r = rng.random(env.size)
+    """Randomly damp environment temperatures, one draw of ``r`` per
+    component: ``(1 - (c1 + c2 * (1 - frac)) * r) * env``."""
     return (1.0 - (params.c1 + params.c2 * (1.0 - frac)) * r) * env
 
 
 def updated_temperature(
-    t_old: np.ndarray, t_env: np.ndarray, beta: float, frac: float
+    t_old: np.ndarray, t_env: np.ndarray, beta, frac: float
 ) -> np.ndarray:
-    """Exponential relaxation toward the environment.  The result lies on
-    the segment between the old temperature and the environment."""
+    """Exponential relaxation toward the environment, elementwise; ``beta``
+    broadcasts against the temperatures.  The result lies on the segment
+    between the old temperature and the environment."""
     return t_env + (t_old - t_env) * np.exp(-beta * frac)
 
 
 def random_component_jump(
-    position: np.ndarray,
+    positions: np.ndarray,
     jump_probability: float,
     space: SearchSpace,
-    rng: np.random.Generator,
+    coins: np.ndarray,
+    index: np.ndarray,
+    values: np.ndarray,
 ) -> np.ndarray:
-    """With probability ``jump_probability`` re-draw one uniformly chosen
-    variable inside its bounds; at most one component changes."""
-    out = position.copy()
-    if rng.random() < jump_probability:
-        j = int(rng.integers(out.size))
-        out[j] = space.lower[j] + rng.random() * (space.upper[j] - space.lower[j])
+    """For each row whose coin falls below ``jump_probability``, re-draw
+    variable ``index`` inside its bounds from the uniform ``values``; at
+    most one component of a row changes."""
+    out = positions.copy()
+    rows = np.flatnonzero(coins < jump_probability)
+    j = index[rows]
+    out[rows, j] = space.lower[j] + values[rows] * (space.upper[j] - space.lower[j])
     return out
 
 
@@ -128,13 +158,14 @@ class Teo:
         best = fitness[0]
         denom = (fitness[-1] - best) + BETA_DELTA
 
-        cooled = np.empty((half, space.dim))
-        for k in range(half):
-            beta = exchange_ratio(fitness[half + k] - best, denom)
-            env = cooled_environment(positions[k], frac, params, rng)
-            pos = updated_temperature(positions[half + k], env, beta, frac)
-            cooled[k] = random_component_jump(pos, params.jump_probability, space, rng)
-
+        draws = draw_cooling(half, space.dim, rng)
+        beta = exchange_ratio(fitness[half:] - best, denom)
+        env = cooled_environment(positions[:half], frac, params, draws.cooling)
+        cooled = updated_temperature(positions[half:], env, beta[:, None], frac)
+        cooled = random_component_jump(
+            cooled, params.jump_probability, space,
+            draws.jump_coins, draws.jump_index, draws.jump_values,
+        )
         cooled = clamp_to_bounds(cooled, space)
         return (
             np.concatenate([positions[:half], cooled]),

@@ -385,11 +385,14 @@ class RunResult:
 
     ``history`` holds one ``(iteration, best_so_far, nfes)`` triple for the
     initial population (iteration 0) and for every iteration after it.
+    ``design`` is the best position snapped to the problem's grid: the
+    design whose objective and violations ``best`` carries.
     """
 
     best: Candidate
     history: list[tuple[int, float, int]]
     nfes: int
+    design: np.ndarray
 
 
 class RunContext:
@@ -545,7 +548,11 @@ def run(algorithm, problem: Problem, config: RunConfig, rng=None) -> RunResult:
         if memory is not None and not inject_first:
             positions, fitness = memory.inject(positions, fitness)
         history.append((g, ctx.best.fitness, ctx.nfes))
-    return RunResult(best=ctx.best.clone(), history=history, nfes=ctx.nfes)
+    best = ctx.best.clone()
+    return RunResult(
+        best=best, history=history, nfes=ctx.nfes,
+        design=snap_to_grid(best.position, problem.space),
+    )
 
 
 def replicate_seed(base_seed: int, replicate: int) -> int:

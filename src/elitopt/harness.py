@@ -19,7 +19,9 @@ Layout under the output directory::
     <alg>-<prob>-<mem|std>/
         run_000.csv ...              per-replicate history
         stats.csv                    replicate summary
-        best.json                    best design of the cell
+        best.json                    best design of the cell: its raw
+                                     position and the snapped design the
+                                     objective and violations belong to
         error.txt                    only present when the cell failed
     report.csv                       one row per cell
     improvements.csv                 memory-vs-standard pairs
@@ -474,6 +476,7 @@ def run_cell(
                 "objective": best.objective,
                 "violations": [float(v) for v in best.violations],
                 "position": [float(x) for x in best.position],
+                "design": [float(x) for x in results[best_r].design],
             },
             fh,
             indent=2,

@@ -14,8 +14,9 @@ import pytest  # noqa: E402
 class FakeRng:
     """Scripted stand-in for numpy's Generator.
 
-    ``random()`` pops from the ``randoms`` sequence (arrays are filled in
-    order), ``integers()`` pops from ``integers`` regardless of the bound.
+    ``random()`` pops from the ``randoms`` sequence and ``integers()`` from
+    ``integers`` regardless of the bound; arrays (a ``size``) are filled in
+    order.
     Running out of scripted values raises, which doubles as a check that
     the code under test consumes exactly the expected number of draws.
     """
@@ -33,8 +34,10 @@ class FakeRng:
             return np.array(vals).reshape(size)
         return np.array([self._randoms.pop(0) for _ in range(int(size))])
 
-    def integers(self, *args, **kwargs):
-        return self._integers.pop(0)
+    def integers(self, *args, size=None, **kwargs):
+        if size is None:
+            return self._integers.pop(0)
+        return np.array([self._integers.pop(0) for _ in range(int(size))])
 
     @property
     def exhausted(self):

@@ -341,13 +341,6 @@ def sphere_problem(dim=2, bound=5.12):
     return Problem(name="sphere", space=space, evaluate=evaluate)
 
 
-def mutate_toward_best(position, best_position, donor_a, donor_b, mu, prob, rng):
-    """One krill's mutation in ``Kha.step``: per variable, with probability
-    ``prob``, the best position plus ``mu`` times the donors' difference."""
-    coins = rng.random(position.size)
-    return np.where(coins < prob, best_position + mu * (donor_a - donor_b), position)
-
-
 def _ratio_loop(k_i, k_j, spread):
     return 0.0 if spread <= 0 else (k_i - k_j) / spread
 
@@ -359,30 +352,30 @@ def _probability_loop(khat_best):
 def _local_attraction_loop(i, positions, fitness, spread, eps):
     dists = np.linalg.norm(positions - positions[i], axis=1)
     radius = float(dists.sum()) / (5.0 * positions.shape[0])
-    alpha = np.zeros(positions.shape[1])
+    pulls = np.zeros_like(positions)
     for j in range(positions.shape[0]):
         if j == i or dists[j] >= radius:
             continue
         khat = _ratio_loop(fitness[i], fitness[j], spread)
-        alpha += khat * (positions[j] - positions[i]) / (dists[j] + eps)
-    return alpha
+        pulls[j] = khat * (positions[j] - positions[i]) / (dists[j] + eps)
+    return pulls.sum(axis=0)
 
 
 def _unit_pull_loop(khat, diff, eps):
     return khat * diff / (np.linalg.norm(diff) + eps)
 
 
-def kha_step_loop(params, positions, fitness, state, ctx, frac, rng):
-    """``Kha.step`` one krill at a time: each krill draws its random numbers
-    and computes its motion before the next one starts.  The reference that
-    the herd-wide step must match bit for bit, in positions, state and the
-    generator state it leaves."""
+def kha_step_loop(params, positions, fitness, state, ctx, frac, draws):
+    """``Kha.step`` one krill at a time over the given ``HerdDraws``: each
+    krill computes its motion before the next one starts, its neighbor
+    pulls summed by one sum over ``j``.  The reference for the arithmetic
+    of the herd-wide step, which must match it bit for bit in positions
+    and state; the draw order is checked apart."""
     from elitopt.algorithms.kha import food_point, time_step
     from elitopt.core import clamp_to_bounds
 
     space = ctx.problem.space
     n = len(fitness)
-    dim = space.dim
     eps = params.epsilon
     best_position = ctx.best.position
     best_fitness = ctx.best.fitness
@@ -399,14 +392,15 @@ def kha_step_loop(params, positions, fitness, state, ctx, frac, rng):
 
     new_positions = np.empty_like(positions)
     for i in range(n):
+        u = draws.uniforms[i]
         alpha = _local_attraction_loop(i, positions, fitness, spread, eps)
-        c_best = 2.0 * (rng.random() + frac)
+        c_best = 2.0 * (u[0] + frac)
         alpha += _unit_pull_loop(
             c_best * _ratio_loop(fitness[i], best_fitness, spread),
             best_position - positions[i], eps)
         induced = params.induced_max * alpha + params.inertia_induced * state.induced_old[i]
 
-        c_food = 2.0 * (rng.random() + frac)
+        c_food = 2.0 * (u[1] + frac)
         beta_food = _unit_pull_loop(
             _ratio_loop(fitness[i], k_food, spread), x_food - positions[i], eps)
         beta_best = _unit_pull_loop(
@@ -418,8 +412,7 @@ def kha_step_loop(params, positions, fitness, state, ctx, frac, rng):
             beta = c_food * beta_food + beta_best
         foraging = params.foraging_speed * beta + params.inertia_foraging * state.foraging_old[i]
 
-        delta = 2.0 * rng.random(dim) - 1.0
-        diffuse = params.diffusion_max * (1.0 - frac) * delta
+        diffuse = params.diffusion_max * (1.0 - frac) * (2.0 * u[2:] - 1.0)
 
         state.induced_old[i] = induced
         state.foraging_old[i] = foraging
@@ -428,20 +421,13 @@ def kha_step_loop(params, positions, fitness, state, ctx, frac, rng):
         is_best = fitness[i] <= best_fitness
         prob = 0.0 if is_best else _probability_loop(
             _ratio_loop(fitness[i], best_fitness, spread))
-        if params.crossover and n >= 2:
-            pick = int(rng.integers(n - 1))
-            donor = pick if pick < i else pick + 1
-            take = rng.random(dim) < prob
-            x[take] = positions[donor][take]
-        if params.mutation and n >= 3:
-            r2 = int(rng.integers(n))
-            while r2 == i:
-                r2 = int(rng.integers(n))
-            r3 = int(rng.integers(n))
-            while r3 == i or r3 == r2:
-                r3 = int(rng.integers(n))
-            mu = rng.random()
-            take = rng.random(dim) < prob
+        if draws.donors is not None:
+            take = draws.cross_coins[i] < prob
+            x[take] = positions[draws.donors[i]][take]
+        if draws.mutation is not None:
+            r2, r3 = draws.mutation[i]
+            mu = draws.mu_coins[i, 0]
+            take = draws.mu_coins[i, 1:] < prob
             x[take] = best_position[take] + mu * (positions[r2][take] - positions[r3][take])
 
         new_positions[i] = x + dt * (induced + foraging + diffuse)
@@ -454,6 +440,38 @@ def kha_step_loop(params, positions, fitness, state, ctx, frac, rng):
             state.pb_positions[i] = new_positions[i].copy()
     state.last_positions = new_positions.copy()
     return new_positions, new_fitness
+
+
+def teo_step_loop(params, positions, fitness, ctx, frac, draws):
+    """``Teo.step`` one cooled agent at a time over the given
+    ``CoolingDraws``: rank the population, then relax agent ``half + k``
+    toward the cooled agent ``k`` and maybe re-draw one of its variables.
+    The reference for the arithmetic of the array step, which must match it
+    bit for bit; the draw order is checked apart."""
+    from elitopt.core import clamp_to_bounds
+
+    space = ctx.problem.space
+    n = len(fitness)
+    half = n // 2
+    order = sorted(range(n), key=lambda i: (fitness[i], i))
+    positions, fitness = positions[order], fitness[order]
+    best = fitness[0]
+    denom = (fitness[-1] - best) + 1e-10
+    damping = params.c1 + params.c2 * (1.0 - frac)
+    cooled = np.empty((half, space.dim))
+    for k in range(half):
+        beta = (fitness[half + k] - best) / denom
+        env = (1.0 - damping * draws.cooling[k]) * positions[k]
+        t = env + (positions[half + k] - env) * np.exp(-beta * frac)
+        if draws.jump_coins[k] < params.jump_probability:
+            j = draws.jump_index[k]
+            t[j] = space.lower[j] + draws.jump_values[k] * (space.upper[j] - space.lower[j])
+        cooled[k] = t
+    cooled = clamp_to_bounds(cooled, space)
+    return (
+        np.concatenate([positions[:half], cooled]),
+        np.concatenate([fitness[:half], ctx.evaluate_batch(cooled)]),
+    )
 
 
 def migrate_loop(positions, lambdas, mus, rng):

@@ -10,9 +10,9 @@ from elitopt.algorithms.bbo import (
     migration_rates,
     mutate,
     mutation_rate,
-    roulette_pick,
     species_count,
     species_probability,
+    _spin,
 )
 from elitopt.core import RunConfig, SearchSpace, run
 
@@ -74,24 +74,36 @@ class TestMutationRate:
             mutation_rate(2.0, 1.0, BboParams())
 
 
-class TestRoulettePick:
+class TestSpin:
+    """Roulette draws over running sums whose weight at ``skip`` is zeroed,
+    as ``migrate`` hands them over."""
+
+    @staticmethod
+    def spin(weights, skip, count, rng):
+        w = np.array(weights, dtype=float)
+        w[skip] = 0.0
+        return _spin(np.cumsum(w), w.sum(), skip, count, rng)
+
     def test_single_nonzero_mass(self):
-        pick = roulette_pick(np.array([1.0, 0.0]), skip=1, rng=FakeRng(randoms=[0.5]))
-        assert pick == 0
+        picks = self.spin([1.0, 0.0], skip=1, count=1, rng=FakeRng(randoms=[0.5]))
+        assert picks.tolist() == [0]
 
     def test_skip_never_chosen(self, rng):
-        for _ in range(50):
-            assert roulette_pick(np.array([5.0, 1.0, 1.0]), skip=0, rng=rng) != 0
+        assert not np.any(self.spin([5.0, 1.0, 1.0], skip=0, count=200, rng=rng) == 0)
 
     def test_all_zero_degrades_to_uniform(self):
-        pick = roulette_pick(np.array([0.0, 0.0, 0.0]), skip=2,
-                             rng=FakeRng(integers=[1]))
-        assert pick == 1
+        # the uniform fallback picks among the other habitats: index 1 of
+        # [0, 1] is habitat 1, index 0 of [1, 2] is habitat 1
+        picks = self.spin([0.0, 0.0, 0.0], skip=2, count=1, rng=FakeRng(integers=[1]))
+        assert picks.tolist() == [1]
+        picks = self.spin([0.0, 0.0, 0.0], skip=0, count=1, rng=FakeRng(integers=[0]))
+        assert picks.tolist() == [1]
 
-    def test_consumes_one_draw(self):
-        fake = FakeRng(randoms=[0.1])
-        roulette_pick(np.array([2.0, 3.0]), skip=0, rng=fake)
+    def test_consumes_one_draw_per_pick(self):
+        fake = FakeRng(randoms=[0.1, 0.9, 0.5])
+        picks = self.spin([2.0, 3.0, 5.0], skip=0, count=3, rng=fake)
         assert fake.exhausted
+        assert picks.tolist() == [1, 2, 2]
 
 
 class TestMigrate:
@@ -125,6 +137,23 @@ class TestMigrate:
         out = migrate(positions, lambdas, mus, fake)
         assert out[0, 0] == 7.0
         assert out[1, 0] == 5.0
+
+    def test_migrant_never_its_own_donor(self):
+        # a donor picked with a habitat's own weight zeroed: with every
+        # coin below lambda, each variable comes from another habitat
+        positions = np.arange(5.0)[:, None] * np.ones((5, 40))
+        out = migrate(positions, np.ones(5), np.array([9.0, 1.0, 1.0, 1.0, 1.0]),
+                      np.random.default_rng(4))
+        assert not np.any(out == positions)
+
+    def test_all_zero_emigration_picks_uniformly(self):
+        # the habitat's picks fall back to the others, one draw each
+        positions = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        lambdas = np.array([0.0, 1.0, 0.0])
+        fake = FakeRng(randoms=[0.5] * 2 + [0.0] * 2 + [0.5] * 2, integers=[0, 1])
+        out = migrate(positions, lambdas, np.zeros(3), fake)
+        assert fake.exhausted
+        assert out[1].tolist() == [0.0, 2.0]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_one_pick_at_a_time(self, seed):

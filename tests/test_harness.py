@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from elitopt.cli import main
@@ -26,6 +27,7 @@ from elitopt.harness import (
     write_history_csv,
     write_stats_csv,
 )
+from elitopt.problems import get_problem
 
 
 def failing_problem(monkeypatch, name):
@@ -471,9 +473,28 @@ class TestRunExperiment:
         run_experiment(small_plan(memory_modes=(True,)), out)
         doc = json.loads((out / "bbo-sphere-mem" / "best.json").read_text())
         assert set(doc) == {"replicate", "fitness", "objective", "violations",
-                            "position"}
+                            "position", "design"}
         assert len(doc["position"]) == 3
         assert doc["fitness"] >= 0
+
+    @pytest.mark.parametrize("problem", ["michell", "sphere"])
+    def test_best_design_reproduces_its_record(self, tmp_path, problem):
+        # the recorded design, evaluated alone, gives the recorded objective
+        # and violations bit for bit; on gridded michell it is the snap of
+        # the raw position, which differs from it
+        out = tmp_path / "out"
+        plan = small_plan(algorithms=("kha",), problems=(problem,),
+                          memory_modes=(True,), population_size=12)
+        run_experiment(plan, out)
+        doc = json.loads((out / f"kha-{problem}-mem" / "best.json").read_text())
+        design = np.array([doc["design"]])
+        objectives, violations = get_problem(problem, dim=plan.dim).evaluate(design)
+        assert objectives[0].tobytes() == np.float64(doc["objective"]).tobytes()
+        assert violations[0].tobytes() == np.array(doc["violations"]).tobytes()
+        if problem == "michell":
+            assert doc["design"] != doc["position"]
+        else:
+            assert doc["design"] == doc["position"]
 
     def test_interrupted_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
         dump = json.dump

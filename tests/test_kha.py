@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import FakeRng
-from oracles import kha_step_loop, mutate_toward_best, sphere_problem
+from oracles import kha_step_loop, sphere_problem
 from elitopt.algorithms.kha import (
     Kha,
     KhaParams,
@@ -35,7 +35,7 @@ from elitopt.core import (
     SearchSpace,
     run,
 )
-from elitopt.algorithms.kha import KhaState
+from elitopt.algorithms.kha import HerdDraws, KhaState
 
 EPS = 1e-10
 NO_OPERATORS = KhaParams(crossover=False, mutation=False)
@@ -271,25 +271,101 @@ class TestCrossoverMutation:
                              np.array([0.1, 0.9]))
         assert np.allclose(out, [7.0, 0.0])
 
+    @staticmethod
+    def mutants(best, donor_a, donor_b, mu):
+        # the mutation's replacement values, as Kha.step builds them
+        return best + mu * (donor_a - donor_b)
+
     def test_mutation_zero_mu_copies_best(self):
-        out = mutate_toward_best(
-            np.array([5.0, 5.0]), np.array([1.0, 2.0]),
-            np.array([9.0, 9.0]), np.array([-9.0, -9.0]),
-            mu=0.0, prob=1.0, rng=FakeRng(randoms=[0.0, 0.0]))
-        assert np.allclose(out, [1.0, 2.0])
+        best = np.array([1.0, 2.0])
+        mutants = self.mutants(best, np.array([9.0, 9.0]), np.array([-9.0, -9.0]), 0.0)
+        out = take_variables(np.array([5.0, 5.0]), mutants, 1.0, np.zeros(2))
+        assert np.allclose(out, best)
 
     def test_mutation_identical_donors_copy_best(self):
-        donor = np.array([4.0, -4.0])
-        out = mutate_toward_best(
-            np.array([5.0, 5.0]), np.array([1.0, 2.0]), donor, donor,
-            mu=0.77, prob=1.0, rng=FakeRng(randoms=[0.0, 0.0]))
-        assert np.allclose(out, [1.0, 2.0])
+        best, donor = np.array([1.0, 2.0]), np.array([4.0, -4.0])
+        mutants = self.mutants(best, donor, donor, 0.77)
+        out = take_variables(np.array([5.0, 5.0]), mutants, 1.0, np.zeros(2))
+        assert np.allclose(out, best)
 
     def test_mutation_difference_scaled(self):
-        out = mutate_toward_best(
-            np.array([0.0]), np.array([1.0]), np.array([3.0]), np.array([1.0]),
-            mu=0.5, prob=1.0, rng=FakeRng(randoms=[0.0]))
+        mutants = self.mutants(np.array([1.0]), np.array([3.0]), np.array([1.0]), 0.5)
+        out = take_variables(np.array([0.0]), mutants, 1.0, np.zeros(1))
         assert out[0] == pytest.approx(2.0)
+
+
+class TestDrawHerd:
+    """The stream contract of a kha step and the exactness of its picks."""
+
+    @staticmethod
+    def twin_draws(rng, n, dim, params):
+        # the documented calls, written out apart from draw_herd
+        own = np.arange(n)
+        uniforms = rng.random((n, dim + 2))
+        donors = cross_coins = mutation = mu_coins = None
+        if params.crossover and n >= 2:
+            pick = rng.integers(n - 1, size=n)
+            donors = pick + (pick >= own)
+            cross_coins = rng.random((n, dim))
+        if params.mutation and n >= 3:
+            r2 = rng.integers(n - 1, size=n)
+            r2 = r2 + (r2 >= own)
+            r3 = rng.integers(n - 2, size=n)
+            r3 = r3 + (r3 >= np.minimum(own, r2))
+            r3 = r3 + (r3 >= np.maximum(own, r2))
+            mutation = np.stack([r2, r3], axis=1)
+            mu_coins = rng.random((n, dim + 1))
+        return HerdDraws(uniforms, donors, cross_coins, mutation, mu_coins)
+
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    @pytest.mark.parametrize("crossover, mutation",
+                             [(True, True), (True, False), (False, True), (False, False)])
+    def test_step_makes_only_the_documented_calls(self, n, crossover, mutation):
+        # the step leaves the generator where the documented calls do, and
+        # moves the herd as the reference loop does with their numbers, so
+        # an extra draw and a reordered one both fail; the operators always
+        # fire, so their draws decide the positions
+        params = KhaParams(crossover=crossover, mutation=mutation)
+        problem = sphere_problem(4, bound=4.0)
+        for seed in (0, 1):
+            ctx = RunContext(problem, PenaltyParams())
+            positions, fitness, state = Kha(params).init_population(
+                ctx, problem.space, n, np.random.default_rng(100 + seed))
+            ctx.evaluate(np.full(4, 0.01))  # a best outside the herd
+            loop = copy.deepcopy((positions, fitness, state, ctx))
+            mine, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            out, _ = Kha(params).step(positions, fitness, state, ctx, 0.5, mine)
+            draws = self.twin_draws(twin, n, 4, params)
+            expected, _ = kha_step_loop(params, *loop, 0.5, draws)
+            assert mine.bit_generator.state == twin.bit_generator.state
+            assert out.tobytes() == expected.tobytes()
+
+    def test_mutation_pairs_are_an_exact_uniform_pick(self):
+        # each of the 3 * 2 raw draws of a krill maps to its own ordered
+        # pair of two other krill, so every pair is hit exactly once
+        n, dim = 4, 1
+        params = KhaParams(crossover=False)
+        raw = [(a, b) for a in range(n - 1) for b in range(n - 2)]
+        pairs = {i: [] for i in range(n)}
+        for a, b in raw:
+            fake = FakeRng(randoms=[0.5] * n * (2 * dim + 3),
+                           integers=[a] * n + [b] * n)
+            for i, pair in enumerate(draw_herd(n, dim, params, fake).mutation):
+                pairs[i].append(tuple(pair))
+        for i in range(n):
+            others = [k for k in range(n) if k != i]
+            expected = sorted((a, b) for a in others for b in others if a != b)
+            assert sorted(pairs[i]) == expected
+
+    def test_crossover_donor_is_an_exact_uniform_pick(self):
+        n = 5
+        donors = {i: [] for i in range(n)}
+        for a in range(n - 1):
+            fake = FakeRng(randoms=[0.5] * n * 5, integers=[a] * n)
+            for i, d in enumerate(draw_herd(n, 1, KhaParams(mutation=False), fake).donors):
+                donors[i].append(int(d))
+        for i in range(n):
+            assert sorted(donors[i]) == [k for k in range(n) if k != i]
 
 
 class TestKhaStep:
@@ -381,8 +457,8 @@ def assert_same_bits(a, b):
 
 
 class TestHerdStepMatchesLoop:
-    """The herd-wide ``Kha.step`` against the per-krill reference: the same
-    positions, the same state arrays and the same generator state, bit for
+    """The herd-wide ``Kha.step`` against the per-krill reference fed the
+    same draws: the same positions and the same state arrays, bit for
     bit."""
 
     def herd(self, n, dim, seed, flat=False, injected=()):
@@ -415,10 +491,12 @@ class TestHerdStepMatchesLoop:
     def check(self, params, population, state, ctx, steps=3, seed=5):
         herd = [population, state, ctx, np.random.default_rng(seed)]
         loop = copy.deepcopy(herd)
+        n, dim = population[0].shape
         for g in range(1, steps + 1):
             frac = g / (steps + 1)
             herd[0] = Kha(params).step(*herd[0], herd[1], herd[2], frac, herd[3])
-            loop[0] = kha_step_loop(params, *loop[0], loop[1], loop[2], frac, loop[3])
+            draws = draw_herd(n, dim, params, loop[3])
+            loop[0] = kha_step_loop(params, *loop[0], loop[1], loop[2], frac, draws)
             assert_same_bits(herd[0][0], loop[0][0])
             assert_same_bits(herd[0][1], loop[0][1])
             for name in ("induced_old", "foraging_old", "pb_positions",
@@ -453,8 +531,8 @@ class TestHerdStepMatchesLoop:
         self.check(KhaParams(food_coeff_on_best=False), population, state, ctx)
 
     def test_one_variable_herd(self):
-        # with one variable the neighbor pulls lie contiguous in memory,
-        # where a sum over j in one call would pair them up differently
+        # with one variable the neighbor pulls lie contiguous in memory, and
+        # the sum over j pairs them up rather than adding them in turn
         population, state, ctx = self.herd(40, 1, 3)
         self.check(KhaParams(), population, state, ctx)
 

@@ -465,7 +465,7 @@ class RunContext:
             # only rows below the admission bound read at batch start can be
             # admitted: a full buffer's worst entry only improves within a batch
             full = len(memory) >= memory.capacity
-            bound = memory.entries[-1].fitness if full else math.inf
+            bound = memory._fitness[-1] if full else math.inf
             for i in np.flatnonzero(fitness < bound).tolist():
                 memory.offer(Candidate(
                     position=positions[i],
@@ -491,7 +491,7 @@ def time_fraction(iteration: int, max_iterations: int) -> float:
     return iteration / max_iterations
 
 
-def run(algorithm, problem: Problem, config: RunConfig, rng=None) -> RunResult:
+def run(algorithm, problem: Problem, config: RunConfig) -> RunResult:
     """Execute one seeded optimization run.
 
     A generation is two arrays: ``(n, dim)`` positions and their ``(n,)``
@@ -515,8 +515,7 @@ def run(algorithm, problem: Problem, config: RunConfig, rng=None) -> RunResult:
     Identical ``(seed, config, problem)`` triples give bit-identical results.
     """
     algorithm.check_population(config.population_size)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     memory = None
     if config.memory_enabled:
         memory = EliteMemory(

@@ -59,14 +59,6 @@ from ..fem import (
 DATA_DIR_ENV = "ELITOPT_DATA_DIR"
 DEGENERATE_LENGTH = 1e-6  # m; shorter members mark the design infeasible
 DEGENERATE_VIOLATION = 1e3
-# bytes of the stiffness that one chunk of designs assembles: a population is
-# analyzed in chunks of as many designs as fit (michell 113 dense 12x12
-# matrices, truss37 11 dense 37x37 ones, forth 10 sets of 33 blocks of 7x7),
-# which bounds the memory of each stacked LAPACK call.  Measured with
-# perfbench on a 2-CPU host: at 256 KB forth ran about 10% more evaluations
-# per second at 0.5 MB more peak RSS, while truss37's larger stacks gained
-# nothing and took 0.7 MB more.
-STACK_BYTES = 128 * 1024
 
 _AXES = {"x": 0, "y": 1}
 
@@ -276,6 +268,11 @@ class TrussDesign:
             self.topology = TrussTopology(n, members, material, fixed, loads, masses)
         except ModelError as exc:
             raise ConfigError(f"{self.name}: {exc}") from None
+        if self.frequency_bounds.size > self.topology.free.size:
+            raise ConfigError(
+                f"{self.name}: {self.frequency_bounds.size} frequency bounds but "
+                f"only {self.topology.free.size} free DOFs"
+            )
         self._space = self.search_space()
         self._displacement_checks = [
             (np.arange(n) if node is None else np.array([node]), axis, limit)
@@ -290,7 +287,6 @@ class TrussDesign:
             + self.frequency_bounds.size,
         )
         self._compile_expand()
-        self._chunk_rows = max(1, STACK_BYTES // (8 * self._stiffness_floats()))
         # the previous call of :meth:`evaluate`: each row's key mapped to its
         # index in that call's objectives and violations
         self._memo: tuple[dict, np.ndarray, np.ndarray] = (
@@ -319,19 +315,6 @@ class TrussDesign:
         self._coord_vars = np.array([c[0] for c in last.values()], dtype=int)
         self._coord_scales = np.array([c[1] for c in last.values()], dtype=float)
         self._coord_datums = np.array([c[2] for c in last.values()], dtype=float)
-
-    def _stiffness_floats(self) -> int:
-        """Floats of stiffness that the analysis of one design assembles: the
-        dense free-DOF matrix for the modal analysis and for a dense static
-        solve, the blocks for a banded one (at least 1)."""
-        topo = self.topology
-        static = self.stress_limit is not None or bool(self.displacement_limits)
-        floats = 0
-        if self.frequency_bounds.size or (static and not topo.banded):
-            floats += topo.free.size ** 2
-        if static and topo.banded:
-            floats += (2 * topo.n_blocks - 1) * topo.block_size ** 2
-        return max(floats, 1)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TrussDesign":
@@ -399,7 +382,8 @@ class TrussDesign:
         analysis is deterministic and does not depend on the other rows it is
         stacked with.  So each call analyzes only the first row of each
         snapped design that is new to the call and was not in the previous
-        call; the other rows copy that row's result, or the previous call's.
+        call, all of them in one stacked model (see :meth:`_analyze_rows`);
+        the other rows copy that row's result, or the previous call's.
         The memo of one call is bounded by its batch size (on forth, 50 rows
         of 183 columns, about 73 KB).  Rows are keyed by their exact bytes,
         so ``-0.0`` and ``0.0`` are analyzed apart.  A call that raises
@@ -438,11 +422,11 @@ class TrussDesign:
 
     def _analyze_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Objectives and violation rows of the snapped ``(k, dim)`` rows
-        ``X``, each analyzed.  The rows are analyzed together, in chunks of
-        at most ``STACK_BYTES`` of assembled stiffness: one stacked model
-        per chunk, whose dense stiffness on the free DOFs, when an analysis
-        needs it, is assembled once for both the static and the modal
-        analysis."""
+        ``X``, each analyzed.  The rows without a short member are analyzed
+        together as one stacked model, whose dense stiffness on the free
+        DOFs, when an analysis needs it, is assembled once for both the
+        static and the modal analysis.  Mechanisms found by an analysis drop
+        out and the rest is analyzed again."""
         coords, areas = self.expand(X)
         topo = self.topology
         d = coords[:, topo.members[:, 1]] - coords[:, topo.members[:, 0]]
@@ -453,23 +437,15 @@ class TrussDesign:
         violations[:, 0] = DEGENERATE_VIOLATION
         # a design with a short member is degenerate whatever else is wrong
         # with it; not "<" keeps a NaN length in the analysis, as the model does
-        live = np.flatnonzero(~(lengths.min(axis=-1) < DEGENERATE_LENGTH))
-        for start in range(0, live.size, self._chunk_rows):
-            rows = live[start:start + self._chunk_rows]
-            self._analyze(coords, areas, rows, violations)
-        return weights, violations
-
-    def _analyze(self, coords, areas, rows, violations) -> None:
-        """Write the violation rows of the designs ``rows`` that are not
-        mechanisms, from one stacked model; mechanisms found by an analysis
-        drop out and the rest is analyzed again."""
+        rows = np.flatnonzero(~(lengths.min(axis=-1) < DEGENERATE_LENGTH))
         while rows.size:
-            model = TrussModel(coords[rows], areas=areas[rows], topology=self.topology)
+            model = TrussModel(coords[rows], areas=areas[rows], topology=topo)
             try:
                 violations[rows] = self._violations(model)
-                return
+                break
             except AnalysisError as exc:
                 rows = rows[~exc.mechanisms]
+        return weights, violations
 
     def _violations(self, model: TrussModel):
         """Violation rows of a stacked model, one per configuration, ``0.0``

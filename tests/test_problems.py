@@ -21,11 +21,7 @@ from elitopt.problems.analytic import (
     rosenbrock,
     sphere,
 )
-from elitopt.problems.truss_geometry import (
-    DEGENERATE_VIOLATION,
-    STACK_BYTES,
-    TrussDesign,
-)
+from elitopt.problems.truss_geometry import DEGENERATE_VIOLATION, TrussDesign
 from oracles import contract, evaluate_design
 
 
@@ -304,6 +300,16 @@ class TestLoadValidation:
         with pytest.raises(ConfigError, match="frequency bound"):
             TrussDesign(doc)
 
+    def test_more_frequency_bounds_than_free_dofs_rejected(self):
+        # the triangle has 3 free DOFs, so it has 3 natural frequencies
+        doc = collapsing_doc()
+        doc["masses"] = [{"node": 3, "mass": 10.0}]
+        doc["constraints"]["frequency_bounds"] = [1.0, 2.0, 3.0]
+        TrussDesign(doc)
+        doc["constraints"]["frequency_bounds"].append(4.0)
+        with pytest.raises(ConfigError, match="4 frequency bounds but only 3 free DOFs"):
+            TrussDesign(doc)
+
     def test_violation_width_fixed_at_load(self):
         doc = collapsing_doc()
         doc["constraints"] = {
@@ -457,22 +463,6 @@ APEX_ROWS = np.array([
 ])
 
 
-def rows_per_stack(design):
-    return design._chunk_rows
-
-
-class TestAnalysisChunks:
-    def test_chunks_bounded_by_the_assembled_stiffness(self):
-        # michell: a dense static solve; truss37: the dense modal analysis
-        # only; forth: the stiffness blocks of the static solve
-        for name, floats in (("michell", 12 ** 2), ("truss37", 37 ** 2)):
-            assert load_design(name)._chunk_rows == STACK_BYTES // (8 * floats)
-        topo = load_design("forth").topology
-        blocks = (2 * topo.n_blocks - 1) * topo.block_size ** 2
-        assert blocks * 8 < 14 * 1024
-        assert load_design("forth")._chunk_rows == STACK_BYTES // (8 * blocks) >= 9
-
-
 def assert_matches_per_design(design, X):
     """Each row against the design analyzed alone, bit for bit; the oracle's
     degenerate ``[DEGENERATE_VIOLATION]`` is padded with zeros to the width
@@ -495,13 +485,31 @@ class TestBatchEvaluation:
     def test_population_matches_per_design_bit_for_bit(self, name, rng):
         design = load_design(name)
         space = design.search_space()
-        # more rows than one stack holds, so the batch spans several chunks
-        n = max(40, rows_per_stack(design) + 3)
-        X = space.sample(n, rng)
+        # the paper's population, analyzed as one stack
+        X = space.sample(50, rng)
         # variables pushed onto their bounds bring short members on michell
         at_bound = rng.random(X.shape) < 0.2
         X[at_bound] = np.where(rng.random(X.shape) < 0.5, space.lower, space.upper)[at_bound]
         assert_matches_per_design(design, X)
+
+    @pytest.mark.parametrize("name, analysis", [
+        ("forth", "solve_static"),
+        ("truss37", "natural_frequencies"),
+    ])
+    def test_population_analyzed_in_one_call(self, name, analysis, monkeypatch, rng):
+        import elitopt.problems.truss_geometry as tg
+
+        calls = []
+        wrapped = getattr(tg, analysis)
+
+        def counting(model, **kwargs):
+            calls.append(model.stack_shape)
+            return wrapped(model, **kwargs)
+
+        monkeypatch.setattr(tg, analysis, counting)
+        design = load_design(name)
+        design.evaluate(design.search_space().sample(50, rng))
+        assert calls == [(50,)]
 
     def test_degenerate_and_mechanism_rows_among_healthy_ones(self):
         design = TrussDesign(apex_doc())

@@ -221,7 +221,7 @@ class TestTeoStep:
     def make_ctx(self, problem):
         return RunContext(problem, PenaltyParams())
 
-    def test_odd_population_rejected(self, rng):
+    def test_odd_population_rejected(self):
         algo = Teo()
         for n in (0, 1, 7):
             with pytest.raises(ConfigError, match="even"):
@@ -230,7 +230,7 @@ class TestTeoStep:
         # a run asks before it draws or evaluates anything
         problem = sphere_problem(2, bound=5.0)
         with pytest.raises(ConfigError, match="even"):
-            run(algo, problem, RunConfig(population_size=7, max_iterations=1), rng)
+            run(algo, problem, RunConfig(population_size=7, max_iterations=1))
 
     def test_declared_evaluation_cost(self):
         assert Teo().evals_per_iteration(50) == 25

@@ -9,7 +9,6 @@ evaluation accounting, and replicate statistics.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -144,22 +143,14 @@ def snap_to_grid(position: np.ndarray, space: SearchSpace) -> np.ndarray:
 
 @dataclass
 class Candidate:
-    """An evaluated design: raw objective plus penalized fitness.  Held for
-    the elite memory's entries and the best-so-far; a generation in flight
-    is held as arrays."""
+    """The best design of a run so far: its position, raw objective,
+    violations and penalized fitness.  A generation in flight, and the elite
+    memory, are held as arrays."""
 
     position: np.ndarray
     objective: float
     violations: np.ndarray
     fitness: float
-
-    def clone(self) -> "Candidate":
-        return Candidate(
-            position=self.position.copy(),
-            objective=self.objective,
-            violations=self.violations.copy(),
-            fitness=self.fitness,
-        )
 
 
 @dataclass(frozen=True)
@@ -234,53 +225,54 @@ def _penalized(objectives: np.ndarray, v: np.ndarray, params: PenaltyParams) -> 
 
 
 class EliteMemory:
-    """Bounded, deduplicated buffer of the best candidates seen so far.
+    """Bounded, deduplicated buffer of the best positions offered so far.
 
-    Entries are kept sorted ascending by fitness; among equal fitness the
-    earlier arrival ranks first and is never displaced by a later tie.
-    Candidates whose position exactly matches a stored entry are rejected,
-    so the buffer never holds duplicate designs.  Positions are matched by a
-    set of their bytes with -0.0 mapped to +0.0 (see :func:`_position_key`).
+    The buffer is two arrays, ``positions (m, dim)`` and ``fitness (m,)``,
+    best first: the ``capacity`` best distinct positions offered so far,
+    ranked by fitness, equal fitness kept in arrival order.  Positions are
+    matched by their bytes with -0.0 mapped to +0.0, which is elementwise
+    equality for NaN-free positions.  Treat both arrays as read-only.
+
+    A position keeps the fitness of its first offer.  When equal positions
+    always come with equal fitness, as the deterministic evaluation of a
+    :class:`Problem` guarantees, an evicted position can never come back
+    (its fitness is no longer below the buffer's worst), so offering a
+    stream in batches leaves the same arrays as offering it row by row.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ConfigError("memory capacity must be >= 1")
         self.capacity = int(capacity)
-        self._entries: list[Candidate] = []
-        self._fitness: list[float] = []
-        self._keys: set[bytes] = set()
+        self.positions = np.empty((0, 0))
+        self.fitness = np.empty(0)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.fitness)
 
-    @property
-    def entries(self) -> list[Candidate]:
-        """Stored candidates, best first.  Treat as read-only."""
-        return list(self._entries)
-
-    @property
-    def best(self) -> Candidate | None:
-        return self._entries[0] if self._entries else None
-
-    def offer(self, candidate: Candidate) -> bool:
-        """Consider one evaluated candidate; return True if it was admitted."""
-        full = len(self._entries) >= self.capacity
-        # strict < : an equal-fitness newcomer loses to the incumbent; a
-        # rejected candidate leaves the buffer as a duplicate would
-        if full and not candidate.fitness < self._fitness[-1]:
-            return False
-        key = _position_key(candidate.position)
-        if key in self._keys:
-            return False
-        if full:
-            self._fitness.pop()
-            self._keys.remove(_position_key(self._entries.pop().position))
-        idx = bisect.bisect_right(self._fitness, candidate.fitness)
-        self._entries.insert(idx, candidate.clone())
-        self._fitness.insert(idx, candidate.fitness)
-        self._keys.add(key)
-        return True
+    def offer(self, positions: np.ndarray, fitness: np.ndarray) -> int:
+        """Merge an evaluated ``(k, dim)`` batch and its ``(k,)`` fitness
+        into the buffer; return how many of the batch's rows it now holds."""
+        positions = np.asarray(positions, dtype=float)
+        fitness = np.asarray(fitness, dtype=float)
+        m = len(self.fitness)
+        if m >= self.capacity:
+            # strict < : a row tying the worst entry ranks after it and loses
+            below = fitness < self.fitness[-1]
+            if not below.any():
+                return 0
+            positions, fitness = positions[below], fitness[below]
+        if m:
+            positions = np.concatenate([self.positions, positions])
+            fitness = np.concatenate([self.fitness, fitness])
+        # the first row of each position, in arrival order
+        first = {}
+        for i, row in enumerate(positions + 0.0):
+            first.setdefault(row.tobytes(), i)
+        unique = np.fromiter(first.values(), dtype=int, count=len(first))
+        keep = unique[np.argsort(fitness[unique], kind="stable")[:self.capacity]]
+        self.positions, self.fitness = positions[keep], fitness[keep]
+        return int(np.count_nonzero(keep >= m))
 
     def inject(
         self, positions: np.ndarray, fitness: np.ndarray
@@ -290,12 +282,12 @@ class EliteMemory:
         among equally bad members are broken by index order.  The input
         arrays are never written: the result is new arrays, or the inputs
         themselves when the memory is empty."""
-        if not self._entries:
+        n, m = len(fitness), len(self.fitness)
+        if not m:
             return positions, fitness
-        n, m = len(fitness), len(self._entries)
         if m > n:
             raise ValueError("memory holds more entries than the population")
-        if m == n and self._fitness[0] > fitness.min():
+        if m == n and self.fitness[0] > fitness.min():
             # cannot happen when the memory was fed from this population's
             # evaluations; a full replacement by strictly worse entries would
             # discard the population's best
@@ -305,8 +297,8 @@ class EliteMemory:
         worst_first = slots[n - m:][::-1]
         positions = positions.copy()
         fitness = fitness.copy()
-        positions[worst_first] = [e.position for e in self._entries]
-        fitness[worst_first] = self._fitness
+        positions[worst_first] = self.positions
+        fitness[worst_first] = self.fitness
         return positions, fitness
 
 
@@ -315,14 +307,6 @@ def ranked(positions: np.ndarray, fitness: np.ndarray) -> tuple[np.ndarray, np.n
     on fitness: equal fitness keeps index order.  New arrays."""
     order = np.argsort(fitness, kind="stable")
     return positions[order], fitness[order]
-
-
-def _position_key(position: np.ndarray) -> bytes:
-    """Bytes that two positions share exactly when ``np.array_equal`` holds
-    for them: adding 0.0 turns -0.0 into +0.0, the one pair of equal floats
-    with different bits.  (Two NaN positions with the same bits would share
-    a key, where ``np.array_equal`` calls them different.)"""
-    return (np.asarray(position, dtype=float) + 0.0).tobytes()
 
 
 def memory_capacity(population_size: int, fraction: float) -> int:
@@ -397,7 +381,8 @@ class RunResult:
 
 class RunContext:
     """Per-run evaluation funnel: counts evaluations, applies the penalty,
-    feeds the elite memory and tracks the best candidate ever seen.
+    offers each evaluated batch to the elite memory and keeps the best
+    candidate ever seen as a :class:`Candidate` built from copies.
 
     Algorithms build a whole generation and hand it over at once through
     :meth:`evaluate_batch`; :meth:`evaluate` is the batch of one.
@@ -426,8 +411,8 @@ class RunContext:
         the first with a non-finite fitness, raises :class:`EvaluationError`,
         and :func:`penalized_fitness` raises ``ValueError`` on negative
         violations or objectives.  Then the ``k`` rows are counted, offered to
-        the memory in row order and compared with the best, with the same
-        outcome as if they had been evaluated one by one.
+        the memory in one :meth:`EliteMemory.offer` and compared with the
+        best, with the same outcome as if they had been evaluated one by one.
         """
         positions = np.asarray(positions, dtype=float)
         if positions.ndim != 2 or not len(positions):
@@ -460,19 +445,8 @@ class RunContext:
                 f"violations {violations[i]!r} at position {positions[i]!r}"
             )
         self.nfes += k
-        memory = self.memory
-        if memory is not None:
-            # only rows below the admission bound read at batch start can be
-            # admitted: a full buffer's worst entry only improves within a batch
-            full = len(memory) >= memory.capacity
-            bound = memory._fitness[-1] if full else math.inf
-            for i in np.flatnonzero(fitness < bound).tolist():
-                memory.offer(Candidate(
-                    position=positions[i],
-                    objective=float(objectives[i]),
-                    violations=violations[i],
-                    fitness=float(fitness[i]),
-                ))
+        if self.memory is not None:
+            self.memory.offer(positions, fitness)
         i = int(np.argmin(fitness))
         if self.best is None or fitness[i] < self.best.fitness:
             self.best = Candidate(
@@ -547,10 +521,9 @@ def run(algorithm, problem: Problem, config: RunConfig) -> RunResult:
         if memory is not None and not inject_first:
             positions, fitness = memory.inject(positions, fitness)
         history.append((g, ctx.best.fitness, ctx.nfes))
-    best = ctx.best.clone()
     return RunResult(
-        best=best, history=history, nfes=ctx.nfes,
-        design=snap_to_grid(best.position, problem.space),
+        best=ctx.best, history=history, nfes=ctx.nfes,
+        design=snap_to_grid(ctx.best.position, problem.space),
     )
 
 

@@ -387,6 +387,10 @@ def read_stats_csv(path: str | Path) -> StatsRecord:
     if len(rows) != 2 or tuple(rows[0]) != STATS_HEADER:
         raise ValueError(f"{path}:1: not a stats file")
     vals = rows[1]
+    if len(vals) != len(STATS_HEADER):
+        raise ValueError(
+            f"{path}:2: {len(vals)} fields, expected {len(STATS_HEADER)}"
+        )
     return StatsRecord(
         best=float(vals[0]),
         mean=float(vals[1]),

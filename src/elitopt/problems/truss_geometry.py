@@ -11,11 +11,12 @@ SI units; design variables may use scaled units declared per variable):
 ``supports``        list of ``{"node", "fix_x", "fix_y"}``.
 ``loads``           list of ``{"node", "fx", "fy"}`` in newtons.
 ``masses``          list of ``{"node", "mass"}`` in kilograms.
-``fixed_areas``     list of ``{"group", "area"}`` in m^2 for groups that are
-                    not design variables.
+``fixed_areas``     list of ``{"group", "area"}`` in m^2 (positive) for groups
+                    that are not design variables.
 ``size_variables``  ordered list of ``{"name", "groups", "lower", "upper",
                     "unit_scale", "grid"}``.  The design value times
-                    ``unit_scale`` is the member area in m^2; ``grid`` is
+                    ``unit_scale`` is the member area in m^2, so ``lower``
+                    and ``unit_scale`` must be positive; ``grid`` is
                     either null or ``{"start", "stop", "step"}`` in design
                     units.
 ``shape_variables`` ordered list of ``{"name", "lower", "upper",
@@ -180,7 +181,7 @@ class TrussDesign:
             g = str(fa["group"])
             if g not in group_members:
                 raise ConfigError(f"fixed area for unknown group {g!r}")
-            self.base_areas[group_members[g]] = _finite(
+            self.base_areas[group_members[g]] = _positive(
                 fa["area"], f"fixed area of group {g!r}"
             )
             assigned.add(g)
@@ -209,9 +210,10 @@ class TrussDesign:
                 SizeVariable(
                     name=str(sv["name"]),
                     member_indices=np.array(idx, dtype=int),
-                    lower=float(sv["lower"]),
+                    # a member area is value * unit_scale, value >= lower
+                    lower=_positive(sv["lower"], f"{sv['name']!r} lower"),
                     upper=float(sv["upper"]),
-                    unit_scale=_finite(
+                    unit_scale=_positive(
                         sv.get("unit_scale", 1.0), f"{sv['name']!r} unit_scale"
                     ),
                     grid=grid,

@@ -180,34 +180,37 @@ def random_stable_truss(rng, n_nodes):
     return nodes, members, areas, fixed, loads
 
 
-def memory_oracle(stream, capacity):
-    """Expected elite-buffer contents after offering a whole stream.
+def memory_oracle(positions, fitness, capacity):
+    """Expected elite-buffer ``(positions, fitness)`` after offering the
+    rows of a whole stream, as lists best first.
 
     Duplicate positions keep their first occurrence; survivors are the
     ``capacity`` best by (fitness, arrival order).  Positions are compared
-    bitwise, which coincides with elementwise equality for the NaN-free
-    streams the tests generate.
+    by their bytes after adding 0.0, as the memory does, which coincides
+    with elementwise equality for the NaN-free streams the tests generate.
     """
     seen = {}
-    for cand in stream:
-        seen.setdefault(np.asarray(cand.position).tobytes(), cand)
+    for position, value in zip(positions, fitness):
+        seen.setdefault((np.asarray(position, dtype=float) + 0.0).tobytes(),
+                        (np.array(position, dtype=float), float(value)))
     kept = list(seen.values())
-    order = sorted(range(len(kept)), key=lambda i: (kept[i].fitness, i))
-    return [kept[i] for i in order[:capacity]]
+    order = sorted(range(len(kept)), key=lambda i: (kept[i][1], i))[:capacity]
+    return [kept[i][0] for i in order], [kept[i][1] for i in order]
 
 
-def inject_loop(entries, positions, fitness):
-    """``EliteMemory.inject`` over lists: the stored ``entries`` (best first)
+def inject_loop(memory_positions, memory_fitness, positions, fitness):
+    """``EliteMemory.inject`` over lists: the stored entries (best first)
     overwrite the worst slots, found by ``sorted(range(n), key=(fitness,
     i))``, the very worst slot getting the best entry.  The reference for
     the array ``inject``."""
-    n, m = len(fitness), len(entries)
+    n, m = len(fitness), len(memory_fitness)
     order = sorted(range(n), key=lambda i: (fitness[i], i))
     out_positions = [np.array(p) for p in positions]
     out_fitness = list(fitness)
-    for slot, entry in zip(reversed(order[n - m:]), entries):
-        out_positions[slot] = entry.position.copy()
-        out_fitness[slot] = entry.fitness
+    for slot, position, value in zip(reversed(order[n - m:]), memory_positions,
+                                     memory_fitness):
+        out_positions[slot] = np.array(position)
+        out_fitness[slot] = value
     return np.array(out_positions), np.array(out_fitness)
 
 
@@ -228,9 +231,9 @@ def penalized_fitness_row(objective, violations, params):
 
 def funnel_loop(ctx, positions):
     """``RunContext.evaluate_batch`` one row at a time: each row is checked,
-    penalized, counted, offered to the memory and compared with the best
-    before the next row starts, so the first unusable row raises with the
-    rows before it already counted.  Returns the fitness array.  The
+    penalized, counted, offered to the memory as a batch of one and compared
+    with the best before the next row starts, so the first unusable row
+    raises with the rows before it already counted.  Returns the fitness array.  The
     reference the batch funnel must match bit for bit on usable batches."""
     positions = np.asarray(positions, dtype=float)
     objectives, violations = ctx.problem.evaluate(positions)
@@ -245,13 +248,11 @@ def funnel_loop(ctx, positions):
         if not math.isfinite(value):
             raise EvaluationError(f"non-finite fitness {value!r}")
         ctx.nfes += 1
-        candidate = Candidate(
-            position=position.copy(), objective=objective, violations=row, fitness=value
-        )
         if ctx.memory is not None:
-            ctx.memory.offer(candidate)
+            ctx.memory.offer(position[None], np.array([value]))
         if ctx.best is None or value < ctx.best.fitness:
-            ctx.best = candidate.clone()
+            ctx.best = Candidate(position=position.copy(), objective=objective,
+                                 violations=row.copy(), fitness=value)
         fitness.append(value)
     return np.array(fitness)
 

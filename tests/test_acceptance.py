@@ -29,7 +29,6 @@ from elitopt.algorithms.kha import (
 )
 from elitopt.algorithms.teo import exchange_ratio, time_fraction, updated_temperature
 from elitopt.core import (
-    Candidate,
     EliteMemory,
     Problem,
     RunConfig,
@@ -229,24 +228,15 @@ def test_criterion_3_elite_memory_vs_brute_force():
         pool_pos = rng.random((pool_n, dim))
         pool_fit = np.round(rng.random(pool_n), 2)  # coarse: deliberate ties
         capacity = int(rng.choice([1, 2, 5, 20]))
-        stream = [
-            Candidate(
-                position=pool_pos[i],
-                objective=float(pool_fit[i]),
-                violations=np.empty(0),
-                fitness=float(pool_fit[i]),
-            )
-            for i in rng.integers(pool_n, size=length)
-        ]
+        stream = rng.integers(pool_n, size=length)
+        positions, fitness = pool_pos[stream], pool_fit[stream]
         memory = EliteMemory(capacity)
-        for c in stream:
-            memory.offer(c)
+        for i in range(length):
+            memory.offer(positions[i:i + 1], fitness[i:i + 1])
         total_offers += length
-        expect = memory_oracle(stream, capacity)
-        got = memory.entries
-        same = len(got) == len(expect) and all(
-            g.fitness == e.fitness and np.array_equal(g.position, e.position)
-            for g, e in zip(got, expect)
+        expect_positions, expect_fitness = memory_oracle(positions, fitness, capacity)
+        same = memory.fitness.tolist() == expect_fitness and all(
+            np.array_equal(g, e) for g, e in zip(memory.positions, expect_positions)
         )
         if not same and mismatch is None:
             mismatch = f"stream {streams} (length {length}, capacity {capacity})"

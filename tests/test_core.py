@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from elitopt.core import (
     AccountingError,
-    Candidate,
     ConfigError,
     EliteMemory,
     EvaluationError,
@@ -39,11 +38,12 @@ def unit_space(dim=1):
     return SearchSpace(lower=np.zeros(dim), upper=np.ones(dim))
 
 
-def cand(fitness, position=None):
+def row(fitness, position=None):
+    """One evaluated row as a ``(1, dim)`` batch and its ``(1,)`` fitness; by
+    default the one-variable position is the fitness."""
     pos = np.atleast_1d(np.asarray(position if position is not None else fitness,
                                    dtype=float))
-    return Candidate(position=pos, objective=float(fitness),
-                     violations=np.empty(0), fitness=float(fitness))
+    return pos[None], np.array([float(fitness)])
 
 
 # ---------------------------------------------------------------------------
@@ -276,44 +276,57 @@ class TestPenalizedFitness:
 # Elite memory
 
 
+def stored(mem):
+    """The buffer as ``(fitness, first coordinate)`` pairs, best first."""
+    return list(zip(mem.fitness.tolist(), mem.positions[:, 0].tolist()))
+
+
+def same_buffer(mem, positions, fitness):
+    """The memory holds exactly these rows, best first, bit for bit."""
+    return (mem.fitness.tobytes() == np.asarray(fitness, dtype=float).tobytes()
+            and mem.positions.tobytes() == np.asarray(positions, dtype=float).tobytes())
+
+
 class TestEliteMemory:
     def test_insert_into_empty(self):
         mem = EliteMemory(2)
-        assert mem.offer(cand(5.0))
-        assert [e.fitness for e in mem.entries] == [5.0]
+        assert mem.offer(*row(5.0)) == 1
+        assert mem.fitness.tolist() == [5.0]
+        assert mem.positions.shape == (1, 1)
 
     def test_evicts_worst_when_better(self):
         mem = EliteMemory(2)
-        mem.offer(cand(3.0))
-        mem.offer(cand(5.0))
-        assert mem.offer(cand(4.0))
-        assert [e.fitness for e in mem.entries] == [3.0, 4.0]
+        mem.offer(*row(3.0))
+        mem.offer(*row(5.0))
+        assert mem.offer(*row(4.0)) == 1
+        assert mem.fitness.tolist() == [3.0, 4.0]
 
     def test_rejects_outside_top(self):
         mem = EliteMemory(2)
-        mem.offer(cand(3.0))
-        mem.offer(cand(5.0))
-        assert not mem.offer(cand(7.0))
-        assert [e.fitness for e in mem.entries] == [3.0, 5.0]
+        mem.offer(*row(3.0))
+        mem.offer(*row(5.0))
+        assert mem.offer(*row(7.0)) == 0
+        assert mem.fitness.tolist() == [3.0, 5.0]
 
     def test_equal_fitness_keeps_incumbent(self):
         mem = EliteMemory(1)
-        mem.offer(cand(5.0, position=[1.0]))
-        assert not mem.offer(cand(5.0, position=[2.0]))
-        assert mem.best.position[0] == 1.0
+        mem.offer(*row(5.0, position=[1.0]))
+        assert mem.offer(*row(5.0, position=[2.0])) == 0
+        assert stored(mem) == [(5.0, 1.0)]
 
     def test_duplicate_position_rejected(self):
         mem = EliteMemory(3)
-        mem.offer(cand(5.0, position=[1.0, 2.0]))
-        assert not mem.offer(cand(5.0, position=[1.0, 2.0]))
+        mem.offer(*row(5.0, position=[1.0, 2.0]))
+        assert mem.offer(*row(5.0, position=[1.0, 2.0])) == 0
         assert len(mem) == 1
 
     def test_entries_are_copies(self):
         mem = EliteMemory(1)
-        c = cand(1.0, position=[0.5])
-        mem.offer(c)
-        c.position[0] = 99.0
-        assert mem.best.position[0] == 0.5
+        positions, fitness = row(1.0, position=[0.5])
+        mem.offer(positions, fitness)
+        positions[0, 0] = 99.0
+        fitness[0] = 99.0
+        assert stored(mem) == [(1.0, 0.5)]
 
     def test_capacity_validated(self):
         with pytest.raises(ConfigError):
@@ -321,30 +334,40 @@ class TestEliteMemory:
 
     def test_signed_zeros_are_one_position(self):
         mem = EliteMemory(3)
-        assert mem.offer(cand(2.0, position=[0.0, -0.0]))
-        assert not mem.offer(cand(1.0, position=[-0.0, 0.0]))
-        assert [e.fitness for e in mem.entries] == [2.0]
+        assert mem.offer(*row(2.0, position=[0.0, -0.0])) == 1
+        assert mem.offer(*row(1.0, position=[-0.0, 0.0])) == 0
+        assert mem.fitness.tolist() == [2.0]
 
     def test_evicted_position_admitted_again(self):
         mem = EliteMemory(2)
-        mem.offer(cand(3.0, position=[3.0]))
-        mem.offer(cand(5.0, position=[5.0]))
-        assert mem.offer(cand(4.0, position=[4.0]))
+        mem.offer(*row(3.0, position=[3.0]))
+        mem.offer(*row(5.0, position=[5.0]))
+        assert mem.offer(*row(4.0, position=[4.0])) == 1
         # [5.0] was evicted, so its position no longer counts as stored
-        assert mem.offer(cand(1.0, position=[5.0]))
-        assert [(e.fitness, e.position[0]) for e in mem.entries] == [(1.0, 5.0), (3.0, 3.0)]
-        assert not mem.offer(cand(0.5, position=[3.0]))
+        assert mem.offer(*row(1.0, position=[5.0])) == 1
+        assert stored(mem) == [(1.0, 5.0), (3.0, 3.0)]
+        assert mem.offer(*row(0.5, position=[3.0])) == 0
 
     def test_full_buffer_rejects_no_better_candidate_unchanged(self):
         mem = EliteMemory(2)
-        mem.offer(cand(3.0, position=[3.0]))
-        mem.offer(cand(5.0, position=[5.0]))
-        before = [(e.fitness, e.position.tobytes()) for e in mem.entries]
+        mem.offer(*row(3.0, position=[3.0]))
+        mem.offer(*row(5.0, position=[5.0]))
+        before = mem.positions.tobytes(), mem.fitness.tobytes()
         # a duplicate, an equal and a worse fitness: all rejected, nothing moves
         for fitness, position in ((5.0, [3.0]), (5.0, [6.0]), (9.0, [7.0])):
-            assert mem.offer(cand(fitness, position=position)) is False
-        assert [(e.fitness, e.position.tobytes()) for e in mem.entries] == before
-        assert mem.offer(cand(4.0, position=[6.0]))
+            assert mem.offer(*row(fitness, position=position)) == 0
+        assert (mem.positions.tobytes(), mem.fitness.tobytes()) == before
+        assert mem.offer(*row(4.0, position=[6.0])) == 1
+
+    def test_batch_counts_the_rows_it_holds(self):
+        mem = EliteMemory(3)
+        mem.offer(*row(2.0, position=[2.0]))
+        # a stored duplicate, a repeat inside the batch, a tie kept after the
+        # incumbent, and a row pushed out by the better rows of its own batch
+        positions = [[2.0], [1.0], [1.0], [9.0], [0.5], [2.5]]
+        assert mem.offer(positions, [2.0, 1.0, 1.0, 9.0, 0.5, 2.5]) == 2
+        assert stored(mem) == [(0.5, 0.5), (1.0, 1.0), (2.0, 2.0)]
+        assert mem.offer(np.empty((0, 1)), np.empty(0)) == 0
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -354,26 +377,51 @@ class TestEliteMemory:
         raw = data.draw(
             st.lists(st.integers(0, 20), min_size=n, max_size=n)
         )
-        stream = []
+        positions, fitness = [], []
         for k, f in enumerate(raw):
-            # occasional exact repeats of an earlier candidate
-            if stream and f % 5 == 0:
-                stream.append(stream[k % len(stream)])
+            # occasional exact repeats of an earlier row
+            if positions and f % 5 == 0:
+                positions.append(positions[k % len(positions)])
+                fitness.append(fitness[k % len(fitness)])
             else:
-                stream.append(cand(float(f), position=[float(f), float(k)]))
+                positions.append([float(f), float(k)])
+                fitness.append(float(f))
         mem = EliteMemory(capacity)
-        for c in stream:
-            mem.offer(c)
-        expected = memory_oracle(stream, capacity)
-        got = mem.entries
-        assert [e.fitness for e in got] == [e.fitness for e in expected]
-        for g, e in zip(got, expected):
-            assert np.array_equal(g.position, e.position)
+        for position, value in zip(positions, fitness):
+            mem.offer(*row(value, position=position))
+        assert same_buffer(mem, *memory_oracle(positions, fitness, capacity))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_batches_match_rows_and_oracle(self, data):
+        # a pool with ties, signed zeros and repeats; a position's fitness is
+        # fixed by its value, so -0.0 and +0.0 share it, as evaluation would
+        dim = data.draw(st.integers(1, 3))
+        coords = st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0])
+        pool = data.draw(st.lists(st.lists(coords, min_size=dim, max_size=dim),
+                                  min_size=1, max_size=12))
+        fitness_of = {}
+        for p in pool:
+            key = tuple(x + 0.0 for x in p)
+            if key not in fitness_of:
+                fitness_of[key] = data.draw(st.sampled_from([-0.0, 0.0, 0.5, 1.0, 3.0]))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=60))
+        positions = np.array([pool[i] for i in picks], dtype=float).reshape(-1, dim)
+        fitness = np.array([fitness_of[tuple(x + 0.0 for x in p)] for p in positions])
+        capacity = data.draw(st.integers(1, 8))
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(picks)), max_size=6)))
+        batched, one_by_one = EliteMemory(capacity), EliteMemory(capacity)
+        for lo, hi in zip([0] + cuts, cuts + [len(picks)]):
+            batched.offer(positions[lo:hi], fitness[lo:hi])
+        for i in range(len(picks)):
+            one_by_one.offer(positions[i:i + 1], fitness[i:i + 1])
+        assert same_buffer(batched, one_by_one.positions, one_by_one.fitness)
+        assert same_buffer(batched, *memory_oracle(positions, fitness, capacity))
 
 
 def pop_arrays(fitness, positions=None):
     """A population as ``(positions, fitness)`` arrays; by default each
-    member's one-variable position is its fitness, as with :func:`cand`."""
+    member's one-variable position is its fitness, as with :func:`row`."""
     fitness = np.asarray(fitness, dtype=float)
     if positions is None:
         positions = fitness[:, None]
@@ -383,7 +431,7 @@ def pop_arrays(fitness, positions=None):
 class TestMemoryInject:
     def test_replaces_single_worst(self):
         mem = EliteMemory(1)
-        mem.offer(cand(2.0))
+        mem.offer(*row(2.0))
         _, fitness = mem.inject(*pop_arrays([1.0, 9.0, 10.0]))
         assert fitness.tolist() == [1.0, 9.0, 2.0]
 
@@ -395,8 +443,8 @@ class TestMemoryInject:
 
     def test_ties_break_by_index(self):
         mem = EliteMemory(2)
-        mem.offer(cand(1.0, position=[1.0]))
-        mem.offer(cand(2.0, position=[2.0]))
+        mem.offer(*row(1.0, position=[1.0]))
+        mem.offer(*row(2.0, position=[2.0]))
         positions, fitness = mem.inject(
             *pop_arrays([5.0, 5.0, 5.0], positions=[[10.0], [11.0], [12.0]]))
         assert sorted(fitness.tolist()) == [1.0, 2.0, 5.0]
@@ -405,8 +453,8 @@ class TestMemoryInject:
 
     def test_worst_slot_gets_best_elite(self):
         mem = EliteMemory(2)
-        mem.offer(cand(1.0))
-        mem.offer(cand(2.0))
+        mem.offer(*row(1.0))
+        mem.offer(*row(2.0))
         positions, fitness = mem.inject(*pop_arrays([8.0, 9.0, 7.0]))
         assert fitness.tolist() == [2.0, 1.0, 7.0]
         assert positions[:, 0].tolist() == [2.0, 1.0, 7.0]
@@ -414,7 +462,7 @@ class TestMemoryInject:
     def test_overfull_memory_rejected(self):
         mem = EliteMemory(3)
         for f in (1.0, 2.0, 3.0):
-            mem.offer(cand(f))
+            mem.offer(*row(f))
         with pytest.raises(ValueError):
             mem.inject(*pop_arrays([5.0, 6.0]))
 
@@ -422,8 +470,8 @@ class TestMemoryInject:
         # a memory never fed from this population could otherwise evict the
         # population's best; the operation refuses instead
         mem = EliteMemory(2)
-        mem.offer(cand(5.0, position=[5.0]))
-        mem.offer(cand(6.0, position=[6.0]))
+        mem.offer(*row(5.0, position=[5.0]))
+        mem.offer(*row(6.0, position=[6.0]))
         with pytest.raises(ValueError, match="worse than the population best"):
             mem.inject(*pop_arrays([0.0, 0.0]))
 
@@ -433,14 +481,14 @@ class TestMemoryInject:
         # mirror the run loop: every population member passed through the
         # memory, the population is the latest window of the stream
         mem = EliteMemory(capacity)
-        stream = [cand(f, position=[f, float(k)]) for k, f in enumerate(stream_fits)]
-        for c in stream:
-            mem.offer(c)
-        window = stream[-4:]
-        positions, fitness = mem.inject(*pop_arrays(
-            [c.fitness for c in window], positions=[c.position for c in window]))
+        stream = [row(f, position=[f, float(k)]) for k, f in enumerate(stream_fits)]
+        for positions, fitness in stream:
+            mem.offer(positions, fitness)
+        window = np.concatenate([p for p, _ in stream[-4:]])
+        window_fitness = np.concatenate([f for _, f in stream[-4:]])
+        positions, fitness = mem.inject(window, window_fitness)
         assert positions.shape == (4, 2) and fitness.shape == (4,)
-        assert fitness.min() <= min(c.fitness for c in window)
+        assert fitness.min() <= window_fitness.min()
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -453,20 +501,20 @@ class TestMemoryInject:
         offers = data.draw(st.lists(st.integers(0, 6), min_size=capacity, max_size=20))
         mem = EliteMemory(capacity)
         for k, f in enumerate(offers):
-            mem.offer(cand(float(f), position=[float(f), -1.0 - k]))
+            mem.offer(*row(float(f), position=[float(f), -1.0 - k]))
         positions, fitness = pop_arrays(
             fits, positions=[[float(f), float(i)] for i, f in enumerate(fits)])
-        if len(mem) == n and mem.best.fitness > fitness.min():
+        if len(mem) == n and mem.fitness[0] > fitness.min():
             return  # refused, see test_full_replacement_by_worse_entries_rejected
         got = mem.inject(positions, fitness)
-        expect = inject_loop(mem.entries, positions, fitness)
+        expect = inject_loop(mem.positions, mem.fitness.tolist(), positions, fitness)
         for g, e in zip(got, expect):
             assert g.dtype == e.dtype and g.tobytes() == e.tobytes()
 
     def test_input_arrays_never_written(self):
         mem = EliteMemory(2)
-        mem.offer(cand(1.0, position=[1.0]))
-        mem.offer(cand(2.0, position=[2.0]))
+        mem.offer(*row(1.0, position=[1.0]))
+        mem.offer(*row(2.0, position=[2.0]))
         positions, fitness = pop_arrays([8.0, 9.0, 7.0])
         before = positions.copy(), fitness.copy()
         out_positions, out_fitness = mem.inject(positions, fitness)
@@ -521,15 +569,15 @@ class TestMemoryCapacity:
 
 
 class RecordingMemory(EliteMemory):
+    """Keeps a copy of every ``(positions, fitness)`` batch it is offered."""
+
     def __init__(self, capacity):
         super().__init__(capacity)
-        self.offered = []
-        self.candidates = []
+        self.offers = []
 
-    def offer(self, candidate):
-        self.offered.append(float(candidate.position[0]))
-        self.candidates.append(candidate.clone())
-        return super().offer(candidate)
+    def offer(self, positions, fitness):
+        self.offers.append((np.array(positions), np.array(fitness)))
+        return super().offer(positions, fitness)
 
 
 class TestEvaluateBatch:
@@ -563,35 +611,36 @@ class TestEvaluateBatch:
         out = ctx.evaluate_batch(self.ROWS)
         assert len(calls) == 1 and np.array_equal(calls[0], self.ROWS)
         assert out.tolist() == [3.0, 1.0, 1.0, 2.0]
-        assert memory.offered == [0.0, 1.0, 2.0, 3.0]
+        [(positions, fitness)] = memory.offers
+        assert np.array_equal(positions, self.ROWS)
+        assert fitness.tolist() == [3.0, 1.0, 1.0, 2.0]
         assert ctx.nfes == 4
         # the earlier of two equal rows stays the best
         assert ctx.best.position[0] == 1.0
 
-    def test_violation_rows_reach_their_candidates(self):
-        violations = [[0.0, 0.0], [0.5, 0.0], [0.0, 0.25], [1.0, 1.0]]
+    def test_violations_fold_into_the_offered_fitness(self):
+        violations = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.25], [1.0, 1.0]]
         problem, _ = self.scripted_problem([1.0, 1.0, 2.0, 3.0], violations)
         memory = RecordingMemory(4)
-        out = RunContext(problem, PenaltyParams(), memory).evaluate_batch(self.ROWS)
-        offered = memory.candidates
-        assert [c.violations.tolist() for c in offered] == violations
-        assert [type(c.objective) for c in offered] == [float] * 4
+        ctx = RunContext(problem, PenaltyParams(), memory)
+        out = ctx.evaluate_batch(self.ROWS)
         expected = [penalized_fitness(o, v, PenaltyParams())
                     for o, v in zip([1.0, 1.0, 2.0, 3.0], violations)]
-        assert [c.fitness for c in offered] == expected
         assert out.tolist() == expected
+        assert memory.offers[0][1].tolist() == expected
+        # the best keeps its own objective and violation row
+        assert type(ctx.best.objective) is float and ctx.best.objective == 1.0
+        assert ctx.best.violations.tolist() == [0.0, 0.0]
 
-    def test_full_memory_is_offered_only_rows_below_its_worst(self):
+    def test_full_memory_keeps_the_best_of_the_batch(self):
         problem, _ = self.scripted_problem([3.0, 1.0, 2.0, 2.5])
         memory = RecordingMemory(2)
         ctx = RunContext(problem, PenaltyParams(), memory)
         ctx.evaluate_batch(self.ROWS[[0, 3]])  # fills the buffer: worst 3.0
-        memory.offered.clear()
         ctx.evaluate_batch(self.ROWS[[1, 0, 2, 3]])
-        # row 0 ties the worst entry at batch start, so it is not offered;
-        # row 3 (2.5) is, although rows 1 and 2 have lowered the worst to 2.0
-        assert memory.offered == [1.0, 2.0, 3.0]
-        assert [e.fitness for e in memory.entries] == [1.0, 2.0]
+        # the whole batch is offered once; the stored rows fall out of the top 2
+        assert len(memory.offers) == 2 and len(memory.offers[1][1]) == 4
+        assert stored(memory) == [(1.0, 1.0), (2.0, 2.0)]
 
     @pytest.mark.parametrize("objectives, violations, message", [
         ([3.0, 1.0, float("inf"), float("nan")], None, "row 2: non-finite objective"),
@@ -608,7 +657,7 @@ class TestEvaluateBatch:
             ctx.evaluate_batch(self.ROWS)
         assert "position array([2.])" in str(raised.value)
         assert ctx.nfes == 1
-        assert memory.offered == [0.0] and len(memory) == 1
+        assert len(memory.offers) == 1 and len(memory) == 1
         assert ctx.best.fitness == 3.0
 
     def test_evaluate_is_the_batch_of_one(self):
@@ -643,7 +692,7 @@ class TestEvaluateBatch:
 class TestFunnelMatchesLoop:
     """``RunContext.evaluate_batch`` against the row-by-row funnel of
     ``oracles.funnel_loop``: the same fitness bits, evaluation count, memory
-    entries and best, bit for bit, over a run of random batches."""
+    arrays and best, bit for bit, over a run of random batches."""
 
     @staticmethod
     def problem(c):
@@ -665,7 +714,7 @@ class TestFunnelMatchesLoop:
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         return a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    def same_candidate(self, a, b):
+    def same_best(self, a, b):
         return (self.same_bits(a.position, b.position)
                 and self.same_bits(a.objective, b.objective)
                 and self.same_bits(a.violations, b.violations)
@@ -684,10 +733,9 @@ class TestFunnelMatchesLoop:
             rows = pool[rng.integers(len(pool), size=int(rng.integers(1, 10)))]
             assert self.same_bits(batch.evaluate_batch(rows), funnel_loop(loop, rows))
             assert batch.nfes == loop.nfes
-            got, expect = batch.memory.entries, loop.memory.entries
-            assert len(got) == len(expect)
-            assert all(self.same_candidate(g, e) for g, e in zip(got, expect))
-            assert self.same_candidate(batch.best, loop.best)
+            assert self.same_bits(batch.memory.fitness, loop.memory.fitness)
+            assert self.same_bits(batch.memory.positions, loop.memory.positions)
+            assert self.same_best(batch.best, loop.best)
         # the small buffers run full, the large one never fills
         assert (len(batch.memory) == capacity) == (capacity < len(pool))
 

@@ -167,6 +167,12 @@ class TestStatsCsv:
         with pytest.raises(ValueError):
             read_stats_csv(path)
 
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "stats.csv"
+        path.write_text(",".join(STATS_HEADER) + "\n1,2\n")
+        with pytest.raises(ValueError, match=r"stats\.csv:2: 2 fields, expected 6"):
+            read_stats_csv(path)
+
 
 class TestPlanFromFile:
     def write(self, tmp_path, doc):
@@ -571,6 +577,17 @@ class TestReportEdgeCases:
                           nfes_median=100.0, runs=3)
         write_stats_file(tmp_path / "bbo-sphere-mem" / "stats.csv", bad)
         report = build_report(tmp_path, cells)
+        assert report.improvements == ()
+
+    def test_short_stats_row_reported_failed(self, tmp_path):
+        cells = [
+            self.make_cell(tmp_path, "bbo-sphere-mem", "bbo", True, 1.0),
+            self.make_cell(tmp_path, "bbo-sphere-std", "bbo", False, 2.0),
+        ]
+        (tmp_path / "bbo-sphere-mem" / "stats.csv").write_text(
+            ",".join(STATS_HEADER) + "\n1,2\n")
+        report = build_report(tmp_path, cells)
+        assert [c.status for c in report.cells] == ["failed", "ok"]
         assert report.improvements == ()
 
     def test_missing_partner_skipped(self, tmp_path):

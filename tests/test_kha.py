@@ -25,7 +25,6 @@ from elitopt.algorithms.kha import (
     time_step,
 )
 from elitopt.core import (
-    Candidate,
     ConfigError,
     EliteMemory,
     PenaltyParams,
@@ -407,8 +406,7 @@ class TestKhaStep:
         injected = np.array([3.5, 3.5])
         injected_fitness = ctx.evaluate(injected)
         memory = EliteMemory(1)
-        memory.offer(Candidate(position=injected, objective=injected_fitness,
-                               violations=np.empty(0), fitness=injected_fitness))
+        memory.offer(injected[None], np.array([injected_fitness]))
         slot = int(np.argmax(fitness))
         assert injected_fitness > state.pb_fitness[slot]
         positions, fitness = memory.inject(positions, fitness)

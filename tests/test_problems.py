@@ -227,6 +227,14 @@ def with_value(doc, path, value):
     return doc
 
 
+def fixed_base_doc():
+    """``collapsing_doc`` with the base member's area fixed, not a variable."""
+    doc = collapsing_doc()
+    doc["size_variables"].pop(0)
+    doc["fixed_areas"] = [{"group": "base", "area": 1e-4}]
+    return doc
+
+
 class TestLoadValidation:
     """Values that would only fail, or silently change the problem, at the
     first evaluation are refused when the geometry file is read."""
@@ -248,6 +256,26 @@ class TestLoadValidation:
         doc = with_value(collapsing_doc(), path, value)
         with pytest.raises(ConfigError, match="finite"):
             TrussDesign(doc)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_fixed_area_rejected(self, value):
+        doc = with_value(fixed_base_doc(), ("fixed_areas", 0, "area"), value)
+        with pytest.raises(ConfigError, match="finite"):
+            TrussDesign(doc)
+
+    @pytest.mark.parametrize("make, path", [
+        (fixed_base_doc, ("fixed_areas", 0, "area")),
+        (collapsing_doc, ("size_variables", 0, "lower")),
+        (collapsing_doc, ("size_variables", 1, "unit_scale")),
+    ], ids=["fixed_area", "lower", "unit_scale"])
+    @pytest.mark.parametrize("value", [0.0, -1e-4])
+    def test_non_positive_area_source_rejected(self, make, path, value):
+        # each would load and then give some member an area <= 0, so that
+        # evaluation raised ModelError
+        doc = make()
+        TrussDesign(doc)
+        with pytest.raises(ConfigError, match="must be positive"):
+            TrussDesign(with_value(doc, path, value))
 
     @pytest.mark.parametrize("key", ["start", "stop", "step"])
     def test_non_finite_grid_rejected(self, key):

@@ -35,55 +35,49 @@ class BboParams:
             raise ConfigError("elite_keep must be >= 0")
 
 
-def species_count(rank: int, n: int) -> int:
-    """Rank-linear species model: the best habitat (rank 0) is the richest."""
-    if not 0 <= rank < n:
+def species_count(rank, n: int):
+    """Rank-linear species model: the best habitat (rank 0) is the richest.
+    Elementwise on arrays of ranks."""
+    rank = np.asarray(rank)
+    if np.any((rank < 0) | (rank >= n)):
         raise ValueError("rank out of range")
-    return n - 1 - rank
+    s = n - 1 - rank
+    return s if s.ndim else int(s)
 
-def migration_rates(rank: int, n: int, params: BboParams) -> tuple[float, float]:
-    """Immigration and emigration rate of the habitat at a fitness rank.
+
+def migration_rates(rank, n: int, params: BboParams):
+    """Immigration and emigration rate of the habitat at a fitness rank,
+    elementwise on arrays of ranks.
 
     With species count ``s`` out of ``n``: immigration ``I * (1 - s/n)``,
     emigration ``E * s/n``.  Good habitats emigrate, poor ones immigrate.
     """
-    s = species_count(rank, n)
-    lam = params.max_immigration * (1.0 - s / n)
-    mu = params.max_emigration * (s / n)
+    share = species_count(rank, n) / n
+    lam = params.max_immigration * (1.0 - share)
+    mu = params.max_emigration * share
     return lam, mu
 
 
-def species_probability(rank: int, n: int) -> float:
-    """Stand-in species-count probability: piecewise linear in the species
-    count with its peak (1.0) at the median count and 0 at the extremes, so
-    both the very best and the very worst habitats mutate the most."""
+def species_probability(rank, n: int):
+    """Stand-in species-count probability, elementwise on arrays of ranks:
+    piecewise linear in the species count with its peak (1.0) at the median
+    count and 0 at the extremes, so both the very best and the very worst
+    habitats mutate the most."""
     s = species_count(rank, n)
     mid = (n - 1) / 2.0
     if mid == 0:
-        return 1.0
+        return np.ones(np.shape(s)) if np.ndim(s) else 1.0
     return 1.0 - abs(s - mid) / mid
 
 
-def mutation_rate(p: float, p_max: float, params: BboParams) -> float:
-    """Mutation probability ``m_max * (1 - p / p_max)``."""
+def mutation_rate(p, p_max: float, params: BboParams):
+    """Mutation probability ``m_max * (1 - p / p_max)``, elementwise on
+    arrays of probabilities."""
     if p_max <= 0:
         raise ValueError("p_max must be positive")
-    if p < 0 or p > p_max:
+    if np.min(p) < 0 or np.max(p) > p_max:
         raise ValueError("species probability must lie in [0, p_max]")
     return params.mutation_max * (1.0 - p / p_max)
-
-
-def _spin(cumulative: np.ndarray, total: float, skip: int, count: int, rng) -> np.ndarray:
-    """``count`` roulette draws over weights with running sums ``cumulative``
-    and sum ``total``, the weight at ``skip`` already zeroed; one draw from
-    ``rng`` each."""
-    if total <= 0:
-        candidates = [i for i in range(cumulative.size) if i != skip]
-        return np.array(
-            [candidates[int(rng.integers(len(candidates)))] for _ in range(count)]
-        )
-    # one array of uniforms is the stream of as many scalar draws
-    return np.searchsorted(cumulative, rng.random(count) * total, side="right")
 
 
 def migrate(
@@ -96,44 +90,48 @@ def migrate(
     variable by the same variable of an emigration-selected donor.
 
     Donors always come from the pre-migration snapshot.  A single-habitat
-    population is returned unchanged (no donor exists).  The donor of a
-    pick is a roulette draw over the emigration rates ``mus`` with the
-    habitat's own rate zeroed.  Row ``i`` of one ``(n, n)`` weight matrix
-    with a zero diagonal holds those weights for habitat ``i``, so their
-    running sums and totals are computed once per step.  Habitat by habitat,
-    ``rng`` gives the ``dim`` immigration coins, then one draw per pick.
+    population is returned unchanged and draws nothing (no donor exists).
+    Otherwise ``rng.random((n, dim))`` gives the immigration coins, then
+    ``rng.random(k)`` one uniform ``u`` per immigrating ``(i, j)`` in
+    row-major order.  The donor is a roulette pick over the emigration
+    rates ``mus`` with habitat ``i``'s own rate zeroed: row ``i`` of an
+    ``(n, n)`` weight matrix with a zero diagonal, its donor the count of
+    running sums ``<= u * total_i``.  When ``total_i <= 0`` the same ``u``
+    picks uniformly among the other habitats.
     """
     n, dim = positions.shape
     out = positions.copy()
     if n < 2:
         return out
+    coins = rng.random((n, dim))
+    rows, cols = np.nonzero(coins < lambdas[:, None])
+    u = rng.random(rows.size)
     weights = np.tile(np.asarray(mus, dtype=float), (n, 1))
     np.fill_diagonal(weights, 0.0)
     cumulative = np.cumsum(weights, axis=1)
-    totals = weights.sum(axis=1)
-    for i in range(n):
-        coins = rng.random(dim)
-        picks = np.flatnonzero(coins < lambdas[i])
-        if picks.size == 0:
-            continue
-        donors = _spin(cumulative[i], totals[i], i, picks.size, rng)
-        out[i, picks] = positions[donors, picks]
+    totals = weights.sum(axis=1)[rows]
+    donors = np.count_nonzero(cumulative[rows] <= (u * totals)[:, None], axis=1)
+    # no emigration weight: uniform among the other habitats, shifted past
+    # the habitat itself
+    flat = totals <= 0
+    pick = (u[flat] * (n - 1)).astype(int)
+    donors[flat] = pick + (pick >= rows[flat])
+    out[rows, cols] = positions[donors, cols]
     return out
 
 
 def mutate(
-    position: np.ndarray, rate: float, space: SearchSpace, rng: np.random.Generator
+    positions: np.ndarray, rates: np.ndarray, space: SearchSpace, rng: np.random.Generator
 ) -> np.ndarray:
-    """Resample each variable uniformly within its bounds with probability
-    ``rate``.  Coins are drawn for every variable first, then one value per
-    mutating variable, in variable order."""
-    out = np.asarray(position, dtype=float).copy()
-    hit = rng.random(out.size) < rate
-    count = np.count_nonzero(hit)
-    if count:
-        # one array of uniforms is the stream of as many scalar draws
-        lower, upper = space.lower[hit], space.upper[hit]
-        out[hit] = lower + rng.random(count) * (upper - lower)
+    """Resample each variable of habitat ``i`` uniformly within its bounds
+    with probability ``rates[i]``.  ``rng.random((n, dim))`` gives the coins
+    of every habitat, then ``rng.random(h)`` one value per mutating
+    ``(i, j)`` in row-major order."""
+    out = np.array(positions, dtype=float)
+    coins = rng.random(out.shape)
+    rows, cols = np.nonzero(coins < rates[:, None])
+    lower, upper = space.lower[cols], space.upper[cols]
+    out[rows, cols] = lower + rng.random(rows.size) * (upper - lower)
     return out
 
 
@@ -171,19 +169,13 @@ class Bbo:
         positions, fitness = ranked(positions, fitness)
         keep = min(params.elite_keep, n)
 
-        lambdas = np.empty(n)
-        mus = np.empty(n)
-        for rank in range(n):
-            lambdas[rank], mus[rank] = migration_rates(rank, n, params)
-
-        migrated = migrate(positions, lambdas, mus, rng)
-
-        p_max = 1.0
-        for rank in range(params.elite_keep, n):
-            p = species_probability(rank, n)
-            rate = mutation_rate(p, p_max, params)
-            if rate > 0:
-                migrated[rank] = mutate(migrated[rank], rate, space, rng)
+        # draw order: migration coins and picks, then mutation coins and
+        # values; the kept elite ranks mutate at rate 0
+        ranks = np.arange(n)
+        lambdas, mus = migration_rates(ranks, n, params)
+        rates = mutation_rate(species_probability(ranks, n), 1.0, params)
+        rates[:keep] = 0.0
+        migrated = mutate(migrate(positions, lambdas, mus, rng), rates, space, rng)
 
         new_positions = clamp_to_bounds(migrated, space)
         new_positions, new_fitness = ranked(new_positions, ctx.evaluate_batch(new_positions))

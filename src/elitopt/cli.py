@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .algorithms import algorithm_names
 from .harness import (
+    _atomic_write,
     cell_stats_from_files,
     emit_plot_data,
     plan_from_file,
@@ -105,7 +106,7 @@ def _cmd_plotdata(args) -> int:
     if not paths:
         raise FileNotFoundError(f"no history files match {args.patterns}")
     if args.output is not None:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
+        with _atomic_write(args.output) as fh:
             emit_plot_data(paths, fh)
     else:
         emit_plot_data(paths, sys.stdout)

@@ -686,6 +686,9 @@ def run_experiment(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(plan, out_dir)
+    # an interrupted rerun must not leave the previous report standing
+    for name in ("report.csv", "improvements.csv", "report.txt"):
+        (out_dir / name).unlink(missing_ok=True)
     cells = plan.cells()
     for cell in cells:
         cell_dir = out_dir / cell.label

@@ -475,34 +475,83 @@ def teo_step_loop(params, positions, fitness, ctx, frac, draws):
     )
 
 
-def migrate_loop(positions, lambdas, mus, rng):
-    """BBO migration one pick at a time, each pick one roulette draw: the
-    reference for ``bbo.migrate``, which spins a habitat's picks at once."""
+def migrate_loop(positions, lambdas, mus, coins, picks):
+    """BBO migration habitat by habitat over the drawn arrays: variable
+    ``j`` of habitat ``i`` immigrates when ``coins[i, j] < lambdas[i]`` and
+    takes the next of ``picks``, consumed in row-major order, as its
+    roulette spin over ``mus`` with habitat ``i``'s own weight zeroed.  The
+    reference for the arithmetic of ``bbo.migrate``."""
     n, dim = positions.shape
     out = positions.copy()
-    if n < 2:
-        return out
+    picks = iter(picks)
     for i in range(n):
-        coins = rng.random(dim)
         weights = np.array(mus, dtype=float)
         weights[i] = 0.0
         cumulative, total = np.cumsum(weights), weights.sum()
-        for j in np.flatnonzero(coins < lambdas[i]):
+        others = [k for k in range(n) if k != i]
+        for j in range(dim):
+            if not coins[i, j] < lambdas[i]:
+                continue
+            u = next(picks)
             if total <= 0:
-                others = [k for k in range(n) if k != i]
-                donor = others[int(rng.integers(len(others)))]
+                donor = others[int(u * len(others))]
             else:
-                donor = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
+                donor = int(np.searchsorted(cumulative, u * total, side="right"))
             out[i, j] = positions[donor, j]
+    assert next(picks, None) is None, "a pick left unused"
     return out
 
 
-def mutate_loop(position, rate, space, rng):
-    """BBO mutation one variable at a time, each mutating variable one scalar
-    draw: the reference for ``bbo.mutate``, which draws them as one array."""
-    out = np.asarray(position, dtype=float).copy()
-    coins = rng.random(out.size)
-    for j in range(out.size):
-        if coins[j] < rate:
-            out[j] = space.lower[j] + rng.random() * (space.upper[j] - space.lower[j])
+def mutate_loop(positions, rates, space, coins, values):
+    """BBO mutation habitat by habitat over the drawn arrays: variable ``j``
+    of habitat ``i`` is resampled within its bounds from the next of
+    ``values``, consumed in row-major order, when ``coins[i, j] <
+    rates[i]``.  The reference for the arithmetic of ``bbo.mutate``."""
+    out = np.array(positions, dtype=float)
+    values = iter(values)
+    n, dim = out.shape
+    for i in range(n):
+        for j in range(dim):
+            if coins[i, j] < rates[i]:
+                out[i, j] = space.lower[j] + next(values) * (space.upper[j] - space.lower[j])
+    assert next(values, None) is None, "a value left unused"
     return out
+
+
+def bbo_step_loop(params, positions, fitness, ctx, rng):
+    """``Bbo.step`` rank by rank and habitat by habitat: the rates from the
+    scalar rate functions, the documented draws written out apart from the
+    package, then :func:`migrate_loop` and :func:`mutate_loop` over them.
+    The reference for both the arithmetic and the stream of a step."""
+    from elitopt.algorithms.bbo import migration_rates, mutation_rate, species_probability
+    from elitopt.core import clamp_to_bounds
+
+    space = ctx.problem.space
+    n, dim = positions.shape
+    order = sorted(range(n), key=lambda i: (fitness[i], i))
+    positions, fitness = positions[order], fitness[order]
+    lambdas, mus, rates = np.empty(n), np.empty(n), np.zeros(n)
+    for rank in range(n):
+        lambdas[rank], mus[rank] = migration_rates(rank, n, params)
+        if rank >= params.elite_keep:
+            rates[rank] = mutation_rate(species_probability(rank, n), 1.0, params)
+
+    x = positions
+    if n >= 2:
+        coins = rng.random((n, dim))
+        picks = rng.random(int(np.sum(coins < lambdas[:, None])))
+        x = migrate_loop(positions, lambdas, mus, coins, picks)
+    coins = rng.random((n, dim))
+    values = rng.random(int(np.sum(coins < rates[:, None])))
+    x = clamp_to_bounds(mutate_loop(x, rates, space, coins, values), space)
+
+    new_fitness = ctx.evaluate_batch(x)
+    order = sorted(range(n), key=lambda i: (new_fitness[i], i))
+    x, new_fitness = x[order], new_fitness[order]
+    keep = min(params.elite_keep, n)
+    if keep > 0:
+        x[n - keep:] = positions[:keep]
+        new_fitness[n - keep:] = fitness[:keep]
+        order = sorted(range(n), key=lambda i: (new_fitness[i], i))
+        x, new_fitness = x[order], new_fitness[order]
+    return x, new_fitness

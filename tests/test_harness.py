@@ -444,6 +444,31 @@ class TestRunExperiment:
         assert not (cell / "best.json").exists()
         assert not list(cell.glob("run_*.csv"))
 
+    def test_interrupted_rerun_leaves_no_stale_report(self, tmp_path, monkeypatch):
+        # a rerun with another seed is interrupted in its second cell: the
+        # first run's report, which reads ok for both cells, must be gone
+        import elitopt.harness as harness
+
+        out = tmp_path / "out"
+        run_experiment(small_plan(root_seed=1), out)
+        assert "ok" in (out / "report.csv").read_text()
+        run_cell = harness.run_cell
+        calls = []
+
+        def interrupted(cell, *args, **kwargs):
+            calls.append(cell.label)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return run_cell(cell, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_cell", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(small_plan(root_seed=2), out)
+        assert calls == ["bbo-sphere-mem", "bbo-sphere-std"]
+        assert not list((out / "bbo-sphere-std").iterdir())
+        for name in ("report.csv", "improvements.csv", "report.txt"):
+            assert not (out / name).exists()
+
     def test_seed_changes_histories(self, tmp_path):
         run_experiment(small_plan(root_seed=1), tmp_path / "a")
         run_experiment(small_plan(root_seed=2), tmp_path / "b")
@@ -721,6 +746,23 @@ class TestCli:
         assert main(["stats", str(tmp_path / "nowhere")]) == 2
         doc = json.loads(capsys.readouterr().err)
         assert doc["error"] == "ValueError"
+
+    def test_plotdata_failure_keeps_previous_output(self, tmp_path, capsys):
+        # a malformed history file fails the merge with exit code 2 and
+        # leaves the earlier output as it was, with no partial file
+        good = tmp_path / "good" / "run_000.csv"
+        good.parent.mkdir()
+        write_history_csv(good, [(0, 1.5, 10), (1, 1.25, 20)])
+        bad = tmp_path / "bad" / "run_000.csv"
+        bad.parent.mkdir()
+        bad.write_text(",".join(HISTORY_HEADER) + "\n0,oops,10\n")
+        target = tmp_path / "plot.csv"
+        assert main(["plotdata", str(good), "--output", str(target)]) == 0
+        before = target.read_bytes()
+        assert main(["plotdata", str(good), str(bad), "--output", str(target)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+        assert target.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad", "good", "plot.csv"]
 
     def test_plotdata_no_match(self, tmp_path, capsys):
         assert main(["plotdata", str(tmp_path / "nope_*.csv")]) == 2

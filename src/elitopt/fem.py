@@ -3,10 +3,12 @@
 Direct-stiffness solver: two translational degrees of freedom per node,
 axial bar elements, static displacements and stresses, and natural
 frequencies from a lumped (diagonal) mass matrix.  Sign convention: tension
-positive.  The static solve of a truss whose stiffness is narrow banded
-(one that is long and thin, such as a bridge) eliminates the stiffness as
-small blocks in a bandwidth-reducing order; any other static solve, and
-every modal analysis, works on the dense stiffness of the free DOFs.
+positive.  There is one static solve: the stiffness of the free DOFs is
+eliminated as blocks.  A truss whose stiffness is narrow banded (one that
+is long and thin, such as a bridge) gets small blocks in a
+bandwidth-reducing order; any other gets a single block of every free DOF
+in their own order, so its solve is the dense one.  The modal analysis
+works on the dense stiffness of the free DOFs.
 
 A :class:`TrussTopology` holds what no design variable changes and is
 validated once.  A :class:`TrussModel` puts node coordinates and member
@@ -19,13 +21,13 @@ each configuration of it gets the same bits as when analyzed alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 
-# the fewest blocks for which the static solve eliminates blocks.  On the
-# Michell arch (12 free DOFs, 2 blocks) the block path re-rounds the
+# the fewest blocks of the bandwidth-reducing order that a topology keeps;
+# with fewer it takes one block of the free DOFs in their own order.  On the
+# Michell arch (12 free DOFs, 2 blocks) the permuted blocks re-round the
 # analysis enough to steer kha's seeded runs of acceptance criterion 6 to a
 # best design with violation sum 4.1e-4, above the criterion's 1e-8
 BANDED_MIN_BLOCKS = 3
@@ -104,19 +106,21 @@ class TrussTopology:
     Everything here is validated once, on construction (including that at
     least one DOF is free), and stored as read-only copies.  Construction
     also precomputes what every analysis of a model on this topology
-    reuses: the free DOFs, the load vector on them, and the scatter indices
-    that assemble stiffness and lumped masses.
+    reuses: the free DOFs and the scatter indices that assemble stiffness
+    and lumped masses.
 
     For the static solve it also fixes an elimination order of the free
-    DOFs and a block layout of the stiffness in that order:
+    DOFs and a block layout of the stiffness in that order.  The reverse
+    Cuthill-McKee order is kept when it cuts the stiffness into at least
+    ``BANDED_MIN_BLOCKS`` blocks; otherwise there is one block of every
+    free DOF, in ``free`` order, and the static solve is the dense one.
 
-    order : the free DOFs in reverse Cuthill-McKee order
+    order : the free DOFs in elimination order
     block_size : the half-bandwidth of the free stiffness in ``order`` (at
-        least 1); no entry lies further from the diagonal, so in blocks of
-        this size the stiffness is block tridiagonal
+        least 1), or the free DOF count for one block; no entry lies
+        further from the diagonal, so in blocks of this size the stiffness
+        is block tridiagonal
     n_blocks : number of diagonal blocks; the last is padded to full size
-    banded : whether :func:`solve_static` eliminates blocks, which it does
-        from ``BANDED_MIN_BLOCKS`` blocks on, or solves the dense stiffness
     block_entries, block_index : which member-matrix entries go to which
         entry of the blocks (see :func:`assemble_blocks`)
     block_padding : the diagonal entries of the padding DOFs in the blocks
@@ -168,8 +172,12 @@ class TrussTopology:
         order = _reverse_cuthill_mckee(free_rows, free_cols, free.size)
         rank = np.empty(free.size, dtype=int)
         rank[order] = np.arange(free.size)
+        size = max(1, int(np.abs(rank[free_rows] - rank[free_cols]).max(initial=0)))
+        if -(-free.size // size) < BANDED_MIN_BLOCKS:
+            # one block of every free DOF, unpermuted: the dense solve
+            order = rank = np.arange(free.size)
+            size = free.size
         ri, ci = rank[free_rows], rank[free_cols]
-        size = max(1, int(np.abs(ri - ci).max(initial=0)))
         n_blocks = -(-free.size // size)
         bi, bj = ri // size, ci // size
         # no entry is more than one block off the diagonal; diagonal block i
@@ -188,13 +196,11 @@ class TrussTopology:
         self.loads = loads
         self.masses = masses
         self.free = free
-        self.free_loads = loads.ravel()[free]
         self.free_entries = free_entries
         self.free_stiffness_index = free_rows * free.size + free_cols
         self.order = free[order]
         self.block_size = size
         self.n_blocks = n_blocks
-        self.banded = n_blocks >= BANDED_MIN_BLOCKS
         self.block_entries = free_entries[on_blocks]
         self.block_index = ((slot * size + ri % size) * size + ci % size)[on_blocks]
         # the DOFs that pad the last block out to full size: a unit diagonal
@@ -219,9 +225,9 @@ class TrussModel:
     The topology was validated when it was built, so a model checks only
     what a design changes: the node array shape, areas > 0 and member
     lengths > 0.  Member lengths and direction cosines are computed here,
-    once, and shared by every analysis of the model, as is the stiffness on
-    the free DOFs (:attr:`free_stiffness`).  That free DOFs carry mass is
-    checked by :func:`natural_frequencies`, the one analysis that needs it.
+    once, and shared by every analysis of the model.  That free DOFs carry
+    mass is checked by :func:`natural_frequencies`, the one analysis that
+    needs it.
 
     nodes : (n, 2) float array of coordinates [m], or (k, n, 2) for a stack
         of k configurations
@@ -258,11 +264,6 @@ class TrussModel:
     def stack_shape(self) -> tuple:
         """``()`` for one configuration, ``(k,)`` for a stack of k."""
         return self.areas.shape[:-1]
-
-    @cached_property
-    def free_stiffness(self) -> np.ndarray:
-        """Stiffness on the free DOFs, assembled on first use."""
-        return assemble_stiffness(self)
 
 
 def _scatter(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
@@ -402,32 +403,13 @@ def _solve_blocks(model: TrussModel) -> tuple[np.ndarray, np.ndarray]:
     return u.reshape(model.stack_shape + (-1,)), ok.reshape(model.stack_shape)
 
 
-def _solve_dense(model: TrussModel) -> tuple[np.ndarray | None, np.ndarray]:
-    """Free displacements in the topology's ``free`` order and whether each
-    configuration's stiffness is positive definite, from the dense free
-    stiffness: a Cholesky check, then an LU solve, made only when every
-    configuration passed (a singular matrix makes a stacked solve raise)."""
-    K = model.free_stiffness
-    ok = _positive_definite(K)
-    u = np.linalg.solve(K, model.topology.free_loads) if ok.all() else None
-    return u, ok
-
-
 def solve_static(model: TrussModel) -> StaticResult:
-    """Displacements and stresses under the model's nodal loads.
-
-    A ``banded`` topology's stiffness is eliminated as blocks
-    (:func:`_solve_blocks`), any other's solved dense
-    (:func:`_solve_dense`).  Raises :class:`AnalysisError` when any
-    configuration is a mechanism.
+    """Displacements and stresses under the model's nodal loads, by the
+    block elimination of :func:`_solve_blocks`.  Raises
+    :class:`AnalysisError` when any configuration is a mechanism.
     """
     topo = model.topology
-    if topo.banded:
-        u_free, ok = _solve_blocks(model)
-        dofs = topo.order
-    else:
-        u_free, ok = _solve_dense(model)
-        dofs = topo.free
+    u_free, ok = _solve_blocks(model)
     if not ok.all():
         raise AnalysisError(
             "reduced stiffness is not positive definite; the truss is a mechanism",
@@ -435,7 +417,7 @@ def solve_static(model: TrussModel) -> StaticResult:
         )
     stack = model.stack_shape
     u = np.zeros(stack + (2 * topo.n_nodes,))
-    u[..., dofs] = u_free
+    u[..., topo.order] = u_free
     u = u.reshape(stack + (topo.n_nodes, 2))
 
     du = u[..., topo.members[:, 1], :] - u[..., topo.members[:, 0], :]
@@ -476,7 +458,7 @@ def natural_frequencies(model: TrussModel, count: int | None = None) -> np.ndarr
     if massless.any():
         bad = free[np.argwhere(massless)[0, 1]]
         raise ModelError(f"free DOF {bad} carries no mass")
-    K = model.free_stiffness
+    K = assemble_stiffness(model)
     inv_sqrt = 1.0 / np.sqrt(mass)
     A = inv_sqrt[..., :, None] * K * inv_sqrt[..., None, :]
     A = 0.5 * (A + np.swapaxes(A, -1, -2))

@@ -39,11 +39,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .algorithms import algorithm_names, get_algorithm
+from .algorithms import ALGORITHMS, algorithm_names, get_algorithm
 from .core import (
     ConfigError,
     PenaltyParams,
@@ -253,18 +254,40 @@ _JSON_TYPES = {
     "boolean": lambda v: isinstance(v, bool),
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "finite number": lambda v: _JSON_TYPES["number"](v) and math.isfinite(v),
+    "string": lambda v: isinstance(v, str),
 }
+
+# the JSON kind of an algorithm parameter, by the type of its default
+_PARAM_KINDS = {bool: "boolean", int: "integer", float: "finite number"}
 
 
 def _typed(doc: dict, key: str, kind: str, default, where: str = ""):
     """``doc[key]`` (or ``default`` when absent), which must be a JSON value of
-    type ``kind``: no string, and no bool where a number is expected."""
+    type ``kind``: no string where anything else is expected, and no bool
+    where a number is expected."""
     if key not in doc:
         return default
     value = doc[key]
     if not _JSON_TYPES[kind](value):
         raise ConfigError(f"{where}{key} must be a JSON {kind}, got {value!r}")
     return value
+
+
+def _algorithm_table(doc: dict, name: str, where: str) -> dict:
+    """Algorithm ``name``'s parameter table in a plan document: a JSON object
+    whose keys are fields of the algorithm's parameter dataclass, each value
+    of the JSON type of the field's default (a number must be finite)."""
+    table = doc[name]
+    if not isinstance(table, dict):
+        raise ConfigError(f"{where}{name} must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(ALGORITHMS[name][1])}
+    for key in table:
+        if key not in fields:
+            raise ConfigError(f"{where}{name}.{key} is not a {name} parameter")
+        kind = _PARAM_KINDS[type(fields[key].default)]
+        _typed(table, key, kind, None, f"{where}{name}.")
+    return table
 
 
 def plan_from_file(path: str | Path) -> tuple[ExperimentPlan, str | None]:
@@ -298,7 +321,7 @@ def plan_from_file(path: str | Path) -> tuple[ExperimentPlan, str | None]:
             _typed(penalty_doc, "exponent", "number", 2.0, where + "penalty.")
         ),
     )
-    params = {name: doc[name] for name in algorithm_names() if name in doc}
+    params = {n: _algorithm_table(doc, n, where) for n in algorithm_names() if n in doc}
     plan = ExperimentPlan(
         algorithms=tuple(algorithms),
         problems=tuple(problems),
@@ -313,7 +336,7 @@ def plan_from_file(path: str | Path) -> tuple[ExperimentPlan, str | None]:
         penalty=penalty,
         algorithm_params=params,
     )
-    return plan, doc.get("out")
+    return plan, _typed(doc, "out", "string", None, where)
 
 
 # ---------------------------------------------------------------------------
@@ -419,18 +442,17 @@ def cell_stats_from_files(cell_dir: str | Path) -> StatsRecord:
 # Running cells
 
 
-def _replicate_job(args) -> RunResult:
-    (alg, params, prob, dim, population, iterations, memory, fraction, penalty,
-     seed) = args
-    algorithm = get_algorithm(alg, params)
-    problem = get_problem(prob, dim=dim)
+def _replicate_job(plan: ExperimentPlan, cell: PlanCell, replicate: int) -> RunResult:
+    """Run replicate ``replicate`` of ``cell`` as ``plan`` sets it up."""
+    algorithm = plan.algorithm_instance(cell.algorithm)
+    problem = get_problem(cell.problem, dim=plan.dim)
     config = RunConfig(
-        population_size=population,
-        max_iterations=iterations,
-        memory_enabled=memory,
-        memory_fraction=fraction,
-        seed=seed,
-        penalty=penalty,
+        population_size=plan.population_size,
+        max_iterations=cell.iterations,
+        memory_enabled=cell.memory,
+        memory_fraction=plan.memory_fraction,
+        seed=replicate_seed(cell.seed, replicate),
+        penalty=plan.penalty,
     )
     return run(algorithm, problem, config)
 
@@ -445,26 +467,14 @@ def run_cell(
     """
     cell_dir = Path(out_dir) / cell.label
     cell_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [
-        (
-            cell.algorithm,
-            plan.algorithm_params.get(cell.algorithm),
-            cell.problem,
-            plan.dim,
-            plan.population_size,
-            cell.iterations,
-            cell.memory,
-            plan.memory_fraction,
-            plan.penalty,
-            replicate_seed(cell.seed, r),
-        )
-        for r in range(plan.replicates)
-    ]
+    replicates = range(plan.replicates)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate_job, jobs))
+            results = list(
+                pool.map(_replicate_job, repeat(plan), repeat(cell), replicates)
+            )
     else:
-        results = [_replicate_job(j) for j in jobs]
+        results = [_replicate_job(plan, cell, r) for r in replicates]
     for r, result in enumerate(results):
         write_history_csv(cell_dir / f"run_{r:03d}.csv", result.history)
     stats = cell_stats_from_files(cell_dir)

@@ -425,10 +425,10 @@ class TrussDesign:
     def _analyze_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Objectives and violation rows of the snapped ``(k, dim)`` rows
         ``X``, each analyzed.  The rows without a short member are analyzed
-        together as one stacked model, whose dense stiffness on the free
-        DOFs, when an analysis needs it, is assembled once for both the
-        static and the modal analysis.  Mechanisms found by an analysis drop
-        out and the rest is analyzed again."""
+        together as one stacked model: one static solve and one modal
+        analysis of the whole stack, each as its truss's constraints need.
+        Mechanisms found by an analysis drop out and the rest is analyzed
+        again."""
         coords, areas = self.expand(X)
         topo = self.topology
         d = coords[:, topo.members[:, 1]] - coords[:, topo.members[:, 0]]

@@ -116,7 +116,7 @@ def dense_static(model):
     if not ok.all():
         raise AnalysisError("mechanism", ~ok.reshape(model.stack_shape))
     u = np.zeros((len(K), 2 * topo.n_nodes))
-    u[:, topo.free] = np.linalg.solve(K, topo.free_loads)
+    u[:, topo.free] = np.linalg.solve(K, topo.loads.ravel()[topo.free])
     u = u.reshape(model.nodes.shape)
     du = u[..., topo.members[:, 1], :] - u[..., topo.members[:, 0], :]
     elongation = np.sum(du * model.cosines, axis=-1)

@@ -120,16 +120,21 @@ class TestAssembly:
                                   full[np.ix_(free, free)])
 
     def test_free_stiffness_assembled_once(self, monkeypatch):
-        import elitopt.fem as fem
-
+        # the static solve assembles only its blocks, the modal analysis
+        # the dense free stiffness, once per call
         calls = []
-        assemble = fem.assemble_stiffness
+        assemble, blocks = fem.assemble_stiffness, fem.assemble_blocks
 
         def counting(model):
-            calls.append(model)
+            calls.append(("dense", model))
             return assemble(model)
 
+        def counting_blocks(model):
+            calls.append(("blocks", model))
+            return blocks(model)
+
         monkeypatch.setattr(fem, "assemble_stiffness", counting)
+        monkeypatch.setattr(fem, "assemble_blocks", counting_blocks)
         topology = TrussTopology(
             3,
             members=np.array([[0, 1], [1, 2], [0, 2]]),
@@ -141,8 +146,9 @@ class TestAssembly:
             np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.full(3, 1e-4), topology
         )
         solve_static(model)
+        assert calls == [("blocks", model)]
         natural_frequencies(model)
-        assert calls == [model]
+        assert calls == [("blocks", model), ("dense", model)]
 
 
 class TestSolveStatic:
@@ -452,8 +458,8 @@ class TestModelOnTopology:
 class TestStackedModel:
     """A stack of configurations on one topology is analyzed at once, and
     each configuration gets the same bits as when analyzed alone.  The
-    5-node trusses take the dense static solve, the thin truss the block
-    elimination."""
+    5-node trusses are one block of their free DOFs in their own order, the
+    thin truss many blocks."""
 
     def stack(self, rng, k=6):
         nodes, members, areas, fixed, loads = random_stable_truss(rng, 5)
@@ -465,6 +471,8 @@ class TestStackedModel:
 
     def test_each_configuration_as_if_alone(self, rng):
         topo, nodes, areas = self.stack(rng)
+        assert topo.n_blocks == 1 and topo.block_size == topo.free.size
+        assert np.array_equal(topo.order, topo.free)
         stacked = TrussModel(nodes, areas=areas, topology=topo)
         res = solve_static(stacked)
         freqs = natural_frequencies(stacked, count=4)
@@ -473,7 +481,8 @@ class TestStackedModel:
             alone = solve_static(one)
             assert res.displacements[i].tobytes() == alone.displacements.tobytes()
             assert res.stresses[i].tobytes() == alone.stresses.tobytes()
-            assert np.array_equal(stacked.free_stiffness[i], assemble_stiffness(one))
+            assert np.array_equal(assemble_stiffness(stacked)[i],
+                                  assemble_stiffness(one))
             assert np.array_equal(lumped_masses(stacked)[i], lumped_masses(one))
             assert freqs[i].tobytes() == natural_frequencies(one, count=4).tobytes()
 
@@ -491,7 +500,7 @@ class TestStackedModel:
 
     def test_each_thin_configuration_as_if_alone(self, rng):
         topo, nodes, areas = thin_truss(10)
-        assert topo.banded
+        assert topo.n_blocks >= fem.BANDED_MIN_BLOCKS
         nodes = nodes + rng.normal(scale=0.05, size=(6,) + nodes.shape)
         areas = areas * rng.uniform(0.5, 2.0, size=(6, areas.size))
         stacked = TrussModel(nodes, areas=areas, topology=topo)
@@ -508,7 +517,7 @@ class TestStackedModel:
         # the pendant node below the chord (stable) or on it (a mechanism)
         pendants = [(0.5, -0.5), (0.5, 0.0), (0.5, -0.2)]
         topo, nodes, areas = thin_truss(8, pendant=pendants[0])
-        assert topo.banded
+        assert topo.n_blocks >= fem.BANDED_MIN_BLOCKS
         nodes = np.repeat(nodes[None], 3, axis=0)
         nodes[:, -1] = pendants
         stacked = TrussModel(nodes, areas=np.tile(areas, (3, 1)), topology=topo)
@@ -596,28 +605,34 @@ class TestEliminationOrder:
         assert np.array_equal(blocks, on_blocks(topo, assemble_stiffness(model)))
 
     def test_bundled_trusses_take_the_stated_path(self, monkeypatch, rng):
-        assert not load_design("michell").topology.banded
-        assert load_design("forth").topology.banded
-        calls = {"blocks": 0, "static": 0}
-        solve_blocks, solve = fem._solve_blocks, fem.solve_static
+        # michell is one block of its 12 free DOFs in their own order,
+        # forth 17 blocks of at most 7 in reverse Cuthill-McKee order
+        michell = load_design("michell").topology
+        assert (michell.n_blocks, michell.block_size) == (1, michell.free.size)
+        assert np.array_equal(michell.order, michell.free)
+        forth = load_design("forth").topology
+        assert forth.n_blocks == 17 and not np.array_equal(forth.order, forth.free)
+        # the static trusses eliminate blocks, truss37 only assembles the
+        # dense stiffness for its modal analysis
+        calls = {"blocks": 0, "dense": 0}
+        solve_blocks, assemble = fem._solve_blocks, fem.assemble_stiffness
 
         def counting_blocks(model):
             calls["blocks"] += 1
             return solve_blocks(model)
 
-        def counting_static(model):
-            calls["static"] += 1
-            return solve(model)
-
-        import elitopt.problems.truss_geometry as tg
+        def counting_dense(model):
+            calls["dense"] += 1
+            return assemble(model)
 
         monkeypatch.setattr(fem, "_solve_blocks", counting_blocks)
-        monkeypatch.setattr(tg, "solve_static", counting_static)
-        for name, blocks, static in (("michell", 0, 1), ("forth", 1, 1), ("truss37", 0, 0)):
-            calls.update(blocks=0, static=0)
+        monkeypatch.setattr(fem, "assemble_stiffness", counting_dense)
+        paths = (("michell", 1, 0), ("forth", 1, 0), ("truss37", 0, 1))
+        for name, blocks, dense in paths:
+            calls.update(blocks=0, dense=0)
             design = load_design(name)
             design.evaluate(design.search_space().sample(3, rng))
-            assert (calls["blocks"] > 0, calls["static"] > 0) == (blocks, static), name
+            assert (calls["blocks"] > 0, calls["dense"] > 0) == (blocks, dense), name
 
 
 class TestBlockSolve:
@@ -658,7 +673,8 @@ class TestBlockSolve:
         # the axial bar: one block of one DOF, checked and solved alone
         model = bar_model(load_x=21e3)
         topo = model.topology
-        assert (topo.block_size, topo.n_blocks, topo.banded) == (1, 1, False)
+        assert (topo.block_size, topo.n_blocks) == (1, 1)
+        assert np.array_equal(topo.order, topo.free)
         u, ok = fem._solve_blocks(model)
         assert ok and u.tolist() == pytest.approx([1e-3], rel=1e-12)
         stacked = TrussModel(np.stack([model.nodes] * 3), np.full((3, 1), 1e-4), topo)
@@ -666,18 +682,31 @@ class TestBlockSolve:
         assert ok.tolist() == [True] * 3 and u.shape == (3, 1)
 
     def test_fewer_blocks_than_the_banded_path_needs(self, rng):
-        # two panels: 7 free DOFs in 2 blocks, the last one padded; the
-        # static solve stays dense, the block elimination still agrees
+        # two panels: reverse Cuthill-McKee cuts the 7 free DOFs into 2
+        # blocks, too few, so the topology takes one unpermuted block and
+        # the static solve is the dense one, bit for bit
         topo, nodes, areas = thin_truss(2)
-        assert topo.n_blocks == 2 and not topo.banded
-        assert topo.free.size < topo.n_blocks * topo.block_size
+        assert topo.free.size == 7 and fem.BANDED_MIN_BLOCKS > 2
+        assert (topo.n_blocks, topo.block_size) == (1, 7)
+        assert np.array_equal(topo.order, topo.free)
         nodes = nodes + rng.normal(scale=0.05, size=(3,) + nodes.shape)
         model = TrussModel(nodes, np.tile(areas, (3, 1)), topo)
         u, ok = fem._solve_blocks(model)
         assert ok.all()
         ref, _ = dense_static(model)
-        flat = ref.reshape(3, -1)[:, topo.order]
-        assert relative_error(u, flat).max() <= 1e-9
+        assert u.tobytes() == ref.reshape(3, -1)[:, topo.free].tobytes()
+
+    def test_michell_is_never_permuted(self, rng):
+        # criterion 6 holds on michell's dense arithmetic: one block in
+        # free order gives the dense solve's bits
+        design = load_design("michell")
+        topo = design.topology
+        assert np.array_equal(topo.order, topo.free)
+        for k in (1, 7, 50):
+            coords, areas = design.expand(design.search_space().sample(k, rng))
+            model = TrussModel(coords, areas, topo)
+            u, _ = dense_static(model)
+            assert solve_static(model).displacements.tobytes() == u.tobytes()
 
     def test_mechanism_of_one_configuration(self):
         # the pendant on the chord makes a Schur complement singular

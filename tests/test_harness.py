@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -240,6 +241,44 @@ class TestPlanFromFile:
         assert plan.algorithm_params == {"bbo": {"elite_keep": 3}}
         assert plan.algorithm_instance("bbo").params.elite_keep == 3
 
+    @pytest.mark.parametrize(
+        "alg, table, where",
+        [
+            ("bbo", {"elite_keep": 2.5}, "bbo.elite_keep"),
+            ("bbo", {"elite_keep": True}, "bbo.elite_keep"),
+            ("bbo", {"mutation_max": "0.1"}, "bbo.mutation_max"),
+            ("kha", {"induced_max": float("nan")}, "kha.induced_max"),
+            ("kha", {"foraging_speed": float("inf")}, "kha.foraging_speed"),
+            ("kha", {"crossover": "no"}, "kha.crossover"),
+            ("kha", {"crossover": 0}, "kha.crossover"),
+            ("teo", {"c1": 1.0}, "teo.c1"),
+            ("teo", {"foo": 1}, "teo.foo"),
+            ("teo", [0.3], "teo"),
+            ("kha", None, "kha"),
+        ],
+    )
+    def test_mistyped_parameter_table_rejected(self, tmp_path, alg, table, where):
+        # each would load and then fail every cell of the algorithm, run
+        # with the wrong setting, or end in a bare TypeError
+        doc = self.base_doc()
+        doc[alg] = table
+        path = self.write(tmp_path, doc)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {where}")):
+            plan_from_file(path)
+
+    def test_parameter_table_keeps_its_values(self, tmp_path):
+        doc = self.base_doc()
+        doc["bbo"] = {"mutation_max": 0, "elite_keep": 0}
+        doc["kha"] = {"crossover": False, "induced_max": 0.02}
+        doc["teo"] = {}
+        plan, _ = plan_from_file(self.write(tmp_path, doc))
+        assert plan.algorithm_params == {
+            "bbo": {"mutation_max": 0, "elite_keep": 0},
+            "kha": {"crossover": False, "induced_max": 0.02},
+            "teo": {},
+        }
+        assert plan.algorithm_instance("kha").params.crossover is False
+
     def test_budget_and_iterations_exclusive(self, tmp_path):
         doc = self.base_doc()
         doc["budget"] = 4000
@@ -264,6 +303,7 @@ class TestPlanFromFile:
             ("dim", False),
             ("memory_fraction", "0.2"),
             ("memory_fraction", True),
+            ("out", 5),
         ],
     )
     def test_mistyped_value_rejected(self, tmp_path, key, value):
@@ -672,6 +712,16 @@ class TestCli:
         assert main(["run", str(plan), "--out", str(out)]) == 2
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "ConfigError" and "even" in error["message"]
+        assert not out.exists()
+
+    def test_run_refuses_a_mistyped_parameter_table(self, tmp_path, capsys):
+        # it would run every bbo cell into error.txt and exit 0
+        plan = self.write_plan(tmp_path, bbo={"elite_keep": 2.5})
+        out = tmp_path / "out"
+        assert main(["run", str(plan), "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "ConfigError"
+        assert "bbo.elite_keep" in error["message"]
         assert not out.exists()
 
     def test_run_out_from_plan_file(self, tmp_path, capsys):

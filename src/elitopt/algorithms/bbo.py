@@ -8,6 +8,7 @@ habitats of the previous iteration replace the worst of the new one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +28,11 @@ class BboParams:
     elite_keep: int = 2
 
     def __post_init__(self):
-        if self.max_immigration < 0 or self.max_emigration < 0:
-            raise ConfigError("rate ceilings must be >= 0")
+        for name in ("max_immigration", "max_emigration", "elite_keep"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0")
         if not 0 <= self.mutation_max <= 1:
             raise ConfigError("mutation_max must lie in [0, 1]")
-        if self.elite_keep < 0:
-            raise ConfigError("elite_keep must be >= 0")
 
 
 def species_count(rank, n: int):

@@ -15,6 +15,7 @@ herd with array operations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +48,13 @@ class KhaParams:
 
     def __post_init__(self):
         for name in ("induced_max", "foraging_speed", "diffusion_max", "time_factor"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0")
         for name in ("inertia_induced", "inertia_foraging"):
             if not 0 <= getattr(self, name) <= 1:
                 raise ConfigError(f"{name} must lie in [0, 1]")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError("epsilon must be finite and positive")
 
 
 @dataclass
@@ -110,14 +111,24 @@ def local_attractions(
 ) -> np.ndarray:
     """Summed pull of neighbors inside the sensing distance, for every krill:
     one sum over ``j`` of the pulls, those from outside the radius set to 0.
+
+    Few krill have a neighbor, so the pulls are computed only for the rows
+    ``i`` that have one.  Each such row goes through the same elementwise
+    steps and the same reduction over ``j`` as in the full ``(n, n, dim)``
+    tensor, and a krill with no neighbor gets the ``+0.0`` that a sum of
+    zeroed pulls gives, so the result is the same bit for bit.
     """
-    pulls, dists = _pairwise(positions)
+    diff, dists = _pairwise(positions)
     near = dists < sensing_radii(dists)[:, None]
     np.fill_diagonal(near, False)
-    pulls *= fitness_ratio(fitness[:, None], fitness[None, :], spread)[:, :, None]
-    pulls /= (dists + eps)[:, :, None]
-    pulls[~near] = 0.0
-    return pulls.sum(axis=1)
+    rows = np.flatnonzero(near.any(axis=1))
+    pulls = diff[rows]
+    pulls *= fitness_ratio(fitness[rows, None], fitness[None, :], spread)[:, :, None]
+    pulls /= (dists[rows] + eps)[:, :, None]
+    pulls[~near[rows]] = 0.0
+    alpha = np.zeros(positions.shape)
+    alpha[rows] = pulls.sum(axis=1)
+    return alpha
 
 
 def random_coefficient(u, frac: float):

@@ -204,6 +204,8 @@ class ExperimentPlan:
         bad = set(self.algorithm_params) - set(algorithm_names())
         if bad:
             raise ConfigError(f"parameter tables for unknown algorithms: {sorted(bad)}")
+        for name, params in self.algorithm_params.items():
+            get_algorithm(name, params)
         for name in self.algorithms:
             self.algorithm_instance(name).check_population(self.population_size)
 

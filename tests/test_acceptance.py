@@ -57,6 +57,7 @@ from elitopt.harness import (
     iterations_for_budget,
     read_history_csv,
     run_cell,
+    run_experiment,
     write_history_csv,
 )
 from elitopt.problems import get_problem, load_design, michell_analytical_weight
@@ -534,10 +535,27 @@ def test_criterion_9_bridge_and_tower_smoke(smoke_runs):
     )
 
 
-def test_cell_seeds_pair_memory_variants():
+def test_cell_seeds_pair_memory_variants(tmp_path):
     # paired comparisons above are only meaningful because both variants of
     # a cell start from identical replicate seeds
     for alg in ("bbo", "kha", "teo"):
         base = cell_seed(ROOT_SEED, alg, "michell")
         assert replicate_seed(base, 3) == replicate_seed(base, 3)
         assert cell_seed(ROOT_SEED, alg, "sphere") != base
+    # and so from the same initial population: row 0 of each memory-on
+    # history (the best of the initial population) equals its memory-off
+    # partner's, while the two replicates of a cell start apart
+    plan = ExperimentPlan(
+        algorithms=("bbo", "kha", "teo"), problems=("sphere",),
+        memory_modes=(True, False), replicates=2, population_size=10,
+        root_seed=ROOT_SEED, max_iterations=2, dim=3,
+    )
+    run_experiment(plan, tmp_path)
+    for alg in plan.algorithms:
+        rows = {
+            memory: [read_history_csv(tmp_path / f"{alg}-sphere-{memory}"
+                                      / f"run_{r:03d}.csv")[0] for r in range(2)]
+            for memory in ("mem", "std")
+        }
+        assert rows["mem"] == rows["std"], alg
+        assert rows["mem"][0] != rows["mem"][1], alg

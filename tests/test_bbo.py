@@ -13,7 +13,14 @@ from elitopt.algorithms.bbo import (
     species_count,
     species_probability,
 )
-from elitopt.core import PenaltyParams, RunConfig, RunContext, SearchSpace, run
+from elitopt.core import (
+    ConfigError,
+    PenaltyParams,
+    RunConfig,
+    RunContext,
+    SearchSpace,
+    run,
+)
 
 
 class TestSpeciesAndRates:
@@ -93,6 +100,20 @@ class TestMutationRate:
             mutation_rate(2.0, 1.0, BboParams())
         with pytest.raises(ValueError):
             mutation_rate(np.array([0.5, -0.1]), 1.0, BboParams())
+
+
+class TestBboParams:
+    @pytest.mark.parametrize("name", ["max_immigration", "max_emigration",
+                                      "mutation_max", "elite_keep"])
+    @pytest.mark.parametrize("value", [-1, float("nan"), float("inf")])
+    def test_negative_or_non_finite_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            BboParams(**{name: value})
+
+    def test_zero_accepted(self):
+        params = BboParams(max_immigration=0.0, max_emigration=0.0,
+                           mutation_max=0.0, elite_keep=0)
+        assert params.elite_keep == 0
 
 
 class TestMigrate:

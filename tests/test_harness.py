@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from elitopt.algorithms import get_algorithm
 from elitopt.cli import main
 from elitopt.core import ConfigError, StatsRecord
 from elitopt.harness import (
@@ -376,6 +377,22 @@ class TestPlanValidation:
     def test_unknown_parameter_table_rejected(self):
         with pytest.raises(ConfigError):
             small_plan(algorithm_params={"cuckoo": {}})
+
+    @pytest.mark.parametrize("params", [
+        {"bbo": {"foo": 1}},
+        {"kha": {"induced_max": float("nan")}},  # kha is not in the grid
+        {"bbo": {"max_emigration": float("inf")}},
+        {"bbo": {"elite_keep": float("nan")}},
+    ])
+    def test_bad_parameter_value_or_key_rejected(self, params):
+        # a plan built in Python, not loaded from a file, is checked too
+        with pytest.raises(ConfigError):
+            small_plan(algorithm_params=params)
+
+    def test_unknown_parameter_key_is_a_config_error(self):
+        with pytest.raises(ConfigError, match=re.escape("unknown kha parameters: ['foo']")):
+            get_algorithm("kha", {"foo": 1, "induced_max": 0.02})
+        assert get_algorithm("kha", {"induced_max": 0.02}).params.induced_max == 0.02
 
     def test_population_checked_by_every_algorithm(self):
         # an odd population is fine for bbo and kha, not for teo

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import FakeRng
-from oracles import kha_step_loop, sphere_problem
+from oracles import _local_attraction_loop, kha_step_loop, sphere_problem
 from elitopt.algorithms.kha import (
     Kha,
     KhaParams,
@@ -89,6 +89,94 @@ class TestLocalAttraction:
         fitness = np.array([4.0, 4.0, 4.0])
         alpha = local_attractions(positions, fitness, 0.0, EPS)[1]
         assert np.all(alpha == 0.0)
+
+
+def neighbor_counts(positions):
+    dists = distances(positions)
+    near = dists < (dists.sum(axis=1) / (5.0 * len(positions)))[:, None]
+    np.fill_diagonal(near, False)
+    return near.sum(axis=1)
+
+
+class TestLocalAttractionsMatchLoop:
+    """``local_attractions`` computes pulls only for the krill that have a
+    neighbor; every krill's row must still equal the one-krill reference
+    bit for bit, a krill without a neighbor included (``+0.0``)."""
+
+    def check(self, positions, fitness, spread):
+        alpha = local_attractions(positions, fitness, spread, EPS)
+        assert alpha.shape == positions.shape and alpha.dtype == np.float64
+        for i in range(len(positions)):
+            assert_same_bits(
+                alpha[i], _local_attraction_loop(i, positions, fitness, spread, EPS))
+        return alpha
+
+    def clustered(self, rng, n, dim, cluster):
+        # a tight cluster among far krill: each cluster krill sees the
+        # others inside its radius, the far krill see nobody
+        positions = rng.uniform(-5.0, 5.0, size=(n, dim))
+        positions[:cluster] = positions[0] + rng.normal(scale=0.01, size=(cluster, dim))
+        return positions
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_order_of_a_long_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        positions = self.clustered(rng, 20, 4, cluster=5)
+        fitness = rng.uniform(0.0, 10.0, size=20)
+        counts = neighbor_counts(positions)
+        assert counts.max() >= 3 and (counts == 0).any()
+        self.check(positions, fitness, float(fitness.max() - fitness.min()))
+
+    def test_duplicates_at_distance_zero(self):
+        rng = np.random.default_rng(3)
+        positions = self.clustered(rng, 16, 3, cluster=4)
+        positions[[5, 9, 12]] = positions[[1, 1, 7]]
+        fitness = rng.uniform(1.0, 2.0, size=16)
+        fitness[[5, 9, 12]] = fitness[[1, 1, 7]]
+        assert distances(positions)[1, 9] == 0.0
+        self.check(positions, fitness, 1.0)
+
+    def test_one_variable_herd(self):
+        # one variable: the pulls of a row lie contiguous in memory and the
+        # sum over j pairs them up rather than adding them in turn
+        rng = np.random.default_rng(4)
+        positions = self.clustered(rng, 40, 1, cluster=12)
+        fitness = rng.uniform(0.0, 3.0, size=40)
+        assert neighbor_counts(positions).max() >= 8
+        self.check(positions, fitness, 3.0)
+
+    def test_one_sided_neighbor(self):
+        # the far krill at 10 has the wider radius (about 81.2 / 50): it
+        # sees the krill at 8.5, which does not see it back (69.2 / 50 < 1.5)
+        positions = np.array([[0.0], [0.01], [0.02], [0.03], [0.04], [0.05],
+                              [0.06], [0.07], [10.0], [8.5]])
+        counts = neighbor_counts(positions)
+        assert counts[8] == 1 and counts[9] == 0
+        self.check(positions, np.linspace(5.0, 1.0, 10), 4.0)
+
+    def test_no_neighbors(self):
+        positions = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.5], [-1.0, 3.0]])
+        assert not neighbor_counts(positions).any()
+        alpha = self.check(positions, np.array([4.0, 1.0, 3.0, 2.0]), 3.0)
+        assert not np.signbit(alpha).any()
+
+    def test_flat_fitness(self):
+        rng = np.random.default_rng(5)
+        positions = self.clustered(rng, 12, 2, cluster=4)
+        assert neighbor_counts(positions).any()
+        alpha = self.check(positions, np.full(12, 7.0), 0.0)
+        assert not alpha.any()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tiny_herds(self, n):
+        rng = np.random.default_rng(10 + n)
+        positions = rng.uniform(-1.0, 1.0, size=(n, 3))
+        self.check(positions, rng.uniform(0.0, 1.0, size=n), 1.0)
+        # three krill, two of them close: those two are each other's neighbor
+        if n == 3:
+            positions[1] = positions[0] + 1e-3
+            assert neighbor_counts(positions).tolist() == [1, 1, 0]
+            self.check(positions, np.array([2.0, 1.0, 3.0]), 2.0)
 
 
 class TestTargetAttraction:
@@ -446,6 +534,14 @@ class TestKhaStep:
             KhaParams(inertia_induced=1.5)
         with pytest.raises(ConfigError):
             KhaParams(epsilon=0.0)
+
+    @pytest.mark.parametrize("name", ["induced_max", "foraging_speed",
+                                      "diffusion_max", "time_factor", "epsilon",
+                                      "inertia_induced", "inertia_foraging"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_param_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            KhaParams(**{name: value})
 
 
 def assert_same_bits(a, b):

@@ -288,3 +288,9 @@ class TestTeoStep:
             TeoParams(c1=2)
         with pytest.raises(ConfigError):
             TeoParams(jump_probability=1.5)
+
+    @pytest.mark.parametrize("name", ["c1", "c2", "jump_probability"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_param_rejected(self, name, value):
+        with pytest.raises(ConfigError):
+            TeoParams(**{name: value})

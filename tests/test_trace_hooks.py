@@ -12,12 +12,18 @@ def test_install_wraps_and_restore_puts_back(monkeypatch):
     import grid
     import tracing
 
-    from elitopt import fem
+    from elitopt import core, fem
+    from elitopt.algorithms import bbo, kha, teo
     from elitopt.problems import truss_geometry as tg
 
     hooks = [(tg, "TrussModel"), (tg, "solve_static"), (tg, "natural_frequencies"),
              (fem, "assemble_stiffness")]
     hooks += [(tg, name) for name in tracing.CONSTRAINT_HELPERS]
+    hooks += [(core, "penalized_fitness"), (core.EliteMemory, "offer"),
+              (core.EliteMemory, "inject")]
+    hooks += [(module, "clamp_to_bounds") for module in (bbo, kha, teo)]
+    hooks += [(cls, name) for cls in (bbo.Bbo, kha.Kha, teo.Teo)
+              for name in ("init_population", "step")]
     originals = [getattr(owner, name) for owner, name in hooks]
     patcher = grid.Patcher()
     try:

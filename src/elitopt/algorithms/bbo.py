@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ConfigError, SearchSpace, clamp_to_bounds, ranked
+from ..core import ConfigError, SearchSpace, check_field_types, clamp_to_bounds, ranked
 
 
 @dataclass(frozen=True)
@@ -28,6 +28,7 @@ class BboParams:
     elite_keep: int = 2
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("max_immigration", "max_emigration", "elite_keep"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0")

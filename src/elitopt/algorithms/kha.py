@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ConfigError, SearchSpace, clamp_to_bounds
+from ..core import ConfigError, SearchSpace, check_field_types, clamp_to_bounds
 
 POSITIVITY_DELTA = 1e-10  # shift guard for inverse-fitness weights
 
@@ -47,6 +47,7 @@ class KhaParams:
     food_coeff_on_best: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("induced_max", "foraging_speed", "diffusion_max", "time_factor"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0")

@@ -21,6 +21,7 @@ import numpy as np
 from ..core import (  # time_fraction is re-exported for the worked examples
     ConfigError,
     SearchSpace,
+    check_field_types,
     clamp_to_bounds,
     ranked,
     time_fraction,
@@ -40,6 +41,7 @@ class TeoParams:
     jump_probability: float = 0.3
 
     def __post_init__(self):
+        check_field_types(self)
         if self.c1 not in (0, 1) or self.c2 not in (0, 1):
             raise ConfigError("c1 and c2 must be 0 or 1")
         if not 0 <= self.jump_probability <= 1:

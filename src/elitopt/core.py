@@ -10,7 +10,8 @@ evaluation accounting, and replicate statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,6 +19,36 @@ import numpy as np
 
 class ConfigError(ValueError):
     """Raised when a configuration value violates its contract."""
+
+
+# what a field declared "bool", "int" or "float" accepts, and the type it is
+# stored as
+_SCALARS = {
+    "bool": (bool, bool),
+    "int": (numbers.Integral, int),
+    "float": (numbers.Real, float),
+}
+
+
+def check_field_types(config) -> None:
+    """Refuse a wrong type in a field of the dataclass ``config`` declared
+    ``bool``, ``int`` or ``float`` (or one of those ``| None``), and store the
+    value as that type: a bool is never a number, a float is never an int,
+    and a float field given ``1`` holds ``1.0``.  The annotations are read as
+    the strings that ``from __future__ import annotations`` leaves."""
+    for f in fields(config):
+        kind, _, rest = f.type.partition(" | ")
+        if kind not in _SCALARS or rest not in ("", "None"):
+            continue
+        value = getattr(config, f.name)
+        if value is None and rest:
+            continue
+        accepted, stored = _SCALARS[kind]
+        if not isinstance(value, accepted) or (
+            isinstance(value, bool) and stored is not bool
+        ):
+            raise ConfigError(f"{f.name} must be {f.type}, not {value!r}")
+        object.__setattr__(config, f.name, stored(value))
 
 
 class EvaluationError(RuntimeError):
@@ -161,6 +192,7 @@ class PenaltyParams:
     exponent: float = 2.0
 
     def __post_init__(self):
+        check_field_types(self)
         # the chained comparisons are False for NaN
         if not 0 <= self.scale < math.inf:
             raise ConfigError(
@@ -352,6 +384,7 @@ class RunConfig:
     penalty: PenaltyParams = field(default_factory=PenaltyParams)
 
     def __post_init__(self):
+        check_field_types(self)
         if self.population_size < 1:
             raise ConfigError("population_size must be >= 1")
         if self.max_iterations < 1:

@@ -34,7 +34,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -51,6 +50,7 @@ from .core import (
     RunConfig,
     RunResult,
     StatsRecord,
+    check_field_types,
     replicate_seed,
     replicate_stats,
     run,
@@ -58,27 +58,12 @@ from .core import (
 from .problems import get_problem, problem_names
 
 HISTORY_HEADER = ("iteration", "best_so_far", "nfes")
-STATS_HEADER = ("best", "mean", "worst", "std", "nfes_median", "runs")
-REPORT_HEADER = (
-    "cell",
-    "algorithm",
-    "problem",
-    "memory",
-    "status",
-    "best",
-    "mean",
-    "worst",
-    "std",
-    "nfes_median",
-    "runs",
+# a stats row holds StatsRecord's fields in order, each parsed as its type
+STATS_HEADER = tuple(f.name for f in dataclasses.fields(StatsRecord))
+_STATS_TYPES = tuple(
+    int if f.type == "int" else float for f in dataclasses.fields(StatsRecord)
 )
-IMPROVEMENT_HEADER = (
-    "algorithm",
-    "problem",
-    "standard_mean",
-    "memory_mean",
-    "improvement_pct",
-)
+REPORT_HEADER = ("cell", "algorithm", "problem", "memory", "status") + STATS_HEADER
 PLOT_HEADER = ("cell", "run", "iteration", "best_so_far", "nfes")
 
 
@@ -169,6 +154,7 @@ class ExperimentPlan:
     algorithm_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_field_types(self)
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
         object.__setattr__(self, "problems", tuple(self.problems))
         object.__setattr__(self, "memory_modes", tuple(self.memory_modes))
@@ -178,8 +164,10 @@ class ExperimentPlan:
             raise ConfigError("duplicate algorithm in plan")
         if len(set(self.problems)) != len(self.problems):
             raise ConfigError("duplicate problem in plan")
-        if not self.memory_modes or set(self.memory_modes) - {True, False}:
-            raise ConfigError("memory_modes must be a non-empty subset of {on, off}")
+        modes = self.memory_modes
+        # not a set difference with {True, False}: 1 == True would pass it
+        if not modes or not all(isinstance(m, bool) for m in modes):
+            raise ConfigError(f"memory_modes must be one or two bools, not {modes!r}")
         unknown = set(self.algorithms) - set(algorithm_names())
         if unknown:
             raise ConfigError(f"unknown algorithms: {sorted(unknown)}")
@@ -241,104 +229,91 @@ class ExperimentPlan:
         return out
 
 
-def _as_name_list(doc: dict, singular: str, plural: str):
+def _as_name_list(doc: dict, singular: str, plural: str) -> tuple | None:
+    """The names under ``singular`` or ``plural``, a string or a list of
+    strings; ``None`` when the document has neither key."""
     if singular in doc and plural in doc:
         raise ConfigError(f"give either {singular!r} or {plural!r}, not both")
-    value = doc.get(plural, doc.get(singular))
+    key = plural if plural in doc else singular
+    value = doc.get(key)
     if value is None:
         return None
     if isinstance(value, str):
-        return [value]
-    return [str(v) for v in value]
+        return (value,)
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return tuple(value)
+    raise ConfigError(f"{key} must be a string or a list of strings, not {value!r}")
 
 
-_JSON_TYPES = {
-    "boolean": lambda v: isinstance(v, bool),
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "finite number": lambda v: _JSON_TYPES["number"](v) and math.isfinite(v),
-    "string": lambda v: isinstance(v, str),
-}
-
-# the JSON kind of an algorithm parameter, by the type of its default
-_PARAM_KINDS = {bool: "boolean", int: "integer", float: "finite number"}
+@contextmanager
+def _located(where: str):
+    """Put ``where`` in front of a ``ConfigError`` raised in the block."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{where}{exc}") from None
 
 
-def _typed(doc: dict, key: str, kind: str, default, where: str = ""):
-    """``doc[key]`` (or ``default`` when absent), which must be a JSON value of
-    type ``kind``: no string where anything else is expected, and no bool
-    where a number is expected."""
-    if key not in doc:
-        return default
-    value = doc[key]
-    if not _JSON_TYPES[kind](value):
-        raise ConfigError(f"{where}{key} must be a JSON {kind}, got {value!r}")
-    return value
-
-
-def _algorithm_table(doc: dict, name: str, where: str) -> dict:
-    """Algorithm ``name``'s parameter table in a plan document: a JSON object
-    whose keys are fields of the algorithm's parameter dataclass, each value
-    of the JSON type of the field's default (a number must be finite)."""
-    table = doc[name]
+def _table(doc: dict, name: str, params_cls):
+    """``params_cls`` built from the plan's table ``name`` (empty when
+    absent), which must be a JSON object of the dataclass's fields."""
+    table = doc.get(name, {})
     if not isinstance(table, dict):
-        raise ConfigError(f"{where}{name} must be a JSON object")
-    fields = {f.name: f for f in dataclasses.fields(ALGORITHMS[name][1])}
-    for key in table:
-        if key not in fields:
-            raise ConfigError(f"{where}{name}.{key} is not a {name} parameter")
-        kind = _PARAM_KINDS[type(fields[key].default)]
-        _typed(table, key, kind, None, f"{where}{name}.")
-    return table
+        raise ConfigError(f"{name} must be a JSON object")
+    with _located(f"{name}."):
+        known = {f.name for f in dataclasses.fields(params_cls)}
+        for key in table:
+            if key not in known:
+                raise ConfigError(f"{key} is not a {name} parameter")
+        return params_cls(**table)
 
 
 def plan_from_file(path: str | Path) -> tuple[ExperimentPlan, str | None]:
     """Parse a JSON plan document; returns the plan and the optional output
-    directory named inside it."""
+    directory named inside it.  Only the document's shape is checked here:
+    each value goes unchanged to the dataclass that declares it, and that
+    dataclass's error is prefixed with the file and the table."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: plan must be a JSON object")
-    known = _PLAN_KEYS | set(algorithm_names())
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown plan keys {sorted(unknown)}")
-    algorithms = _as_name_list(doc, "algorithm", "algorithms") or algorithm_names()
-    problems = _as_name_list(doc, "problem", "problems")
-    if problems is None:
-        raise ConfigError(f"{path}: plan names no problem")
-    where = f"{path}: "
-    memory = _typed(doc, "memory_enabled", "boolean", None, where)
-    memory_modes = (True, False) if memory is None else (memory,)
-    penalty_doc = doc.get("penalty", {})
-    if not isinstance(penalty_doc, dict):
-        raise ConfigError(f"{where}penalty must be a JSON object")
-    penalty = PenaltyParams(
-        scale=float(_typed(penalty_doc, "scale", "number", 1.0, where + "penalty.")),
-        exponent=float(
-            _typed(penalty_doc, "exponent", "number", 2.0, where + "penalty.")
-        ),
-    )
-    params = {n: _algorithm_table(doc, n, where) for n in algorithm_names() if n in doc}
-    plan = ExperimentPlan(
-        algorithms=tuple(algorithms),
-        problems=tuple(problems),
-        memory_modes=memory_modes,
-        replicates=_typed(doc, "replicates", "integer", 20, where),
-        population_size=_typed(doc, "population_size", "integer", 50, where),
-        root_seed=_typed(doc, "seed", "integer", 0, where),
-        budget=_typed(doc, "budget", "integer", None, where),
-        max_iterations=_typed(doc, "max_iterations", "integer", None, where),
-        memory_fraction=float(_typed(doc, "memory_fraction", "number", 0.2, where)),
-        dim=_typed(doc, "dim", "integer", 10, where),
-        penalty=penalty,
-        algorithm_params=params,
-    )
-    return plan, _typed(doc, "out", "string", None, where)
+    with _located(f"{path}: "):
+        if not isinstance(doc, dict):
+            raise ConfigError("plan must be a JSON object")
+        unknown = set(doc) - _PLAN_KEYS - set(algorithm_names())
+        if unknown:
+            raise ConfigError(f"unknown plan keys {sorted(unknown)}")
+        algorithms = _as_name_list(doc, "algorithm", "algorithms") or algorithm_names()
+        problems = _as_name_list(doc, "problem", "problems")
+        if problems is None:
+            raise ConfigError("plan names no problem")
+        memory = doc.get("memory_enabled")
+        if memory is not None and not isinstance(memory, bool):
+            raise ConfigError(f"memory_enabled must be a JSON boolean, not {memory!r}")
+        out = doc.get("out")
+        if out is not None and not isinstance(out, str):
+            raise ConfigError(f"out must be a JSON string, not {out!r}")
+        params = {n: doc[n] for n in algorithm_names() if n in doc}
+        # built here so that an error names the table; the plan builds it again
+        for name in params:
+            _table(doc, name, ALGORITHMS[name][1])
+        plan = ExperimentPlan(
+            algorithms=tuple(algorithms),
+            problems=problems,
+            memory_modes=(True, False) if memory is None else (memory,),
+            replicates=doc.get("replicates", 20),
+            population_size=doc.get("population_size", 50),
+            root_seed=doc.get("seed", 0),
+            budget=doc.get("budget"),
+            max_iterations=doc.get("max_iterations"),
+            memory_fraction=doc.get("memory_fraction", 0.2),
+            dim=doc.get("dim", 10),
+            penalty=_table(doc, "penalty", PenaltyParams),
+            algorithm_params=params,
+        )
+    return plan, out
 
 
 # ---------------------------------------------------------------------------
@@ -387,22 +362,21 @@ def read_history_csv(path: str | Path) -> list[tuple[int, float, int]]:
     return out
 
 
+def _stats_row(stats: StatsRecord | None) -> list[str]:
+    """The stats columns of a row of ``stats.csv`` or ``report.csv``; empty
+    for a cell without statistics."""
+    if stats is None:
+        return [""] * len(STATS_HEADER)
+    return [
+        str(int(v)) if kind is int else _fmt(v)
+        for kind, v in zip(_STATS_TYPES, dataclasses.astuple(stats))
+    ]
+
+
 def write_stats_csv(stream, stats: StatsRecord) -> None:
     """Write the two-line stats table to an open text stream."""
     stream.write(",".join(STATS_HEADER) + "\n")
-    stream.write(
-        ",".join(
-            [
-                _fmt(stats.best),
-                _fmt(stats.mean),
-                _fmt(stats.worst),
-                _fmt(stats.std),
-                _fmt(stats.nfes_median),
-                str(int(stats.runs)),
-            ]
-        )
-        + "\n"
-    )
+    stream.write(",".join(_stats_row(stats)) + "\n")
 
 
 def read_stats_csv(path: str | Path) -> StatsRecord:
@@ -416,14 +390,7 @@ def read_stats_csv(path: str | Path) -> StatsRecord:
         raise ValueError(
             f"{path}:2: {len(vals)} fields, expected {len(STATS_HEADER)}"
         )
-    return StatsRecord(
-        best=float(vals[0]),
-        mean=float(vals[1]),
-        worst=float(vals[2]),
-        std=float(vals[3]),
-        nfes_median=float(vals[4]),
-        runs=int(vals[5]),
-    )
+    return StatsRecord(*(kind(v) for kind, v in zip(_STATS_TYPES, vals)))
 
 
 def cell_stats_from_files(cell_dir: str | Path) -> StatsRecord:
@@ -554,6 +521,9 @@ class PairImprovement:
     improvement_pct: float
 
 
+IMPROVEMENT_HEADER = tuple(f.name for f in dataclasses.fields(PairImprovement))
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
     cells: tuple
@@ -639,22 +609,11 @@ def write_report(out_dir: str | Path, cells=None) -> ComparisonReport:
     out_dir = Path(out_dir)
     report = build_report(out_dir, cells)
 
-    cell_rows = []
-    for s in report.cells:
-        metrics = [""] * 6
-        if s.stats is not None:
-            metrics = [
-                _fmt(s.stats.best),
-                _fmt(s.stats.mean),
-                _fmt(s.stats.worst),
-                _fmt(s.stats.std),
-                _fmt(s.stats.nfes_median),
-                str(s.stats.runs),
-            ]
-        cell_rows.append(
-            [s.label, s.algorithm, s.problem, "on" if s.memory else "off", s.status]
-            + metrics
-        )
+    cell_rows = [
+        [s.label, s.algorithm, s.problem, "on" if s.memory else "off", s.status]
+        + _stats_row(s.stats)
+        for s in report.cells
+    ]
     with _atomic_write(out_dir / "report.csv") as fh:
         fh.write(",".join(REPORT_HEADER) + "\n")
         for row in cell_rows:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elitopt.algorithms import BboParams, KhaParams, TeoParams
 from elitopt.core import (
     AccountingError,
     ConfigError,
@@ -24,6 +25,7 @@ from elitopt.core import (
     run,
     snap_to_grid,
 )
+from elitopt.harness import ExperimentPlan
 from oracles import (
     funnel_loop,
     inject_loop,
@@ -562,6 +564,79 @@ class TestMemoryCapacity:
     def test_always_in_range(self, np_, fraction):
         m = memory_capacity(np_, fraction)
         assert 1 <= m <= max(1, np_)
+
+
+# ---------------------------------------------------------------------------
+# Field types of the config dataclasses
+
+
+# each config dataclass with the least arguments it needs, and its scalar
+# fields by declared type
+CONFIGS = {
+    PenaltyParams: ({}, {"scale": float, "exponent": float}),
+    RunConfig: (
+        dict(population_size=10, max_iterations=1),
+        {"population_size": int, "max_iterations": int, "memory_enabled": bool,
+         "memory_fraction": float, "seed": int},
+    ),
+    BboParams: (
+        {},
+        {"max_immigration": float, "max_emigration": float, "mutation_max": float,
+         "elite_keep": int},
+    ),
+    KhaParams: (
+        {},
+        {name: float for name in ("induced_max", "foraging_speed", "diffusion_max",
+                                  "inertia_induced", "inertia_foraging",
+                                  "time_factor", "epsilon")}
+        | {"crossover": bool, "mutation": bool, "food_coeff_on_best": bool},
+    ),
+    TeoParams: ({}, {"c1": int, "c2": int, "jump_probability": float}),
+    ExperimentPlan: (
+        dict(algorithms=("bbo",), problems=("sphere",), memory_modes=(True,),
+             replicates=1, population_size=10, root_seed=0, max_iterations=1),
+        {"replicates": int, "population_size": int, "root_seed": int,
+         "budget": int, "max_iterations": int, "memory_fraction": float, "dim": int},
+    ),
+}
+WRONG = {float: [True, "1", None], int: [True, 1.5, "1", None], bool: [1, "yes", None]}
+OPTIONAL = {(ExperimentPlan, "budget"), (ExperimentPlan, "max_iterations")}
+SCALAR_FIELDS = [(cls, name, kind) for cls, (_, kinds) in CONFIGS.items()
+                 for name, kind in kinds.items()]
+
+
+class TestFieldTypes:
+    def test_every_scalar_field_listed(self):
+        for cls, (_, kinds) in CONFIGS.items():
+            scalar = {f.name for f in dataclasses.fields(cls)
+                      if f.type.split(" | ")[0] in ("bool", "int", "float")}
+            assert set(kinds) == scalar, cls.__name__
+
+    @pytest.mark.parametrize(
+        "cls, name, value",
+        [pytest.param(cls, name, value, id=f"{cls.__name__}.{name}={value!r}")
+         for cls, name, kind in SCALAR_FIELDS for value in WRONG[kind]
+         if not (value is None and (cls, name) in OPTIONAL)],
+    )
+    def test_wrong_type_rejected_naming_the_field(self, cls, name, value):
+        # a bool for a number, a float for an int, a string, an int for a bool
+        base, _ = CONFIGS[cls]
+        with pytest.raises(ConfigError, match=f"^{name} must be "):
+            cls(**{**base, name: value})
+
+    @pytest.mark.parametrize(
+        "cls, name", [(cls, name) for cls, name, kind in SCALAR_FIELDS if kind is float]
+    )
+    def test_integral_value_stored_as_float(self, cls, name):
+        base, _ = CONFIGS[cls]
+        value = getattr(cls(**{**base, name: 1}), name)
+        assert type(value) is float and value == 1.0
+
+    def test_numpy_scalars_stored_as_python_types(self):
+        config = RunConfig(population_size=np.int64(10), max_iterations=1,
+                           memory_fraction=np.float64(0.5))
+        assert type(config.population_size) is int and config.population_size == 10
+        assert type(config.memory_fraction) is float
 
 
 # ---------------------------------------------------------------------------

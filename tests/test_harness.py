@@ -4,13 +4,14 @@ import hashlib
 import io
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from elitopt.algorithms import get_algorithm
 from elitopt.cli import main
-from elitopt.core import ConfigError, StatsRecord
+from elitopt.core import ConfigError, PenaltyParams, StatsRecord
 from elitopt.harness import (
     HISTORY_HEADER,
     STATS_HEADER,
@@ -27,6 +28,7 @@ from elitopt.harness import (
     read_stats_csv,
     run_experiment,
     write_history_csv,
+    write_manifest,
     write_stats_csv,
 )
 from elitopt.problems import get_problem
@@ -347,6 +349,37 @@ class TestPlanFromFile:
         assert plan.penalty.scale == 2.0
         assert plan.penalty.exponent == 1.0
 
+    def test_unknown_penalty_key_rejected(self, tmp_path):
+        doc = self.base_doc()
+        doc["penalty"] = {"scal": 3}
+        path = self.write(tmp_path, doc)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: penalty.scal")):
+            plan_from_file(path)
+
+    @pytest.mark.parametrize("key", ["algorithms", "problems"])
+    @pytest.mark.parametrize("value", [5, {"bbo": 1}, ["sphere", 1]])
+    def test_name_list_must_be_strings(self, tmp_path, key, value):
+        # a number was a bare TypeError, an object gave its keys, and a
+        # non-string entry was turned into a string
+        doc = self.base_doc()
+        del doc["problem"]
+        doc["problems"] = ["sphere"]
+        doc[key] = value
+        path = self.write(tmp_path, doc)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {key} must be")):
+            plan_from_file(path)
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        cli = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        example = cli.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "plan.json"
+        path.write_text(example)
+        plan, out = plan_from_file(path)
+        assert plan.algorithms == ("bbo", "kha", "teo")
+        assert plan.problems == ("michell", "sphere")
+        assert (plan.budget, plan.replicates, out) == (4000, 20, "results")
+
 
 class TestPlanValidation:
     def test_duplicates_rejected(self):
@@ -388,6 +421,35 @@ class TestPlanValidation:
         # a plan built in Python, not loaded from a file, is checked too
         with pytest.raises(ConfigError):
             small_plan(algorithm_params=params)
+
+    def test_mistyped_parameters_rejected(self):
+        # bbo would fail every cell with a TypeError, kha would run with
+        # crossover on, since "no" is truthy
+        with pytest.raises(ConfigError, match="^elite_keep must be int"):
+            small_plan(algorithms=("bbo", "kha"),
+                       algorithm_params={"bbo": {"elite_keep": 2.5},
+                                         "kha": {"crossover": "no"}})
+        with pytest.raises(ConfigError, match="^crossover must be bool"):
+            small_plan(algorithm_params={"kha": {"crossover": "no"}})
+
+    @pytest.mark.parametrize("modes", [(1,), (True, 0), ()])
+    def test_memory_modes_must_be_bools(self, modes):
+        # (1,) would load and then fail every cell at RunConfig
+        with pytest.raises(ConfigError, match="^memory_modes"):
+            small_plan(memory_modes=modes)
+
+    def test_manifest_writes_float_fields_as_floats(self, tmp_path):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({
+            "algorithm": "bbo", "problem": "sphere", "max_iterations": 5,
+            "population_size": 10, "memory_fraction": 1, "penalty": {"scale": 2},
+        }))
+        plans = [small_plan(memory_fraction=1, penalty=PenaltyParams(scale=2)),
+                 plan_from_file(path)[0]]
+        for plan in plans:
+            write_manifest(plan, tmp_path)
+            text = (tmp_path / "manifest.json").read_text()
+            assert '"memory_fraction": 1.0,' in text and '"scale": 2.0,' in text
 
     def test_unknown_parameter_key_is_a_config_error(self):
         with pytest.raises(ConfigError, match=re.escape("unknown kha parameters: ['foo']")):

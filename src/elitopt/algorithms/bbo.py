@@ -153,7 +153,7 @@ class Bbo:
 
     def init_population(self, ctx, space: SearchSpace, n: int, rng):
         positions = space.sample(n, rng)
-        return positions, ctx.evaluate_batch(positions), None
+        return positions, ctx.evaluate(positions), None
 
     def step(
         self,
@@ -179,7 +179,7 @@ class Bbo:
         migrated = mutate(migrate(positions, lambdas, mus, rng), rates, space, rng)
 
         new_positions = clamp_to_bounds(migrated, space)
-        new_positions, new_fitness = ranked(new_positions, ctx.evaluate_batch(new_positions))
+        new_positions, new_fitness = ranked(new_positions, ctx.evaluate(new_positions))
         if keep > 0:
             # the best habitats of the previous generation replace the worst
             new_positions[n - keep:] = positions[:keep]

@@ -337,7 +337,7 @@ class Kha:
 
     def init_population(self, ctx, space: SearchSpace, n: int, rng):
         positions = space.sample(n, rng)
-        fitness = ctx.evaluate_batch(positions)
+        fitness = ctx.evaluate(positions)
         state = KhaState(
             induced_old=np.zeros((n, space.dim)),
             foraging_old=np.zeros((n, space.dim)),
@@ -411,7 +411,7 @@ class Kha:
         new_positions = advance_position(x, dt, induced + foraging + diffuse)
 
         new_positions = clamp_to_bounds(new_positions, space)
-        new_fitness = ctx.evaluate_batch(new_positions)
+        new_fitness = ctx.evaluate(new_positions)
         better = new_fitness < state.pb_fitness
         state.pb_fitness[better] = new_fitness[better]
         state.pb_positions[better] = new_positions[better]

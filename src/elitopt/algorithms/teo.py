@@ -141,7 +141,7 @@ class Teo:
 
     def init_population(self, ctx, space: SearchSpace, n: int, rng):
         positions = space.sample(n, rng)
-        return positions, ctx.evaluate_batch(positions), None
+        return positions, ctx.evaluate(positions), None
 
     def step(
         self,
@@ -171,5 +171,5 @@ class Teo:
         cooled = clamp_to_bounds(cooled, space)
         return (
             np.concatenate([positions[:half], cooled]),
-            np.concatenate([fitness[:half], ctx.evaluate_batch(cooled)]),
+            np.concatenate([fitness[:half], ctx.evaluate(cooled)]),
         )

@@ -48,7 +48,10 @@ def check_field_types(config) -> None:
             isinstance(value, bool) and stored is not bool
         ):
             raise ConfigError(f"{f.name} must be {f.type}, not {value!r}")
-        object.__setattr__(config, f.name, stored(value))
+        try:
+            object.__setattr__(config, f.name, stored(value))
+        except OverflowError:  # no repr: str() refuses a long enough int
+            raise ConfigError(f"{f.name} must be {f.type}, not an int this large") from None
 
 
 class EvaluationError(RuntimeError):
@@ -418,7 +421,7 @@ class RunContext:
     candidate ever seen as a :class:`Candidate` built from copies.
 
     Algorithms build a whole generation and hand it over at once through
-    :meth:`evaluate_batch`; :meth:`evaluate` is the batch of one.
+    :meth:`evaluate`, the one way into the run's accounting.
     """
 
     def __init__(
@@ -433,11 +436,9 @@ class RunContext:
         self.nfes = 0
         self.best: Candidate | None = None
 
-    def evaluate(self, position: np.ndarray) -> float:
-        return float(self.evaluate_batch(np.asarray(position, dtype=float)[None])[0])
-
-    def evaluate_batch(self, positions: np.ndarray) -> np.ndarray:
-        """Fitness of each row of the ``(k, dim)`` array ``positions``.
+    def evaluate(self, positions: np.ndarray) -> np.ndarray:
+        """Fitness of each row of the ``(k, dim)`` array ``positions``; one
+        position is the batch ``x[None]``, and a 1-D array is refused.
 
         The problem analyzes all rows at once, and the whole batch is checked
         before any row counts: the first row with a non-finite objective, then
@@ -515,9 +516,10 @@ def run(algorithm, problem: Problem, config: RunConfig) -> RunResult:
     the worst members of the generation with the stored elites before the
     step when the algorithm sets ``inject_before_step``, and after it
     otherwise.  The step builds the whole new generation first and evaluates
-    it with one ``ctx.evaluate_batch`` call (as ``init_population`` does the
-    initial one), which returns its fitness and also feeds the elite memory.
-    Then the history is recorded.
+    it with one ``ctx.evaluate`` call (as ``init_population`` does the
+    initial one), the run's only evaluation path: it counts the rows, returns
+    their fitness and feeds the elite memory and the best.  Then the history
+    is recorded.
 
     Identical ``(seed, config, problem)`` triples give bit-identical results.
     """

@@ -168,6 +168,8 @@ class ExperimentPlan:
         # not a set difference with {True, False}: 1 == True would pass it
         if not modes or not all(isinstance(m, bool) for m in modes):
             raise ConfigError(f"memory_modes must be one or two bools, not {modes!r}")
+        if len(set(modes)) != len(modes):
+            raise ConfigError("duplicate memory mode in plan")
         unknown = set(self.algorithms) - set(algorithm_names())
         if unknown:
             raise ConfigError(f"unknown algorithms: {sorted(unknown)}")
@@ -277,7 +279,7 @@ def plan_from_file(path: str | Path) -> tuple[ExperimentPlan, str | None]:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int past str()'s digit limit
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     with _located(f"{path}: "):
         if not isinstance(doc, dict):

@@ -382,44 +382,37 @@ class TrussDesign:
 
         A row's result is a pure function of the bits of its snapped row: the
         analysis is deterministic and does not depend on the other rows it is
-        stacked with.  So each call analyzes only the first row of each
-        snapped design that is new to the call and was not in the previous
-        call, all of them in one stacked model (see :meth:`_analyze_rows`);
-        the other rows copy that row's result, or the previous call's.
-        The memo of one call is bounded by its batch size (on forth, 50 rows
-        of 183 columns, about 73 KB).  Rows are keyed by their exact bytes,
-        so ``-0.0`` and ``0.0`` are analyzed apart.  A call that raises
+        stacked with.  So each call looks every row up once in a copy of the
+        previous call's key-to-row map; a key not in it gets the next row of
+        the results table and is analyzed, all such rows in one stacked model
+        (see :meth:`_analyze_rows`), and every row is then gathered from the
+        table.  The memo of one call is bounded by its batch size (on forth,
+        50 rows of 183 columns, about 73 KB).  Rows are keyed by their exact
+        bytes, so ``-0.0`` and ``0.0`` are analyzed apart.  A call that raises
         leaves the memo as it was.
         """
         X = snap_to_grid(X, self._space)
         if X.ndim != 2:
             raise ValueError(f"designs must be a (k, {self.dim}) array")
         keys = [row.tobytes() for row in X]
-        index = dict(zip(keys, range(len(keys))))
         seen, seen_weights, seen_violations = self._memo
-        if len(index) == len(keys) and seen.keys().isdisjoint(index):
-            weights, violations = self._analyze_rows(X)
-        else:
-            # slot of each row in the previous results followed by the new ones
-            first: dict[bytes, int] = {}
-            fresh: list[int] = []
-            slots = np.empty(len(keys), dtype=np.intp)
-            for i, key in enumerate(keys):
-                slot = first.get(key)
-                if slot is None:
-                    slot = seen.get(key)
-                    if slot is None:
-                        slot = len(seen_weights) + len(fresh)
-                        fresh.append(i)
-                    first[key] = slot
-                slots[i] = slot
-            if fresh:
-                new_weights, new_violations = self._analyze_rows(X[fresh])
-                seen_weights = np.concatenate([seen_weights, new_weights])
-                seen_violations = np.concatenate([seen_violations, new_violations])
-            weights, violations = seen_weights[slots], seen_violations[slots]
+        # row of each key in the previous results followed by the fresh ones
+        table = dict(seen)
+        fresh: list[int] = []
+        slots = np.empty(len(keys), dtype=np.intp)
+        for i, key in enumerate(keys):
+            slot = table.get(key)
+            if slot is None:
+                slot = table[key] = len(seen_weights) + len(fresh)
+                fresh.append(i)
+            slots[i] = slot
+        if fresh:
+            new_weights, new_violations = self._analyze_rows(X[fresh])
+            seen_weights = np.concatenate([seen_weights, new_weights])
+            seen_violations = np.concatenate([seen_violations, new_violations])
+        weights, violations = seen_weights[slots], seen_violations[slots]
         # copies, so that a caller writing into the results cannot change them
-        self._memo = (index, weights.copy(), violations.copy())
+        self._memo = (dict(zip(keys, range(len(keys)))), weights.copy(), violations.copy())
         return weights, violations
 
     def _analyze_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -230,11 +230,12 @@ def penalized_fitness_row(objective, violations, params):
 
 
 def funnel_loop(ctx, positions):
-    """``RunContext.evaluate_batch`` one row at a time: each row is checked,
-    penalized, counted, offered to the memory as a batch of one and compared
-    with the best before the next row starts, so the first unusable row
-    raises with the rows before it already counted.  Returns the fitness array.  The
-    reference the batch funnel must match bit for bit on usable batches."""
+    """``RunContext.evaluate``, the generation funnel, one row at a time:
+    each row is checked, penalized, counted, offered to the memory as a batch
+    of one and compared with the best before the next row starts, so the
+    first unusable row raises with the rows before it already counted.
+    Returns the fitness array.  The reference the funnel must match bit for
+    bit on usable batches."""
     positions = np.asarray(positions, dtype=float)
     objectives, violations = ctx.problem.evaluate(positions)
     fitness = []
@@ -434,7 +435,7 @@ def kha_step_loop(params, positions, fitness, state, ctx, frac, draws):
         new_positions[i] = x + dt * (induced + foraging + diffuse)
 
     new_positions = clamp_to_bounds(new_positions, space)
-    new_fitness = ctx.evaluate_batch(new_positions)
+    new_fitness = ctx.evaluate(new_positions)
     for i in range(n):
         if new_fitness[i] < state.pb_fitness[i]:
             state.pb_fitness[i] = new_fitness[i]
@@ -471,7 +472,7 @@ def teo_step_loop(params, positions, fitness, ctx, frac, draws):
     cooled = clamp_to_bounds(cooled, space)
     return (
         np.concatenate([positions[:half], cooled]),
-        np.concatenate([fitness[:half], ctx.evaluate_batch(cooled)]),
+        np.concatenate([fitness[:half], ctx.evaluate(cooled)]),
     )
 
 
@@ -545,7 +546,7 @@ def bbo_step_loop(params, positions, fitness, ctx, rng):
     values = rng.random(int(np.sum(coins < rates[:, None])))
     x = clamp_to_bounds(mutate_loop(x, rates, space, coins, values), space)
 
-    new_fitness = ctx.evaluate_batch(x)
+    new_fitness = ctx.evaluate(x)
     order = sorted(range(n), key=lambda i: (new_fitness[i], i))
     x, new_fitness = x[order], new_fitness[order]
     keep = min(params.elite_keep, n)

@@ -632,6 +632,14 @@ class TestFieldTypes:
         value = getattr(cls(**{**base, name: 1}), name)
         assert type(value) is float and value == 1.0
 
+    @pytest.mark.parametrize(
+        "cls, name", [(cls, name) for cls, name, kind in SCALAR_FIELDS if kind is float]
+    )
+    def test_int_too_large_for_a_float_rejected_naming_the_field(self, cls, name):
+        base, _ = CONFIGS[cls]
+        with pytest.raises(ConfigError, match=f"^{name} must be float"):
+            cls(**{**base, name: 10**400})
+
     def test_numpy_scalars_stored_as_python_types(self):
         config = RunConfig(population_size=np.int64(10), max_iterations=1,
                            memory_fraction=np.float64(0.5))
@@ -683,7 +691,7 @@ class TestEvaluateBatch:
         problem, calls = self.scripted_problem([3.0, 1.0, 1.0, 2.0])
         memory = RecordingMemory(4)
         ctx = RunContext(problem, PenaltyParams(), memory)
-        out = ctx.evaluate_batch(self.ROWS)
+        out = ctx.evaluate(self.ROWS)
         assert len(calls) == 1 and np.array_equal(calls[0], self.ROWS)
         assert out.tolist() == [3.0, 1.0, 1.0, 2.0]
         [(positions, fitness)] = memory.offers
@@ -698,7 +706,7 @@ class TestEvaluateBatch:
         problem, _ = self.scripted_problem([1.0, 1.0, 2.0, 3.0], violations)
         memory = RecordingMemory(4)
         ctx = RunContext(problem, PenaltyParams(), memory)
-        out = ctx.evaluate_batch(self.ROWS)
+        out = ctx.evaluate(self.ROWS)
         expected = [penalized_fitness(o, v, PenaltyParams())
                     for o, v in zip([1.0, 1.0, 2.0, 3.0], violations)]
         assert out.tolist() == expected
@@ -711,8 +719,8 @@ class TestEvaluateBatch:
         problem, _ = self.scripted_problem([3.0, 1.0, 2.0, 2.5])
         memory = RecordingMemory(2)
         ctx = RunContext(problem, PenaltyParams(), memory)
-        ctx.evaluate_batch(self.ROWS[[0, 3]])  # fills the buffer: worst 3.0
-        ctx.evaluate_batch(self.ROWS[[1, 0, 2, 3]])
+        ctx.evaluate(self.ROWS[[0, 3]])  # fills the buffer: worst 3.0
+        ctx.evaluate(self.ROWS[[1, 0, 2, 3]])
         # the whole batch is offered once; the stored rows fall out of the top 2
         assert len(memory.offers) == 2 and len(memory.offers[1][1]) == 4
         assert stored(memory) == [(1.0, 1.0), (2.0, 2.0)]
@@ -727,26 +735,29 @@ class TestEvaluateBatch:
         problem, _ = self.scripted_problem(objectives, violations)
         memory = RecordingMemory(4)
         ctx = RunContext(problem, PenaltyParams(), memory)
-        ctx.evaluate_batch(self.ROWS[:1])
+        ctx.evaluate(self.ROWS[:1])
         with pytest.raises(EvaluationError, match=message) as raised:
-            ctx.evaluate_batch(self.ROWS)
+            ctx.evaluate(self.ROWS)
         assert "position array([2.])" in str(raised.value)
         assert ctx.nfes == 1
         assert len(memory.offers) == 1 and len(memory) == 1
         assert ctx.best.fitness == 3.0
 
-    def test_evaluate_is_the_batch_of_one(self):
-        problem, calls = self.scripted_problem([3.0, 1.0, 1.0, 2.0])
-        ctx = RunContext(problem, PenaltyParams())
-        fitness = ctx.evaluate(np.array([3.0]))
-        assert type(fitness) is float and fitness == 2.0
-        assert [c.shape for c in calls] == [(1, 1)]
-
     def test_empty_batch_rejected(self):
         problem, calls = self.scripted_problem([3.0])
         with pytest.raises(ValueError, match="k >= 1"):
-            RunContext(problem, PenaltyParams()).evaluate_batch(np.empty((0, 1)))
+            RunContext(problem, PenaltyParams()).evaluate(np.empty((0, 1)))
         assert calls == []
+
+    def test_one_position_must_be_a_batch(self):
+        problem, calls = self.scripted_problem([3.0, 1.0, 1.0, 2.0])
+        memory = RecordingMemory(4)
+        ctx = RunContext(problem, PenaltyParams(), memory)
+        with pytest.raises(ValueError, match=r"\(k, dim\) array"):
+            ctx.evaluate(np.array([3.0]))
+        assert calls == [] and ctx.nfes == 0
+        assert memory.offers == [] and ctx.best is None
+        assert ctx.evaluate(np.array([3.0])[None]).tolist() == [2.0]
 
     def test_result_shapes_checked(self):
         space = SearchSpace(lower=[0.0], upper=[1.0])
@@ -760,12 +771,12 @@ class TestEvaluateBatch:
                           evaluate=lambda X: (objectives, violations))
             ctx = RunContext(bad, PenaltyParams())
             with pytest.raises(EvaluationError, match=r"not \(2,\) and \(2, c\)"):
-                ctx.evaluate_batch(np.zeros((2, 1)))
+                ctx.evaluate(np.zeros((2, 1)))
             assert ctx.nfes == 0
 
 
 class TestFunnelMatchesLoop:
-    """``RunContext.evaluate_batch`` against the row-by-row funnel of
+    """``RunContext.evaluate`` against the row-by-row funnel of
     ``oracles.funnel_loop``: the same fitness bits, evaluation count, memory
     arrays and best, bit for bit, over a run of random batches."""
 
@@ -806,7 +817,7 @@ class TestFunnelMatchesLoop:
                        for _ in range(2))
         for _ in range(8):
             rows = pool[rng.integers(len(pool), size=int(rng.integers(1, 10)))]
-            assert self.same_bits(batch.evaluate_batch(rows), funnel_loop(loop, rows))
+            assert self.same_bits(batch.evaluate(rows), funnel_loop(loop, rows))
             assert batch.nfes == loop.nfes
             assert self.same_bits(batch.memory.fitness, loop.memory.fitness)
             assert self.same_bits(batch.memory.positions, loop.memory.positions)
@@ -818,7 +829,7 @@ class TestFunnelMatchesLoop:
         problem = self.problem(0)
         rows = np.array([[0.0, -0.01], [0.0, 0.01]])
         batch, loop = (RunContext(problem, PenaltyParams()) for _ in range(2))
-        out = batch.evaluate_batch(rows)
+        out = batch.evaluate(rows)
         assert self.same_bits(out, funnel_loop(loop, rows))
         assert np.signbit(out).tolist() == [True, False]
 
@@ -836,11 +847,11 @@ class LyingAlgorithm:
 
     def init_population(self, ctx, space, n, rng):
         positions = space.sample(n, rng)
-        return positions, ctx.evaluate_batch(positions), None
+        return positions, ctx.evaluate(positions), None
 
     def step(self, positions, fitness, state, ctx, frac, rng):
-        ctx.evaluate(positions[0])
-        ctx.evaluate(positions[1])
+        ctx.evaluate(positions[0][None])
+        ctx.evaluate(positions[1][None])
         return positions, fitness
 
 
@@ -863,14 +874,14 @@ class RecordingAlgorithm:
         pass
 
     def init_population(self, ctx, space, n, rng):
-        ctx.evaluate(np.zeros(space.dim))
+        ctx.evaluate(np.zeros(space.dim)[None])
         positions = space.sample(n - 1, rng)
-        fitness = ctx.evaluate_batch(positions)
+        fitness = ctx.evaluate(positions)
         return np.vstack([positions, positions[-1:]]), np.append(fitness, fitness[-1]), None
 
     def step(self, positions, fitness, state, ctx, frac, rng):
         self.handed.append((positions.copy(), fitness.copy()))
-        return positions, ctx.evaluate_batch(positions)
+        return positions, ctx.evaluate(positions)
 
 
 def holds_origin(population):
@@ -925,7 +936,7 @@ class TestRunLoop:
         memory = EliteMemory(2)
         ctx = RunContext(bad, PenaltyParams(), memory)
         with pytest.raises(EvaluationError, match="non-finite fitness"):
-            ctx.evaluate(np.array([0.5]))
+            ctx.evaluate(np.array([0.5])[None])
         assert ctx.nfes == 0
         assert len(memory) == 0 and ctx.best is None
 

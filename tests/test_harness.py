@@ -342,6 +342,28 @@ class TestPlanFromFile:
         plan, _ = plan_from_file(self.write(tmp_path, doc))
         assert plan.memory_fraction == 1.0 and plan.penalty.exponent == 1.0
 
+    @pytest.mark.parametrize("table, key", [(None, "memory_fraction"),
+                                            ("penalty", "scale")])
+    def test_int_too_large_for_a_float_rejected(self, tmp_path, table, key):
+        # 401 digits: float() of it raises OverflowError
+        doc = self.base_doc()
+        if table is None:
+            doc[key] = 10**400
+        else:
+            doc[table] = {key: 10**400}
+        path = self.write(tmp_path, doc)
+        assert len(str(10**400)) == 401 and str(10**400) in path.read_text()
+        where = key if table is None else f"{table}.{key}"
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {where} must be float")):
+            plan_from_file(path)
+
+    def test_int_past_the_digit_limit_rejected_naming_the_file(self, tmp_path):
+        # Python reads at most 4300 digits of an int from text
+        path = self.write(tmp_path, self.base_doc())
+        path.write_text(path.read_text()[:-1] + ', "memory_fraction": 1' + "0" * 5000 + "}")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: not valid JSON")):
+            plan_from_file(path)
+
     def test_penalty_table(self, tmp_path):
         doc = self.base_doc()
         doc["penalty"] = {"scale": 2.0, "exponent": 1.0}
@@ -437,6 +459,13 @@ class TestPlanValidation:
         # (1,) would load and then fail every cell at RunConfig
         with pytest.raises(ConfigError, match="^memory_modes"):
             small_plan(memory_modes=modes)
+
+    @pytest.mark.parametrize("modes", [(True, True), (False, False)])
+    def test_repeated_memory_mode_rejected(self, modes):
+        # both cells would be labelled alike and run into one directory
+        with pytest.raises(ConfigError, match="duplicate memory mode"):
+            small_plan(memory_modes=modes)
+        assert small_plan(memory_modes=(True, False)).memory_modes == (True, False)
 
     def test_manifest_writes_float_fields_as_floats(self, tmp_path):
         path = tmp_path / "plan.json"
@@ -816,6 +845,13 @@ class TestCli:
         capsys.readouterr()
         assert (out / "bbo-sphere-std").is_dir()
         assert not (out / "bbo-sphere-mem").exists()
+
+    def test_run_memory_both_override(self, tmp_path, capsys):
+        plan = self.write_plan(tmp_path, memory_enabled=True)
+        out = tmp_path / "out"
+        assert main(["run", str(plan), "--out", str(out), "--memory", "both"]) == 0
+        capsys.readouterr()
+        assert (out / "bbo-sphere-mem").is_dir() and (out / "bbo-sphere-std").is_dir()
 
     def test_run_seed_override(self, tmp_path, capsys):
         plan = self.write_plan(tmp_path)

@@ -418,7 +418,7 @@ class TestDrawHerd:
             ctx = RunContext(problem, PenaltyParams())
             positions, fitness, state = Kha(params).init_population(
                 ctx, problem.space, n, np.random.default_rng(100 + seed))
-            ctx.evaluate(np.full(4, 0.01))  # a best outside the herd
+            ctx.evaluate(np.full(4, 0.01)[None])  # a best outside the herd
             loop = copy.deepcopy((positions, fitness, state, ctx))
             mine, twin = np.random.default_rng(seed), np.random.default_rng(seed)
             out, _ = Kha(params).step(positions, fitness, state, ctx, 0.5, mine)
@@ -492,7 +492,7 @@ class TestKhaStep:
         positions, fitness = algo.step(positions, fitness, state, ctx, 1 / 10, rng)
 
         injected = np.array([3.5, 3.5])
-        injected_fitness = ctx.evaluate(injected)
+        [injected_fitness] = ctx.evaluate(injected[None])
         memory = EliteMemory(1)
         memory.offer(injected[None], np.array([injected_fitness]))
         slot = int(np.argmax(fitness))
@@ -568,8 +568,8 @@ class TestHerdStepMatchesLoop:
         positions = centers[rng.integers(len(centers), size=n)]
         positions = np.clip(positions + rng.normal(scale=0.05, size=(n, dim)), -4, 4)
         if not flat:
-            ctx.evaluate(rng.uniform(-0.1, 0.1, size=dim))  # a best outside the herd
-        fitness = ctx.evaluate_batch(positions)
+            ctx.evaluate(rng.uniform(-0.1, 0.1, size=dim)[None])  # a best outside the herd
+        fitness = ctx.evaluate(positions)
         last = positions.copy()
         for i in injected:
             last[i] += 0.5

@@ -574,7 +574,7 @@ class TestBatchEvaluation:
         weights, violations = design.evaluate(X)
         assert violations.tolist() == [[0.0], [DEGENERATE_VIOLATION]]
         ctx = RunContext(design.problem(), PenaltyParams())
-        healthy, degenerate = ctx.evaluate_batch(X)
+        healthy, degenerate = ctx.evaluate(X)
         assert healthy == weights[0] == evaluate_design(design, X[0])[0]
         assert degenerate > weights[1]
 

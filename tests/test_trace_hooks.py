@@ -1,8 +1,11 @@
 """The benchmark tracer (``perfbench/tracing.py``) wraps package names where
 their callers look them up.  Installing it here fails as soon as the package
-drops or renames one of them, without running a benchmark."""
+drops or renames one of them, without running a benchmark; a tiny traced grid
+fails when a wrapped name is still there but the package no longer calls it."""
 
 from pathlib import Path
+
+from elitopt.harness import ExperimentPlan
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -34,3 +37,33 @@ def test_install_wraps_and_restore_puts_back(monkeypatch):
         patcher.restore()
     for (owner, name), original in zip(hooks, originals):
         assert getattr(owner, name) is original, name
+
+
+def test_evaluate_span_has_one_call_per_generation(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import grid
+    import tracing
+
+    from elitopt import harness
+
+    # teo evaluates half the population per step; at least two rows per
+    # batch keep the tracer's truss observer on its multi-row path
+    plan = ExperimentPlan(algorithms=("bbo", "kha", "teo"), problems=("sphere", "michell"),
+                          memory_modes=(True,), replicates=1, population_size=6,
+                          root_seed=1, max_iterations=3)
+    tracer = tracing.Tracer()
+    patcher = grid.Patcher()
+    try:
+        tracing.install(tracer, patcher)
+        harness.run_experiment(plan, tmp_path)
+    finally:
+        patcher.restore()
+    table = tracer.table()
+    calls = table["calls"]
+    generations = len(plan.cells()) * (1 + plan.max_iterations)
+    assert calls.get("core.evaluate", 0) == generations
+    assert table["self"]["core.evaluate"] > 0
+    # the funnel hands each generation to the problem once
+    problem_calls = calls["problems.truss.evaluate"] + calls["problems.analytic.evaluate"]
+    assert problem_calls == generations
+    assert not table["errors"]

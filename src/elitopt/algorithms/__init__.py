@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import dataclasses
-
-from ..core import ConfigError
+from ..core import params_from_table
 from .bbo import Bbo, BboParams
 from .kha import Kha, KhaParams
 from .teo import Teo, TeoParams
@@ -20,20 +18,16 @@ def algorithm_names() -> list[str]:
     return sorted(ALGORITHMS)
 
 
-def get_algorithm(name: str, params: dict | None = None):
-    """Instantiate an optimizer by name with optional parameter overrides;
-    an override that names no parameter is a ``ConfigError``."""
+def get_algorithm(name: str, params=None):
+    """Instantiate an optimizer by name; ``params`` is its params dataclass or
+    a dict of overrides, checked by :func:`core.params_from_table`."""
     try:
         cls, params_cls = ALGORITHMS[name]
     except KeyError:
         raise KeyError(
             f"unknown algorithm {name!r}; available: {', '.join(algorithm_names())}"
         ) from None
-    params = params or {}
-    unknown = set(params) - {f.name for f in dataclasses.fields(params_cls)}
-    if unknown:
-        raise ConfigError(f"unknown {name} parameters: {sorted(unknown)}")
-    return cls(params_cls(**params))
+    return cls(params_from_table(params_cls, {} if params is None else params, name))
 
 
 __all__ = [

@@ -97,12 +97,13 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    paths = []
+    # each file once, however many patterns name it
+    paths = {}
     for pattern in args.patterns:
-        if Path(pattern).exists():
-            paths.append(Path(pattern))
-        else:
-            paths.extend(Path(p) for p in sorted(globmod.glob(pattern)))
+        matches = [pattern] if Path(pattern).exists() else sorted(globmod.glob(pattern))
+        for match in matches:
+            paths.setdefault(Path(match).resolve(), Path(match))
+    paths = list(paths.values())
     if not paths:
         raise FileNotFoundError(f"no history files match {args.patterns}")
     if args.output is not None:

@@ -54,6 +54,23 @@ def check_field_types(config) -> None:
             raise ConfigError(f"{f.name} must be {f.type}, not an int this large") from None
 
 
+def params_from_table(params_cls, table, name: str):
+    """``params_cls`` built from ``table``, a dict of its fields; an instance
+    of ``params_cls`` is returned as it is.  A ``ConfigError`` names the
+    table ``name``: ``bbo.elite_keep must be int, not 2.5``."""
+    if isinstance(table, params_cls):
+        return table
+    if not isinstance(table, dict):
+        raise ConfigError(f"{name} must be a table of parameters, not {table!r}")
+    unknown = set(table) - {f.name for f in fields(params_cls)}
+    if unknown:
+        raise ConfigError(f"{name}.{min(unknown)} is not a {name} parameter")
+    try:
+        return params_cls(**table)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}.{exc}") from None
+
+
 class EvaluationError(RuntimeError):
     """Raised when an objective evaluation returns an unusable value."""
 
@@ -438,7 +455,8 @@ class RunContext:
 
     def evaluate(self, positions: np.ndarray) -> np.ndarray:
         """Fitness of each row of the ``(k, dim)`` array ``positions``; one
-        position is the batch ``x[None]``, and a 1-D array is refused.
+        position is the batch ``x[None]``, and a 1-D array or a row that is
+        not ``problem.space.dim`` wide is refused.
 
         The problem analyzes all rows at once, and the whole batch is checked
         before any row counts: the first row with a non-finite objective, then
@@ -449,9 +467,11 @@ class RunContext:
         best, with the same outcome as if they had been evaluated one by one.
         """
         positions = np.asarray(positions, dtype=float)
-        if positions.ndim != 2 or not len(positions):
+        dim = self.problem.space.dim
+        if positions.ndim != 2 or not len(positions) or positions.shape[1] != dim:
             raise ValueError(
-                f"positions must be a (k, dim) array with k >= 1, not {positions.shape}"
+                f"positions must be a (k, dim) array with k >= 1 and dim {dim}, "
+                f"not {positions.shape}"
             )
         objectives, violations = self.problem.evaluate(positions)
         objectives = np.asarray(objectives, dtype=float)

@@ -15,7 +15,8 @@ read.
 
 Layout under the output directory::
 
-    manifest.json                    the resolved plan
+    manifest.json                    the resolved plan, with full parameter
+                                     tables, and its cells
     <alg>-<prob>-<mem|std>/
         run_000.csv ...              per-replicate history
         stats.csv                    replicate summary
@@ -43,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, algorithm_names, get_algorithm
+from .algorithms import ALGORITHMS, algorithm_names
 from .core import (
     ConfigError,
     PenaltyParams,
@@ -51,6 +52,7 @@ from .core import (
     RunResult,
     StatsRecord,
     check_field_types,
+    params_from_table,
     replicate_seed,
     replicate_stats,
     run,
@@ -112,40 +114,25 @@ class PlanCell:
     iterations: int
 
 
-_PLAN_KEYS = {
-    "algorithm",
-    "algorithms",
-    "problem",
-    "problems",
-    "population_size",
-    "max_iterations",
-    "budget",
-    "memory_enabled",
-    "memory_fraction",
-    "seed",
-    "replicates",
-    "dim",
-    "penalty",
-    "out",
-}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentPlan:
-    """A resolved experiment grid.
+    """A resolved experiment grid; its fields hold every default of a plan.
 
     Exactly one of ``budget`` (total evaluations per run, initialization
     included) and ``max_iterations`` must be set; with a budget the
     iteration count is derived per algorithm from its per-iteration cost.
-    ``algorithm_params`` maps algorithm names to parameter overrides.
+    ``penalty`` and each table of ``algorithm_params`` (by algorithm name)
+    may be a dict of fields or the params dataclass; the plan builds and
+    holds the dataclasses, one for every algorithm of the grid, and
+    ``manifest.json`` records them in full with the other fields.
     """
 
-    algorithms: tuple
+    algorithms: tuple = tuple(algorithm_names())
     problems: tuple
-    memory_modes: tuple
-    replicates: int
-    population_size: int
-    root_seed: int
+    memory_modes: tuple = (True, False)
+    replicates: int = 20
+    population_size: int = 50
+    root_seed: int = 0
     budget: int | None = None
     max_iterations: int | None = None
     memory_fraction: float = 0.2
@@ -178,6 +165,9 @@ class ExperimentPlan:
             raise ConfigError(f"unknown problems: {sorted(unknown)}")
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
+        object.__setattr__(
+            self, "penalty", params_from_table(PenaltyParams, self.penalty, "penalty")
+        )
         # what every run's configuration would refuse, refused once here
         RunConfig(
             population_size=self.population_size,
@@ -191,16 +181,21 @@ class ExperimentPlan:
             raise ConfigError("set exactly one of budget and max_iterations")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ConfigError("max_iterations must be >= 1")
-        bad = set(self.algorithm_params) - set(algorithm_names())
+        tables = self.algorithm_params
+        bad = set(tables) - set(algorithm_names())
         if bad:
             raise ConfigError(f"parameter tables for unknown algorithms: {sorted(bad)}")
-        for name, params in self.algorithm_params.items():
-            get_algorithm(name, params)
+        params = {
+            name: params_from_table(ALGORITHMS[name][1], tables.get(name, {}), name)
+            for name in algorithm_names()
+            if name in tables or name in self.algorithms
+        }
+        object.__setattr__(self, "algorithm_params", params)
         for name in self.algorithms:
             self.algorithm_instance(name).check_population(self.population_size)
 
     def algorithm_instance(self, name: str):
-        return get_algorithm(name, self.algorithm_params.get(name))
+        return ALGORITHMS[name][0](self.algorithm_params[name])
 
     def cells(self) -> list[PlanCell]:
         out = []
@@ -233,11 +228,11 @@ class ExperimentPlan:
 
 def _as_name_list(doc: dict, singular: str, plural: str) -> tuple | None:
     """The names under ``singular`` or ``plural``, a string or a list of
-    strings; ``None`` when the document has neither key."""
+    strings, taken out of ``doc``; ``None`` when it has neither key."""
     if singular in doc and plural in doc:
         raise ConfigError(f"give either {singular!r} or {plural!r}, not both")
     key = plural if plural in doc else singular
-    value = doc.get(key)
+    value = doc.pop(key, None)
     if value is None:
         return None
     if isinstance(value, str):
@@ -247,75 +242,52 @@ def _as_name_list(doc: dict, singular: str, plural: str) -> tuple | None:
     raise ConfigError(f"{key} must be a string or a list of strings, not {value!r}")
 
 
-@contextmanager
-def _located(where: str):
-    """Put ``where`` in front of a ``ConfigError`` raised in the block."""
-    try:
-        yield
-    except ConfigError as exc:
-        raise ConfigError(f"{where}{exc}") from None
-
-
-def _table(doc: dict, name: str, params_cls):
-    """``params_cls`` built from the plan's table ``name`` (empty when
-    absent), which must be a JSON object of the dataclass's fields."""
-    table = doc.get(name, {})
-    if not isinstance(table, dict):
-        raise ConfigError(f"{name} must be a JSON object")
-    with _located(f"{name}."):
-        known = {f.name for f in dataclasses.fields(params_cls)}
-        for key in table:
-            if key not in known:
-                raise ConfigError(f"{key} is not a {name} parameter")
-        return params_cls(**table)
+# the ExperimentPlan fields that a plan file names as they are
+_SAME_NAME_KEYS = {f.name for f in dataclasses.fields(ExperimentPlan)} - {
+    "algorithms", "problems", "memory_modes", "root_seed", "algorithm_params"
+}
 
 
 def plan_from_file(path: str | Path) -> tuple[ExperimentPlan, str | None]:
     """Parse a JSON plan document; returns the plan and the optional output
-    directory named inside it.  Only the document's shape is checked here:
-    each value goes unchanged to the dataclass that declares it, and that
-    dataclass's error is prefixed with the file and the table."""
+    directory named inside it.  Only the document's shape is checked here;
+    its keys map onto :class:`ExperimentPlan` fields (``seed`` is
+    ``root_seed``, ``memory_enabled`` one memory mode, a table under an
+    algorithm's name an entry of ``algorithm_params``), which hold the
+    defaults and check the values.  Errors are prefixed with the file."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:  # a JSONDecodeError, or an int past str()'s digit limit
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-    with _located(f"{path}: "):
+    try:
         if not isinstance(doc, dict):
             raise ConfigError("plan must be a JSON object")
-        unknown = set(doc) - _PLAN_KEYS - set(algorithm_names())
-        if unknown:
-            raise ConfigError(f"unknown plan keys {sorted(unknown)}")
-        algorithms = _as_name_list(doc, "algorithm", "algorithms") or algorithm_names()
-        problems = _as_name_list(doc, "problem", "problems")
-        if problems is None:
-            raise ConfigError("plan names no problem")
-        memory = doc.get("memory_enabled")
-        if memory is not None and not isinstance(memory, bool):
-            raise ConfigError(f"memory_enabled must be a JSON boolean, not {memory!r}")
-        out = doc.get("out")
+        out = doc.pop("out", None)
         if out is not None and not isinstance(out, str):
             raise ConfigError(f"out must be a JSON string, not {out!r}")
-        params = {n: doc[n] for n in algorithm_names() if n in doc}
-        # built here so that an error names the table; the plan builds it again
-        for name in params:
-            _table(doc, name, ALGORITHMS[name][1])
-        plan = ExperimentPlan(
-            algorithms=tuple(algorithms),
-            problems=problems,
-            memory_modes=(True, False) if memory is None else (memory,),
-            replicates=doc.get("replicates", 20),
-            population_size=doc.get("population_size", 50),
-            root_seed=doc.get("seed", 0),
-            budget=doc.get("budget"),
-            max_iterations=doc.get("max_iterations"),
-            memory_fraction=doc.get("memory_fraction", 0.2),
-            dim=doc.get("dim", 10),
-            penalty=_table(doc, "penalty", PenaltyParams),
-            algorithm_params=params,
-        )
-    return plan, out
+        tables = {name: doc.pop(name) for name in algorithm_names() if name in doc}
+        kwargs = {"algorithm_params": tables}
+        for singular, plural in (("algorithm", "algorithms"), ("problem", "problems")):
+            names = _as_name_list(doc, singular, plural)
+            if names is not None:
+                kwargs[plural] = names
+        if "problems" not in kwargs:
+            raise ConfigError("plan names no problem")
+        memory = doc.pop("memory_enabled", None)
+        if memory is not None:
+            if not isinstance(memory, bool):
+                raise ConfigError(f"memory_enabled must be a JSON boolean, not {memory!r}")
+            kwargs["memory_modes"] = (memory,)
+        if "seed" in doc:
+            kwargs["root_seed"] = doc.pop("seed")
+        unknown = set(doc) - _SAME_NAME_KEYS
+        if unknown:
+            raise ConfigError(f"unknown plan keys {sorted(unknown)}")
+        return ExperimentPlan(**kwargs, **doc), out
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -471,18 +443,10 @@ def run_cell(
 
 
 def write_manifest(plan: ExperimentPlan, out_dir: Path) -> None:
-    doc = {
-        "root_seed": plan.root_seed,
-        "population_size": plan.population_size,
-        "budget": plan.budget,
-        "max_iterations": plan.max_iterations,
-        "replicates": plan.replicates,
-        "memory_fraction": plan.memory_fraction,
-        "dim": plan.dim,
-        "penalty": {"scale": plan.penalty.scale, "exponent": plan.penalty.exponent},
-        "algorithm_params": plan.algorithm_params,
-        "cells": [dataclasses.asdict(c) for c in plan.cells()],
-    }
+    """``manifest.json``: the plan's fields, its parameter tables in full,
+    and its cells."""
+    doc = dataclasses.asdict(plan)
+    doc["cells"] = [dataclasses.asdict(c) for c in plan.cells()]
     with _atomic_write(Path(out_dir) / "manifest.json") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

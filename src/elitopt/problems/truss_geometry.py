@@ -123,10 +123,29 @@ class TrussDesign:
     Everything that no design variable changes is built and validated once,
     here: the search space, the :class:`TrussTopology` (members, supports,
     loads, masses, and the indices its analyses reuse), and the index arrays
-    that :meth:`expand` and the displacement checks use.
+    that :meth:`expand` and the displacement checks use.  A file that lacks
+    a required key or names an unknown node or axis is a ``ConfigError``.
     """
 
     def __init__(self, doc: dict):
+        try:
+            self._read(doc)
+        except KeyError as exc:
+            name = doc.get("name", "geometry file")
+            raise ConfigError(f"{name}: lacks required key {exc}") from None
+
+    def _node(self, node_id, entry: str) -> int:
+        """Index of the node ``node_id`` that ``entry`` of the file names."""
+        if int(node_id) not in self._id_to_index:
+            raise ConfigError(f"{self.name}: {entry} names unknown node {node_id!r}")
+        return self._id_to_index[int(node_id)]
+
+    def _axis(self, axis, entry: str) -> int:
+        if axis not in _AXES:
+            raise ConfigError(f"{self.name}: {entry} names unknown axis {axis!r}")
+        return _AXES[axis]
+
+    def _read(self, doc: dict) -> None:
         self.name = doc["name"]
         self.provenance = list(doc.get("provenance", []))
         try:
@@ -148,7 +167,7 @@ class TrussDesign:
 
         members = np.array(
             [
-                [self._id_to_index[int(e["nodes"][0])], self._id_to_index[int(e["nodes"][1])]]
+                [self._node(node, f"element {e.get('id')}") for node in e["nodes"][:2]]
                 for e in doc["elements"]
             ],
             dtype=int,
@@ -157,19 +176,19 @@ class TrussDesign:
 
         fixed = np.zeros((n, 2), dtype=bool)
         for s in doc.get("supports", []):
-            k = self._id_to_index[int(s["node"])]
+            k = self._node(s["node"], "support")
             fixed[k, 0] = bool(s.get("fix_x", False))
             fixed[k, 1] = bool(s.get("fix_y", False))
 
         loads = np.zeros((n, 2))
         for l in doc.get("loads", []):
-            k = self._id_to_index[int(l["node"])]
+            k = self._node(l["node"], "load")
             loads[k, 0] += float(l.get("fx", 0.0))
             loads[k, 1] += float(l.get("fy", 0.0))
 
         masses = np.zeros(n)
         for m in doc.get("masses", []):
-            masses[self._id_to_index[int(m["node"])]] += float(m["mass"])
+            masses[self._node(m["node"], "mass")] += float(m["mass"])
 
         group_members: dict[str, list[int]] = {}
         for idx, g in enumerate(self.member_groups):
@@ -227,8 +246,8 @@ class TrussDesign:
         for sv in doc.get("shape_variables", []):
             targets = tuple(
                 ShapeTarget(
-                    node=self._id_to_index[int(t["node"])],
-                    axis=_AXES[t["axis"]],
+                    node=self._node(t["node"], f"shape variable {sv['name']!r}"),
+                    axis=self._axis(t["axis"], f"shape variable {sv['name']!r}"),
                     coeff=_finite(t.get("coeff", 1.0), f"{sv['name']!r} target coeff"),
                     datum=_finite(t.get("datum", 0.0), f"{sv['name']!r} target datum"),
                 )
@@ -257,13 +276,13 @@ class TrussDesign:
         )
         self.displacement_limits: list[tuple[int | None, int, float]] = []
         for dl in c.get("displacement_limits", []):
-            axis = _AXES[dl["axis"]]
+            axis = self._axis(dl["axis"], "displacement limit")
             limit = _positive(dl["limit"], "displacement limit")
             if dl["node"] == "all":
                 self.displacement_limits.append((None, axis, limit))
             else:
                 self.displacement_limits.append(
-                    (self._id_to_index[int(dl["node"])], axis, limit)
+                    (self._node(dl["node"], "displacement limit"), axis, limit)
                 )
 
         try:

@@ -26,6 +26,7 @@ from elitopt.core import (
     snap_to_grid,
 )
 from elitopt.harness import ExperimentPlan
+from elitopt.problems import get_problem
 from oracles import (
     funnel_loop,
     inject_loop,
@@ -758,6 +759,18 @@ class TestEvaluateBatch:
         assert calls == [] and ctx.nfes == 0
         assert memory.offers == [] and ctx.best is None
         assert ctx.evaluate(np.array([3.0])[None]).tolist() == [2.0]
+
+    @pytest.mark.parametrize("name", ["sphere", "michell"])
+    def test_batch_of_the_wrong_width_refused(self, name):
+        # sphere summed the 5 columns it was given; michell raised from
+        # inside snap_to_grid
+        problem = get_problem(name, dim=10)
+        memory = EliteMemory(2)
+        ctx = RunContext(problem, PenaltyParams(), memory)
+        for width in (problem.space.dim - 1, problem.space.dim + 1):
+            with pytest.raises(ValueError, match=r"\(k, dim\) array .* dim 10, not \(2, "):
+                ctx.evaluate(np.ones((2, width)))
+        assert ctx.nfes == 0 and ctx.best is None and len(memory) == 0
 
     def test_result_shapes_checked(self):
         space = SearchSpace(lower=[0.0], upper=[1.0])

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elitopt.algorithms import get_algorithm
+from elitopt.algorithms import BboParams, KhaParams, TeoParams, get_algorithm
 from elitopt.cli import main
 from elitopt.core import ConfigError, PenaltyParams, StatsRecord
 from elitopt.harness import (
@@ -212,6 +212,27 @@ class TestPlanFromFile:
         with pytest.raises(ConfigError, match="not both"):
             plan_from_file(self.write(tmp_path, doc))
 
+    def test_defaults_are_the_plan_fields(self, tmp_path):
+        doc = {"problem": "sphere", "max_iterations": 5}
+        plan, _ = plan_from_file(self.write(tmp_path, doc))
+        assert plan == ExperimentPlan(problems=("sphere",), max_iterations=5)
+        assert (plan.algorithms, plan.memory_modes, plan.replicates,
+                plan.population_size, plan.root_seed) == (
+                    ("bbo", "kha", "teo"), (True, False), 20, 50, 0)
+
+    def test_manifest_records_the_table_that_ran(self, tmp_path):
+        # an integral time_factor runs as 1.0 and was recorded as 1
+        doc = self.base_doc()
+        doc.update(algorithm="kha", kha={"time_factor": 1})
+        plan, _ = plan_from_file(self.write(tmp_path, doc))
+        write_manifest(plan, tmp_path)
+        text = (tmp_path / "manifest.json").read_text()
+        assert '"time_factor": 1.0,' in text
+        manifest = json.loads(text)
+        assert manifest["algorithm_params"] == {
+            "kha": dataclasses.asdict(KhaParams(time_factor=1.0))}
+        assert manifest["problems"] == ["sphere"] and manifest["root_seed"] == 0
+
     def test_algorithms_default_to_all(self, tmp_path):
         plan, _ = plan_from_file(self.write(tmp_path, self.base_doc()))
         assert plan.algorithms == ("bbo", "kha", "teo")
@@ -241,7 +262,7 @@ class TestPlanFromFile:
         doc["algorithm"] = "bbo"
         doc["bbo"] = {"elite_keep": 3}
         plan, _ = plan_from_file(self.write(tmp_path, doc))
-        assert plan.algorithm_params == {"bbo": {"elite_keep": 3}}
+        assert plan.algorithm_params == {"bbo": BboParams(elite_keep=3)}
         assert plan.algorithm_instance("bbo").params.elite_keep == 3
 
     @pytest.mark.parametrize(
@@ -276,9 +297,9 @@ class TestPlanFromFile:
         doc["teo"] = {}
         plan, _ = plan_from_file(self.write(tmp_path, doc))
         assert plan.algorithm_params == {
-            "bbo": {"mutation_max": 0, "elite_keep": 0},
-            "kha": {"crossover": False, "induced_max": 0.02},
-            "teo": {},
+            "bbo": BboParams(mutation_max=0, elite_keep=0),
+            "kha": KhaParams(crossover=False, induced_max=0.02),
+            "teo": TeoParams(),
         }
         assert plan.algorithm_instance("kha").params.crossover is False
 
@@ -447,11 +468,11 @@ class TestPlanValidation:
     def test_mistyped_parameters_rejected(self):
         # bbo would fail every cell with a TypeError, kha would run with
         # crossover on, since "no" is truthy
-        with pytest.raises(ConfigError, match="^elite_keep must be int"):
+        with pytest.raises(ConfigError, match=r"^bbo\.elite_keep must be int"):
             small_plan(algorithms=("bbo", "kha"),
                        algorithm_params={"bbo": {"elite_keep": 2.5},
                                          "kha": {"crossover": "no"}})
-        with pytest.raises(ConfigError, match="^crossover must be bool"):
+        with pytest.raises(ConfigError, match=r"^kha\.crossover must be bool"):
             small_plan(algorithm_params={"kha": {"crossover": "no"}})
 
     @pytest.mark.parametrize("modes", [(1,), (True, 0), ()])
@@ -480,10 +501,51 @@ class TestPlanValidation:
             text = (tmp_path / "manifest.json").read_text()
             assert '"memory_fraction": 1.0,' in text and '"scale": 2.0,' in text
 
-    def test_unknown_parameter_key_is_a_config_error(self):
-        with pytest.raises(ConfigError, match=re.escape("unknown kha parameters: ['foo']")):
-            get_algorithm("kha", {"foo": 1, "induced_max": 0.02})
+    def test_unknown_parameter_key_is_a_config_error(self, tmp_path):
+        # a plan file, a plan built in Python and get_algorithm share one check
+        table = {"foo": 1, "induced_max": 0.02}
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"problem": "sphere", "max_iterations": 5,
+                                    "kha": table}))
+        message = "kha.foo is not a kha parameter"
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            plan_from_file(path)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            small_plan(algorithm_params={"kha": table})
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            get_algorithm("kha", table)
         assert get_algorithm("kha", {"induced_max": 0.02}).params.induced_max == 0.02
+
+    def test_each_parameter_table_built_once(self, tmp_path, monkeypatch):
+        # the plan builds the kha table; no cell or replicate builds another
+        built = []
+        for cls in (BboParams, KhaParams, TeoParams):
+            def counted(params, check=cls.__post_init__):
+                built.append(type(params).__name__)
+                check(params)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        plan = small_plan(algorithms=("kha",), replicates=3,
+                          algorithm_params={"kha": {"time_factor": 0.4}})
+        report = run_experiment(plan, tmp_path)
+        assert [c.status for c in report.cells] == ["ok", "ok"]
+        assert built == ["KhaParams"]
+
+    def test_numpy_integer_in_a_table_runs_and_is_recorded(self, tmp_path):
+        # the manifest held the np.int64 and json.dump raised before any cell ran
+        plan = small_plan(memory_modes=(True,),
+                          algorithm_params={"bbo": {"elite_keep": np.int64(2)}})
+        report = run_experiment(plan, tmp_path)
+        assert report.cells[0].status == "ok"
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["algorithm_params"]["bbo"]["elite_keep"] == 2
+
+    def test_params_dataclass_passes_through(self):
+        params = KhaParams(time_factor=0.4)
+        plan = small_plan(algorithms=("kha",), algorithm_params={"kha": params})
+        assert plan.algorithm_params["kha"] is params
+        assert plan.algorithm_instance("kha").params is params
+        assert dataclasses.replace(plan, root_seed=9).algorithm_params["kha"] is params
 
     def test_population_checked_by_every_algorithm(self):
         # an odd population is fine for bbo and kha, not for teo
@@ -862,6 +924,26 @@ class TestCli:
         b = (tmp_path / "b" / "bbo-sphere-mem" / "run_000.csv").read_text()
         assert a != b
 
+    def test_overrides_run_with_the_plan_tables(self, tmp_path, capsys):
+        # --seed and --memory replace fields of the loaded plan, and the
+        # worker processes get its built tables
+        plan = self.write_plan(tmp_path, bbo={"elite_keep": 0, "mutation_max": 0.5})
+        out = tmp_path / "out"
+        assert main(["run", str(plan), "--out", str(out), "--seed", "99",
+                     "--memory", "off", "--workers", "2"]) == 0
+        capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["root_seed"], manifest["memory_modes"]) == (99, [False])
+        assert manifest["algorithm_params"]["bbo"]["mutation_max"] == 0.5
+        loaded, _ = plan_from_file(plan)
+        expected = dataclasses.replace(loaded, root_seed=99, memory_modes=(False,))
+        default = dataclasses.replace(expected, algorithm_params={})
+        run_experiment(expected, tmp_path / "expected")
+        run_experiment(default, tmp_path / "default")
+        run = "bbo-sphere-std/run_000.csv"
+        assert (out / run).read_bytes() == (tmp_path / "expected" / run).read_bytes()
+        assert (out / run).read_bytes() != (tmp_path / "default" / run).read_bytes()
+
     def test_stats_verb_matches_stats_file(self, tmp_path, capsys):
         plan = self.write_plan(tmp_path)
         out = tmp_path / "out"
@@ -928,6 +1010,19 @@ class TestCli:
         assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
         assert target.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad", "good", "plot.csv"]
+
+    def test_plotdata_merges_each_file_once(self, tmp_path, capsys):
+        # a file named both literally and by a glob was merged twice
+        cell = tmp_path / "bbo-sphere-mem"
+        cell.mkdir()
+        for r in range(2):
+            write_history_csv(cell / f"run_{r:03d}.csv", [(0, 2.0 + r, 10), (1, 1.0, 20)])
+        target = tmp_path / "plot.csv"
+        assert main(["plotdata", str(cell / "run_000.csv"), str(cell / "run_*.csv"),
+                     str(cell / ".." / cell.name / "run_001.csv"),
+                     "--output", str(target)]) == 0
+        lines = target.read_text().splitlines()
+        assert [line.split(",")[1] for line in lines[1:]] == ["0", "0", "1", "1"]
 
     def test_plotdata_no_match(self, tmp_path, capsys):
         assert main(["plotdata", str(tmp_path / "nope_*.csv")]) == 2

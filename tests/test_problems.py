@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,49 @@ class TestLoadValidation:
         doc["size_variables"][0]["grid"] = {"start": 1.0, "stop": 5.0, "step": step}
         with pytest.raises(ConfigError, match="grid step must be positive"):
             TrussDesign(doc)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("supports", 1, "node"), 999, "support names unknown node 999"),
+        (("loads", 0, "node"), 999, "load names unknown node 999"),
+        (("elements", 1, "nodes"), [1, 999], "element 2 names unknown node 999"),
+        (("masses",), [{"node": 999, "mass": 1.0}], "mass names unknown node 999"),
+        (("shape_variables", 0, "targets", 0, "node"), 999,
+         "shape variable 'y_apex' names unknown node 999"),
+        (("shape_variables", 0, "targets", 0, "axis"), "z",
+         "shape variable 'y_apex' names unknown axis 'z'"),
+        (("constraints", "displacement_limits"), [{"node": 999, "axis": "y", "limit": 0.01}],
+         "displacement limit names unknown node 999"),
+        (("constraints", "displacement_limits"), [{"node": 3, "axis": "z", "limit": 0.01}],
+         "displacement limit names unknown axis 'z'"),
+    ])
+    def test_unknown_node_or_axis_rejected_naming_the_entry(self, path, value, message):
+        # each was a bare KeyError: 999 or KeyError: 'z'
+        doc = with_value(collapsing_doc(), path, value)
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'collapsing: {message}')}$"):
+            TrussDesign(doc)
+
+    @pytest.mark.parametrize("path", [
+        ("material",), ("nodes",), ("elements",), ("material", "density"),
+        ("nodes", 1, "x"), ("supports", 0, "node"), ("loads", 0, "node"),
+        ("size_variables", 0, "lower"), ("shape_variables", 0, "targets", 0, "axis"),
+    ])
+    def test_missing_required_key_rejected(self, path):
+        doc = collapsing_doc()
+        *head, last = path
+        target = doc
+        for key in head:
+            target = target[key]
+        del target[last]
+        with pytest.raises(ConfigError, match=re.escape(f"collapsing: lacks required key {last!r}")):
+            TrussDesign(doc)
+
+    def test_bad_bundled_file_names_itself(self, tmp_path, monkeypatch):
+        doc = json.loads((data_dir() / "michell_arch.json").read_text())
+        doc["supports"][0]["node"] = 999
+        (tmp_path / "michell_arch.json").write_text(json.dumps(doc))
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+        with pytest.raises(ConfigError, match="^michell_arch: support names unknown node 999$"):
+            get_problem("michell")
 
     def test_all_fixed_supports_rejected(self):
         doc = collapsing_doc()

@@ -332,10 +332,8 @@ class Kha:
     def evals_per_iteration(self, population_size: int) -> int:
         return population_size
 
-    def check_population(self, population_size: int) -> None:
-        """Any population size runs."""
-
-    def init_population(self, ctx, space: SearchSpace, n: int, rng):
+    def init_population(self, ctx, n: int, rng):
+        space = ctx.problem.space
         positions = space.sample(n, rng)
         fitness = ctx.evaluate(positions)
         state = KhaState(

@@ -132,15 +132,13 @@ class Teo:
         self.params = params or TeoParams()
 
     def evals_per_iteration(self, population_size: int) -> int:
-        return population_size // 2
-
-    def check_population(self, population_size: int) -> None:
-        """The population splits into two halves of equal size."""
+        """Half the population; it splits into two halves of equal size."""
         if population_size < 2 or population_size % 2 != 0:
             raise ConfigError("population size must be even and >= 2")
+        return population_size // 2
 
-    def init_population(self, ctx, space: SearchSpace, n: int, rng):
-        positions = space.sample(n, rng)
+    def init_population(self, ctx, n: int, rng):
+        positions = ctx.problem.space.sample(n, rng)
         return positions, ctx.evaluate(positions), None
 
     def step(

@@ -101,11 +101,11 @@ def _cmd_plotdata(args) -> int:
     paths = {}
     for pattern in args.patterns:
         matches = [pattern] if Path(pattern).exists() else sorted(globmod.glob(pattern))
+        if not matches:
+            raise FileNotFoundError(f"no history files match {pattern!r}")
         for match in matches:
             paths.setdefault(Path(match).resolve(), Path(match))
     paths = list(paths.values())
-    if not paths:
-        raise FileNotFoundError(f"no history files match {args.patterns}")
     if args.output is not None:
         with _atomic_write(args.output) as fh:
             emit_plot_data(paths, fh)

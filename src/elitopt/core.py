@@ -398,8 +398,7 @@ class Problem:
 class RunConfig:
     population_size: int
     max_iterations: int
-    memory_enabled: bool = True
-    memory_fraction: float = 0.2
+    memory_fraction: float | None = 0.2
     seed: int = 0
     penalty: PenaltyParams = field(default_factory=PenaltyParams)
 
@@ -411,7 +410,7 @@ class RunConfig:
             raise ConfigError("max_iterations must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
-        if self.memory_enabled:
+        if self.memory_fraction is not None:
             # raises ConfigError when the fraction cannot yield a buffer
             memory_capacity(self.population_size, self.memory_fraction)
 
@@ -523,16 +522,17 @@ def run(algorithm, problem: Problem, config: RunConfig) -> RunResult:
     """Execute one seeded optimization run.
 
     A generation is two arrays: ``(n, dim)`` positions and their ``(n,)``
-    fitness.  The algorithm protocol is ``evals_per_iteration(n)``,
-    ``check_population(n)`` (raises :class:`ConfigError` when the algorithm
-    cannot run ``n`` members; checked before anything is drawn),
-    ``init_population(ctx, space, n, rng) -> (positions, fitness, state)``,
-    ``step(positions, fitness, state, ctx, frac, rng) -> (positions,
-    fitness)`` and the attribute ``inject_before_step``.  ``frac`` is the
-    elapsed fraction ``g / max_iterations`` of iteration ``g``; the search
-    space is ``ctx.problem.space``.
+    fitness.  The algorithm protocol is ``evals_per_iteration(n)`` (the
+    evaluations one iteration costs; raises :class:`ConfigError` when the
+    algorithm cannot run ``n`` members, and is called first, before anything
+    is drawn), ``init_population(ctx, n, rng) -> (positions, fitness,
+    state)``, ``step(positions, fitness, state, ctx, frac, rng) ->
+    (positions, fitness)`` and the attribute ``inject_before_step``.
+    ``frac`` is the elapsed fraction ``g / max_iterations`` of iteration
+    ``g``; the search space is ``ctx.problem.space``.
 
-    The loop per iteration: with the memory on, ``memory.inject`` overwrites
+    ``config.memory_fraction`` sizes the elite memory; ``None`` runs without
+    one.  The loop per iteration: with a memory, ``memory.inject`` overwrites
     the worst members of the generation with the stored elites before the
     step when the algorithm sets ``inject_before_step``, and after it
     otherwise.  The step builds the whole new generation first and evaluates
@@ -543,23 +543,22 @@ def run(algorithm, problem: Problem, config: RunConfig) -> RunResult:
 
     Identical ``(seed, config, problem)`` triples give bit-identical results.
     """
-    algorithm.check_population(config.population_size)
+    declared = algorithm.evals_per_iteration(config.population_size)
     rng = np.random.default_rng(config.seed)
     memory = None
-    if config.memory_enabled:
+    if config.memory_fraction is not None:
         memory = EliteMemory(
             memory_capacity(config.population_size, config.memory_fraction)
         )
     ctx = RunContext(problem, config.penalty, memory)
     positions, fitness, state = algorithm.init_population(
-        ctx, problem.space, config.population_size, rng
+        ctx, config.population_size, rng
     )
     if ctx.nfes != config.population_size:
         raise AccountingError(
             f"init evaluated {ctx.nfes} candidates, expected {config.population_size}"
         )
     history = [(0, ctx.best.fitness, ctx.nfes)]
-    declared = algorithm.evals_per_iteration(config.population_size)
     inject_first = algorithm.inject_before_step
     for g in range(1, config.max_iterations + 1):
         if memory is not None and inject_first:

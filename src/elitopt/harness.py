@@ -120,7 +120,9 @@ class ExperimentPlan:
 
     Exactly one of ``budget`` (total evaluations per run, initialization
     included) and ``max_iterations`` must be set; with a budget the
-    iteration count is derived per algorithm from its per-iteration cost.
+    iteration count is derived per algorithm from its per-iteration cost,
+    and a budget that leaves some algorithm no full iteration is refused
+    when the plan is built.
     ``penalty`` and each table of ``algorithm_params`` (by algorithm name)
     may be a dict of fields or the params dataclass; the plan builds and
     holds the dataclasses, one for every algorithm of the grid, and
@@ -172,8 +174,7 @@ class ExperimentPlan:
         RunConfig(
             population_size=self.population_size,
             max_iterations=1,
-            memory_enabled=True in self.memory_modes,
-            memory_fraction=self.memory_fraction,
+            memory_fraction=self.memory_fraction if True in self.memory_modes else None,
         )
         if self.replicates < 1:
             raise ConfigError("replicates must be >= 1")
@@ -191,8 +192,9 @@ class ExperimentPlan:
             if name in tables or name in self.algorithms
         }
         object.__setattr__(self, "algorithm_params", params)
-        for name in self.algorithms:
-            self.algorithm_instance(name).check_population(self.population_size)
+        # what running a cell would refuse: a population an algorithm cannot
+        # run, or a budget that leaves no full iteration
+        self.cells()
 
     def algorithm_instance(self, name: str):
         return ALGORITHMS[name][0](self.algorithm_params[name])
@@ -392,8 +394,7 @@ def _replicate_job(plan: ExperimentPlan, cell: PlanCell, replicate: int) -> RunR
     config = RunConfig(
         population_size=plan.population_size,
         max_iterations=cell.iterations,
-        memory_enabled=cell.memory,
-        memory_fraction=plan.memory_fraction,
+        memory_fraction=plan.memory_fraction if cell.memory else None,
         seed=replicate_seed(cell.seed, replicate),
         penalty=plan.penalty,
     )

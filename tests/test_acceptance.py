@@ -362,7 +362,7 @@ def test_criterion_5_determinism(tmp_path):
                 population_size=20,
                 max_iterations=100,
                 seed=ROOT_SEED,
-                memory_enabled=mem,
+                memory_fraction=0.2 if mem else None,
             )
             paths = []
             for attempt in range(2):
@@ -482,7 +482,7 @@ def test_criterion_8_histories_and_accounting(michell_grid, sphere_grid):
             get_algorithm(alg_name),
             problem,
             RunConfig(population_size=10, max_iterations=8, seed=3,
-                      memory_enabled=True),
+                      memory_fraction=0.2),
         )
         counted_ok += calls == result.nfes == result.history[-1][2]
     elapsed = time.perf_counter() - t0

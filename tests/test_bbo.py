@@ -267,7 +267,7 @@ class TestBboStep:
     def test_elitism_never_regresses(self):
         problem = sphere_problem(3, bound=1.0)
         config = RunConfig(population_size=10, max_iterations=15, seed=5,
-                           memory_enabled=False)
+                           memory_fraction=None)
         result = run(Bbo(BboParams(elite_keep=2)), problem, config)
         bests = [h[1] for h in result.history]
         assert all(b2 <= b1 for b1, b2 in zip(bests, bests[1:]))
@@ -281,7 +281,7 @@ class TestBboStep:
         algo = Bbo(BboParams(max_immigration=0.0, mutation_max=0.0,
                              elite_keep=0))
         ctx = RunContext(problem, PenaltyParams())
-        positions, fitness, state = algo.init_population(ctx, problem.space, 6, rng)
+        positions, fitness, state = algo.init_population(ctx, 6, rng)
         before = sorted(map(tuple, positions))
         out, _ = algo.step(positions, fitness, state, ctx, 1 / 10, rng)
         after = sorted(map(tuple, out))
@@ -293,7 +293,7 @@ class TestBboStep:
         problem = sphere_problem(3, bound=1.0)
         algo = Bbo()
         ctx = RunContext(problem, PenaltyParams())
-        positions, fitness, state = algo.init_population(ctx, problem.space, 9, rng)
+        positions, fitness, state = algo.init_population(ctx, 9, rng)
         out_positions, out_fitness = algo.step(positions, fitness, state, ctx, 1 / 10, rng)
         assert out_positions.shape == (9, 3) and out_fitness.shape == (9,)
 
@@ -328,7 +328,7 @@ class TestStepMatchesLoop:
         for seed in (0, 1):
             ctx = RunContext(problem, PenaltyParams())
             mine, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            population = Bbo(params).init_population(ctx, problem.space, n, mine)[:2]
+            population = Bbo(params).init_population(ctx, n, mine)[:2]
             twin.bit_generator.state = mine.bit_generator.state
             expected = population
             for g in range(3):

@@ -577,8 +577,8 @@ CONFIGS = {
     PenaltyParams: ({}, {"scale": float, "exponent": float}),
     RunConfig: (
         dict(population_size=10, max_iterations=1),
-        {"population_size": int, "max_iterations": int, "memory_enabled": bool,
-         "memory_fraction": float, "seed": int},
+        {"population_size": int, "max_iterations": int, "memory_fraction": float,
+         "seed": int},
     ),
     BboParams: (
         {},
@@ -601,7 +601,8 @@ CONFIGS = {
     ),
 }
 WRONG = {float: [True, "1", None], int: [True, 1.5, "1", None], bool: [1, "yes", None]}
-OPTIONAL = {(ExperimentPlan, "budget"), (ExperimentPlan, "max_iterations")}
+OPTIONAL = {(ExperimentPlan, "budget"), (ExperimentPlan, "max_iterations"),
+            (RunConfig, "memory_fraction")}
 SCALAR_FIELDS = [(cls, name, kind) for cls, (_, kinds) in CONFIGS.items()
                  for name, kind in kinds.items()]
 
@@ -855,11 +856,8 @@ class LyingAlgorithm:
     def evals_per_iteration(self, population_size):
         return 1
 
-    def check_population(self, population_size):
-        pass
-
-    def init_population(self, ctx, space, n, rng):
-        positions = space.sample(n, rng)
+    def init_population(self, ctx, n, rng):
+        positions = ctx.problem.space.sample(n, rng)
         return positions, ctx.evaluate(positions), None
 
     def step(self, positions, fitness, state, ctx, frac, rng):
@@ -883,10 +881,8 @@ class RecordingAlgorithm:
     def evals_per_iteration(self, population_size):
         return population_size
 
-    def check_population(self, population_size):
-        pass
-
-    def init_population(self, ctx, space, n, rng):
+    def init_population(self, ctx, n, rng):
+        space = ctx.problem.space
         ctx.evaluate(np.zeros(space.dim)[None])
         positions = space.sample(n - 1, rng)
         fitness = ctx.evaluate(positions)
@@ -926,7 +922,7 @@ class TestRunLoop:
 
     def test_accounting_error_on_undeclared_evals(self):
         config = RunConfig(population_size=4, max_iterations=3, seed=0,
-                           memory_enabled=False)
+                           memory_fraction=None)
         with pytest.raises(AccountingError):
             run(LyingAlgorithm(), sphere_problem(), config)
 
@@ -963,6 +959,13 @@ class TestRunLoop:
         with pytest.raises(ConfigError):
             RunConfig(population_size=10, max_iterations=1, memory_fraction=0.0)
 
+    def test_no_memory_fraction_is_not_range_checked(self):
+        config = RunConfig(population_size=10, max_iterations=1, memory_fraction=None)
+        assert config.memory_fraction is None
+        for fraction in (0.0, 1.5, -0.2):
+            with pytest.raises(ConfigError, match="memory fraction must lie in"):
+                RunConfig(population_size=10, max_iterations=1, memory_fraction=fraction)
+
     def test_inject_before_step(self):
         algo = RecordingAlgorithm(inject_before_step=True)
         run(algo, sphere_problem(), RunConfig(population_size=10,
@@ -979,8 +982,23 @@ class TestRunLoop:
     def test_memory_off_never_injects(self):
         algo = RecordingAlgorithm(inject_before_step=True)
         run(algo, sphere_problem(), RunConfig(population_size=10, max_iterations=2,
-                                              seed=0, memory_enabled=False))
+                                              seed=0, memory_fraction=None))
         assert not any(holds_origin(p) for p in algo.handed)
+
+    @pytest.mark.parametrize("name", ["bbo", "kha", "teo"])
+    def test_init_population_samples_the_context_space(self, name):
+        from elitopt.algorithms import get_algorithm
+
+        # a box away from the origin, so a draw from any other space shows
+        space = SearchSpace(lower=[10.0, -3.0], upper=[11.0, -2.0])
+        problem = Problem(name="box", space=space, evaluate=lambda X: (
+            np.sum(X * X, axis=1), np.empty((len(X), 0))))
+        ctx = RunContext(problem, PenaltyParams())
+        positions, fitness, _ = get_algorithm(name).init_population(
+            ctx, 6, np.random.default_rng(0))
+        assert positions.tobytes() == space.sample(6, np.random.default_rng(0)).tobytes()
+        assert ctx.nfes == 6
+        assert fitness.tobytes() == np.sum(positions * positions, axis=1).tobytes()
 
     def test_algorithms_declare_injection_timing(self):
         from elitopt.algorithms import Bbo, Kha, Teo

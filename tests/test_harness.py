@@ -450,6 +450,20 @@ class TestPlanValidation:
         with pytest.raises(ConfigError):
             small_plan(max_iterations=None)
 
+    def test_budget_leaving_no_full_iteration_refused_when_built(self, tmp_path):
+        # it was refused only by cells(), inside run_experiment and after
+        # the output directory was made
+        with pytest.raises(ConfigError, match="^budget 60 leaves no full iteration"):
+            ExperimentPlan(problems=("sphere",), budget=60)
+        # teo's iteration costs half a population, so 15 leaves it one
+        small_plan(algorithms=("teo",), max_iterations=None, budget=15)
+        with pytest.raises(ConfigError, match="^budget 15 leaves no full iteration"):
+            small_plan(algorithms=("teo", "bbo"), max_iterations=None, budget=15)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"problem": "sphere", "budget": 60}))
+        with pytest.raises(ConfigError, match="plan.json: budget 60 leaves no full"):
+            plan_from_file(path)
+
     def test_unknown_parameter_table_rejected(self):
         with pytest.raises(ConfigError):
             small_plan(algorithm_params={"cuckoo": {}})
@@ -1028,3 +1042,16 @@ class TestCli:
         assert main(["plotdata", str(tmp_path / "nope_*.csv")]) == 2
         doc = json.loads(capsys.readouterr().err)
         assert doc["error"] == "FileNotFoundError"
+
+    def test_plotdata_refuses_a_pattern_that_matches_nothing(self, tmp_path, capsys):
+        # a typo beside a pattern that matches was dropped, with exit code 0
+        cell = tmp_path / "c"
+        cell.mkdir()
+        write_history_csv(cell / "run_000.csv", [(0, 2.0, 10), (1, 1.0, 20)])
+        target = tmp_path / "plot.csv"
+        typo = str(tmp_path / "typo_*.csv")
+        assert main(["plotdata", str(cell / "run_000.csv"), typo,
+                     "--output", str(target)]) == 2
+        doc = json.loads(capsys.readouterr().err)
+        assert doc["error"] == "FileNotFoundError" and repr(typo) in doc["message"]
+        assert not target.exists()

@@ -417,7 +417,7 @@ class TestDrawHerd:
         for seed in (0, 1):
             ctx = RunContext(problem, PenaltyParams())
             positions, fitness, state = Kha(params).init_population(
-                ctx, problem.space, n, np.random.default_rng(100 + seed))
+                ctx, n, np.random.default_rng(100 + seed))
             ctx.evaluate(np.full(4, 0.01)[None])  # a best outside the herd
             loop = copy.deepcopy((positions, fitness, state, ctx))
             mine, twin = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -463,7 +463,7 @@ class TestKhaStep:
         problem = sphere_problem(2, bound=4.0)
         algo = Kha()
         ctx = self.make_ctx(problem)
-        positions, fitness, state = algo.init_population(ctx, problem.space, 7, rng)
+        positions, fitness, state = algo.init_population(ctx, 7, rng)
         out_positions, out_fitness = algo.step(positions, fitness, state, ctx, 1 / 10, rng)
         assert out_positions.shape == (7, 2) and out_fitness.shape == (7,)
 
@@ -473,7 +473,7 @@ class TestKhaStep:
         problem = sphere_problem(2, bound=4.0)
         algo = Kha(params)
         ctx = self.make_ctx(problem)
-        before, fitness, state = algo.init_population(ctx, problem.space, 5, rng)
+        before, fitness, state = algo.init_population(ctx, 5, rng)
         after, _ = algo.step(before, fitness, state, ctx, 1 / 10, rng)
         assert np.array_equal(before, after)
 
@@ -488,7 +488,7 @@ class TestKhaStep:
         problem = sphere_problem(2, bound=4.0)
         algo = Kha(params)
         ctx = self.make_ctx(problem)
-        positions, fitness, state = algo.init_population(ctx, problem.space, 4, rng)
+        positions, fitness, state = algo.init_population(ctx, 4, rng)
         positions, fitness = algo.step(positions, fitness, state, ctx, 1 / 10, rng)
 
         injected = np.array([3.5, 3.5])
@@ -509,7 +509,7 @@ class TestKhaStep:
         problem = sphere_problem(2, bound=4.0)
         algo = Kha(params)
         ctx = self.make_ctx(problem)
-        positions, fitness, state = algo.init_population(ctx, problem.space, 4, rng)
+        positions, fitness, state = algo.init_population(ctx, 4, rng)
         pb_before = state.pb_fitness.copy()
         algo.step(positions, fitness, state, ctx, 1 / 10, rng)
         assert np.array_equal(state.pb_fitness, pb_before)
@@ -520,7 +520,7 @@ class TestKhaStep:
     def test_run_never_regresses_and_deterministic(self):
         problem = sphere_problem(3, bound=4.0)
         config = RunConfig(population_size=12, max_iterations=20, seed=42,
-                           memory_enabled=False)
+                           memory_fraction=None)
         r1 = run(Kha(), problem, config)
         r2 = run(Kha(), problem, config)
         bests = [h[1] for h in r1.history]

@@ -19,6 +19,7 @@ from elitopt.algorithms.teo import (
 from elitopt.core import (
     ConfigError,
     PenaltyParams,
+    Problem,
     RunConfig,
     RunContext,
     SearchSpace,
@@ -185,7 +186,7 @@ class TestDrawCooling:
         for seed in (0, 1):
             ctx = RunContext(problem, PenaltyParams())
             positions, fitness, _ = Teo(params).init_population(
-                ctx, problem.space, n, np.random.default_rng(100 + seed))
+                ctx, n, np.random.default_rng(100 + seed))
             loop = copy.deepcopy((positions, fitness, ctx))
             mine, twin = np.random.default_rng(seed), np.random.default_rng(seed)
             out, out_fitness = Teo(params).step(positions, fitness, None, ctx, 0.5, mine)
@@ -206,7 +207,7 @@ class TestStepMatchesLoop:
         problem = sphere_problem(dim, bound=5.0)
         ctx = RunContext(problem, PenaltyParams())
         rng = np.random.default_rng(seed)
-        population = Teo(params).init_population(ctx, problem.space, n, rng)[:2]
+        population = Teo(params).init_population(ctx, n, rng)[:2]
         loop_population, loop_ctx = copy.deepcopy((population, ctx))
         loop_rng = copy.deepcopy(rng)
         for g in range(1, 5):
@@ -225,12 +226,19 @@ class TestTeoStep:
         algo = Teo()
         for n in (0, 1, 7):
             with pytest.raises(ConfigError, match="even"):
-                algo.check_population(n)
-        algo.check_population(8)
+                algo.evals_per_iteration(n)
+        assert algo.evals_per_iteration(8) == 4
+
+    def test_run_refuses_an_odd_population_before_the_generator_is_used(
+        self, monkeypatch
+    ):
         # a run asks before it draws or evaluates anything
-        problem = sphere_problem(2, bound=5.0)
+        made, evaluated = [], []
+        monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a))
+        problem = Problem("probe", SearchSpace([0.0], [1.0]), evaluated.append)
         with pytest.raises(ConfigError, match="even"):
-            run(algo, problem, RunConfig(population_size=7, max_iterations=1))
+            run(Teo(), problem, RunConfig(population_size=7, max_iterations=1))
+        assert made == [] and evaluated == []
 
     def test_declared_evaluation_cost(self):
         assert Teo().evals_per_iteration(50) == 25
@@ -239,7 +247,7 @@ class TestTeoStep:
         problem = sphere_problem(2, bound=5.0)
         algo = Teo()
         ctx = self.make_ctx(problem)
-        positions, fitness, state = algo.init_population(ctx, problem.space, 10, rng)
+        positions, fitness, state = algo.init_population(ctx, 10, rng)
         before = ctx.nfes
         algo.step(positions, fitness, state, ctx, 1 / 10, rng)
         assert ctx.nfes - before == 5
@@ -248,7 +256,7 @@ class TestTeoStep:
         problem = sphere_problem(2, bound=5.0)
         algo = Teo()
         ctx = self.make_ctx(problem)
-        positions, fitness, state = algo.init_population(ctx, problem.space, 8, rng)
+        positions, fitness, state = algo.init_population(ctx, 8, rng)
         order = sorted(range(8), key=lambda i: fitness[i])
         out_positions, out_fitness = algo.step(positions, fitness, state, ctx, 1 / 10, rng)
         for k, i in enumerate(order[:4]):
@@ -259,7 +267,7 @@ class TestTeoStep:
         problem = sphere_problem(2, bound=5.0)
         algo = Teo()
         ctx = self.make_ctx(problem)
-        positions, fitness, state = algo.init_population(ctx, problem.space, 12, rng)
+        positions, fitness, state = algo.init_population(ctx, 12, rng)
         best = fitness.min()
         for it in range(1, 6):
             positions, fitness = algo.step(positions, fitness, state, ctx, it / 6, rng)
@@ -271,14 +279,14 @@ class TestTeoStep:
         problem = sphere_problem(2, bound=5.0)
         algo = Teo()
         ctx = self.make_ctx(problem)
-        positions, fitness, state = algo.init_population(ctx, problem.space, 10, rng)
+        positions, fitness, state = algo.init_population(ctx, 10, rng)
         out_positions, out_fitness = algo.step(positions, fitness, state, ctx, 1 / 10, rng)
         assert out_positions.shape == (10, 2) and out_fitness.shape == (10,)
 
     def test_run_deterministic(self):
         problem = sphere_problem(3, bound=5.0)
         config = RunConfig(population_size=10, max_iterations=30, seed=9,
-                           memory_enabled=True, memory_fraction=0.2)
+                           memory_fraction=0.2)
         r1 = run(Teo(), problem, config)
         r2 = run(Teo(), problem, config)
         assert r1.history == r2.history

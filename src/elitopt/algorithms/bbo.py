@@ -81,10 +81,22 @@ def mutation_rate(p, p_max: float, params: BboParams):
     return params.mutation_max * (1.0 - p / p_max)
 
 
+def roulette_sums(mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The roulette of the migration over the emigration rates ``mus``: row
+    ``i`` of an ``(n, n)`` weight matrix is ``mus`` with habitat ``i``'s own
+    rate zeroed.  Returns the running sums of each row and the ``(n,)`` row
+    totals."""
+    n = len(mus)
+    weights = np.tile(np.asarray(mus, dtype=float), (n, 1))
+    np.fill_diagonal(weights, 0.0)
+    return np.cumsum(weights, axis=1), weights.sum(axis=1)
+
+
 def migrate(
     positions: np.ndarray,
     lambdas: np.ndarray,
-    mus: np.ndarray,
+    running: np.ndarray,
+    totals: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Per habitat and per variable: with probability lambda_i replace the
@@ -94,11 +106,10 @@ def migrate(
     population is returned unchanged and draws nothing (no donor exists).
     Otherwise ``rng.random((n, dim))`` gives the immigration coins, then
     ``rng.random(k)`` one uniform ``u`` per immigrating ``(i, j)`` in
-    row-major order.  The donor is a roulette pick over the emigration
-    rates ``mus`` with habitat ``i``'s own rate zeroed: row ``i`` of an
-    ``(n, n)`` weight matrix with a zero diagonal, its donor the count of
-    running sums ``<= u * total_i``.  When ``total_i <= 0`` the same ``u``
-    picks uniformly among the other habitats.
+    row-major order.  The donor is a roulette pick over the
+    :func:`roulette_sums` ``running`` and ``totals``: the count of row
+    ``i``'s running sums ``<= u * totals[i]``.  When ``totals[i] <= 0`` the
+    same ``u`` picks uniformly among the other habitats.
     """
     n, dim = positions.shape
     out = positions.copy()
@@ -107,11 +118,8 @@ def migrate(
     coins = rng.random((n, dim))
     rows, cols = np.nonzero(coins < lambdas[:, None])
     u = rng.random(rows.size)
-    weights = np.tile(np.asarray(mus, dtype=float), (n, 1))
-    np.fill_diagonal(weights, 0.0)
-    cumulative = np.cumsum(weights, axis=1)
-    totals = weights.sum(axis=1)[rows]
-    donors = np.count_nonzero(cumulative[rows] <= (u * totals)[:, None], axis=1)
+    totals = totals[rows]
+    donors = np.count_nonzero(running[rows] <= (u * totals)[:, None], axis=1)
     # no emigration weight: uniform among the other habitats, shifted past
     # the habitat itself
     flat = totals <= 0
@@ -136,6 +144,20 @@ def mutate(
     return out
 
 
+@dataclass(frozen=True)
+class BboState:
+    """The tables of a run, built once by ``Bbo.init_population`` because
+    they depend only on the population size and the parameters: the
+    immigration rates ``lambdas`` and the mutation ``rates`` by fitness
+    rank, the kept elite ranks at rate 0, and the :func:`roulette_sums`
+    ``running`` and ``totals`` of the emigration rates."""
+
+    lambdas: np.ndarray
+    rates: np.ndarray
+    running: np.ndarray
+    totals: np.ndarray
+
+
 class Bbo:
     """Biogeography-based optimizer with rank-linear migration rates."""
 
@@ -150,30 +172,31 @@ class Bbo:
 
     def init_population(self, ctx, n: int, rng):
         positions = ctx.problem.space.sample(n, rng)
-        return positions, ctx.evaluate(positions), None
+        ranks = np.arange(n)
+        lambdas, mus = migration_rates(ranks, n, self.params)
+        rates = mutation_rate(species_probability(ranks, n), 1.0, self.params)
+        rates[:min(self.params.elite_keep, n)] = 0.0
+        state = BboState(lambdas, rates, *roulette_sums(mus))
+        return positions, ctx.evaluate(positions), state
 
     def step(
         self,
         positions: np.ndarray,
         fitness: np.ndarray,
-        state,
+        state: BboState,
         ctx,
         frac: float,
         rng: np.random.Generator,
     ) -> tuple[np.ndarray, np.ndarray]:
-        params = self.params
         space = ctx.problem.space
         n = len(fitness)
         positions, fitness = ranked(positions, fitness)
-        keep = min(params.elite_keep, n)
+        keep = min(self.params.elite_keep, n)
 
         # draw order: migration coins and picks, then mutation coins and
-        # values; the kept elite ranks mutate at rate 0
-        ranks = np.arange(n)
-        lambdas, mus = migration_rates(ranks, n, params)
-        rates = mutation_rate(species_probability(ranks, n), 1.0, params)
-        rates[:keep] = 0.0
-        migrated = mutate(migrate(positions, lambdas, mus, rng), rates, space, rng)
+        # values
+        migrated = migrate(positions, state.lambdas, state.running, state.totals, rng)
+        migrated = mutate(migrated, state.rates, space, rng)
 
         new_positions = clamp_to_bounds(migrated, space)
         new_positions, new_fitness = ranked(new_positions, ctx.evaluate(new_positions))

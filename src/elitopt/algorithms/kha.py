@@ -60,11 +60,15 @@ class KhaParams:
 
 @dataclass
 class KhaState:
-    """Per-run mutable krill state.
+    """Per-run krill state: the motion history and personal bests, updated
+    every step, and two fields set once per run by ``Kha.init_population``.
 
     ``last_positions`` records where each slot ended the previous iteration;
     a mismatch at the next step start means the slot was replaced from the
     outside (elite injection) and its motion history no longer belongs to it.
+    ``dt`` is the :func:`time_step` of the search space and ``pairs`` the
+    index pairs ``i < j`` of the herd (``np.triu_indices(n, 1)``) that
+    :func:`pair_distances` reads: neither changes during a run.
     """
 
     induced_old: np.ndarray
@@ -72,25 +76,31 @@ class KhaState:
     pb_positions: np.ndarray
     pb_fitness: np.ndarray
     last_positions: np.ndarray
+    dt: float
+    pairs: tuple[np.ndarray, np.ndarray]
 
 
-def _pairwise(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Differences ``positions[j] - positions[i]`` at ``[i, j]``, shape
-    ``(n, n, dim)``, and the ``(n, n)`` distances between them.
+def pair_distances(
+    positions: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """The ``(n, n)`` distances between the krill, from the pairs ``i < j``
+    alone, each mirrored to ``[j, i]``; the diagonal is 0.
 
-    Row ``i`` of the distances is ``np.linalg.norm(positions - positions[i],
-    axis=1)`` bit for bit: the same squares summed by the same reduction.
+    Row ``i`` is ``np.linalg.norm(positions - positions[i], axis=1)`` bit
+    for bit: the same squares summed by the same reduction, and
+    ``p_j - p_i == -(p_i - p_j)`` squares to the same value, so the matrix
+    is exactly symmetric.
     """
-    diff = positions[None, :, :] - positions[:, None, :]
-    return diff, np.sqrt(np.add.reduce(diff * diff, axis=2))
-
-
-def _row_norms(diff: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, equal to ``np.linalg.norm`` of the row
-    alone: that takes a ``dot``, and a stacked row-times-column ``matmul``
-    makes the same ``dot`` per row, where a row-wise ``np.add.reduce`` may
-    round differently."""
-    return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
+    n = len(positions)
+    i, j = pairs
+    diff = np.take(positions, j, axis=0)
+    diff -= np.take(positions, i, axis=0)
+    diff *= diff
+    half = np.sqrt(np.add.reduce(diff, axis=1))
+    dists = np.zeros(n * n)
+    dists[i * n + j] = half
+    dists[j * n + i] = half
+    return dists.reshape(n, n)
 
 
 def sensing_radii(dists: np.ndarray) -> np.ndarray:
@@ -108,22 +118,24 @@ def fitness_ratio(k_i, k_j, spread: float):
 
 
 def local_attractions(
-    positions: np.ndarray, fitness: np.ndarray, spread: float, eps: float
+    positions: np.ndarray, fitness: np.ndarray, dists: np.ndarray, spread: float,
+    eps: float,
 ) -> np.ndarray:
-    """Summed pull of neighbors inside the sensing distance, for every krill:
-    one sum over ``j`` of the pulls, those from outside the radius set to 0.
+    """Summed pull of neighbors inside the sensing distance, for every krill,
+    from the ``(n, n)`` distances ``dists``: one sum over ``j`` of the
+    pulls, those from outside the radius set to 0.
 
-    Few krill have a neighbor, so the pulls are computed only for the rows
-    ``i`` that have one.  Each such row goes through the same elementwise
-    steps and the same reduction over ``j`` as in the full ``(n, n, dim)``
-    tensor, and a krill with no neighbor gets the ``+0.0`` that a sum of
-    zeroed pulls gives, so the result is the same bit for bit.
+    Few krill have a neighbor, so the differences ``positions[j] -
+    positions[i]`` and the pulls are formed only for the rows ``i`` that
+    have one.  Each such row goes through the same elementwise steps and the
+    same reduction over ``j`` as in the full ``(n, n, dim)`` tensor, and a
+    krill with no neighbor gets the ``+0.0`` that a sum of zeroed pulls
+    gives, so the result is the same bit for bit.
     """
-    diff, dists = _pairwise(positions)
     near = dists < sensing_radii(dists)[:, None]
     np.fill_diagonal(near, False)
     rows = np.flatnonzero(near.any(axis=1))
-    pulls = diff[rows]
+    pulls = positions[None, :, :] - positions[rows, None, :]
     pulls *= fitness_ratio(fitness[rows, None], fitness[None, :], spread)[:, :, None]
     pulls /= (dists[rows] + eps)[:, :, None]
     pulls[~near[rows]] = 0.0
@@ -138,40 +150,24 @@ def random_coefficient(u, frac: float):
     return 2.0 * (u + frac)
 
 
-def _unit_pulls(khat: np.ndarray, diff: np.ndarray, eps: float) -> np.ndarray:
-    """``khat`` times each row's unit direction, ``diff / (|diff| + eps)``."""
-    return khat[:, None] * diff / (_row_norms(diff) + eps)[:, None]
-
-
-def target_attractions(
-    positions: np.ndarray,
-    fitness: np.ndarray,
-    best_position: np.ndarray,
-    best_fitness: float,
-    spread: float,
-    c_best: np.ndarray,
-    eps: float,
-) -> np.ndarray:
-    """Pull of every krill toward the global best, scaled by its
-    coefficient ``c_best``."""
-    khat = c_best * fitness_ratio(fitness, best_fitness, spread)
-    return _unit_pulls(khat, best_position - positions, eps)
-
-
 def food_point(
     positions: np.ndarray, fitness: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Inverse-fitness weighted center of the herd and its virtual fitness.
 
     Weights are ``1 / K``; when any fitness is non-positive all values are
-    first shifted so the minimum becomes a small positive number.  The
-    virtual food fitness is the harmonic mean in the same scale, so no extra
-    objective evaluation is spent on the food point.
+    first shifted so the minimum becomes a small positive number:
+    ``POSITIVITY_DELTA``, or one unit in the last place where a minimum of
+    large magnitude absorbs the delta.  The virtual food fitness is the
+    harmonic mean in the same scale, so no extra objective evaluation is
+    spent on the food point.
     """
     k = np.asarray(fitness, dtype=float)
     shift = 0.0
     if k.min() <= 0:
         shift = k.min() - POSITIVITY_DELTA
+        if shift == k.min():
+            shift = np.nextafter(shift, -np.inf)
         k = k - shift
     if np.any(k == 0):
         raise ValueError("zero effective fitness in food weighting")
@@ -181,31 +177,42 @@ def food_point(
     return x_food, float(k_food)
 
 
-def foraging_attractions(
+def herd_pulls(
     positions: np.ndarray,
     fitness: np.ndarray,
-    food_position: np.ndarray,
-    food_fitness: float,
-    pb_positions: np.ndarray,
-    pb_fitness: np.ndarray,
+    best: tuple[np.ndarray, float],
+    food: tuple[np.ndarray, float],
+    personal: tuple[np.ndarray, np.ndarray],
     spread: float,
-    c_food: np.ndarray,
+    c_best: np.ndarray,
     eps: float,
-    food_coeff_on_best: bool = True,
-) -> np.ndarray:
-    """Food term plus personal-best term of every krill.  The food
-    coefficient ``c_food`` scales both terms unless ``food_coeff_on_best`` is
-    cleared, which restricts it to the food term."""
-    beta_food = _unit_pulls(
-        fitness_ratio(fitness, food_fitness, spread), food_position - positions, eps
-    )
-    beta_best = _unit_pulls(
-        fitness_ratio(fitness, pb_fitness, spread), pb_positions - positions, eps
-    )
-    c_food = c_food[:, None]
-    if food_coeff_on_best:
-        return c_food * (beta_food + beta_best)
-    return c_food * beta_food + beta_best
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pulls of every krill toward the global best, the food point and its
+    own best, as one ``(3, n, dim)`` stack in that order, and the ``(n,)``
+    fitness ratios to the global best.
+
+    Each target is a ``(position, fitness)`` pair; the personal bests give
+    one row per krill.  A pull is ``khat * diff / (|diff| + eps)``, with
+    ``diff`` the target less the krill and ``khat`` the fitness ratio of the
+    krill to the target, scaled by the coefficient ``c_best`` for the global
+    best.  The norms come from one stacked row-times-column ``matmul``,
+    which makes per row the ``dot`` that ``np.linalg.norm`` of the row alone
+    makes, where a row-wise ``np.add.reduce`` may round differently.
+    """
+    n, dim = positions.shape
+    diff = np.empty((3, n, dim))
+    others = np.empty((3, n))
+    for k, (target, target_fitness) in enumerate((best, food, personal)):
+        diff[k] = target
+        others[k] = target_fitness
+    diff -= positions
+    ratios = fitness_ratio(fitness, others, spread)
+    khat = ratios.copy()
+    khat[0] *= c_best
+    norms = np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+    pulls = khat[..., None] * diff
+    pulls /= (norms + eps)[..., None]
+    return pulls, ratios[0]
 
 
 def induced_motion(
@@ -252,8 +259,7 @@ def operator_probability(khat_best):
     probability 1; the caller is responsible for exempting the global best
     itself."""
     khat = np.asarray(khat_best, dtype=float)
-    with np.errstate(divide="ignore"):
-        prob = np.where(khat > 0, np.minimum(1.0, 0.05 / khat), 1.0)
+    prob = np.minimum(1.0, 0.05 / np.where(khat > 0, khat, 0.05))
     return prob if prob.ndim else float(prob)
 
 
@@ -342,6 +348,8 @@ class Kha:
             pb_positions=positions.copy(),
             pb_fitness=fitness.copy(),
             last_positions=positions,
+            dt=time_step(self.params.time_factor, space),
+            pairs=np.triu_indices(n, 1),
         )
         return positions, fitness, state
 
@@ -369,22 +377,27 @@ class Kha:
         state.pb_positions[fresh] = positions[fresh]
         state.pb_fitness[fresh] = fitness[fresh]
         spread = float(fitness.max()) - best_fitness
-        x_food, k_food = food_point(positions, fitness)
-        dt = time_step(params.time_factor, space)
 
         draws = draw_herd(n, space.dim, params, rng)
         c_best, c_food = random_coefficient(draws.uniforms[:, :2].T, frac)
-        alpha = local_attractions(positions, fitness, spread, eps)
-        alpha += target_attractions(
-            positions, fitness, best_position, best_fitness, spread, c_best, eps
+        dists = pair_distances(positions, state.pairs)
+        alpha = local_attractions(positions, fitness, dists, spread, eps)
+        pulls, best_ratio = herd_pulls(
+            positions, fitness, (best_position, best_fitness),
+            food_point(positions, fitness), (state.pb_positions, state.pb_fitness),
+            spread, c_best, eps,
         )
+        alpha += pulls[0]
         induced = induced_motion(
             alpha, state.induced_old, params.induced_max, params.inertia_induced
         )
-        beta = foraging_attractions(
-            positions, fitness, x_food, k_food, state.pb_positions, state.pb_fitness,
-            spread, c_food, eps, params.food_coeff_on_best,
-        )
+        # the food coefficient scales the personal-best pull as well, unless
+        # food_coeff_on_best is cleared
+        c_food = c_food[:, None]
+        if params.food_coeff_on_best:
+            beta = c_food * (pulls[1] + pulls[2])
+        else:
+            beta = c_food * pulls[1] + pulls[2]
         foraging = foraging_motion(
             beta, state.foraging_old, params.foraging_speed, params.inertia_foraging
         )
@@ -394,9 +407,7 @@ class Kha:
 
         # the global best itself is exempt from both operators
         prob = np.where(
-            fitness <= best_fitness,
-            0.0,
-            operator_probability(fitness_ratio(fitness, best_fitness, spread)),
+            fitness <= best_fitness, 0.0, operator_probability(best_ratio)
         )[:, None]
         x = positions
         if draws.donors is not None:
@@ -406,7 +417,7 @@ class Kha:
             donor_b = positions[draws.mutation[:, 1]]
             mutants = best_position + draws.mu_coins[:, :1] * (donor_a - donor_b)
             x = take_variables(x, mutants, prob, draws.mu_coins[:, 1:])
-        new_positions = advance_position(x, dt, induced + foraging + diffuse)
+        new_positions = advance_position(x, state.dt, induced + foraging + diffuse)
 
         new_positions = clamp_to_bounds(new_positions, space)
         new_fitness = ctx.evaluate(new_positions)

@@ -19,12 +19,13 @@ from elitopt.algorithms.bbo import BboParams, migration_rates, mutation_rate, sp
 from elitopt.algorithms.kha import (
     diffusion_motion,
     food_point,
+    herd_pulls,
     induced_motion,
     local_attractions,
     operator_probability,
+    pair_distances,
     random_coefficient,
     sensing_radii,
-    target_attractions,
     time_step,
 )
 from elitopt.algorithms.teo import exchange_ratio, time_fraction, updated_temperature
@@ -262,11 +263,13 @@ def test_criterion_4_worked_examples():
     box = SearchSpace(lower=[0.0, 0.0], upper=[5.0, 5.0])
     rates = migration_rates(0, 10, BboParams(max_immigration=1.0, max_emigration=1.0))
     food_x, food_k = food_point(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]))
-    pull = target_attractions(
-        np.array([[0.0, 0.0]]), np.array([10.0]), np.array([1.0, 0.0]),
-        0.0, 10.0, random_coefficient(np.array([1.0]), 1.0), 1e-10)[0]
+    krill, target = np.array([[0.0, 0.0]]), (np.array([1.0, 0.0]), 0.0)
+    pull = herd_pulls(
+        krill, np.array([10.0]), target, target, (krill, np.array([10.0])),
+        10.0, random_coefficient(np.array([1.0]), 1.0), 1e-10)[0][0, 0]
+    herd = np.array([[0.0], [0.01], [1.0]])
     alpha = local_attractions(
-        np.array([[0.0], [0.01], [1.0]]), np.array([1.0, 0.0, 10.0]),
+        herd, np.array([1.0, 0.0, 10.0]), pair_distances(herd, np.triu_indices(3, 1)),
         10.0, 1e-10)[0]
 
     checks = [

@@ -10,6 +10,7 @@ from elitopt.algorithms.bbo import (
     migration_rates,
     mutate,
     mutation_rate,
+    roulette_sums,
     species_count,
     species_probability,
 )
@@ -119,13 +120,13 @@ class TestBboParams:
 class TestMigrate:
     def test_zero_immigration_identity(self, rng):
         positions = rng.random((4, 3))
-        out = migrate(positions, np.zeros(4), np.ones(4), rng)
+        out = migrate(positions, np.zeros(4), *roulette_sums(np.ones(4)), rng)
         assert np.array_equal(out, positions)
 
     def test_single_habitat_unchanged(self):
         # no donor exists, so nothing is drawn
         positions = np.array([[0.3, 0.7]])
-        out = migrate(positions, np.ones(1), np.ones(1), FakeRng())
+        out = migrate(positions, np.ones(1), *roulette_sums(np.ones(1)), FakeRng())
         assert np.array_equal(out, positions)
 
     def test_full_immigration_single_donor(self):
@@ -134,7 +135,7 @@ class TestMigrate:
         mus = np.array([1.0, 0.0])
         # the 2 x 2 immigration coins, then one roulette uniform per pick
         fake = FakeRng(randoms=[0.5, 0.5, 0.0, 0.0, 0.0, 0.0])
-        out = migrate(positions, lambdas, mus, fake)
+        out = migrate(positions, lambdas, *roulette_sums(mus), fake)
         assert fake.exhausted
         assert np.array_equal(out[1], positions[0])
         assert np.array_equal(out[0], positions[0])
@@ -146,7 +147,7 @@ class TestMigrate:
         lambdas = np.array([1.0, 1.0])
         mus = np.array([1.0, 1.0])
         fake = FakeRng(randoms=[0.0, 0.0, 0.3, 0.3])
-        out = migrate(positions, lambdas, mus, fake)
+        out = migrate(positions, lambdas, *roulette_sums(mus), fake)
         assert out[0, 0] == 7.0
         assert out[1, 0] == 5.0
 
@@ -158,7 +159,7 @@ class TestMigrate:
         positions = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         lambdas = np.array([1.0, 0.0, 0.5])
         fake = FakeRng(randoms=[0.0, 0.0, 0.9, 0.9, 0.9, 0.0, 0.0, 0.5, 0.3])
-        out = migrate(positions, lambdas, np.array([2.0, 3.0, 5.0]), fake)
+        out = migrate(positions, lambdas, *roulette_sums(np.array([2.0, 3.0, 5.0])), fake)
         assert fake.exhausted
         assert out.tolist() == [[1.0, 2.0], [1.0, 1.0], [2.0, 0.0]]
 
@@ -166,7 +167,8 @@ class TestMigrate:
         # a donor picked with a habitat's own weight zeroed: with every
         # coin below lambda, each variable comes from another habitat
         positions = np.arange(5.0)[:, None] * np.ones((5, 40))
-        out = migrate(positions, np.ones(5), np.array([9.0, 1.0, 1.0, 1.0, 1.0]),
+        out = migrate(positions, np.ones(5),
+                      *roulette_sums(np.array([9.0, 1.0, 1.0, 1.0, 1.0])),
                       np.random.default_rng(4))
         assert not np.any(out == positions)
 
@@ -177,7 +179,7 @@ class TestMigrate:
         positions = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         lambdas = np.array([0.0, 1.0, 0.0])
         fake = FakeRng(randoms=[0.5] * 2 + [0.0] * 2 + [0.5] * 2 + [0.2, 0.7])
-        out = migrate(positions, lambdas, np.zeros(3), fake)
+        out = migrate(positions, lambdas, *roulette_sums(np.zeros(3)), fake)
         assert fake.exhausted
         assert out[1].tolist() == [0.0, 2.0]
 
@@ -188,7 +190,7 @@ class TestMigrate:
         assert mus.tolist() == [0.5, 0.0]
         positions = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         fake = FakeRng(randoms=[0.0, 0.9, 0.0] + [0.9, 0.0, 0.9] + [0.99, 0.0, 0.5])
-        out = migrate(positions, np.array([0.5, 0.5]), mus, fake)
+        out = migrate(positions, np.array([0.5, 0.5]), *roulette_sums(mus), fake)
         assert fake.exhausted
         assert out.tolist() == [[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]]
 
@@ -204,8 +206,9 @@ class TestMigrate:
         lambdas = rng.random(n)
         mus = np.zeros(n) if seed == 5 else rng.random(n)
         mine, twin = np.random.default_rng(seed + 10), np.random.default_rng(seed + 10)
+        running, totals = roulette_sums(mus)
         for _ in range(5):
-            out = migrate(positions, lambdas, mus, mine)
+            out = migrate(positions, lambdas, running, totals, mine)
             coins = twin.random((n, dim))
             picks = twin.random(int(np.sum(coins < lambdas[:, None])))
             assert out.tobytes() == migrate_loop(positions, lambdas, mus, coins,
@@ -310,10 +313,11 @@ class TestBboStep:
 
 
 class TestStepMatchesLoop:
-    """``Bbo.step`` against the rank-by-rank, habitat-by-habitat reference,
-    which makes the four documented draws on a twin generator: the same
-    positions and fitness bit for bit, and the generator left where those
-    four calls leave it."""
+    """``Bbo.step`` over the tables that ``init_population`` builds once per
+    run, against the rank-by-rank, habitat-by-habitat reference, which
+    computes the rates every step and makes the four documented draws on a
+    twin generator: the same positions and fitness bit for bit, and the
+    generator left where those four calls leave it."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50])
     @pytest.mark.parametrize("params", [
@@ -322,18 +326,21 @@ class TestStepMatchesLoop:
         BboParams(max_emigration=0.0, mutation_max=0.3),
         BboParams(max_immigration=0.4, elite_keep=0, mutation_max=0.2),
         BboParams(elite_keep=5, mutation_max=1.0),
-    ], ids=["default", "mutating", "no-emigration", "no-elites", "all-elites"])
+        BboParams(elite_keep=50, mutation_max=0.5),
+    ], ids=["default", "mutating", "no-emigration", "no-elites", "all-elites",
+            "keep-whole-population"])
     def test_steps(self, n, params):
         problem = sphere_problem(4, bound=3.0)
         for seed in (0, 1):
             ctx = RunContext(problem, PenaltyParams())
             mine, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            population = Bbo(params).init_population(ctx, n, mine)[:2]
+            *population, state = Bbo(params).init_population(ctx, n, mine)
             twin.bit_generator.state = mine.bit_generator.state
             expected = population
-            for g in range(3):
-                population = Bbo(params).step(*population, None, ctx, g / 3, mine)
+            for g in range(4):
+                population = Bbo(params).step(*population, state, ctx, g / 4, mine)
                 expected = bbo_step_loop(params, *expected, ctx, twin)
                 assert population[0].tobytes() == expected[0].tobytes()
                 assert population[1].tobytes() == expected[1].tobytes()
                 assert mine.bit_generator.state == twin.bit_generator.state
+

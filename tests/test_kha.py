@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import FakeRng
-from oracles import _local_attraction_loop, kha_step_loop, sphere_problem
+from oracles import (
+    _local_attraction_loop,
+    _ratio_loop,
+    _unit_pull_loop,
+    kha_step_loop,
+    sphere_problem,
+)
 from elitopt.algorithms.kha import (
     Kha,
     KhaParams,
@@ -13,15 +19,15 @@ from elitopt.algorithms.kha import (
     draw_herd,
     fitness_ratio,
     food_point,
-    foraging_attractions,
     foraging_motion,
+    herd_pulls,
     induced_motion,
     local_attractions,
     operator_probability,
+    pair_distances,
     random_coefficient,
     sensing_radii,
     take_variables,
-    target_attractions,
     time_step,
 )
 from elitopt.core import (
@@ -42,6 +48,14 @@ NO_OPERATORS = KhaParams(crossover=False, mutation=False)
 
 def distances(positions):
     return np.linalg.norm(positions[:, None] - positions[None], axis=2)
+
+
+def herd_distances(positions):
+    return pair_distances(positions, np.triu_indices(len(positions), 1))
+
+
+def local(positions, fitness, spread):
+    return local_attractions(positions, fitness, herd_distances(positions), spread, EPS)
 
 
 class TestSensingAndRatio:
@@ -75,19 +89,18 @@ class TestLocalAttraction:
         # only the near, better neighbor contributes: 0.1 * unit vector
         positions = np.array([[0.0], [0.01], [1.0]])
         fitness = np.array([1.0, 0.0, 10.0])
-        alpha = local_attractions(positions, fitness, 10.0, EPS)[0]
+        alpha = local(positions, fitness, 10.0)[0]
         assert alpha[0] == pytest.approx(0.1, abs=1e-6)
 
     def test_no_neighbors(self):
         positions = np.array([[0.0], [5.0]])
-        alpha = local_attractions(positions, fitness=np.array([1.0, 2.0]),
-                                  spread=1.0, eps=EPS)[0]
+        alpha = local(positions, np.array([1.0, 2.0]), spread=1.0)[0]
         assert np.all(alpha == 0.0)
 
     def test_flat_fitness_gives_zero(self):
         positions = np.array([[0.0], [0.001], [0.002]])
         fitness = np.array([4.0, 4.0, 4.0])
-        alpha = local_attractions(positions, fitness, 0.0, EPS)[1]
+        alpha = local(positions, fitness, 0.0)[1]
         assert np.all(alpha == 0.0)
 
 
@@ -104,7 +117,7 @@ class TestLocalAttractionsMatchLoop:
     bit for bit, a krill without a neighbor included (``+0.0``)."""
 
     def check(self, positions, fitness, spread):
-        alpha = local_attractions(positions, fitness, spread, EPS)
+        alpha = local(positions, fitness, spread)
         assert alpha.shape == positions.shape and alpha.dtype == np.float64
         for i in range(len(positions)):
             assert_same_bits(
@@ -179,6 +192,53 @@ class TestLocalAttractionsMatchLoop:
             self.check(positions, np.array([2.0, 1.0, 3.0]), 2.0)
 
 
+class TestPairDistances:
+    """The distances built from the pairs ``i < j`` alone: each row equals
+    ``np.linalg.norm`` of the herd less that krill bit for bit, and the
+    matrix is exactly symmetric."""
+
+    def check(self, positions):
+        dists = herd_distances(positions)
+        n = len(positions)
+        assert dists.shape == (n, n) and dists.dtype == np.float64
+        for i in range(n):
+            assert_same_bits(dists[i], np.linalg.norm(positions - positions[i], axis=1))
+        assert_same_bits(dists, dists.T)
+        return dists
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 10, 37])
+    def test_random_herd(self, dim):
+        rng = np.random.default_rng(dim)
+        self.check(rng.uniform(-5.0, 5.0, size=(50, dim)))
+
+    def test_duplicate_krill_at_distance_zero(self):
+        rng = np.random.default_rng(6)
+        positions = rng.normal(size=(8, 3))
+        positions[[2, 6]] = positions[[5, 5]]
+        dists = self.check(positions)
+        assert dists[2, 5] == dists[5, 6] == dists[2, 6] == 0.0
+        assert not np.signbit(dists).any()
+
+    def test_single_krill_has_no_pairs(self):
+        assert herd_distances(np.array([[1.5, -2.0]])).tolist() == [[0.0]]
+
+    def test_two_krill(self):
+        dists = self.check(np.array([[0.0, 0.0], [3.0, 4.0]]))
+        assert dists.tolist() == [[0.0, 5.0], [5.0, 0.0]]
+
+    def test_one_variable(self):
+        dists = self.check(np.array([[0.5], [-1.25], [2.0], [0.5]]))
+        assert dists[0].tolist() == [0.0, 1.75, 1.5, 0.0]
+
+
+def stacked(positions, fitness, best, food, personal, spread, c_best=None):
+    """``herd_pulls`` with the coefficient of the global best at 1 unless
+    given."""
+    if c_best is None:
+        c_best = np.ones(len(fitness))
+    return herd_pulls(positions, fitness, best, food, personal, spread, c_best, EPS)
+
+
 class TestTargetAttraction:
     def test_best_krill_zero_but_draw_consumed(self):
         positions = np.array([[1.0, 1.0], [3.0, 0.0]])
@@ -188,29 +248,59 @@ class TestTargetAttraction:
         draws = draw_herd(2, 2, NO_OPERATORS, fake)
         assert fake.exhausted
         c_best = random_coefficient(draws.uniforms[:, 0], 0.5)
-        pull = target_attractions(positions, fitness, positions[0], 0.0,
-                                  5.0, c_best, EPS)[0]
-        assert np.allclose(pull, 0.0)
+        pulls, _ = stacked(positions, fitness, (positions[0], 0.0),
+                           (positions[1], 5.0), (positions, fitness), 5.0, c_best)
+        assert np.allclose(pulls[0, 0], 0.0)
 
     def test_late_run_amplifier(self):
         # khat = 1 and unit direction, so the output is the coefficient itself
         positions = np.array([[0.0, 0.0]])
         fitness = np.array([10.0])
         best = np.array([1.0, 0.0])
-        pull = target_attractions(positions, fitness, best, 0.0, 10.0,
-                                  c_best=random_coefficient(np.array([1.0]), 1.0),
-                                  eps=EPS)[0]
-        assert pull[0] == pytest.approx(4.0, abs=1e-6)
-        assert pull[1] == pytest.approx(0.0)
+        pulls, _ = stacked(positions, fitness, (best, 0.0), (best, 0.0),
+                           (positions, fitness), 10.0,
+                           c_best=random_coefficient(np.array([1.0]), 1.0))
+        assert pulls[0, 0, 0] == pytest.approx(4.0, abs=1e-6)
+        assert pulls[0, 0, 1] == pytest.approx(0.0)
 
     def test_early_run_amplifier(self):
         positions = np.array([[0.0, 0.0]])
         fitness = np.array([10.0])
         best = np.array([1.0, 0.0])
-        pull = target_attractions(positions, fitness, best, 0.0, 10.0,
-                                  c_best=random_coefficient(np.array([0.5]), 0.0),
-                                  eps=EPS)[0]
-        assert pull[0] == pytest.approx(1.0, abs=1e-6)
+        pulls, _ = stacked(positions, fitness, (best, 0.0), (best, 0.0),
+                           (positions, fitness), 10.0,
+                           c_best=random_coefficient(np.array([0.5]), 0.0))
+        assert pulls[0, 0, 0] == pytest.approx(1.0, abs=1e-6)
+
+
+class TestHerdPulls:
+    """The ``(3, n, dim)`` stack against the one-krill, one-target
+    reference: the same bits for every krill and target."""
+
+    @pytest.mark.parametrize("n, dim, spread", [(1, 3, 2.0), (7, 1, 3.0),
+                                                (50, 10, 4.0), (12, 4, 0.0)])
+    def test_rows_match_one_pull_at_a_time(self, n, dim, spread):
+        rng = np.random.default_rng(n + dim)
+        positions = rng.uniform(-4.0, 4.0, size=(n, dim))
+        fitness = rng.uniform(0.0, 5.0, size=n)
+        best = (rng.uniform(-4.0, 4.0, size=dim), float(fitness.min()) - 0.5)
+        food = food_point(positions, fitness)
+        personal = (positions + rng.normal(scale=0.3, size=(n, dim)),
+                    fitness - rng.uniform(0.0, 1.0, size=n))
+        personal[0][0] = positions[0]  # a krill at its own best
+        c_best = random_coefficient(rng.random(n), 0.3)
+        pulls, ratio = stacked(positions, fitness, best, food, personal, spread, c_best)
+        assert pulls.shape == (3, n, dim)
+        for i in range(n):
+            targets = [(best[0], best[1], c_best[i]), (food[0], food[1], 1.0),
+                       (personal[0][i], personal[1][i], 1.0)]
+            for k, (target, target_fitness, coeff) in enumerate(targets):
+                khat = _ratio_loop(fitness[i], target_fitness, spread)
+                if k == 0:
+                    assert ratio[i] == khat
+                    khat = coeff * khat
+                assert_same_bits(pulls[k, i],
+                                 _unit_pull_loop(khat, target - positions[i], EPS))
 
 
 class TestFoodPoint:
@@ -245,27 +335,38 @@ class TestFoodPoint:
         assert x_food[0] == pytest.approx(-2.0, abs=1e-6)
         assert np.isfinite(k_food)
 
+    def test_large_negative_minimum_absorbs_the_delta(self):
+        # past |min| of about 2e6 the 1e-10 shift rounds away; the shift
+        # then steps one unit in the last place below the minimum, so the
+        # best krill keeps a finite, dominant weight
+        fitness = np.array([-1e7, -5e6, 3.0, 4.0, 1e3])
+        assert fitness.min() - 1e-10 == fitness.min()
+        positions = np.arange(5.0)[:, None]
+        x_food, k_food = food_point(positions, fitness)
+        assert x_food[0] == pytest.approx(0.0, abs=1e-6)
+        assert np.isfinite(k_food) and k_food < -1e7 + 1.0
+
 
 class TestForaging:
     def test_zero_differences(self):
         positions = np.array([[1.0, 2.0]])
         fitness = np.array([3.0])
         fake = FakeRng(randoms=[0.3, 0.7, 0.5, 0.5])
-        draws = draw_herd(1, 2, NO_OPERATORS, fake)
-        c_food = random_coefficient(draws.uniforms[:, 1], 0.5)
-        beta = foraging_attractions(positions, fitness, positions[0], 3.0,
-                                    positions, np.array([3.0]), 2.0, c_food, EPS)[0]
-        assert np.allclose(beta, 0.0)
+        draw_herd(1, 2, NO_OPERATORS, fake)
+        pulls, _ = stacked(positions, fitness, (positions[0], 3.0), (positions[0], 3.0),
+                           (positions, np.array([3.0])), 2.0)
+        assert np.allclose(pulls[1:], 0.0)
         assert fake.exhausted
 
-    def test_food_coefficient(self):
+    def test_unit_pull_toward_food(self):
+        # khat = 1 and unit direction: the food pull is the unit vector
         positions = np.array([[0.0, 0.0]])
         fitness = np.array([10.0])
         food = np.array([1.0, 0.0])
-        beta = foraging_attractions(
-            positions, fitness, food, 0.0, positions, np.array([10.0]),
-            spread=10.0, c_food=random_coefficient(np.array([0.0]), 1.0), eps=EPS)[0]
-        assert beta[0] == pytest.approx(2.0, abs=1e-6)
+        pulls, _ = stacked(positions, fitness, (food, 0.0), (food, 0.0),
+                           (positions, np.array([10.0])), spread=10.0)
+        assert pulls[1, 0, 0] == pytest.approx(1.0, abs=1e-6)
+        assert pulls[2, 0].tolist() == [0.0, 0.0]
 
     def test_motion_recursion(self):
         out = foraging_motion(np.array([1.0, -1.0]), np.array([0.04, 0.0]),
@@ -313,6 +414,16 @@ class TestTimeStep:
     def test_large_factor(self):
         space = SearchSpace(lower=[0.0], upper=[10.0])
         assert time_step(2.0, space) == pytest.approx(20.0)
+
+    def test_set_once_per_run(self, rng):
+        # the run's time step and index pairs are in the state from the start
+        problem = sphere_problem(3, bound=2.0)
+        ctx = RunContext(problem, PenaltyParams())
+        _, _, state = Kha(KhaParams(time_factor=0.25)).init_population(ctx, 6, rng)
+        assert state.dt == time_step(0.25, problem.space) == 3.0
+        rows, cols = state.pairs
+        assert list(zip(rows.tolist(), cols.tolist())) == [
+            (i, j) for i in range(6) for j in range(i + 1, 6)]
 
 
 class TestAdvance:
@@ -527,6 +638,18 @@ class TestKhaStep:
         assert all(b2 <= b1 for b1, b2 in zip(bests, bests[1:]))
         assert r1.history == r2.history
 
+    def test_run_with_large_negative_objectives_completes(self):
+        # an unconstrained objective may be negative and large: the food
+        # point's shift must not round to the best krill's own fitness
+        sphere = sphere_problem(3, bound=4.0)
+        problem = Problem("shifted-sphere", sphere.space,
+                          lambda X: (np.sum(X * X, axis=1) - 1e7, np.empty((len(X), 0))))
+        config = RunConfig(population_size=10, max_iterations=15, seed=3,
+                           memory_fraction=0.2)
+        result = run(Kha(), problem, config)
+        assert result.nfes == 10 * 16
+        assert -1e7 <= result.best.fitness < -1e7 + 48.0
+
     def test_param_validation(self):
         with pytest.raises(ConfigError):
             KhaParams(induced_max=-0.1)
@@ -579,6 +702,8 @@ class TestHerdStepMatchesLoop:
             pb_positions=positions + rng.normal(scale=0.2, size=(n, dim)),
             pb_fitness=fitness - rng.uniform(0.0, 1.0, size=n),
             last_positions=last,
+            dt=time_step(0.5, problem.space),
+            pairs=np.triu_indices(n, 1),
         )
         return (positions, fitness), state, ctx
 

@@ -167,6 +167,9 @@ class ExperimentPlan:
             raise ConfigError(f"unknown problems: {sorted(unknown)}")
         if self.dim < 1:
             raise ConfigError("dim must be >= 1")
+        # cell_seed reduces modulo 2**64, so a seed outside would alias another
+        if not 0 <= self.root_seed < 2**64:
+            raise ConfigError("root_seed must be in [0, 2**64)")
         object.__setattr__(
             self, "penalty", params_from_table(PenaltyParams, self.penalty, "penalty")
         )
@@ -619,8 +622,12 @@ def run_experiment(
     """Run the whole grid and write all files.
 
     A failing cell is recorded (``error.txt`` in its directory, status
-    ``failed`` in the report) without affecting the other cells.
+    ``failed`` in the report) without affecting the other cells.  ``workers``
+    (replicate processes per cell) below 1 is refused before any file is
+    written.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, not {workers!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(plan, out_dir)

@@ -16,21 +16,21 @@ SI units; design variables may use scaled units declared per variable):
 ``size_variables``  ordered list of ``{"name", "groups", "lower", "upper",
                     "unit_scale", "grid"}``.  The design value times
                     ``unit_scale`` is the member area in m^2, so ``lower``
-                    and ``unit_scale`` must be positive; ``grid`` is
-                    either null or ``{"start", "stop", "step"}`` in design
-                    units.
+                    and ``unit_scale`` must be positive; ``grid`` is null or
+                    ``{"start", "stop", "step"}`` inside the bounds.
 ``shape_variables`` ordered list of ``{"name", "lower", "upper",
                     "unit_scale", "targets"}`` where each target is
                     ``{"node", "axis", "coeff", "datum"}``.  The node
                     coordinate becomes ``datum + coeff * unit_scale * value``,
                     which expresses linked coordinates such as mirrored pairs
-                    (coeff -1) or shared offsets.
+                    (coeff -1) or shared offsets; of two targets on one
+                    coordinate the later one counts.
 ``constraints``     ``{"stress_limit": Pa|null, "displacement_limits":
                     [{"node": id|"all", "axis", "limit"}], "frequency_bounds":
                     [Hz, ...]}``.
 
 The design vector is the concatenation of size variables then shape
-variables, in file order.
+variables, in file order; each ``upper`` is finite and at least ``lower``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +80,26 @@ def _positive(value, what: str) -> float:
     return value
 
 
+def _upper(var: dict, lower: float) -> float:
+    """The upper bound of the design variable ``var``: finite, >= ``lower``."""
+    upper = _finite(var["upper"], f"{var['name']!r} upper")
+    if upper < lower:
+        raise ConfigError(f"{var['name']!r} upper {upper!r} is below its lower {lower!r}")
+    return upper
+
+
+def _grid(var: dict, lower: float, upper: float) -> np.ndarray:
+    """The grid of the size variable ``var``: not empty, inside its bounds."""
+    what = f"{var['name']!r} grid"
+    start, stop = (_finite(var["grid"][key], f"{what} {key}") for key in ("start", "stop"))
+    step = _positive(var["grid"]["step"], f"{what} step")
+    count = int(round((stop - start) / step)) + 1
+    grid = np.round(start + step * np.arange(count), decimals=12)
+    if not (grid.size and lower <= grid[0] and grid[-1] <= upper):
+        raise ConfigError(f"{what} is empty or leaves [{lower!r}, {upper!r}]")
+    return grid
+
+
 def data_dir() -> Path:
     """Directory holding the bundled geometry files; the environment
     variable named in ``DATA_DIR_ENV`` overrides it."""
@@ -90,71 +109,43 @@ def data_dir() -> Path:
     return Path(__file__).resolve().parent / "data"
 
 
-@dataclass(frozen=True)
-class SizeVariable:
-    name: str
-    member_indices: np.ndarray
-    lower: float
-    upper: float
-    unit_scale: float
-    grid: np.ndarray | None
-
-
-@dataclass(frozen=True)
-class ShapeTarget:
-    node: int
-    axis: int
-    coeff: float
-    datum: float
-
-
-@dataclass(frozen=True)
-class ShapeVariable:
-    name: str
-    lower: float
-    upper: float
-    unit_scale: float
-    targets: tuple
-
-
 class TrussDesign:
-    """A parsed geometry file plus the design-vector mapping.
+    """A geometry file, read once into what its evaluation uses.
 
-    Everything that no design variable changes is built and validated once,
-    here: the search space, the :class:`TrussTopology` (members, supports,
-    loads, masses, and the indices its analyses reuse), and the index arrays
-    that :meth:`expand` and the displacement checks use.  A file that lacks
-    a required key or names an unknown node or axis is a ``ConfigError``.
+    Everything that no design variable changes is built and validated here,
+    in one pass over the file: the search space, the :class:`TrussTopology`
+    (members, supports, loads, masses, and the indices its analyses reuse),
+    the index arrays with which :meth:`expand` writes every variable at
+    once, and the displacement checks.  A file that lacks a required key,
+    names an unknown node, axis or group, or gives a value or bound outside
+    its range is a ``ConfigError`` that names the design and the entry.
     """
 
     def __init__(self, doc: dict):
         try:
             self._read(doc)
-        except KeyError as exc:
-            name = doc.get("name", "geometry file")
-            raise ConfigError(f"{name}: lacks required key {exc}") from None
+        except (KeyError, ConfigError, ModelError) as exc:
+            what = f"lacks required key {exc}" if isinstance(exc, KeyError) else exc
+            raise ConfigError(f"{doc.get('name', 'geometry file')}: {what}") from None
 
     def _node(self, node_id, entry: str) -> int:
         """Index of the node ``node_id`` that ``entry`` of the file names."""
         if int(node_id) not in self._id_to_index:
-            raise ConfigError(f"{self.name}: {entry} names unknown node {node_id!r}")
+            raise ConfigError(f"{entry} names unknown node {node_id!r}")
         return self._id_to_index[int(node_id)]
 
     def _axis(self, axis, entry: str) -> int:
         if axis not in _AXES:
-            raise ConfigError(f"{self.name}: {entry} names unknown axis {axis!r}")
+            raise ConfigError(f"{entry} names unknown axis {axis!r}")
         return _AXES[axis]
 
     def _read(self, doc: dict) -> None:
         self.name = doc["name"]
         self.provenance = list(doc.get("provenance", []))
-        try:
-            material = Material(
-                young_modulus=float(doc["material"]["young_modulus"]),
-                density=float(doc["material"]["density"]),
-            )
-        except ModelError as exc:
-            raise ConfigError(f"{self.name}: {exc}") from None
+        material = Material(
+            young_modulus=float(doc["material"]["young_modulus"]),
+            density=float(doc["material"]["density"]),
+        )
 
         ids = [int(n["id"]) for n in doc["nodes"]]
         if len(set(ids)) != len(ids):
@@ -205,67 +196,60 @@ class TrussDesign:
             )
             assigned.add(g)
 
-        self.size_variables: list[SizeVariable] = []
-        for sv in doc.get("size_variables", []):
-            groups = [str(g) for g in sv["groups"]]
-            idx: list[int] = []
-            for g in groups:
+        # design variable k is entry k of the bounds; the size variables
+        # come first, and each sets the area of every member of its groups
+        lower, upper, grids = [], [], []
+        area_members, area_vars, area_scales = [], [], []
+        for k, sv in enumerate(doc.get("size_variables", [])):
+            # a member area is value * unit_scale, value >= lower
+            lower.append(_positive(sv["lower"], f"{sv['name']!r} lower"))
+            upper.append(_upper(sv, lower[-1]))
+            grids.append(_grid(sv, lower[-1], upper[-1]) if sv.get("grid") else None)
+            scale = _positive(sv.get("unit_scale", 1.0), f"{sv['name']!r} unit_scale")
+            for g in map(str, sv["groups"]):
                 if g not in group_members:
                     raise ConfigError(f"size variable {sv['name']!r}: unknown group {g!r}")
                 if g in assigned:
                     raise ConfigError(f"group {g!r} assigned twice")
                 assigned.add(g)
-                idx.extend(group_members[g])
-            grid = None
-            if sv.get("grid"):
-                start, stop = (
-                    _finite(sv["grid"][key], f"{sv['name']!r} grid {key}")
-                    for key in ("start", "stop")
-                )
-                step = _positive(sv["grid"]["step"], f"{sv['name']!r} grid step")
-                count = int(round((stop - start) / step)) + 1
-                grid = np.round(start + step * np.arange(count), decimals=12)
-            self.size_variables.append(
-                SizeVariable(
-                    name=str(sv["name"]),
-                    member_indices=np.array(idx, dtype=int),
-                    # a member area is value * unit_scale, value >= lower
-                    lower=_positive(sv["lower"], f"{sv['name']!r} lower"),
-                    upper=float(sv["upper"]),
-                    unit_scale=_positive(
-                        sv.get("unit_scale", 1.0), f"{sv['name']!r} unit_scale"
-                    ),
-                    grid=grid,
-                )
-            )
+                area_members += group_members[g]
+                area_vars += [k] * len(group_members[g])
+                area_scales += [scale] * len(group_members[g])
         missing = sorted(set(group_members) - assigned)
         if missing:
             raise ConfigError(f"groups without an area source: {missing}")
+        self._area_members = np.array(area_members, dtype=int)
+        self._area_vars = np.array(area_vars, dtype=int)
+        self._area_scales = np.array(area_scales, dtype=float)
 
-        self.shape_variables: list[ShapeVariable] = []
-        for sv in doc.get("shape_variables", []):
-            targets = tuple(
-                ShapeTarget(
-                    node=self._node(t["node"], f"shape variable {sv['name']!r}"),
-                    axis=self._axis(t["axis"], f"shape variable {sv['name']!r}"),
-                    coeff=_finite(t.get("coeff", 1.0), f"{sv['name']!r} target coeff"),
-                    datum=_finite(t.get("datum", 0.0), f"{sv['name']!r} target datum"),
+        # a shape variable sets each node coordinate it targets to
+        # datum + coeff * unit_scale * value; a coordinate targeted twice
+        # keeps its last target, as a loop would
+        last = {}
+        for k, sv in enumerate(doc.get("shape_variables", []), start=len(lower)):
+            entry = f"shape variable {sv['name']!r}"
+            lower.append(_finite(sv["lower"], f"{sv['name']!r} lower"))
+            upper.append(_upper(sv, lower[-1]))
+            grids.append(None)
+            scale = _finite(sv.get("unit_scale", 1.0), f"{sv['name']!r} unit_scale")
+            if not sv["targets"]:
+                raise ConfigError(f"{entry} has no targets")
+            for t in sv["targets"]:
+                coord = 2 * self._node(t["node"], entry) + self._axis(t["axis"], entry)
+                last[coord] = (
+                    k,
+                    _finite(t.get("coeff", 1.0), f"{sv['name']!r} target coeff") * scale,
+                    _finite(t.get("datum", 0.0), f"{sv['name']!r} target datum"),
                 )
-                for t in sv["targets"]
-            )
-            if not targets:
-                raise ConfigError(f"shape variable {sv['name']!r} has no targets")
-            self.shape_variables.append(
-                ShapeVariable(
-                    name=str(sv["name"]),
-                    lower=float(sv["lower"]),
-                    upper=float(sv["upper"]),
-                    unit_scale=_finite(
-                        sv.get("unit_scale", 1.0), f"{sv['name']!r} unit_scale"
-                    ),
-                    targets=targets,
-                )
-            )
+        self._coord_index = np.array(list(last), dtype=int)
+        self._coord_vars = np.array([c[0] for c in last.values()], dtype=int)
+        self._coord_scales = np.array([c[1] for c in last.values()], dtype=float)
+        self._coord_datums = np.array([c[2] for c in last.values()], dtype=float)
+        self._space = SearchSpace(
+            lower=np.array(lower),
+            upper=np.array(upper),
+            grids=None if all(g is None for g in grids) else tuple(grids),
+        )
 
         c = doc.get("constraints", {})
         self.stress_limit = c.get("stress_limit")
@@ -274,31 +258,22 @@ class TrussDesign:
         self.frequency_bounds = np.array(
             [_positive(f, "frequency bound") for f in c.get("frequency_bounds", [])]
         )
-        self.displacement_limits: list[tuple[int | None, int, float]] = []
+        # (nodes, axis, limit) of each displacement limit
+        self._displacement_checks = []
         for dl in c.get("displacement_limits", []):
             axis = self._axis(dl["axis"], "displacement limit")
             limit = _positive(dl["limit"], "displacement limit")
-            if dl["node"] == "all":
-                self.displacement_limits.append((None, axis, limit))
-            else:
-                self.displacement_limits.append(
-                    (self._node(dl["node"], "displacement limit"), axis, limit)
-                )
+            nodes = np.arange(n)
+            if dl["node"] != "all":
+                nodes = np.array([self._node(dl["node"], "displacement limit")])
+            self._displacement_checks.append((nodes, axis, limit))
 
-        try:
-            self.topology = TrussTopology(n, members, material, fixed, loads, masses)
-        except ModelError as exc:
-            raise ConfigError(f"{self.name}: {exc}") from None
+        self.topology = TrussTopology(n, members, material, fixed, loads, masses)
         if self.frequency_bounds.size > self.topology.free.size:
             raise ConfigError(
-                f"{self.name}: {self.frequency_bounds.size} frequency bounds but "
+                f"{self.frequency_bounds.size} frequency bounds but "
                 f"only {self.topology.free.size} free DOFs"
             )
-        self._space = self.search_space()
-        self._displacement_checks = [
-            (np.arange(n) if node is None else np.array([node]), axis, limit)
-            for node, axis, limit in self.displacement_limits
-        ]
         # one violation column per constraint, and at least one to carry
         # the degenerate marker
         self._columns = max(
@@ -307,35 +282,11 @@ class TrussDesign:
             + sum(nodes.size for nodes, _, _ in self._displacement_checks)
             + self.frequency_bounds.size,
         )
-        self._compile_expand()
         # the previous call of :meth:`evaluate`: each row's key mapped to its
         # index in that call's objectives and violations
         self._memo: tuple[dict, np.ndarray, np.ndarray] = (
             {}, np.zeros(0), np.zeros((0, self._columns))
         )
-
-    def _compile_expand(self) -> None:
-        """Index arrays that let :meth:`expand` write all variables at once."""
-        self._area_members = np.concatenate(
-            [v.member_indices for v in self.size_variables] + [np.zeros(0, dtype=int)]
-        )
-        self._area_vars = np.repeat(
-            np.arange(len(self.size_variables), dtype=int),
-            [v.member_indices.size for v in self.size_variables],
-        )
-        self._area_scales = np.array(
-            [v.unit_scale for v in self.size_variables], dtype=float
-        )[self._area_vars]
-        # a coordinate targeted twice keeps its last target, as a loop would
-        last = {}
-        ns = len(self.size_variables)
-        for k, v in enumerate(self.shape_variables):
-            for t in v.targets:
-                last[2 * t.node + t.axis] = (ns + k, t.coeff * v.unit_scale, t.datum)
-        self._coord_index = np.array(list(last), dtype=int)
-        self._coord_vars = np.array([c[0] for c in last.values()], dtype=int)
-        self._coord_scales = np.array([c[1] for c in last.values()], dtype=float)
-        self._coord_datums = np.array([c[2] for c in last.values()], dtype=float)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TrussDesign":
@@ -346,23 +297,10 @@ class TrussDesign:
 
     @property
     def dim(self) -> int:
-        return len(self.size_variables) + len(self.shape_variables)
+        return self._space.dim
 
     def search_space(self) -> SearchSpace:
-        lower = [v.lower for v in self.size_variables] + [
-            v.lower for v in self.shape_variables
-        ]
-        upper = [v.upper for v in self.size_variables] + [
-            v.upper for v in self.shape_variables
-        ]
-        grids = [v.grid for v in self.size_variables] + [
-            None for _ in self.shape_variables
-        ]
-        if all(g is None for g in grids):
-            grids = None
-        else:
-            grids = tuple(grids)
-        return SearchSpace(lower=np.array(lower), upper=np.array(upper), grids=grids)
+        return self._space
 
     def expand(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Design vector -> (node coordinates, member areas), both in SI; a
@@ -465,7 +403,7 @@ class TrussDesign:
         """Violation rows of a stacked model, one per configuration, ``0.0``
         for a truss without constraints."""
         parts = []
-        if self.stress_limit is not None or self.displacement_limits:
+        if self.stress_limit is not None or self._displacement_checks:
             res = solve_static(model)
             if self.stress_limit is not None:
                 parts.append(stress_violations(res.stresses, self.stress_limit))

@@ -7,6 +7,7 @@ system instead of row/column elimination.  Agreement between the two is
 therefore meaningful.
 """
 
+import json
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from elitopt.fem import (
     solve_static,
     stress_violations,
 )
+from elitopt.problems import _TRUSS_FILES, data_dir
 from elitopt.problems.truss_geometry import DEGENERATE_LENGTH, DEGENERATE_VIOLATION
 
 
@@ -258,17 +260,56 @@ def funnel_loop(ctx, positions):
     return np.array(fitness)
 
 
-def contract(design, coords, areas):
-    """Inverse of ``TrussDesign.expand``: read the design vector back out of
-    full per-member areas and per-node coordinates."""
-    x = np.empty(design.dim)
-    for k, v in enumerate(design.size_variables):
-        x[k] = areas[v.member_indices[0]] / v.unit_scale
-    ns = len(design.size_variables)
-    for k, v in enumerate(design.shape_variables):
-        t = v.targets[0]
-        x[ns + k] = (coords[t.node, t.axis] - t.datum) / (t.coeff * v.unit_scale)
-    return x
+def bundled_doc(name):
+    """The geometry document behind the bundled truss benchmark ``name``."""
+    with open(data_dir() / _TRUSS_FILES[name], encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _node_indices(doc):
+    return {int(n["id"]): k for k, n in enumerate(doc["nodes"])}
+
+
+def expand_loop(doc, x):
+    """``TrussDesign.expand`` of one design vector, read from the geometry
+    document ``doc`` one variable and one target at a time: a target
+    written later overwrites one written earlier."""
+    nodes = _node_indices(doc)
+    coords = np.array([[float(n["x"]), float(n["y"])] for n in doc["nodes"]])
+    groups = [str(e["group"]) for e in doc["elements"]]
+    areas = np.full(len(groups), np.nan)
+    for fa in doc.get("fixed_areas", []):
+        areas[[g == str(fa["group"]) for g in groups]] = float(fa["area"])
+    sizes = doc.get("size_variables", [])
+    for var, value in zip(sizes, x):
+        own = {str(g) for g in var["groups"]}
+        for m, g in enumerate(groups):
+            if g in own:
+                areas[m] = var.get("unit_scale", 1.0) * value
+    for var, value in zip(doc.get("shape_variables", []), x[len(sizes):]):
+        for t in var["targets"]:
+            coords[nodes[int(t["node"])], "xy".index(t["axis"])] = (
+                t.get("datum", 0.0) + t.get("coeff", 1.0) * var.get("unit_scale", 1.0) * value
+            )
+    return coords, areas
+
+
+def contract(doc, coords, areas):
+    """Inverse of ``TrussDesign.expand``, read from the geometry document
+    ``doc``: the design vector back out of full per-member areas and
+    per-node coordinates."""
+    nodes = _node_indices(doc)
+    groups = [str(e["group"]) for e in doc["elements"]]
+    x = [
+        areas[groups.index(str(var["groups"][0]))] / var.get("unit_scale", 1.0)
+        for var in doc.get("size_variables", [])
+    ]
+    for var in doc.get("shape_variables", []):
+        t = var["targets"][0]
+        coord = coords[nodes[int(t["node"])], "xy".index(t["axis"])]
+        x.append((coord - t.get("datum", 0.0))
+                 / (t.get("coeff", 1.0) * var.get("unit_scale", 1.0)))
+    return np.array(x)
 
 
 def snap_to_grid_loop(position, space):
@@ -292,17 +333,18 @@ def snap_to_grid_loop(position, space):
     return out
 
 
-def evaluate_design(design, x):
+def evaluate_design(design, doc, x):
     """``(objective, violations)`` of one design analyzed alone: one model,
     one static and one modal analysis, with the degenerate and mechanism
-    fallbacks of ``TrussDesign.evaluate``.  The reference that the stacked
-    evaluation of a population must match bit for bit: a healthy row
-    exactly, a degenerate row as ``[DEGENERATE_VIOLATION]`` followed by
-    zeros."""
+    fallbacks of ``TrussDesign.evaluate``.  The design vector is expanded and
+    the constraints are read from ``doc``, the geometry document ``design``
+    was loaded from.  The reference that the stacked evaluation of a
+    population must match bit for bit: a healthy row exactly, a degenerate
+    row as ``[DEGENERATE_VIOLATION]`` followed by zeros."""
     degenerate = np.array([DEGENERATE_VIOLATION])
     topo = design.topology
     x = snap_to_grid_loop(x, design.search_space())
-    coords, areas = design.expand(x)
+    coords, areas = expand_loop(doc, x)
     try:
         model = TrussModel(coords, areas, topo)
     except ModelError:
@@ -314,20 +356,25 @@ def evaluate_design(design, x):
     weight = float(topo.material.density * np.sum(model.areas * model.lengths))
     if model.lengths.min() < DEGENERATE_LENGTH:
         return weight, degenerate
+    constraints = doc.get("constraints", {})
+    stress_limit = constraints.get("stress_limit")
+    limits = constraints.get("displacement_limits", [])
+    bounds = np.array([float(f) for f in constraints.get("frequency_bounds", [])])
     violations = []
     try:
-        if design.stress_limit or design.displacement_limits:
+        if stress_limit or limits:
             res = solve_static(model)
-            if design.stress_limit:
-                violations.append(
-                    stress_violations(res.stresses, float(design.stress_limit)))
-            for node, axis, limit in design.displacement_limits:
-                nodes = np.arange(topo.n_nodes) if node is None else [node]
-                violations.append(
-                    displacement_violation(res.displacements[nodes, axis], limit))
-        if design.frequency_bounds.size:
-            freqs = natural_frequencies(model, count=design.frequency_bounds.size)
-            violations.append(frequency_violations(freqs, design.frequency_bounds))
+            if stress_limit:
+                violations.append(stress_violations(res.stresses, float(stress_limit)))
+            for limit in limits:
+                nodes = (np.arange(topo.n_nodes) if limit["node"] == "all"
+                         else [_node_indices(doc)[int(limit["node"])]])
+                violations.append(displacement_violation(
+                    res.displacements[nodes, "xy".index(limit["axis"])],
+                    float(limit["limit"])))
+        if bounds.size:
+            freqs = natural_frequencies(model, count=bounds.size)
+            violations.append(frequency_violations(freqs, bounds))
     except AnalysisError:
         return weight, degenerate
     return weight, np.concatenate(violations) if violations else np.zeros(0)

@@ -99,6 +99,18 @@ class TestCellSeed:
         seed = cell_seed(2**64 - 1, "teo", "forth")
         assert 0 <= seed < 2**64
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_plan_refuses_a_root_seed_that_would_alias_another(self, seed, tmp_path):
+        # -1 gave the cells of 2**64 - 1, and 2**64 + 5 those of 5
+        small_plan(root_seed=2**64 - 1)
+        with pytest.raises(ConfigError, match=r"^root_seed must be in \[0, 2\*\*64\)$"):
+            small_plan(root_seed=seed)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"problem": "sphere", "max_iterations": 5,
+                                    "seed": seed}))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: root_seed"):
+            plan_from_file(path)
+
 
 class TestIterationsForBudget:
     def test_full_population_cost(self):
@@ -647,6 +659,13 @@ class TestRunExperiment:
         assert len(serial) == 16
         assert results(tmp_path / "pool") == serial
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_refused_before_any_file(self, workers, tmp_path):
+        # it ran quietly with one process
+        with pytest.raises(ConfigError, match=f"^workers must be >= 1, not {workers}$"):
+            run_experiment(small_plan(), tmp_path / "out", workers=workers)
+        assert not (tmp_path / "out").exists()
+
     def test_rerun_with_fewer_replicates_drops_stale_runs(self, tmp_path):
         out = tmp_path / "out"
         run_experiment(small_plan(memory_modes=(True,), replicates=3), out)
@@ -906,6 +925,18 @@ class TestCli:
         error = json.loads(capsys.readouterr().err)
         assert error["error"] == "ConfigError"
         assert "bbo.elite_keep" in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "root_seed must be in [0, 2**64)"),
+        ("--workers", "0", "workers must be >= 1, not 0"),
+    ])
+    def test_run_refuses_a_bad_override(self, flag, value, message, tmp_path, capsys):
+        plan = self.write_plan(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", str(plan), "--out", str(out), flag, value]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "ConfigError", "message": message}
         assert not out.exists()
 
     def test_run_out_from_plan_file(self, tmp_path, capsys):

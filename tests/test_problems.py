@@ -23,7 +23,7 @@ from elitopt.problems.analytic import (
     sphere,
 )
 from elitopt.problems.truss_geometry import DEGENERATE_VIOLATION, TrussDesign
-from oracles import contract, evaluate_design
+from oracles import bundled_doc, contract, evaluate_design, expand_loop
 
 
 def mid_vector(space):
@@ -144,47 +144,81 @@ def collapsing_doc():
 
 
 class TestTrussDesignMapping:
+    """The loaded design against references that read the geometry
+    document itself, not the design's parse of it."""
+
     def test_expand_contract_round_trip(self, rng):
         design = load_design("michell")
         space = design.search_space()
         x = space.lower + rng.random(space.dim) * (space.upper - space.lower)
         coords, areas = design.expand(x)
-        assert np.allclose(contract(design, coords, areas), x, rtol=1e-12)
+        assert np.allclose(contract(bundled_doc("michell"), coords, areas), x, rtol=1e-12)
 
     def test_shape_targets_apply_datum_and_coeff(self):
-        design = load_design("michell")
+        design, doc = load_design("michell"), bundled_doc("michell")
         x = mid_vector(design.search_space())
         coords, _ = design.expand(x)
-        ns = len(design.size_variables)
-        for k, var in enumerate(design.shape_variables):
-            for t in var.targets:
-                expect = t.datum + t.coeff * var.unit_scale * x[ns + k]
-                assert coords[t.node, t.axis] == pytest.approx(expect)
+        nodes = {n["id"]: k for k, n in enumerate(doc["nodes"])}
+        ns = len(doc["size_variables"])
+        for k, var in enumerate(doc["shape_variables"]):
+            for t in var["targets"]:
+                expect = t["datum"] + t["coeff"] * var["unit_scale"] * x[ns + k]
+                got = coords[nodes[t["node"]], "xy".index(t["axis"])]
+                assert got == pytest.approx(expect)
 
     @pytest.mark.parametrize("name", ["michell", "truss37", "forth"])
     def test_expand_matches_per_variable_loop(self, name, rng):
         design = load_design(name)
         space = design.search_space()
         x = space.lower + rng.random(space.dim) * (space.upper - space.lower)
-        areas = design.base_areas.copy()
-        for v, value in zip(design.size_variables, x):
-            areas[v.member_indices] = v.unit_scale * value
-        coords = design.base_nodes.copy()
-        ns = len(design.size_variables)
-        for v, value in zip(design.shape_variables, x[ns:]):
-            for t in v.targets:
-                coords[t.node, t.axis] = t.datum + t.coeff * v.unit_scale * value
+        coords, areas = expand_loop(bundled_doc(name), x)
         got_coords, got_areas = design.expand(x)
         assert np.array_equal(got_coords, coords)
         assert np.array_equal(got_areas, areas)
 
+    def test_coordinate_targeted_twice_keeps_its_last_target(self):
+        doc = apex_doc()
+        # y_apex sets the apex y first, then y_again twice
+        doc["shape_variables"].append(
+            {"name": "y_again", "lower": 0.0, "upper": 1.0, "unit_scale": 0.5,
+             "targets": [{"node": 3, "axis": "y", "coeff": 2.0, "datum": 0.25},
+                         {"node": 3, "axis": "y", "coeff": 1.0, "datum": 0.125}]})
+        design = TrussDesign(doc)
+        x = np.array([2.0, 3.0, 0.75, 0.5, 0.375])
+        coords, areas = design.expand(x)
+        ref_coords, ref_areas = expand_loop(doc, x)
+        assert np.array_equal(coords, ref_coords)
+        assert np.array_equal(areas, ref_areas)
+        assert coords[2].tolist() == [0.5, 0.125 + 0.5 * 0.375]
+
+    @pytest.mark.parametrize("name", ["michell", "truss37", "forth"])
+    def test_search_space_matches_document(self, name):
+        space, doc = load_design(name).search_space(), bundled_doc(name)
+        variables = doc["size_variables"] + doc.get("shape_variables", [])
+        assert space.lower.tolist() == [v["lower"] for v in variables]
+        assert space.upper.tolist() == [v["upper"] for v in variables]
+        grids = [v.get("grid") for v in variables]
+        if not any(grids):
+            assert space.grids is None
+            return
+        for grid, spec in zip(space.grids, grids):
+            if spec is None:
+                assert grid is None
+                continue
+            count = round((spec["stop"] - spec["start"]) / spec["step"]) + 1
+            assert grid.size == count
+            assert np.allclose(grid, spec["start"] + spec["step"] * np.arange(count),
+                               rtol=0, atol=1e-12)
+
     def test_unit_scale_converts_sizes(self):
-        design = load_design("michell")
+        design, doc = load_design("michell"), bundled_doc("michell")
         x = mid_vector(design.search_space())
         x[0] = 2.5
         _, areas = design.expand(x)
-        var = design.size_variables[0]
-        assert np.allclose(areas[var.member_indices], 2.5 * var.unit_scale)
+        var = doc["size_variables"][0]
+        members = [k for k, e in enumerate(doc["elements"]) if e["group"] in var["groups"]]
+        assert members
+        assert np.allclose(areas[members], 2.5 * var["unit_scale"])
 
     def test_wrong_length_rejected(self):
         design = load_design("michell")
@@ -310,6 +344,20 @@ class TestLoadValidation:
     ])
     def test_unknown_node_or_axis_rejected_naming_the_entry(self, path, value, message):
         # each was a bare KeyError: 999 or KeyError: 'z'
+        doc = with_value(collapsing_doc(), path, value)
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'collapsing: {message}')}$"):
+            TrussDesign(doc)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("shape_variables", 0, "upper"), -0.5, "'y_apex' upper -0.5 is below its lower 0.0"),
+        (("size_variables", 1, "upper"), float("nan"), "'a_legs' upper must be finite, not nan"),
+        (("size_variables", 0, "grid"), {"start": 0.5, "stop": 5.0, "step": 0.5},
+         "'a_base' grid is empty or leaves [1.0, 5.0]"),
+        (("size_variables", 0, "grid"), {"start": 5.0, "stop": 1.0, "step": 0.5},
+         "'a_base' grid is empty or leaves [1.0, 5.0]"),
+    ], ids=["upper_below_lower", "nan_upper", "grid_below_lower", "empty_grid"])
+    def test_bad_bounds_rejected_naming_the_variable(self, path, value, message):
+        # each was a SearchSpace error naming neither the file nor the variable
         doc = with_value(collapsing_doc(), path, value)
         with pytest.raises(ConfigError, match=f"^{re.escape(f'collapsing: {message}')}$"):
             TrussDesign(doc)
@@ -535,15 +583,16 @@ APEX_ROWS = np.array([
 ])
 
 
-def assert_matches_per_design(design, X):
-    """Each row against the design analyzed alone, bit for bit; the oracle's
+def assert_matches_per_design(design, doc, X):
+    """Each row against the design analyzed alone, bit for bit, by the
+    oracle that reads ``doc``, the design's geometry document; the oracle's
     degenerate ``[DEGENERATE_VIOLATION]`` is padded with zeros to the width
     of the batch.  Returns the degenerate-row mask."""
     weights, violations = design.evaluate(X)
     assert weights.shape == (len(X),) and violations.shape[0] == len(X)
     degenerate = []
     for x, weight, row in zip(X, weights, violations):
-        ref_weight, ref = evaluate_design(design, x)
+        ref_weight, ref = evaluate_design(design, doc, x)
         assert weight.tobytes() == np.float64(ref_weight).tobytes()
         degenerate.append(ref.tolist() == [DEGENERATE_VIOLATION])
         if degenerate[-1]:
@@ -555,14 +604,14 @@ def assert_matches_per_design(design, X):
 class TestBatchEvaluation:
     @pytest.mark.parametrize("name", ["michell", "truss37", "forth"])
     def test_population_matches_per_design_bit_for_bit(self, name, rng):
-        design = load_design(name)
+        design, doc = load_design(name), bundled_doc(name)
         space = design.search_space()
         # the paper's population, analyzed as one stack
         X = space.sample(50, rng)
         # variables pushed onto their bounds bring short members on michell
         at_bound = rng.random(X.shape) < 0.2
         X[at_bound] = np.where(rng.random(X.shape) < 0.5, space.lower, space.upper)[at_bound]
-        assert_matches_per_design(design, X)
+        assert_matches_per_design(design, doc, X)
 
     @pytest.mark.parametrize("name, analysis", [
         ("forth", "solve_static"),
@@ -584,8 +633,9 @@ class TestBatchEvaluation:
         assert calls == [(50,)]
 
     def test_degenerate_and_mechanism_rows_among_healthy_ones(self):
-        design = TrussDesign(apex_doc())
-        degenerate = assert_matches_per_design(design, APEX_ROWS)
+        doc = apex_doc()
+        design = TrussDesign(doc)
+        degenerate = assert_matches_per_design(design, doc, APEX_ROWS)
         assert degenerate == [False, True, False, True, False]
 
     def test_massless_free_dof_still_raises(self):
@@ -619,7 +669,7 @@ class TestBatchEvaluation:
         assert violations.tolist() == [[0.0], [DEGENERATE_VIOLATION]]
         ctx = RunContext(design.problem(), PenaltyParams())
         healthy, degenerate = ctx.evaluate(X)
-        assert healthy == weights[0] == evaluate_design(design, X[0])[0]
+        assert healthy == weights[0] == evaluate_design(design, doc, X[0])[0]
         assert degenerate > weights[1]
 
     def test_problem_offers_the_batch(self):
@@ -665,17 +715,17 @@ def off_grid_twins(design, X, rng):
 
 class TestEvaluationMemory:
     def test_duplicates_in_a_batch_analyzed_once(self, monkeypatch, rng):
-        design = load_design("michell")
+        design, doc = load_design("michell"), bundled_doc("michell")
         X = on_grid_sample(design, 3, rng)
         twins = off_grid_twins(design, X, rng)
         assert not np.array_equal(twins, X)
         seen = spy_on_analysis(design, monkeypatch)
         # 7 rows of 3 designs; the first row of each design is analyzed
-        assert_matches_per_design(design, np.concatenate([X, twins[::-1], X[:1]]))
+        assert_matches_per_design(design, doc, np.concatenate([X, twins[::-1], X[:1]]))
         assert [rows.tobytes() for rows in seen] == [X.tobytes()]
 
     def test_previous_batch_not_analyzed_again(self, monkeypatch, rng):
-        design = load_design("truss37")
+        design, doc = load_design("truss37"), bundled_doc("truss37")
         X = on_grid_sample(design, 6, rng)
         seen = spy_on_analysis(design, monkeypatch)
         first = design.evaluate(X)
@@ -685,27 +735,28 @@ class TestEvaluationMemory:
             assert a.tobytes() == b.tobytes()
         # only the rows the previous batch did not hold are analyzed
         new = on_grid_sample(design, 2, rng)
-        assert_matches_per_design(design, np.array([X[2], new[0], X[0], new[1], new[0]]))
+        assert_matches_per_design(design, doc, np.array([X[2], new[0], X[0], new[1], new[0]]))
         assert len(seen) == 2 and seen[1].tobytes() == new.tobytes()
 
     @pytest.mark.parametrize("name", ["michell", "truss37", "forth", "apex"])
     def test_calls_match_per_design_bit_for_bit(self, name, monkeypatch, rng):
         if name == "apex":
             # degenerate and mechanism rows among healthy ones
-            design, pool = TrussDesign(apex_doc()), APEX_ROWS
+            doc, pool = apex_doc(), APEX_ROWS
+            design = TrussDesign(doc)
         else:
-            design = load_design(name)
+            design, doc = load_design(name), bundled_doc(name)
             pool = on_grid_sample(design, 12, rng)
         pool = np.concatenate([pool, off_grid_twins(design, pool, rng)])
         batches = [pool[rng.integers(0, len(pool), size=15)] for _ in range(4)]
         batches.insert(2, batches[1])
         seen = spy_on_analysis(design, monkeypatch)
         for X in batches:
-            assert_matches_per_design(design, X)
+            assert_matches_per_design(design, doc, X)
         assert sum(map(len, seen)) < sum(map(len, batches))
 
     def test_memo_holds_only_the_last_call(self, monkeypatch, rng):
-        design = load_design("michell")
+        design, doc = load_design("michell"), bundled_doc("michell")
         space = design.search_space()
         X = on_grid_sample(design, 10, rng)
         design.evaluate(X)
@@ -716,7 +767,7 @@ class TestEvaluationMemory:
         assert len(weights) <= len(last) and len(violations) <= len(last)
         # rows of the call before the last one are analyzed again
         seen = spy_on_analysis(design, monkeypatch)
-        assert_matches_per_design(design, X[4:6])
+        assert_matches_per_design(design, doc, X[4:6])
         assert len(seen) == 1 and seen[0].tobytes() == X[4:6].tobytes()
 
     def test_writing_into_results_changes_no_later_result(self, rng):
@@ -732,7 +783,8 @@ class TestEvaluationMemory:
             violations[:] = -1.0
 
     def test_call_that_raises_leaves_the_memo(self, monkeypatch):
-        design = TrussDesign(collapsing_doc())
+        doc = collapsing_doc()
+        design = TrussDesign(doc)
         design.evaluate(np.array([[2.0, 2.0, 1.0], [3.0, 3.0, 0.5]]))
         keys, weights, violations = design._memo
         before = dict(keys), weights.tobytes(), violations.tobytes()
@@ -743,7 +795,7 @@ class TestEvaluationMemory:
         keys, weights, violations = design._memo
         assert (keys, weights.tobytes(), violations.tobytes()) == before
         seen = spy_on_analysis(design, monkeypatch)
-        assert_matches_per_design(design, bad[[0, 2]])
+        assert_matches_per_design(design, doc, bad[[0, 2]])
         assert [rows.tobytes() for rows in seen] == [bad[2:].tobytes()]
 
     def test_signed_zeros_analyzed_apart(self, monkeypatch):
@@ -753,9 +805,9 @@ class TestEvaluationMemory:
         design = TrussDesign(doc)
         X = np.array([[2.0, 3.0, 1.0, 0.0], [2.0, 3.0, 1.0, -0.0], [2.0, 3.0, 1.0, 0.0]])
         seen = spy_on_analysis(design, monkeypatch)
-        assert_matches_per_design(design, X)
+        assert_matches_per_design(design, doc, X)
         assert [rows.tobytes() for rows in seen] == [X[:2].tobytes()]
-        assert_matches_per_design(design, X[::-1])
+        assert_matches_per_design(design, doc, X[::-1])
         assert len(seen) == 1
 
 class TestMichellReference:

@@ -21,37 +21,42 @@ class ConfigError(ValueError):
     """Raised when a configuration value violates its contract."""
 
 
-# what a field declared "bool", "int" or "float" accepts, and the type it is
-# stored as
+# what a value of each kind accepts (built-in types first: an abc check is
+# slower) and the type it is stored as
 _SCALARS = {
     "bool": (bool, bool),
-    "int": (numbers.Integral, int),
-    "float": (numbers.Real, float),
+    "int": ((int, numbers.Integral), int),
+    "float": ((float, int, numbers.Real), float),
+    "str": (str, str),
 }
 
 
+def check_value(value, kind: str, name: str):
+    """``value`` as the type ``kind`` names (``bool``, ``int``, ``float`` or
+    ``str``, or one of those ``| None``); another type is a ``ConfigError``
+    naming ``name``.  A bool is never a number, nor a float an int."""
+    scalar, _, rest = kind.partition(" | ")
+    if value is None and rest == "None":
+        return None
+    accepted, stored = _SCALARS[scalar]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and stored is not bool):
+        raise ConfigError(f"{name} must be {kind}, not {value!r}")
+    try:
+        return stored(value)
+    except OverflowError:  # no repr: str() refuses a long enough int
+        raise ConfigError(f"{name} must be {kind}, not an int this large") from None
+
+
 def check_field_types(config) -> None:
-    """Refuse a wrong type in a field of the dataclass ``config`` declared
-    ``bool``, ``int`` or ``float`` (or one of those ``| None``), and store the
-    value as that type: a bool is never a number, a float is never an int,
-    and a float field given ``1`` holds ``1.0``.  The annotations are read as
-    the strings that ``from __future__ import annotations`` leaves."""
+    """Pass each field of the dataclass ``config`` declared ``bool``,
+    ``int``, ``float`` or ``str`` (or one of those ``| None``) through
+    :func:`check_value`, and store what it returns.  The annotations are read
+    as the strings that ``from __future__ import annotations`` leaves."""
     for f in fields(config):
         kind, _, rest = f.type.partition(" | ")
-        if kind not in _SCALARS or rest not in ("", "None"):
-            continue
-        value = getattr(config, f.name)
-        if value is None and rest:
-            continue
-        accepted, stored = _SCALARS[kind]
-        if not isinstance(value, accepted) or (
-            isinstance(value, bool) and stored is not bool
-        ):
-            raise ConfigError(f"{f.name} must be {f.type}, not {value!r}")
-        try:
-            object.__setattr__(config, f.name, stored(value))
-        except OverflowError:  # no repr: str() refuses a long enough int
-            raise ConfigError(f"{f.name} must be {f.type}, not an int this large") from None
+        if kind in _SCALARS and rest in ("", "None"):
+            value = check_value(getattr(config, f.name), f.type, f.name)
+            object.__setattr__(config, f.name, value)
 
 
 def params_from_table(params_cls, table, name: str):

@@ -52,6 +52,7 @@ from .core import (
     RunResult,
     StatsRecord,
     check_field_types,
+    check_value,
     params_from_table,
     replicate_seed,
     replicate_stats,
@@ -269,9 +270,7 @@ def plan_from_file(path: str | Path) -> tuple[ExperimentPlan, str | None]:
     try:
         if not isinstance(doc, dict):
             raise ConfigError("plan must be a JSON object")
-        out = doc.pop("out", None)
-        if out is not None and not isinstance(out, str):
-            raise ConfigError(f"out must be a JSON string, not {out!r}")
+        out = check_value(doc.pop("out", None), "str | None", "out")
         tables = {name: doc.pop(name) for name in algorithm_names() if name in doc}
         kwargs = {"algorithm_params": tables}
         for singular, plural in (("algorithm", "algorithms"), ("problem", "problems")):
@@ -280,10 +279,8 @@ def plan_from_file(path: str | Path) -> tuple[ExperimentPlan, str | None]:
                 kwargs[plural] = names
         if "problems" not in kwargs:
             raise ConfigError("plan names no problem")
-        memory = doc.pop("memory_enabled", None)
+        memory = check_value(doc.pop("memory_enabled", None), "bool | None", "memory_enabled")
         if memory is not None:
-            if not isinstance(memory, bool):
-                raise ConfigError(f"memory_enabled must be a JSON boolean, not {memory!r}")
             kwargs["memory_modes"] = (memory,)
         if "seed" in doc:
             kwargs["root_seed"] = doc.pop("seed")

@@ -1,33 +1,37 @@
 """Truss benchmark geometry files and their design-variable mapping.
 
-A geometry file is a JSON document with these keys (all fixed quantities in
-SI units; design variables may use scaled units declared per variable):
+A geometry file is a JSON document with these keys, fixed quantities in SI
+units and design variables in scaled units declared per variable.  A unit or
+``num`` stands for a JSON number (never a bool), and ``int``, ``str`` and
+``bool`` for those JSON types; a value of another type is a ``ConfigError``
+naming the design and the entry.  A ``label`` may be any JSON value.
 
-``name``            short identifier.
+``name``            str, a short identifier.
 ``provenance``      list of free-text lines about where the data comes from.
 ``material``        ``{"young_modulus": Pa, "density": kg/m^3}``.
-``nodes``           list of ``{"id", "x", "y"}``; ids are arbitrary ints.
-``elements``        list of ``{"id", "nodes": [a, b], "group": str}``.
-``supports``        list of ``{"node", "fix_x", "fix_y"}``.
-``loads``           list of ``{"node", "fx", "fy"}`` in newtons.
-``masses``          list of ``{"node", "mass"}`` in kilograms.
-``fixed_areas``     list of ``{"group", "area"}`` in m^2 (positive) for groups
+``nodes``           list of ``{"id": int, "x": m, "y": m}``; ids are arbitrary.
+``elements``        list of ``{"id": label, "nodes": [int, int], "group": str}``.
+``supports``        list of ``{"node": int, "fix_x": bool, "fix_y": bool}``.
+``loads``           list of ``{"node": int, "fx": N, "fy": N}``.
+``masses``          list of ``{"node": int, "mass": kg}``.
+``fixed_areas``     list of ``{"group": str, "area": m^2}`` (positive) for groups
                     that are not design variables.
-``size_variables``  ordered list of ``{"name", "groups", "lower", "upper",
-                    "unit_scale", "grid"}``.  The design value times
-                    ``unit_scale`` is the member area in m^2, so ``lower``
-                    and ``unit_scale`` must be positive; ``grid`` is null or
-                    ``{"start", "stop", "step"}`` inside the bounds.
-``shape_variables`` ordered list of ``{"name", "lower", "upper",
-                    "unit_scale", "targets"}`` where each target is
-                    ``{"node", "axis", "coeff", "datum"}``.  The node
-                    coordinate becomes ``datum + coeff * unit_scale * value``,
-                    which expresses linked coordinates such as mirrored pairs
-                    (coeff -1) or shared offsets; of two targets on one
-                    coordinate the later one counts.
+``size_variables``  ordered list of ``{"name": label, "groups": [str, ...],
+                    "lower": num, "upper": num, "unit_scale": num, "grid"}``.
+                    The design value times ``unit_scale`` is the member area
+                    in m^2, so ``lower`` and ``unit_scale`` must be positive;
+                    ``grid`` is null or ``{"start": num, "stop": num, "step":
+                    num}`` inside the bounds.
+``shape_variables`` ordered list of ``{"name": label, "lower": num, "upper":
+                    num, "unit_scale": num, "targets"}`` where each target is
+                    ``{"node": int, "axis": "x"|"y", "coeff": num, "datum":
+                    num}``.  The node coordinate becomes ``datum + coeff *
+                    unit_scale * value``, which expresses linked coordinates
+                    such as mirrored pairs (coeff -1) or shared offsets; of two
+                    targets on one coordinate the later one counts.
 ``constraints``     ``{"stress_limit": Pa|null, "displacement_limits":
-                    [{"node": id|"all", "axis", "limit"}], "frequency_bounds":
-                    [Hz, ...]}``.
+                    [{"node": int|"all", "axis": "x"|"y", "limit": m}],
+                    "frequency_bounds": [Hz, ...]}``.
 
 The design vector is the concatenation of size variables then shape
 variables, in file order; each ``upper`` is finite and at least ``lower``.
@@ -42,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core import ConfigError, Problem, SearchSpace, snap_to_grid
+from ..core import ConfigError, Problem, SearchSpace, check_value, snap_to_grid
 from ..fem import (
     AnalysisError,
     Material,
@@ -64,16 +68,16 @@ _AXES = {"x": 0, "y": 1}
 
 
 def _finite(value, what: str) -> float:
-    """``value`` as a float; :class:`ConfigError` unless it is finite."""
-    value = float(value)
+    """The number ``value`` as a float; :class:`ConfigError` unless finite."""
+    value = check_value(value, "float", what)
     if not math.isfinite(value):
         raise ConfigError(f"{what} must be finite, not {value!r}")
     return value
 
 
 def _positive(value, what: str) -> float:
-    """``value`` as a float; :class:`ConfigError` unless it is finite and > 0."""
-    value = float(value)
+    """The number ``value`` as a float; :class:`ConfigError` unless finite, > 0."""
+    value = check_value(value, "float", what)
     # the chained comparison is False for NaN
     if not 0 < value < math.inf:
         raise ConfigError(f"{what} must be positive and finite, not {value!r}")
@@ -93,6 +97,8 @@ def _grid(var: dict, lower: float, upper: float) -> np.ndarray:
     what = f"{var['name']!r} grid"
     start, stop = (_finite(var["grid"][key], f"{what} {key}") for key in ("start", "stop"))
     step = _positive(var["grid"]["step"], f"{what} step")
+    if step < 1e-12:  # the grid is rounded to 12 decimals, so points would repeat
+        raise ConfigError(f"{what} step {step!r} is below its 1e-12 rounding")
     count = int(round((stop - start) / step)) + 1
     grid = np.round(start + step * np.arange(count), decimals=12)
     if not (grid.size and lower <= grid[0] and grid[-1] <= upper):
@@ -117,8 +123,8 @@ class TrussDesign:
     (members, supports, loads, masses, and the indices its analyses reuse),
     the index arrays with which :meth:`expand` writes every variable at
     once, and the displacement checks.  A file that lacks a required key,
-    names an unknown node, axis or group, or gives a value or bound outside
-    its range is a ``ConfigError`` that names the design and the entry.
+    names an unknown node, axis or group, or gives a value of another type
+    or outside its range is a ``ConfigError`` naming the design and entry.
     """
 
     def __init__(self, doc: dict):
@@ -130,24 +136,25 @@ class TrussDesign:
 
     def _node(self, node_id, entry: str) -> int:
         """Index of the node ``node_id`` that ``entry`` of the file names."""
-        if int(node_id) not in self._id_to_index:
+        node_id = check_value(node_id, "int", f"{entry} node")
+        if node_id not in self._id_to_index:
             raise ConfigError(f"{entry} names unknown node {node_id!r}")
-        return self._id_to_index[int(node_id)]
+        return self._id_to_index[node_id]
 
     def _axis(self, axis, entry: str) -> int:
-        if axis not in _AXES:
+        if check_value(axis, "str", f"{entry} axis") not in _AXES:
             raise ConfigError(f"{entry} names unknown axis {axis!r}")
         return _AXES[axis]
 
     def _read(self, doc: dict) -> None:
-        self.name = doc["name"]
+        self.name = check_value(doc["name"], "str", "name")
         self.provenance = list(doc.get("provenance", []))
-        material = Material(
-            young_modulus=float(doc["material"]["young_modulus"]),
-            density=float(doc["material"]["density"]),
-        )
+        material = Material(**{
+            key: check_value(doc["material"][key], "float", f"material {key}")
+            for key in ("young_modulus", "density")
+        })
 
-        ids = [int(n["id"]) for n in doc["nodes"]]
+        ids = [check_value(n["id"], "int", "node id") for n in doc["nodes"]]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate node id")
         self._id_to_index = {nid: k for k, nid in enumerate(ids)}
@@ -156,39 +163,35 @@ class TrussDesign:
         )
         n = len(ids)
 
-        members = np.array(
-            [
-                [self._node(node, f"element {e.get('id')}") for node in e["nodes"][:2]]
-                for e in doc["elements"]
-            ],
-            dtype=int,
-        )
-        self.member_groups = [str(e["group"]) for e in doc["elements"]]
+        members, self.member_groups, group_members = [], [], {}
+        for idx, e in enumerate(doc["elements"]):
+            entry = f"element {e.get('id')}"
+            members.append([self._node(node, entry) for node in e["nodes"][:2]])
+            g = check_value(e["group"], "str", f"{entry} group")
+            self.member_groups.append(g)
+            group_members.setdefault(g, []).append(idx)
+        members = np.array(members, dtype=int)
 
         fixed = np.zeros((n, 2), dtype=bool)
         for s in doc.get("supports", []):
             k = self._node(s["node"], "support")
-            fixed[k, 0] = bool(s.get("fix_x", False))
-            fixed[k, 1] = bool(s.get("fix_y", False))
+            for a, key in enumerate(("fix_x", "fix_y")):
+                fixed[k, a] = check_value(s.get(key, False), "bool", f"support {key}")
 
         loads = np.zeros((n, 2))
         for l in doc.get("loads", []):
             k = self._node(l["node"], "load")
-            loads[k, 0] += float(l.get("fx", 0.0))
-            loads[k, 1] += float(l.get("fy", 0.0))
+            for a, key in enumerate(("fx", "fy")):
+                loads[k, a] += check_value(l.get(key, 0.0), "float", f"load {key}")
 
         masses = np.zeros(n)
         for m in doc.get("masses", []):
-            masses[self._node(m["node"], "mass")] += float(m["mass"])
-
-        group_members: dict[str, list[int]] = {}
-        for idx, g in enumerate(self.member_groups):
-            group_members.setdefault(g, []).append(idx)
+            masses[self._node(m["node"], "mass")] += check_value(m["mass"], "float", "mass")
 
         self.base_areas = np.full(members.shape[0], np.nan)
         assigned = set()
         for fa in doc.get("fixed_areas", []):
-            g = str(fa["group"])
+            g = check_value(fa["group"], "str", "fixed area group")
             if g not in group_members:
                 raise ConfigError(f"fixed area for unknown group {g!r}")
             self.base_areas[group_members[g]] = _positive(
@@ -206,7 +209,8 @@ class TrussDesign:
             upper.append(_upper(sv, lower[-1]))
             grids.append(_grid(sv, lower[-1], upper[-1]) if sv.get("grid") else None)
             scale = _positive(sv.get("unit_scale", 1.0), f"{sv['name']!r} unit_scale")
-            for g in map(str, sv["groups"]):
+            for g in sv["groups"]:
+                g = check_value(g, "str", f"size variable {sv['name']!r} group")
                 if g not in group_members:
                     raise ConfigError(f"size variable {sv['name']!r}: unknown group {g!r}")
                 if g in assigned:
@@ -252,9 +256,8 @@ class TrussDesign:
         )
 
         c = doc.get("constraints", {})
-        self.stress_limit = c.get("stress_limit")
-        if self.stress_limit is not None:
-            self.stress_limit = _positive(self.stress_limit, "stress_limit")
+        limit = c.get("stress_limit")
+        self.stress_limit = None if limit is None else _positive(limit, "stress_limit")
         self.frequency_bounds = np.array(
             [_positive(f, "frequency bound") for f in c.get("frequency_bounds", [])]
         )

@@ -270,9 +270,81 @@ def fixed_base_doc():
     return doc
 
 
+def typed_doc():
+    """``collapsing_doc`` with a grid, a mass, a frequency bound and a
+    displacement limit, so that every typed entry of the schema is present."""
+    doc = collapsing_doc()
+    doc["size_variables"][0]["grid"] = {"start": 1.0, "stop": 5.0, "step": 0.5}
+    doc["masses"] = [{"node": 3, "mass": 10.0}]
+    doc["constraints"]["frequency_bounds"] = [1.0]
+    doc["constraints"]["displacement_limits"] = [{"node": 3, "axis": "y", "limit": 0.01}]
+    return doc
+
+
+# (document, path, wrong value, the entry its ConfigError names)
+MISTYPED_VALUES = (
+    [(typed_doc, path, value, entry) for path, entry in [
+        (("nodes", 2, "x"), "node 3 x"),
+        (("nodes", 0, "y"), "node 1 y"),
+        (("loads", 0, "fy"), "load fy"),
+        (("size_variables", 0, "lower"), "'a_base' lower"),
+        (("size_variables", 1, "upper"), "'a_legs' upper"),
+        (("size_variables", 0, "unit_scale"), "'a_base' unit_scale"),
+        (("shape_variables", 0, "targets", 0, "datum"), "'y_apex' target datum"),
+        (("shape_variables", 0, "targets", 0, "coeff"), "'y_apex' target coeff"),
+        (("material", "young_modulus"), "material young_modulus"),
+        (("material", "density"), "material density"),
+        (("size_variables", 0, "grid", "start"), "'a_base' grid start"),
+        (("size_variables", 0, "grid", "stop"), "'a_base' grid stop"),
+        (("size_variables", 0, "grid", "step"), "'a_base' grid step"),
+        (("constraints", "frequency_bounds", 0), "frequency bound"),
+        (("constraints", "displacement_limits", 0, "limit"), "displacement limit"),
+        (("masses", 0, "mass"), "mass"),
+    ] for value in (None, "1.5", True)]
+    # null is a valid stress_limit: it means no stress constraint
+    + [(typed_doc, ("constraints", "stress_limit"), value, "stress_limit")
+       for value in ("1.5", True)]
+    + [(fixed_base_doc, ("fixed_areas", 0, "area"), value, "fixed area of group 'base'")
+       for value in (None, "1.5", True)]
+    + [(typed_doc, path, value, entry) for path, entry in [
+        (("nodes", 0, "id"), "node id"),
+        (("supports", 0, "node"), "support node"),
+        (("loads", 0, "node"), "load node"),
+        (("masses", 0, "node"), "mass node"),
+        (("elements", 1, "nodes", 1), "element 2 node"),
+        (("shape_variables", 0, "targets", 0, "node"), "shape variable 'y_apex' node"),
+        (("constraints", "displacement_limits", 0, "node"), "displacement limit node"),
+    ] for value in (1.5, "3", True)]
+    + [(typed_doc, ("supports", 1, "fix_x"), value, "support fix_x")
+       for value in ("false", 1, None)]
+    + [
+        (typed_doc, ("elements", 0, "group"), 5, "element 1 group"),
+        (typed_doc, ("size_variables", 0, "groups", 0), 5, "size variable 'a_base' group"),
+        (fixed_base_doc, ("fixed_areas", 0, "group"), 5, "fixed area group"),
+        (typed_doc, ("shape_variables", 0, "targets", 0, "axis"), 0,
+         "shape variable 'y_apex' axis"),
+        (typed_doc, ("constraints", "displacement_limits", 0, "axis"), None,
+         "displacement limit axis"),
+    ]
+)
+
+
 class TestLoadValidation:
     """Values that would only fail, or silently change the problem, at the
     first evaluation are refused when the geometry file is read."""
+
+    @pytest.mark.parametrize("make, path, value, entry", MISTYPED_VALUES)
+    def test_mistyped_value_rejected(self, make, path, value, entry):
+        # each loaded (float("1.5"), int(1.5), bool("false")) or raised a bare
+        # TypeError or ValueError naming neither the design nor the entry
+        doc = make()
+        TrussDesign(doc)
+        with pytest.raises(ConfigError, match=f"^collapsing: {re.escape(entry)} must be "):
+            TrussDesign(with_value(doc, path, value))
+
+    def test_mistyped_design_name_rejected(self):
+        with pytest.raises(ConfigError, match=r"^5: name must be str, not 5$"):
+            TrussDesign(with_value(collapsing_doc(), ("name",), 5))
 
     @pytest.mark.parametrize("path", [
         ("nodes", 2, "x"),
@@ -355,7 +427,10 @@ class TestLoadValidation:
          "'a_base' grid is empty or leaves [1.0, 5.0]"),
         (("size_variables", 0, "grid"), {"start": 5.0, "stop": 1.0, "step": 0.5},
          "'a_base' grid is empty or leaves [1.0, 5.0]"),
-    ], ids=["upper_below_lower", "nan_upper", "grid_below_lower", "empty_grid"])
+        (("size_variables", 0, "grid"), {"start": 1.0, "stop": 1.000000000001, "step": 1e-13},
+         "'a_base' grid step 1e-13 is below its 1e-12 rounding"),
+    ], ids=["upper_below_lower", "nan_upper", "grid_below_lower", "empty_grid",
+            "step_below_rounding"])
     def test_bad_bounds_rejected_naming_the_variable(self, path, value, message):
         # each was a SearchSpace error naming neither the file nor the variable
         doc = with_value(collapsing_doc(), path, value)

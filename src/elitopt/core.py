@@ -9,6 +9,7 @@ evaluation accounting, and replicate statistics.
 
 from __future__ import annotations
 
+import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -29,16 +30,19 @@ _SCALARS = {
     "float": ((float, int, numbers.Real), float),
     "str": (str, str),
 }
+# JSON containers, which check_value takes and check_field_types leaves alone
+_CONTAINERS = {"list": (list, list), "dict": (dict, dict)}
 
 
 def check_value(value, kind: str, name: str):
-    """``value`` as the type ``kind`` names (``bool``, ``int``, ``float`` or
-    ``str``, or one of those ``| None``); another type is a ``ConfigError``
-    naming ``name``.  A bool is never a number, nor a float an int."""
+    """``value`` as the type ``kind`` names (``bool``, ``int``, ``float``,
+    ``str``, ``list`` or ``dict``, or one of those ``| None``); another type
+    is a ``ConfigError`` naming ``name``.  A bool is never a number, nor a
+    float an int."""
     scalar, _, rest = kind.partition(" | ")
     if value is None and rest == "None":
         return None
-    accepted, stored = _SCALARS[scalar]
+    accepted, stored = _SCALARS.get(scalar) or _CONTAINERS[scalar]
     if not isinstance(value, accepted) or (isinstance(value, bool) and stored is not bool):
         raise ConfigError(f"{name} must be {kind}, not {value!r}")
     try:
@@ -57,6 +61,15 @@ def check_field_types(config) -> None:
         if kind in _SCALARS and rest in ("", "None"):
             value = check_value(getattr(config, f.name), f.type, f.name)
             object.__setattr__(config, f.name, value)
+
+
+def read_json(path):
+    """The JSON document in the file ``path``; ``ConfigError`` unless valid."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError, or an int past str()'s digit limit
+            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
 
 
 def params_from_table(params_cls, table, name: str):

@@ -11,11 +11,10 @@ in their own order, so its solve is the dense one.  The modal analysis
 works on the dense stiffness of the free DOFs.
 
 A :class:`TrussTopology` holds what no design variable changes and is
-validated once.  A :class:`TrussModel` puts node coordinates and member
-areas on a topology: one configuration, or a stack of ``k`` configurations
-(node arrays ``(k, n, 2)``, area arrays ``(k, m)``).  Every analysis works
-on either: a stack is analyzed with one stacked call per LAPACK routine, and
-each configuration of it gets the same bits as when analyzed alone.
+validated once.  A :class:`TrussModel` puts a stack of ``k`` configurations
+on a topology: node coordinates ``(k, n, 2)`` and member areas ``(k, m)``.
+Every analysis takes the stack with one stacked call per LAPACK routine, and
+each configuration gets the same bits as in a stack of its own.
 """
 
 from __future__ import annotations
@@ -40,9 +39,8 @@ class ModelError(ValueError):
 class AnalysisError(RuntimeError):
     """Raised when the reduced system is singular (a mechanism).
 
-    ``mechanisms`` is a bool array over the analyzed model's stack (shape
-    ``()`` for one configuration) that marks each configuration found to be
-    a mechanism.
+    ``mechanisms`` is a ``(k,)`` bool array over the analyzed model's stack
+    that marks each configuration found to be a mechanism.
     """
 
     def __init__(self, message: str, mechanisms):
@@ -219,8 +217,8 @@ class TrussTopology:
 
 
 class TrussModel:
-    """One truss configuration, or a stack of them: node coordinates and
-    member areas on a :class:`TrussTopology`.
+    """A stack of ``k`` truss configurations: node coordinates and member
+    areas on a :class:`TrussTopology`.
 
     The topology was validated when it was built, so a model checks only
     what a design changes: the node array shape, areas > 0 and member
@@ -229,27 +227,26 @@ class TrussModel:
     mass is checked by :func:`natural_frequencies`, the one analysis that
     needs it.
 
-    nodes : (n, 2) float array of coordinates [m], or (k, n, 2) for a stack
-        of k configurations
-    areas : (m,) float array of cross sections [m^2], or (k, m)
+    nodes : (k, n, 2) float array of coordinates [m]
+    areas : (k, m) float array of cross sections [m^2]
     topology : the :class:`TrussTopology` both are placed on
-    lengths : (m,) or (k, m) member lengths [m], computed
-    cosines : (m, 2) or (k, m, 2) member direction cosines, computed
+    lengths : (k, m) member lengths [m], computed
+    cosines : (k, m, 2) member direction cosines, computed
     """
 
     def __init__(self, nodes, areas, topology: TrussTopology):
         nodes = np.asarray(nodes, dtype=float)
-        if not 2 <= nodes.ndim <= 3 or nodes.shape[-1] != 2:
-            raise ModelError("nodes must be an (n, 2) or (k, n, 2) array")
-        if nodes.shape[-2] != topology.n_nodes:
+        if nodes.ndim != 3 or nodes.shape[2] != 2:
+            raise ModelError(f"nodes must be a (k, n, 2) array, not {nodes.shape}")
+        if nodes.shape[1] != topology.n_nodes:
             raise ModelError("nodes do not match the topology's node count")
         areas = np.asarray(areas, dtype=float)
-        if areas.shape != nodes.shape[:-2] + (topology.n_members,):
-            raise ModelError("areas must match the member count")
+        if areas.shape != (len(nodes), topology.n_members):
+            raise ModelError(f"areas must be a {(len(nodes), topology.n_members)} array")
         if (areas <= 0).any():
             raise ModelError("member areas must be positive")
         members = topology.members
-        d = nodes[..., members[:, 1], :] - nodes[..., members[:, 0], :]
+        d = nodes[:, members[:, 1]] - nodes[:, members[:, 0]]
         # what np.linalg.norm(d, axis=-1) computes, without its overhead
         lengths = np.sqrt(np.add.reduce(d * d, axis=-1))
         if (lengths <= 0).any():
@@ -258,12 +255,7 @@ class TrussModel:
         self.areas = areas
         self.topology = topology
         self.lengths = lengths
-        self.cosines = d / lengths[..., None]
-
-    @property
-    def stack_shape(self) -> tuple:
-        """``()`` for one configuration, ``(k,)`` for a stack of k."""
-        return self.areas.shape[:-1]
+        self.cosines = d / lengths[:, :, None]
 
 
 def _scatter(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
@@ -280,20 +272,19 @@ def _scatter(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
 
 def _member_matrices(model: TrussModel) -> np.ndarray:
     """``(k, 16 m)``: row ``r`` holds the 4x4 stiffness of each member of
-    configuration ``r`` in global DOFs, row-major, in member order; a single
-    configuration gives one row."""
+    configuration ``r`` in global DOFs, row-major, in member order."""
     # per-member 4-vector (c, s, -c, -s); element matrix is k * outer(v, v)
     v = np.concatenate([model.cosines, -model.cosines], axis=-1)
     topo = model.topology
     k = topo.material.young_modulus * model.areas / model.lengths
-    blocks = k[..., None, None] * v[..., :, None] * v[..., None, :]
-    return blocks.reshape(-1, 16 * topo.n_members)
+    blocks = k[:, :, None, None] * v[:, :, :, None] * v[:, :, None, :]
+    return blocks.reshape(len(k), 16 * topo.n_members)
 
 
 def assemble_stiffness(model: TrussModel) -> np.ndarray:
-    """Stiffness on the free DOFs: the rows and columns of the topology's
-    ``free`` DOFs of the unsupported (2n, 2n) matrix, assembled directly
-    without it; ``(k, f, f)`` for a stack.
+    """``(k, f, f)`` stiffness on the free DOFs: the rows and columns of the
+    topology's ``free`` DOFs of each unsupported (2n, 2n) matrix, assembled
+    directly without it.
 
     Each entry sums its members' contributions in member order, the order in
     which ``np.add.at`` would add them into the full matrix, so the result
@@ -302,17 +293,14 @@ def assemble_stiffness(model: TrussModel) -> np.ndarray:
     topo = model.topology
     n = topo.free.size
     entries = _member_matrices(model)[:, topo.free_entries]
-    return _scatter(topo.free_stiffness_index, entries, n * n).reshape(
-        model.stack_shape + (n, n)
-    )
+    return _scatter(topo.free_stiffness_index, entries, n * n).reshape(-1, n, n)
 
 
 def assemble_blocks(model: TrussModel) -> np.ndarray:
     """The free stiffness in the topology's ``order`` as blocks: the
     ``n_blocks`` diagonal blocks, then the ``n_blocks - 1`` blocks below
-    them, ``(2 n_blocks - 1, b, b)`` with ``b`` the block size, or
-    ``(k, 2 n_blocks - 1, b, b)`` for a stack.  The padding DOFs of the last
-    block get a unit diagonal.
+    them, ``(k, 2 n_blocks - 1, b, b)`` with ``b`` the block size.  The
+    padding DOFs of the last block get a unit diagonal.
 
     Each entry is the sum of :func:`assemble_stiffness`, in the same order,
     so the blocks hold its entries bit for bit.
@@ -322,14 +310,13 @@ def assemble_blocks(model: TrussModel) -> np.ndarray:
     entries = _member_matrices(model)[:, topo.block_entries]
     K = _scatter(topo.block_index, entries, count * b * b)
     K[:, topo.block_padding] = 1.0
-    return K.reshape(model.stack_shape + (count, b, b))
+    return K.reshape(-1, count, b, b)
 
 
 @dataclass
 class StaticResult:
-    """displacements is (n, 2) with zeros on restrained DOFs; stresses is
-    per-member axial stress [Pa], tension positive.  For a stack both gain
-    the stack's leading axis."""
+    """displacements is (k, n, 2) with zeros on restrained DOFs; stresses is
+    (k, m) per-member axial stress [Pa], tension positive."""
 
     displacements: np.ndarray
     stresses: np.ndarray
@@ -341,17 +328,16 @@ def _positive_definite(K: np.ndarray) -> np.ndarray:
     stack when any matrix fails, so only then is each matrix tried alone."""
     try:
         np.linalg.cholesky(K)
-        return np.ones(K.shape[:-2], dtype=bool)
+        return np.ones(len(K), dtype=bool)
     except np.linalg.LinAlgError:
         pass
-    flat = K.reshape((-1,) + K.shape[-2:])
-    ok = np.ones(len(flat), dtype=bool)
-    for i, matrix in enumerate(flat):
+    ok = np.ones(len(K), dtype=bool)
+    for i, matrix in enumerate(K):
         try:
             np.linalg.cholesky(matrix)
         except np.linalg.LinAlgError:
             ok[i] = False
-    return ok.reshape(K.shape[:-2])
+    return ok
 
 
 def _solve_blocks(model: TrussModel) -> tuple[np.ndarray, np.ndarray]:
@@ -370,7 +356,7 @@ def _solve_blocks(model: TrussModel) -> tuple[np.ndarray, np.ndarray]:
     """
     topo = model.topology
     b, nb = topo.block_size, topo.n_blocks
-    K = assemble_blocks(model).reshape(-1, 2 * nb - 1, b, b)
+    K = assemble_blocks(model)
     k = len(K)
     diagonal, below = K[:, :nb], K[:, nb:]
     # the right-hand sides [L^T | y] of every block row; y is filled in as
@@ -399,8 +385,7 @@ def _solve_blocks(model: TrussModel) -> tuple[np.ndarray, np.ndarray]:
     for i in range(nb - 2, -1, -1):
         X = eliminated[i]
         u[:, i] = X[..., b:] - X[..., :b] @ u[:, i + 1]
-    u = u.reshape(k, nb * b)[:, : topo.free.size]
-    return u.reshape(model.stack_shape + (-1,)), ok.reshape(model.stack_shape)
+    return u.reshape(k, nb * b)[:, : topo.free.size], ok
 
 
 def solve_static(model: TrussModel) -> StaticResult:
@@ -415,14 +400,12 @@ def solve_static(model: TrussModel) -> StaticResult:
             "reduced stiffness is not positive definite; the truss is a mechanism",
             ~ok,
         )
-    stack = model.stack_shape
-    u = np.zeros(stack + (2 * topo.n_nodes,))
-    u[..., topo.order] = u_free
-    u = u.reshape(stack + (topo.n_nodes, 2))
+    u = np.zeros((len(u_free), topo.n_nodes, 2))
+    u.reshape(len(u_free), -1)[:, topo.order] = u_free
 
-    du = u[..., topo.members[:, 1], :] - u[..., topo.members[:, 0], :]
+    du = u[:, topo.members[:, 1]] - u[:, topo.members[:, 0]]
     # flattened to (k * m, 2), each member's two-term dot product runs in
-    # the same einsum loop as for a single configuration
+    # the same einsum loop whatever the stack's size
     elongation = np.einsum(
         "ij,ij->i", du.reshape(-1, 2), model.cosines.reshape(-1, 2)
     ).reshape(model.lengths.shape)
@@ -432,19 +415,16 @@ def solve_static(model: TrussModel) -> StaticResult:
 
 def lumped_masses(model: TrussModel) -> np.ndarray:
     """Per-node translational mass: lumped nonstructural mass plus half of
-    each adjacent member's structural mass; ``(k, n)`` for a stack."""
+    each adjacent member's structural mass, ``(k, n)``."""
     topo = model.topology
     tributary = 0.5 * topo.material.density * model.areas * model.lengths
-    stack = model.stack_shape
-    masses = np.broadcast_to(topo.masses, stack + topo.masses.shape)
-    weights = np.concatenate([masses, tributary, tributary], axis=-1)
-    return _scatter(
-        topo.mass_index, weights.reshape(-1, weights.shape[-1]), topo.n_nodes
-    ).reshape(stack + (topo.n_nodes,))
+    masses = np.broadcast_to(topo.masses, (len(tributary), topo.n_nodes))
+    weights = np.concatenate([masses, tributary, tributary], axis=1)
+    return _scatter(topo.mass_index, weights, topo.n_nodes)
 
 
 def natural_frequencies(model: TrussModel, count: int | None = None) -> np.ndarray:
-    """Lowest natural frequencies [Hz], ascending; ``(k, count)`` for a stack.
+    """``(k, count)`` lowest natural frequencies [Hz], ascending.
 
     The generalized problem with the diagonal mass matrix is reduced to a
     symmetric standard problem through a M^(-1/2) similarity transform.
@@ -453,20 +433,19 @@ def natural_frequencies(model: TrussModel, count: int | None = None) -> np.ndarr
     """
     free = model.topology.free
     # DOF 2k and 2k + 1 both carry node k's mass
-    mass = lumped_masses(model)[..., free // 2]
-    massless = (mass <= 0).reshape(-1, free.size)
-    if massless.any():
-        bad = free[np.argwhere(massless)[0, 1]]
+    mass = lumped_masses(model)[:, free // 2]
+    if (mass <= 0).any():
+        bad = free[np.argwhere(mass <= 0)[0, 1]]
         raise ModelError(f"free DOF {bad} carries no mass")
     K = assemble_stiffness(model)
     inv_sqrt = 1.0 / np.sqrt(mass)
-    A = inv_sqrt[..., :, None] * K * inv_sqrt[..., None, :]
-    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    A = inv_sqrt[:, :, None] * K * inv_sqrt[:, None, :]
+    A = 0.5 * (A + np.swapaxes(A, 1, 2))
     lams = np.linalg.eigvalsh(A)
-    tol = 1e-8 * np.maximum(1.0, np.abs(lams).max(axis=-1))
-    mechanisms = lams[..., 0] < -tol
+    tol = 1e-8 * np.maximum(1.0, np.abs(lams).max(axis=1))
+    mechanisms = lams[:, 0] < -tol
     if mechanisms.any():
-        first = lams[..., 0][mechanisms][0]
+        first = lams[mechanisms, 0][0]
         raise AnalysisError(
             f"negative stiffness eigenvalue {first:.3e}; the truss is a mechanism",
             mechanisms,
@@ -474,7 +453,7 @@ def natural_frequencies(model: TrussModel, count: int | None = None) -> np.ndarr
     lams = np.clip(lams, 0.0, None)
     freqs = np.sqrt(lams) / (2.0 * np.pi)
     if count is not None:
-        freqs = freqs[..., : int(count)]
+        freqs = freqs[:, : int(count)]
     return freqs
 
 

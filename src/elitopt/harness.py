@@ -54,6 +54,7 @@ from .core import (
     check_field_types,
     check_value,
     params_from_table,
+    read_json,
     replicate_seed,
     replicate_stats,
     run,
@@ -261,12 +262,7 @@ def plan_from_file(path: str | Path) -> tuple[ExperimentPlan, str | None]:
     ``root_seed``, ``memory_enabled`` one memory mode, a table under an
     algorithm's name an entry of ``algorithm_params``), which hold the
     defaults and check the values.  Errors are prefixed with the file."""
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # a JSONDecodeError, or an int past str()'s digit limit
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+    doc = read_json(path)
     try:
         if not isinstance(doc, dict):
             raise ConfigError("plan must be a JSON object")

@@ -2,9 +2,10 @@
 
 A geometry file is a JSON document with these keys, fixed quantities in SI
 units and design variables in scaled units declared per variable.  A unit or
-``num`` stands for a JSON number (never a bool), and ``int``, ``str`` and
-``bool`` for those JSON types; a value of another type is a ``ConfigError``
-naming the design and the entry.  A ``label`` may be any JSON value.
+``num`` stands for a JSON number (never a bool), and ``int``, ``str``,
+``bool``, a list and a ``{...}`` object for those JSON types; a value of
+another type is a ``ConfigError`` naming the design and the entry.  A
+``label`` may be any JSON value.
 
 ``name``            str, a short identifier.
 ``provenance``      list of free-text lines about where the data comes from.
@@ -39,14 +40,13 @@ variables, in file order; each ``upper`` is finite and at least ``lower``.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from pathlib import Path
 
 import numpy as np
 
-from ..core import ConfigError, Problem, SearchSpace, check_value, snap_to_grid
+from ..core import ConfigError, Problem, SearchSpace, check_value, read_json, snap_to_grid
 from ..fem import (
     AnalysisError,
     Material,
@@ -84,6 +84,11 @@ def _positive(value, what: str) -> float:
     return value
 
 
+def _objects(value, what: str) -> list[dict]:
+    """The JSON list of objects ``value``; :class:`ConfigError` unless it is one."""
+    return [check_value(v, "dict", f"{what} entry") for v in check_value(value, "list", what)]
+
+
 def _upper(var: dict, lower: float) -> float:
     """The upper bound of the design variable ``var``: finite, >= ``lower``."""
     upper = _finite(var["upper"], f"{var['name']!r} upper")
@@ -92,11 +97,14 @@ def _upper(var: dict, lower: float) -> float:
     return upper
 
 
-def _grid(var: dict, lower: float, upper: float) -> np.ndarray:
-    """The grid of the size variable ``var``: not empty, inside its bounds."""
+def _grid(var: dict, lower: float, upper: float) -> np.ndarray | None:
+    """The grid of the size variable ``var`` or None: not empty, inside its bounds."""
     what = f"{var['name']!r} grid"
-    start, stop = (_finite(var["grid"][key], f"{what} {key}") for key in ("start", "stop"))
-    step = _positive(var["grid"]["step"], f"{what} step")
+    spec = check_value(var.get("grid"), "dict | None", what)
+    if not spec:
+        return None
+    start, stop = (_finite(spec[key], f"{what} {key}") for key in ("start", "stop"))
+    step = _positive(spec["step"], f"{what} step")
     if step < 1e-12:  # the grid is rounded to 12 decimals, so points would repeat
         raise ConfigError(f"{what} step {step!r} is below its 1e-12 rounding")
     count = int(round((stop - start) / step)) + 1
@@ -128,11 +136,13 @@ class TrussDesign:
     """
 
     def __init__(self, doc: dict):
+        name = "geometry file"
         try:
+            name = check_value(doc, "dict", "geometry document").get("name", name)
             self._read(doc)
         except (KeyError, ConfigError, ModelError) as exc:
             what = f"lacks required key {exc}" if isinstance(exc, KeyError) else exc
-            raise ConfigError(f"{doc.get('name', 'geometry file')}: {what}") from None
+            raise ConfigError(f"{name}: {what}") from None
 
     def _node(self, node_id, entry: str) -> int:
         """Index of the node ``node_id`` that ``entry`` of the file names."""
@@ -148,49 +158,52 @@ class TrussDesign:
 
     def _read(self, doc: dict) -> None:
         self.name = check_value(doc["name"], "str", "name")
-        self.provenance = list(doc.get("provenance", []))
-        material = Material(**{
-            key: check_value(doc["material"][key], "float", f"material {key}")
-            for key in ("young_modulus", "density")
-        })
+        self.provenance = check_value(doc.get("provenance", []), "list", "provenance")
+        material = check_value(doc["material"], "dict", "material")
+        material = Material(*(check_value(material[key], "float", f"material {key}")
+                              for key in ("young_modulus", "density")))
 
-        ids = [check_value(n["id"], "int", "node id") for n in doc["nodes"]]
+        nodes = _objects(doc["nodes"], "nodes")
+        ids = [check_value(n["id"], "int", "node id") for n in nodes]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate node id")
         self._id_to_index = {nid: k for k, nid in enumerate(ids)}
         self.base_nodes = np.array(
-            [[_finite(n[a], f"node {n['id']} {a}") for a in "xy"] for n in doc["nodes"]]
+            [[_finite(n[a], f"node {n['id']} {a}") for a in "xy"] for n in nodes]
         )
         n = len(ids)
 
         members, self.member_groups, group_members = [], [], {}
-        for idx, e in enumerate(doc["elements"]):
+        for idx, e in enumerate(_objects(doc["elements"], "elements")):
             entry = f"element {e.get('id')}"
-            members.append([self._node(node, entry) for node in e["nodes"][:2]])
+            pair = check_value(e["nodes"], "list", f"{entry} nodes")
+            if len(pair) != 2:
+                raise ConfigError(f"{entry} must name two nodes, not {pair!r}")
+            members.append([self._node(node, entry) for node in pair])
             g = check_value(e["group"], "str", f"{entry} group")
             self.member_groups.append(g)
             group_members.setdefault(g, []).append(idx)
         members = np.array(members, dtype=int)
 
         fixed = np.zeros((n, 2), dtype=bool)
-        for s in doc.get("supports", []):
+        for s in _objects(doc.get("supports", []), "supports"):
             k = self._node(s["node"], "support")
             for a, key in enumerate(("fix_x", "fix_y")):
                 fixed[k, a] = check_value(s.get(key, False), "bool", f"support {key}")
 
         loads = np.zeros((n, 2))
-        for l in doc.get("loads", []):
+        for l in _objects(doc.get("loads", []), "loads"):
             k = self._node(l["node"], "load")
             for a, key in enumerate(("fx", "fy")):
                 loads[k, a] += check_value(l.get(key, 0.0), "float", f"load {key}")
 
         masses = np.zeros(n)
-        for m in doc.get("masses", []):
+        for m in _objects(doc.get("masses", []), "masses"):
             masses[self._node(m["node"], "mass")] += check_value(m["mass"], "float", "mass")
 
         self.base_areas = np.full(members.shape[0], np.nan)
         assigned = set()
-        for fa in doc.get("fixed_areas", []):
+        for fa in _objects(doc.get("fixed_areas", []), "fixed_areas"):
             g = check_value(fa["group"], "str", "fixed area group")
             if g not in group_members:
                 raise ConfigError(f"fixed area for unknown group {g!r}")
@@ -203,16 +216,17 @@ class TrussDesign:
         # come first, and each sets the area of every member of its groups
         lower, upper, grids = [], [], []
         area_members, area_vars, area_scales = [], [], []
-        for k, sv in enumerate(doc.get("size_variables", [])):
+        for k, sv in enumerate(_objects(doc.get("size_variables", []), "size_variables")):
+            entry = f"size variable {sv['name']!r}"
             # a member area is value * unit_scale, value >= lower
             lower.append(_positive(sv["lower"], f"{sv['name']!r} lower"))
             upper.append(_upper(sv, lower[-1]))
-            grids.append(_grid(sv, lower[-1], upper[-1]) if sv.get("grid") else None)
+            grids.append(_grid(sv, lower[-1], upper[-1]))
             scale = _positive(sv.get("unit_scale", 1.0), f"{sv['name']!r} unit_scale")
-            for g in sv["groups"]:
-                g = check_value(g, "str", f"size variable {sv['name']!r} group")
+            for g in check_value(sv["groups"], "list", f"{entry} groups"):
+                g = check_value(g, "str", f"{entry} group")
                 if g not in group_members:
-                    raise ConfigError(f"size variable {sv['name']!r}: unknown group {g!r}")
+                    raise ConfigError(f"{entry}: unknown group {g!r}")
                 if g in assigned:
                     raise ConfigError(f"group {g!r} assigned twice")
                 assigned.add(g)
@@ -230,15 +244,17 @@ class TrussDesign:
         # datum + coeff * unit_scale * value; a coordinate targeted twice
         # keeps its last target, as a loop would
         last = {}
-        for k, sv in enumerate(doc.get("shape_variables", []), start=len(lower)):
+        shapes = _objects(doc.get("shape_variables", []), "shape_variables")
+        for k, sv in enumerate(shapes, start=len(lower)):
             entry = f"shape variable {sv['name']!r}"
             lower.append(_finite(sv["lower"], f"{sv['name']!r} lower"))
             upper.append(_upper(sv, lower[-1]))
             grids.append(None)
             scale = _finite(sv.get("unit_scale", 1.0), f"{sv['name']!r} unit_scale")
-            if not sv["targets"]:
+            targets = _objects(sv["targets"], f"{entry} targets")
+            if not targets:
                 raise ConfigError(f"{entry} has no targets")
-            for t in sv["targets"]:
+            for t in targets:
                 coord = 2 * self._node(t["node"], entry) + self._axis(t["axis"], entry)
                 last[coord] = (
                     k,
@@ -255,15 +271,14 @@ class TrussDesign:
             grids=None if all(g is None for g in grids) else tuple(grids),
         )
 
-        c = doc.get("constraints", {})
+        c = check_value(doc.get("constraints", {}), "dict", "constraints")
         limit = c.get("stress_limit")
         self.stress_limit = None if limit is None else _positive(limit, "stress_limit")
-        self.frequency_bounds = np.array(
-            [_positive(f, "frequency bound") for f in c.get("frequency_bounds", [])]
-        )
+        bounds = check_value(c.get("frequency_bounds", []), "list", "frequency_bounds")
+        self.frequency_bounds = np.array([_positive(f, "frequency bound") for f in bounds])
         # (nodes, axis, limit) of each displacement limit
         self._displacement_checks = []
-        for dl in c.get("displacement_limits", []):
+        for dl in _objects(c.get("displacement_limits", []), "displacement_limits"):
             axis = self._axis(dl["axis"], "displacement limit")
             limit = _positive(dl["limit"], "displacement limit")
             nodes = np.arange(n)
@@ -293,8 +308,7 @@ class TrussDesign:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TrussDesign":
-        with open(path, encoding="utf-8") as fh:
-            return cls(json.load(fh))
+        return cls(read_json(path))
 
     # -- design-vector mapping ------------------------------------------
 
@@ -305,21 +319,18 @@ class TrussDesign:
     def search_space(self) -> SearchSpace:
         return self._space
 
-    def expand(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Design vector -> (node coordinates, member areas), both in SI; a
-        ``(k, dim)`` stack of vectors gives ``(k, n, 2)`` and ``(k, m)``."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
-            raise ValueError(
-                f"design vector has shape {x.shape}, expected ({self.dim},) "
-                f"or (k, {self.dim})"
-            )
-        stack = x.shape[:-1]
-        areas = np.tile(self.base_areas, stack + (1,))
-        areas[..., self._area_members] = self._area_scales * x[..., self._area_vars]
-        coords = np.tile(self.base_nodes, stack + (1, 1))
-        coords.reshape(stack + (-1,))[..., self._coord_index] = (
-            self._coord_datums + self._coord_scales * x[..., self._coord_vars]
+    def expand(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(k, dim)`` design vectors ``X`` -> node coordinates
+        ``(k, n, 2)`` and member areas ``(k, m)``, both in SI."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.dim:
+            raise ValueError(f"designs have shape {X.shape}, expected (k, {self.dim})")
+        k = len(X)
+        areas = np.tile(self.base_areas, (k, 1))
+        areas[:, self._area_members] = self._area_scales * X[:, self._area_vars]
+        coords = np.tile(self.base_nodes, (k, 1, 1))
+        coords.reshape(k, -1)[:, self._coord_index] = (
+            self._coord_datums + self._coord_scales * X[:, self._coord_vars]
         )
         return coords, areas
 

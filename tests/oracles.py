@@ -55,25 +55,28 @@ def element_stiffness(xa, xb, area, young_modulus):
 
 
 def full_stiffness(model):
-    """Unsupported (2n, 2n) stiffness, summed element by element."""
+    """Unsupported (2n, 2n) stiffness of a stack of one, summed element by
+    element."""
     topo = model.topology
+    (nodes,), (areas,) = model.nodes, model.areas
     K = np.zeros((2 * topo.n_nodes, 2 * topo.n_nodes))
-    for (a, b), area in zip(topo.members, model.areas):
-        k = element_stiffness(model.nodes[a], model.nodes[b], area,
-                              topo.material.young_modulus)
+    for (a, b), area in zip(topo.members, areas):
+        k = element_stiffness(nodes[a], nodes[b], area, topo.material.young_modulus)
         dofs = [2 * a, 2 * a + 1, 2 * b, 2 * b + 1]
         K[np.ix_(dofs, dofs)] += k
     return K
 
 
 def solve_static_oracle(model, spring_scale=1e14):
-    """Full displacement vector and member stresses by the penalty method."""
+    """Full displacement vector and member stresses of a stack of one by the
+    penalty method."""
     topo = model.topology
+    (nodes,), (areas,) = model.nodes, model.areas
     n_dof = 2 * topo.n_nodes
     E = topo.material.young_modulus
     K = np.zeros((n_dof, n_dof))
-    for (a, b), area in zip(topo.members, model.areas):
-        xa, xb = model.nodes[a], model.nodes[b]
+    for (a, b), area in zip(topo.members, areas):
+        xa, xb = nodes[a], nodes[b]
         d = xb - xa
         length = float(np.hypot(*d))
         c, s = d / length
@@ -91,8 +94,8 @@ def solve_static_oracle(model, spring_scale=1e14):
     u = np.linalg.solve(K, topo.loads.ravel())
 
     stresses = np.empty(topo.n_members)
-    for m, ((a, b), _) in enumerate(zip(topo.members, model.areas)):
-        xa, xb = model.nodes[a], model.nodes[b]
+    for m, (a, b) in enumerate(topo.members):
+        xa, xb = nodes[a], nodes[b]
         d = xb - xa
         length = float(np.hypot(*d))
         c, s = d / length
@@ -102,13 +105,13 @@ def solve_static_oracle(model, spring_scale=1e14):
 
 
 def dense_static(model):
-    """``(displacements, stresses)`` of a model or a stack of them by the
-    dense solve of the free stiffness: one stacked Cholesky check, then
+    """``(displacements, stresses)`` of a stacked model by the dense solve of
+    the free stiffness: a Cholesky check of each configuration, then
     ``np.linalg.solve``, whatever the topology's layout.  Raises
     ``AnalysisError`` marking each configuration whose Cholesky fails.  The
     reference for the block elimination of ``solve_static``."""
     topo = model.topology
-    K = assemble_stiffness(model).reshape((-1,) + (topo.free.size,) * 2)
+    K = assemble_stiffness(model)
     ok = np.ones(len(K), dtype=bool)
     for i, matrix in enumerate(K):
         try:
@@ -116,11 +119,11 @@ def dense_static(model):
         except np.linalg.LinAlgError:
             ok[i] = False
     if not ok.all():
-        raise AnalysisError("mechanism", ~ok.reshape(model.stack_shape))
+        raise AnalysisError("mechanism", ~ok)
     u = np.zeros((len(K), 2 * topo.n_nodes))
     u[:, topo.free] = np.linalg.solve(K, topo.loads.ravel()[topo.free])
     u = u.reshape(model.nodes.shape)
-    du = u[..., topo.members[:, 1], :] - u[..., topo.members[:, 0], :]
+    du = u[:, topo.members[:, 1]] - u[:, topo.members[:, 0]]
     elongation = np.sum(du * model.cosines, axis=-1)
     return u, topo.material.young_modulus * elongation / model.lengths
 
@@ -334,8 +337,8 @@ def snap_to_grid_loop(position, space):
 
 
 def evaluate_design(design, doc, x):
-    """``(objective, violations)`` of one design analyzed alone: one model,
-    one static and one modal analysis, with the degenerate and mechanism
+    """``(objective, violations)`` of one design analyzed alone: a stack of
+    one, one static and one modal analysis, with the degenerate and mechanism
     fallbacks of ``TrussDesign.evaluate``.  The design vector is expanded and
     the constraints are read from ``doc``, the geometry document ``design``
     was loaded from.  The reference that the stacked evaluation of a
@@ -346,14 +349,14 @@ def evaluate_design(design, doc, x):
     x = snap_to_grid_loop(x, design.search_space())
     coords, areas = expand_loop(doc, x)
     try:
-        model = TrussModel(coords, areas, topo)
+        model = TrussModel(coords[None], areas[None], topo)
     except ModelError:
         d = coords[topo.members[:, 1]] - coords[topo.members[:, 0]]
         lengths = np.sqrt(np.add.reduce(d * d, axis=1))
         if np.min(lengths) >= DEGENERATE_LENGTH:
             raise
         return float(topo.material.density * np.sum(areas * lengths)), degenerate
-    weight = float(topo.material.density * np.sum(model.areas * model.lengths))
+    weight = float(topo.material.density * np.sum(model.areas[0] * model.lengths[0]))
     if model.lengths.min() < DEGENERATE_LENGTH:
         return weight, degenerate
     constraints = doc.get("constraints", {})
@@ -365,15 +368,15 @@ def evaluate_design(design, doc, x):
         if stress_limit or limits:
             res = solve_static(model)
             if stress_limit:
-                violations.append(stress_violations(res.stresses, float(stress_limit)))
+                violations.append(stress_violations(res.stresses[0], float(stress_limit)))
             for limit in limits:
                 nodes = (np.arange(topo.n_nodes) if limit["node"] == "all"
                          else [_node_indices(doc)[int(limit["node"])]])
                 violations.append(displacement_violation(
-                    res.displacements[nodes, "xy".index(limit["axis"])],
+                    res.displacements[0, nodes, "xy".index(limit["axis"])],
                     float(limit["limit"])))
         if bounds.size:
-            freqs = natural_frequencies(model, count=bounds.size)
+            freqs = natural_frequencies(model, count=bounds.size)[0]
             violations.append(frequency_violations(freqs, bounds))
     except AnalysisError:
         return weight, degenerate

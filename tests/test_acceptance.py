@@ -126,11 +126,11 @@ def test_criterion_1_static_solver_vs_oracle():
     for k in range(50):
         nodes, members, areas, fixed, loads = random_stable_truss(rng, 3 + k % 4)
         topology = TrussTopology(len(nodes), members, STEEL, fixed, loads)
-        model = TrussModel(nodes, areas, topology)
+        model = TrussModel(nodes[None], areas[None], topology)
         res = solve_static(model)
         u_ref, s_ref = solve_static_oracle(model)
-        du = np.abs(res.displacements.ravel() - u_ref).max()
-        ds = np.abs(res.stresses - s_ref).max()
+        du = np.abs(res.displacements[0].ravel() - u_ref).max()
+        ds = np.abs(res.stresses[0] - s_ref).max()
         worst = max(
             worst,
             du / max(np.abs(u_ref).max(), 1e-30),
@@ -138,8 +138,8 @@ def test_criterion_1_static_solver_vs_oracle():
         )
 
     cantilever = TrussModel(
-        nodes=np.array([[0.0, 0.0], [1.0, 0.0]]),
-        areas=np.array([1e-4]),
+        nodes=np.array([[[0.0, 0.0], [1.0, 0.0]]]),
+        areas=np.array([[1e-4]]),
         topology=TrussTopology(
             2,
             members=np.array([[0, 1]]),
@@ -150,8 +150,8 @@ def test_criterion_1_static_solver_vs_oracle():
     )
     res = solve_static(cantilever)
     cant_dev = max(
-        abs(res.displacements[1, 0] - 1e-3) / 1e-3,
-        abs(res.stresses[0] - 210e6) / 210e6,
+        abs(res.displacements[0, 1, 0] - 1e-3) / 1e-3,
+        abs(res.stresses[0, 0] - 210e6) / 210e6,
     )
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and cant_dev <= 1e-12 and elapsed < 5.0
@@ -170,8 +170,8 @@ def test_criterion_2_modal_analysis():
 
     def oscillator(mass):
         return TrussModel(
-            nodes=np.array([[0.0, 0.0], [1.0, 0.0]]),
-            areas=np.array([1e-5]),
+            nodes=np.array([[[0.0, 0.0], [1.0, 0.0]]]),
+            areas=np.array([[1e-5]]),
             topology=TrussTopology(
                 2,
                 members=np.array([[0, 1]]),
@@ -181,8 +181,8 @@ def test_criterion_2_modal_analysis():
             ),
         )
 
-    f1 = natural_frequencies(oscillator(1.0))[0]
-    f2 = natural_frequencies(oscillator(2.0))[0]
+    f1 = natural_frequencies(oscillator(1.0))[0, 0]
+    f2 = natural_frequencies(oscillator(2.0))[0, 0]
     expect = math.sqrt(1e6) / (2.0 * math.pi)
     dev_single = abs(f1 - expect) / expect
     dev_double = abs(f2 - f1 / math.sqrt(2.0)) / f1
@@ -192,8 +192,8 @@ def test_criterion_2_modal_analysis():
     for _ in range(5):
         nodes, members, areas, fixed, _ = random_stable_truss(rng, 5)
         topology = TrussTopology(len(nodes), members, STEEL, fixed)
-        base = natural_frequencies(TrussModel(nodes, areas, topology))
-        scaled = natural_frequencies(TrussModel(nodes, 4.2 * areas, topology))
+        base = natural_frequencies(TrussModel(nodes[None], areas[None], topology))[0]
+        scaled = natural_frequencies(TrussModel(nodes[None], 4.2 * areas[None], topology))[0]
         dev_scaling = max(
             dev_scaling, float(np.abs(scaled - base).max() / base.max())
         )
@@ -517,10 +517,10 @@ def test_criterion_9_bridge_and_tower_smoke(smoke_runs):
         if prob == "truss37":
             design = load_design("truss37")
             x = snap_to_grid(np.array(best.position), design.search_space())
-            coords, areas = design.expand(x)
+            coords, areas = design.expand(x[None])
             freqs = natural_frequencies(
                 TrussModel(coords, areas, design.topology), count=3
-            )
+            )[0]
             above = bool(np.all(freqs >= np.array([20.0, 40.0, 60.0]) - 1e-6))
             ok = ok and above
             details.append(

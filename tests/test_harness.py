@@ -435,6 +435,16 @@ class TestPlanFromFile:
         assert plan.problems == ("michell", "sphere")
         assert (plan.budget, plan.replicates, out) == (4000, 20, "results")
 
+    def test_readme_python_example_runs(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        api = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+        example = api.split("```python\n", 1)[1].split("```", 1)[0]
+        scope = {}
+        exec(example, scope)
+        result = scope["result"]
+        assert result.nfes == 4000 and len(result.history) == 80
+        assert capsys.readouterr().out.split()[-1] == "4000"
+
 
 class TestPlanValidation:
     def test_duplicates_rejected(self):

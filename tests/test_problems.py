@@ -30,6 +30,12 @@ def mid_vector(space):
     return 0.5 * (space.lower + space.upper)
 
 
+def expand_one(design, x):
+    """``(coords, areas)`` of one design vector, as a stack of one."""
+    coords, areas = design.expand(np.asarray(x, dtype=float)[None])
+    return coords[0], areas[0]
+
+
 def evaluate_one(design, x):
     """``(weight, violation row)`` of one design, as a batch of one."""
     weights, violations = design.evaluate(np.asarray(x, dtype=float)[None])
@@ -151,13 +157,13 @@ class TestTrussDesignMapping:
         design = load_design("michell")
         space = design.search_space()
         x = space.lower + rng.random(space.dim) * (space.upper - space.lower)
-        coords, areas = design.expand(x)
+        coords, areas = expand_one(design, x)
         assert np.allclose(contract(bundled_doc("michell"), coords, areas), x, rtol=1e-12)
 
     def test_shape_targets_apply_datum_and_coeff(self):
         design, doc = load_design("michell"), bundled_doc("michell")
         x = mid_vector(design.search_space())
-        coords, _ = design.expand(x)
+        coords, _ = expand_one(design, x)
         nodes = {n["id"]: k for k, n in enumerate(doc["nodes"])}
         ns = len(doc["size_variables"])
         for k, var in enumerate(doc["shape_variables"]):
@@ -172,7 +178,7 @@ class TestTrussDesignMapping:
         space = design.search_space()
         x = space.lower + rng.random(space.dim) * (space.upper - space.lower)
         coords, areas = expand_loop(bundled_doc(name), x)
-        got_coords, got_areas = design.expand(x)
+        got_coords, got_areas = expand_one(design, x)
         assert np.array_equal(got_coords, coords)
         assert np.array_equal(got_areas, areas)
 
@@ -185,7 +191,7 @@ class TestTrussDesignMapping:
                          {"node": 3, "axis": "y", "coeff": 1.0, "datum": 0.125}]})
         design = TrussDesign(doc)
         x = np.array([2.0, 3.0, 0.75, 0.5, 0.375])
-        coords, areas = design.expand(x)
+        coords, areas = expand_one(design, x)
         ref_coords, ref_areas = expand_loop(doc, x)
         assert np.array_equal(coords, ref_coords)
         assert np.array_equal(areas, ref_areas)
@@ -214,7 +220,7 @@ class TestTrussDesignMapping:
         design, doc = load_design("michell"), bundled_doc("michell")
         x = mid_vector(design.search_space())
         x[0] = 2.5
-        _, areas = design.expand(x)
+        _, areas = expand_one(design, x)
         var = doc["size_variables"][0]
         members = [k for k, e in enumerate(doc["elements"]) if e["group"] in var["groups"]]
         assert members
@@ -223,7 +229,13 @@ class TestTrussDesignMapping:
     def test_wrong_length_rejected(self):
         design = load_design("michell")
         with pytest.raises(ValueError):
-            design.expand(np.zeros(3))
+            design.expand(np.zeros((1, 3)))
+
+    def test_single_vector_rejected(self):
+        # designs are always a (k, dim) stack: one vector is a stack of one
+        design = load_design("michell")
+        with pytest.raises(ValueError, match=r"expected \(k, 10\)"):
+            design.expand(np.zeros(design.dim))
 
     def test_fixed_chord_areas_ignore_design_vector(self, rng):
         design = load_design("truss37")
@@ -234,7 +246,7 @@ class TestTrussDesignMapping:
         assert len(fixed_idx) == 10
         for _ in range(3):
             x = space.lower + rng.random(space.dim) * (space.upper - space.lower)
-            _, areas = design.expand(x)
+            _, areas = expand_one(design, x)
             assert np.allclose(areas[fixed_idx], 4e-3)
 
     def test_groups_without_area_source_rejected(self):
@@ -317,6 +329,27 @@ MISTYPED_VALUES = (
     ] for value in (1.5, "3", True)]
     + [(typed_doc, ("supports", 1, "fix_x"), value, "support fix_x")
        for value in ("false", 1, None)]
+    # a list or object entry of another type
+    + [(typed_doc, path, value, entry) for path, value, entry in [
+        (("provenance",), "abc", "provenance"),
+        (("material",), [210e9, 7800.0], "material"),
+        (("nodes",), {"id": 1}, "nodes"),
+        (("nodes", 1), [2, 1.0, 0.0], "nodes entry"),
+        (("elements", 0), "1-2", "elements entry"),
+        (("elements", 0, "nodes"), 12, "element 1 nodes"),
+        (("supports",), None, "supports"),
+        (("loads", 0), None, "loads entry"),
+        (("masses",), {"node": 3, "mass": 10.0}, "masses"),
+        (("size_variables",), {}, "size_variables"),
+        (("size_variables", 0, "groups"), "base", "size variable 'a_base' groups"),
+        (("size_variables", 0, "grid"), True, "'a_base' grid"),
+        (("shape_variables", 0, "targets"), {"node": 3}, "shape variable 'y_apex' targets"),
+        (("shape_variables", 0, "targets", 0), 3, "shape variable 'y_apex' targets entry"),
+        (("constraints",), [], "constraints"),
+        (("constraints", "frequency_bounds"), 1.0, "frequency_bounds"),
+        (("constraints", "displacement_limits"), {}, "displacement_limits"),
+    ]]
+    + [(fixed_base_doc, ("fixed_areas",), {"group": "base"}, "fixed_areas")]
     + [
         (typed_doc, ("elements", 0, "group"), 5, "element 1 group"),
         (typed_doc, ("size_variables", 0, "groups", 0), 5, "size variable 'a_base' group"),
@@ -335,8 +368,9 @@ class TestLoadValidation:
 
     @pytest.mark.parametrize("make, path, value, entry", MISTYPED_VALUES)
     def test_mistyped_value_rejected(self, make, path, value, entry):
-        # each loaded (float("1.5"), int(1.5), bool("false")) or raised a bare
-        # TypeError or ValueError naming neither the design nor the entry
+        # each loaded (float("1.5"), int(1.5), bool("false"), a string as its
+        # characters) or raised a bare TypeError, AttributeError or ValueError
+        # naming neither the design nor the entry
         doc = make()
         TrussDesign(doc)
         with pytest.raises(ConfigError, match=f"^collapsing: {re.escape(entry)} must be "):
@@ -451,6 +485,31 @@ class TestLoadValidation:
         del target[last]
         with pytest.raises(ConfigError, match=re.escape(f"collapsing: lacks required key {last!r}")):
             TrussDesign(doc)
+
+    @pytest.mark.parametrize("nodes", [[1, 2, 3], [1]])
+    def test_element_names_two_nodes(self, nodes):
+        # [1, 2, 3] loaded as the member 1-2; [1] was a bare numpy ValueError
+        doc = with_value(collapsing_doc(), ("elements", 0, "nodes"), nodes)
+        message = f"collapsing: element 1 must name two nodes, not {nodes!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            TrussDesign(doc)
+
+    def test_document_that_is_not_an_object_rejected(self):
+        # it was a bare AttributeError from doc.get
+        with pytest.raises(ConfigError, match=re.escape(
+                "geometry file: geometry document must be dict, not ['collapsing']")):
+            TrussDesign(["collapsing"])
+
+    def test_invalid_json_names_the_file(self, tmp_path, monkeypatch):
+        # it was a bare json.JSONDecodeError naming neither file nor design
+        path = tmp_path / "michell_arch.json"
+        path.write_text('{"name": "x",')
+        message = f"{path}: not valid JSON (Expecting property name"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            TrussDesign.from_file(path)
+        monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            get_problem("michell")
 
     def test_bad_bundled_file_names_itself(self, tmp_path, monkeypatch):
         doc = json.loads((data_dir() / "michell_arch.json").read_text())
@@ -605,7 +664,7 @@ class TestTrussEvaluation:
         space = design.search_space()
         x = mid_vector(space)
         freqs = natural_frequencies(
-            TrussModel(*design.expand(x), design.topology), count=3)
+            TrussModel(*design.expand(x[None]), design.topology), count=3)[0]
         assert np.all(np.diff(freqs) >= 0)
         bigger = x.copy()
         bigger[:14] = space.upper[:14]
@@ -699,13 +758,13 @@ class TestBatchEvaluation:
         wrapped = getattr(tg, analysis)
 
         def counting(model, **kwargs):
-            calls.append(model.stack_shape)
+            calls.append(len(model.areas))
             return wrapped(model, **kwargs)
 
         monkeypatch.setattr(tg, analysis, counting)
         design = load_design(name)
         design.evaluate(design.search_space().sample(50, rng))
-        assert calls == [(50,)]
+        assert calls == [50]
 
     def test_degenerate_and_mechanism_rows_among_healthy_ones(self):
         doc = apex_doc()
@@ -729,7 +788,7 @@ class TestBatchEvaluation:
         X = design.search_space().sample(4, rng)
         coords, areas = design.expand(X)
         for i, x in enumerate(X):
-            one_coords, one_areas = design.expand(x)
+            one_coords, one_areas = expand_one(design, x)
             assert np.array_equal(coords[i], one_coords)
             assert np.array_equal(areas[i], one_areas)
 

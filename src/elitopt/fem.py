@@ -468,10 +468,11 @@ def stress_violations(stresses: np.ndarray, limit: float) -> np.ndarray:
     return np.maximum(0.0, np.abs(stresses) / limit - 1.0)
 
 
-def displacement_violation(value, limit: float):
+def displacement_violation(value, limit):
     """``max(0, |u| / limit - 1)`` for one displacement bound, elementwise
-    when ``value`` is an array of displacements."""
-    if limit <= 0:
+    when ``value`` is an array of displacements; an array ``limit`` bounds
+    each displacement along the last axis by its own entry."""
+    if np.any(np.asarray(limit) <= 0):
         raise ValueError("displacement limit must be positive")
     return np.maximum(0.0, np.abs(value) / limit - 1.0)
 

@@ -400,13 +400,19 @@ def _replicate_job(plan: ExperimentPlan, cell: PlanCell, replicate: int) -> RunR
 def run_cell(
     cell: PlanCell, plan: ExperimentPlan, out_dir: Path, workers: int = 1
 ) -> list[RunResult]:
-    """Run all replicates of one cell and write its files.
+    """Run all replicates of one cell and write its files, first removing
+    what an earlier run left in its directory (so that a rerun with fewer
+    replicates does not count the old run files).
 
     The stats file is computed from the just-written history files, not
     from the in-memory results, so it round-trips exactly.
     """
     cell_dir = Path(out_dir) / cell.label
     cell_dir.mkdir(parents=True, exist_ok=True)
+    stale = list(cell_dir.glob("run_*.csv"))
+    stale += [cell_dir / name for name in ("stats.csv", "best.json", "error.txt")]
+    for path in stale:
+        path.unlink(missing_ok=True)
     replicates = range(plan.replicates)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -629,17 +635,10 @@ def run_experiment(
         (out_dir / name).unlink(missing_ok=True)
     cells = plan.cells()
     for cell in cells:
-        cell_dir = out_dir / cell.label
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        # a rerun with fewer replicates must not count the old run files
-        stale = list(cell_dir.glob("run_*.csv"))
-        stale += [cell_dir / name for name in ("stats.csv", "best.json", "error.txt")]
-        for path in stale:
-            path.unlink(missing_ok=True)
         try:
             run_cell(cell, plan, out_dir, workers=workers)
         except Exception as exc:
-            with _atomic_write(cell_dir / "error.txt") as fh:
+            with _atomic_write(out_dir / cell.label / "error.txt") as fh:
                 fh.write(f"{type(exc).__name__}: {exc}\n")
     return write_report(out_dir, cells)
 

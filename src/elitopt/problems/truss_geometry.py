@@ -8,7 +8,7 @@ another type is a ``ConfigError`` naming the design and the entry.  A
 ``label`` may be any JSON value.
 
 ``name``            str, a short identifier.
-``provenance``      list of free-text lines about where the data comes from.
+``provenance``      list of str, free-text lines about where the data comes from.
 ``material``        ``{"young_modulus": Pa, "density": kg/m^3}``.
 ``nodes``           list of ``{"id": int, "x": m, "y": m}``; ids are arbitrary.
 ``elements``        list of ``{"id": label, "nodes": [int, int], "group": str}``.
@@ -20,11 +20,13 @@ another type is a ``ConfigError`` naming the design and the entry.  A
 ``size_variables``  ordered list of ``{"name": label, "groups": [str, ...],
                     "lower": num, "upper": num, "unit_scale": num, "grid"}``.
                     The design value times ``unit_scale`` is the member area
-                    in m^2, so ``lower`` and ``unit_scale`` must be positive;
-                    ``grid`` is null or ``{"start": num, "stop": num, "step":
-                    num}`` inside the bounds.
+                    in m^2 of every member of its (non-empty) ``groups``, so
+                    ``lower`` and ``unit_scale`` must be positive; ``grid`` is
+                    null (or absent) or ``{"start": num, "stop": num, "step":
+                    num}`` with all three keys, inside the bounds.
 ``shape_variables`` ordered list of ``{"name": label, "lower": num, "upper":
-                    num, "unit_scale": num, "targets"}`` where each target is
+                    num, "unit_scale": num, "targets"}`` where ``targets`` is a
+                    non-empty list and each target is
                     ``{"node": int, "axis": "x"|"y", "coeff": num, "datum":
                     num}``.  The node coordinate becomes ``datum + coeff *
                     unit_scale * value``, which expresses linked coordinates
@@ -65,6 +67,10 @@ DEGENERATE_LENGTH = 1e-6  # m; shorter members mark the design infeasible
 DEGENERATE_VIOLATION = 1e3
 
 _AXES = {"x": 0, "y": 1}
+# write table row: entry ``index`` of a flat design is ``datum + scale * x[var]``
+_WRITE = np.dtype([("index", np.intp), ("var", np.intp), ("scale", float), ("datum", float)])
+# displacement table row: entry ``index`` of the flat displacements and its limit
+_LIMIT = np.dtype([("index", np.intp), ("limit", float)])
 
 
 def _finite(value, what: str) -> float:
@@ -98,10 +104,11 @@ def _upper(var: dict, lower: float) -> float:
 
 
 def _grid(var: dict, lower: float, upper: float) -> np.ndarray | None:
-    """The grid of the size variable ``var`` or None: not empty, inside its bounds."""
+    """The grid of the size variable ``var``, None for a null or absent one:
+    not empty, inside its bounds."""
     what = f"{var['name']!r} grid"
     spec = check_value(var.get("grid"), "dict | None", what)
-    if not spec:
+    if spec is None:
         return None
     start, stop = (_finite(spec[key], f"{what} {key}") for key in ("start", "stop"))
     step = _positive(spec["step"], f"{what} step")
@@ -128,11 +135,16 @@ class TrussDesign:
 
     Everything that no design variable changes is built and validated here,
     in one pass over the file: the search space, the :class:`TrussTopology`
-    (members, supports, loads, masses, and the indices its analyses reuse),
-    the index arrays with which :meth:`expand` writes every variable at
-    once, and the displacement checks.  A file that lacks a required key,
-    names an unknown node, axis or group, or gives a value of another type
-    or outside its range is a ``ConfigError`` naming the design and entry.
+    (members, supports, loads, masses, and the indices its analyses reuse)
+    and two flat tables.  The write table has a row (flat index, variable,
+    scale, datum) per entry that a design variable writes in a design's
+    flat vector (node coordinates ``x0, y0, x1, ...``, then member areas),
+    so :meth:`expand` is one tile and one scatter; the displacement table
+    has the flat index and limit of each limited displacement, one gather.
+    A design variable that writes no entry, or a file that lacks a required
+    key, names an unknown node, axis or group, or gives a value of another
+    type or outside its range is a ``ConfigError`` naming the design and
+    entry.
     """
 
     def __init__(self, doc: dict):
@@ -158,7 +170,8 @@ class TrussDesign:
 
     def _read(self, doc: dict) -> None:
         self.name = check_value(doc["name"], "str", "name")
-        self.provenance = check_value(doc.get("provenance", []), "list", "provenance")
+        provenance = check_value(doc.get("provenance", []), "list", "provenance")
+        self.provenance = [check_value(line, "str", "provenance entry") for line in provenance]
         material = check_value(doc["material"], "dict", "material")
         material = Material(*(check_value(material[key], "float", f"material {key}")
                               for key in ("young_modulus", "density")))
@@ -168,12 +181,11 @@ class TrussDesign:
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate node id")
         self._id_to_index = {nid: k for k, nid in enumerate(ids)}
-        self.base_nodes = np.array(
-            [[_finite(n[a], f"node {n['id']} {a}") for a in "xy"] for n in nodes]
-        )
+        coords = [_finite(n[a], f"node {n['id']} {a}") for n in nodes for a in "xy"]
         n = len(ids)
 
-        members, self.member_groups, group_members = [], [], {}
+        # the flat design's area entry (2n + member) of each group's members
+        members, group_entries = [], {}
         for idx, e in enumerate(_objects(doc["elements"], "elements")):
             entry = f"element {e.get('id')}"
             pair = check_value(e["nodes"], "list", f"{entry} nodes")
@@ -181,8 +193,7 @@ class TrussDesign:
                 raise ConfigError(f"{entry} must name two nodes, not {pair!r}")
             members.append([self._node(node, entry) for node in pair])
             g = check_value(e["group"], "str", f"{entry} group")
-            self.member_groups.append(g)
-            group_members.setdefault(g, []).append(idx)
+            group_entries.setdefault(g, []).append(2 * n + idx)
         members = np.array(members, dtype=int)
 
         fixed = np.zeros((n, 2), dtype=bool)
@@ -201,70 +212,56 @@ class TrussDesign:
         for m in _objects(doc.get("masses", []), "masses"):
             masses[self._node(m["node"], "mass")] += check_value(m["mass"], "float", "mass")
 
-        self.base_areas = np.full(members.shape[0], np.nan)
+        # one design flat: node coordinates x0, y0, x1, ..., then member areas
+        self._base = np.array(coords + [np.nan] * len(members))
         assigned = set()
         for fa in _objects(doc.get("fixed_areas", []), "fixed_areas"):
             g = check_value(fa["group"], "str", "fixed area group")
-            if g not in group_members:
+            if g not in group_entries:
                 raise ConfigError(f"fixed area for unknown group {g!r}")
-            self.base_areas[group_members[g]] = _positive(
-                fa["area"], f"fixed area of group {g!r}"
-            )
+            self._base[group_entries[g]] = _positive(fa["area"], f"fixed area of group {g!r}")
             assigned.add(g)
 
-        # design variable k is entry k of the bounds; the size variables
-        # come first, and each sets the area of every member of its groups
-        lower, upper, grids = [], [], []
-        area_members, area_vars, area_scales = [], [], []
-        for k, sv in enumerate(_objects(doc.get("size_variables", []), "size_variables")):
-            entry = f"size variable {sv['name']!r}"
-            # a member area is value * unit_scale, value >= lower
-            lower.append(_positive(sv["lower"], f"{sv['name']!r} lower"))
-            upper.append(_upper(sv, lower[-1]))
-            grids.append(_grid(sv, lower[-1], upper[-1]))
-            scale = _positive(sv.get("unit_scale", 1.0), f"{sv['name']!r} unit_scale")
-            for g in check_value(sv["groups"], "list", f"{entry} groups"):
-                g = check_value(g, "str", f"{entry} group")
-                if g not in group_members:
-                    raise ConfigError(f"{entry}: unknown group {g!r}")
-                if g in assigned:
-                    raise ConfigError(f"group {g!r} assigned twice")
-                assigned.add(g)
-                area_members += group_members[g]
-                area_vars += [k] * len(group_members[g])
-                area_scales += [scale] * len(group_members[g])
-        missing = sorted(set(group_members) - assigned)
+        # design variable k is entry k of the bounds, the size variables
+        # first; each writes datum + scale * value into entries of the flat
+        # design (a member area is value * unit_scale, a node coordinate
+        # datum + coeff * unit_scale * value), and of two writes to one
+        # entry the later one counts, as a loop would
+        lower, upper, grids, writes = [], [], [], {}
+        variables = [(kind, var) for kind in ("size", "shape") for var in
+                     _objects(doc.get(f"{kind}_variables", []), f"{kind}_variables")]
+        for k, (kind, var) in enumerate(variables):
+            entry, size = f"{kind} variable {var['name']!r}", kind == "size"
+            # a size variable's lower and scale keep every area it writes positive
+            number = _positive if size else _finite
+            lower.append(number(var["lower"], f"{var['name']!r} lower"))
+            upper.append(_upper(var, lower[-1]))
+            grids.append(_grid(var, lower[-1], upper[-1]) if size else None)
+            scale = number(var.get("unit_scale", 1.0), f"{var['name']!r} unit_scale")
+            if size:
+                entries = []
+                for g in check_value(var["groups"], "list", f"{entry} groups"):
+                    g = check_value(g, "str", f"{entry} group")
+                    if g not in group_entries:
+                        raise ConfigError(f"{entry}: unknown group {g!r}")
+                    if g in assigned:
+                        raise ConfigError(f"group {g!r} assigned twice")
+                    assigned.add(g)
+                    entries += [(i, scale, 0.0) for i in group_entries[g]]
+            else:
+                entries = [
+                    (2 * self._node(t["node"], entry) + self._axis(t["axis"], entry),
+                     _finite(t.get("coeff", 1.0), f"{var['name']!r} target coeff") * scale,
+                     _finite(t.get("datum", 0.0), f"{var['name']!r} target datum"))
+                    for t in _objects(var["targets"], f"{entry} targets")
+                ]
+            if not entries:
+                raise ConfigError(f"{entry} writes no entry")
+            writes.update((i, (k, scale, datum)) for i, scale, datum in entries)
+        missing = sorted(set(group_entries) - assigned)
         if missing:
             raise ConfigError(f"groups without an area source: {missing}")
-        self._area_members = np.array(area_members, dtype=int)
-        self._area_vars = np.array(area_vars, dtype=int)
-        self._area_scales = np.array(area_scales, dtype=float)
-
-        # a shape variable sets each node coordinate it targets to
-        # datum + coeff * unit_scale * value; a coordinate targeted twice
-        # keeps its last target, as a loop would
-        last = {}
-        shapes = _objects(doc.get("shape_variables", []), "shape_variables")
-        for k, sv in enumerate(shapes, start=len(lower)):
-            entry = f"shape variable {sv['name']!r}"
-            lower.append(_finite(sv["lower"], f"{sv['name']!r} lower"))
-            upper.append(_upper(sv, lower[-1]))
-            grids.append(None)
-            scale = _finite(sv.get("unit_scale", 1.0), f"{sv['name']!r} unit_scale")
-            targets = _objects(sv["targets"], f"{entry} targets")
-            if not targets:
-                raise ConfigError(f"{entry} has no targets")
-            for t in targets:
-                coord = 2 * self._node(t["node"], entry) + self._axis(t["axis"], entry)
-                last[coord] = (
-                    k,
-                    _finite(t.get("coeff", 1.0), f"{sv['name']!r} target coeff") * scale,
-                    _finite(t.get("datum", 0.0), f"{sv['name']!r} target datum"),
-                )
-        self._coord_index = np.array(list(last), dtype=int)
-        self._coord_vars = np.array([c[0] for c in last.values()], dtype=int)
-        self._coord_scales = np.array([c[1] for c in last.values()], dtype=float)
-        self._coord_datums = np.array([c[2] for c in last.values()], dtype=float)
+        self._writes = np.array([(i, *w) for i, w in writes.items()], dtype=_WRITE)
         self._space = SearchSpace(
             lower=np.array(lower),
             upper=np.array(upper),
@@ -276,15 +273,16 @@ class TrussDesign:
         self.stress_limit = None if limit is None else _positive(limit, "stress_limit")
         bounds = check_value(c.get("frequency_bounds", []), "list", "frequency_bounds")
         self.frequency_bounds = np.array([_positive(f, "frequency bound") for f in bounds])
-        # (nodes, axis, limit) of each displacement limit
-        self._displacement_checks = []
+        # one violation column per limited entry of the flat displacements
+        # (u0, v0, u1, ...), "all" in node order
+        limits = []
         for dl in _objects(c.get("displacement_limits", []), "displacement_limits"):
             axis = self._axis(dl["axis"], "displacement limit")
             limit = _positive(dl["limit"], "displacement limit")
-            nodes = np.arange(n)
-            if dl["node"] != "all":
-                nodes = np.array([self._node(dl["node"], "displacement limit")])
-            self._displacement_checks.append((nodes, axis, limit))
+            node = dl["node"]
+            nodes = range(n) if node == "all" else [self._node(node, "displacement limit")]
+            limits += [(2 * i + axis, limit) for i in nodes]
+        self._limits = np.array(limits, dtype=_LIMIT)
 
         self.topology = TrussTopology(n, members, material, fixed, loads, masses)
         if self.frequency_bounds.size > self.topology.free.size:
@@ -297,7 +295,7 @@ class TrussDesign:
         self._columns = max(
             1,
             (self.topology.n_members if self.stress_limit is not None else 0)
-            + sum(nodes.size for nodes, _, _ in self._displacement_checks)
+            + self._limits.size
             + self.frequency_bounds.size,
         )
         # the previous call of :meth:`evaluate`: each row's key mapped to its
@@ -321,18 +319,16 @@ class TrussDesign:
 
     def expand(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The ``(k, dim)`` design vectors ``X`` -> node coordinates
-        ``(k, n, 2)`` and member areas ``(k, m)``, both in SI."""
+        ``(k, n, 2)`` and member areas ``(k, m)``, both in SI and both views
+        of one ``(k, 2n + m)`` array of flat designs."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"designs have shape {X.shape}, expected (k, {self.dim})")
-        k = len(X)
-        areas = np.tile(self.base_areas, (k, 1))
-        areas[:, self._area_members] = self._area_scales * X[:, self._area_vars]
-        coords = np.tile(self.base_nodes, (k, 1, 1))
-        coords.reshape(k, -1)[:, self._coord_index] = (
-            self._coord_datums + self._coord_scales * X[:, self._coord_vars]
-        )
-        return coords, areas
+        w = self._writes
+        flat = np.tile(self._base, (len(X), 1))
+        flat[:, w["index"]] = w["datum"] + w["scale"] * X[:, w["var"]]
+        n2 = 2 * self.topology.n_nodes
+        return flat[:, :n2].reshape(len(X), -1, 2), flat[:, n2:]
 
     # -- evaluation ------------------------------------------------------
 
@@ -417,14 +413,14 @@ class TrussDesign:
         """Violation rows of a stacked model, one per configuration, ``0.0``
         for a truss without constraints."""
         parts = []
-        if self.stress_limit is not None or self._displacement_checks:
+        if self.stress_limit is not None or self._limits.size:
             res = solve_static(model)
             if self.stress_limit is not None:
                 parts.append(stress_violations(res.stresses, self.stress_limit))
-            for nodes, axis, limit in self._displacement_checks:
-                parts.append(
-                    displacement_violation(res.displacements[:, nodes, axis], limit)
-                )
+            if self._limits.size:
+                u = res.displacements.reshape(len(res.displacements), -1)
+                parts.append(displacement_violation(u[:, self._limits["index"]],
+                                                    self._limits["limit"]))
         if self.frequency_bounds.size:
             freqs = natural_frequencies(model, count=self.frequency_bounds.size)
             parts.append(frequency_violations(freqs, self.frequency_bounds))

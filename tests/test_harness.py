@@ -26,6 +26,7 @@ from elitopt.harness import (
     read_history_csv,
     read_manifest,
     read_stats_csv,
+    run_cell,
     run_experiment,
     write_history_csv,
     write_manifest,
@@ -705,22 +706,42 @@ class TestRunExperiment:
         out = tmp_path / "out"
         run_experiment(small_plan(root_seed=1), out)
         assert "ok" in (out / "report.csv").read_text()
-        run_cell = harness.run_cell
+        replicate_job = harness._replicate_job
         calls = []
 
-        def interrupted(cell, *args, **kwargs):
-            calls.append(cell.label)
+        def interrupted(plan, cell, r):
+            if r == 0:
+                calls.append(cell.label)
             if len(calls) == 2:
                 raise KeyboardInterrupt
-            return run_cell(cell, *args, **kwargs)
+            return replicate_job(plan, cell, r)
 
-        monkeypatch.setattr(harness, "run_cell", interrupted)
+        monkeypatch.setattr(harness, "_replicate_job", interrupted)
         with pytest.raises(KeyboardInterrupt):
             run_experiment(small_plan(root_seed=2), out)
         assert calls == ["bbo-sphere-mem", "bbo-sphere-std"]
         assert not list((out / "bbo-sphere-std").iterdir())
         for name in ("report.csv", "improvements.csv", "report.txt"):
             assert not (out / name).exists()
+
+    def test_rerun_cell_writes_only_its_own_files(self, tmp_path):
+        # a cell run with 5 replicates, then with 2 and another seed into
+        # the same directory: the stats, best and error files describe the
+        # 2 new runs only
+        first = small_plan(replicates=5, root_seed=1)
+        cell = first.cells()[0]
+        run_cell(cell, first, tmp_path)
+        cell_dir = tmp_path / cell.label
+        (cell_dir / "error.txt").write_text("RuntimeError: an earlier failure\n")
+        second = small_plan(replicates=2, root_seed=2)
+        results = run_cell(cell, second, tmp_path)
+        assert len(results) == 2
+        assert sorted(p.name for p in cell_dir.iterdir()) == [
+            "best.json", "run_000.csv", "run_001.csv", "stats.csv"
+        ]
+        assert read_stats_csv(cell_dir / "stats.csv").runs == 2
+        best = json.loads((cell_dir / "best.json").read_text())
+        assert best["fitness"] == min(r.best.fitness for r in results)
 
     def test_seed_changes_histories(self, tmp_path):
         run_experiment(small_plan(root_seed=1), tmp_path / "a")

@@ -238,10 +238,10 @@ class TestTrussDesignMapping:
             design.expand(np.zeros(design.dim))
 
     def test_fixed_chord_areas_ignore_design_vector(self, rng):
-        design = load_design("truss37")
+        design, doc = load_design("truss37"), bundled_doc("truss37")
         space = design.search_space()
         fixed_idx = [
-            k for k, g in enumerate(design.member_groups) if g == "chord_fixed"
+            k for k, e in enumerate(doc["elements"]) if e["group"] == "chord_fixed"
         ]
         assert len(fixed_idx) == 10
         for _ in range(3):
@@ -286,6 +286,7 @@ def typed_doc():
     """``collapsing_doc`` with a grid, a mass, a frequency bound and a
     displacement limit, so that every typed entry of the schema is present."""
     doc = collapsing_doc()
+    doc["provenance"] = ["a triangle", "driven onto its support"]
     doc["size_variables"][0]["grid"] = {"start": 1.0, "stop": 5.0, "step": 0.5}
     doc["masses"] = [{"node": 3, "mass": 10.0}]
     doc["constraints"]["frequency_bounds"] = [1.0]
@@ -332,6 +333,9 @@ MISTYPED_VALUES = (
     # a list or object entry of another type
     + [(typed_doc, path, value, entry) for path, value, entry in [
         (("provenance",), "abc", "provenance"),
+        (("provenance", 0), 1, "provenance entry"),
+        (("provenance", 1), None, "provenance entry"),
+        (("provenance", 0), ["a triangle"], "provenance entry"),
         (("material",), [210e9, 7800.0], "material"),
         (("nodes",), {"id": 1}, "nodes"),
         (("nodes", 1), [2, 1.0, 0.0], "nodes entry"),
@@ -491,6 +495,35 @@ class TestLoadValidation:
         # [1, 2, 3] loaded as the member 1-2; [1] was a bare numpy ValueError
         doc = with_value(collapsing_doc(), ("elements", 0, "nodes"), nodes)
         message = f"collapsing: element 1 must name two nodes, not {nodes!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            TrussDesign(doc)
+
+    @pytest.mark.parametrize("grid, key", [
+        ({}, "start"),
+        ({"stop": 5.0, "step": 0.5}, "start"),
+        ({"start": 1.0, "step": 0.5}, "stop"),
+        ({"start": 1.0, "stop": 5.0}, "step"),
+    ])
+    def test_grid_object_names_all_three_keys(self, grid, key):
+        # {} loaded as a continuous variable
+        doc = with_value(collapsing_doc(), ("size_variables", 0, "grid"), grid)
+        with pytest.raises(ConfigError, match=f"^collapsing: lacks required key {key!r}$"):
+            TrussDesign(doc)
+
+    def test_size_variable_without_groups_rejected(self):
+        # it loaded, michell's dim stayed 10, and moving the variable
+        # changed no member area
+        doc = bundled_doc("michell")
+        var = doc["size_variables"][0]
+        doc["fixed_areas"] += [{"group": g, "area": 1e-4} for g in var["groups"]]
+        var["groups"] = []
+        message = f"michell_arch: size variable {var['name']!r} writes no entry"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            TrussDesign(doc)
+
+    def test_shape_variable_without_targets_rejected(self):
+        doc = with_value(collapsing_doc(), ("shape_variables", 0, "targets"), [])
+        message = "collapsing: shape variable 'y_apex' writes no entry"
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             TrussDesign(doc)
 

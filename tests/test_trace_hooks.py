@@ -20,7 +20,8 @@ def test_install_wraps_and_restore_puts_back(monkeypatch):
     from elitopt.problems import truss_geometry as tg
 
     hooks = [(tg, "TrussModel"), (tg, "solve_static"), (tg, "natural_frequencies"),
-             (fem, "assemble_stiffness")]
+             (fem, "assemble_stiffness"), (tg.TrussDesign, "expand"),
+             (tg.TrussDesign, "search_space")]
     hooks += [(tg, name) for name in tracing.CONSTRAINT_HELPERS]
     hooks += [(core, "penalized_fitness"), (core.EliteMemory, "offer"),
               (core.EliteMemory, "inject")]

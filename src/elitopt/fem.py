@@ -14,7 +14,9 @@ A :class:`TrussTopology` holds what no design variable changes and is
 validated once.  A :class:`TrussModel` puts a stack of ``k`` configurations
 on a topology: node coordinates ``(k, n, 2)`` and member areas ``(k, m)``.
 Every analysis takes the stack with one stacked call per LAPACK routine, and
-each configuration gets the same bits as in a stack of its own.
+each configuration gets the same bits as in a stack of its own.  A
+configuration that is a mechanism does not stop the others: its results
+come back NaN.
 """
 
 from __future__ import annotations
@@ -34,18 +36,6 @@ BANDED_MIN_BLOCKS = 3
 
 class ModelError(ValueError):
     """Raised when a truss model is not analyzable as posed."""
-
-
-class AnalysisError(RuntimeError):
-    """Raised when the reduced system is singular (a mechanism).
-
-    ``mechanisms`` is a ``(k,)`` bool array over the analyzed model's stack
-    that marks each configuration found to be a mechanism.
-    """
-
-    def __init__(self, message: str, mechanisms):
-        super().__init__(message)
-        self.mechanisms = np.asarray(mechanisms, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -390,16 +380,13 @@ def _solve_blocks(model: TrussModel) -> tuple[np.ndarray, np.ndarray]:
 
 def solve_static(model: TrussModel) -> StaticResult:
     """Displacements and stresses under the model's nodal loads, by the
-    block elimination of :func:`_solve_blocks`.  Raises
-    :class:`AnalysisError` when any configuration is a mechanism.
+    block elimination of :func:`_solve_blocks`.  A configuration whose
+    stiffness is not positive definite is a mechanism: its free
+    displacements, and so its stresses, are NaN.
     """
     topo = model.topology
     u_free, ok = _solve_blocks(model)
-    if not ok.all():
-        raise AnalysisError(
-            "reduced stiffness is not positive definite; the truss is a mechanism",
-            ~ok,
-        )
+    u_free[~ok] = np.nan
     u = np.zeros((len(u_free), topo.n_nodes, 2))
     u.reshape(len(u_free), -1)[:, topo.order] = u_free
 
@@ -423,13 +410,13 @@ def lumped_masses(model: TrussModel) -> np.ndarray:
     return _scatter(topo.mass_index, weights, topo.n_nodes)
 
 
-def natural_frequencies(model: TrussModel, count: int | None = None) -> np.ndarray:
-    """``(k, count)`` lowest natural frequencies [Hz], ascending.
+def natural_frequencies(model: TrussModel) -> np.ndarray:
+    """``(k, f)`` natural frequencies [Hz] of the ``f`` free DOFs, ascending.
 
     The generalized problem with the diagonal mass matrix is reduced to a
     symmetric standard problem through a M^(-1/2) similarity transform.
     Tiny negative eigenvalues from roundoff are clamped to zero; a larger
-    negative one marks a mechanism and raises :class:`AnalysisError`.
+    negative one marks a mechanism, whose frequencies are all NaN.
     """
     free = model.topology.free
     # DOF 2k and 2k + 1 both carry node k's mass
@@ -443,18 +430,8 @@ def natural_frequencies(model: TrussModel, count: int | None = None) -> np.ndarr
     A = 0.5 * (A + np.swapaxes(A, 1, 2))
     lams = np.linalg.eigvalsh(A)
     tol = 1e-8 * np.maximum(1.0, np.abs(lams).max(axis=1))
-    mechanisms = lams[:, 0] < -tol
-    if mechanisms.any():
-        first = lams[mechanisms, 0][0]
-        raise AnalysisError(
-            f"negative stiffness eigenvalue {first:.3e}; the truss is a mechanism",
-            mechanisms,
-        )
-    lams = np.clip(lams, 0.0, None)
-    freqs = np.sqrt(lams) / (2.0 * np.pi)
-    if count is not None:
-        freqs = freqs[:, : int(count)]
-    return freqs
+    lams[lams[:, 0] < -tol] = np.nan
+    return np.sqrt(np.clip(lams, 0.0, None)) / (2.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -456,9 +456,7 @@ def write_manifest(plan: ExperimentPlan, out_dir: Path) -> None:
 
 
 def read_manifest(out_dir: str | Path) -> list[PlanCell]:
-    with open(Path(out_dir) / "manifest.json", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return [PlanCell(**c) for c in doc["cells"]]
+    return [PlanCell(**c) for c in read_json(Path(out_dir) / "manifest.json")["cells"]]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ another type is a ``ConfigError`` naming the design and the entry.  A
                     in m^2 of every member of its (non-empty) ``groups``, so
                     ``lower`` and ``unit_scale`` must be positive; ``grid`` is
                     null (or absent) or ``{"start": num, "stop": num, "step":
-                    num}`` with all three keys, inside the bounds.
+                    num}`` with all three keys, inside the bounds, of at
+                    most ``MAX_GRID_POINTS`` points.
 ``shape_variables`` ordered list of ``{"name": label, "lower": num, "upper":
                     num, "unit_scale": num, "targets"}`` where ``targets`` is a
                     non-empty list and each target is
@@ -50,7 +51,6 @@ import numpy as np
 
 from ..core import ConfigError, Problem, SearchSpace, check_value, read_json, snap_to_grid
 from ..fem import (
-    AnalysisError,
     Material,
     ModelError,
     TrussModel,
@@ -65,6 +65,7 @@ from ..fem import (
 DATA_DIR_ENV = "ELITOPT_DATA_DIR"
 DEGENERATE_LENGTH = 1e-6  # m; shorter members mark the design infeasible
 DEGENERATE_VIOLATION = 1e3
+MAX_GRID_POINTS = 10**6  # a size variable's grid holds at most this many points
 
 _AXES = {"x": 0, "y": 1}
 # write table row: entry ``index`` of a flat design is ``datum + scale * x[var]``
@@ -114,8 +115,11 @@ def _grid(var: dict, lower: float, upper: float) -> np.ndarray | None:
     step = _positive(spec["step"], f"{what} step")
     if step < 1e-12:  # the grid is rounded to 12 decimals, so points would repeat
         raise ConfigError(f"{what} step {step!r} is below its 1e-12 rounding")
-    count = int(round((stop - start) / step)) + 1
-    grid = np.round(start + step * np.arange(count), decimals=12)
+    steps = (stop - start) / step  # inf when it overflows
+    # from MAX_GRID_POINTS - 0.5 steps on, the grid has more points
+    if not steps < MAX_GRID_POINTS - 0.5:
+        raise ConfigError(f"{what} has more than {MAX_GRID_POINTS} points")
+    grid = np.round(start + step * np.arange(int(round(steps)) + 1), decimals=12)
     if not (grid.size and lower <= grid[0] and grid[-1] <= upper):
         raise ConfigError(f"{what} is empty or leaves [{lower!r}, {upper!r}]")
     return grid
@@ -141,10 +145,11 @@ class TrussDesign:
     flat vector (node coordinates ``x0, y0, x1, ...``, then member areas),
     so :meth:`expand` is one tile and one scatter; the displacement table
     has the flat index and limit of each limited displacement, one gather.
-    A design variable that writes no entry, or a file that lacks a required
-    key, names an unknown node, axis or group, or gives a value of another
-    type or outside its range is a ``ConfigError`` naming the design and
-    entry.
+    A design variable that writes no entry, a group given two areas, a grid
+    of more than ``MAX_GRID_POINTS`` points, frequency bounds on a free DOF
+    that carries no mass, or a file that lacks a required key, names an
+    unknown node, axis or group, or gives a value of another type or outside
+    its range is a ``ConfigError`` naming the design and entry.
     """
 
     def __init__(self, doc: dict):
@@ -212,15 +217,24 @@ class TrussDesign:
         for m in _objects(doc.get("masses", []), "masses"):
             masses[self._node(m["node"], "mass")] += check_value(m["mass"], "float", "mass")
 
+        assigned = set()
+
+        def assign(g, entry: str) -> list[int]:
+            """The area entries of the group ``g`` that ``entry`` sets; no
+            group is set twice."""
+            g = check_value(g, "str", f"{entry} group")
+            if g not in group_entries:
+                raise ConfigError(f"{entry}: unknown group {g!r}")
+            if g in assigned:
+                raise ConfigError(f"group {g!r} assigned twice")
+            assigned.add(g)
+            return group_entries[g]
+
         # one design flat: node coordinates x0, y0, x1, ..., then member areas
         self._base = np.array(coords + [np.nan] * len(members))
-        assigned = set()
         for fa in _objects(doc.get("fixed_areas", []), "fixed_areas"):
-            g = check_value(fa["group"], "str", "fixed area group")
-            if g not in group_entries:
-                raise ConfigError(f"fixed area for unknown group {g!r}")
-            self._base[group_entries[g]] = _positive(fa["area"], f"fixed area of group {g!r}")
-            assigned.add(g)
+            entries = assign(fa["group"], "fixed area")
+            self._base[entries] = _positive(fa["area"], f"fixed area of group {fa['group']!r}")
 
         # design variable k is entry k of the bounds, the size variables
         # first; each writes datum + scale * value into entries of the flat
@@ -239,15 +253,9 @@ class TrussDesign:
             grids.append(_grid(var, lower[-1], upper[-1]) if size else None)
             scale = number(var.get("unit_scale", 1.0), f"{var['name']!r} unit_scale")
             if size:
-                entries = []
-                for g in check_value(var["groups"], "list", f"{entry} groups"):
-                    g = check_value(g, "str", f"{entry} group")
-                    if g not in group_entries:
-                        raise ConfigError(f"{entry}: unknown group {g!r}")
-                    if g in assigned:
-                        raise ConfigError(f"group {g!r} assigned twice")
-                    assigned.add(g)
-                    entries += [(i, scale, 0.0) for i in group_entries[g]]
+                entries = [(i, scale, 0.0)
+                           for g in check_value(var["groups"], "list", f"{entry} groups")
+                           for i in assign(g, entry)]
             else:
                 entries = [
                     (2 * self._node(t["node"], entry) + self._axis(t["axis"], entry),
@@ -285,11 +293,17 @@ class TrussDesign:
         self._limits = np.array(limits, dtype=_LIMIT)
 
         self.topology = TrussTopology(n, members, material, fixed, loads, masses)
-        if self.frequency_bounds.size > self.topology.free.size:
+        free = self.topology.free
+        if self.frequency_bounds.size > free.size:
             raise ConfigError(
-                f"{self.frequency_bounds.size} frequency bounds but "
-                f"only {self.topology.free.size} free DOFs"
+                f"{self.frequency_bounds.size} frequency bounds but only {free.size} free DOFs"
             )
+        if self.frequency_bounds.size:
+            # a node's mass is its own plus, at density > 0, half of each member's
+            massive = (masses > 0) | ((material.density > 0) & np.isin(np.arange(n), members))
+            massless = free[~massive[free // 2]]
+            if massless.size:
+                raise ConfigError(f"free DOF {massless[0]} carries no mass")
         # one violation column per constraint, and at least one to carry
         # the degenerate marker
         self._columns = max(
@@ -343,9 +357,9 @@ class TrussDesign:
         aborting the run.
 
         The search space and the topology were validated when the design was
-        loaded; each call checks only what ``X`` changes (areas > 0, member
-        lengths > 0, and for frequency constraints that free DOFs carry
-        mass).
+        loaded, and so was that every free DOF carries mass when there are
+        frequency constraints; each call checks only what ``X`` changes
+        (areas > 0 and member lengths > 0).
 
         A row's result is a pure function of the bits of its snapped row: the
         analysis is deterministic and does not depend on the other rows it is
@@ -387,8 +401,8 @@ class TrussDesign:
         ``X``, each analyzed.  The rows without a short member are analyzed
         together as one stacked model: one static solve and one modal
         analysis of the whole stack, each as its truss's constraints need.
-        Mechanisms found by an analysis drop out and the rest is analyzed
-        again."""
+        A row that either analysis marks a mechanism (NaN) keeps the
+        degenerate row, as a row with a short member does."""
         coords, areas = self.expand(X)
         topo = self.topology
         d = coords[:, topo.members[:, 1]] - coords[:, topo.members[:, 0]]
@@ -400,18 +414,17 @@ class TrussDesign:
         # a design with a short member is degenerate whatever else is wrong
         # with it; not "<" keeps a NaN length in the analysis, as the model does
         rows = np.flatnonzero(~(lengths.min(axis=-1) < DEGENERATE_LENGTH))
-        while rows.size:
-            model = TrussModel(coords[rows], areas=areas[rows], topology=topo)
-            try:
-                violations[rows] = self._violations(model)
-                break
-            except AnalysisError as exc:
-                rows = rows[~exc.mechanisms]
+        if rows.size:
+            analyzed = self._violations(TrussModel(coords[rows], areas[rows], topo))
+            # the analyses mark a mechanism NaN; it stays degenerate
+            ok = ~np.isnan(analyzed).any(axis=-1)
+            violations[rows[ok]] = analyzed[ok]
         return weights, violations
 
-    def _violations(self, model: TrussModel):
-        """Violation rows of a stacked model, one per configuration, ``0.0``
-        for a truss without constraints."""
+    def _violations(self, model: TrussModel) -> np.ndarray:
+        """Violation rows of a stacked model, one per configuration, a
+        ``(k, 1)`` zero column for a truss without constraints; a
+        mechanism's row holds NaN."""
         parts = []
         if self.stress_limit is not None or self._limits.size:
             res = solve_static(model)
@@ -422,9 +435,9 @@ class TrussDesign:
                 parts.append(displacement_violation(u[:, self._limits["index"]],
                                                     self._limits["limit"]))
         if self.frequency_bounds.size:
-            freqs = natural_frequencies(model, count=self.frequency_bounds.size)
+            freqs = natural_frequencies(model)
             parts.append(frequency_violations(freqs, self.frequency_bounds))
-        return np.concatenate(parts, axis=-1) if parts else 0.0
+        return np.concatenate(parts, axis=-1) if parts else np.zeros((len(model.areas), 1))
 
     def problem(self, name: str | None = None) -> Problem:
         return Problem(name or self.name, self._space, self.evaluate)

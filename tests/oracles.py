@@ -14,7 +14,6 @@ import numpy as np
 
 from elitopt.core import Candidate, EvaluationError, Problem, SearchSpace
 from elitopt.fem import (
-    AnalysisError,
     Material,
     ModelError,
     TrussModel,
@@ -104,11 +103,21 @@ def solve_static_oracle(model, spring_scale=1e14):
     return u, stresses
 
 
+class Mechanism(Exception):
+    """The references' own mechanism signal: ``mechanisms`` is a ``(k,)``
+    bool array marking each configuration of the analyzed stack found to
+    be a mechanism."""
+
+    def __init__(self, mechanisms):
+        super().__init__("mechanism")
+        self.mechanisms = np.asarray(mechanisms, dtype=bool)
+
+
 def dense_static(model):
     """``(displacements, stresses)`` of a stacked model by the dense solve of
     the free stiffness: a Cholesky check of each configuration, then
     ``np.linalg.solve``, whatever the topology's layout.  Raises
-    ``AnalysisError`` marking each configuration whose Cholesky fails.  The
+    ``Mechanism`` marking each configuration whose Cholesky fails.  The
     reference for the block elimination of ``solve_static``."""
     topo = model.topology
     K = assemble_stiffness(model)
@@ -119,7 +128,7 @@ def dense_static(model):
         except np.linalg.LinAlgError:
             ok[i] = False
     if not ok.all():
-        raise AnalysisError("mechanism", ~ok)
+        raise Mechanism(~ok)
     u = np.zeros((len(K), 2 * topo.n_nodes))
     u[:, topo.free] = np.linalg.solve(K, topo.loads.ravel()[topo.free])
     u = u.reshape(model.nodes.shape)
@@ -339,7 +348,10 @@ def snap_to_grid_loop(position, space):
 def evaluate_design(design, doc, x):
     """``(objective, violations)`` of one design analyzed alone: a stack of
     one, one static and one modal analysis, with the degenerate and mechanism
-    fallbacks of ``TrussDesign.evaluate``.  The design vector is expanded and
+    fallbacks of ``TrussDesign.evaluate``.  A mechanism is found by checks of
+    its own: a free stiffness whose Cholesky fails (``dense_static``) for a
+    truss with static constraints, one with an eigenvalue below roundoff for
+    a truss with frequency bounds.  The design vector is expanded and
     the constraints are read from ``doc``, the geometry document ``design``
     was loaded from.  The reference that the stacked evaluation of a
     population must match bit for bit: a healthy row exactly, a degenerate
@@ -366,6 +378,7 @@ def evaluate_design(design, doc, x):
     violations = []
     try:
         if stress_limit or limits:
+            dense_static(model)
             res = solve_static(model)
             if stress_limit:
                 violations.append(stress_violations(res.stresses[0], float(stress_limit)))
@@ -376,9 +389,13 @@ def evaluate_design(design, doc, x):
                     res.displacements[0, nodes, "xy".index(limit["axis"])],
                     float(limit["limit"])))
         if bounds.size:
-            freqs = natural_frequencies(model, count=bounds.size)[0]
+            # the eigenvalues of M^(-1/2) K M^(-1/2) have the signs of K's
+            lams = np.linalg.eigvalsh(assemble_stiffness(model)[0])
+            if lams[0] < -1e-8 * max(1.0, np.abs(lams).max()):
+                raise Mechanism([True])
+            freqs = natural_frequencies(model)[0]
             violations.append(frequency_violations(freqs, bounds))
-    except AnalysisError:
+    except Mechanism:
         return weight, degenerate
     return weight, np.concatenate(violations) if violations else np.zeros(0)
 

@@ -3,7 +3,6 @@ import pytest
 
 import elitopt.fem as fem
 from elitopt.fem import (
-    AnalysisError,
     Material,
     ModelError,
     TrussModel,
@@ -19,6 +18,7 @@ from elitopt.fem import (
 )
 from elitopt.problems import load_design
 from oracles import (
+    Mechanism,
     dense_static,
     element_stiffness,
     full_stiffness,
@@ -219,8 +219,11 @@ class TestSolveStatic:
             np.array([[1e-4, 1e-4]]),
             topology,
         )
-        with pytest.raises(AnalysisError, match="mechanism"):
-            solve_static(model)
+        res = solve_static(model)
+        # the free displacements, and so every stress, come out NaN
+        assert np.isnan(res.displacements[0][~topology.fixed]).all()
+        assert np.all(res.displacements[0][topology.fixed] == 0.0)
+        assert np.isnan(res.stresses).all()
 
 
 class TestMassAndWeight:
@@ -299,9 +302,9 @@ class TestFrequencies:
         freqs = natural_frequencies(model)[0]
         assert np.all(np.diff(freqs) >= 0)
 
-    def test_count_truncation(self, rng):
+    def test_one_frequency_per_free_dof(self, rng):
         model = random_model(rng, 5)
-        assert natural_frequencies(model, count=2).shape == (1, 2)
+        assert natural_frequencies(model).shape == (1, model.topology.free.size)
 
     def test_massless_free_dof_rejected(self):
         model = self.single_dof_model(mass=0.0)
@@ -477,7 +480,7 @@ class TestStackedModel:
         assert np.array_equal(topo.order, topo.free)
         stacked = TrussModel(nodes, areas=areas, topology=topo)
         res = solve_static(stacked)
-        freqs = natural_frequencies(stacked, count=4)
+        freqs = natural_frequencies(stacked)
         for i in range(len(nodes)):
             one = TrussModel(nodes[i:i + 1], areas=areas[i:i + 1], topology=topo)
             alone = solve_static(one)
@@ -486,7 +489,7 @@ class TestStackedModel:
             assert np.array_equal(assemble_stiffness(stacked)[i],
                                   assemble_stiffness(one)[0])
             assert np.array_equal(lumped_masses(stacked)[i], lumped_masses(one)[0])
-            assert freqs[i].tobytes() == natural_frequencies(one, count=4)[0].tobytes()
+            assert freqs[i].tobytes() == natural_frequencies(one)[0].tobytes()
 
     def test_mechanisms_marked_per_configuration(self):
         topo = TrussTopology(
@@ -496,9 +499,7 @@ class TestStackedModel:
         nodes = np.array([[[0.0, 0.0], [1.0, y], [2.0, 0.0]]
                           for y in (0.5, 0.0, -0.3)])
         stacked = TrussModel(nodes, areas=np.full((3, 2), 1e-4), topology=topo)
-        with pytest.raises(AnalysisError, match="mechanism") as info:
-            solve_static(stacked)
-        assert info.value.mechanisms.tolist() == [False, True, False]
+        assert_marked_alone(solve_static, stacked, [False, True, False])
 
     def test_each_thin_configuration_as_if_alone(self, rng):
         topo, nodes, areas = thin_truss(10)
@@ -523,15 +524,28 @@ class TestStackedModel:
         nodes = np.repeat(nodes[None], 3, axis=0)
         nodes[:, -1] = pendants
         stacked = TrussModel(nodes, areas=np.tile(areas, (3, 1)), topology=topo)
-        with pytest.raises(AnalysisError, match="mechanism") as info:
-            solve_static(stacked)
-        assert info.value.mechanisms.tolist() == [False, True, False]
+        assert_marked_alone(solve_static, stacked, [False, True, False])
         # the others are solved in the same pass, as they would be alone
         u, ok = fem._solve_blocks(stacked)
         assert ok.tolist() == [True, False, True]
         for i in (0, 2):
             one = TrussModel(nodes[i:i + 1], areas=areas[None], topology=topo)
             assert u[i].tobytes() == fem._solve_blocks(one)[0][0].tobytes()
+
+    def test_modal_mechanism_marked_per_configuration(self, rng, monkeypatch):
+        # a stiffness is never negative definite, so the second
+        # configuration's is negated, in a stack or alone
+        topo, nodes, areas = self.stack(rng, k=3)
+        stacked = TrussModel(nodes, areas=areas, topology=topo)
+        assemble = fem.assemble_stiffness
+
+        def negated(model):
+            K = assemble(model)
+            K[(model.areas == areas[1]).all(axis=1)] *= -1.0
+            return K
+
+        monkeypatch.setattr(fem, "assemble_stiffness", negated)
+        assert_marked_alone(natural_frequencies, stacked, [False, True, False])
 
     def test_areas_must_match_the_stack(self, rng):
         topo, nodes, areas = self.stack(rng)
@@ -546,6 +560,25 @@ class TestStackedModel:
                                      (nodes, areas[0])):
             with pytest.raises(ModelError, match=r"\(k, n, 2\)|areas"):
                 TrussModel(one_nodes, one_areas, topo)
+
+
+def assert_marked_alone(analysis, model, mechanisms):
+    """Each array ``analysis(model)`` returns is NaN throughout on the free
+    DOFs and members of the rows that ``mechanisms`` marks, and each other
+    row is byte-equal to that configuration analyzed alone."""
+    result = analysis(model)
+    parts = ((result,) if isinstance(result, np.ndarray)
+             else (result.displacements[:, ~model.topology.fixed], result.stresses))
+    for i, marked in enumerate(mechanisms):
+        one = TrussModel(model.nodes[i:i + 1], model.areas[i:i + 1], model.topology)
+        alone = analysis(one)
+        alone = ((alone,) if isinstance(alone, np.ndarray)
+                 else (alone.displacements[:, ~one.topology.fixed], alone.stresses))
+        for part, part_alone in zip(parts, alone):
+            if marked:
+                assert np.isnan(part[i]).all() and np.isnan(part_alone).all()
+            else:
+                assert part[i].tobytes() == part_alone[0].tobytes()
 
 
 def relative_error(value, reference):
@@ -723,8 +756,7 @@ class TestBlockSolve:
         # the pendant on the chord makes a Schur complement singular
         topo, nodes, areas = thin_truss(8, pendant=(0.5, 0.0))
         model = TrussModel(nodes[None], areas[None], topo)
-        with pytest.raises(AnalysisError, match="mechanism") as info:
-            solve_static(model)
-        assert info.value.mechanisms.shape == (1,) and info.value.mechanisms[0]
-        with pytest.raises(AnalysisError):
+        assert_marked_alone(solve_static, model, [True])
+        with pytest.raises(Mechanism) as info:
             dense_static(model)
+        assert info.value.mechanisms.tolist() == [True]

@@ -773,6 +773,15 @@ class TestRunExperiment:
         run_experiment(plan, out)
         assert read_manifest(out) == plan.cells()
 
+    def test_corrupt_manifest_names_the_file(self, tmp_path):
+        # a bare JSONDecodeError named neither the file nor the directory
+        out = tmp_path / "out"
+        run_experiment(small_plan(), out)
+        path = out / "manifest.json"
+        path.write_text(path.read_text()[:-5], encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: not valid JSON"):
+            build_report(out)
+
     def test_best_json_contents(self, tmp_path):
         out = tmp_path / "out"
         run_experiment(small_plan(memory_modes=(True,)), out)

@@ -22,7 +22,11 @@ from elitopt.problems.analytic import (
     rosenbrock,
     sphere,
 )
-from elitopt.problems.truss_geometry import DEGENERATE_VIOLATION, TrussDesign
+from elitopt.problems.truss_geometry import (
+    DEGENERATE_VIOLATION,
+    MAX_GRID_POINTS,
+    TrussDesign,
+)
 from oracles import bundled_doc, contract, evaluate_design, expand_loop
 
 
@@ -510,6 +514,57 @@ class TestLoadValidation:
         with pytest.raises(ConfigError, match=f"^collapsing: lacks required key {key!r}$"):
             TrussDesign(doc)
 
+    @pytest.mark.parametrize("edit", ["density", "isolated_node"])
+    def test_frequency_bounds_need_mass_on_every_free_dof(self, edit):
+        # each loaded, and then every evaluation raised ModelError
+        doc = with_value(collapsing_doc(), ("constraints", "frequency_bounds"), [1.0])
+        TrussDesign(doc)
+        if edit == "density":
+            doc["material"]["density"] = 0.0
+            message = "free DOF 2 carries no mass"
+        else:
+            # a free node with no member and no lumped mass
+            doc["nodes"].append({"id": 4, "x": 2.0, "y": 1.0})
+            message = "free DOF 6 carries no mass"
+        with pytest.raises(ConfigError, match=f"^collapsing: {message}$"):
+            TrussDesign(doc)
+        # lumped masses on the free nodes carry them
+        doc["masses"] = [{"node": node["id"], "mass": 1.0} for node in doc["nodes"]]
+        TrussDesign(doc)
+
+    def test_pratt37_without_density_rejected(self):
+        doc = with_value(bundled_doc("truss37"), ("material", "density"), 0.0)
+        with pytest.raises(ConfigError, match="^pratt37: free DOF 22 carries no mass$"):
+            TrussDesign(doc)
+
+    def test_fixed_area_given_twice_rejected(self):
+        # the later area won silently
+        doc = bundled_doc("truss37")
+        doc["fixed_areas"].append({"group": "chord_fixed", "area": 0.008})
+        with pytest.raises(ConfigError, match="^pratt37: group 'chord_fixed' assigned twice$"):
+            TrussDesign(doc)
+
+    @pytest.mark.parametrize("top, step", [(1e12, 1e-3), (1e308, 1e-3)],
+                             ids=["too_many_points", "overflowing_ratio"])
+    def test_grid_of_too_many_points_rejected(self, top, step):
+        # MemoryError: Unable to allocate 7.11 PiB, and OverflowError
+        doc = bundled_doc("michell")
+        var = doc["size_variables"][0]
+        var["upper"] = var["grid"]["stop"] = top
+        var["grid"]["step"] = step
+        message = f"michell_arch: {var['name']!r} grid has more than {MAX_GRID_POINTS} points"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            TrussDesign(doc)
+
+    def test_grid_at_the_point_cap_loads(self):
+        doc = collapsing_doc()
+        doc["size_variables"][0]["grid"] = {"start": 1.0, "stop": 5.0,
+                                            "step": 4.0 / (MAX_GRID_POINTS - 1)}
+        assert TrussDesign(doc).search_space().grids[0].size == MAX_GRID_POINTS
+        doc["size_variables"][0]["grid"]["step"] = 4.0 / MAX_GRID_POINTS
+        with pytest.raises(ConfigError, match="more than"):
+            TrussDesign(doc)
+
     def test_size_variable_without_groups_rejected(self):
         # it loaded, michell's dim stayed 10, and moving the variable
         # changed no member area
@@ -696,8 +751,7 @@ class TestTrussEvaluation:
         design = load_design("truss37")
         space = design.search_space()
         x = mid_vector(space)
-        freqs = natural_frequencies(
-            TrussModel(*design.expand(x[None]), design.topology), count=3)[0]
+        freqs = natural_frequencies(TrussModel(*design.expand(x[None]), design.topology))[0]
         assert np.all(np.diff(freqs) >= 0)
         bigger = x.copy()
         bigger[:14] = space.upper[:14]
@@ -805,16 +859,21 @@ class TestBatchEvaluation:
         degenerate = assert_matches_per_design(design, doc, APEX_ROWS)
         assert degenerate == [False, True, False, True, False]
 
-    def test_massless_free_dof_still_raises(self):
-        doc = collapsing_doc()
-        doc["material"]["density"] = 0.0
-        doc["constraints"] = {"stress_limit": None, "displacement_limits": [],
-                              "frequency_bounds": [1.0]}
-        design = TrussDesign(doc)
-        with pytest.raises(ModelError, match="mass"):
-            design.evaluate(np.array([[2.0, 2.0, 1.0], [3.0, 3.0, 0.5]]))
-        # a call that raises remembers nothing
-        assert not design._memo[0] and not design._memo[1].size
+    def test_mechanism_rows_stay_in_the_one_model(self, monkeypatch):
+        # the mechanism row was dropped and the other rows built again
+        import elitopt.problems.truss_geometry as tg
+
+        built = []
+
+        def recording(nodes, areas, topology):
+            built.append(len(areas))
+            return TrussModel(nodes, areas, topology)
+
+        monkeypatch.setattr(tg, "TrussModel", recording)
+        weights, violations = TrussDesign(apex_doc()).evaluate(APEX_ROWS)
+        # every row but the zero-length one, in one model
+        assert built == [4]
+        assert violations[3].tolist() == [DEGENERATE_VIOLATION, 0.0, 0.0]
 
     def test_expand_stacks_rows(self, rng):
         design = load_design("forth")

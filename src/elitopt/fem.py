@@ -415,8 +415,8 @@ def natural_frequencies(model: TrussModel) -> np.ndarray:
 
     The generalized problem with the diagonal mass matrix is reduced to a
     symmetric standard problem through a M^(-1/2) similarity transform.
-    Tiny negative eigenvalues from roundoff are clamped to zero; a larger
-    negative one marks a mechanism, whose frequencies are all NaN.
+    A lowest eigenvalue at or below roundoff (zero or negative) marks a
+    mechanism, whose frequencies are all NaN.
     """
     free = model.topology.free
     # DOF 2k and 2k + 1 both carry node k's mass
@@ -430,8 +430,8 @@ def natural_frequencies(model: TrussModel) -> np.ndarray:
     A = 0.5 * (A + np.swapaxes(A, 1, 2))
     lams = np.linalg.eigvalsh(A)
     tol = 1e-8 * np.maximum(1.0, np.abs(lams).max(axis=1))
-    lams[lams[:, 0] < -tol] = np.nan
-    return np.sqrt(np.clip(lams, 0.0, None)) / (2.0 * np.pi)
+    lams[lams[:, 0] <= tol] = np.nan
+    return np.sqrt(lams) / (2.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@ root seed and the cell's algorithm and problem names only, so the memory
 and memoryless variants of the same pair run from identical seeds and can
 be compared pairwise; replicate ``r`` adds ``r`` to the cell seed.
 
-Per-cell statistics are recomputed from the emitted history files rather
-than carried over in memory, so everything in the report can be reproduced
-from the files alone, digit for digit.  Every file is written to a
-temporary sibling and renamed over its final name only once complete, so an
-interrupted run never leaves a partial file for ``stats`` or the report to
-read.
+Per-cell statistics are recomputed from the emitted history files, and the
+report is rebuilt from the directory alone (``write_report(out_dir)`` reads
+``manifest.json`` and each cell's ``stats.csv``), digit for digit.  Every
+file is written to a temporary sibling and renamed over its final name only
+once complete, so an interrupted run never leaves a partial file for
+``stats`` or the report to read.
 
 Layout under the output directory::
 
@@ -114,6 +114,9 @@ class PlanCell:
     memory: bool
     seed: int
     iterations: int
+
+    def __post_init__(self):
+        check_field_types(self)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -456,7 +459,19 @@ def write_manifest(plan: ExperimentPlan, out_dir: Path) -> None:
 
 
 def read_manifest(out_dir: str | Path) -> list[PlanCell]:
-    return [PlanCell(**c) for c in read_json(Path(out_dir) / "manifest.json")["cells"]]
+    """The cells of ``out_dir``'s ``manifest.json``; ``ConfigError`` unless valid."""
+    path = Path(out_dir) / "manifest.json"
+    doc = read_json(path)
+    cells = doc.get("cells") if isinstance(doc, dict) else None
+    keys = {f.name for f in dataclasses.fields(PlanCell)}
+    if not isinstance(cells, list) or not all(
+        isinstance(c, dict) and set(c) == keys for c in cells
+    ):
+        raise ConfigError(f"{path}: cells must be a list of tables of {sorted(keys)}")
+    try:
+        return [PlanCell(**c) for c in cells]
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +480,14 @@ def read_manifest(out_dir: str | Path) -> list[PlanCell]:
 
 @dataclass(frozen=True)
 class CellSummary:
-    label: str
-    algorithm: str
-    problem: str
-    memory: bool
-    status: str  # "ok" or "failed"
+    """A cell of the report and its statistics, ``None`` when it failed."""
+
+    cell: PlanCell
     stats: StatsRecord | None
+
+    @property
+    def status(self) -> str:
+        return "failed" if self.stats is None else "ok"
 
 
 @dataclass(frozen=True)
@@ -499,54 +516,36 @@ class ComparisonReport:
     max_improvement: float | None
 
 
-def build_report(out_dir: str | Path, cells=None) -> ComparisonReport:
-    """Summarize an output directory by reading its files back."""
+def build_report(out_dir: str | Path) -> ComparisonReport:
+    """Summarize an output directory from its files alone: the cells that
+    ``manifest.json`` lists, each with the statistics of its ``stats.csv``.
+    A cell with an ``error.txt`` (it can fail after its stats are written,
+    in ``best.json`` say) or without a readable ``stats.csv`` failed."""
     out_dir = Path(out_dir)
-    if cells is None:
-        cells = read_manifest(out_dir)
     summaries = []
-    for cell in cells:
+    for cell in read_manifest(out_dir):
         cell_dir = out_dir / cell.label
-        stats, status = None, "failed"
-        # a cell can fail after its stats.csv is written (in best.json, say)
+        stats = None
         if not (cell_dir / "error.txt").exists():
             try:
-                stats, status = read_stats_csv(cell_dir / "stats.csv"), "ok"
+                stats = read_stats_csv(cell_dir / "stats.csv")
             except (OSError, ValueError):
                 pass
-        summaries.append(
-            CellSummary(
-                label=cell.label,
-                algorithm=cell.algorithm,
-                problem=cell.problem,
-                memory=cell.memory,
-                status=status,
-                stats=stats,
-            )
-        )
-    by_key = {(s.algorithm, s.problem, s.memory): s for s in summaries}
+        summaries.append(CellSummary(cell, stats))
+    # a missing partner and a failed one both have no statistics
+    std_stats = {
+        (s.cell.algorithm, s.cell.problem): s.stats
+        for s in summaries if not s.cell.memory
+    }
     improvements = []
     for s in summaries:
-        if not s.memory:
+        c, mem = s.cell, s.stats
+        std = std_stats.get((c.algorithm, c.problem)) if c.memory else None
+        if mem is None or std is None or mem.runs != std.runs or std.mean == 0:
             continue
-        partner = by_key.get((s.algorithm, s.problem, False))
-        if (
-            partner is None
-            or s.status != "ok"
-            or partner.status != "ok"
-            or s.stats.runs != partner.stats.runs
-            or partner.stats.mean == 0
-        ):
-            continue
-        pct = 100.0 * (partner.stats.mean - s.stats.mean) / partner.stats.mean
+        pct = 100.0 * (std.mean - mem.mean) / std.mean
         improvements.append(
-            PairImprovement(
-                algorithm=s.algorithm,
-                problem=s.problem,
-                standard_mean=partner.stats.mean,
-                memory_mean=s.stats.mean,
-                improvement_pct=pct,
-            )
+            PairImprovement(c.algorithm, c.problem, std.mean, mem.mean, pct)
         )
     pcts = [p.improvement_pct for p in improvements]
     return ComparisonReport(
@@ -571,14 +570,15 @@ def _render_table(header, rows) -> list[str]:
     return lines
 
 
-def write_report(out_dir: str | Path, cells=None) -> ComparisonReport:
-    """Write ``report.csv``, ``improvements.csv`` and ``report.txt``."""
+def write_report(out_dir: str | Path) -> ComparisonReport:
+    """Write ``report.csv``, ``improvements.csv`` and ``report.txt``, built
+    from the files of ``out_dir`` alone (see :func:`build_report`)."""
     out_dir = Path(out_dir)
-    report = build_report(out_dir, cells)
+    report = build_report(out_dir)
 
     cell_rows = [
-        [s.label, s.algorithm, s.problem, "on" if s.memory else "off", s.status]
-        + _stats_row(s.stats)
+        [s.cell.label, s.cell.algorithm, s.cell.problem,
+         "on" if s.cell.memory else "off", s.status] + _stats_row(s.stats)
         for s in report.cells
     ]
     with _atomic_write(out_dir / "report.csv") as fh:
@@ -631,14 +631,13 @@ def run_experiment(
     # an interrupted rerun must not leave the previous report standing
     for name in ("report.csv", "improvements.csv", "report.txt"):
         (out_dir / name).unlink(missing_ok=True)
-    cells = plan.cells()
-    for cell in cells:
+    for cell in plan.cells():
         try:
             run_cell(cell, plan, out_dir, workers=workers)
         except Exception as exc:
             with _atomic_write(out_dir / cell.label / "error.txt") as fh:
                 fh.write(f"{type(exc).__name__}: {exc}\n")
-    return write_report(out_dir, cells)
+    return write_report(out_dir)
 
 
 def emit_plot_data(paths, stream) -> None:

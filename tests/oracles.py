@@ -350,12 +350,13 @@ def evaluate_design(design, doc, x):
     one, one static and one modal analysis, with the degenerate and mechanism
     fallbacks of ``TrussDesign.evaluate``.  A mechanism is found by checks of
     its own: a free stiffness whose Cholesky fails (``dense_static``) for a
-    truss with static constraints, one with an eigenvalue below roundoff for
-    a truss with frequency bounds.  The design vector is expanded and
-    the constraints are read from ``doc``, the geometry document ``design``
-    was loaded from.  The reference that the stacked evaluation of a
-    population must match bit for bit: a healthy row exactly, a degenerate
-    row as ``[DEGENERATE_VIOLATION]`` followed by zeros."""
+    truss with static constraints, one with a lowest eigenvalue at or below
+    roundoff (a singular stiffness included) for a truss with frequency
+    bounds.  The design vector is expanded and the constraints are read from
+    ``doc``, the geometry document ``design`` was loaded from.  The
+    reference that the stacked evaluation of a population must match bit for
+    bit: a healthy row exactly, a degenerate row as ``[DEGENERATE_VIOLATION]``
+    followed by zeros."""
     degenerate = np.array([DEGENERATE_VIOLATION])
     topo = design.topology
     x = snap_to_grid_loop(x, design.search_space())
@@ -391,7 +392,7 @@ def evaluate_design(design, doc, x):
         if bounds.size:
             # the eigenvalues of M^(-1/2) K M^(-1/2) have the signs of K's
             lams = np.linalg.eigvalsh(assemble_stiffness(model)[0])
-            if lams[0] < -1e-8 * max(1.0, np.abs(lams).max()):
+            if lams[0] <= 1e-8 * max(1.0, np.abs(lams).max()):
                 raise Mechanism([True])
             freqs = natural_frequencies(model)[0]
             violations.append(frequency_violations(freqs, bounds))

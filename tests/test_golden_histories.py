@@ -63,7 +63,7 @@ def environment() -> dict:
 def history_digests(out_dir: Path) -> dict:
     """``{"<cell>/run_NNN.csv": sha256}`` of a grid run into ``out_dir``."""
     report = run_experiment(ExperimentPlan(**PLAN), out_dir)
-    failed = [c.label for c in report.cells if c.status != "ok"]
+    failed = [c.cell.label for c in report.cells if c.status != "ok"]
     if failed:
         raise RuntimeError(f"cells failed: {failed}")
     return {

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from elitopt.harness import (
     run_experiment,
     write_history_csv,
     write_manifest,
+    write_report,
     write_stats_csv,
 )
 from elitopt.problems import get_problem
@@ -757,7 +759,7 @@ class TestRunExperiment:
         out = tmp_path / "out"
         plan = small_plan(problems=("sphere", "rastrigin"))
         report = run_experiment(plan, out)
-        by_label = {s.label: s for s in report.cells}
+        by_label = {s.cell.label: s for s in report.cells}
         assert by_label["bbo-sphere-mem"].status == "ok"
         assert by_label["bbo-rastrigin-mem"].status == "failed"
         assert (out / "bbo-rastrigin-mem" / "error.txt").is_file()
@@ -781,6 +783,41 @@ class TestRunExperiment:
         path.write_text(path.read_text()[:-5], encoding="utf-8")
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: not valid JSON"):
             build_report(out)
+
+    @pytest.mark.parametrize("doc", [
+        {},
+        [],
+        {"cells": 3},
+        {"cells": [{}]},
+        {"cells": [7]},
+        # a cell with a key too many, and one with a mistyped value
+        {"cells": [{"label": "bbo-sphere-mem", "algorithm": "bbo", "problem": "sphere",
+                    "memory": True, "seed": 1, "iterations": 5, "extra": 0}]},
+        {"cells": [{"label": "bbo-sphere-mem", "algorithm": "bbo", "problem": "sphere",
+                    "memory": "yes", "seed": 1, "iterations": 5}]},
+    ], ids=["no-cells", "not-an-object", "cells-not-a-list", "empty-cell",
+            "cell-not-an-object", "extra-key", "mistyped-value"])
+    def test_malformed_manifest_names_the_file(self, tmp_path, doc):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: "):
+            build_report(tmp_path)
+
+    def test_report_rebuilt_from_a_copy_of_the_files(self, tmp_path, monkeypatch):
+        # a finished grid with failed cells, copied without its report:
+        # write_report reads only the directory and writes the same bytes
+        failing_problem(monkeypatch, "rastrigin")
+        out = tmp_path / "out"
+        first = run_experiment(small_plan(problems=("sphere", "rastrigin")), out)
+        assert [c.status for c in first.cells] == ["ok", "ok", "failed", "failed"]
+        report_files = ("report.csv", "improvements.csv", "report.txt")
+        copy = tmp_path / "copy"
+        shutil.copytree(out, copy, ignore=shutil.ignore_patterns(*report_files))
+        assert not any((copy / name).exists() for name in report_files)
+        assert write_report(copy) == first
+        for name in report_files:
+            assert (copy / name).read_bytes() == (out / name).read_bytes()
+        assert [f.name for f in dataclasses.fields(first.cells[0])] == ["cell", "stats"]
 
     def test_best_json_contents(self, tmp_path):
         out = tmp_path / "out"
@@ -839,7 +876,7 @@ class TestRunExperiment:
         out = tmp_path / "out"
         report = run_experiment(small_plan(), out)
         assert (out / "bbo-sphere-mem" / "stats.csv").exists()
-        status = {c.label: c.status for c in report.cells}
+        status = {c.cell.label: c.status for c in report.cells}
         assert status == {"bbo-sphere-mem": "failed", "bbo-sphere-std": "ok"}
         assert report.improvements == ()
         assert report.mean_improvement is None
@@ -867,12 +904,18 @@ class TestReportEdgeCases:
         return PlanCell(label=label, algorithm=alg, problem="sphere",
                         memory=mem, seed=0, iterations=5)
 
+    def report(self, out, cells):
+        """The report of ``out``, whose manifest lists ``cells``."""
+        doc = {"cells": [dataclasses.asdict(c) for c in cells]}
+        (out / "manifest.json").write_text(json.dumps(doc), encoding="utf-8")
+        return build_report(out)
+
     def test_zero_standard_mean_skipped(self, tmp_path):
         cells = [
             self.make_cell(tmp_path, "bbo-sphere-mem", "bbo", True, 1.0),
             self.make_cell(tmp_path, "bbo-sphere-std", "bbo", False, 0.0),
         ]
-        report = build_report(tmp_path, cells)
+        report = self.report(tmp_path, cells)
         assert report.improvements == ()
         assert report.mean_improvement is None
 
@@ -884,7 +927,7 @@ class TestReportEdgeCases:
         bad = StatsRecord(best=1.0, mean=1.0, worst=1.0, std=0.0,
                           nfes_median=100.0, runs=3)
         write_stats_file(tmp_path / "bbo-sphere-mem" / "stats.csv", bad)
-        report = build_report(tmp_path, cells)
+        report = self.report(tmp_path, cells)
         assert report.improvements == ()
 
     def test_short_stats_row_reported_failed(self, tmp_path):
@@ -894,13 +937,13 @@ class TestReportEdgeCases:
         ]
         (tmp_path / "bbo-sphere-mem" / "stats.csv").write_text(
             ",".join(STATS_HEADER) + "\n1,2\n")
-        report = build_report(tmp_path, cells)
+        report = self.report(tmp_path, cells)
         assert [c.status for c in report.cells] == ["failed", "ok"]
         assert report.improvements == ()
 
     def test_missing_partner_skipped(self, tmp_path):
         cells = [self.make_cell(tmp_path, "bbo-sphere-mem", "bbo", True, 1.0)]
-        report = build_report(tmp_path, cells)
+        report = self.report(tmp_path, cells)
         assert report.improvements == ()
         assert report.cells[0].status == "ok"
 

@@ -853,8 +853,16 @@ class TestBatchEvaluation:
         design.evaluate(design.search_space().sample(50, rng))
         assert calls == [50]
 
-    def test_degenerate_and_mechanism_rows_among_healthy_ones(self):
+    @pytest.mark.parametrize("constraints", [
+        None,
+        # no static analysis runs, and the mechanism's lowest eigenvalue is
+        # about 0, not negative
+        {"frequency_bounds": [1.0]},
+    ], ids=["stress-limit", "frequency-bounds-only"])
+    def test_degenerate_and_mechanism_rows_among_healthy_ones(self, constraints):
         doc = apex_doc()
+        if constraints is not None:
+            doc["constraints"] = constraints
         design = TrussDesign(doc)
         degenerate = assert_matches_per_design(design, doc, APEX_ROWS)
         assert degenerate == [False, True, False, True, False]

@@ -17,6 +17,14 @@ Every analysis takes the stack with one stacked call per LAPACK routine, and
 each configuration gets the same bits as in a stack of its own.  A
 configuration that is a mechanism does not stop the others: its results
 come back NaN.
+
+What a topology validated stays read-only.  Its one mutable part is its
+work arrays: the member terms, the stiffness that assembly scatters into,
+the right-hand sides of the block elimination and the modal matrix.  Each
+grows to the largest stack analyzed and a smaller stack writes into its
+leading rows, so the analyses of one generation after another reuse the
+same memory instead of mapping fresh pages.  One analysis at a time uses a
+topology's work arrays; what an analysis returns is the caller's own.
 """
 
 from __future__ import annotations
@@ -81,6 +89,40 @@ def _reverse_cuthill_mckee(rows, cols, size: int) -> np.ndarray:
     return np.array(walk[::-1], dtype=int)
 
 
+# per entry (i, j) of a member's 4x4 block, row-major, the member term it
+# takes (see _member_terms): the product of the cosines of DOFs i and j, c
+# for an x DOF and s for a y DOF, negated when one DOF is at the member's
+# start and the other at its end
+_BLOCK_TERMS = np.array([2 * (i % 2) + j % 2 + 4 * ((i < 2) != (j < 2))
+                         for i in range(4) for j in range(4)])
+
+
+class _WorkArrays:
+    """The arrays that the analyses of one topology write into, by name.
+    Each grows to the largest stack it has been asked for, and a smaller
+    stack gets its leading rows."""
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+        self._indices: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, k: int, shape: tuple) -> np.ndarray:
+        """A C-contiguous ``(k,) + shape`` float array."""
+        a = self._arrays.get(name)
+        if a is None or len(a) < k:
+            a = self._arrays[name] = np.empty((k,) + shape)
+        return a[:k]
+
+    def shifted(self, name: str, index: np.ndarray, size: int, k: int) -> np.ndarray:
+        """``index`` shifted by ``r * size`` for each row ``r < k``,
+        flattened: the index of each row's entries in a flat ``(k, size)``
+        array."""
+        a = self._indices.get(name)
+        if a is None or len(a) < k:
+            a = self._indices[name] = index + size * np.arange(k)[:, None]
+        return a[:k].reshape(-1)
+
+
 class TrussTopology:
     """The part of a truss that no design variable changes.
 
@@ -94,8 +136,15 @@ class TrussTopology:
     Everything here is validated once, on construction (including that at
     least one DOF is free), and stored as read-only copies.  Construction
     also precomputes what every analysis of a model on this topology
-    reuses: the free DOFs and the scatter indices that assemble stiffness
-    and lumped masses.
+    reuses: the free DOFs and the gather and scatter indices that assemble
+    stiffness and lumped masses.  The one mutable part is the work arrays
+    that the analyses write into (see the module docstring), which serve
+    one analysis at a time.
+
+    free_entries, free_stiffness_index : for each member-matrix entry on
+        two free DOFs, in member order, the member term it takes (see
+        :func:`_member_terms`) and its flat index in the ``(f, f)`` free
+        stiffness
 
     For the static solve it also fixes an elimination order of the free
     DOFs and a block layout of the stiffness in that order.  The reverse
@@ -109,8 +158,9 @@ class TrussTopology:
         further from the diagonal, so in blocks of this size the stiffness
         is block tridiagonal
     n_blocks : number of diagonal blocks; the last is padded to full size
-    block_entries, block_index : which member-matrix entries go to which
-        entry of the blocks (see :func:`assemble_blocks`)
+    block_entries, block_index : the same for the entries that go to the
+        blocks: the member term each takes and its flat index in the blocks
+        (see :func:`assemble_blocks`)
     block_padding : the diagonal entries of the padding DOFs in the blocks
     block_loads : ``(n_blocks, block_size)`` loads in ``order``, zero on
         the padding
@@ -154,7 +204,10 @@ class TrussTopology:
         position[free] = np.arange(free.size)
         on_free = (position[rows] >= 0) & (position[cols] >= 0)
 
-        free_entries = np.flatnonzero(on_free)
+        # the member term of each entry on two free DOFs, in member order
+        m = members.shape[0]
+        entries = np.flatnonzero(on_free)
+        free_entries = _BLOCK_TERMS[entries % 16] * m + entries // 16
         free_rows, free_cols = position[rows[on_free]], position[cols[on_free]]
 
         order = _reverse_cuthill_mckee(free_rows, free_cols, free.size)
@@ -200,6 +253,7 @@ class TrussTopology:
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
+        self._work = _WorkArrays()
 
     @property
     def n_members(self) -> int:
@@ -238,7 +292,8 @@ class TrussModel:
         members = topology.members
         d = nodes[:, members[:, 1]] - nodes[:, members[:, 0]]
         # what np.linalg.norm(d, axis=-1) computes, without its overhead
-        lengths = np.sqrt(np.add.reduce(d * d, axis=-1))
+        dx, dy = d[..., 0], d[..., 1]
+        lengths = np.sqrt(dx * dx + dy * dy)
         if (lengths <= 0).any():
             raise ModelError("zero-length member")
         self.nodes = nodes
@@ -248,33 +303,77 @@ class TrussModel:
         self.cosines = d / lengths[:, :, None]
 
 
-def _scatter(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """Sum each row of ``weights`` (one per configuration) into ``size``
-    bins by ``index``, in index order, with one ``np.bincount``: row ``r``
-    is shifted into bins ``r * size`` to ``(r + 1) * size - 1``, so no bin
-    mixes configurations and each sums in the same order as alone."""
-    rows = weights.shape[0]
-    shifted = index + size * np.arange(rows)[:, None]
-    return np.bincount(
-        shifted.ravel(), weights=weights.ravel(), minlength=rows * size
-    ).reshape(rows, size)
+def _scatter(out: np.ndarray, index: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum each row of ``weights`` (one per configuration) into the same row
+    of ``out``, zeroed first, by ``index``: the entries of every row, each
+    shifted by its row's offset into the flat ``out`` (see
+    :meth:`_WorkArrays.shifted`).  ``np.add.at`` adds in index order, so
+    each entry sums its weights in order from 0.0, and no entry mixes
+    configurations."""
+    flat = out.reshape(-1)
+    flat.fill(0.0)
+    np.add.at(flat, index, weights.reshape(-1))
+    return out
 
 
-def _member_matrices(model: TrussModel) -> np.ndarray:
-    """``(k, 16 m)``: row ``r`` holds the 4x4 stiffness of each member of
-    configuration ``r`` in global DOFs, row-major, in member order."""
-    # per-member 4-vector (c, s, -c, -s); element matrix is k * outer(v, v)
-    v = np.concatenate([model.cosines, -model.cosines], axis=-1)
+def _output(out: np.ndarray | None, shape: tuple) -> np.ndarray:
+    """``out``, checked to be a C-contiguous float array of ``shape``, or a
+    new array of that shape when it is None."""
+    if out is None:
+        return np.empty(shape)
+    if out.shape != shape or out.dtype != float or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float array of shape {shape}")
+    return out
+
+
+def _member_terms(model: TrussModel) -> np.ndarray:
+    """``(k, 8 m)`` work array: for each configuration, the products
+    ``(k c) c``, ``(k c) s``, ``(k s) c`` and ``(k s) s`` of every member's
+    axial stiffness ``k = E A / L`` and direction cosines ``(c, s)``, then
+    their negatives, each term over the members in order.
+
+    A member's 4x4 stiffness in global DOFs is ``k`` times the outer product
+    of ``(c, s, -c, -s)`` with itself, rounded as ``(k v_i) v_j``; a sign
+    flip commutes with rounding, so each of its 16 entries is one of these
+    eight terms bit for bit (see ``_BLOCK_TERMS``)."""
     topo = model.topology
-    k = topo.material.young_modulus * model.areas / model.lengths
-    blocks = k[:, :, None, None] * v[:, :, :, None] * v[:, :, None, :]
-    return blocks.reshape(len(k), 16 * topo.n_members)
+    k, m = model.areas.shape
+    terms = topo._work.array("member terms", k, (8, m))
+    c, s = model.cosines[..., 0], model.cosines[..., 1]
+    stiffness, kc, ks = terms[:, 6], terms[:, 4], terms[:, 5]
+    # the rows of the negatives hold k, k c and k s until they are written
+    np.multiply(topo.material.young_modulus, model.areas, out=stiffness)
+    np.divide(stiffness, model.lengths, out=stiffness)
+    np.multiply(stiffness, c, out=kc)
+    np.multiply(stiffness, s, out=ks)
+    np.multiply(kc, c, out=terms[:, 0])
+    np.multiply(kc, s, out=terms[:, 1])
+    np.multiply(ks, c, out=terms[:, 2])
+    np.multiply(ks, s, out=terms[:, 3])
+    np.negative(terms[:, :4], out=terms[:, 4:])
+    return terms.reshape(k, 8 * m)
 
 
-def assemble_stiffness(model: TrussModel) -> np.ndarray:
+def _assemble(model: TrussModel, out: np.ndarray, name: str,
+              entries: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Scatter into ``out`` the member terms that ``entries`` picks, by
+    ``index`` (a pair of the topology's indices): one gather and one scatter
+    over the whole stack, through the work arrays that ``name`` keys."""
+    work, k = model.topology._work, len(out)
+    terms = _member_terms(model)
+    taken = work.array(f"{name} terms", k, entries.shape)
+    gather = work.shifted(f"{name} gather", entries, terms.shape[1], k)
+    # the indices are in range; "clip" keeps np.take from buffering its output
+    np.take(terms.reshape(-1), gather, out=taken.reshape(-1), mode="clip")
+    scatter = work.shifted(f"{name} scatter", index, out[0].size, k)
+    return _scatter(out, scatter, taken)
+
+
+def assemble_stiffness(model: TrussModel, out: np.ndarray | None = None) -> np.ndarray:
     """``(k, f, f)`` stiffness on the free DOFs: the rows and columns of the
     topology's ``free`` DOFs of each unsupported (2n, 2n) matrix, assembled
-    directly without it.
+    directly without it.  It is written into ``out`` when one is given, and
+    into a new array otherwise.
 
     Each entry sums its members' contributions in member order, the order in
     which ``np.add.at`` would add them into the full matrix, so the result
@@ -282,25 +381,26 @@ def assemble_stiffness(model: TrussModel) -> np.ndarray:
     """
     topo = model.topology
     n = topo.free.size
-    entries = _member_matrices(model)[:, topo.free_entries]
-    return _scatter(topo.free_stiffness_index, entries, n * n).reshape(-1, n, n)
+    out = _output(out, (len(model.areas), n, n))
+    return _assemble(model, out, "free", topo.free_entries, topo.free_stiffness_index)
 
 
-def assemble_blocks(model: TrussModel) -> np.ndarray:
+def assemble_blocks(model: TrussModel, out: np.ndarray | None = None) -> np.ndarray:
     """The free stiffness in the topology's ``order`` as blocks: the
     ``n_blocks`` diagonal blocks, then the ``n_blocks - 1`` blocks below
     them, ``(k, 2 n_blocks - 1, b, b)`` with ``b`` the block size.  The
-    padding DOFs of the last block get a unit diagonal.
+    padding DOFs of the last block get a unit diagonal.  They are written
+    into ``out`` when one is given, and into a new array otherwise.
 
     Each entry is the sum of :func:`assemble_stiffness`, in the same order,
     so the blocks hold its entries bit for bit.
     """
     topo = model.topology
-    b, count = topo.block_size, 2 * topo.n_blocks - 1
-    entries = _member_matrices(model)[:, topo.block_entries]
-    K = _scatter(topo.block_index, entries, count * b * b)
-    K[:, topo.block_padding] = 1.0
-    return K.reshape(-1, count, b, b)
+    k, b, count = len(model.areas), topo.block_size, 2 * topo.n_blocks - 1
+    out = _output(out, (k, count, b, b))
+    _assemble(model, out, "blocks", topo.block_entries, topo.block_index)
+    out.reshape(k, -1)[:, topo.block_padding] = 1.0
+    return out
 
 
 @dataclass
@@ -344,14 +444,14 @@ def _solve_blocks(model: TrussModel) -> tuple[np.ndarray, np.ndarray]:
     so that the others are solved in the same pass.  Every call is a stacked
     one, so each configuration gets the same bits as when solved alone.
     """
-    topo = model.topology
+    topo, work = model.topology, model.topology._work
     b, nb = topo.block_size, topo.n_blocks
-    K = assemble_blocks(model)
-    k = len(K)
+    k = len(model.areas)
+    K = assemble_blocks(model, out=work.array("blocks", k, (2 * nb - 1, b, b)))
     diagonal, below = K[:, :nb], K[:, nb:]
     # the right-hand sides [L^T | y] of every block row; y is filled in as
     # the elimination reaches the row
-    rhs = np.empty((k, nb - 1, b, b + 1))
+    rhs = work.array("right-hand sides", k, (nb - 1, b, b + 1))
     rhs[..., :b] = np.swapaxes(below, 2, 3)
     ok = np.ones(k, dtype=bool)
     S = diagonal[:, 0]
@@ -405,9 +505,11 @@ def lumped_masses(model: TrussModel) -> np.ndarray:
     each adjacent member's structural mass, ``(k, n)``."""
     topo = model.topology
     tributary = 0.5 * topo.material.density * model.areas * model.lengths
-    masses = np.broadcast_to(topo.masses, (len(tributary), topo.n_nodes))
+    k, n = len(tributary), topo.n_nodes
+    masses = np.broadcast_to(topo.masses, (k, n))
     weights = np.concatenate([masses, tributary, tributary], axis=1)
-    return _scatter(topo.mass_index, weights, topo.n_nodes)
+    index = topo._work.shifted("masses", topo.mass_index, n, k)
+    return _scatter(np.empty((k, n)), index, weights)
 
 
 def natural_frequencies(model: TrussModel) -> np.ndarray:
@@ -418,16 +520,22 @@ def natural_frequencies(model: TrussModel) -> np.ndarray:
     A lowest eigenvalue at or below roundoff (zero or negative) marks a
     mechanism, whose frequencies are all NaN.
     """
-    free = model.topology.free
+    free, work = model.topology.free, model.topology._work
     # DOF 2k and 2k + 1 both carry node k's mass
     mass = lumped_masses(model)[:, free // 2]
     if (mass <= 0).any():
         bad = free[np.argwhere(mass <= 0)[0, 1]]
         raise ModelError(f"free DOF {bad} carries no mass")
-    K = assemble_stiffness(model)
+    k, f = mass.shape
+    K = assemble_stiffness(model, out=work.array("stiffness", k, (f, f)))
     inv_sqrt = 1.0 / np.sqrt(mass)
-    A = inv_sqrt[:, :, None] * K * inv_sqrt[:, None, :]
-    A = 0.5 * (A + np.swapaxes(A, 1, 2))
+    # M^(-1/2) K M^(-1/2), symmetrized in place: the same bits as
+    # A = inv_sqrt K inv_sqrt, then 0.5 * (A + A^T)
+    K *= inv_sqrt[:, :, None]
+    K *= inv_sqrt[:, None, :]
+    A = work.array("modal", k, (f, f))
+    np.add(K, np.swapaxes(K, 1, 2), out=A)
+    A *= 0.5
     lams = np.linalg.eigvalsh(A)
     tol = 1e-8 * np.maximum(1.0, np.abs(lams).max(axis=1))
     lams[lams[:, 0] <= tol] = np.nan

@@ -36,7 +36,6 @@ import dataclasses
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -418,6 +417,9 @@ def run_cell(
         path.unlink(missing_ok=True)
     replicates = range(plan.replicates)
     if workers > 1:
+        # imported here, so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(
                 pool.map(_replicate_job, repeat(plan), repeat(cell), replicates)

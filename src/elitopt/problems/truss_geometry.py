@@ -406,7 +406,8 @@ class TrussDesign:
         coords, areas = self.expand(X)
         topo = self.topology
         d = coords[:, topo.members[:, 1]] - coords[:, topo.members[:, 0]]
-        lengths = np.sqrt(np.add.reduce(d * d, axis=-1))
+        dx, dy = d[..., 0], d[..., 1]
+        lengths = np.sqrt(dx * dx + dy * dy)
         weights = topo.material.density * (areas * lengths).sum(axis=-1)
         # every row starts degenerate; analyzed rows are overwritten whole
         violations = np.zeros((len(X), self._columns))

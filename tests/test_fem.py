@@ -127,13 +127,13 @@ class TestAssembly:
         calls = []
         assemble, blocks = fem.assemble_stiffness, fem.assemble_blocks
 
-        def counting(model):
+        def counting(model, out=None):
             calls.append(("dense", model))
-            return assemble(model)
+            return assemble(model, out=out)
 
-        def counting_blocks(model):
+        def counting_blocks(model, out=None):
             calls.append(("blocks", model))
-            return blocks(model)
+            return blocks(model, out=out)
 
         monkeypatch.setattr(fem, "assemble_stiffness", counting)
         monkeypatch.setattr(fem, "assemble_blocks", counting_blocks)
@@ -539,8 +539,8 @@ class TestStackedModel:
         stacked = TrussModel(nodes, areas=areas, topology=topo)
         assemble = fem.assemble_stiffness
 
-        def negated(model):
-            K = assemble(model)
+        def negated(model, out=None):
+            K = assemble(model, out=out)
             K[(model.areas == areas[1]).all(axis=1)] *= -1.0
             return K
 
@@ -665,9 +665,9 @@ class TestEliminationOrder:
             calls["blocks"] += 1
             return solve_blocks(model)
 
-        def counting_dense(model):
+        def counting_dense(model, out=None):
             calls["dense"] += 1
-            return assemble(model)
+            return assemble(model, out=out)
 
         monkeypatch.setattr(fem, "_solve_blocks", counting_blocks)
         monkeypatch.setattr(fem, "assemble_stiffness", counting_dense)
@@ -760,3 +760,64 @@ class TestBlockSolve:
         with pytest.raises(Mechanism) as info:
             dense_static(model)
         assert info.value.mechanisms.tolist() == [True]
+
+
+def analyses(model):
+    """Every array the public analyses return for ``model``, by name."""
+    res = solve_static(model)
+    return {"stiffness": assemble_stiffness(model), "blocks": assemble_blocks(model),
+            "displacements": res.displacements, "stresses": res.stresses,
+            "frequencies": natural_frequencies(model)}
+
+
+class TestWorkArrays:
+    """The analyses of a topology write into work arrays kept on it, reused
+    from one call to the next; every result is what a topology that was
+    never used before gives, and stays the caller's own."""
+
+    @pytest.mark.parametrize("name", ["forth", "truss37", "michell"])
+    def test_reused_topology_gives_fresh_bits(self, name, rng):
+        design = load_design(name)
+        for k in (50, 7, 1, 50):
+            coords, areas = design.expand(design.search_space().sample(k, rng))
+            used = analyses(TrussModel(coords, areas, design.topology))
+            fresh = analyses(TrussModel(coords, areas, load_design(name).topology))
+            for key, value in fresh.items():
+                assert used[key].tobytes() == value.tobytes(), (k, key)
+
+    def test_results_outlive_a_larger_analysis(self, rng):
+        # the first analysis sizes the work arrays, so the last one writes
+        # into the same memory as the second
+        design = load_design("forth")
+        space = design.search_space()
+        analyses(TrussModel(*design.expand(space.sample(50, rng)), design.topology))
+        earlier = analyses(TrussModel(*design.expand(space.sample(7, rng)), design.topology))
+        kept = {key: value.copy() for key, value in earlier.items()}
+        analyses(TrussModel(*design.expand(space.sample(50, rng)), design.topology))
+        for key, value in kept.items():
+            assert earlier[key].tobytes() == value.tobytes(), key
+
+    def test_equal_or_smaller_stacks_allocate_nothing(self, rng):
+        design = load_design("truss37")
+        work = design.topology._work
+        space = design.search_space()
+        analyses(TrussModel(*design.expand(space.sample(50, rng)), design.topology))
+        held = {**work._arrays, **work._indices}
+        assert {"member terms", "blocks", "right-hand sides", "stiffness",
+                "modal"} <= set(held)
+        for k in (50, 7, 1):
+            analyses(TrussModel(*design.expand(space.sample(k, rng)), design.topology))
+            now = {**work._arrays, **work._indices}
+            assert now.keys() == held.keys()
+            assert all(now[key] is held[key] for key in held), k
+
+    def test_out_must_fit_the_stack(self, rng):
+        model = random_model(rng, 5)
+        f = model.topology.free.size
+        out = np.empty((1, f, f))
+        assert assemble_stiffness(model, out=out) is out
+        assert out.tobytes() == assemble_stiffness(model).tobytes()
+        for out in (np.empty((2, f, f)), np.empty((1, f, f), dtype=np.float32),
+                    np.empty((1, f, f + 1))[..., :f]):
+            with pytest.raises(ValueError, match="out must be"):
+                assemble_stiffness(model, out=out)

@@ -5,6 +5,8 @@ import io
 import json
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -671,6 +673,15 @@ class TestRunExperiment:
         # 4 cells of 2 run files, a stats file and a best file
         assert len(serial) == 16
         assert results(tmp_path / "pool") == serial
+
+    def test_serial_import_loads_no_process_pool(self):
+        # a fresh interpreter: this one may have loaded the pool already
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); import elitopt.harness; "
+                "print('concurrent.futures.process' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_fewer_than_one_worker_refused_before_any_file(self, workers, tmp_path):

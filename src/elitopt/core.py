@@ -630,11 +630,16 @@ def replicate_stats(finals: Sequence[float], nfes: Sequence[int]) -> StatsRecord
         raise ValueError("no results to summarize")
     n = finals.size
     std = float(np.std(finals, ddof=1)) if n > 1 else 0.0
+    # the middle count, or the mean of the two middle ones: what np.median
+    # gives bit for bit, without the NaN check that imports all of numpy.ma
+    counts = np.sort(np.asarray(nfes, dtype=float))
+    half = counts.size // 2
+    median = counts[half] if counts.size % 2 else (counts[half - 1] + counts[half]) / 2
     return StatsRecord(
         best=float(finals.min()),
         mean=float(finals.mean()),
         worst=float(finals.max()),
         std=std,
-        nfes_median=float(np.median(np.asarray(nfes, dtype=float))),
+        nfes_median=float(median),
         runs=int(n),
     )

@@ -23,8 +23,12 @@ work arrays: the member terms, the stiffness that assembly scatters into,
 the right-hand sides of the block elimination and the modal matrix.  Each
 grows to the largest stack analyzed and a smaller stack writes into its
 leading rows, so the analyses of one generation after another reuse the
-same memory instead of mapping fresh pages.  One analysis at a time uses a
-topology's work arrays; what an analysis returns is the caller's own.
+same memory instead of mapping fresh pages.  Assembly gathers each row's
+member terms along the member axis, with the topology's own index, and
+scatters them through an index shifted to each row of the flat stack; the
+shifted indices of the scatters are the only indices cached.  One analysis
+at a time uses a topology's work arrays; what an analysis returns is the
+caller's own.
 """
 
 from __future__ import annotations
@@ -98,9 +102,11 @@ _BLOCK_TERMS = np.array([2 * (i % 2) + j % 2 + 4 * ((i < 2) != (j < 2))
 
 
 class _WorkArrays:
-    """The arrays that the analyses of one topology write into, by name.
-    Each grows to the largest stack it has been asked for, and a smaller
-    stack gets its leading rows."""
+    """The arrays that the analyses of one topology write into, by name,
+    and the shifted indices of its scatters (``np.add.at`` into a flat
+    stack), by name.  Each grows to the largest stack it has been asked
+    for, and a smaller stack gets its leading rows.  Gathers need no cached
+    index: they take along the member axis with the topology's own."""
 
     def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
@@ -260,6 +266,17 @@ class TrussTopology:
         return self.members.shape[0]
 
 
+def member_vectors(nodes: np.ndarray, topology: TrussTopology) -> tuple[np.ndarray, np.ndarray]:
+    """``(k, m, 2)`` member vectors, end node minus start node, and ``(k,
+    m)`` member lengths of the ``(k, n, 2)`` node coordinates ``nodes`` on
+    ``topology``."""
+    members = topology.members
+    d = nodes[:, members[:, 1]] - nodes[:, members[:, 0]]
+    # what np.linalg.norm(d, axis=-1) computes, without its overhead
+    dx, dy = d[..., 0], d[..., 1]
+    return d, np.sqrt(dx * dx + dy * dy)
+
+
 class TrussModel:
     """A stack of ``k`` truss configurations: node coordinates and member
     areas on a :class:`TrussTopology`.
@@ -267,33 +284,40 @@ class TrussModel:
     The topology was validated when it was built, so a model checks only
     what a design changes: the node array shape, areas > 0 and member
     lengths > 0.  Member lengths and direction cosines are computed here,
-    once, and shared by every analysis of the model.  That free DOFs carry
-    mass is checked by :func:`natural_frequencies`, the one analysis that
-    needs it.
+    once, and shared by every analysis of the model.  A caller that has
+    already computed :func:`member_vectors` of the same nodes passes them
+    as ``geometry`` instead; they are taken as given, with only their
+    shapes and lengths > 0 checked.  That free DOFs carry mass is checked
+    by :func:`natural_frequencies`, the one analysis that needs it.
 
     nodes : (k, n, 2) float array of coordinates [m]
     areas : (k, m) float array of cross sections [m^2]
     topology : the :class:`TrussTopology` both are placed on
-    lengths : (k, m) member lengths [m], computed
+    geometry : ``member_vectors(nodes, topology)``, or None to compute it
+    lengths : (k, m) member lengths [m], computed or taken from geometry
     cosines : (k, m, 2) member direction cosines, computed
     """
 
-    def __init__(self, nodes, areas, topology: TrussTopology):
+    def __init__(self, nodes, areas, topology: TrussTopology,
+                 geometry: tuple[np.ndarray, np.ndarray] | None = None):
         nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 3 or nodes.shape[2] != 2:
             raise ModelError(f"nodes must be a (k, n, 2) array, not {nodes.shape}")
         if nodes.shape[1] != topology.n_nodes:
             raise ModelError("nodes do not match the topology's node count")
+        shape = (len(nodes), topology.n_members)
         areas = np.asarray(areas, dtype=float)
-        if areas.shape != (len(nodes), topology.n_members):
-            raise ModelError(f"areas must be a {(len(nodes), topology.n_members)} array")
+        if areas.shape != shape:
+            raise ModelError(f"areas must be a {shape} array")
         if (areas <= 0).any():
             raise ModelError("member areas must be positive")
-        members = topology.members
-        d = nodes[:, members[:, 1]] - nodes[:, members[:, 0]]
-        # what np.linalg.norm(d, axis=-1) computes, without its overhead
-        dx, dy = d[..., 0], d[..., 1]
-        lengths = np.sqrt(dx * dx + dy * dy)
+        if geometry is None:
+            d, lengths = member_vectors(nodes, topology)
+        else:
+            d, lengths = (np.asarray(a, dtype=float) for a in geometry)
+            if d.shape != shape + (2,) or lengths.shape != shape:
+                raise ModelError(f"member vectors and lengths must be {shape + (2,)} "
+                                 f"and {shape} arrays")
         if (lengths <= 0).any():
             raise ModelError("zero-length member")
         self.nodes = nodes
@@ -357,14 +381,16 @@ def _member_terms(model: TrussModel) -> np.ndarray:
 def _assemble(model: TrussModel, out: np.ndarray, name: str,
               entries: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Scatter into ``out`` the member terms that ``entries`` picks, by
-    ``index`` (a pair of the topology's indices): one gather and one scatter
-    over the whole stack, through the work arrays that ``name`` keys."""
+    ``index`` (a pair of the topology's indices): one gather along the
+    member axis of every row and one scatter over the whole stack, through
+    the work arrays that ``name`` keys.  The scatter's index is ``index``
+    shifted to each row (see :meth:`_WorkArrays.shifted`), since a flat
+    ``np.add.at`` is several times faster than one keyed by row."""
     work, k = model.topology._work, len(out)
     terms = _member_terms(model)
     taken = work.array(f"{name} terms", k, entries.shape)
-    gather = work.shifted(f"{name} gather", entries, terms.shape[1], k)
     # the indices are in range; "clip" keeps np.take from buffering its output
-    np.take(terms.reshape(-1), gather, out=taken.reshape(-1), mode="clip")
+    np.take(terms, entries, axis=1, out=taken, mode="clip")
     scatter = work.shifted(f"{name} scatter", index, out[0].size, k)
     return _scatter(out, scatter, taken)
 

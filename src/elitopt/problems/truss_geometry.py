@@ -57,6 +57,7 @@ from ..fem import (
     TrussTopology,
     displacement_violation,
     frequency_violations,
+    member_vectors,
     natural_frequencies,
     solve_static,
     stress_violations,
@@ -405,9 +406,7 @@ class TrussDesign:
         degenerate row, as a row with a short member does."""
         coords, areas = self.expand(X)
         topo = self.topology
-        d = coords[:, topo.members[:, 1]] - coords[:, topo.members[:, 0]]
-        dx, dy = d[..., 0], d[..., 1]
-        lengths = np.sqrt(dx * dx + dy * dy)
+        vectors, lengths = member_vectors(coords, topo)
         weights = topo.material.density * (areas * lengths).sum(axis=-1)
         # every row starts degenerate; analyzed rows are overwritten whole
         violations = np.zeros((len(X), self._columns))
@@ -416,7 +415,12 @@ class TrussDesign:
         # with it; not "<" keeps a NaN length in the analysis, as the model does
         rows = np.flatnonzero(~(lengths.min(axis=-1) < DEGENERATE_LENGTH))
         if rows.size:
-            analyzed = self._violations(TrussModel(coords[rows], areas[rows], topo))
+            # the analyzed rows' member vectors and lengths are not computed
+            # again, and when every row is analyzed no array is copied
+            pick = slice(None) if rows.size == len(X) else rows
+            model = TrussModel(coords[pick], areas[pick], topo,
+                               geometry=(vectors[pick], lengths[pick]))
+            analyzed = self._violations(model)
             # the analyses mark a mechanism NaN; it stays degenerate
             ok = ~np.isnan(analyzed).any(axis=-1)
             violations[rows[ok]] = analyzed[ok]

@@ -1035,3 +1035,18 @@ class TestReplicateStats:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             replicate_stats([], [])
+
+    @pytest.mark.parametrize("nfes", [
+        [4000], [4000, 4000], [4001, 3998], [3050, 4000, 2050], [9, 2, 7, 4],
+        [4000, 4000, 3999, 4001], [2**53 + 2, 2**53 - 1], [2**53 + 2, 1, 2**53 + 4, 3],
+    ])
+    def test_nfes_median_is_numpy_median(self, nfes):
+        s = replicate_stats([1.0] * len(nfes), nfes)
+        expected = float(np.median(np.asarray(nfes, dtype=float)))
+        assert np.float64(s.nfes_median).tobytes() == np.float64(expected).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**60), min_size=1, max_size=9))
+    def test_nfes_median_is_numpy_median_for_any_counts(self, nfes):
+        s = replicate_stats([0.0] * len(nfes), nfes)
+        assert s.nfes_median == float(np.median(np.asarray(nfes, dtype=float)))

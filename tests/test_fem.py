@@ -436,6 +436,34 @@ class TestModelOnTopology:
         with pytest.raises(ModelError, match="node count"):
             TrussModel(np.zeros((1, 3, 2)), areas=np.array([[1e-4]]), topology=topo)
 
+    def test_takes_the_member_vectors_it_is_given(self, rng):
+        design = load_design("forth")
+        coords, areas = design.expand(design.search_space().sample(7, rng))
+        computed = TrussModel(coords, areas, design.topology)
+        vectors, lengths = fem.member_vectors(coords, design.topology)
+        given = TrussModel(coords, areas, design.topology, geometry=(vectors, lengths))
+        assert given.lengths is lengths
+        assert given.lengths.tobytes() == computed.lengths.tobytes()
+        assert given.cosines.tobytes() == computed.cosines.tobytes()
+        fresh = analyses(computed)
+        for key, value in analyses(given).items():
+            assert value.tobytes() == fresh[key].tobytes(), key
+
+    def test_checks_the_member_vectors_it_is_given(self):
+        topo = self.topology()
+        nodes = np.array([[[0.0, 0.0], [1.0, 0.0]]] * 2)
+        areas = np.full((2, 1), 1e-4)
+        vectors, lengths = fem.member_vectors(nodes, topo)
+        for bad in ((vectors[:1], lengths), (vectors, lengths[:1]),
+                    (vectors[..., :1], lengths), (vectors, lengths[:, 0])):
+            with pytest.raises(ModelError, match="member vectors and lengths must be"):
+                TrussModel(nodes, areas, topo, geometry=bad)
+        for bad_lengths in (np.zeros((2, 1)), np.array([[1.0], [-1.0]])):
+            with pytest.raises(ModelError, match="zero-length"):
+                TrussModel(nodes, areas, topo, geometry=(vectors, bad_lengths))
+        with pytest.raises(ModelError, match="areas"):
+            TrussModel(nodes, np.zeros((2, 1)), topo, geometry=(vectors, lengths))
+
     def test_invariants_are_read_only_copies(self):
         fixed = np.array([[True, True], [False, True]])
         topo = TrussTopology(2, np.array([[0, 1]]), STEEL, fixed)
@@ -797,14 +825,18 @@ class TestWorkArrays:
         for key, value in kept.items():
             assert earlier[key].tobytes() == value.tobytes(), key
 
-    def test_equal_or_smaller_stacks_allocate_nothing(self, rng):
-        design = load_design("truss37")
+    @pytest.mark.parametrize("name", ["forth", "truss37", "michell"])
+    def test_equal_or_smaller_stacks_allocate_nothing(self, name, rng):
+        design = load_design(name)
         work = design.topology._work
         space = design.search_space()
         analyses(TrussModel(*design.expand(space.sample(50, rng)), design.topology))
         held = {**work._arrays, **work._indices}
         assert {"member terms", "blocks", "right-hand sides", "stiffness",
                 "modal"} <= set(held)
+        # gathers take along the member axis; only the scatters keep a
+        # shifted index
+        assert set(work._indices) == {"free scatter", "blocks scatter", "masses"}
         for k in (50, 7, 1):
             analyses(TrussModel(*design.expand(space.sample(k, rng)), design.topology))
             now = {**work._arrays, **work._indices}

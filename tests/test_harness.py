@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -682,6 +683,22 @@ class TestRunExperiment:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, timeout=60)
         assert out.stdout.strip() == "False"
+
+    def test_serial_grid_loads_no_masked_arrays(self, tmp_path):
+        # np.median's NaN check imported all of numpy.ma into every worker
+        # to take the median of the replicates' evaluation counts
+        root = Path(__file__).resolve().parent.parent
+        code = ("import sys\n"
+                "from elitopt.harness import ExperimentPlan, run_experiment\n"
+                "plan = ExperimentPlan(algorithms=('bbo',), problems=('sphere', 'michell'),\n"
+                "                      replicates=2, max_iterations=2, population_size=6)\n"
+                f"run_experiment(plan, {str(tmp_path / 'out')!r})\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))")
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=120, env=env, cwd=root)
+        assert out.stdout.strip() == "[]"
+        assert len(list((tmp_path / "out").glob("*/stats.csv"))) == 4
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_fewer_than_one_worker_refused_before_any_file(self, workers, tmp_path):

@@ -706,9 +706,9 @@ class TestTrussEvaluation:
 
         topologies = []
 
-        def recording(nodes, areas, topology):
+        def recording(nodes, areas, topology, **kwargs):
             topologies.append(topology)
-            return TrussModel(nodes, areas, topology)
+            return TrussModel(nodes, areas, topology, **kwargs)
 
         monkeypatch.setattr(tg, "TrussModel", recording)
         design = load_design("michell")
@@ -873,15 +873,34 @@ class TestBatchEvaluation:
 
         built = []
 
-        def recording(nodes, areas, topology):
+        def recording(nodes, areas, topology, **kwargs):
             built.append(len(areas))
-            return TrussModel(nodes, areas, topology)
+            return TrussModel(nodes, areas, topology, **kwargs)
 
         monkeypatch.setattr(tg, "TrussModel", recording)
         weights, violations = TrussDesign(apex_doc()).evaluate(APEX_ROWS)
         # every row but the zero-length one, in one model
         assert built == [4]
         assert violations[3].tolist() == [DEGENERATE_VIOLATION, 0.0, 0.0]
+
+    @pytest.mark.parametrize("name", ["forth", "michell"])
+    def test_member_geometry_computed_once_per_batch(self, name, monkeypatch, rng):
+        # the model computed the analyzed rows' member vectors again
+        import elitopt.fem as fem
+        import elitopt.problems.truss_geometry as tg
+
+        calls = []
+
+        def counting(nodes, topology):
+            calls.append(len(nodes))
+            return member_vectors(nodes, topology)
+
+        member_vectors = fem.member_vectors
+        monkeypatch.setattr(fem, "member_vectors", counting)
+        monkeypatch.setattr(tg, "member_vectors", counting)
+        design = load_design(name)
+        design.evaluate(design.search_space().sample(50, rng))
+        assert calls == [50]
 
     def test_expand_stacks_rows(self, rng):
         design = load_design("forth")

@@ -162,7 +162,7 @@ class Bbo:
     """Biogeography-based optimizer with rank-linear migration rates."""
 
     name = "bbo"
-    inject_before_step = False
+    inject_before_first_step = False
 
     def __init__(self, params: BboParams | None = None):
         self.params = params or BboParams()

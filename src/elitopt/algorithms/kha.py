@@ -330,7 +330,7 @@ class Kha:
     """Krill herd optimizer with optional crossover and mutation."""
 
     name = "kha"
-    inject_before_step = False
+    inject_before_first_step = False
 
     def __init__(self, params: KhaParams | None = None):
         self.params = params or KhaParams()

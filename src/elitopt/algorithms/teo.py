@@ -4,12 +4,12 @@ Agents are temperature vectors.  Each iteration the population is sorted and
 split in half: the better half acts as cooling environments for the worse
 half, which relaxes toward its (randomly cooled) environment at a rate set
 by its own cost.  Only the cooled half is re-evaluated, so an iteration
-costs half a population of evaluations.  Teo declares
-``inject_before_step``: with the elite memory on, the run loop overwrites the
-worst agents with the stored elites before each step, so the elites take part
-in the split as environments.  A step draws each kind of random number for
-the whole cooled half in one generator call (:func:`draw_cooling`) and cools
-the half with array operations.
+costs half a population of evaluations.  Teo sets
+``inject_before_first_step``: with the elite memory on, the run loop
+overwrites the worst agents with the stored elites before every step, the
+first too, so the elites take part in each split as environments.  A step
+draws each kind of random number for the whole cooled half in one generator
+call (:func:`draw_cooling`) and cools the half with array operations.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class Teo:
     """Thermal exchange optimizer.  Requires an even population."""
 
     name = "teo"
-    inject_before_step = True
+    inject_before_first_step = True
 
     def __init__(self, params: TeoParams | None = None):
         self.params = params or TeoParams()

@@ -42,21 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the experiment grid of a plan file")
     p_run.add_argument("plan_file", type=Path, help="JSON plan document")
-    p_run.add_argument(
-        "--out", type=Path, default=None, help="output directory (overrides the plan)"
-    )
-    p_run.add_argument(
-        "--seed", type=int, default=None, help="root seed (overrides the plan)"
-    )
-    p_run.add_argument(
-        "--memory",
-        choices=["on", "off", "both"],
-        default=None,
-        help="memory mode for the grid (overrides the plan)",
-    )
-    p_run.add_argument(
-        "--workers", type=int, default=1, help="parallel replicate processes"
-    )
+    p_run.add_argument("--out", type=Path, help="output directory (overrides the plan)")
+    p_run.add_argument("--seed", type=int, help="root seed (overrides the plan)")
+    p_run.add_argument("--memory", choices=["on", "off", "both"],
+                       help="memory mode for the grid (overrides the plan)")
+    p_run.add_argument("--workers", type=int, default=1, help="parallel replicate processes")
 
     p_stats = sub.add_parser(
         "stats", help="recompute a cell summary from its history files"
@@ -67,9 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument(
         "patterns", nargs="+", help="history files or glob patterns"
     )
-    p_plot.add_argument(
-        "--output", type=Path, default=None, help="write to this file, not stdout"
-    )
+    p_plot.add_argument("--output", type=Path, help="write to this file, not stdout")
 
     sub.add_parser("list-problems", help="print available problem names")
     sub.add_parser("list-algorithms", help="print available algorithm names")

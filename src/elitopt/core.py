@@ -545,19 +545,18 @@ def run(algorithm, problem: Problem, config: RunConfig) -> RunResult:
     algorithm cannot run ``n`` members, and is called first, before anything
     is drawn), ``init_population(ctx, n, rng) -> (positions, fitness,
     state)``, ``step(positions, fitness, state, ctx, frac, rng) ->
-    (positions, fitness)`` and the attribute ``inject_before_step``.
+    (positions, fitness)`` and the attribute ``inject_before_first_step``.
     ``frac`` is the elapsed fraction ``g / max_iterations`` of iteration
     ``g``; the search space is ``ctx.problem.space``.
 
     ``config.memory_fraction`` sizes the elite memory; ``None`` runs without
-    one.  The loop per iteration: with a memory, ``memory.inject`` overwrites
-    the worst members of the generation with the stored elites before the
-    step when the algorithm sets ``inject_before_step``, and after it
-    otherwise.  The step builds the whole new generation first and evaluates
-    it with one ``ctx.evaluate`` call (as ``init_population`` does the
-    initial one), the run's only evaluation path: it counts the rows, returns
-    their fitness and feeds the elite memory and the best.  Then the history
-    is recorded.
+    one.  Iteration ``g``: with a memory, ``memory.inject`` overwrites the
+    worst members with the stored elites before the step, when ``g > 1`` or
+    the algorithm sets ``inject_before_first_step``.  The step builds the
+    whole new generation and evaluates it with one ``ctx.evaluate`` call (as
+    ``init_population`` does the initial one), the run's only evaluation
+    path: it counts the rows, returns their fitness and feeds the elite
+    memory and the best.  Then the history is recorded.
 
     Identical ``(seed, config, problem)`` triples give bit-identical results.
     """
@@ -577,9 +576,8 @@ def run(algorithm, problem: Problem, config: RunConfig) -> RunResult:
             f"init evaluated {ctx.nfes} candidates, expected {config.population_size}"
         )
     history = [(0, ctx.best.fitness, ctx.nfes)]
-    inject_first = algorithm.inject_before_step
     for g in range(1, config.max_iterations + 1):
-        if memory is not None and inject_first:
+        if memory is not None and (g > 1 or algorithm.inject_before_first_step):
             positions, fitness = memory.inject(positions, fitness)
         before = ctx.nfes
         positions, fitness = algorithm.step(
@@ -590,8 +588,6 @@ def run(algorithm, problem: Problem, config: RunConfig) -> RunResult:
             raise AccountingError(
                 f"iteration {g}: {used} evaluations used, {declared} declared"
             )
-        if memory is not None and not inject_first:
-            positions, fitness = memory.inject(positions, fitness)
         history.append((g, ctx.best.fitness, ctx.nfes))
     return RunResult(
         best=ctx.best, history=history, nfes=ctx.nfes,

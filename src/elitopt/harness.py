@@ -10,8 +10,9 @@ Per-cell statistics are recomputed from the emitted history files, and the
 report is rebuilt from the directory alone (``write_report(out_dir)`` reads
 ``manifest.json`` and each cell's ``stats.csv``), digit for digit.  Every
 file is written to a temporary sibling and renamed over its final name only
-once complete, so an interrupted run never leaves a partial file for
-``stats`` or the report to read.
+once complete, and a grid clears every cell before it runs the first, so an
+interrupted run never leaves a partial or stale file for ``stats`` or the
+report to read.
 
 Layout under the output directory::
 
@@ -399,6 +400,13 @@ def _replicate_job(plan: ExperimentPlan, cell: PlanCell, replicate: int) -> RunR
     return run(algorithm, problem, config)
 
 
+def _clear_cell(cell_dir: Path) -> None:
+    """Remove the files a run of a cell writes from ``cell_dir``."""
+    names = ("stats.csv", "best.json", "error.txt")
+    for path in [*cell_dir.glob("run_*.csv"), *(cell_dir / n for n in names)]:
+        path.unlink(missing_ok=True)
+
+
 def run_cell(
     cell: PlanCell, plan: ExperimentPlan, out_dir: Path, workers: int = 1
 ) -> list[RunResult]:
@@ -411,10 +419,7 @@ def run_cell(
     """
     cell_dir = Path(out_dir) / cell.label
     cell_dir.mkdir(parents=True, exist_ok=True)
-    stale = list(cell_dir.glob("run_*.csv"))
-    stale += [cell_dir / name for name in ("stats.csv", "best.json", "error.txt")]
-    for path in stale:
-        path.unlink(missing_ok=True)
+    _clear_cell(cell_dir)
     replicates = range(plan.replicates)
     if workers > 1:
         # imported here, so that a serial run never loads multiprocessing
@@ -630,9 +635,12 @@ def run_experiment(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(plan, out_dir)
-    # an interrupted rerun must not leave the previous report standing
+    # an interrupted rerun must leave neither the previous report nor a cell
+    # it has not reached yet
     for name in ("report.csv", "improvements.csv", "report.txt"):
         (out_dir / name).unlink(missing_ok=True)
+    for cell in plan.cells():
+        _clear_cell(out_dir / cell.label)
     for cell in plan.cells():
         try:
             run_cell(cell, plan, out_dir, workers=workers)

@@ -26,8 +26,9 @@ def michell_analytical_weight(
     load: float = 200e3,
     density: float = 7800.0,
 ) -> float:
-    """Least weight of the ideal arch for a central point load between two
-    level supports: ``(12 / sigma) * L * P * rho * tan(pi / 12)`` [kg]."""
+    """Weight of the ideal arch for a central point load between two level
+    supports, ``(12 / sigma) * L * P * rho * tan(pi / 12)`` [kg]: a reference
+    figure for the michell benchmark, not a bound on its feasible designs."""
     if stress_limit <= 0 or half_span <= 0 or load <= 0 or density <= 0:
         raise ValueError("all arguments must be positive")
     return 12.0 / stress_limit * half_span * load * density * math.tan(math.pi / 12.0)

@@ -851,7 +851,7 @@ class TestFunnelMatchesLoop:
 class LyingAlgorithm:
     """Claims one evaluation per iteration but performs two."""
 
-    inject_before_step = False
+    inject_before_first_step = False
 
     def evals_per_iteration(self, population_size):
         return 1
@@ -874,8 +874,8 @@ class RecordingAlgorithm:
     (a second copy of the last sample takes its slot).
     """
 
-    def __init__(self, inject_before_step):
-        self.inject_before_step = inject_before_step
+    def __init__(self, inject_before_first_step):
+        self.inject_before_first_step = inject_before_first_step
         self.handed = []
 
     def evals_per_iteration(self, population_size):
@@ -967,20 +967,20 @@ class TestRunLoop:
                 RunConfig(population_size=10, max_iterations=1, memory_fraction=fraction)
 
     def test_inject_before_step(self):
-        algo = RecordingAlgorithm(inject_before_step=True)
+        algo = RecordingAlgorithm(inject_before_first_step=True)
         run(algo, sphere_problem(), RunConfig(population_size=10,
                                               max_iterations=2, seed=0))
         assert holds_origin(algo.handed[0])
 
     def test_inject_after_step(self):
-        algo = RecordingAlgorithm(inject_before_step=False)
+        algo = RecordingAlgorithm(inject_before_first_step=False)
         run(algo, sphere_problem(), RunConfig(population_size=10,
                                               max_iterations=2, seed=0))
         assert not holds_origin(algo.handed[0])
         assert holds_origin(algo.handed[1])
 
     def test_memory_off_never_injects(self):
-        algo = RecordingAlgorithm(inject_before_step=True)
+        algo = RecordingAlgorithm(inject_before_first_step=True)
         run(algo, sphere_problem(), RunConfig(population_size=10, max_iterations=2,
                                               seed=0, memory_fraction=None))
         assert not any(holds_origin(p) for p in algo.handed)
@@ -1003,9 +1003,31 @@ class TestRunLoop:
     def test_algorithms_declare_injection_timing(self):
         from elitopt.algorithms import Bbo, Kha, Teo
 
-        assert Teo.inject_before_step is True
-        assert Bbo.inject_before_step is False
-        assert Kha.inject_before_step is False
+        assert Teo.inject_before_first_step is True
+        assert Bbo.inject_before_first_step is False
+        assert Kha.inject_before_first_step is False
+
+    @pytest.mark.parametrize("name, calls", [("bbo", 4), ("kha", 4), ("teo", 5)])
+    def test_injections_per_run(self, name, calls, monkeypatch):
+        # of 5 steps, before every one but the first (4), and before the
+        # first too for teo (5); none after the last step, whose result
+        # nothing would read
+        from elitopt.algorithms import get_algorithm
+
+        injected = []
+        inject = EliteMemory.inject
+
+        def counted(memory, positions, fitness):
+            injected.append(len(fitness))
+            return inject(memory, positions, fitness)
+
+        monkeypatch.setattr(EliteMemory, "inject", counted)
+        for fraction, expected in ((0.2, calls), (None, 0)):
+            injected.clear()
+            run(get_algorithm(name), sphere_problem(), RunConfig(
+                population_size=10, max_iterations=5, seed=0,
+                memory_fraction=fraction))
+            assert injected == [10] * expected
 
 
 class TestReplicateSeed:

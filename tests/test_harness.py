@@ -754,6 +754,36 @@ class TestRunExperiment:
         for name in ("report.csv", "improvements.csv", "report.txt"):
             assert not (out / name).exists()
 
+    def test_interrupted_rerun_leaves_no_stale_cell(self, tmp_path, monkeypatch):
+        # a rerun with another seed is interrupted before its second cell:
+        # that cell must not read ok with the first run's statistics
+        import elitopt.harness as harness
+
+        out = tmp_path / "out"
+        plan = small_plan(problems=("sphere", "rastrigin"), memory_modes=(True,))
+        run_experiment(plan, out)
+        stale = out / "bbo-rastrigin-mem"
+        assert (stale / "stats.csv").is_file()
+        run_cell = harness.run_cell
+        calls = []
+
+        def interrupted(*args, **kwargs):
+            calls.append(args[0].label)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return run_cell(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_cell", interrupted)
+        reseeded = dataclasses.replace(plan, root_seed=plan.root_seed + 1)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(reseeded, out)
+        assert calls == ["bbo-sphere-mem", "bbo-rastrigin-mem"]
+        report = write_report(out)
+        assert [(s.cell.label, s.status) for s in report.cells] == [
+            ("bbo-sphere-mem", "ok"), ("bbo-rastrigin-mem", "failed")]
+        assert report.cells[0].cell.seed == reseeded.cells()[0].seed
+        assert not list(stale.iterdir())
+
     def test_rerun_cell_writes_only_its_own_files(self, tmp_path):
         # a cell run with 5 replicates, then with 2 and another seed into
         # the same directory: the stats, best and error files describe the

@@ -16,26 +16,6 @@ import numpy as np
 from ..core import ConfigError, SearchSpace, check_field_types, clamp_to_bounds, ranked
 
 
-@dataclass(frozen=True)
-class BboParams:
-    """max_immigration and max_emigration are the rate ceilings (I and E),
-    mutation_max the mutation probability ceiling, elite_keep the number of
-    habitats preserved across an iteration."""
-
-    max_immigration: float = 1.0
-    max_emigration: float = 1.0
-    mutation_max: float = 0.01
-    elite_keep: int = 2
-
-    def __post_init__(self):
-        check_field_types(self)
-        for name in ("max_immigration", "max_emigration", "elite_keep"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and >= 0")
-        if not 0 <= self.mutation_max <= 1:
-            raise ConfigError("mutation_max must lie in [0, 1]")
-
-
 def species_count(rank, n: int):
     """Rank-linear species model: the best habitat (rank 0) is the richest.
     Elementwise on arrays of ranks."""
@@ -46,7 +26,7 @@ def species_count(rank, n: int):
     return s if s.ndim else int(s)
 
 
-def migration_rates(rank, n: int, params: BboParams):
+def migration_rates(rank, n: int, bbo: Bbo):
     """Immigration and emigration rate of the habitat at a fitness rank,
     elementwise on arrays of ranks.
 
@@ -54,8 +34,8 @@ def migration_rates(rank, n: int, params: BboParams):
     emigration ``E * s/n``.  Good habitats emigrate, poor ones immigrate.
     """
     share = species_count(rank, n) / n
-    lam = params.max_immigration * (1.0 - share)
-    mu = params.max_emigration * share
+    lam = bbo.max_immigration * (1.0 - share)
+    mu = bbo.max_emigration * share
     return lam, mu
 
 
@@ -71,14 +51,14 @@ def species_probability(rank, n: int):
     return 1.0 - abs(s - mid) / mid
 
 
-def mutation_rate(p, p_max: float, params: BboParams):
+def mutation_rate(p, p_max: float, bbo: Bbo):
     """Mutation probability ``m_max * (1 - p / p_max)``, elementwise on
     arrays of probabilities."""
     if p_max <= 0:
         raise ValueError("p_max must be positive")
     if np.min(p) < 0 or np.max(p) > p_max:
         raise ValueError("species probability must lie in [0, p_max]")
-    return params.mutation_max * (1.0 - p / p_max)
+    return bbo.mutation_max * (1.0 - p / p_max)
 
 
 def roulette_sums(mus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,14 +138,29 @@ class BboState:
     totals: np.ndarray
 
 
+@dataclass(frozen=True)
 class Bbo:
-    """Biogeography-based optimizer with rank-linear migration rates."""
+    """Biogeography-based optimizer with rank-linear migration rates.
+
+    max_immigration and max_emigration are the rate ceilings (I and E),
+    mutation_max the mutation probability ceiling, elite_keep the number of
+    habitats preserved across an iteration."""
 
     name = "bbo"
     inject_before_first_step = False
 
-    def __init__(self, params: BboParams | None = None):
-        self.params = params or BboParams()
+    max_immigration: float = 1.0
+    max_emigration: float = 1.0
+    mutation_max: float = 0.01
+    elite_keep: int = 2
+
+    def __post_init__(self):
+        check_field_types(self)
+        for name in ("max_immigration", "max_emigration", "elite_keep"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0")
+        if not 0 <= self.mutation_max <= 1:
+            raise ConfigError("mutation_max must lie in [0, 1]")
 
     def evals_per_iteration(self, population_size: int) -> int:
         return population_size
@@ -173,9 +168,9 @@ class Bbo:
     def init_population(self, ctx, n: int, rng):
         positions = ctx.problem.space.sample(n, rng)
         ranks = np.arange(n)
-        lambdas, mus = migration_rates(ranks, n, self.params)
-        rates = mutation_rate(species_probability(ranks, n), 1.0, self.params)
-        rates[:min(self.params.elite_keep, n)] = 0.0
+        lambdas, mus = migration_rates(ranks, n, self)
+        rates = mutation_rate(species_probability(ranks, n), 1.0, self)
+        rates[:min(self.elite_keep, n)] = 0.0
         state = BboState(lambdas, rates, *roulette_sums(mus))
         return positions, ctx.evaluate(positions), state
 
@@ -191,7 +186,7 @@ class Bbo:
         space = ctx.problem.space
         n = len(fitness)
         positions, fitness = ranked(positions, fitness)
-        keep = min(self.params.elite_keep, n)
+        keep = min(self.elite_keep, n)
 
         # draw order: migration coins and picks, then mutation coins and
         # values

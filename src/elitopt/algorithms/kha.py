@@ -25,39 +25,6 @@ from ..core import ConfigError, SearchSpace, check_field_types, clamp_to_bounds
 POSITIVITY_DELTA = 1e-10  # shift guard for inverse-fitness weights
 
 
-@dataclass(frozen=True)
-class KhaParams:
-    """Motion amplitudes and switches.
-
-    induced_max, foraging_speed and diffusion_max are the ceilings of the
-    three motion components; the two inertia weights are fixed over the run.
-    time_factor scales the position time step.  epsilon guards unit-vector
-    divisions.
-    """
-
-    induced_max: float = 0.01
-    foraging_speed: float = 0.02
-    diffusion_max: float = 0.005
-    inertia_induced: float = 0.5
-    inertia_foraging: float = 0.5
-    time_factor: float = 0.5
-    epsilon: float = 1e-10
-    crossover: bool = True
-    mutation: bool = True
-    food_coeff_on_best: bool = True
-
-    def __post_init__(self):
-        check_field_types(self)
-        for name in ("induced_max", "foraging_speed", "diffusion_max", "time_factor"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and >= 0")
-        for name in ("inertia_induced", "inertia_foraging"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ConfigError(f"{name} must lie in [0, 1]")
-        if not 0 < self.epsilon < math.inf:
-            raise ConfigError("epsilon must be finite and positive")
-
-
 @dataclass
 class KhaState:
     """Per-run krill state: the motion history and personal bests, updated
@@ -287,7 +254,7 @@ class HerdDraws:
     mu_coins: np.ndarray | None
 
 
-def draw_herd(n: int, dim: int, params: KhaParams, rng) -> HerdDraws:
+def draw_herd(n: int, dim: int, kha: Kha, rng) -> HerdDraws:
     """Make every draw of one step, each kind for the whole herd in one
     call, in this order:
 
@@ -306,10 +273,10 @@ def draw_herd(n: int, dim: int, params: KhaParams, rng) -> HerdDraws:
     own = np.arange(n)
     donors = cross_coins = mutation = mu_coins = None
     uniforms = rng.random((n, dim + 2))
-    if params.crossover and n >= 2:
+    if kha.crossover and n >= 2:
         donors = _pick_other(rng.integers(n - 1, size=n), own)
         cross_coins = rng.random((n, dim))
-    if params.mutation and n >= 3:
+    if kha.mutation and n >= 3:
         r2 = _pick_other(rng.integers(n - 1, size=n), own)
         r3 = rng.integers(n - 2, size=n)
         r3 = _pick_other(_pick_other(r3, np.minimum(own, r2)), np.maximum(own, r2))
@@ -326,14 +293,40 @@ def _pick_other(pick: np.ndarray, skip: np.ndarray) -> np.ndarray:
     return pick + (pick >= skip)
 
 
+@dataclass(frozen=True)
 class Kha:
-    """Krill herd optimizer with optional crossover and mutation."""
+    """Krill herd optimizer with optional crossover and mutation.
+
+    induced_max, foraging_speed and diffusion_max are the ceilings of the
+    three motion components; the two inertia weights are fixed over the run.
+    time_factor scales the position time step.  epsilon guards unit-vector
+    divisions.
+    """
 
     name = "kha"
     inject_before_first_step = False
 
-    def __init__(self, params: KhaParams | None = None):
-        self.params = params or KhaParams()
+    induced_max: float = 0.01
+    foraging_speed: float = 0.02
+    diffusion_max: float = 0.005
+    inertia_induced: float = 0.5
+    inertia_foraging: float = 0.5
+    time_factor: float = 0.5
+    epsilon: float = 1e-10
+    crossover: bool = True
+    mutation: bool = True
+    food_coeff_on_best: bool = True
+
+    def __post_init__(self):
+        check_field_types(self)
+        for name in ("induced_max", "foraging_speed", "diffusion_max", "time_factor"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0")
+        for name in ("inertia_induced", "inertia_foraging"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ConfigError(f"{name} must lie in [0, 1]")
+        if not 0 < self.epsilon < math.inf:
+            raise ConfigError("epsilon must be finite and positive")
 
     def evals_per_iteration(self, population_size: int) -> int:
         return population_size
@@ -348,7 +341,7 @@ class Kha:
             pb_positions=positions.copy(),
             pb_fitness=fitness.copy(),
             last_positions=positions,
-            dt=time_step(self.params.time_factor, space),
+            dt=time_step(self.time_factor, space),
             pairs=np.triu_indices(n, 1),
         )
         return positions, fitness, state
@@ -362,10 +355,9 @@ class Kha:
         frac: float,
         rng: np.random.Generator,
     ) -> tuple[np.ndarray, np.ndarray]:
-        params = self.params
         space = ctx.problem.space
         n = len(fitness)
-        eps = params.epsilon
+        eps = self.epsilon
         best_position = ctx.best.position
         best_fitness = ctx.best.fitness
 
@@ -378,7 +370,7 @@ class Kha:
         state.pb_fitness[fresh] = fitness[fresh]
         spread = float(fitness.max()) - best_fitness
 
-        draws = draw_herd(n, space.dim, params, rng)
+        draws = draw_herd(n, space.dim, self, rng)
         c_best, c_food = random_coefficient(draws.uniforms[:, :2].T, frac)
         dists = pair_distances(positions, state.pairs)
         alpha = local_attractions(positions, fitness, dists, spread, eps)
@@ -389,19 +381,19 @@ class Kha:
         )
         alpha += pulls[0]
         induced = induced_motion(
-            alpha, state.induced_old, params.induced_max, params.inertia_induced
+            alpha, state.induced_old, self.induced_max, self.inertia_induced
         )
         # the food coefficient scales the personal-best pull as well, unless
         # food_coeff_on_best is cleared
         c_food = c_food[:, None]
-        if params.food_coeff_on_best:
+        if self.food_coeff_on_best:
             beta = c_food * (pulls[1] + pulls[2])
         else:
             beta = c_food * pulls[1] + pulls[2]
         foraging = foraging_motion(
-            beta, state.foraging_old, params.foraging_speed, params.inertia_foraging
+            beta, state.foraging_old, self.foraging_speed, self.inertia_foraging
         )
-        diffuse = diffusion_motion(draws.uniforms[:, 2:], frac, params.diffusion_max)
+        diffuse = diffusion_motion(draws.uniforms[:, 2:], frac, self.diffusion_max)
         state.induced_old = induced
         state.foraging_old = foraging
 

@@ -30,24 +30,6 @@ from ..core import (  # time_fraction is re-exported for the worked examples
 BETA_DELTA = 1e-10  # guard for the cost ratio on flat populations
 
 
-@dataclass(frozen=True)
-class TeoParams:
-    """c1 toggles the time-independent part of environmental cooling, c2 the
-    time-decaying part (both chosen from {0, 1}); jump_probability is the
-    chance of re-drawing one variable of a cooled agent."""
-
-    c1: int = 1
-    c2: int = 1
-    jump_probability: float = 0.3
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.c1 not in (0, 1) or self.c2 not in (0, 1):
-            raise ConfigError("c1 and c2 must be 0 or 1")
-        if not 0 <= self.jump_probability <= 1:
-            raise ConfigError("jump_probability must lie in [0, 1]")
-
-
 def exchange_ratio(cost, worst_cost: float):
     """Cost ratio steering how fast an agent approaches its environment,
     elementwise on an array of costs.
@@ -88,11 +70,11 @@ def draw_cooling(half: int, dim: int, rng) -> CoolingDraws:
 
 
 def cooled_environment(
-    env: np.ndarray, frac: float, params: TeoParams, r: np.ndarray
+    env: np.ndarray, frac: float, teo: Teo, r: np.ndarray
 ) -> np.ndarray:
     """Randomly damp environment temperatures, one draw of ``r`` per
     component: ``(1 - (c1 + c2 * (1 - frac)) * r) * env``."""
-    return (1.0 - (params.c1 + params.c2 * (1.0 - frac)) * r) * env
+    return (1.0 - (teo.c1 + teo.c2 * (1.0 - frac)) * r) * env
 
 
 def updated_temperature(
@@ -122,14 +104,27 @@ def random_component_jump(
     return out
 
 
+@dataclass(frozen=True)
 class Teo:
-    """Thermal exchange optimizer.  Requires an even population."""
+    """Thermal exchange optimizer.  Requires an even population.
+
+    c1 toggles the time-independent part of environmental cooling, c2 the
+    time-decaying part (both chosen from {0, 1}); jump_probability is the
+    chance of re-drawing one variable of a cooled agent."""
 
     name = "teo"
     inject_before_first_step = True
 
-    def __init__(self, params: TeoParams | None = None):
-        self.params = params or TeoParams()
+    c1: int = 1
+    c2: int = 1
+    jump_probability: float = 0.3
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.c1 not in (0, 1) or self.c2 not in (0, 1):
+            raise ConfigError("c1 and c2 must be 0 or 1")
+        if not 0 <= self.jump_probability <= 1:
+            raise ConfigError("jump_probability must lie in [0, 1]")
 
     def evals_per_iteration(self, population_size: int) -> int:
         """Half the population; it splits into two halves of equal size."""
@@ -150,7 +145,6 @@ class Teo:
         frac: float,
         rng: np.random.Generator,
     ) -> tuple[np.ndarray, np.ndarray]:
-        params = self.params
         space = ctx.problem.space
         half = len(fitness) // 2
         # the better half are the environments of the worse half
@@ -160,10 +154,10 @@ class Teo:
 
         draws = draw_cooling(half, space.dim, rng)
         beta = exchange_ratio(fitness[half:] - best, denom)
-        env = cooled_environment(positions[:half], frac, params, draws.cooling)
+        env = cooled_environment(positions[:half], frac, self, draws.cooling)
         cooled = updated_temperature(positions[half:], env, beta[:, None], frac)
         cooled = random_component_jump(
-            cooled, params.jump_probability, space,
+            cooled, self.jump_probability, space,
             draws.jump_coins, draws.jump_index, draws.jump_values,
         )
         cooled = clamp_to_bounds(cooled, space)

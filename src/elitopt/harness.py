@@ -128,10 +128,12 @@ class ExperimentPlan:
     iteration count is derived per algorithm from its per-iteration cost,
     and a budget that leaves some algorithm no full iteration is refused
     when the plan is built.
-    ``penalty`` and each table of ``algorithm_params`` (by algorithm name)
-    may be a dict of fields or the params dataclass; the plan builds and
-    holds the dataclasses, one for every algorithm of the grid, and
-    ``manifest.json`` records them in full with the other fields.
+    ``penalty`` may be a dict of fields or a ``PenaltyParams``, and each
+    table of ``algorithm_params`` (by algorithm name) a dict of fields or
+    the algorithm itself, whose fields are its parameters.  The plan builds
+    and holds the ``PenaltyParams`` and one algorithm for every algorithm
+    of the grid, and ``manifest.json`` records their fields in full with
+    the other fields.
     """
 
     algorithms: tuple = tuple(algorithm_names())
@@ -195,7 +197,7 @@ class ExperimentPlan:
         if bad:
             raise ConfigError(f"parameter tables for unknown algorithms: {sorted(bad)}")
         params = {
-            name: params_from_table(ALGORITHMS[name][1], tables.get(name, {}), name)
+            name: params_from_table(ALGORITHMS[name], tables.get(name, {}), name)
             for name in algorithm_names()
             if name in tables or name in self.algorithms
         }
@@ -205,7 +207,7 @@ class ExperimentPlan:
         self.cells()
 
     def algorithm_instance(self, name: str):
-        return ALGORITHMS[name][0](self.algorithm_params[name])
+        return self.algorithm_params[name]
 
     def cells(self) -> list[PlanCell]:
         out = []
@@ -634,6 +636,17 @@ def run_experiment(
         raise ConfigError(f"workers must be >= 1, not {workers!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a rerun with a smaller plan clears the cells it drops before its
+    # manifest stops listing them, so that plotdata does not merge them
+    try:
+        previous = read_manifest(out_dir)
+    except (OSError, ValueError):  # missing or unreadable: it lists none
+        previous = []
+    for cell in previous:
+        # a label is one directory name: a manifest edited to lead out of
+        # the directory is not followed
+        if (out_dir / cell.label).resolve().parent == out_dir.resolve():
+            _clear_cell(out_dir / cell.label)
     write_manifest(plan, out_dir)
     # an interrupted rerun must leave neither the previous report nor a cell
     # it has not reached yet

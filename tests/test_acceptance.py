@@ -15,7 +15,7 @@ import pytest
 from oracles import memory_oracle, random_stable_truss, solve_static_oracle
 
 from elitopt.algorithms import get_algorithm
-from elitopt.algorithms.bbo import BboParams, migration_rates, mutation_rate, species_count
+from elitopt.algorithms.bbo import Bbo, migration_rates, mutation_rate, species_count
 from elitopt.algorithms.kha import (
     diffusion_motion,
     food_point,
@@ -261,7 +261,7 @@ def test_criterion_4_worked_examples():
         lower=[1.0], upper=[2.0], grids=(np.array([1.0, 1.5, 2.0]),)
     )
     box = SearchSpace(lower=[0.0, 0.0], upper=[5.0, 5.0])
-    rates = migration_rates(0, 10, BboParams(max_immigration=1.0, max_emigration=1.0))
+    rates = migration_rates(0, 10, Bbo(max_immigration=1.0, max_emigration=1.0))
     food_x, food_k = food_point(np.array([[0.0], [1.0]]), np.array([1.0, 2.0]))
     krill, target = np.array([[0.0, 0.0]]), (np.array([1.0, 0.0]), 0.0)
     pull = herd_pulls(
@@ -277,7 +277,7 @@ def test_criterion_4_worked_examples():
         ("immigration rate at rank 0 of 10", rates[0], 0.1, 1e-12),
         ("emigration rate at rank 0 of 10", rates[1], 0.9, 1e-12),
         ("mutation rate at half the peak probability",
-         mutation_rate(0.5, 1.0, BboParams(mutation_max=0.04)), 0.02, 1e-12),
+         mutation_rate(0.5, 1.0, Bbo(mutation_max=0.04)), 0.02, 1e-12),
         ("memory capacity, 50 agents at fraction 0.2",
          memory_capacity(50, 0.2), 10, 0.0),
         ("memory capacity floor of one", memory_capacity(3, 0.1), 1, 0.0),

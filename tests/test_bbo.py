@@ -5,7 +5,6 @@ from conftest import FakeRng
 from oracles import bbo_step_loop, migrate_loop, mutate_loop, sphere_problem
 from elitopt.algorithms.bbo import (
     Bbo,
-    BboParams,
     migrate,
     migration_rates,
     mutate,
@@ -30,21 +29,21 @@ class TestSpeciesAndRates:
         assert species_count(9, 10) == 0
 
     def test_rank0_rates(self):
-        lam, mu = migration_rates(0, 10, BboParams(max_immigration=1.0,
-                                                   max_emigration=1.0))
+        lam, mu = migration_rates(0, 10, Bbo(max_immigration=1.0,
+                                             max_emigration=1.0))
         assert lam == pytest.approx(0.1)
         assert mu == pytest.approx(0.9)
 
     def test_worst_rank_boundary(self):
-        params = BboParams(max_immigration=0.7, max_emigration=0.4)
-        lam, mu = migration_rates(9, 10, params)
+        bbo = Bbo(max_immigration=0.7, max_emigration=0.4)
+        lam, mu = migration_rates(9, 10, bbo)
         assert lam == 0.7
         assert mu == 0.0
 
     def test_equal_ceilings_sum_identity(self):
-        params = BboParams(max_immigration=1.0, max_emigration=1.0)
+        bbo = Bbo(max_immigration=1.0, max_emigration=1.0)
         for rank in range(8):
-            lam, mu = migration_rates(rank, 8, params)
+            lam, mu = migration_rates(rank, 8, bbo)
             assert lam + mu == pytest.approx(1.0)
 
     def test_rank_out_of_range(self):
@@ -57,18 +56,18 @@ class TestSpeciesAndRates:
     def test_elementwise_matches_scalar_calls(self, n):
         # the rate helpers on an array of ranks give the bits of one scalar
         # call per rank
-        params = BboParams(max_immigration=0.7, max_emigration=0.9, mutation_max=0.03)
+        bbo = Bbo(max_immigration=0.7, max_emigration=0.9, mutation_max=0.03)
         ranks = np.arange(n)
-        lambdas, mus = migration_rates(ranks, n, params)
+        lambdas, mus = migration_rates(ranks, n, bbo)
         probs = species_probability(ranks, n)
-        rates = mutation_rate(probs, 1.0, params)
-        scalar = [migration_rates(rank, n, params) for rank in range(n)]
+        rates = mutation_rate(probs, 1.0, bbo)
+        scalar = [migration_rates(rank, n, bbo) for rank in range(n)]
         assert lambdas.tobytes() == np.array([lam for lam, _ in scalar]).tobytes()
         assert mus.tobytes() == np.array([mu for _, mu in scalar]).tobytes()
         assert probs.tobytes() == np.array(
             [species_probability(rank, n) for rank in range(n)]).tobytes()
         assert rates.tobytes() == np.array(
-            [mutation_rate(p, 1.0, params) for p in probs.tolist()]).tobytes()
+            [mutation_rate(p, 1.0, bbo) for p in probs.tolist()]).tobytes()
         assert species_count(ranks, n).tolist() == [species_count(r, n) for r in range(n)]
 
 
@@ -86,21 +85,21 @@ class TestSpeciesProbability:
 
 class TestMutationRate:
     def test_boundaries(self):
-        params = BboParams(mutation_max=0.04)
-        assert mutation_rate(1.0, 1.0, params) == 0.0
-        assert mutation_rate(0.0, 1.0, params) == 0.04
+        bbo = Bbo(mutation_max=0.04)
+        assert mutation_rate(1.0, 1.0, bbo) == 0.0
+        assert mutation_rate(0.0, 1.0, bbo) == 0.04
 
     def test_half_probability(self):
-        assert mutation_rate(0.5, 1.0, BboParams(mutation_max=0.04)) == \
+        assert mutation_rate(0.5, 1.0, Bbo(mutation_max=0.04)) == \
             pytest.approx(0.02)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            mutation_rate(0.5, 0.0, BboParams())
+            mutation_rate(0.5, 0.0, Bbo())
         with pytest.raises(ValueError):
-            mutation_rate(2.0, 1.0, BboParams())
+            mutation_rate(2.0, 1.0, Bbo())
         with pytest.raises(ValueError):
-            mutation_rate(np.array([0.5, -0.1]), 1.0, BboParams())
+            mutation_rate(np.array([0.5, -0.1]), 1.0, Bbo())
 
 
 class TestBboParams:
@@ -109,12 +108,12 @@ class TestBboParams:
     @pytest.mark.parametrize("value", [-1, float("nan"), float("inf")])
     def test_negative_or_non_finite_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
-            BboParams(**{name: value})
+            Bbo(**{name: value})
 
     def test_zero_accepted(self):
-        params = BboParams(max_immigration=0.0, max_emigration=0.0,
-                           mutation_max=0.0, elite_keep=0)
-        assert params.elite_keep == 0
+        bbo = Bbo(max_immigration=0.0, max_emigration=0.0,
+                  mutation_max=0.0, elite_keep=0)
+        assert bbo.elite_keep == 0
 
 
 class TestMigrate:
@@ -186,7 +185,7 @@ class TestMigrate:
     def test_two_habitats_fall_back_to_the_other(self):
         # with two habitats the best one's only donor weight is the worst
         # habitat's emigration rate, 0, so its picks take the fallback
-        _, mus = migration_rates(np.arange(2), 2, BboParams())
+        _, mus = migration_rates(np.arange(2), 2, Bbo())
         assert mus.tolist() == [0.5, 0.0]
         positions = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         fake = FakeRng(randoms=[0.0, 0.9, 0.0] + [0.9, 0.0, 0.9] + [0.99, 0.0, 0.5])
@@ -271,7 +270,7 @@ class TestBboStep:
         problem = sphere_problem(3, bound=1.0)
         config = RunConfig(population_size=10, max_iterations=15, seed=5,
                            memory_fraction=None)
-        result = run(Bbo(BboParams(elite_keep=2)), problem, config)
+        result = run(Bbo(elite_keep=2), problem, config)
         bests = [h[1] for h in result.history]
         assert all(b2 <= b1 for b1, b2 in zip(bests, bests[1:]))
 
@@ -281,8 +280,7 @@ class TestBboStep:
         from elitopt.core import PenaltyParams, RunContext
 
         problem = sphere_problem(3, bound=1.0)
-        algo = Bbo(BboParams(max_immigration=0.0, mutation_max=0.0,
-                             elite_keep=0))
+        algo = Bbo(max_immigration=0.0, mutation_max=0.0, elite_keep=0)
         ctx = RunContext(problem, PenaltyParams())
         positions, fitness, state = algo.init_population(ctx, 6, rng)
         before = sorted(map(tuple, positions))
@@ -305,11 +303,11 @@ class TestBboStep:
 
     def test_param_validation(self):
         with pytest.raises(Exception):
-            BboParams(max_immigration=-0.1)
+            Bbo(max_immigration=-0.1)
         with pytest.raises(Exception):
-            BboParams(mutation_max=1.5)
+            Bbo(mutation_max=1.5)
         with pytest.raises(Exception):
-            BboParams(elite_keep=-1)
+            Bbo(elite_keep=-1)
 
 
 class TestStepMatchesLoop:
@@ -320,26 +318,26 @@ class TestStepMatchesLoop:
     generator left where those four calls leave it."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 50])
-    @pytest.mark.parametrize("params", [
-        BboParams(),
-        BboParams(mutation_max=0.6),
-        BboParams(max_emigration=0.0, mutation_max=0.3),
-        BboParams(max_immigration=0.4, elite_keep=0, mutation_max=0.2),
-        BboParams(elite_keep=5, mutation_max=1.0),
-        BboParams(elite_keep=50, mutation_max=0.5),
+    @pytest.mark.parametrize("bbo", [
+        Bbo(),
+        Bbo(mutation_max=0.6),
+        Bbo(max_emigration=0.0, mutation_max=0.3),
+        Bbo(max_immigration=0.4, elite_keep=0, mutation_max=0.2),
+        Bbo(elite_keep=5, mutation_max=1.0),
+        Bbo(elite_keep=50, mutation_max=0.5),
     ], ids=["default", "mutating", "no-emigration", "no-elites", "all-elites",
             "keep-whole-population"])
-    def test_steps(self, n, params):
+    def test_steps(self, n, bbo):
         problem = sphere_problem(4, bound=3.0)
         for seed in (0, 1):
             ctx = RunContext(problem, PenaltyParams())
             mine, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            *population, state = Bbo(params).init_population(ctx, n, mine)
+            *population, state = bbo.init_population(ctx, n, mine)
             twin.bit_generator.state = mine.bit_generator.state
             expected = population
             for g in range(4):
-                population = Bbo(params).step(*population, state, ctx, g / 4, mine)
-                expected = bbo_step_loop(params, *expected, ctx, twin)
+                population = bbo.step(*population, state, ctx, g / 4, mine)
+                expected = bbo_step_loop(bbo, *expected, ctx, twin)
                 assert population[0].tobytes() == expected[0].tobytes()
                 assert population[1].tobytes() == expected[1].tobytes()
                 assert mine.bit_generator.state == twin.bit_generator.state

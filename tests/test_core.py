@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elitopt.algorithms import BboParams, KhaParams, TeoParams
+from elitopt.algorithms import Bbo, Kha, Teo
 from elitopt.core import (
     AccountingError,
     ConfigError,
@@ -580,19 +580,19 @@ CONFIGS = {
         {"population_size": int, "max_iterations": int, "memory_fraction": float,
          "seed": int},
     ),
-    BboParams: (
+    Bbo: (
         {},
         {"max_immigration": float, "max_emigration": float, "mutation_max": float,
          "elite_keep": int},
     ),
-    KhaParams: (
+    Kha: (
         {},
         {name: float for name in ("induced_max", "foraging_speed", "diffusion_max",
                                   "inertia_induced", "inertia_foraging",
                                   "time_factor", "epsilon")}
         | {"crossover": bool, "mutation": bool, "food_coeff_on_best": bool},
     ),
-    TeoParams: ({}, {"c1": int, "c2": int, "jump_probability": float}),
+    Teo: ({}, {"c1": int, "c2": int, "jump_probability": float}),
     ExperimentPlan: (
         dict(algorithms=("bbo",), problems=("sphere",), memory_modes=(True,),
              replicates=1, population_size=10, root_seed=0, max_iterations=1),

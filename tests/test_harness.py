@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elitopt.algorithms import BboParams, KhaParams, TeoParams, get_algorithm
+from elitopt.algorithms import Bbo, Kha, Teo, get_algorithm
 from elitopt.cli import main
 from elitopt.core import ConfigError, PenaltyParams, StatsRecord
 from elitopt.harness import (
@@ -58,6 +58,25 @@ def failing_problem(monkeypatch, name):
         return dataclasses.replace(problem, evaluate=evaluate)
 
     monkeypatch.setattr(harness, "get_problem", get_problem)
+
+
+# every field of each algorithm's parameter table, in declaration order, at
+# its default, as manifest.json records it
+DEFAULT_TABLES = """{
+  "bbo": {"max_immigration": 1.0, "max_emigration": 1.0, "mutation_max": 0.01,
+          "elite_keep": 2},
+  "kha": {"induced_max": 0.01, "foraging_speed": 0.02, "diffusion_max": 0.005,
+          "inertia_induced": 0.5, "inertia_foraging": 0.5, "time_factor": 0.5,
+          "epsilon": 1e-10, "crossover": true, "mutation": true,
+          "food_coeff_on_best": true},
+  "teo": {"c1": 1, "c2": 1, "jump_probability": 0.3}
+}"""
+
+
+def same_json(a, b) -> bool:
+    """Equal as JSON text: the same keys in the same order, and the same
+    values of the same types (``1`` is not ``1.0``, nor ``true``)."""
+    return json.dumps(a) == json.dumps(b)
 
 
 def small_plan(**over):
@@ -247,9 +266,15 @@ class TestPlanFromFile:
         text = (tmp_path / "manifest.json").read_text()
         assert '"time_factor": 1.0,' in text
         manifest = json.loads(text)
-        assert manifest["algorithm_params"] == {
-            "kha": dataclasses.asdict(KhaParams(time_factor=1.0))}
+        expected = {"kha": json.loads(DEFAULT_TABLES)["kha"] | {"time_factor": 1.0}}
+        assert same_json(manifest["algorithm_params"], expected)
         assert manifest["problems"] == ["sphere"] and manifest["root_seed"] == 0
+
+    def test_manifest_records_every_table_field_in_order(self, tmp_path):
+        plan = ExperimentPlan(problems=("sphere",), max_iterations=1)
+        write_manifest(plan, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert same_json(manifest["algorithm_params"], json.loads(DEFAULT_TABLES))
 
     def test_algorithms_default_to_all(self, tmp_path):
         plan, _ = plan_from_file(self.write(tmp_path, self.base_doc()))
@@ -280,8 +305,8 @@ class TestPlanFromFile:
         doc["algorithm"] = "bbo"
         doc["bbo"] = {"elite_keep": 3}
         plan, _ = plan_from_file(self.write(tmp_path, doc))
-        assert plan.algorithm_params == {"bbo": BboParams(elite_keep=3)}
-        assert plan.algorithm_instance("bbo").params.elite_keep == 3
+        assert plan.algorithm_params == {"bbo": Bbo(elite_keep=3)}
+        assert plan.algorithm_instance("bbo").elite_keep == 3
 
     @pytest.mark.parametrize(
         "alg, table, where",
@@ -315,11 +340,11 @@ class TestPlanFromFile:
         doc["teo"] = {}
         plan, _ = plan_from_file(self.write(tmp_path, doc))
         assert plan.algorithm_params == {
-            "bbo": BboParams(mutation_max=0, elite_keep=0),
-            "kha": KhaParams(crossover=False, induced_max=0.02),
-            "teo": TeoParams(),
+            "bbo": Bbo(mutation_max=0, elite_keep=0),
+            "kha": Kha(crossover=False, induced_max=0.02),
+            "teo": Teo(),
         }
-        assert plan.algorithm_instance("kha").params.crossover is False
+        assert plan.algorithm_instance("kha").crossover is False
 
     def test_budget_and_iterations_exclusive(self, tmp_path):
         doc = self.base_doc()
@@ -556,22 +581,22 @@ class TestPlanValidation:
             small_plan(algorithm_params={"kha": table})
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             get_algorithm("kha", table)
-        assert get_algorithm("kha", {"induced_max": 0.02}).params.induced_max == 0.02
+        assert get_algorithm("kha", {"induced_max": 0.02}).induced_max == 0.02
 
     def test_each_parameter_table_built_once(self, tmp_path, monkeypatch):
-        # the plan builds the kha table; no cell or replicate builds another
+        # the plan builds kha from its table; no cell or replicate builds another
         built = []
-        for cls in (BboParams, KhaParams, TeoParams):
-            def counted(params, check=cls.__post_init__):
-                built.append(type(params).__name__)
-                check(params)
+        for cls in (Bbo, Kha, Teo):
+            def counted(algorithm, check=cls.__post_init__):
+                built.append(type(algorithm).__name__)
+                check(algorithm)
 
             monkeypatch.setattr(cls, "__post_init__", counted)
         plan = small_plan(algorithms=("kha",), replicates=3,
                           algorithm_params={"kha": {"time_factor": 0.4}})
         report = run_experiment(plan, tmp_path)
         assert [c.status for c in report.cells] == ["ok", "ok"]
-        assert built == ["KhaParams"]
+        assert built == ["Kha"]
 
     def test_numpy_integer_in_a_table_runs_and_is_recorded(self, tmp_path):
         # the manifest held the np.int64 and json.dump raised before any cell ran
@@ -583,11 +608,11 @@ class TestPlanValidation:
         assert manifest["algorithm_params"]["bbo"]["elite_keep"] == 2
 
     def test_params_dataclass_passes_through(self):
-        params = KhaParams(time_factor=0.4)
-        plan = small_plan(algorithms=("kha",), algorithm_params={"kha": params})
-        assert plan.algorithm_params["kha"] is params
-        assert plan.algorithm_instance("kha").params is params
-        assert dataclasses.replace(plan, root_seed=9).algorithm_params["kha"] is params
+        kha = Kha(time_factor=0.4)
+        plan = small_plan(algorithms=("kha",), algorithm_params={"kha": kha})
+        assert plan.algorithm_params["kha"] is kha
+        assert plan.algorithm_instance("kha") is kha
+        assert dataclasses.replace(plan, root_seed=9).algorithm_params["kha"] is kha
 
     def test_population_checked_by_every_algorithm(self):
         # an odd population is fine for bbo and kha, not for teo
@@ -802,6 +827,44 @@ class TestRunExperiment:
         assert read_stats_csv(cell_dir / "stats.csv").runs == 2
         best = json.loads((cell_dir / "best.json").read_text())
         assert best["fitness"] == min(r.best.fitness for r in results)
+
+    def test_smaller_rerun_clears_the_cells_it_drops(self, tmp_path):
+        # bbo x {sphere, rastrigin}, then bbo x sphere into the same
+        # directory: the rastrigin histories were left, and plotdata merged
+        # them with the new cells'
+        out = tmp_path / "out"
+        run_experiment(small_plan(problems=("sphere", "rastrigin")), out)
+        run_experiment(small_plan(), out)
+        stream = io.StringIO()
+        emit_plot_data(sorted(out.glob("*/run_*.csv")), stream)
+        cells = {line.split(",")[0] for line in stream.getvalue().splitlines()[1:]}
+        assert cells == {"bbo-sphere-mem", "bbo-sphere-std"}
+        for label in ("bbo-rastrigin-mem", "bbo-rastrigin-std"):
+            assert not list((out / label).iterdir())
+
+    @pytest.mark.parametrize("manifest", ["{not json", '{"cells": 3}'],
+                             ids=["not-json", "malformed"])
+    def test_rerun_over_an_unreadable_manifest_runs(self, tmp_path, manifest):
+        # a previous manifest that cannot be read lists no cell to clear
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text(manifest)
+        report = run_experiment(small_plan(), out)
+        assert [c.status for c in report.cells] == ["ok", "ok"]
+        assert read_manifest(out) == small_plan().cells()
+
+    def test_rerun_clears_only_cells_inside_its_directory(self, tmp_path):
+        # a manifest label that leads out of the directory is not followed
+        out = tmp_path / "out"
+        run_experiment(small_plan(), out)
+        outside = tmp_path / "stats.csv"
+        outside.write_text("not ours\n")
+        path = out / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc["cells"][0]["label"] = ".."
+        path.write_text(json.dumps(doc))
+        run_experiment(small_plan(), out)
+        assert outside.read_text() == "not ours\n"
 
     def test_seed_changes_histories(self, tmp_path):
         run_experiment(small_plan(root_seed=1), tmp_path / "a")

@@ -13,7 +13,6 @@ from oracles import (
 )
 from elitopt.algorithms.kha import (
     Kha,
-    KhaParams,
     advance_position,
     diffusion_motion,
     draw_herd,
@@ -43,7 +42,7 @@ from elitopt.core import (
 from elitopt.algorithms.kha import HerdDraws, KhaState
 
 EPS = 1e-10
-NO_OPERATORS = KhaParams(crossover=False, mutation=False)
+NO_OPERATORS = Kha(crossover=False, mutation=False)
 
 
 def distances(positions):
@@ -419,7 +418,7 @@ class TestTimeStep:
         # the run's time step and index pairs are in the state from the start
         problem = sphere_problem(3, bound=2.0)
         ctx = RunContext(problem, PenaltyParams())
-        _, _, state = Kha(KhaParams(time_factor=0.25)).init_population(ctx, 6, rng)
+        _, _, state = Kha(time_factor=0.25).init_population(ctx, 6, rng)
         assert state.dt == time_step(0.25, problem.space) == 3.0
         rows, cols = state.pairs
         assert list(zip(rows.tolist(), cols.tolist())) == [
@@ -458,7 +457,7 @@ class TestCrossoverMutation:
     def test_crossover_probability_zero(self):
         # both krill draw a donor and their coins whatever the probability
         fake = FakeRng(randoms=[0.5] * 12, integers=[0, 0])
-        draws = draw_herd(2, 2, KhaParams(mutation=False), fake)
+        draws = draw_herd(2, 2, Kha(mutation=False), fake)
         out = take_variables(np.array([3.0, 4.0]), np.array([1.0, 2.0]), 0.0,
                              draws.cross_coins[0])
         assert np.allclose(out, [3.0, 4.0])
@@ -496,16 +495,16 @@ class TestDrawHerd:
     """The stream contract of a kha step and the exactness of its picks."""
 
     @staticmethod
-    def twin_draws(rng, n, dim, params):
+    def twin_draws(rng, n, dim, kha):
         # the documented calls, written out apart from draw_herd
         own = np.arange(n)
         uniforms = rng.random((n, dim + 2))
         donors = cross_coins = mutation = mu_coins = None
-        if params.crossover and n >= 2:
+        if kha.crossover and n >= 2:
             pick = rng.integers(n - 1, size=n)
             donors = pick + (pick >= own)
             cross_coins = rng.random((n, dim))
-        if params.mutation and n >= 3:
+        if kha.mutation and n >= 3:
             r2 = rng.integers(n - 1, size=n)
             r2 = r2 + (r2 >= own)
             r3 = rng.integers(n - 2, size=n)
@@ -523,18 +522,18 @@ class TestDrawHerd:
         # moves the herd as the reference loop does with their numbers, so
         # an extra draw and a reordered one both fail; the operators always
         # fire, so their draws decide the positions
-        params = KhaParams(crossover=crossover, mutation=mutation)
+        kha = Kha(crossover=crossover, mutation=mutation)
         problem = sphere_problem(4, bound=4.0)
         for seed in (0, 1):
             ctx = RunContext(problem, PenaltyParams())
-            positions, fitness, state = Kha(params).init_population(
+            positions, fitness, state = kha.init_population(
                 ctx, n, np.random.default_rng(100 + seed))
             ctx.evaluate(np.full(4, 0.01)[None])  # a best outside the herd
             loop = copy.deepcopy((positions, fitness, state, ctx))
             mine, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            out, _ = Kha(params).step(positions, fitness, state, ctx, 0.5, mine)
-            draws = self.twin_draws(twin, n, 4, params)
-            expected, _ = kha_step_loop(params, *loop, 0.5, draws)
+            out, _ = kha.step(positions, fitness, state, ctx, 0.5, mine)
+            draws = self.twin_draws(twin, n, 4, kha)
+            expected, _ = kha_step_loop(kha, *loop, 0.5, draws)
             assert mine.bit_generator.state == twin.bit_generator.state
             assert out.tobytes() == expected.tobytes()
 
@@ -542,13 +541,13 @@ class TestDrawHerd:
         # each of the 3 * 2 raw draws of a krill maps to its own ordered
         # pair of two other krill, so every pair is hit exactly once
         n, dim = 4, 1
-        params = KhaParams(crossover=False)
+        kha = Kha(crossover=False)
         raw = [(a, b) for a in range(n - 1) for b in range(n - 2)]
         pairs = {i: [] for i in range(n)}
         for a, b in raw:
             fake = FakeRng(randoms=[0.5] * n * (2 * dim + 3),
                            integers=[a] * n + [b] * n)
-            for i, pair in enumerate(draw_herd(n, dim, params, fake).mutation):
+            for i, pair in enumerate(draw_herd(n, dim, kha, fake).mutation):
                 pairs[i].append(tuple(pair))
         for i in range(n):
             others = [k for k in range(n) if k != i]
@@ -560,7 +559,7 @@ class TestDrawHerd:
         donors = {i: [] for i in range(n)}
         for a in range(n - 1):
             fake = FakeRng(randoms=[0.5] * n * 5, integers=[a] * n)
-            for i, d in enumerate(draw_herd(n, 1, KhaParams(mutation=False), fake).donors):
+            for i, d in enumerate(draw_herd(n, 1, Kha(mutation=False), fake).donors):
                 donors[i].append(int(d))
         for i in range(n):
             assert sorted(donors[i]) == [k for k in range(n) if k != i]
@@ -579,10 +578,9 @@ class TestKhaStep:
         assert out_positions.shape == (7, 2) and out_fitness.shape == (7,)
 
     def test_all_motion_off_positions_fixed(self, rng):
-        params = KhaParams(induced_max=0.0, foraging_speed=0.0,
-                           diffusion_max=0.0, crossover=False, mutation=False)
+        algo = Kha(induced_max=0.0, foraging_speed=0.0,
+                   diffusion_max=0.0, crossover=False, mutation=False)
         problem = sphere_problem(2, bound=4.0)
-        algo = Kha(params)
         ctx = self.make_ctx(problem)
         before, fitness, state = algo.init_population(ctx, 5, rng)
         after, _ = algo.step(before, fitness, state, ctx, 1 / 10, rng)
@@ -594,10 +592,9 @@ class TestKhaStep:
         # best: the stale personal best must be dropped for the slot's own
         # new record.  An inject that wrote into the step's arrays would
         # also rewrite state.last_positions, and the slot would look untouched
-        params = KhaParams(induced_max=0.0, foraging_speed=0.0,
-                           diffusion_max=0.0, crossover=False, mutation=False)
+        algo = Kha(induced_max=0.0, foraging_speed=0.0,
+                   diffusion_max=0.0, crossover=False, mutation=False)
         problem = sphere_problem(2, bound=4.0)
-        algo = Kha(params)
         ctx = self.make_ctx(problem)
         positions, fitness, state = algo.init_population(ctx, 4, rng)
         positions, fitness = algo.step(positions, fitness, state, ctx, 1 / 10, rng)
@@ -615,10 +612,9 @@ class TestKhaStep:
         assert state.pb_fitness[slot] == injected_fitness
 
     def test_untouched_slot_keeps_personal_best(self, rng):
-        params = KhaParams(induced_max=0.0, foraging_speed=0.0,
-                           diffusion_max=0.0, crossover=False, mutation=False)
+        algo = Kha(induced_max=0.0, foraging_speed=0.0,
+                   diffusion_max=0.0, crossover=False, mutation=False)
         problem = sphere_problem(2, bound=4.0)
-        algo = Kha(params)
         ctx = self.make_ctx(problem)
         positions, fitness, state = algo.init_population(ctx, 4, rng)
         pb_before = state.pb_fitness.copy()
@@ -652,11 +648,11 @@ class TestKhaStep:
 
     def test_param_validation(self):
         with pytest.raises(ConfigError):
-            KhaParams(induced_max=-0.1)
+            Kha(induced_max=-0.1)
         with pytest.raises(ConfigError):
-            KhaParams(inertia_induced=1.5)
+            Kha(inertia_induced=1.5)
         with pytest.raises(ConfigError):
-            KhaParams(epsilon=0.0)
+            Kha(epsilon=0.0)
 
     @pytest.mark.parametrize("name", ["induced_max", "foraging_speed",
                                       "diffusion_max", "time_factor", "epsilon",
@@ -664,7 +660,7 @@ class TestKhaStep:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_param_rejected(self, name, value):
         with pytest.raises(ConfigError, match=name):
-            KhaParams(**{name: value})
+            Kha(**{name: value})
 
 
 def assert_same_bits(a, b):
@@ -707,15 +703,15 @@ class TestHerdStepMatchesLoop:
         )
         return (positions, fitness), state, ctx
 
-    def check(self, params, population, state, ctx, steps=3, seed=5):
+    def check(self, kha, population, state, ctx, steps=3, seed=5):
         herd = [population, state, ctx, np.random.default_rng(seed)]
         loop = copy.deepcopy(herd)
         n, dim = population[0].shape
         for g in range(1, steps + 1):
             frac = g / (steps + 1)
-            herd[0] = Kha(params).step(*herd[0], herd[1], herd[2], frac, herd[3])
-            draws = draw_herd(n, dim, params, loop[3])
-            loop[0] = kha_step_loop(params, *loop[0], loop[1], loop[2], frac, draws)
+            herd[0] = kha.step(*herd[0], herd[1], herd[2], frac, herd[3])
+            draws = draw_herd(n, dim, kha, loop[3])
+            loop[0] = kha_step_loop(kha, *loop[0], loop[1], loop[2], frac, draws)
             assert_same_bits(herd[0][0], loop[0][0])
             assert_same_bits(herd[0][1], loop[0][1])
             for name in ("induced_old", "foraging_old", "pb_positions",
@@ -731,31 +727,31 @@ class TestHerdStepMatchesLoop:
         radii = dists.sum(axis=1) / (5.0 * len(positions))
         near = (dists < radii[:, None]) & ~np.eye(len(positions), dtype=bool)
         assert near.any()
-        self.check(KhaParams(), population, state, ctx)
+        self.check(Kha(), population, state, ctx)
 
     def test_flat_population(self):
         population, state, ctx = self.herd(10, 3, 4, flat=True)
-        self.check(KhaParams(), population, state, ctx)
+        self.check(Kha(), population, state, ctx)
 
     def test_injected_slots(self):
         population, state, ctx = self.herd(12, 4, 5, injected=(0, 7))
-        self.check(KhaParams(), population, state, ctx, steps=1)
+        self.check(Kha(), population, state, ctx, steps=1)
 
     def test_operators_off(self):
         population, state, ctx = self.herd(12, 4, 6)
-        self.check(KhaParams(crossover=False, mutation=False), population, state, ctx)
+        self.check(Kha(crossover=False, mutation=False), population, state, ctx)
 
     def test_food_coefficient_off_best(self):
         population, state, ctx = self.herd(12, 4, 7)
-        self.check(KhaParams(food_coeff_on_best=False), population, state, ctx)
+        self.check(Kha(food_coeff_on_best=False), population, state, ctx)
 
     def test_one_variable_herd(self):
         # with one variable the neighbor pulls lie contiguous in memory, and
         # the sum over j pairs them up rather than adding them in turn
         population, state, ctx = self.herd(40, 1, 3)
-        self.check(KhaParams(), population, state, ctx)
+        self.check(Kha(), population, state, ctx)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_tiny_herds(self, n):
         population, state, ctx = self.herd(n, 3, 8 + n)
-        self.check(KhaParams(), population, state, ctx)
+        self.check(Kha(), population, state, ctx)

@@ -8,7 +8,6 @@ from oracles import sphere_problem, teo_step_loop
 from elitopt.algorithms.teo import (
     CoolingDraws,
     Teo,
-    TeoParams,
     cooled_environment,
     draw_cooling,
     exchange_ratio,
@@ -58,24 +57,24 @@ class TestTimeFraction:
 class TestCooledEnvironment:
     def test_both_terms_off_is_identity(self):
         env = np.array([2.0, -3.0])
-        out = cooled_environment(env, 0.5, TeoParams(c1=0, c2=0), np.array([0.9, 0.9]))
+        out = cooled_environment(env, 0.5, Teo(c1=0, c2=0), np.array([0.9, 0.9]))
         assert np.array_equal(out, env)
 
     def test_full_damping(self):
         # c1=1, c2=0, rand=1 for every component wipes the environment out
         env = np.array([2.0, -3.0])
-        out = cooled_environment(env, 0.5, TeoParams(c1=1, c2=0), np.array([1.0, 1.0]))
+        out = cooled_environment(env, 0.5, Teo(c1=1, c2=0), np.array([1.0, 1.0]))
         assert np.allclose(out, 0.0)
 
     def test_decaying_term_vanishes_at_end(self):
         env = np.array([4.0])
-        out = cooled_environment(env, 1.0, TeoParams(c1=0, c2=1), np.array([1.0]))
+        out = cooled_environment(env, 1.0, Teo(c1=0, c2=1), np.array([1.0]))
         assert np.array_equal(out, env)
 
     def test_per_component_draws(self):
         env = np.array([[1.0, 1.0], [2.0, 2.0]])
         r = np.array([[0.0, 1.0], [1.0, 0.5]])
-        out = cooled_environment(env, 0.0, TeoParams(c1=1, c2=0), r)
+        out = cooled_environment(env, 0.0, Teo(c1=1, c2=0), r)
         assert np.allclose(out, [[1.0, 0.0], [0.0, 1.0]])
 
 
@@ -181,17 +180,17 @@ class TestDrawCooling:
         # cools as the reference loop does with their numbers, so an extra
         # draw and a reordered one both fail; every draw is made whatever
         # the jump coins say
-        params = TeoParams(jump_probability=jump_probability)
+        teo = Teo(jump_probability=jump_probability)
         problem = sphere_problem(3, bound=5.0)
         for seed in (0, 1):
             ctx = RunContext(problem, PenaltyParams())
-            positions, fitness, _ = Teo(params).init_population(
+            positions, fitness, _ = teo.init_population(
                 ctx, n, np.random.default_rng(100 + seed))
             loop = copy.deepcopy((positions, fitness, ctx))
             mine, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-            out, out_fitness = Teo(params).step(positions, fitness, None, ctx, 0.5, mine)
+            out, out_fitness = teo.step(positions, fitness, None, ctx, 0.5, mine)
             draws = self.twin_draws(twin, n // 2, 3)
-            expected, expected_fitness = teo_step_loop(params, *loop, 0.5, draws)
+            expected, expected_fitness = teo_step_loop(teo, *loop, 0.5, draws)
             assert mine.bit_generator.state == twin.bit_generator.state
             assert out.tobytes() == expected.tobytes()
             assert out_fitness.tobytes() == expected_fitness.tobytes()
@@ -202,16 +201,16 @@ class TestStepMatchesLoop:
     same draws, over several steps, bit for bit."""
 
     @pytest.mark.parametrize("seed, n, dim", [(0, 10, 4), (1, 2, 1), (2, 50, 10)])
-    @pytest.mark.parametrize("params", [TeoParams(), TeoParams(c1=0, c2=1, jump_probability=0.9)])
+    @pytest.mark.parametrize("params", [Teo(), Teo(c1=0, c2=1, jump_probability=0.9)])
     def test_steps(self, seed, n, dim, params):
         problem = sphere_problem(dim, bound=5.0)
         ctx = RunContext(problem, PenaltyParams())
         rng = np.random.default_rng(seed)
-        population = Teo(params).init_population(ctx, n, rng)[:2]
+        population = params.init_population(ctx, n, rng)[:2]
         loop_population, loop_ctx = copy.deepcopy((population, ctx))
         loop_rng = copy.deepcopy(rng)
         for g in range(1, 5):
-            population = Teo(params).step(*population, None, ctx, g / 5, rng)
+            population = params.step(*population, None, ctx, g / 5, rng)
             draws = draw_cooling(n // 2, dim, loop_rng)
             loop_population = teo_step_loop(params, *loop_population, loop_ctx, g / 5, draws)
             for mine, ref in zip(population, loop_population):
@@ -293,12 +292,12 @@ class TestTeoStep:
 
     def test_param_validation(self):
         with pytest.raises(ConfigError):
-            TeoParams(c1=2)
+            Teo(c1=2)
         with pytest.raises(ConfigError):
-            TeoParams(jump_probability=1.5)
+            Teo(jump_probability=1.5)
 
     @pytest.mark.parametrize("name", ["c1", "c2", "jump_probability"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_param_rejected(self, name, value):
         with pytest.raises(ConfigError):
-            TeoParams(**{name: value})
+            Teo(**{name: value})

@@ -10,9 +10,11 @@ Per-cell statistics are recomputed from the emitted history files, and the
 report is rebuilt from the directory alone (``write_report(out_dir)`` reads
 ``manifest.json`` and each cell's ``stats.csv``), digit for digit.  Every
 file is written to a temporary sibling and renamed over its final name only
-once complete, and a grid clears every cell before it runs the first, so an
-interrupted run never leaves a partial or stale file for ``stats`` or the
-report to read.
+once complete.  A grid first removes the report and clears, in one pass,
+every cell that the previous or its own manifest lists, then writes its
+manifest, so an interrupted run never leaves a partial or stale file for
+``stats`` or the report to read.  A manifest cell must carry the label that
+its fields give: one directory name, ``<alg>-<prob>-<mem|std>``.
 
 Layout under the output directory::
 
@@ -106,6 +108,11 @@ def iterations_for_budget(budget: int, population_size: int, per_iteration: int)
     return iters
 
 
+def cell_label(algorithm: str, problem: str, memory: bool) -> str:
+    """The name of a cell's directory under the output directory."""
+    return f"{algorithm}-{problem}-{'mem' if memory else 'std'}"
+
+
 @dataclass(frozen=True)
 class PlanCell:
     label: str
@@ -117,6 +124,11 @@ class PlanCell:
 
     def __post_init__(self):
         check_field_types(self)
+        # the label names the cell's directory, so a forged one could lead out
+        label = cell_label(self.algorithm, self.problem, self.memory)
+        if self.label != label or Path(label).name != label:
+            raise ConfigError(f"cell label {self.label!r} is not one directory name, "
+                              "<algorithm>-<problem>-<mem|std> of its fields")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -224,17 +236,8 @@ class ExperimentPlan:
             for prob in self.problems:
                 seed = cell_seed(self.root_seed, alg, prob)
                 for memory in self.memory_modes:
-                    suffix = "mem" if memory else "std"
-                    out.append(
-                        PlanCell(
-                            label=f"{alg}-{prob}-{suffix}",
-                            algorithm=alg,
-                            problem=prob,
-                            memory=memory,
-                            seed=seed,
-                            iterations=iters,
-                        )
-                    )
+                    label = cell_label(alg, prob, memory)
+                    out.append(PlanCell(label, alg, prob, memory, seed, iters))
         return out
 
 
@@ -636,25 +639,21 @@ def run_experiment(
         raise ConfigError(f"workers must be >= 1, not {workers!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # a rerun with a smaller plan clears the cells it drops before its
-    # manifest stops listing them, so that plotdata does not merge them
+    # one pass, before the new manifest, removes the report and clears every
+    # cell that either manifest lists: a rerun stopped at any point leaves no
+    # stale report and no cell reading ok from an earlier run, and a smaller
+    # one no dropped cell for plotdata to merge
     try:
         previous = read_manifest(out_dir)
     except (OSError, ValueError):  # missing or unreadable: it lists none
         previous = []
-    for cell in previous:
-        # a label is one directory name: a manifest edited to lead out of
-        # the directory is not followed
-        if (out_dir / cell.label).resolve().parent == out_dir.resolve():
-            _clear_cell(out_dir / cell.label)
-    write_manifest(plan, out_dir)
-    # an interrupted rerun must leave neither the previous report nor a cell
-    # it has not reached yet
     for name in ("report.csv", "improvements.csv", "report.txt"):
         (out_dir / name).unlink(missing_ok=True)
-    for cell in plan.cells():
+    cells = plan.cells()
+    for cell in previous + cells:
         _clear_cell(out_dir / cell.label)
-    for cell in plan.cells():
+    write_manifest(plan, out_dir)
+    for cell in cells:
         try:
             run_cell(cell, plan, out_dir, workers=workers)
         except Exception as exc:

@@ -972,7 +972,9 @@ class TestRunLoop:
                                               max_iterations=2, seed=0))
         assert holds_origin(algo.handed[0])
 
-    def test_inject_after_step(self):
+    def test_first_injection_before_step_two(self):
+        # without inject_before_first_step, step 1 meets no elite and
+        # step 2 is the first to meet them
         algo = RecordingAlgorithm(inject_before_first_step=False)
         run(algo, sphere_problem(), RunConfig(population_size=10,
                                               max_iterations=2, seed=0))

@@ -809,6 +809,43 @@ class TestRunExperiment:
         assert report.cells[0].cell.seed == reseeded.cells()[0].seed
         assert not list(stale.iterdir())
 
+    @staticmethod
+    def interrupt_after_manifest(monkeypatch):
+        """``write_manifest`` writes, then the run is interrupted."""
+        import elitopt.harness as harness
+
+        write_manifest = harness.write_manifest
+
+        def interrupted(*args):
+            write_manifest(*args)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(harness, "write_manifest", interrupted)
+
+    def test_interrupted_after_manifest_leaves_no_stale_report(self, tmp_path, monkeypatch):
+        # the previous report was removed only after the new manifest was
+        # written, so it stood beside that manifest
+        out = tmp_path / "out"
+        run_experiment(small_plan(root_seed=1), out)
+        self.interrupt_after_manifest(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(small_plan(root_seed=2), out)
+        assert read_manifest(out) == small_plan(root_seed=2).cells()
+        for name in ("report.csv", "improvements.csv", "report.txt"):
+            assert not (out / name).exists()
+
+    def test_interrupted_after_manifest_leaves_no_stale_cell(self, tmp_path, monkeypatch):
+        # with no previous manifest, the planned cells were cleared only
+        # after the new manifest was written, so they read ok from the
+        # earlier run
+        out = tmp_path / "out"
+        run_experiment(small_plan(root_seed=1), out)
+        (out / "manifest.json").unlink()
+        self.interrupt_after_manifest(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(small_plan(root_seed=2), out)
+        assert [c.status for c in build_report(out).cells] == ["failed", "failed"]
+
     def test_rerun_cell_writes_only_its_own_files(self, tmp_path):
         # a cell run with 5 replicates, then with 2 and another seed into
         # the same directory: the stats, best and error files describe the
@@ -916,8 +953,15 @@ class TestRunExperiment:
                     "memory": True, "seed": 1, "iterations": 5, "extra": 0}]},
         {"cells": [{"label": "bbo-sphere-mem", "algorithm": "bbo", "problem": "sphere",
                     "memory": "yes", "seed": 1, "iterations": 5}]},
+        # a label that its fields do not give, or that is not one directory
+        # name: build_report read the stats.csv of ../elsewhere
+        {"cells": [{"label": "../elsewhere", "algorithm": "bbo", "problem": "sphere",
+                    "memory": True, "seed": 1, "iterations": 5}]},
+        {"cells": [{"label": "bbo/..-sphere-mem", "algorithm": "bbo/..", "problem": "sphere",
+                    "memory": True, "seed": 1, "iterations": 5}]},
     ], ids=["no-cells", "not-an-object", "cells-not-a-list", "empty-cell",
-            "cell-not-an-object", "extra-key", "mistyped-value"])
+            "cell-not-an-object", "extra-key", "mistyped-value", "forged-label",
+            "label-with-a-slash"])
     def test_malformed_manifest_names_the_file(self, tmp_path, doc):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(doc), encoding="utf-8")

@@ -1,9 +1,13 @@
 """The benchmark tracer (``perfbench/tracing.py``) wraps package names where
 their callers look them up.  Installing it here fails as soon as the package
 drops or renames one of them, without running a benchmark; a tiny traced grid
-fails when a wrapped name is still there but the package no longer calls it."""
+fails when a wrapped name is still there but the package no longer calls it.
+Two short repeats of each benchmark workload must pass the benchmark's own
+output checks, which read the package's files and names."""
 
 from pathlib import Path
+
+import pytest
 
 from elitopt.harness import ExperimentPlan
 
@@ -68,3 +72,19 @@ def test_evaluate_span_has_one_call_per_generation(monkeypatch, tmp_path):
     problem_calls = calls["problems.truss.evaluate"] + calls["problems.analytic.evaluate"]
     assert problem_calls == generations
     assert not table["errors"]
+
+
+@pytest.mark.parametrize("workload", ["small-truss", "forth", "analytic"])
+def test_benchmark_checks_pass(monkeypatch, tmp_path, workload):
+    # grid.check_cell reads read_stats_csv, plan.algorithm_instance, the
+    # status column of report.csv and the violations of best.json
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import grid
+
+    monkeypatch.setattr(grid, "OUT_BASE", tmp_path)
+    record = grid.run_repeats(workload, 1, 0, repeats=2, budget=150)
+    repeats = record["repeats"]
+    assert len(repeats) == 2
+    assert [(c["label"], c["problems"])
+            for r in repeats for c in r["cells"] if c["problems"]] == []
+    assert repeats[0]["digest"] == repeats[1]["digest"]

@@ -18,17 +18,17 @@ each configuration gets the same bits as in a stack of its own.  A
 configuration that is a mechanism does not stop the others: its results
 come back NaN.
 
-What a topology validated stays read-only.  Its one mutable part is its
-work arrays: the member terms, the stiffness that assembly scatters into,
-the right-hand sides of the block elimination and the modal matrix.  Each
-grows to the largest stack analyzed and a smaller stack writes into its
-leading rows, so the analyses of one generation after another reuse the
-same memory instead of mapping fresh pages.  Assembly gathers each row's
-member terms along the member axis, with the topology's own index, and
-scatters them through an index shifted to each row of the flat stack; the
-shifted indices of the scatters are the only indices cached.  One analysis
-at a time uses a topology's work arrays; what an analysis returns is the
-caller's own.
+What a topology validated stays read-only.  Its one mutable part is its work
+arrays: the member terms, the stiffness that assembly scatters into (which
+the modal analysis scales and symmetrizes in place) and the right-hand side
+of the block row being eliminated.  Each grows to the largest stack analyzed
+and a smaller stack writes into its leading rows, so the analyses of one
+generation after another reuse the same memory instead of mapping fresh
+pages.  Assembly gathers each row's member terms along the member axis, with
+the topology's own index, and scatters them through an index shifted to each
+row of the flat stack; the shifted indices of the scatters are the only
+indices cached.  One analysis at a time uses a topology's work arrays; what
+an analysis returns is the caller's own.
 """
 
 from __future__ import annotations
@@ -475,10 +475,6 @@ def _solve_blocks(model: TrussModel) -> tuple[np.ndarray, np.ndarray]:
     k = len(model.areas)
     K = assemble_blocks(model, out=work.array("blocks", k, (2 * nb - 1, b, b)))
     diagonal, below = K[:, :nb], K[:, nb:]
-    # the right-hand sides [L^T | y] of every block row; y is filled in as
-    # the elimination reaches the row
-    rhs = work.array("right-hand sides", k, (nb - 1, b, b + 1))
-    rhs[..., :b] = np.swapaxes(below, 2, 3)
     ok = np.ones(k, dtype=bool)
     S = diagonal[:, 0]
     y = topo.block_loads[0]
@@ -490,8 +486,11 @@ def _solve_blocks(model: TrussModel) -> tuple[np.ndarray, np.ndarray]:
             S = np.where(definite[:, None, None], S, np.eye(b))
         if i == nb - 1:
             break
-        rhs[:, i, :, b] = y
-        X = np.linalg.solve(S, rhs[:, i])
+        # the right-hand side [L^T | y] of this block row
+        rhs = work.array("right-hand side", k, (b, b + 1))
+        rhs[..., :b] = np.swapaxes(below[:, i], 1, 2)
+        rhs[..., b] = y
+        X = np.linalg.solve(S, rhs)
         LX = below[:, i] @ X
         S = diagonal[:, i + 1] - LX[..., :b]
         y = topo.block_loads[i + 1] - LX[..., b]
@@ -556,13 +555,13 @@ def natural_frequencies(model: TrussModel) -> np.ndarray:
     K = assemble_stiffness(model, out=work.array("stiffness", k, (f, f)))
     inv_sqrt = 1.0 / np.sqrt(mass)
     # M^(-1/2) K M^(-1/2), symmetrized in place: the same bits as
-    # A = inv_sqrt K inv_sqrt, then 0.5 * (A + A^T)
+    # A = inv_sqrt K inv_sqrt, then 0.5 * (A + A^T), since numpy computes a
+    # ufunc whose output overlaps an input as if they did not overlap
     K *= inv_sqrt[:, :, None]
     K *= inv_sqrt[:, None, :]
-    A = work.array("modal", k, (f, f))
-    np.add(K, np.swapaxes(K, 1, 2), out=A)
-    A *= 0.5
-    lams = np.linalg.eigvalsh(A)
+    np.add(K, np.swapaxes(K, 1, 2), out=K)
+    K *= 0.5
+    lams = np.linalg.eigvalsh(K)
     tol = 1e-8 * np.maximum(1.0, np.abs(lams).max(axis=1))
     lams[lams[:, 0] <= tol] = np.nan
     return np.sqrt(lams) / (2.0 * np.pi)

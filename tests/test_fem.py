@@ -306,6 +306,24 @@ class TestFrequencies:
         model = random_model(rng, 5)
         assert natural_frequencies(model).shape == (1, model.topology.free.size)
 
+    def test_symmetrized_in_place_gives_the_fresh_bits(self, rng):
+        # truss37 with its third row flattened onto the lower chord, which
+        # leaves no vertical stiffness: a mechanism
+        design = load_design("truss37")
+        coords, areas = design.expand(design.search_space().sample(4, rng))
+        coords[2, 11:] = coords[2, 1:10] + [0.5, 0.0]
+        model = TrussModel(coords, areas, design.topology)
+        free = design.topology.free
+        inv_sqrt = 1.0 / np.sqrt(lumped_masses(model)[:, free // 2])
+        A = assemble_stiffness(model) * inv_sqrt[:, :, None] * inv_sqrt[:, None, :]
+        lams = np.linalg.eigvalsh(0.5 * (A + np.swapaxes(A, 1, 2)))
+        tol = 1e-8 * np.maximum(1.0, np.abs(lams).max(axis=1))
+        lams[lams[:, 0] <= tol] = np.nan
+        expect = np.sqrt(lams) / (2.0 * np.pi)
+        freqs = natural_frequencies(model)
+        assert np.isnan(freqs).all(axis=1).tolist() == [False, False, True, False]
+        assert freqs.tobytes() == expect.tobytes()
+
     def test_massless_free_dof_rejected(self):
         model = self.single_dof_model(mass=0.0)
         with pytest.raises(ModelError, match="mass"):
@@ -832,8 +850,7 @@ class TestWorkArrays:
         space = design.search_space()
         analyses(TrussModel(*design.expand(space.sample(50, rng)), design.topology))
         held = {**work._arrays, **work._indices}
-        assert {"member terms", "blocks", "right-hand sides", "stiffness",
-                "modal"} <= set(held)
+        assert {"member terms", "blocks", "stiffness"} <= set(held)
         # gathers take along the member axis; only the scatters keep a
         # shifted index
         assert set(work._indices) == {"free scatter", "blocks scatter", "masses"}
@@ -842,6 +859,23 @@ class TestWorkArrays:
             now = {**work._arrays, **work._indices}
             assert now.keys() == held.keys()
             assert all(now[key] is held[key] for key in held), k
+
+    @pytest.mark.parametrize("name", ["forth", "truss37", "michell"])
+    def test_one_copy_of_each_stiffness(self, name, rng):
+        # the block elimination holds the right-hand side of one block row,
+        # and the modal analysis symmetrizes the stiffness in place
+        design = load_design(name)
+        topo, work = design.topology, design.topology._work
+        space = design.search_space()
+        analyses(TrussModel(*design.expand(space.sample(50, rng)), topo))
+        f = topo.free.size
+        dense = [key for key, a in work._arrays.items() if a.shape[1:] == (f, f)]
+        assert dense == ["stiffness"]
+        if topo.n_blocks > 1:
+            b = topo.block_size
+            assert work._arrays["right-hand side"].shape == (50, b, b + 1)
+        else:
+            assert "right-hand side" not in work._arrays
 
     def test_out_must_fit_the_stack(self, rng):
         model = random_model(rng, 5)

@@ -1,15 +1,20 @@
-"""Golden-history lock: seeded runs must reproduce their history files.
+"""Golden record: a seeded grid must reproduce every file it writes.
 
 A reduced grid (bbo, kha and teo on michell, truss37, forth and sphere, with
 and without the elite memory, two replicates each, a small budget) is run
-through the harness and the sha256 of every ``run_*.csv`` it writes is
-compared with ``golden_histories.json``.  Any change in what an optimizer
-draws, evaluates or ranks shows up as a changed digest, so refactors and
-performance work can prove that results are unchanged.
+once through the harness, and the sha256 of each file it writes is compared
+with ``golden_histories.json``, in two tables.  ``histories`` holds every
+``run_*.csv``: any change in what an optimizer draws, evaluates or ranks
+shows up there as a changed digest, so refactors and performance work can
+prove that results are unchanged.  ``grid_files`` holds every other file:
+``manifest.json``, each cell's ``stats.csv`` and ``best.json``, and the
+report's ``report.csv``, ``improvements.csv`` and ``report.txt``, so a
+change to how statistics, reports or the manifest are written shows up too.
+A failure names the table and each file whose digest differs.
 
 The digests hold only for one Python and numpy version and one BLAS thread
-count: floating point results may differ elsewhere, so the test skips with a
-message when the environment recorded in the JSON file differs from the
+count: floating point results may differ elsewhere, so both tests skip with
+a message when the environment recorded in the JSON file differs from the
 running one.  ``conftest.py`` pins BLAS to one thread, for every test and
 for the recording below.
 
@@ -18,8 +23,8 @@ test pass.  After a deliberate change of behaviour, record it again with::
 
     PYTHONPATH=src python3 tests/test_golden_histories.py --record
 
-which lists the digests added, removed and changed against the record it
-replaces, for review.
+which lists, for each table, the digests added, removed and changed against
+the record it replaces, for review.
 """
 
 from __future__ import annotations
@@ -60,30 +65,52 @@ def environment() -> dict:
     }
 
 
-def history_digests(out_dir: Path) -> dict:
-    """``{"<cell>/run_NNN.csv": sha256}`` of a grid run into ``out_dir``."""
+TABLES = ("histories", "grid_files")
+
+
+def grid_digests(out_dir: Path) -> dict:
+    """``{table: {"<path>": sha256}}`` of a grid run into ``out_dir``: its
+    ``run_*.csv`` files under ``histories``, every other file under
+    ``grid_files``, each by its path relative to ``out_dir``."""
     report = run_experiment(ExperimentPlan(**PLAN), out_dir)
     failed = [c.cell.label for c in report.cells if c.status != "ok"]
     if failed:
         raise RuntimeError(f"cells failed: {failed}")
-    return {
-        path.relative_to(out_dir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(out_dir.glob("*/run_*.csv"))
-    }
+    digests = {table: {} for table in TABLES}
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+        table = "histories" if path.match("*/run_*.csv") else "grid_files"
+        name = path.relative_to(out_dir).as_posix()
+        digests[table][name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
 
 
-def test_histories_match_golden(tmp_path):
+@pytest.fixture(scope="module")
+def golden_and_digests(tmp_path_factory):
+    """The golden record and the digests of the grid run here, once for
+    both tables; skips when the record was taken in another environment."""
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     if golden["environment"] != environment():
         pytest.skip(
-            f"golden histories were recorded with {golden['environment']}, "
+            f"the golden record was taken with {golden['environment']}, "
             f"this is {environment()}"
         )
     assert golden["plan"] == json.loads(json.dumps(PLAN))
-    digests = history_digests(tmp_path)
-    assert sorted(digests) == sorted(golden["histories"])
-    changed = [name for name, d in digests.items() if golden["histories"][name] != d]
-    assert not changed, f"history files differ from the golden record: {changed}"
+    return golden, grid_digests(tmp_path_factory.mktemp("grid"))
+
+
+def assert_table_matches(golden_and_digests, table: str) -> None:
+    golden, digests = golden_and_digests
+    changes = record_changes(golden[table], digests[table])
+    differ = {kind: names for kind, names in changes.items() if names}
+    assert not differ, f"table {table!r} differs from the golden record: {differ}"
+
+
+def test_histories_match_golden(golden_and_digests):
+    assert_table_matches(golden_and_digests, "histories")
+
+
+def test_grid_files_match_golden(golden_and_digests):
+    assert_table_matches(golden_and_digests, "grid_files")
 
 
 def record_changes(old: dict, new: dict) -> dict:
@@ -98,17 +125,18 @@ def record_changes(old: dict, new: dict) -> dict:
 
 def record() -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        digests = history_digests(Path(tmp))
+        digests = grid_digests(Path(tmp))
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
-    doc = {"environment": environment(), "plan": PLAN, "histories": digests}
+    doc = {"environment": environment(), "plan": PLAN, **digests}
     GOLDEN.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {len(digests)} digests to {GOLDEN}")
+    print(f"wrote {sum(map(len, digests.values()))} digests to {GOLDEN}")
     if old.get("environment", environment()) != environment():
         print(f"the replaced record was taken with {old['environment']}")
-    for kind, names in record_changes(old.get("histories", {}), digests).items():
-        print(f"{kind}: {len(names)}")
-        for name in names:
-            print(f"  {name}")
+    for table in TABLES:
+        for kind, names in record_changes(old.get(table, {}), digests[table]).items():
+            print(f"{table} {kind}: {len(names)}")
+            for name in names:
+                print(f"  {name}")
 
 
 if __name__ == "__main__":
